@@ -14,15 +14,18 @@ choice; ``execute`` accepts SQL text or a logical plan.
 from __future__ import annotations
 
 import contextlib
+import copy
 import time
 from typing import TYPE_CHECKING
 
 from .engines import ENGINE_FACTORIES, make_engine
 from .engines.base import Engine, ExecutionResult
+from .errors import ConfigurationError
 from .hardware.device import VirtualCoprocessor
 from .hardware.interconnect import PCIE3, Interconnect
 from .hardware.profiles import GTX970, DeviceProfile, get_profile
 from .kernels.codegen import begin_thread_compile_stats, thread_compile_stats
+from .placement.executor import dispatch
 from .plan.logical import LogicalPlan
 from .plan.pipelines import extract_pipelines
 from .sql.translate import plan_sql
@@ -116,11 +119,12 @@ class Session:
         from .compression import resolve_compression
         from .scaleout import validate_devices
 
-        auto_engine = isinstance(engine, str) and engine == "auto"
+        # The one place execution configuration is validated: a Server
+        # builds one Session and clones it per worker (``_sibling``).
+        alias = engine if isinstance(engine, str) else None
+        auto_engine = alias == "auto"
         auto_devices = isinstance(devices, str)
         if auto_devices and devices != "auto":
-            from .errors import ConfigurationError
-
             raise ConfigurationError(
                 f"devices must be an integer >= 1 or 'auto', got {devices!r}"
             )
@@ -128,11 +132,15 @@ class Session:
             validate_devices(devices)
         fault_plan = _coerce_fault_plan(fault_plan)
         if (auto_engine or auto_devices) and fault_plan is not None:
-            from .errors import ConfigurationError
-
             raise ConfigurationError(
                 "fault injection needs a pinned configuration; use an "
                 "explicit engine and devices=N instead of 'auto'"
+            )
+        if auto_devices and alias is None:
+            raise ConfigurationError(
+                "devices='auto' needs an engine alias (or 'auto'), "
+                "not an Engine instance; known engines: "
+                + ", ".join(sorted(ENGINE_FACTORIES))
             )
         self.database = database
         #: Optional :class:`~repro.telemetry.FlightRecorder`; when set,
@@ -141,77 +149,113 @@ class Session:
         self.recorder = recorder
         #: The engine alias as given (``None`` for Engine instances) —
         #: what post-mortem replay recipes record.
-        self.engine_alias = engine if isinstance(engine, str) else None
+        self.engine_alias = alias
+        if alias is not None and not auto_engine:
+            engine = make_engine(alias)  # also validates under devices="auto"
+        #: The pinned default engine; ``None`` on auto sessions.
+        self.engine = None if auto_engine or auto_devices else engine
         self._fault_plan = fault_plan
         self._retry_policy = retry_policy
+        self._residency = residency
         #: Optional :class:`~repro.telemetry.MetricsRegistry`; when set,
         #: every ``execute`` observes the session query-latency
         #: histogram and bumps ``repro_queries_total`` (the same metric
         #: names a :class:`~repro.serving.Server` exposes).
         self.metrics = metrics
-        if isinstance(device, str):
-            device = get_profile(device)
-        if isinstance(device, DeviceProfile):
-            device = VirtualCoprocessor(device, interconnect=interconnect)
-        self.device = device
+        self.plan_cache = plan_cache
         #: Wire-compression policy (``None`` = off): base columns cross
         #: the simulated link compressed, decode kernels run on device,
         #: and results carry ``result.compression`` accounting.
         self.compression = resolve_compression(compression)
-        self.device.compression = self.compression
         self.devices = devices
         self.partitioning = partitioning
-        self.auto = None
-        self.engine = None
-        if auto_engine or auto_devices:
-            from .errors import ConfigurationError
-            from .optimizer import AutoExecutor
+        if isinstance(device, str):
+            device = get_profile(device)
+        if isinstance(device, DeviceProfile):
+            device = VirtualCoprocessor(device, interconnect=interconnect)
+        self._bind(device)
 
-            if not auto_engine and not isinstance(engine, str):
-                raise ConfigurationError(
-                    "devices='auto' needs an engine alias (or 'auto'), "
-                    "not an Engine instance; known engines: "
-                    + ", ".join(sorted(ENGINE_FACTORIES))
-                )
-            if not auto_engine:
-                make_engine(engine)  # validate the alias early
-            self.auto = AutoExecutor(
-                self.device.profile,
-                interconnect=interconnect,
-                engine=None if auto_engine else engine,
-                devices=None if auto_devices else devices,
-                partitioning=partitioning,
-                placement="pooled" if residency else None,
-                compression=self.compression,
+    def _bind(self, device: VirtualCoprocessor, share=None) -> None:
+        """Attach the session to ``device`` and build the device-bound
+        half of its configured route: the adaptive executor (on the
+        statistics and calibrator of a sibling's, ``share``), the
+        scale-out fleet, or the buffer pool (else the bare engine).
+        Everything set here is private to this session; everything
+        else is shared with its siblings."""
+        self.device = device
+        device.compression = self.compression
+        self.auto = self.scaleout = self.pool = None
+        #: Adaptive executor for per-query ``engine="auto"`` overrides
+        #: on a pinned session (built on first use, never ``self.auto``:
+        #: the session itself stays pinned).
+        self._override_auto = None
+        if self.engine is None:
+            self.auto = self._new_auto(
+                engine=None if self.engine_alias == "auto" else self.engine_alias,
+                devices=None if self.devices == "auto" else self.devices,
+                statistics=share.statistics if share else None,
+                calibrator=share.calibrator if share else None,
             )
-            self.plan_cache = plan_cache
-            self.pool = None
-            self.scaleout = None
-            return
-        self.engine = make_engine(engine) if isinstance(engine, str) else engine
-        self.plan_cache = plan_cache
-        self.pool = None
-        self.scaleout = None
-        if devices > 1 or fault_plan is not None:
+        elif self.devices > 1 or self._fault_plan is not None:
             from .scaleout import ScaleOutExecutor
 
             self.scaleout = ScaleOutExecutor(
-                devices,
-                profile=self.device.profile,
-                interconnect=interconnect,
-                partitioning=partitioning,
-                residency=residency,
-                fault_plan=fault_plan,
-                retry_policy=retry_policy,
+                self.devices,
+                profile=device.profile,
+                interconnect=device.interconnect,
+                partitioning=self.partitioning,
+                residency=self._residency,
+                fault_plan=self._fault_plan,
+                retry_policy=self._retry_policy,
                 compression=self.compression,
             )
-        elif residency:
-            if self.device.placement_pool is not None:
-                self.pool = self.device.placement_pool
+        elif self._residency:
+            if device.placement_pool is not None:
+                self.pool = device.placement_pool
             else:
                 from .placement import BufferPool
 
-                self.pool = BufferPool(self.device)
+                self.pool = BufferPool(device)
+
+    def _new_auto(self, **pinned):
+        """An adaptive executor over this session's device profile;
+        ``residency=True`` pins its placement to ``pooled``."""
+        from .optimizer import AutoExecutor
+
+        return AutoExecutor(
+            self.device.profile,
+            interconnect=self.device.interconnect,
+            partitioning=self.partitioning,
+            placement="pooled" if self._residency else None,
+            compression=self.compression,
+            **pinned,
+        )
+
+    def _sibling(self) -> "Session":
+        """A session with this one's validated configuration on a
+        private device (one per :class:`~repro.serving.Server` worker).
+        Siblings share the database, plan cache, recorder, default
+        engine instance, compression policy (safe: its encoding cache
+        lives on the immutable columns) and — on auto sessions — one
+        statistics catalog and one calibrator, so every observation
+        tightens the same model."""
+        twin = copy.copy(self)
+        twin._bind(
+            VirtualCoprocessor(
+                self.device.profile, interconnect=self.device.interconnect
+            ),
+            share=self.auto,
+        )
+        return twin
+
+    def _auto_executor(self):
+        """The adaptive executor ``engine="auto"`` queries run on: the
+        session's own, else the per-query-override one."""
+        if self.auto is not None:
+            return self.auto
+        if self._override_auto is None:
+            self._override_auto = self._new_auto()
+        return self._override_auto
 
     # ------------------------------------------------------------------
     def plan(self, query: str | LogicalPlan) -> LogicalPlan:
@@ -222,31 +266,46 @@ class Session:
 
     def physical(self, query: str | LogicalPlan):
         """The extracted pipelines, via the plan cache when one is set."""
+        return self._lookup(query, self._strategy_token(self.engine))[0]
+
+    def _lookup(self, query, token) -> tuple:
+        """``(physical plan, plan-cache hit)`` for ``query``."""
         if self.plan_cache is not None:
-            physical, _hit = self.plan_cache.lookup(
-                query, self.database, self._strategy_token(self.engine)
-            )
-            return physical
-        return extract_pipelines(self.plan(query), self.database)
+            return self.plan_cache.lookup(query, self.database, token)
+        return extract_pipelines(self.plan(query), self.database), False
 
     def _strategy_token(self, chosen: "Engine | None") -> tuple | None:
         """Hashable execution-strategy identity for plan-cache keying.
 
         Pinned configurations all share ``None``: the physical plan is
         engine-independent, so a plan compiled for one pinned engine is
-        reusable by every other.  Auto sessions get a distinct token so
-        their entries (which carry a recorded optimizer strategy) never
-        collide with pinned ones or with differently-pinned auto
+        reusable by every other.  Auto executions get a distinct token
+        so their entries (which carry a recorded optimizer strategy)
+        never collide with pinned ones or with differently-pinned auto
         lattices."""
-        if chosen is None and self.auto is not None:
-            return (
-                "auto",
-                self.auto.pinned_engine,
-                self.auto.pinned_devices,
-                self.auto.partitioning,
-                self.auto.pinned_placement,
-            )
-        return None
+        if chosen is not None:
+            return None
+        auto = self._auto_executor()
+        return (
+            "auto",
+            auto.pinned_engine,
+            auto.pinned_devices,
+            auto.partitioning,
+            auto.pinned_placement,
+        )
+
+    def _strategy(self, alias: "str | None") -> dict:
+        """The validated configuration as a flight-record strategy:
+        every :class:`Session` keyword a replay needs, under its
+        keyword name (see ``telemetry.recorder.REPLAY_KEYS``)."""
+        return {
+            "engine": alias,
+            "device": self.device.profile.name,
+            "devices": self.devices,
+            "partitioning": self.partitioning,
+            "compression": self.compression.mode if self.compression else "off",
+            "residency": self._residency,
+        }
 
     def explain(
         self,
@@ -290,42 +349,56 @@ class Session:
         result carries the full span tree on ``result.trace``,
         including the front-end ``plan`` span.
         """
-        chosen = self.engine
+        return self._execute(query, engine, seed)
+
+    def _execute(
+        self,
+        query: str | LogicalPlan,
+        engine: Engine | str | None,
+        seed: int,
+        queue_wait_ms: float = 0.0,
+        worker: int = -1,
+    ) -> ExecutionResult:
+        """The query lifecycle (``docs/architecture.md``): flight record
+        -> correlation id -> tracer -> plan -> dispatch -> serving stats
+        -> metrics.  :class:`~repro.serving.Server` workers enter here
+        with their admission-queue wait and worker index; direct
+        executions are worker ``-1`` with no wait."""
+        chosen, alias = self.engine, self.engine_alias
         if engine is not None:
-            if isinstance(engine, str) and engine == "auto":
+            alias = engine if isinstance(engine, str) else None
+            if alias == "auto":
                 chosen = None  # route through the adaptive optimizer
             else:
-                chosen = make_engine(engine) if isinstance(engine, str) else engine
+                chosen = make_engine(engine) if alias else engine
         started = time.perf_counter()
         recorder = self.recorder
         flight = None
         if recorder is not None:
-            alias = self.engine_alias
-            if engine is not None and isinstance(engine, str):
-                alias = engine
             flight = recorder.start(
-                query,
-                seed=seed,
-                engine=alias,
-                device=self.device.profile.name,
-                devices=self.devices,
-                partitioning=self.partitioning,
+                query, seed=seed, worker=worker, **self._strategy(alias)
             )
-            flight.note(seed=seed)
         # A correlation id whenever anything is listening: the flight's
         # when the recorder is on, a fresh one when only a bare event
         # log is installed.
         query_id = flight.query_id if flight is not None else (
             new_query_id() if installed_log() is not None else None
         )
-        tracer = Tracer(api="session") if tracing_enabled() else None
-        if tracer is not None and query_id is not None:
-            tracer.root.attrs["query_id"] = query_id
-        activation = tracer.activate() if tracer else contextlib.nullcontext()
-        scope = query_scope(query_id)
+        tracer = None
         try:
-            with scope, activation:
-                result = self._execute_inner(chosen, query, seed, tracer)
+            if tracing_enabled():
+                tracer = (
+                    Tracer(api="session") if worker < 0 else Tracer(worker=worker)
+                )
+                if query_id is not None:
+                    tracer.root.attrs["query_id"] = query_id
+            activation = tracer.activate() if tracer else contextlib.nullcontext()
+            with query_scope(query_id), activation:
+                if tracer is not None and worker >= 0:
+                    tracer.event("queue_wait", "queue", wait_ms=queue_wait_ms)
+                result = self._plan_and_run(
+                    chosen, query, seed, tracer, flight, queue_wait_ms, worker
+                )
         except BaseException as error:
             if recorder is not None:
                 recorder.fail(
@@ -354,52 +427,52 @@ class Session:
                 observe_compression_metrics(self.metrics, result.compression)
         return result
 
-    def _execute_inner(
-        self, chosen: "Engine | None", query, seed: int, tracer: "Tracer | None"
+    def _plan_and_run(
+        self, chosen, query, seed, tracer, flight, queue_wait_ms, worker
     ) -> ExecutionResult:
-        if self.plan_cache is None:
-            if tracer is None:
-                plan = self.plan(query)
-            else:
-                with tracer.span("plan", "plan") as span:
-                    plan = self.plan(query)
-                    span.attrs["cache_hit"] = False
-            record_event("query.planned", cache_hit=False)
-            result = self._run(chosen, plan, seed)
-            record_event("query.executed", status="ok")
-            return result
-
-        from .serving.stats import ServingStats
-
         token = self._strategy_token(chosen)
         plan_start = time.perf_counter()
-        if tracer is None:
-            physical, hit = self.plan_cache.lookup(query, self.database, token)
-        else:
-            with tracer.span("plan", "plan") as span:
-                physical, hit = self.plan_cache.lookup(
-                    query, self.database, token
-                )
+        with (
+            tracer.span("plan", "plan") if tracer else contextlib.nullcontext()
+        ) as span:
+            physical, hit = self._lookup(query, token)
+            if span is not None:
                 span.attrs["cache_hit"] = hit
         plan_ms = (time.perf_counter() - plan_start) * 1e3
         record_event("query.planned", cache_hit=hit, plan_ms=round(plan_ms, 3))
+        if flight is not None:
+            from .telemetry.recorder import plan_fingerprint
+
+            flight.note(plan_fingerprint=plan_fingerprint(physical), cache_hit=hit)
         begin_thread_compile_stats()
         execute_start = time.perf_counter()
         result = self._run(chosen, physical, seed)
         execute_ms = (time.perf_counter() - execute_start) * 1e3
         record_event(
-            "query.executed", status="ok", execute_ms=round(execute_ms, 3)
+            "query.executed",
+            status="ok",
+            execute_ms=round(execute_ms, 3),
+            worker=worker,
         )
+        if self.plan_cache is None:
+            return result
+        from .serving.stats import ServingStats
+
         compile_hits, compile_misses, compile_ms = thread_compile_stats()
+        placement = result.placement
         result.serving = ServingStats(
             plan_cache_hit=hit,
             compile_hits=compile_hits,
             compile_misses=compile_misses,
-            queue_wait_ms=0.0,
+            queue_wait_ms=queue_wait_ms,
             plan_ms=plan_ms,
             compile_ms=compile_ms,
             execute_ms=execute_ms,
-            worker=-1,
+            worker=worker,
+            placement_hits=placement.hits if placement else 0,
+            placement_misses=placement.misses if placement else 0,
+            placement_hit_bytes=placement.hit_bytes if placement else 0,
+            out_of_core=bool(placement and placement.out_of_core),
         )
         if isinstance(query, str) and result.optimizer is not None:
             self.plan_cache.record_strategy(
@@ -407,54 +480,22 @@ class Session:
             )
         return result
 
-    def _auto_executor(self):
-        """The session's adaptive executor, created on demand for
-        per-query ``engine="auto"`` overrides on pinned sessions."""
-        if self.auto is None:
-            from .optimizer import AutoExecutor
-
-            self.auto = AutoExecutor(
-                self.device.profile,
-                interconnect=self.device.interconnect,
-                partitioning=self.partitioning,
-                compression=self.compression,
-            )
-        return self.auto
-
-    def _run(self, chosen: "Engine | None", plan, seed: int) -> ExecutionResult:
+    def _run(self, chosen: "Engine | None", physical, seed: int) -> ExecutionResult:
+        """Dispatch: the adaptive executor advises a point of the
+        execution-model lattice, a pinned session *is* one; both run it
+        through :func:`repro.placement.executor.dispatch`."""
         if chosen is None:
-            auto = self._auto_executor()
-            physical = (
-                plan
-                if not isinstance(plan, LogicalPlan)
-                else extract_pipelines(plan, self.database)
+            executor = self._auto_executor()
+            result = executor.execute(physical, self.database, seed=seed)
+        else:
+            executor = self.scaleout
+            result = dispatch(
+                chosen, physical, self.database, self.device, seed,
+                fleet=self.scaleout,
             )
-            result = auto.execute(physical, self.database, seed=seed)
-            if self.metrics is not None:
-                auto.observe_metrics(self.metrics)
-            return result
-        if self.scaleout is not None:
-            physical = (
-                plan
-                if not isinstance(plan, LogicalPlan)
-                else extract_pipelines(plan, self.database)
-            )
-            result = self.scaleout.execute(chosen, physical, self.database, seed=seed)
-            if self.metrics is not None:
-                self.scaleout.observe_metrics(self.metrics)
-            return result
-        if self.pool is not None:
-            from .placement import execute_with_placement
-
-            physical = (
-                plan
-                if not isinstance(plan, LogicalPlan)
-                else extract_pipelines(plan, self.database)
-            )
-            return execute_with_placement(
-                chosen, physical, self.database, self.device, seed=seed
-            )
-        return chosen.execute(plan, self.database, self.device, seed=seed)
+        if self.metrics is not None and executor is not None:
+            executor.observe_metrics(self.metrics)
+        return result
 
     def placement_stats(self):
         """Residency counters (``None`` unless ``residency=True``).
@@ -470,8 +511,7 @@ class Session:
     def optimizer_decision(self, query: str | LogicalPlan):
         """Advise (without executing) on an auto session: the ranked
         strategy breakdown the optimizer would use for ``query``."""
-        auto = self._auto_executor()
-        return auto.advise(self.physical(query), self.database)
+        return self._auto_executor().advise(self.physical(query), self.database)
 
 
 def _coerce_fault_plan(fault_plan):
@@ -487,8 +527,6 @@ def _coerce_fault_plan(fault_plan):
         return FaultPlan.from_dict(fault_plan)
     if isinstance(fault_plan, str):
         return FaultPlan.load(fault_plan)
-    from .errors import ConfigurationError
-
     raise ConfigurationError(
         f"fault_plan must be a FaultPlan, a plan dict, or a JSON path, "
         f"got {fault_plan!r}"

@@ -162,11 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--device", default="gtx970", help="device profile (default: gtx970)",
     )
-    serve.add_argument(
-        "--engine", default="resolution", choices=_engine_choices(),
-        help="execution engine; 'auto' enables the adaptive "
-        "cost-based optimizer (default: resolution)",
-    )
+    _add_engine_option(serve)
     serve.add_argument(
         "--devices", type=_devices_arg, default=1,
         help="simulated devices per worker; > 1 runs every query "
@@ -214,11 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     metrics.add_argument(
         "--device", default="gtx970", help="device profile (default: gtx970)",
     )
-    metrics.add_argument(
-        "--engine", default="resolution", choices=_engine_choices(),
-        help="execution engine; 'auto' enables the adaptive "
-        "cost-based optimizer (default: resolution)",
-    )
+    _add_engine_option(metrics)
     metrics.add_argument(
         "--out", default=None, metavar="PATH",
         help="also write the exposition to a file",
@@ -298,11 +290,7 @@ def _add_common(cmd: argparse.ArgumentParser) -> None:
         "--device", default="gtx970",
         help="device profile name (default: gtx970)",
     )
-    cmd.add_argument(
-        "--engine", default="resolution", choices=_engine_choices(),
-        help="execution engine; 'auto' enables the adaptive "
-        "cost-based optimizer (default: resolution)",
-    )
+    _add_engine_option(cmd)
     cmd.add_argument(
         "--limit", type=int, default=20, help="max rows to print (default: 20)"
     )
@@ -334,6 +322,14 @@ def _add_common(cmd: argparse.ArgumentParser) -> None:
         "(default: off)",
     )
     _add_fault_options(cmd)
+
+
+def _add_engine_option(cmd: argparse.ArgumentParser) -> None:
+    cmd.add_argument(
+        "--engine", default="resolution", choices=_engine_choices(),
+        help="execution engine; 'auto' enables the adaptive "
+        "cost-based optimizer (default: resolution)",
+    )
 
 
 def _add_fault_options(cmd: argparse.ArgumentParser) -> None:
@@ -463,19 +459,25 @@ def _cmd_devices(_args) -> int:
     return 0
 
 
-def _cmd_query(args) -> int:
-    recorder = _recorder(args, _database_recipe(args))
-    session = Session(
-        _database(args),
+def _session(args, database, **overrides) -> Session:
+    """The :class:`Session` the common flags (:func:`_add_common`)
+    describe; ``overrides`` replace individual keywords."""
+    config = dict(
         device=args.device,
         engine=args.engine,
         residency=args.residency,
         devices=args.devices,
         partitioning=args.partitioning,
-        recorder=recorder,
         compression=args.compression,
         **_fault_kwargs(args),
     )
+    config.update(overrides)
+    return Session(database, **config)
+
+
+def _cmd_query(args) -> int:
+    recorder = _recorder(args, _database_recipe(args))
+    session = _session(args, _database(args), recorder=recorder)
     try:
         if args.trace_out:
             from .telemetry import tracing
@@ -521,16 +523,7 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_explain(args) -> int:
-    session = Session(
-        _database(args),
-        device=args.device,
-        engine=args.engine,
-        residency=args.residency,
-        devices=args.devices,
-        partitioning=args.partitioning,
-        compression=args.compression,
-        **_fault_kwargs(args),
-    )
+    session = _session(args, _database(args))
     print(session.explain(args.sql, analyze=args.analyze))
     return 0
 
@@ -548,16 +541,7 @@ def _cmd_bench(args) -> int:
         ("HorseQC: Multi-pass", MultiPassEngine()),
         ("HorseQC: Fully pipelined", CompoundEngine("lrgp_simd")),
     ):
-        session = Session(
-            database,
-            device=args.device,
-            engine=engine,
-            devices=args.devices,
-            partitioning=args.partitioning,
-            compression=args.compression,
-            **_fault_kwargs(args),
-        )
-        result = session.execute(plan)
+        result = _session(args, database, engine=engine).execute(plan)
         rows.append(
             [
                 label,

@@ -296,6 +296,13 @@ class BatchExecutor:
         )
 
 
+def streaming_mode(engine) -> str:
+    """The compound-kernel mode the streaming executor runs on behalf
+    of ``engine``: compound engines keep their own mode, pass-based
+    engines stream through the default resolution mode."""
+    return engine.mode if isinstance(engine, CompoundEngine) else "lrgp_simd"
+
+
 def execute_out_of_core(
     plan: LogicalPlan | PhysicalQuery,
     database: Database,

@@ -20,7 +20,7 @@ self-calibrating decision per query:
 """
 
 from .advisor import Advisor, OptimizerDecision, PrunedCandidate
-from .auto import AUTO, AutoExecutor, resolve_auto
+from .auto import AutoExecutor
 from .calibrate import CalibrationSample, Calibrator
 from .cost import (
     MACRO_MODELS,
@@ -39,7 +39,6 @@ from .stats import (
 )
 
 __all__ = [
-    "AUTO",
     "Advisor",
     "AutoExecutor",
     "CalibrationSample",
@@ -57,5 +56,4 @@ __all__ = [
     "StrategyChoice",
     "TableStats",
     "collect_table_stats",
-    "resolve_auto",
 ]

@@ -9,12 +9,13 @@ each compiled query it
 1. asks the :class:`~repro.optimizer.advisor.Advisor` for the cheapest
    feasible :class:`~repro.optimizer.cost.StrategyChoice` (discounting
    the h2d charge for columns already pool-resident),
-2. dispatches to the matching execution path — the same code paths a
-   pinned session would use (``Engine.execute``,
-   :func:`~repro.placement.execute_with_placement`,
-   :func:`~repro.macro.batch.execute_out_of_core`, or
-   :class:`~repro.scaleout.ScaleOutExecutor`) so results are
-   byte-identical to pinned runs by construction,
+2. runs that point through :func:`repro.placement.executor.dispatch`
+   — the one ladder a pinned session uses too
+   (:class:`~repro.scaleout.ScaleOutExecutor`,
+   :func:`~repro.macro.batch.execute_out_of_core`,
+   :func:`~repro.placement.execute_with_placement`, or the bare
+   ``Engine.execute``) so results are byte-identical to pinned runs by
+   construction,
 3. feeds the observed time and exact PCIe bytes back into the
    :class:`~repro.optimizer.calibrate.Calibrator`, and attaches the
    full :class:`~repro.optimizer.advisor.OptimizerDecision` to
@@ -34,20 +35,18 @@ import threading
 from ..compression import resolve_compression
 from ..engines import make_engine
 from ..engines.base import Engine, ExecutionResult
-from ..errors import ConfigurationError, DeviceMemoryError
+from ..errors import DeviceMemoryError
 from ..hardware.device import VirtualCoprocessor
 from ..hardware.interconnect import PCIE3, Interconnect
 from ..hardware.profiles import DeviceProfile
+from ..placement.executor import base_columns, dispatch
 from ..plan.physical import PhysicalQuery
 from ..storage.database import Database
 from ..telemetry.events import record_event
-from .advisor import Advisor, OptimizerDecision
+from .advisor import Advisor, OptimizerDecision, PrunedCandidate
 from .calibrate import Calibrator
-from .cost import StrategyChoice, streamable_mode
+from .cost import StrategyChoice
 from .stats import StatisticsCatalog
-
-#: Sentinel accepted by ``Session(engine=...)`` / ``devices=...``.
-AUTO = "auto"
 
 
 class AutoExecutor:
@@ -94,8 +93,7 @@ class AutoExecutor:
         self._lock = threading.Lock()
         self._engines: dict[str, Engine] = {}
         self._scaleout: dict[int, object] = {}
-        self._pooled_device: VirtualCoprocessor | None = None
-        self._transient_device: VirtualCoprocessor | None = None
+        self._devices: dict[bool, VirtualCoprocessor] = {}
         self.decisions = 0
         self.fallbacks = 0
         self._last_decision: OptimizerDecision | None = None
@@ -111,27 +109,22 @@ class AutoExecutor:
                 self._engines[name] = engine
             return engine
 
-    def pooled_device(self) -> VirtualCoprocessor:
+    def _device(self, pooled: bool) -> VirtualCoprocessor:
+        """The executor's device with (``pooled``) or without a
+        :class:`~repro.placement.BufferPool`, built on first use."""
         with self._lock:
-            if self._pooled_device is None:
-                from ..placement import BufferPool
-
+            device = self._devices.get(pooled)
+            if device is None:
                 device = VirtualCoprocessor(
                     self.profile, interconnect=self.interconnect
                 )
                 device.compression = self.compression
-                BufferPool(device)
-                self._pooled_device = device
-            return self._pooled_device
+                if pooled:
+                    from ..placement import BufferPool
 
-    def transient_device(self) -> VirtualCoprocessor:
-        with self._lock:
-            if self._transient_device is None:
-                self._transient_device = VirtualCoprocessor(
-                    self.profile, interconnect=self.interconnect
-                )
-                self._transient_device.compression = self.compression
-            return self._transient_device
+                    BufferPool(device)
+                self._devices[pooled] = device
+            return device
 
     def _scaleout_executor(self, devices: int):
         with self._lock:
@@ -156,31 +149,18 @@ class AutoExecutor:
 
         With a compression policy the pool stores wire images, so the
         discount (and the peak contribution) is the wire size."""
-        device = self._pooled_device
-        if device is None or device.placement_pool is None:
+        device = self._devices.get(True)
+        if device is None:
             return 0
         pool = device.placement_pool
         serial = database.fingerprint()[0]
-        seen: set[tuple[str, str]] = set()
-        total = 0
-        for pipeline in query.pipelines:
-            if pipeline.source_is_virtual:
-                continue
-            table = database.table(pipeline.source)
-            for name in pipeline.required_columns:
-                base = pipeline.source_rename.get(name, name)
-                key = (pipeline.source, base)
-                if key in seen:
-                    continue
-                seen.add(key)
-                if (serial, pipeline.source, base) in pool:
-                    column = table.column(base)
-                    total += (
-                        self.compression.wire_nbytes(column)
-                        if self.compression is not None
-                        else column.nbytes
-                    )
-        return total
+        return sum(
+            self.compression.wire_nbytes(column)
+            if self.compression is not None
+            else column.nbytes
+            for table, name, column in base_columns(query, database)
+            if (serial, table, name) in pool
+        )
 
     # ------------------------------------------------------------------
     def advise(
@@ -244,51 +224,39 @@ class AutoExecutor:
         seed: int,
         decision: OptimizerDecision,
     ) -> ExecutionResult:
+        """Run the advised point through the shared ladder
+        (:func:`repro.placement.executor.dispatch`), with the auto-only
+        safety net around the bare run-to-finish path."""
         engine = self._engine(strategy.engine)
+        fleet = device = None
         if strategy.devices > 1:
-            executor = self._scaleout_executor(strategy.devices)
-            return executor.execute(engine, query, database, seed=seed)
-        if strategy.macro == "out-of-core":
-            from ..macro.batch import execute_out_of_core
-
-            device = (
-                self.pooled_device()
-                if strategy.placement == "pooled"
-                else self.transient_device()
-            )
-            return execute_out_of_core(
-                query, database, device, seed=seed,
-                block_bytes=self.advisor.estimator.stream_block_bytes(),
-                mode=streamable_mode(strategy.engine),
-            )
-        if strategy.placement == "pooled":
-            from ..placement import execute_with_placement
-
-            # execute_with_placement already owns the DeviceMemoryError
-            # -> out-of-core retry, so a wrong fit estimate degrades to
-            # streaming instead of failing.
-            return execute_with_placement(
-                engine, query, database, self.pooled_device(), seed=seed
-            )
+            fleet = self._scaleout_executor(strategy.devices)
+        else:
+            device = self._device(pooled=strategy.placement == "pooled")
+        block_bytes = self.advisor.estimator.stream_block_bytes()
         try:
-            return engine.execute(
-                query, database, self.transient_device(), seed=seed
+            return dispatch(
+                engine, query, database, device, seed, fleet=fleet,
+                macro=strategy.macro, block_bytes=block_bytes,
             )
         except DeviceMemoryError:
+            # The fleet, the streaming executor and the buffer pool own
+            # their recovery; only the bare engine needs the net.
+            if (
+                fleet is not None
+                or strategy.macro == "out-of-core"
+                or device.placement_pool is not None
+            ):
+                raise
             # Safety net: the fit estimate was wrong.  Stream instead.
             with self._lock:
                 self.fallbacks += 1
-            from .advisor import PrunedCandidate
-
             decision.pruned.append(
                 PrunedCandidate(strategy, "ran out of device memory")
             )
-            from ..macro.batch import execute_out_of_core
-
-            return execute_out_of_core(
-                query, database, self.transient_device(), seed=seed,
-                block_bytes=self.advisor.estimator.stream_block_bytes(),
-                mode=streamable_mode(strategy.engine),
+            return dispatch(
+                engine, query, database, device, seed,
+                macro="out-of-core", block_bytes=block_bytes,
             )
 
     # ------------------------------------------------------------------
@@ -352,31 +320,5 @@ class AutoExecutor:
                 ).observe(error)
 
     def placement_stats(self):
-        device = self._pooled_device
-        if device is not None and device.placement_pool is not None:
-            return device.placement_pool.stats()
-        return None
-
-
-def resolve_auto(value, kind: str):
-    """Validate an ``engine``/``devices`` value that may be ``"auto"``.
-
-    Returns ``None`` when the dimension should be decided by the
-    advisor, else the pinned value.  Raises
-    :class:`~repro.errors.ConfigurationError` naming the valid choices
-    (mirroring :func:`repro.engines.make_engine` and
-    :func:`repro.scaleout.validate_devices`).
-    """
-    if kind == "engine":
-        if value == AUTO:
-            return None
-        return value
-    if kind == "devices":
-        if value == AUTO:
-            return None
-        if isinstance(value, str):
-            raise ConfigurationError(
-                f"devices must be an integer >= 1 or 'auto', got {value!r}"
-            )
-        return value
-    raise ConfigurationError(f"unknown auto dimension {kind!r}")
+        device = self._devices.get(True)
+        return device.placement_pool.stats() if device is not None else None

@@ -80,13 +80,11 @@ PLACEMENTS = ("pooled", "transient")
 #: ``resolution`` shape and is left to explicit pinning).
 MICRO_ENGINES = ("operator-at-a-time", "multipass", "pipelined", "resolution")
 
-#: Engines the streaming out-of-core executor can run (compound modes).
-STREAMABLE_ENGINES = {
-    "pipelined": "atomic",
-    "resolution": "lrgp_simd",
-    "resolution-simd": "lrgp_simd",
-    "resolution-we": "lrgp_we",
-}
+#: Engines the streaming out-of-core executor can run (the compound
+#: aliases; :func:`repro.macro.batch.streaming_mode` names their mode).
+STREAMABLE_ENGINES = frozenset(
+    {"pipelined", "resolution", "resolution-simd", "resolution-we"}
+)
 
 #: Default selectivity when a predicate cannot be estimated from stats.
 DEFAULT_SELECTIVITY = 1.0 / 3.0
@@ -916,13 +914,6 @@ class CostEstimator:
         estimate.peak_device_bytes = int(
             estimate.peak_device_bytes - fact.input_bytes * (1 - 1 / devices)
         )
-
-
-def streamable_mode(engine: str) -> str:
-    """The compound-kernel mode the streaming executor should use for
-    ``engine`` (compound aliases map to themselves; pass-based engines
-    stream through the default resolution mode)."""
-    return STREAMABLE_ENGINES.get(engine, "lrgp_simd")
 
 
 def raise_if_unstreamable(query: PhysicalQuery) -> None:

@@ -24,18 +24,16 @@ records whether the out-of-core path ran.
 from __future__ import annotations
 
 from ..engines.base import Engine, ExecutionResult
-from ..engines.compound import CompoundEngine
 from ..errors import DeviceMemoryError, PlanError
 from ..hardware.device import VirtualCoprocessor
 from ..plan.physical import PhysicalQuery
 from ..storage.database import Database
 
 
-def base_column_bytes(query: PhysicalQuery, database: Database) -> int:
-    """Total bytes of the distinct base columns the plan reads — the
-    provable lower bound on the run-to-finish device working set."""
+def base_columns(query: PhysicalQuery, database: Database):
+    """Yield ``(table name, column name, column)`` once per distinct
+    base column the plan reads."""
     seen: set[tuple[str, str]] = set()
-    total = 0
     for pipeline in query.pipelines:
         if pipeline.source_is_virtual:
             continue
@@ -45,8 +43,47 @@ def base_column_bytes(query: PhysicalQuery, database: Database) -> int:
             key = (pipeline.source, base)
             if key not in seen:
                 seen.add(key)
-                total += table.column(base).nbytes
-    return total
+                yield pipeline.source, base, table.column(base)
+
+
+def base_column_bytes(query: PhysicalQuery, database: Database) -> int:
+    """Total bytes of the distinct base columns the plan reads — the
+    provable lower bound on the run-to-finish device working set."""
+    return sum(column.nbytes for _t, _c, column in base_columns(query, database))
+
+
+def dispatch(
+    engine: Engine,
+    query: PhysicalQuery,
+    database: Database,
+    device: VirtualCoprocessor | None,
+    seed: int = 42,
+    fleet=None,
+    macro: str = "run-to-finish",
+    block_bytes: int = 2 * 1024 * 1024,
+) -> ExecutionResult:
+    """Run ``query`` at one point of the macro x micro execution-model
+    lattice — the single execution ladder.
+
+    A pinned :class:`~repro.api.Session` passes its constant point; the
+    adaptive :class:`~repro.optimizer.AutoExecutor` passes the point its
+    advisor chose.  ``fleet`` (a
+    :class:`~repro.scaleout.ScaleOutExecutor`) takes the query when
+    set; otherwise it runs on ``device``: streamed out-of-core when
+    ``macro`` says so, else run-to-finish — under the device's buffer
+    pool when it has one, else on the bare engine
+    (:func:`execute_with_placement` tells the two apart).
+    """
+    if fleet is not None:
+        return fleet.execute(engine, query, database, seed=seed)
+    if macro == "out-of-core":
+        from ..macro.batch import execute_out_of_core, streaming_mode
+
+        return execute_out_of_core(
+            query, database, device, seed=seed,
+            block_bytes=block_bytes, mode=streaming_mode(engine),
+        )
+    return execute_with_placement(engine, query, database, device, seed=seed)
 
 
 def execute_with_placement(
@@ -58,8 +95,8 @@ def execute_with_placement(
 ) -> ExecutionResult:
     """Run ``query`` with residency management and automatic fallback.
 
-    Requires a :class:`~repro.placement.BufferPool` attached to
-    ``device`` (``device.placement_pool``).
+    Without a :class:`~repro.placement.BufferPool` attached to
+    ``device`` (``device.placement_pool``) this is the bare engine run.
     """
     pool = device.placement_pool
     if pool is None:
@@ -80,12 +117,13 @@ def _fallback(
     seed: int,
     original: DeviceMemoryError | None,
 ) -> ExecutionResult:
-    from ..macro.batch import execute_out_of_core
+    from ..macro.batch import execute_out_of_core, streaming_mode
 
     device.placement_pool.record_fallback()
-    mode = engine.mode if isinstance(engine, CompoundEngine) else "lrgp_simd"
     try:
-        return execute_out_of_core(query, database, device, seed=seed, mode=mode)
+        return execute_out_of_core(
+            query, database, device, seed=seed, mode=streaming_mode(engine)
+        )
     except PlanError:
         # The plan cannot stream (e.g. the final pipeline reads a
         # virtual table, or AVG partials cannot merge).  Surface the

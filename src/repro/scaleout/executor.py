@@ -796,14 +796,9 @@ class ScaleOutExecutor:
         self, engine: Engine, query: PhysicalQuery, database: Database, seed: int
     ) -> ExecutionResult:
         """Whole-query execution on device 0 (unpartitionable plan)."""
-        device = self.fleet.devices[0]
-        pool = self.fleet.pools[0]
-        if pool is not None:
-            from ..placement import execute_with_placement
+        from ..placement.executor import dispatch
 
-            result = execute_with_placement(engine, query, database, device, seed=seed)
-        else:
-            result = engine.execute(query, database, device, seed=seed)
+        result = dispatch(engine, query, database, self.fleet.devices[0], seed)
         share = DeviceShare(
             device=0,
             morsels=1,
@@ -856,14 +851,14 @@ class ScaleOutExecutor:
             tracer.event(
                 "host fallback", "fault", devices_lost=len(recovery.degraded_devices)
             )
-        from ..engines.compound import CompoundEngine
-        from ..macro.batch import execute_out_of_core
+        from ..macro.batch import execute_out_of_core, streaming_mode
 
         device = self.fleet.host_device()
         device.reset_all()
-        mode = engine.mode if isinstance(engine, CompoundEngine) else "lrgp_simd"
         try:
-            result = execute_out_of_core(query, database, device, seed=seed, mode=mode)
+            result = execute_out_of_core(
+                query, database, device, seed=seed, mode=streaming_mode(engine)
+            )
         except PlanError:
             device.reset_all()
             result = engine.execute(query, database, device, seed=seed)

@@ -10,11 +10,12 @@ admission queue** that applies back-pressure when the pool is saturated.
 Request path::
 
     submit(sql) ──> admission queue ──> worker
-                                          ├─ plan cache (hit: skip SQL
-                                          │  parse + pipeline extraction)
-                                          ├─ engine.execute (compound-
-                                          │  kernel codegen hits the
-                                          │  process-wide kernel cache)
+                                          ├─ its Session runs the query
+                                          │  lifecycle (plan cache,
+                                          │  dispatch, serving stats —
+                                          │  see docs/architecture.md)
+                                          ├─ fold result.serving into
+                                          │  the server counters
                                           └─ future.set_result(result)
 
 Every result carries a :class:`~repro.serving.stats.ServingStats` in
@@ -30,42 +31,29 @@ import time
 from dataclasses import dataclass, field
 from concurrent.futures import Future
 
-import contextlib
-
+from ..api import Session
 from ..engines import make_engine
 from ..engines.base import Engine, ExecutionResult
 from ..errors import AdmissionError, ServingError
 from ..hardware.device import VirtualCoprocessor
 from ..hardware.interconnect import PCIE3, Interconnect
-from ..hardware.profiles import GTX970, DeviceProfile, get_profile
-from ..kernels.codegen import (
-    begin_thread_compile_stats,
-    kernel_cache_stats,
-    thread_compile_stats,
-)
-from ..placement import BufferPool, PlacementStats, execute_with_placement
+from ..hardware.profiles import GTX970, DeviceProfile
+from ..kernels.codegen import kernel_cache_stats
+from ..placement import PlacementStats
 from ..plan.logical import LogicalPlan
 from ..storage.database import Database
-from ..telemetry.events import (
-    installed_log,
-    new_query_id,
-    query_scope,
-    record_event,
-)
+from ..telemetry.events import record_event
 from ..telemetry.metrics import MetricsRegistry
-from ..telemetry.trace import Tracer, tracing_enabled
 from .plan_cache import PlanCache
-from .stats import ServerStats, ServingStats
+from .stats import ServerStats
 
 _SHUTDOWN = object()
-#: Per-query ``engine="auto"`` marker (distinct from "server default").
-_AUTO = object()
 
 
 @dataclass
 class _Request:
     query: object  # str | LogicalPlan
-    engine: Engine | None
+    engine: Engine | str | None  # as submitted (alias validated)
     seed: int
     future: Future = field(default_factory=Future)
     enqueued_at: float = field(default_factory=time.perf_counter)
@@ -140,32 +128,13 @@ class Server:
         plan_cache: PlanCache | None = None,
         plan_cache_capacity: int = 256,
         residency: bool = True,
-        devices: int = 1,
+        devices: int | str = 1,
         partitioning: str = "range",
         fault_plan=None,
         retry_policy=None,
         recorder=None,
         compression: str = "off",
     ):
-        from ..api import _coerce_fault_plan
-        from ..compression import resolve_compression
-        from ..errors import ConfigurationError
-        from ..scaleout import validate_devices
-
-        auto_engine = isinstance(engine, str) and engine == "auto"
-        auto_devices = isinstance(devices, str)
-        if auto_devices and devices != "auto":
-            raise ConfigurationError(
-                f"devices must be an integer >= 1 or 'auto', got {devices!r}"
-            )
-        if not auto_devices:
-            validate_devices(devices)
-        fault_plan = _coerce_fault_plan(fault_plan)
-        if (auto_engine or auto_devices) and fault_plan is not None:
-            raise ConfigurationError(
-                "fault injection needs a pinned configuration; use an "
-                "explicit engine and devices=N instead of 'auto'"
-            )
         if workers < 1:
             raise ServingError(f"need at least 1 worker, got {workers}")
         if queue_size < 1:
@@ -180,27 +149,28 @@ class Server:
         #: all workers: every query lands a flight record, failures
         #: write post-mortem bundles (with the armed fault plan).
         self.recorder = recorder
-        self._fault_plan = fault_plan
-        self._retry_policy = retry_policy
-        self._engine_alias = engine if isinstance(engine, str) else None
-        self.profile = get_profile(device) if isinstance(device, str) else device
-        self.interconnect = interconnect
         self.workers = workers
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache(
             plan_cache_capacity
         )
-        self._default_engine = None
-        if not auto_engine and not auto_devices:
-            self._default_engine = (
-                make_engine(engine) if isinstance(engine, str) else engine
-            )
-        elif not auto_engine:
-            if not isinstance(engine, str):
-                raise ConfigurationError(
-                    "devices='auto' needs an engine alias (or 'auto'), "
-                    "not an Engine instance"
-                )
-            make_engine(engine)  # validate the alias early
+        # One Session validates the configuration; each further worker
+        # gets a sibling on a private device (see ``Session._sibling``
+        # for what they share).
+        first = Session(
+            database,
+            device=device,
+            engine=engine,
+            interconnect=interconnect,
+            plan_cache=self.plan_cache,
+            residency=residency,
+            devices=devices,
+            partitioning=partitioning,
+            fault_plan=fault_plan,
+            retry_policy=retry_policy,
+            recorder=recorder,
+            compression=compression,
+        )
+        self._sessions = [first] + [first._sibling() for _ in range(workers - 1)]
         self._queue: queue.Queue = queue.Queue(maxsize=queue_size)
         self._queue_capacity = queue_size
         self._closed = False
@@ -225,81 +195,6 @@ class Server:
         self._queue_wait_hist = self.metrics.histogram(
             "repro_queue_wait_ms", "Admission-queue wait (host ms)"
         )
-        #: Shared wire-compression policy (``None`` = off).  One policy
-        #: for all workers: its per-column encoding cache lives on the
-        #: (immutable) columns, so sharing is safe and avoids
-        #: re-sampling per worker.
-        self.compression = resolve_compression(compression)
-        self._devices = [
-            VirtualCoprocessor(self.profile, interconnect=interconnect)
-            for _ in range(workers)
-        ]
-        for worker_device in self._devices:
-            worker_device.compression = self.compression
-        self.residency = residency
-        self.devices = devices
-        self.partitioning = partitioning
-        self._executors: list = []
-        #: Per-worker adaptive executors (``engine="auto"`` /
-        #: ``devices="auto"``).  Statistics and calibration are shared
-        #: so every worker's observations tighten the same model.
-        self._auto_executors: list = [None] * workers
-        self._auto_lock = threading.Lock()
-        self._auto_token = None
-        if auto_engine or auto_devices:
-            from ..optimizer import AutoExecutor, Calibrator, StatisticsCatalog
-
-            statistics = StatisticsCatalog()
-            calibrator = Calibrator()
-            pinned_engine = None if auto_engine else engine
-            pinned_devices = None if auto_devices else devices
-            self._auto_executors = [
-                AutoExecutor(
-                    self.profile,
-                    interconnect=interconnect,
-                    engine=pinned_engine,
-                    devices=pinned_devices,
-                    partitioning=partitioning,
-                    placement="pooled" if residency else None,
-                    statistics=statistics,
-                    calibrator=calibrator,
-                    compression=self.compression,
-                )
-                for _ in range(workers)
-            ]
-            self._auto_token = (
-                "auto", pinned_engine, pinned_devices, partitioning,
-                "pooled" if residency else None,
-            )
-            self._pools = []
-        elif devices > 1 or fault_plan is not None:
-            from ..scaleout import ScaleOutExecutor
-
-            self._executors = [
-                ScaleOutExecutor(
-                    devices,
-                    profile=self.profile,
-                    interconnect=interconnect,
-                    partitioning=partitioning,
-                    residency=residency,
-                    fault_plan=fault_plan,
-                    retry_policy=retry_policy,
-                    compression=self.compression,
-                )
-                for _ in range(workers)
-            ]
-            # Residency lives in the fleets, not the (unused) per-worker
-            # devices; expose the fleet pools so ``stats`` aggregates them.
-            self._pools = [
-                pool
-                for executor in self._executors
-                for pool in executor.fleet.pools
-                if pool is not None
-            ]
-        else:
-            self._pools = (
-                [BufferPool(device) for device in self._devices] if residency else []
-            )
         self._threads = [
             threading.Thread(
                 target=self._worker_loop,
@@ -331,13 +226,9 @@ class Server:
         """
         if self._closed:
             raise ServingError("server is closed")
-        chosen = None
-        if engine is not None:
-            if isinstance(engine, str) and engine == "auto":
-                chosen = _AUTO
-            else:
-                chosen = make_engine(engine) if isinstance(engine, str) else engine
-        request = _Request(query=query, engine=chosen, seed=seed)
+        if isinstance(engine, str) and engine != "auto":
+            make_engine(engine)  # reject unknown aliases at the front door
+        request = _Request(query=query, engine=engine, seed=seed)
         try:
             self._queue.put(request, block=block, timeout=timeout)
         except queue.Full:
@@ -391,182 +282,44 @@ class Server:
     # ------------------------------------------------------------------
     # worker side
     # ------------------------------------------------------------------
-    def _auto_for(self, index: int):
-        """This worker's adaptive executor (created lazily so pinned
-        servers pay nothing until a query asks for ``engine="auto"``)."""
-        with self._auto_lock:
-            auto = self._auto_executors[index]
-            if auto is None:
-                from ..optimizer import AutoExecutor
-
-                auto = AutoExecutor(
-                    self.profile,
-                    interconnect=self.interconnect,
-                    partitioning=self.partitioning,
-                    placement="pooled" if self.residency else None,
-                    compression=self.compression,
-                )
-                self._auto_executors[index] = auto
-            return auto
-
     def _worker_loop(self, index: int) -> None:
-        device = self._devices[index]
-        engine = self._default_engine
         while True:
             item = self._queue.get()
             if item is _SHUTDOWN:
                 self._queue.task_done()
                 return
             try:
-                self._run_one(item, index, device, engine)
+                self._run_one(item, index)
             finally:
                 self._queue.task_done()
 
-    def _run_one(
-        self, item: _Request, index: int, device: VirtualCoprocessor, engine: Engine
-    ) -> None:
+    def _run_one(self, item: _Request, index: int) -> None:
         if not item.future.set_running_or_notify_cancel():
             with self._lock:
                 self._cancelled += 1
             return
         queue_wait_ms = (time.perf_counter() - item.enqueued_at) * 1e3
-        chosen = item.engine if item.engine is not None else engine
-        auto = None
-        if chosen is _AUTO or (chosen is None and self._auto_executors[index]):
-            auto = self._auto_for(index)
-            chosen = None
-        if auto is not None:
-            token = self._auto_token or (
-                "auto", None, None, self.partitioning, None
-            )
-        else:
-            # Pinned plans are engine-independent and shared (token None).
-            token = None
-        recorder = self.recorder
-        flight = None
-        if recorder is not None:
-            flight = recorder.start(
-                item.query,
-                seed=item.seed,
-                engine="auto" if auto is not None else self._engine_alias,
-                device=self.profile.name,
-                devices=self.devices,
-                partitioning=self.partitioning,
-                worker=index,
-            )
-            flight.note(seed=item.seed)
-        query_id = flight.query_id if flight is not None else (
-            new_query_id() if installed_log() is not None else None
-        )
-        tracer = None
         try:
-            tracer = Tracer(worker=index) if tracing_enabled() else None
-            if tracer is not None and query_id is not None:
-                tracer.root.attrs["query_id"] = query_id
-            activation = tracer.activate() if tracer else contextlib.nullcontext()
-            scope = query_scope(query_id)
-            with scope, activation:
-                if tracer is not None:
-                    tracer.event("queue_wait", "queue", wait_ms=queue_wait_ms)
-                plan_start = time.perf_counter()
-                if tracer is None:
-                    physical, hit = self.plan_cache.lookup(
-                        item.query, self.database, token
-                    )
-                else:
-                    with tracer.span("plan", "plan") as span:
-                        physical, hit = self.plan_cache.lookup(
-                            item.query, self.database, token
-                        )
-                        span.attrs["cache_hit"] = hit
-                plan_ms = (time.perf_counter() - plan_start) * 1e3
-                record_event(
-                    "query.planned", cache_hit=hit, plan_ms=round(plan_ms, 3)
-                )
-                if flight is not None:
-                    from ..telemetry.recorder import plan_fingerprint
-
-                    flight.note(
-                        plan_fingerprint=plan_fingerprint(physical),
-                        cache_hit=hit,
-                    )
-                begin_thread_compile_stats()
-                execute_start = time.perf_counter()
-                if auto is not None:
-                    result = auto.execute(
-                        physical, self.database, seed=item.seed
-                    )
-                elif self._executors:
-                    result = self._executors[index].execute(
-                        chosen, physical, self.database, seed=item.seed
-                    )
-                elif device.placement_pool is not None:
-                    result = execute_with_placement(
-                        chosen, physical, self.database, device, seed=item.seed
-                    )
-                else:
-                    result = chosen.execute(
-                        physical, self.database, device, seed=item.seed
-                    )
-                execute_ms = (time.perf_counter() - execute_start) * 1e3
-                record_event(
-                    "query.executed",
-                    status="ok",
-                    execute_ms=round(execute_ms, 3),
-                    worker=index,
-                )
-                if (
-                    result.optimizer is not None
-                    and isinstance(item.query, str)
-                ):
-                    self.plan_cache.record_strategy(
-                        item.query, self.database, token,
-                        result.optimizer.chosen,
-                    )
-            if tracer is not None:
-                result.trace = tracer.finish()
-            compile_hits, compile_misses, compile_ms = thread_compile_stats()
-            placement = result.placement
-            result.serving = ServingStats(
-                plan_cache_hit=hit,
-                compile_hits=compile_hits,
-                compile_misses=compile_misses,
-                queue_wait_ms=queue_wait_ms,
-                plan_ms=plan_ms,
-                compile_ms=compile_ms,
-                execute_ms=execute_ms,
-                worker=index,
-                placement_hits=placement.hits if placement else 0,
-                placement_misses=placement.misses if placement else 0,
-                placement_hit_bytes=placement.hit_bytes if placement else 0,
-                out_of_core=bool(placement and placement.out_of_core),
+            result = self._sessions[index]._execute(
+                item.query, item.engine, item.seed, queue_wait_ms, index
             )
         except BaseException as error:
             with self._lock:
                 self._failed += 1
                 self._queue_wait_ms += queue_wait_ms
-            if recorder is not None:
-                recorder.fail(
-                    flight,
-                    error,
-                    trace=tracer.finish() if tracer is not None else None,
-                    fault_plan=self._fault_plan,
-                    retry_policy=self._retry_policy,
-                )
             item.future.set_exception(error)
             return
-        if recorder is not None:
-            recorder.complete(flight, result)
+        serving = result.serving
         with self._lock:
             self._completed += 1
             self._per_worker[index] += 1
-            self._plan_hits += int(hit)
-            self._plan_misses += int(not hit)
-            self._compile_hits += compile_hits
-            self._compile_misses += compile_misses
+            self._plan_hits += int(serving.plan_cache_hit)
+            self._plan_misses += int(not serving.plan_cache_hit)
+            self._compile_hits += serving.compile_hits
+            self._compile_misses += serving.compile_misses
             self._queue_wait_ms += queue_wait_ms
-            self._execute_ms += execute_ms
-        self._latency_hist.observe(queue_wait_ms + plan_ms + execute_ms)
+            self._execute_ms += serving.execute_ms
+        self._latency_hist.observe(serving.total_ms)
         self._queue_wait_hist.observe(queue_wait_ms)
         if result.compression is not None:
             from ..compression import observe_compression_metrics
@@ -604,12 +357,13 @@ class Server:
     def _placement_snapshot(self):
         """Aggregate buffer-pool stats across worker pools, fleets, and
         adaptive executors (whichever this server actually uses)."""
-        snapshots = [pool.stats() for pool in self._pools]
-        for auto in self._auto_executors:
-            if auto is not None:
-                stats = auto.placement_stats()
-                if stats is not None:
-                    snapshots.append(stats)
+        snapshots = [
+            stats
+            for session in self._sessions
+            for source in (session, session._override_auto)
+            if source is not None
+            and (stats := source.placement_stats()) is not None
+        ]
         return PlacementStats.aggregate(snapshots) if snapshots else None
 
     def metrics_text(self) -> str:
@@ -687,11 +441,12 @@ class Server:
                 "repro_placement_saved_bytes_total",
                 "PCIe bytes avoided by residency hits",
             ).set_total(placement.hit_bytes)
-        for index, executor in enumerate(self._executors):
-            executor.observe_metrics(metrics, worker=str(index))
-        for index, auto in enumerate(self._auto_executors):
-            if auto is not None:
-                auto.observe_metrics(metrics, worker=str(index))
+        for index, session in enumerate(self._sessions):
+            for executor in (
+                session.scaleout, session.auto, session._override_auto
+            ):
+                if executor is not None:
+                    executor.observe_metrics(metrics, worker=str(index))
         if self.recorder is not None:
             self.recorder.observe_metrics(metrics)
         return metrics.render()

@@ -55,6 +55,12 @@ __all__ = [
 
 BUNDLE_MANIFEST = "manifest.json"
 _BUNDLE_VERSION = 1
+#: The :class:`~repro.api.Session` keywords a flight's strategy records
+#: (``Session._strategy``) and :func:`replay_bundle` passes back; a key
+#: a bundle lacks (older bundles) replays at the Session default.
+REPLAY_KEYS = (
+    "engine", "device", "devices", "partitioning", "compression", "residency",
+)
 
 
 # ----------------------------------------------------------------------
@@ -129,7 +135,6 @@ class Flight:
     started: float  # perf_counter origin for host_ms
     started_at: float  # wall clock
     strategy: dict = field(default_factory=dict)
-    seed: int = 42
 
     def note(self, **attrs) -> None:
         """Merge strategy/plan facts learned after takeoff (plan
@@ -211,15 +216,12 @@ class FlightRecorder:
             sql=query if isinstance(query, str) else None,
             started=time.perf_counter(),
             started_at=time.time(),
-            strategy=dict(strategy),
-            seed=seed,
+            strategy=dict(strategy, seed=seed),
         )
 
     def complete(self, flight: Flight, result) -> FlightRecord:
         """Land a successful query: record strategy, traffic, checksum."""
         record = self._base_record(flight, status="ok")
-        record.strategy.setdefault("engine", result.engine)
-        record.strategy.setdefault("device", result.device_name)
         if result.optimizer is not None:
             record.strategy["optimizer"] = result.optimizer.chosen.describe()
         record.metrics = _result_metrics(result)
@@ -361,7 +363,7 @@ class FlightRecorder:
         recipe: dict = {"sql": record.sql, "seed": record.strategy.get("seed", 42)}
         if self.database_recipe:
             recipe["database"] = dict(self.database_recipe)
-        for key in ("engine", "device", "devices", "partitioning"):
+        for key in REPLAY_KEYS:
             if key in record.strategy:
                 recipe[key] = record.strategy[key]
         if retry_policy is not None:
@@ -535,14 +537,13 @@ def replay_bundle(
         retry_policy = RetryPolicy(**replay["retry_policy"])
     from ..api import Session
 
+    config = {
+        key: replay[key] for key in REPLAY_KEYS if replay.get(key) is not None
+    }
+    if device is not None:
+        config["device"] = device
     session = Session(
-        database,
-        device=device if device is not None else replay.get("device", "gtx970"),
-        engine=replay.get("engine", "resolution"),
-        devices=replay.get("devices", 1),
-        partitioning=replay.get("partitioning", "range"),
-        fault_plan=fault_plan,
-        retry_policy=retry_policy,
+        database, fault_plan=fault_plan, retry_policy=retry_policy, **config
     )
     expected_status = expected.get("status", "ok")
     details: list[str] = []

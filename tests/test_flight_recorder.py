@@ -65,6 +65,31 @@ class TestFlightRecords:
             event["query"] == record.query_id for event in record.events
         )
 
+    def test_per_request_engine_alias_reaches_the_record(self, ssb_db, recorder):
+        """Regression: Server.submit turned the alias into an instance
+        before enqueueing, so the flight (and its replay recipe) named
+        the server default instead of the engine that ran."""
+        with Server(ssb_db, workers=1, recorder=recorder) as server:
+            server.submit(SSB_QUERIES["q1.1"], engine="multipass").result()
+        assert recorder.last().strategy["engine"] == "multipass"
+        session = Session(ssb_db, engine="resolution", recorder=recorder)
+        session.execute(SSB_QUERIES["q1.1"], engine="multipass")
+        assert recorder.last().strategy["engine"] == "multipass"
+
+    def test_session_flight_notes_plan_identity(self, ssb_db, recorder):
+        """Regression: only Server-side flights noted the plan
+        fingerprint and the plan-cache outcome."""
+        from repro.serving import PlanCache
+
+        session = Session(ssb_db, plan_cache=PlanCache(), recorder=recorder)
+        session.execute(SSB_QUERIES["q1.1"])
+        session.execute(SSB_QUERIES["q1.1"])
+        cold, warm = recorder.records()
+        assert (cold.strategy["cache_hit"], warm.strategy["cache_hit"]) == (
+            False, True,
+        )
+        assert cold.strategy["plan_fingerprint"] == warm.strategy["plan_fingerprint"]
+
     def test_ring_is_bounded(self, ssb_db, tmp_path):
         rec = FlightRecorder(
             capacity=2, postmortem_dir=str(tmp_path / "pm"),
@@ -197,6 +222,47 @@ class TestByteIdenticalReplay:
         assert os.path.exists(os.path.join(bundle, "fault_plan.json"))
         report = replay_bundle(bundle)
         assert report.matched, report.render()
+
+    def test_replay_rebuilds_compression_and_residency(
+        self, ssb_db, recorder, monkeypatch
+    ):
+        """Regression: the recipe dropped ``compression`` and
+        ``residency``, so a lazy-scan / pooled flight replayed on a
+        different code path.  Bundles without the keys (written before
+        they were recorded) replay at the Session defaults."""
+        import repro.api
+
+        built = []
+
+        class SpySession(Session):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        session = Session(
+            ssb_db, compression="lazy", residency=True, recorder=recorder
+        )
+        session.execute(SSB_QUERIES["q1.1"])
+        record = recorder.last()
+        assert record.strategy["compression"] == "lazy"
+        assert record.strategy["residency"] is True
+        bundle = recorder.capture(record, name="lazy-pooled")
+        monkeypatch.setattr(repro.api, "Session", SpySession)
+        assert replay_bundle(bundle).matched
+        assert built[-1]["compression"] == "lazy"
+        assert built[-1]["residency"] is True
+
+        manifest_path = os.path.join(bundle, BUNDLE_MANIFEST)
+        with open(manifest_path) as handle:
+            manifest = json.load(handle)
+        for key in ("compression", "residency"):
+            del manifest["replay"][key]
+        with open(manifest_path, "w") as handle:
+            json.dump(manifest, handle)
+        assert replay_bundle(bundle).matched
+        assert "compression" not in built[-1] and "residency" not in built[-1]
+        replayed = SpySession(ssb_db, **built[-1])
+        assert replayed.compression is None and replayed.pool is None
 
     def test_trace_rides_along_in_bundle(self, ssb_db, recorder):
         session = Session(ssb_db, engine="resolution", recorder=recorder)

@@ -425,6 +425,26 @@ def test_session_auto_surfaces(ssb_db):
     assert adaptive.optimizer is not None
 
 
+def test_auto_override_leaves_a_pinned_session_pinned(ssb_db):
+    """Regression: one ``engine="auto"`` query stored the lazily built
+    executor in ``session.auto``, so the pinned session started
+    reporting the override's pool and explaining the optimizer lattice;
+    that executor also ignored the session's ``residency=True``."""
+    sql = "select sum(lo_revenue) as r from lineorder where lo_discount >= 2"
+    session = Session(ssb_db, engine="resolution", residency=True)
+    session.execute(sql)
+    session.execute(sql)
+    hits = session.placement_stats().hits
+    assert hits > 0
+    adaptive = session.execute(sql, engine="auto")
+    assert adaptive.optimizer.chosen.placement == "pooled"
+    assert session.auto is None
+    assert session.placement_stats().hits == hits
+    assert "optimizer:" not in session.explain(sql)
+    session.execute(sql)
+    assert session.placement_stats().hits == session.pool.stats().hits > hits
+
+
 def test_auto_configuration_errors(ssb_db):
     with pytest.raises(ConfigurationError, match="integer >= 1 or 'auto'"):
         Session(ssb_db, devices="both")

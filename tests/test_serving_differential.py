@@ -12,13 +12,18 @@ serving layer: caching and concurrency must never change results.
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api import Session
+from repro.kernels.codegen import clear_kernel_cache
 from repro.serving import PlanCache, Server
 from repro.storage.table import rows_approx_equal
+from repro.telemetry import FlightRecorder, table_checksum
+from repro.workloads import SSB_QUERIES
 
 #: The five engine aliases the differential harness exercises.
 ENGINES = ["operator-at-a-time", "multipass", "pipelined", "resolution", "vector"]
@@ -142,3 +147,85 @@ def test_server_warm_path_hits_plan_cache(server):
     assert rows_approx_equal(
         cold.table.sorted_rows(), warm.table.sorted_rows()
     )
+
+
+# ----------------------------------------------------------------------
+# lifecycle parity: Server workers run Session's own lifecycle, so the
+# two front doors must agree on everything but the queue
+# ----------------------------------------------------------------------
+#: One configuration per rung of the dispatch ladder.
+ROUTES = {
+    "bare": {},
+    "residency": {"residency": True},
+    "devices2": {"devices": 2},
+    "auto": {"engine": "auto"},
+}
+#: The repeat exercises the plan-cache and residency hit paths.
+PARITY_QUERIES = ("q1.1", "q2.1", "q3.1", "q1.1")
+#: ServingStats fields that are the queue's, or host wall-clock.
+_UNCOMPARABLE = {"queue_wait_ms", "worker", "plan_ms", "compile_ms", "execute_ms"}
+
+
+def _run_door(door: str, database, config: dict, tmp_path):
+    """Run PARITY_QUERIES through one front door from cold caches;
+    returns (results, flight records)."""
+    clear_kernel_cache()
+    recorder = FlightRecorder(postmortem_dir=str(tmp_path / door))
+    kwargs = dict({"residency": False}, **config)
+    try:
+        if door == "session":
+            session = Session(
+                database, plan_cache=PlanCache(), recorder=recorder, **kwargs
+            )
+            results = [session.execute(SSB_QUERIES[name]) for name in PARITY_QUERIES]
+        else:
+            with Server(
+                database, workers=1, recorder=recorder, **kwargs
+            ) as server:
+                results = [
+                    server.execute(SSB_QUERIES[name]) for name in PARITY_QUERIES
+                ]
+    finally:
+        recorder.uninstall()
+    return results, recorder.records()
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_session_and_server_share_one_lifecycle(route, ssb_db, tmp_path):
+    direct, direct_flights = _run_door("session", ssb_db, ROUTES[route], tmp_path)
+    served, served_flights = _run_door("server", ssb_db, ROUTES[route], tmp_path)
+    for mine, theirs in zip(direct, served, strict=True):
+        assert table_checksum(mine.table) == table_checksum(theirs.table)
+        for counter in (
+            "global_memory_bytes", "input_bytes", "output_bytes", "total_ms",
+        ):
+            assert getattr(mine, counter) == getattr(theirs, counter), counter
+        assert len(mine.profile.kernels) == len(theirs.profile.kernels)
+        comparable = [
+            {key: value for key, value in asdict(result.serving).items()
+             if key not in _UNCOMPARABLE}
+            for result in (mine, theirs)
+        ]
+        assert comparable[0] == comparable[1]
+        assert (mine.serving.worker, theirs.serving.worker) == (-1, 0)
+    for mine, theirs in zip(direct_flights, served_flights, strict=True):
+        kinds = [
+            [event["kind"] for event in record.events
+             if event["kind"] != "query.admitted"]
+            for record in (mine, theirs)
+        ]
+        assert kinds[0] == kinds[1]
+        assert kinds[0][0] == "query.planned" and kinds[0][-1] == "query.executed"
+        assert set(mine.strategy) == set(theirs.strategy)
+
+
+def test_session_serving_stats_carry_placement(ssb_db):
+    """Regression: only the Server's copy of the lifecycle filled the
+    placement fields of ServingStats."""
+    session = Session(ssb_db, plan_cache=PlanCache(), residency=True)
+    session.execute(SSB_QUERIES["q2.1"])
+    repeat = session.execute(SSB_QUERIES["q2.1"])
+    assert repeat.placement.hits > 0
+    assert repeat.serving.placement_hits == repeat.placement.hits
+    assert repeat.serving.placement_hit_bytes == repeat.placement.hit_bytes
+    assert repeat.serving.placement_misses == repeat.placement.misses

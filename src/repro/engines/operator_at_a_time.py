@@ -182,7 +182,7 @@ class OperatorAtATimeEngine(Engine):
             for name in stage.payload:
                 scope[name] = self._gather_payload(
                     device, entry, rows, name, count, pipeline,
-                    default=stage.payload_defaults.get(name),
+                    default=stage.payload_defaults.get(name), found=found,
                 )
         else:
             scan = device_scan(device, flags, label=f"{pipeline.name}.prefix{index}")
@@ -206,8 +206,10 @@ class OperatorAtATimeEngine(Engine):
 
     def _gather_payload(
         self, device, entry, rows: np.ndarray, name: str, count: int,
-        pipeline: Pipeline, default=None,
+        pipeline: Pipeline, default=None, found: np.ndarray | None = None,
     ) -> np.ndarray:
+        """One gather kernel; ``default`` (left joins) fills the rows
+        where ``found`` — the stage's ``rows >= 0`` — is false."""
         source = entry.payload[name]
         itemsize = source.dtype.itemsize
         meter = device.new_meter()
@@ -222,10 +224,11 @@ class OperatorAtATimeEngine(Engine):
         if len(source) == 0:
             values = np.zeros(len(rows), dtype=source.dtype)
         else:
-            values = source[np.clip(rows, 0, None)]
+            # mode="clip" reads row 0 for the -1 of a miss.
+            values = source.take(rows, mode="clip")
         if default is not None:
             fill = np.asarray(default).astype(source.dtype)
-            values = np.where(rows >= 0, values, fill)
+            values = np.where(found, values, fill)
         return np.ascontiguousarray(values)
 
     def _aligned_write(

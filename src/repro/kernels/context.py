@@ -97,6 +97,8 @@ class KernelContext:
         self._positions: ScanResult | None = None
         self._loaded: set[str] = set()
         self._valid = self.n if base_count is None else base_count
+        #: (probe rows, rows >= 0, hit count) of the latest probe stage.
+        self._probe_hits: tuple[np.ndarray, np.ndarray, int] | None = None
         #: The physical pipeline this kernel implements (None for
         #: hand-built contexts).  Needed by :meth:`filter_stage` to
         #: reach the predicate *expression tree* at runtime — generated
@@ -239,27 +241,40 @@ class KernelContext:
         alive rows only — dead threads skip the probe.
         """
         entry = self.runtime.hash_table(table_id)
+        alive_count = int(np.count_nonzero(mask))
+        if key_cost:
+            self.meter.record_instructions(alive_count * key_cost)
+        if not alive_count:
+            return np.full(self.n, -1, dtype=np.int64)
+        keys = [np.broadcast_to(np.asarray(k), mask.shape) for k in key_arrays]
+        if alive_count == self.n:
+            return entry.table.probe(self.meter, keys, self.profile.l2_capacity)
         alive = np.flatnonzero(mask)
         rows = np.full(self.n, -1, dtype=np.int64)
-        if key_cost:
-            self.meter.record_instructions(len(alive) * key_cost)
-        if alive.size:
-            keys = [np.ascontiguousarray(np.broadcast_to(np.asarray(k), mask.shape)[alive]) for k in key_arrays]
-            rows[alive] = entry.table.probe(self.meter, keys, self.profile.l2_capacity)
+        rows[alive] = entry.table.probe(
+            self.meter, [k[alive] for k in keys], self.profile.l2_capacity
+        )
         return rows
+
+    def _hits(self, rows: np.ndarray) -> tuple[np.ndarray, int]:
+        """``rows >= 0`` and its count, computed once per probe result
+        (``apply_probe`` and every ``payload`` of a stage share it)."""
+        if self._probe_hits is None or self._probe_hits[0] is not rows:
+            found = rows >= 0
+            self._probe_hits = (rows, found, int(np.count_nonzero(found)))
+        return self._probe_hits[1:]
 
     def apply_probe(self, mask: np.ndarray, rows: np.ndarray, kind: str) -> np.ndarray:
         """Fold probe hits/misses into the mask per join kind."""
-        found = rows >= 0
         if kind == "inner" or kind == "semi":
-            mask = mask & found
+            mask = mask & self._hits(rows)[0]
         elif kind == "anti":
-            mask = mask & ~found
+            mask = mask & ~self._hits(rows)[0]
         elif kind == "left":
             pass  # all probe rows survive
         else:
             raise PlanError(f"unknown join kind {kind!r}")
-        self._valid = int(mask.sum())
+        self._valid = int(np.count_nonzero(mask))
         return mask
 
     def payload(
@@ -280,8 +295,7 @@ class KernelContext:
             source = entry.payload[name]
         except KeyError:
             raise PlanError(f"hash table {table_id!r} has no payload {name!r}") from None
-        found = rows >= 0
-        hits = int(found.sum())
+        found, hits = self._hits(rows)
         itemsize = source.dtype.itemsize
         self.meter.record_read(
             MemoryLevel.GLOBAL,
@@ -293,7 +307,8 @@ class KernelContext:
             # masked off downstream (or replaced by the left-join default).
             values = np.zeros(len(rows), dtype=source.dtype)
         else:
-            values = source[np.clip(rows, 0, None)]
+            # mode="clip" reads row 0 for the -1 of a miss.
+            values = source.take(rows, mode="clip")
         if default is not None:
             fill = np.asarray(default).astype(source.dtype)
             values = np.where(found, values, fill)

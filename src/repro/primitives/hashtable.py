@@ -13,6 +13,8 @@ joins against aggregated subplans); duplicate keys raise ``PlanError``.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from ..errors import PlanError
@@ -25,10 +27,14 @@ _SLOT_BYTES = 4
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
+_INT64_MAX = np.iinfo(np.int64).max
 
-def _splitmix64(values: np.ndarray) -> np.ndarray:
-    """The splitmix64 finalizer — a strong, cheap 64-bit mixer."""
-    h = values.astype(np.uint64, copy=True)
+
+def _splitmix64(h: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer — a strong, cheap 64-bit mixer.
+
+    Mixes *in place*: ``h`` must be a ``uint64`` buffer the caller owns.
+    """
     h ^= h >> np.uint64(30)
     h *= np.uint64(0xBF58476D1CE4E5B9)
     h ^= h >> np.uint64(27)
@@ -38,10 +44,12 @@ def _splitmix64(values: np.ndarray) -> np.ndarray:
 
 
 def _key_bits(array: np.ndarray) -> np.ndarray:
-    """A 64-bit pattern per key value (bit view for floats, so equal
-    floats hash equally without lossy integer truncation)."""
+    """A fresh 64-bit pattern per key value (bit view for floats, so
+    equal floats hash equally without lossy integer truncation)."""
     if array.dtype.kind == "f":
-        return array.astype(np.float64).view(np.uint64)
+        # ``-0.0 == 0.0`` but their bit patterns differ; adding +0.0
+        # maps both zeros to +0.0 and leaves every other value alone.
+        return np.add(array, 0.0, dtype=np.float64).view(np.uint64)
     return array.astype(np.uint64)
 
 
@@ -49,10 +57,24 @@ def hash_key_columns(key_arrays: list[np.ndarray]) -> np.ndarray:
     """Combine one or more key columns into 64-bit hashes."""
     if not key_arrays:
         raise PlanError("hash join needs at least one key column")
-    combined = np.zeros(len(key_arrays[0]), dtype=np.uint64)
+    combined = None
     for array in key_arrays:
-        combined = _splitmix64(combined ^ (_key_bits(array) * _GOLDEN))
+        bits = _key_bits(array)
+        bits *= _GOLDEN
+        if combined is not None:
+            bits ^= combined
+        combined = _splitmix64(bits)
     return combined
+
+
+class _DenseIndex(NamedTuple):
+    """Per key value in ``[lo, hi]``: the build row holding it (-1 when
+    absent) and the number of slots a linear probe for it inspects."""
+
+    lo: int
+    hi: int
+    rows: np.ndarray
+    steps: np.ndarray
 
 
 def _next_power_of_two(value: int) -> int:
@@ -84,6 +106,8 @@ class JoinHashTable:
         #: Device buffer backing ``slots`` (set by the build paths so
         #: error handling can free a half-built table).
         self.slots_buffer = None
+        #: Host-side direct-address index (see :meth:`_dense_index`).
+        self._dense: _DenseIndex | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -156,7 +180,7 @@ class JoinHashTable:
             # onward; CAS losers re-read the slot they lost (so that
             # duplicate keys racing for one slot are detected).
             colliders = pending[occupied]
-            position[colliders] = (position[colliders] + 1) % capacity
+            position[colliders] = (position[colliders] + 1) & (capacity - 1)
             pending = np.concatenate([colliders, losers])
         return slots, capacity, attempts, max_slot_contention
 
@@ -250,6 +274,10 @@ class JoinHashTable:
         write, or compound kernels, never as kernels of their own.
         Tables larger than ``l2_capacity`` pay DRAM transaction
         amplification per slot access.
+
+        What is *charged* is always the exact number of slots a linear
+        probe inspects; how the host *finds* rows and that number is
+        chosen per call (see :meth:`_dense_index`).
         """
         probe_arrays = [np.ascontiguousarray(array) for array in probe_arrays]
         if len(probe_arrays) != len(self.key_arrays):
@@ -257,35 +285,15 @@ class JoinHashTable:
                 f"probe key count {len(probe_arrays)} does not match build "
                 f"key count {len(self.key_arrays)}"
             )
-        n = len(probe_arrays[0])
-        result = np.full(n, -1, dtype=np.int64)
-        if n == 0:
-            return result
-        mask = np.uint64(self.capacity - 1)
-        position = (hash_key_columns(probe_arrays) & mask).astype(np.int64)
-        active = np.arange(n, dtype=np.int64)
-        steps = 0
-        rounds = 0
-        while active.size:
-            rounds += 1
-            if rounds > self.capacity + 1:
-                raise PlanError(f"hash table {self.name!r} probe did not converge")
-            steps += len(active)
-            candidate = self.slots[position[active]]
-            empty = candidate < 0
-            # Empty slot -> miss; result stays -1.
-            occupied_rows = active[~empty]
-            occupied_candidates = candidate[~empty]
-            if occupied_rows.size:
-                equal = np.ones(len(occupied_rows), dtype=bool)
-                for build, probe in zip(self.key_arrays, probe_arrays):
-                    equal &= build[occupied_candidates] == probe[occupied_rows]
-                result[occupied_rows[equal]] = occupied_candidates[equal]
-                remaining = occupied_rows[~equal]
-            else:
-                remaining = occupied_rows
-            position[remaining] = (position[remaining] + 1) % self.capacity
-            active = remaining
+        if len(probe_arrays[0]) == 0:
+            return np.empty(0, dtype=np.int64)
+        index = self._dense_index(probe_arrays)
+        if index is None:
+            result, steps = self._walk(probe_arrays)
+        else:
+            offsets = np.subtract(probe_arrays[0], index.lo, dtype=np.intp)
+            result = index.rows.take(offsets)
+            steps = int(index.steps.take(offsets).sum())
 
         structure_bytes = self.capacity * _SLOT_BYTES + sum(
             array.nbytes for array in self.key_arrays
@@ -295,3 +303,94 @@ class JoinHashTable:
         )
         meter.record_instructions(4 * steps)
         return result
+
+    def _walk(self, probe_arrays: list[np.ndarray]) -> tuple[np.ndarray, int]:
+        """The general lookup: linear probing, one vectorised round per
+        inspected slot.  Returns (build row per probe row, slots
+        inspected in total)."""
+        n = len(probe_arrays[0])
+        result = np.full(n, -1, dtype=np.int64)
+        mask = self.capacity - 1
+        position = (hash_key_columns(probe_arrays) & np.uint64(mask)).astype(np.int64)
+        active = np.arange(n, dtype=np.int64)
+        steps = 0
+        rounds = 0
+        while active.size:
+            rounds += 1
+            if rounds > self.capacity + 1:
+                raise PlanError(f"hash table {self.name!r} probe did not converge")
+            steps += len(active)
+            candidate = self.slots[position]
+            # Empty slot -> miss; result stays -1.
+            occupied = candidate >= 0
+            active = active[occupied]
+            candidate = candidate[occupied]
+            equal = np.ones(len(active), dtype=bool)
+            for build, probe in zip(self.key_arrays, probe_arrays):
+                equal &= build[candidate] == probe[active]
+            result[active[equal]] = candidate[equal]
+            active = active[~equal]
+            position = (position[occupied][~equal] + 1) & mask
+        return result, steps
+
+    def _dense_index(self, probe_arrays: list[np.ndarray]) -> _DenseIndex | None:
+        """The direct-address index serving this probe, or None when the
+        probe must :meth:`_walk`.
+
+        A single integer key whose domain — the union of the build keys'
+        and the probe keys' ``[min, max]`` — spans no more values than
+        the probe has rows is answered by ``key - lo``: hashing the
+        domain once is then cheaper than hashing every probe key.  (A
+        filtered build side is routinely probed by keys outside its own
+        range, hence the union.)  The index is kept on the table and
+        widened when a later probe reaches beyond it; it is host-side
+        bookkeeping, not device memory.  Replacing the tuple is atomic,
+        so concurrent probes need no lock.
+        """
+        # A full table has no empty slot to end a miss on; only the walk
+        # reports that.
+        if len(probe_arrays) != 1 or self.num_rows == self.capacity:
+            return None
+        probe, build = probe_arrays[0], self.key_arrays[0]
+        if probe.dtype.kind not in "iu" or build.dtype.kind not in "iu":
+            return None
+        lo, hi = int(probe.min()), int(probe.max())
+        index = self._dense
+        if index is not None:
+            if index.lo <= lo and hi <= index.hi:
+                return index
+            lo, hi = min(lo, index.lo), max(hi, index.hi)
+        elif len(build):
+            lo, hi = min(lo, int(build.min())), max(hi, int(build.max()))
+        if hi >= _INT64_MAX or hi - lo >= len(probe):
+            return None
+        index = self._dense = self._build_dense_index(lo, hi)
+        return index
+
+    def _build_dense_index(self, lo: int, hi: int) -> _DenseIndex:
+        """(build row, slots inspected) for every key value in [lo, hi].
+
+        Tables are insert-only, so what a linear probe inspects follows
+        from the built slot array: a key stored ``d`` slots past its
+        home is found after ``d + 1`` reads (everything in between was
+        occupied when it was inserted), and an absent key reads from its
+        home through the next empty slot.
+        """
+        capacity = self.capacity
+        mask = capacity - 1
+        slot_ids = np.arange(capacity, dtype=np.intp)
+        empty = self.slots < 0
+        # Next empty slot at or after each slot, cyclically: slots past
+        # the last empty one wrap around to the first.
+        next_empty = np.where(empty, slot_ids, capacity + int(np.argmax(empty)))
+        next_empty = np.minimum.accumulate(next_empty[::-1])[::-1]
+        home = hash_key_columns([np.arange(lo, hi + 1, dtype=np.int64)])
+        home = (home & np.uint64(mask)).astype(np.intp)
+        steps = (next_empty - slot_ids + 1).take(home)
+        rows = np.full(hi - lo + 1, -1, dtype=np.int64)
+        stored_slots = np.flatnonzero(~empty)
+        stored_rows = self.slots[stored_slots]
+        stored_at = np.subtract(self.key_arrays[0][stored_rows], lo, dtype=np.intp)
+        rows[stored_at] = stored_rows
+        steps[stored_at] = ((stored_slots - home[stored_at]) & mask) + 1
+        return _DenseIndex(lo, hi, rows, steps)

@@ -1,14 +1,18 @@
 """Tests for the join hash table (build, probe, accounting)."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.errors import PlanError
 from repro.hardware import GTX970, VirtualCoprocessor
 from repro.primitives import JoinHashTable, hash_key_columns
-from repro.primitives.gather import TRANSACTION_BYTES
+from repro.primitives.gather import TRANSACTION_BYTES, random_access_volume
 
 
 def _device():
@@ -38,6 +42,10 @@ class TestBuild:
         right = np.array([7, 8, 7], dtype=np.int64)
         table = JoinHashTable.build(device, [left, right])
         assert table.num_rows == 3
+
+    def test_both_zeros_are_duplicate_keys(self, device):
+        with pytest.raises(PlanError, match="duplicate keys"):
+            JoinHashTable.build(device, [np.array([0.0, 1.5, -0.0])])
 
     def test_slots_resident_on_device(self, device):
         JoinHashTable.build(device, [np.arange(50, dtype=np.int64)])
@@ -76,6 +84,11 @@ class TestProbe:
         meter = device.new_meter()
         rows = table.probe(meter, [values.copy()])
         assert rows.tolist() == [0, 1, 2]
+
+    def test_negative_zero_joins_zero(self, device):
+        table = JoinHashTable.build(device, [np.array([0.0, 1.5])])
+        rows = table.probe(device.new_meter(), [np.array([-0.0, 0.0, 1.5])])
+        assert rows.tolist() == [0, 0, 1]
 
     def test_key_count_mismatch(self, device):
         table = JoinHashTable.build(device, [np.arange(4, dtype=np.int64)])
@@ -142,3 +155,174 @@ def test_property_probe_equals_dict_lookup(build_keys, probe_keys):
     lookup = {int(key): index for index, key in enumerate(build_keys)}
     expected = [lookup.get(key, -1) for key in probe_keys]
     assert rows.tolist() == expected
+
+
+# ---------------------------------------------------------------------------
+# probe == a round-by-round walk, on rows and on charges
+# ---------------------------------------------------------------------------
+def _reference_probe(table, probe_arrays, l2_capacity):
+    """Linear probing re-enacted one slot read per round, the way the
+    simulated kernel walks it: the oracle for what ``probe`` returns and
+    charges, however ``probe`` obtains them."""
+    n = len(probe_arrays[0])
+    rows = np.full(n, -1, dtype=np.int64)
+    steps = 0
+    position = (
+        hash_key_columns(probe_arrays) & np.uint64(table.capacity - 1)
+    ).astype(np.int64)
+    active = np.arange(n)
+    while active.size:
+        steps += len(active)
+        candidate = table.slots[position[active]]
+        active, candidate = active[candidate >= 0], candidate[candidate >= 0]
+        equal = np.ones(len(active), dtype=bool)
+        for build, probe in zip(table.key_arrays, probe_arrays):
+            equal &= build[candidate] == probe[active]
+        rows[active[equal]] = candidate[equal]
+        active = active[~equal]
+        position[active] = (position[active] + 1) % table.capacity
+    structure_bytes = table.table_bytes + sum(a.nbytes for a in table.key_arrays)
+    table_bytes = random_access_volume(
+        steps, table.entry_bytes, structure_bytes, l2_capacity
+    )
+    return rows, table_bytes, 4 * steps
+
+
+#: Probe sizes on both sides of every key domain below, so each case
+#: meets the direct-address lookup and the general walk.
+_PROBE_SIZES = st.sampled_from((0, 1, 9, 80, 400))
+
+
+def _ints(lo, hi, dtype, size=_PROBE_SIZES, unique=False):
+    return arrays(dtype, size, elements=st.integers(lo, hi), unique=unique)
+
+
+def _build_ints(lo, hi, dtype):
+    return _ints(lo, hi, dtype, st.integers(0, min((hi - lo) // 2, 60)), unique=True)
+
+
+@st.composite
+def _join_cases(draw):
+    """(build key columns, [probe key columns, ...]) — the probes run in
+    order against one table."""
+    shape = draw(
+        st.sampled_from(
+            ["dense", "sparse", "negative", "mixed_width", "uint64_high",
+             "composite", "float", "out_of_domain", "widening"]
+        )
+    )
+    if shape == "dense":
+        build = [draw(_build_ints(0, 60, np.int64))]
+        probes = [[draw(_ints(0, 70, np.int64))]]
+    elif shape == "sparse":
+        build = [draw(_build_ints(0, 10**12, np.int64))]
+        probes = [[draw(_ints(0, 10**12, np.int64))]]
+        probes.append([np.concatenate([build[0], probes[0][0]])])
+    elif shape == "negative":
+        build = [draw(_build_ints(-40, 40, np.int32))]
+        probes = [[draw(_ints(-60, 60, np.int64))]]
+    elif shape == "mixed_width":
+        build = [draw(_build_ints(-5, 120, np.int64))]
+        probes = [[draw(_ints(-100, 127, np.int8))],
+                  [draw(_ints(0, 200, np.uint16))],
+                  [draw(_ints(-200, 200, np.int32))]]
+    elif shape == "uint64_high":
+        base = 2**63
+        build = [draw(_build_ints(base, base + 50, np.uint64))]
+        probes = [[draw(_ints(base - 10, base + 60, np.uint64))],
+                  [draw(_ints(0, 50, np.int64))]]
+    elif shape == "composite":
+        pairs = draw(
+            st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)),
+                     max_size=50, unique=True)
+        )
+        build = [np.array([a for a, _ in pairs], dtype=np.int64),
+                 np.array([b for _, b in pairs], dtype=np.int32)]
+        size = draw(_PROBE_SIZES)
+        probes = [[draw(_ints(0, 9, np.int64, size)), draw(_ints(0, 9, np.int64, size))]]
+    elif shape == "float":
+        build = [draw(_build_ints(-20, 20, np.int64)) / 4.0]
+        probes = [[draw(_ints(-24, 24, np.int64)) / 4.0],
+                  [np.array([-0.0, 0.0, 0.25])]]
+    elif shape == "out_of_domain":
+        build = [draw(_build_ints(100, 140, np.int64))]
+        probes = [[draw(_ints(0, 50, np.int64))],
+                  [draw(_ints(150, 190, np.int32))],
+                  [draw(_ints(10**6, 10**6 + 40, np.int32))]]
+    else:  # one table, each probe reaching beyond the previous domain
+        build = [draw(_build_ints(40, 60, np.int64))]
+        probes = [[draw(_ints(45, 55, np.int64))],
+                  [draw(_ints(20, 80, np.int64))],
+                  [draw(_ints(-30, 150, np.int32))],
+                  [draw(_ints(50, 52, np.int64))]]
+    return build, probes
+
+
+@given(_join_cases(), st.booleans(), st.sampled_from([None, 512, GTX970.l2_capacity]))
+@settings(max_examples=300, deadline=None)
+def test_property_probe_equals_reference_walk(case, pipelined, l2_capacity):
+    build, probes = case
+    device = _device()
+    if pipelined:
+        table = JoinHashTable.build_pipelined(device.new_meter(), device, build)
+    else:
+        table = JoinHashTable.build(device, build)
+    for probe_arrays in probes:
+        meter = device.new_meter()
+        rows = table.probe(meter, probe_arrays, l2_capacity)
+        expected_rows, table_bytes, instructions = _reference_probe(
+            table, probe_arrays, l2_capacity
+        )
+        assert rows.dtype == np.int64
+        assert rows.tolist() == expected_rows.tolist()
+        assert meter.table_bytes == table_bytes
+        assert meter.instructions == instructions
+
+
+def test_probe_allocates_no_device_memory(device):
+    """The direct-address index is host bookkeeping: a probe that builds
+    one, one that widens it and one that walks leave the device as is."""
+    table = JoinHashTable.build(device, [np.arange(10, 50, dtype=np.int64)])
+    allocated, peak = device.allocated_bytes, device.peak_allocated
+    for probe in (np.arange(0, 64), np.arange(-64, 128), np.array([10**9, 3])):
+        table.probe(device.new_meter(), [probe.astype(np.int64)])
+        assert (device.allocated_bytes, device.peak_allocated) == (allocated, peak)
+
+
+def test_concurrent_probes_with_widening_domains(device):
+    """Threads probing one table, each over a different key domain (so
+    they race to replace the table's index), all get the serial answer."""
+    build = np.arange(100, 200, 3, dtype=np.int64)
+    table = JoinHashTable.build(device, [build])
+    rng = np.random.default_rng(5)
+    probes = [
+        rng.integers(150 - 40 * k, 150 + 40 * k, 400 * k).astype(np.int64)
+        for k in range(1, 9)
+    ]
+    expected = [_reference_probe(table, [probe], None) for probe in probes]
+    failures = []
+
+    def work(k):
+        for _ in range(30):
+            meter = device.new_meter()
+            rows = table.probe(meter, [probes[k]])
+            want_rows, table_bytes, instructions = expected[k]
+            if (
+                rows.tolist() != want_rows.tolist()
+                or meter.table_bytes != table_bytes
+                or meter.instructions != instructions
+            ):
+                failures.append(k)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(len(probes))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures

@@ -139,6 +139,21 @@ class ExecutionResult:
         return "\n".join(lines)
 
 
+def package_result(
+    device: VirtualCoprocessor, input_bytes: int, output_bytes: int, **fields
+) -> ExecutionResult:
+    """An :class:`ExecutionResult` whose two baselines are derived from
+    its PCIe volumes on ``device``."""
+    fields.setdefault("device_name", device.profile.name)
+    return ExecutionResult(
+        input_bytes=input_bytes,
+        output_bytes=output_bytes,
+        pcie_ms=device.pcie_baseline_ms(input_bytes, output_bytes),
+        memory_bound_ms=device.memory_bound_ms(input_bytes + output_bytes),
+        **fields,
+    )
+
+
 class Engine:
     """Base class: pipeline orchestration shared by all engines.
 
@@ -193,23 +208,7 @@ class Engine:
         with activation:
             runtime = QueryRuntime(device, database, seed=seed, pool=pool)
             try:
-                outputs: dict[str, np.ndarray] | None = None
-                for index, pipeline in enumerate(query.pipelines):
-                    if tracer is None:
-                        produced = self.execute_pipeline(pipeline, runtime)
-                    else:
-                        produced = self._execute_pipeline_traced(
-                            index, pipeline, runtime, tracer
-                        )
-                    if pipeline.is_final:
-                        outputs = produced
-                    elif pipeline.output_schema is not None:
-                        assert produced is not None
-                        runtime.register_virtual(
-                            pipeline.output_name,
-                            _cast_outputs(produced, pipeline.output_schema),
-                            pipeline.output_schema,
-                        )
+                outputs = self.run_pipelines(query.pipelines, runtime, tracer)
                 assert outputs is not None, "query had no final pipeline"
                 if tracer is None:
                     table = runtime.finalize(query, outputs)
@@ -224,19 +223,13 @@ class Engine:
                 # executions each install their own complete dict, so a reader
                 # always sees one query's sources, never a mixture.
                 self.kernel_sources = dict(runtime.kernel_sources)
-                result = ExecutionResult(
+                result = package_result(
+                    device,
+                    runtime.input_bytes,
+                    runtime.output_bytes,
                     table=table,
                     profile=device.log,
                     engine=self.name,
-                    device_name=device.profile.name,
-                    input_bytes=runtime.input_bytes,
-                    output_bytes=runtime.output_bytes,
-                    pcie_ms=device.pcie_baseline_ms(
-                        runtime.input_bytes, runtime.output_bytes
-                    ),
-                    memory_bound_ms=device.memory_bound_ms(
-                        runtime.input_bytes + runtime.output_bytes
-                    ),
                     kernel_sources=dict(runtime.kernel_sources),
                     placement=runtime.query_placement(),
                     compression=runtime.compression_stats(),
@@ -246,6 +239,35 @@ class Engine:
                 return result
             finally:
                 runtime.close()
+
+    def run_pipelines(
+        self,
+        pipelines: list[Pipeline],
+        runtime: QueryRuntime,
+        tracer: Tracer | None,
+        first_index: int = 0,
+    ) -> dict[str, np.ndarray] | None:
+        """Run ``pipelines`` in order and return what the last one
+        produced; non-final outputs become virtual tables.  With a
+        ``tracer`` each runs in its ``pipeline[first_index + i]`` span.
+        (Also the scale-out executor's way to run build sides and fact
+        morsels on a device's runtime.)"""
+        produced = None
+        for index, pipeline in enumerate(pipelines, first_index):
+            if tracer is None:
+                produced = self.execute_pipeline(pipeline, runtime)
+            else:
+                produced = self._execute_pipeline_traced(
+                    index, pipeline, runtime, tracer
+                )
+            if not pipeline.is_final and pipeline.output_schema is not None:
+                assert produced is not None
+                runtime.register_virtual(
+                    pipeline.output_name,
+                    _cast_outputs(produced, pipeline.output_schema),
+                    pipeline.output_schema,
+                )
+        return produced
 
     def _execute_pipeline_traced(
         self, index: int, pipeline: Pipeline, runtime: QueryRuntime, tracer: Tracer
@@ -269,7 +291,7 @@ class Engine:
             kernels = device.log.kernels[kernel_mark:]
             transfers = device.log.transfers[transfer_mark:]
             span.attrs.update(
-                rows_in=_source_rows(pipeline, runtime),
+                rows_in=runtime.source_rows(pipeline),
                 rows_out=_produced_rows(pipeline, produced, runtime),
                 kernels=len(kernels),
                 global_bytes=sum(
@@ -292,17 +314,6 @@ class Engine:
         """Run one pipeline; returns output arrays for result/virtual
         sinks, None for hash-table builds."""
         raise NotImplementedError
-
-
-def _source_rows(pipeline: Pipeline, runtime: QueryRuntime) -> int:
-    """Input cardinality of a pipeline (0 when the source is missing —
-    the real error surfaces inside ``execute_pipeline``)."""
-    try:
-        if pipeline.source_is_virtual:
-            return runtime.virtual_tables[pipeline.source].num_rows
-        return runtime.database.table(pipeline.source).num_rows
-    except Exception:
-        return 0
 
 
 def _produced_rows(

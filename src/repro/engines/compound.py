@@ -20,7 +20,8 @@ import numpy as np
 
 from ..kernels.codegen import generate_compound_kernel
 from ..kernels.context import KernelContext
-from ..plan.physical import AggregateSink, BuildSink, MaterializeSink, Pipeline
+from ..plan.physical import AggregateSink, BuildSink, Pipeline
+from ..scaleout.merge import merge_partials, rewrite_for_partials
 from .base import Engine
 from .runtime import QueryRuntime
 
@@ -46,24 +47,103 @@ class CompoundEngine(Engine):
         self, pipeline: Pipeline, runtime: QueryRuntime
     ) -> dict[str, np.ndarray] | None:
         scope = runtime.load_source(pipeline, lazy_capable=True)
+        return run_compound_pipeline(pipeline, runtime, self.mode, scope)
+
+
+def slice_bounds(total_rows: int, slice_rows: int) -> list[tuple[int, int]]:
+    """``[start, stop)`` row ranges of ``slice_rows`` rows covering
+    ``total_rows``; an empty input still gets its one (empty) slice, so
+    every sink emits a partial."""
+    return [
+        (start, min(start + slice_rows, total_rows))
+        for start in range(0, max(total_rows, 1), slice_rows)
+    ]
+
+
+def run_compound_pipeline(
+    pipeline: Pipeline,
+    runtime: QueryRuntime,
+    mode: str,
+    scope: dict[str, np.ndarray],
+    bounds: list[tuple[int, int]] | None = None,
+    suffix: str = "",
+    occupancy_rows: int = 1,
+    before=None,
+    after=None,
+) -> dict[str, np.ndarray] | None:
+    """Run ``pipeline`` as generated compound-kernel launches over
+    ``scope`` — the one place a fusion operator meets the device
+    (``docs/architecture.md``, "one query loop").
+
+    Without ``bounds`` the whole input is one launch and the sink
+    outputs come back as they are (``None`` for a hash-table build).
+    With ``bounds`` each ``[start, stop)`` row range is its own launch
+    ``<kernel>.<suffix><i>``, charged at reduced occupancy below
+    ``occupancy_rows`` rows, between ``before(index, start, stop)`` and
+    ``after(index, outputs)``; the per-slice outputs re-reduce through
+    :func:`~repro.scaleout.merge.merge_partials`.  A sliced AVG sink
+    runs on its :func:`~repro.scaleout.merge.rewrite_for_partials`
+    pipeline (hidden SUM and COUNT), as scale-out morsels do; every
+    other sink keeps its own pipeline, so its charges do not change.
+    """
+    sink = pipeline.sink
+    launched, scheme = pipeline, None
+    if (
+        bounds is not None
+        and isinstance(sink, AggregateSink)
+        and any(spec.op == "avg" for spec in sink.aggregates)
+    ):
+        launched, scheme = rewrite_for_partials(pipeline)
+    kernel = generate_compound_kernel(launched)
+    runtime.kernel_sources[pipeline.name] = kernel.source
+
+    def launch(rows_scope, rows: int, name: str) -> KernelContext:
         ctx = KernelContext(
             runtime,
-            scope,
-            pipeline.scope_schema,
-            mode=self.mode,
-            sink=pipeline.sink,
-            output_schema=pipeline.output_schema,
-            rows=runtime.source_rows(pipeline),
-            pipeline=pipeline,
+            rows_scope,
+            launched.scope_schema,
+            mode=mode,
+            sink=launched.sink,
+            output_schema=launched.output_schema,
+            rows=rows,
+            pipeline=launched,
         )
-        kernel = generate_compound_kernel(pipeline)
-        runtime.kernel_sources[pipeline.name] = kernel.source
         kernel(ctx)
-        runtime.device.launch(kernel.name, "compound", ctx.n, ctx.meter)
+        runtime.device.launch(
+            name,
+            "compound",
+            ctx.n,
+            ctx.meter,
+            occupancy=min(1.0, max(ctx.n, 1) / occupancy_rows),
+        )
+        return ctx
 
-        sink = pipeline.sink
-        if isinstance(sink, BuildSink):
-            return None  # registered by ctx.sink_build
-        if isinstance(sink, (MaterializeSink, AggregateSink)):
-            return ctx.outputs
-        raise AssertionError(f"unhandled sink {type(sink).__name__}")
+    if bounds is None:
+        ctx = launch(scope, runtime.source_rows(pipeline), kernel.name)
+        # A build sink registered its hash table in ctx.sink_build.
+        return None if isinstance(sink, BuildSink) else ctx.outputs
+
+    partials: list[dict[str, np.ndarray]] = []
+    counts: list[int] = []
+    for index, (start, stop) in enumerate(bounds):
+        if before is not None:
+            before(index, start, stop)
+        ctx = launch(
+            {name: values[start:stop] for name, values in scope.items()},
+            stop - start,
+            f"{kernel.name}.{suffix}{index}",
+        )
+        partials.append(ctx.outputs)
+        # Qualifying rows per slice keep an empty slice's min/max
+        # placeholder out of the merge.
+        counts.append(ctx.aggregation.inputs if ctx.aggregation is not None else 0)
+        if after is not None:
+            after(index, ctx.outputs)
+    return merge_partials(
+        sink,
+        pipeline.output_schema,
+        partials,
+        counts=counts,
+        scheme=scheme,
+        context=f"{suffix}s",
+    )

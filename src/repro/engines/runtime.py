@@ -524,80 +524,99 @@ class QueryRuntime:
         self, query: PhysicalQuery, outputs: dict[str, np.ndarray]
     ) -> Table:
         """Assemble, transfer (d2h), and post-process the final result."""
-        schema = query.output_schema
-        assert schema is not None
-        columns: dict[str, Column] = {}
-        for name in query.output_columns:
-            dtype = schema.dtypes[name]
-            values = np.asarray(outputs[name]).astype(dtype.numpy_dtype)
-            dictionary = schema.dictionaries.get(name)
-            columns[name] = Column(dtype, values, dictionary)
-        table = Table(columns)
+        return assemble_result(query, outputs, ship=self._ship_result)
 
+    def _ship_result(self, table: Table) -> None:
+        """Charge the result's d2h: one transfer per column, as CoGaDB
+        does, each as a wire image when the policy's cached encoding
+        is not passthrough."""
         self.output_bytes = table.nbytes
-        if self.device.interconnect is not None:
-            # One transfer per result column, as CoGaDB does.
-            tracer = active_tracer()
-            output_total = 0
-            for name, column in table.columns.items():
-                wire, codec = column.nbytes, ""
-                if self.compression is not None:
-                    encoded = self.compression.encoded(column)
-                    if encoded.codec != "passthrough":
-                        wire, codec = encoded.wire_nbytes, encoded.codec
-                        self._charge_encode(encoded, f"result.{name}")
-                    self._compression_stats.record(
-                        column.nbytes, wire, codec or "passthrough"
-                    )
-                record = _d2h_record(
-                    self.device,
-                    wire,
-                    f"result.{name}",
-                    raw_nbytes=column.nbytes if codec else 0,
-                    codec=codec,
+        if self.device.interconnect is None:
+            return
+        self.output_bytes = 0
+        for name, column in table.columns.items():
+            wire, codec = column.nbytes, ""
+            if self.compression is not None:
+                encoded = self.compression.encoded(column)
+                if encoded.codec != "passthrough":
+                    wire, codec = encoded.wire_nbytes, encoded.codec
+                    self._charge_encode(encoded, f"result.{name}")
+                self._compression_stats.record(
+                    column.nbytes, wire, codec or "passthrough"
                 )
-                self.device.log.transfers.append(record)
-                output_total += wire
-                if tracer is not None:
-                    attrs = dict(
-                        sim_ms=record.time_ms,
-                        nbytes=record.nbytes,
-                        direction="d2h",
-                    )
-                    if codec:
-                        attrs["codec"] = codec
-                        attrs["raw_nbytes"] = column.nbytes
-                    tracer.event(f"transfer result.{name}", "transfer", **attrs)
-            self.output_bytes = output_total
+            self.device.record_stream_transfer(
+                wire,
+                "d2h",
+                label=f"result.{name}",
+                raw_nbytes=column.nbytes if codec else 0,
+                codec=codec,
+            )
+            self.output_bytes += wire
 
-        # Host-side post-processing (original engine, Section 7).
-        if query.sort_keys:
-            order = _sort_order(table, query.sort_keys)
-            table = table.take(order)
-        if query.limit is not None:
-            table = table.slice(0, query.limit)
-        return table
+    def ship_partial(self, outputs: dict[str, np.ndarray], label: str) -> int:
+        """Ship one partial result (a morsel's or a block's sink
+        outputs) d2h; returns the bytes that crossed the link.
+
+        Without a compression policy the partial is one raw transfer.
+        With one, each non-empty column that clears the wire-ratio gate
+        pays a device-side encode kernel and travels as a wire image,
+        decoded by the host merge (``host_decode_bytes``).
+        """
+        device = self.device
+        if self.compression is None:
+            nbytes = sum(np.asarray(array).nbytes for array in outputs.values())
+            device.record_stream_transfer(nbytes, "d2h", label=label)
+            return nbytes
+        stats = self._compression_stats
+        shipped = 0
+        for name, array in outputs.items():
+            arr = np.asarray(array)
+            if arr.nbytes == 0:
+                continue
+            encoded = self.compression.encode_array(arr)
+            wire, codec = arr.nbytes, ""
+            if encoded.codec != "passthrough" and encoded.wire_nbytes < arr.nbytes:
+                wire, codec = encoded.wire_nbytes, encoded.codec
+                self._charge_encode(encoded, f"{label}.{name}")
+                stats.host_decode_bytes += arr.nbytes
+            device.record_stream_transfer(
+                wire,
+                "d2h",
+                label=f"{label}.{name}",
+                raw_nbytes=arr.nbytes if codec else 0,
+                codec=codec,
+            )
+            stats.record(arr.nbytes, wire, codec or "passthrough")
+            shipped += wire
+        return shipped
 
 
-def _d2h_record(
-    device: VirtualCoprocessor,
-    nbytes: int,
-    label: str,
-    raw_nbytes: int = 0,
-    codec: str = "",
-):
-    from ..hardware.traffic import TransferRecord
-
-    assert device.interconnect is not None
-    seconds = device.interconnect.transfer_time(nbytes, "d2h")
-    return TransferRecord(
-        nbytes=nbytes,
-        direction="d2h",
-        time_ms=seconds * 1e3,
-        label=label,
-        raw_nbytes=raw_nbytes,
-        codec=codec,
+def assemble_result(
+    query: PhysicalQuery, outputs: dict[str, np.ndarray], ship=None
+) -> Table:
+    """The host side of every execution path's result: cast the final
+    pipeline's (or the merged partials') outputs to the query schema,
+    let ``ship(table)`` charge the d2h, then ORDER BY / LIMIT on the
+    host (the original engine's job, Section 7)."""
+    schema = query.output_schema
+    assert schema is not None
+    table = Table(
+        {
+            name: Column(
+                schema.dtypes[name],
+                np.asarray(outputs[name]).astype(schema.dtypes[name].numpy_dtype),
+                schema.dictionaries.get(name),
+            )
+            for name in query.output_columns
+        }
     )
+    if ship is not None:
+        ship(table)
+    if query.sort_keys:
+        table = table.take(_sort_order(table, query.sort_keys))
+    if query.limit is not None:
+        table = table.slice(0, query.limit)
+    return table
 
 
 def _accumulator_bytes(op: str) -> int:

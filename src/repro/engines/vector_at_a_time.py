@@ -12,93 +12,48 @@ launches over cache-sized vectors. Every launch pays the kernel-launch
 overhead, and vectors smaller than the device's resident thread count
 execute at proportionally reduced occupancy.
 
-Restrictions: AVG aggregates cannot be merged across vectors (as with
-block streaming), and build-sink pipelines run un-vectorized (a hash
-table must see all build rows).
+Build-sink pipelines run un-vectorized (a hash table must see all build
+rows); everything else is :func:`~repro.engines.compound.run_compound_pipeline`
+fed ``vector_rows`` rows at a time.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..kernels.codegen import generate_compound_kernel
-from ..kernels.context import KernelContext
 from ..plan.physical import BuildSink, Pipeline
-from ..scaleout.merge import merge_partials
-from .base import Engine
-from .compound import CompoundEngine
+from .compound import CompoundEngine, run_compound_pipeline, slice_bounds
 from .runtime import QueryRuntime
 
 
-class VectorAtATimeEngine(Engine):
+class VectorAtATimeEngine(CompoundEngine):
     """Compound-kernel logic over cache-sized vectors (one launch each)."""
 
     def __init__(self, vector_rows: int = 1024, mode: str = "lrgp_simd"):
         if vector_rows <= 0:
             raise ValueError("vector_rows must be positive")
+        super().__init__(mode)
         self.vector_rows = vector_rows
-        self.mode = mode
         self.name = f"vector-at-a-time[{vector_rows}]"
-        self._fallback = CompoundEngine(mode)
 
     def execute_pipeline(
         self, pipeline: Pipeline, runtime: QueryRuntime
     ) -> dict[str, np.ndarray] | None:
         if isinstance(pipeline.sink, BuildSink):
             # Hash-table builds must observe every row at once.
-            self._fallback.mode = self.mode
-            return self._fallback.execute_pipeline(pipeline, runtime)
-
+            return super().execute_pipeline(pipeline, runtime)
+        # Eager loads: a vector is a view of its column, and a deferred
+        # (lazy) decode cannot be tracked per view.
         scope = runtime.load_source(pipeline)
         if not scope:
-            return self._fallback.execute_pipeline(pipeline, runtime)
-        total_rows = len(next(iter(scope.values())))
-        kernel = generate_compound_kernel(pipeline)
-
-        partials: list[dict[str, np.ndarray]] = []
-        counts: list[int] = []
-        start = 0
-        index = 0
-        while start < total_rows or (total_rows == 0 and index == 0):
-            stop = min(start + self.vector_rows, total_rows)
-            vector = {name: values[start:stop] for name, values in scope.items()}
-            ctx = KernelContext(
-                runtime,
-                vector,
-                pipeline.scope_schema,
-                mode=self.mode,
-                sink=pipeline.sink,
-                output_schema=pipeline.output_schema,
-            )
-            kernel(ctx)
-            occupancy = min(1.0, max(ctx.n, 1) / runtime.device.profile.threads_resident)
-            runtime.device.launch(
-                f"{kernel.name}.vector{index}",
-                "compound",
-                ctx.n,
-                ctx.meter,
-                occupancy=occupancy,
-            )
-            partials.append(dict(ctx.outputs))
-            counts.append(ctx.aggregation.inputs if ctx.aggregation is not None else 0)
-            start = stop
-            index += 1
-            if total_rows == 0:
-                break
-        return self._merge(pipeline, partials, counts)
-
-    # ------------------------------------------------------------------
-    def _merge(
-        self,
-        pipeline: Pipeline,
-        partials: list[dict[str, np.ndarray]],
-        counts: list[int],
-    ) -> dict[str, np.ndarray]:
-        """Combine per-vector outputs via the shared partial-merge
-        layer (:mod:`repro.scaleout.merge`).  ``counts`` (qualifying
-        rows per vector, from ``ctx.aggregation``) mask the empty-
-        selection min/max placeholders; no output-schema cast here —
-        the engine's ordinary output handling casts downstream."""
-        return merge_partials(
-            pipeline.sink, None, partials, counts=counts, context="vectors"
+            # No column to cut into vectors (an unfiltered count(*)).
+            return run_compound_pipeline(pipeline, runtime, self.mode, scope)
+        return run_compound_pipeline(
+            pipeline,
+            runtime,
+            self.mode,
+            scope,
+            bounds=slice_bounds(runtime.source_rows(pipeline), self.vector_rows),
+            suffix="vector",
+            occupancy_rows=runtime.device.profile.threads_resident,
         )

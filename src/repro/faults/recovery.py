@@ -117,6 +117,20 @@ class RecoveryStats:
     def record_injected(self, kind: str, count: int = 1) -> None:
         self.injected[kind] = self.injected.get(kind, 0) + count
 
+    def __iadd__(self, other: "RecoveryStats") -> "RecoveryStats":
+        """Fold another query's accounting into a running total (the
+        executor's cumulative ``repro_faults_*`` counters)."""
+        for kind, count in other.injected.items():
+            self.record_injected(kind, count)
+        self.retries += other.retries
+        self.backoff_ms += other.backoff_ms
+        self.redistributed_morsels += other.redistributed_morsels
+        self.waves += other.waves
+        self.degraded_devices += other.degraded_devices
+        self.timeouts += other.timeouts
+        self.host_fallback = self.host_fallback or other.host_fallback
+        return self
+
     def summary(self) -> str:
         if not self.faulted:
             return "no faults"

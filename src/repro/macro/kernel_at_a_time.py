@@ -72,14 +72,5 @@ class KernelAtATimeExecutor:
     ) -> ExecutionResult:
         streaming = _StreamingDevice(device.profile, interconnect=device.interconnect)
         result = self._engine.execute(plan, database, streaming, seed=seed)
-        return ExecutionResult(
-            table=result.table,
-            profile=streaming.log,
-            engine=self.name,
-            device_name=device.profile.name,
-            input_bytes=result.input_bytes,
-            output_bytes=result.output_bytes,
-            pcie_ms=result.pcie_ms,
-            memory_bound_ms=result.memory_bound_ms,
-            trace=result.trace,
-        )
+        result.engine = self.name
+        return result

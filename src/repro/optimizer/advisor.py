@@ -45,6 +45,9 @@ from .cost import (
 )
 from .stats import StatisticsCatalog
 
+#: Largest fleet the lattice enumerates when ``devices`` is left free.
+MAX_DEVICES = 4
+
 #: Fraction of device memory below which out-of-core streaming is
 #: provably dominated by run-to-finish (same kernel traffic, plus
 #: per-block overhead) and is pruned without estimation.
@@ -150,14 +153,9 @@ class Advisor:
         interconnect: Interconnect | None = None,
         statistics: StatisticsCatalog | None = None,
         calibrator: Calibrator | None = None,
-        max_devices: int = 4,
         block_bytes: int = 2 * 1024 * 1024,
         compression=None,
     ):
-        if max_devices < 1:
-            raise ConfigurationError(
-                f"max_devices must be >= 1, got {max_devices}"
-            )
         self.profile = profile
         self.statistics = statistics if statistics is not None else StatisticsCatalog()
         self.calibrator = calibrator if calibrator is not None else Calibrator()
@@ -165,7 +163,6 @@ class Advisor:
             profile, interconnect, self.statistics, block_bytes=block_bytes,
             compression=compression,
         )
-        self.max_devices = max_devices
 
     # ------------------------------------------------------------------
     def candidate_strategies(
@@ -196,7 +193,7 @@ class Advisor:
         if devices is not None:
             device_counts = [devices]
         else:
-            device_counts = list(range(1, self.max_devices + 1))
+            device_counts = list(range(1, MAX_DEVICES + 1))
         placements = [placement] if placement else list(PLACEMENTS)
 
         candidates: list[StrategyChoice] = []

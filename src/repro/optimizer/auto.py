@@ -45,14 +45,14 @@ from ..storage.database import Database
 from ..telemetry.events import record_event
 from .advisor import Advisor, OptimizerDecision, PrunedCandidate
 from .calibrate import Calibrator
-from .cost import StrategyChoice
+from .cost import StrategyChoice, merge_overhead_ms
 from .stats import StatisticsCatalog
 
 
 class AutoExecutor:
     """Adaptive executor behind ``engine="auto"`` / ``devices="auto"``.
 
-    ``engine``/``devices``/``placement``/``macro`` pin individual
+    ``engine``/``devices``/``placement`` pin individual
     lattice dimensions (``None`` leaves them to the advisor); e.g.
     ``engine="auto", devices=2`` fixes the fleet size but lets the
     advisor pick micro model, macro model, and placement.
@@ -62,12 +62,10 @@ class AutoExecutor:
         self,
         profile: DeviceProfile,
         interconnect: Interconnect = PCIE3,
-        max_devices: int = 4,
         engine: str | None = None,
         devices: int | None = None,
         partitioning: str = "range",
         placement: str | None = None,
-        macro: str | None = None,
         statistics: StatisticsCatalog | None = None,
         calibrator: Calibrator | None = None,
         compression=None,
@@ -82,13 +80,11 @@ class AutoExecutor:
             interconnect,
             statistics=self.statistics,
             calibrator=self.calibrator,
-            max_devices=max_devices,
             compression=self.compression,
         )
         self.pinned_engine = engine
         self.pinned_devices = devices
         self.pinned_placement = placement
-        self.pinned_macro = macro
         self.partitioning = partitioning
         self._lock = threading.Lock()
         self._engines: dict[str, Engine] = {}
@@ -170,7 +166,6 @@ class AutoExecutor:
             query,
             database,
             engine=self.pinned_engine,
-            macro=self.pinned_macro,
             devices=self.pinned_devices,
             partitioning=self.partitioning,
             placement=self.pinned_placement,
@@ -191,7 +186,11 @@ class AutoExecutor:
         result = self._dispatch(strategy, query, database, seed, decision)
         observed_ms = result.total_ms
         if result.scaleout is not None:
-            observed_ms = result.scaleout.makespan_ms + result.scaleout.merge_ms
+            # Simulated clock only: the estimator's merge model, not the
+            # wall-clock merge, or decisions stop being repeatable.
+            observed_ms = result.scaleout.makespan_ms + merge_overhead_ms(
+                result.scaleout.partitions
+            )
         decision.observed_ms = observed_ms
         decision.observed_pcie_bytes = result.input_bytes + result.output_bytes
         self.calibrator.observe(

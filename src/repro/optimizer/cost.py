@@ -40,7 +40,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ..errors import PlanError
 from ..expressions.expr import (
     Between,
     BinaryOp,
@@ -56,6 +55,7 @@ from ..hardware.costmodel import KernelCostModel
 from ..hardware.interconnect import Interconnect
 from ..hardware.profiles import DeviceProfile
 from ..hardware.traffic import AtomicBatch, MemoryLevel, TrafficMeter
+from ..macro.batch import BLOCK_OVERHEAD
 from ..plan.physical import (
     AggregateSink,
     BuildSink,
@@ -66,6 +66,7 @@ from ..plan.physical import (
     Pipeline,
     ProbeStage,
 )
+from ..scaleout.partition import MORSELS_PER_DEVICE
 from ..storage.database import Database
 from .stats import StatisticsCatalog, TableStats
 
@@ -92,14 +93,18 @@ DEFAULT_SELECTIVITY = 1.0 / 3.0
 _GLOBAL = MemoryLevel.GLOBAL
 _ONCHIP = MemoryLevel.ONCHIP
 
-#: Per-block scheduling overhead of the streaming executor (seconds),
-#: mirrored from :data:`repro.macro.batch.BLOCK_OVERHEAD`.
-_BLOCK_OVERHEAD_S = 20e-6
-
 #: Host-side scatter-gather merge overhead for scale-out: a fixed cost
-#: plus a per-partial term (wall clock, ms).
+#: plus a per-partial term (modeled ms).
 _MERGE_BASE_MS = 0.06
 _MERGE_PER_PARTIAL_MS = 0.012
+
+
+def merge_overhead_ms(pieces: int) -> float:
+    """Modeled host merge cost of ``pieces`` gathered partials.  The
+    estimator charges it and the executor observes it, so calibration
+    compares like with like on the simulated clock (the wall-clock
+    merge stays on ``ScaleOutStats.merge_ms`` for reporting)."""
+    return _MERGE_BASE_MS + _MERGE_PER_PARTIAL_MS * pieces
 
 
 @dataclass(frozen=True)
@@ -193,7 +198,6 @@ class CostEstimator:
         profile: DeviceProfile,
         interconnect: Interconnect | None,
         statistics: StatisticsCatalog | None = None,
-        morsels_per_device: int = 2,
         block_bytes: int = 2 * 1024 * 1024,
         compression=None,
     ):
@@ -201,7 +205,6 @@ class CostEstimator:
         self.interconnect = None if profile.zero_copy else interconnect
         self.statistics = statistics if statistics is not None else StatisticsCatalog()
         self.cost_model = KernelCostModel(profile)
-        self.morsels_per_device = morsels_per_device
         self.block_bytes = block_bytes
         #: Wire-compression policy execution will run under: the model
         #: learns per-column compressed sizes (cached on the columns, so
@@ -848,7 +851,7 @@ class CostEstimator:
             blocks = max(1, math.ceil(fact.input_bytes / block_bytes))
             stream_ms = (
                 max(stream_transfer_ms, fact.kernel_ms)
-                + blocks * _BLOCK_OVERHEAD_S * 1e3
+                + blocks * BLOCK_OVERHEAD * 1e3
             )
             estimate.transfer_ms = self._transfer_ms(
                 dims_h2d, estimate.pcie_d2h_bytes, transfers
@@ -879,7 +882,7 @@ class CostEstimator:
                 "scale-out cannot partition a virtual-table final pipeline"
             )
             return
-        pieces = devices * self.morsels_per_device
+        pieces = devices * MORSELS_PER_DEVICE
         dims_h2d = max(0, estimate.pcie_h2d_bytes - fact.wire_bytes)
         dims_kernel_ms = estimate.kernel_ms - fact.kernel_ms
         # Every device pays the broadcast build sides; the fact share
@@ -900,27 +903,15 @@ class CostEstimator:
             + launch_ms / devices
             + self._transfer_ms(
                 int(per_device_h2d), int(per_device_d2h),
-                transfers=2 + self.morsels_per_device,
+                transfers=2 + MORSELS_PER_DEVICE,
             )
         )
         estimate.kernel_ms = makespan_ms
         estimate.transfer_ms = 0.0
-        estimate.overhead_ms = (
-            _MERGE_BASE_MS + _MERGE_PER_PARTIAL_MS * pieces
-        )
+        estimate.overhead_ms = merge_overhead_ms(pieces)
         estimate.pcie_h2d_bytes = int(dims_h2d * devices + fact.wire_bytes)
         estimate.pcie_d2h_bytes = int(gather_total)
         # Per-device peak: broadcast dims + this device's fact share.
         estimate.peak_device_bytes = int(
             estimate.peak_device_bytes - fact.input_bytes * (1 - 1 / devices)
-        )
-
-
-def raise_if_unstreamable(query: PhysicalQuery) -> None:
-    """Mirror of the batch executor's plan checks (see
-    :mod:`repro.macro.batch`)."""
-    final = query.final_pipeline
-    if final.source_is_virtual:
-        raise PlanError(
-            "batch streaming requires the final pipeline to scan a base table"
         )

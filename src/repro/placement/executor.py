@@ -117,17 +117,13 @@ def _fallback(
     seed: int,
     original: DeviceMemoryError | None,
 ) -> ExecutionResult:
-    from ..macro.batch import execute_out_of_core, streaming_mode
-
     device.placement_pool.record_fallback()
     try:
-        return execute_out_of_core(
-            query, database, device, seed=seed, mode=streaming_mode(engine)
-        )
+        return dispatch(engine, query, database, device, seed, macro="out-of-core")
     except PlanError:
-        # The plan cannot stream (e.g. the final pipeline reads a
-        # virtual table, or AVG partials cannot merge).  Surface the
-        # capacity problem, not the fallback's limitation.
+        # The plan cannot stream (the final pipeline reads a virtual
+        # table).  Surface the capacity problem, not the fallback's
+        # limitation.
         if original is not None:
             raise original from None
         raise

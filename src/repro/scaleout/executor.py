@@ -3,7 +3,7 @@
 One query runs data-parallel over a :class:`~repro.scaleout.fleet.DeviceFleet`:
 
 1. **Partition** — the fact table (the final pipeline's base-table
-   scan) is split into ``devices * morsels_per_device`` pieces (range
+   scan) is split into ``devices * MORSELS_PER_DEVICE`` pieces (range
    or hash, see :mod:`repro.scaleout.partition`); the partitioned
    catalog is cached per parent database so repeat queries reuse it
    (and per-device buffer pools stay warm).
@@ -16,7 +16,13 @@ One query runs data-parallel over a :class:`~repro.scaleout.fleet.DeviceFleet`:
    AVG and empty pieces mergeable), gathering each partial d2h.
 3. **Gather/merge** — partials merge in piece order through the shared
    :func:`repro.scaleout.merge.merge_partials`, then the host applies
-   ORDER BY/LIMIT exactly as single-device ``finalize`` does.
+   ORDER BY/LIMIT through the routine single-device ``finalize`` uses
+   (:func:`repro.engines.runtime.assemble_result`).
+
+Each device runs the same pieces a single-device query does — see
+``docs/architecture.md``, "one query loop, three ways to feed a
+pipeline"; what this module owns is the scatter, the recovery waves and
+the merge.
 
 Queries whose final pipeline scans a *virtual* table (e.g. TPC-H Q13's
 outer aggregate over an aggregate) cannot be partitioned this way and
@@ -59,8 +65,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..compression import CompressionStats, resolve_compression
-from ..engines.base import Engine, ExecutionResult, _cast_outputs
-from ..engines.runtime import QueryRuntime, _sort_order
+from ..engines.base import Engine, ExecutionResult, package_result
+from ..engines.runtime import QueryRuntime, assemble_result
 from ..faults.injector import FaultInjector, partial_checksum
 from ..faults.plan import FaultPlan
 from ..faults.recovery import RecoveryStats, RetryPolicy
@@ -80,7 +86,6 @@ from ..errors import (
 from ..plan.logical import LogicalPlan
 from ..plan.physical import PhysicalQuery, Pipeline
 from ..plan.pipelines import extract_pipelines
-from ..storage.column import Column
 from ..storage.database import Database
 from ..storage.table import Table
 from ..telemetry.events import current_query, record_event
@@ -88,6 +93,7 @@ from ..telemetry.trace import Tracer, active_tracer, tracing_enabled
 from .fleet import DeviceFleet
 from .merge import PartialScheme, merge_partials, rewrite_for_partials
 from .partition import (
+    MORSELS_PER_DEVICE,
     PartitionSet,
     build_partitions,
     validate_devices,
@@ -153,10 +159,6 @@ class ScaleOutExecutor:
         privately.
     partitioning:
         ``"range"`` (default, order-preserving views) or ``"hash"``.
-    morsels_per_device:
-        Over-partitioning factor: the fact table splits into
-        ``devices * morsels_per_device`` pieces so the LPT scheduler
-        can redistribute work around skewed partitions.
     residency:
         Attach a per-device :class:`~repro.placement.BufferPool`;
         broadcast dimension columns and fact pieces stay device-
@@ -176,7 +178,6 @@ class ScaleOutExecutor:
         profile: DeviceProfile | str = GTX970,
         interconnect: Interconnect = PCIE3,
         partitioning: str = "range",
-        morsels_per_device: int = 2,
         residency: bool = False,
         fault_plan: FaultPlan | None = None,
         retry_policy: RetryPolicy | None = None,
@@ -184,14 +185,6 @@ class ScaleOutExecutor:
     ):
         self.devices = validate_devices(devices)
         self.partitioning = validate_partitioning(partitioning)
-        if isinstance(morsels_per_device, bool) or not isinstance(
-            morsels_per_device, int
-        ) or morsels_per_device < 1:
-            raise ConfigurationError(
-                f"morsels_per_device must be an integer >= 1, got "
-                f"{morsels_per_device!r}"
-            )
-        self.morsels_per_device = morsels_per_device
         if fault_plan is not None and not isinstance(fault_plan, FaultPlan):
             raise ConfigurationError(
                 f"fault_plan must be a FaultPlan or None, got {fault_plan!r}"
@@ -220,20 +213,12 @@ class ScaleOutExecutor:
         self._totals_lock = threading.Lock()
         self._queries = 0
         self._fallbacks = 0
-        self._device_totals = [
-            {"morsels": 0, "busy_ms": 0.0, "pcie_bytes": 0, "queries": 0}
-            for _ in range(self.devices)
-        ]
-        self._fault_totals = {
-            "injected": {},  # kind -> fired count
-            "retries": 0,
-            "backoff_ms": 0.0,
-            "redistributed": 0,
-            "timeouts": 0,
-            "lost_devices": 0,
-            "host_fallbacks": 0,
-            "faulted_queries": 0,
-        }
+        self._device_totals = [DeviceShare(device=i) for i in range(self.devices)]
+        #: Sum of every query's RecoveryStats, plus the two per-query
+        #: flags the sum cannot count.
+        self._recovery_totals = RecoveryStats()
+        self._host_fallbacks = 0
+        self._faulted_queries = 0
         self._last_live = self.devices
         self._event_query: str | None = None
 
@@ -263,7 +248,7 @@ class ScaleOutExecutor:
 
     # ------------------------------------------------------------------
     def _partitions(self, database: Database, fact_table: str) -> PartitionSet:
-        parts = self.devices * self.morsels_per_device
+        parts = self.devices * MORSELS_PER_DEVICE
         serial = database.fingerprint()[0]  # stable catalog identity
         key = (serial, fact_table, self.partitioning, parts)
         with self._cache_lock:
@@ -348,7 +333,9 @@ class ScaleOutExecutor:
                 scheme=scheme,
                 context="partitions",
             )
-            table = _finalize_host(query, merged)
+            # The d2h was charged per gathered partial; only the cast
+            # and ORDER BY / LIMIT remain.
+            table = assemble_result(query, merged)
             merge_ms = (time.perf_counter() - merge_start) * 1e3
             if tracer is not None:
                 tracer.event(
@@ -563,19 +550,7 @@ class ScaleOutExecutor:
                         injector.on_build(load.device, device)
                     # Build sides: every dimension pipeline runs on
                     # every participating device (broadcast join).
-                    for index, pipeline in enumerate(query.pipelines[:-1]):
-                        if child is None:
-                            produced = engine.execute_pipeline(pipeline, runtime)
-                        else:
-                            produced = engine._execute_pipeline_traced(
-                                index, pipeline, runtime, child
-                            )
-                        if pipeline.output_schema is not None and produced is not None:
-                            runtime.register_virtual(
-                                pipeline.output_name,
-                                _cast_outputs(produced, pipeline.output_schema),
-                                pipeline.output_schema,
-                            )
+                    engine.run_pipelines(query.pipelines[:-1], runtime, child)
                     run.share.broadcast_bytes = runtime.input_bytes
                 except _RECOVERABLE as error:
                     # A build failure fails every piece of this share:
@@ -663,15 +638,12 @@ class ScaleOutExecutor:
                     name=f"{rewritten.name}_p{piece.index}",
                     source=piece.table_name,
                 )
-                if child is None:
-                    produced = engine.execute_pipeline(morsel, runtime)
-                else:
-                    produced = engine._execute_pipeline_traced(
-                        len(query.pipelines) - 1 + piece.index,
-                        morsel,
-                        runtime,
-                        child,
-                    )
+                produced = engine.run_pipelines(
+                    [morsel],
+                    runtime,
+                    child,
+                    first_index=len(query.pipelines) - 1 + piece.index,
+                )
                 assert produced is not None
                 if not device.alive:
                     raise DeviceLostError(device.profile.name, "lost mid-morsel")
@@ -730,66 +702,13 @@ class ScaleOutExecutor:
                     continue
                 run.failed[piece.index] = kind
                 return False
-            gather_bytes = self._gather_partial(
-                produced, piece.index, runtime, device
+            run.share.gather_bytes += runtime.ship_partial(
+                produced, f"gather.p{piece.index}"
             )
             run.partials[piece.index] = produced
             run.share.morsels += 1
             run.share.rows += piece.rows
-            run.share.gather_bytes += gather_bytes
             return True
-
-    # ------------------------------------------------------------------
-    def _gather_partial(
-        self, produced: dict, index: int, runtime: QueryRuntime, device
-    ) -> int:
-        """Ship one morsel's partial columns d2h.
-
-        With a compression policy each column that clears the wire-ratio
-        gate travels as a wire image: a device-side encode kernel pays
-        for the packing, and the decode is charged to the host merge
-        (``host_decode_bytes``) — the device never re-reads the partial.
-        Returns the bytes that crossed the link.
-        """
-        policy = runtime.compression
-        if policy is None:
-            gather_bytes = sum(
-                np.asarray(array).nbytes for array in produced.values()
-            )
-            device.record_stream_transfer(
-                gather_bytes, "d2h", label=f"gather.p{index}"
-            )
-            return gather_bytes
-        stats = runtime.compression_stats()
-        gather_bytes = 0
-        for name, array in produced.items():
-            arr = np.asarray(array)
-            encoded = policy.encode_array(arr)
-            if (
-                encoded is not None
-                and encoded.codec != "passthrough"
-                and encoded.wire_nbytes < arr.nbytes
-            ):
-                runtime._charge_encode(encoded, f"gather.p{index}.{name}")
-                device.record_stream_transfer(
-                    encoded.wire_nbytes,
-                    "d2h",
-                    label=f"gather.p{index}.{name}",
-                    raw_nbytes=arr.nbytes,
-                    codec=encoded.codec,
-                )
-                gather_bytes += encoded.wire_nbytes
-                if stats is not None:
-                    stats.record(arr.nbytes, encoded.wire_nbytes, encoded.codec)
-                    stats.host_decode_bytes += arr.nbytes
-            else:
-                device.record_stream_transfer(
-                    arr.nbytes, "d2h", label=f"gather.p{index}.{name}"
-                )
-                gather_bytes += arr.nbytes
-                if stats is not None:
-                    stats.record(arr.nbytes, arr.nbytes, "passthrough")
-        return gather_bytes
 
     # ------------------------------------------------------------------
     def _execute_fallback(
@@ -900,20 +819,14 @@ class ScaleOutExecutor:
                 hit_bytes=sum(p.hit_bytes for p in placements),
                 transferred_bytes=sum(p.transferred_bytes for p in placements),
             )
-        input_bytes = sum(run.share.input_bytes for run in runs)
-        output_bytes = table.nbytes
-        baseline_device = self.fleet.devices[0]
-        return ExecutionResult(
+        return package_result(
+            self.fleet.devices[0],
+            sum(run.share.input_bytes for run in runs),
+            table.nbytes,
             table=table,
             profile=profile,
             engine=f"scaleout[{self.devices}x{engine.name}]",
             device_name=f"{self.profile.name} x{self.devices}",
-            input_bytes=input_bytes,
-            output_bytes=output_bytes,
-            pcie_ms=baseline_device.pcie_baseline_ms(input_bytes, output_bytes),
-            memory_bound_ms=baseline_device.memory_bound_ms(
-                input_bytes + output_bytes
-            ),
             kernel_sources=kernel_sources,
             placement=placement,
             scaleout=stats,
@@ -927,28 +840,14 @@ class ScaleOutExecutor:
         with self._totals_lock:
             self._queries += 1
             for share in stats.shares:
-                totals = self._device_totals[share.device]
-                totals["queries"] += 1
-                totals["morsels"] += share.morsels
-                totals["busy_ms"] += share.busy_ms
-                totals["pcie_bytes"] += share.pcie_bytes
+                self._device_totals[share.device] += share
             recovery = stats.recovery
+            self._last_live = self.devices
             if recovery is not None:
-                faults = self._fault_totals
-                for kind, count in recovery.injected.items():
-                    faults["injected"][kind] = (
-                        faults["injected"].get(kind, 0) + count
-                    )
-                faults["retries"] += recovery.retries
-                faults["backoff_ms"] += recovery.backoff_ms
-                faults["redistributed"] += recovery.redistributed_morsels
-                faults["timeouts"] += recovery.timeouts
-                faults["lost_devices"] += len(recovery.degraded_devices)
-                faults["host_fallbacks"] += int(recovery.host_fallback)
-                faults["faulted_queries"] += int(recovery.faulted)
-                self._last_live = self.devices - len(recovery.degraded_devices)
-            else:
-                self._last_live = self.devices
+                self._recovery_totals += recovery
+                self._host_fallbacks += recovery.host_fallback
+                self._faulted_queries += recovery.faulted
+                self._last_live -= len(recovery.degraded_devices)
 
     def placement_stats(self):
         """Aggregated fleet residency counters (None without it)."""
@@ -959,12 +858,15 @@ class ScaleOutExecutor:
         :class:`~repro.telemetry.metrics.MetricsRegistry` (the serving
         layer calls this from ``Server.metrics_text``)."""
         with self._totals_lock:
-            totals = [dict(entry) for entry in self._device_totals]
+            totals = [replace(share) for share in self._device_totals]
             queries, fallbacks = self._queries, self._fallbacks
-            faults = {
-                key: (dict(value) if isinstance(value, dict) else value)
-                for key, value in self._fault_totals.items()
-            }
+            faults = replace(
+                self._recovery_totals,
+                injected=dict(self._recovery_totals.injected),
+            )
+            lost_devices = len(self._recovery_totals.degraded_devices)
+            host_fallbacks = self._host_fallbacks
+            faulted_queries = self._faulted_queries
             last_live = self._last_live
         metrics.gauge(
             "repro_scaleout_devices", "Fleet size of the scale-out executor",
@@ -978,25 +880,25 @@ class ScaleOutExecutor:
             "repro_scaleout_fallbacks_total",
             "Queries that ran unpartitioned on one device", **labels,
         ).set_total(fallbacks)
-        for index, entry in enumerate(totals):
-            device_labels = dict(labels, device=str(index))
+        for share in totals:
+            device_labels = dict(labels, device=str(share.device))
             metrics.counter(
                 "repro_scaleout_device_morsels_total",
                 "Fact morsels executed per device", **device_labels,
-            ).set_total(entry["morsels"])
+            ).set_total(share.morsels)
             metrics.counter(
                 "repro_scaleout_device_busy_ms_total",
                 "Simulated busy milliseconds per device", **device_labels,
-            ).set_total(entry["busy_ms"])
+            ).set_total(share.busy_ms)
             metrics.counter(
                 "repro_scaleout_device_pcie_bytes_total",
                 "PCIe bytes (h2d + d2h) per device", **device_labels,
-            ).set_total(entry["pcie_bytes"])
+            ).set_total(share.pcie_bytes)
         metrics.gauge(
             "repro_faults_live_devices",
             "Devices in service after the most recent query", **labels,
         ).set(last_live)
-        for kind, count in sorted(faults["injected"].items()):
+        for kind, count in sorted(faults.injected.items()):
             metrics.counter(
                 "repro_faults_injected_total",
                 "Injected faults fired, by kind", kind=kind, **labels,
@@ -1004,31 +906,31 @@ class ScaleOutExecutor:
         metrics.counter(
             "repro_faults_retries_total",
             "Same-device morsel retries", **labels,
-        ).set_total(faults["retries"])
+        ).set_total(faults.retries)
         metrics.counter(
             "repro_faults_backoff_ms_total",
             "Simulated retry backoff milliseconds", **labels,
-        ).set_total(faults["backoff_ms"])
+        ).set_total(faults.backoff_ms)
         metrics.counter(
             "repro_faults_redistributed_morsels_total",
             "Morsels re-scheduled onto surviving devices", **labels,
-        ).set_total(faults["redistributed"])
+        ).set_total(faults.redistributed_morsels)
         metrics.counter(
             "repro_faults_timeouts_total",
             "Morsel attempts abandoned past the morsel timeout", **labels,
-        ).set_total(faults["timeouts"])
+        ).set_total(faults.timeouts)
         metrics.counter(
             "repro_faults_lost_devices_total",
             "Device losses suffered across all queries", **labels,
-        ).set_total(faults["lost_devices"])
+        ).set_total(lost_devices)
         metrics.counter(
             "repro_faults_host_fallbacks_total",
             "Queries degraded to the host out-of-core fallback", **labels,
-        ).set_total(faults["host_fallbacks"])
+        ).set_total(host_fallbacks)
         metrics.counter(
             "repro_faults_queries_total",
             "Queries that saw any fault or recovery action", **labels,
-        ).set_total(faults["faulted_queries"])
+        ).set_total(faulted_queries)
 
 
 def _combined_shares(runs: list[_DeviceRun]) -> list[DeviceShare]:
@@ -1037,37 +939,8 @@ def _combined_shares(runs: list[_DeviceRun]) -> list[DeviceShare]:
     by_device: dict[int, DeviceShare] = {}
     for run in runs:
         share = run.share
-        merged = by_device.get(share.device)
-        if merged is None:
+        if share.device in by_device:
+            by_device[share.device] += share
+        else:
             by_device[share.device] = replace(share)
-            continue
-        merged.morsels += share.morsels
-        merged.rows += share.rows
-        merged.input_bytes += share.input_bytes
-        merged.broadcast_bytes += share.broadcast_bytes
-        merged.partition_bytes += share.partition_bytes
-        merged.gather_bytes += share.gather_bytes
-        merged.kernel_ms += share.kernel_ms
-        merged.transfer_ms += share.transfer_ms
-        merged.busy_ms += share.busy_ms
-        merged.placement_hits += share.placement_hits
     return [by_device[device] for device in sorted(by_device)]
-
-
-def _finalize_host(query: PhysicalQuery, merged: dict[str, np.ndarray]) -> Table:
-    """Host-side result assembly: the scale-out twin of
-    ``QueryRuntime.finalize`` — the d2h cost was already charged per
-    gathered partial, so only the cast/sort/limit remain."""
-    schema = query.output_schema
-    assert schema is not None
-    columns: dict[str, Column] = {}
-    for name in query.output_columns:
-        dtype = schema.dtypes[name]
-        values = np.asarray(merged[name]).astype(dtype.numpy_dtype)
-        columns[name] = Column(dtype, values, schema.dictionaries.get(name))
-    table = Table(columns)
-    if query.sort_keys:
-        table = table.take(_sort_order(table, query.sort_keys))
-    if query.limit is not None:
-        table = table.slice(0, query.limit)
-    return table

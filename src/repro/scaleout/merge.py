@@ -1,11 +1,13 @@
 """Partial-result merging shared by every partitioned execution path.
 
-Three macro execution models in this repo split one pipeline's input
-into pieces and re-reduce the per-piece outputs: the out-of-core block
-streamer (:class:`repro.macro.batch.BatchExecutor`), the
-vector-at-a-time engine, and the scale-out multi-device executor.
-They all share :func:`merge_partials` so the merge semantics — and
-their empty-partial edge cases — live in exactly one place.
+Three execution models in this repo split one pipeline's input into
+pieces and re-reduce the per-piece outputs: the out-of-core block
+streamer (:class:`repro.macro.batch.BatchExecutor`) and the
+vector-at-a-time engine (both through
+:func:`repro.engines.compound.run_compound_pipeline`), and the
+scale-out multi-device executor.  They all share :func:`merge_partials`
+so the merge semantics — and their empty-partial edge cases — live in
+exactly one place.
 
 Two subtleties this module owns:
 
@@ -13,16 +15,21 @@ Two subtleties this module owns:
   survived the filters emits the single-tuple placeholder ``[0.0]``
   (see ``repro.engines.runtime._reduce_spec``), which is
   indistinguishable from a real aggregate of 0.  Callers that know the
-  per-piece qualifying-row counts pass them via ``counts`` (the vector
-  engine reads ``ctx.aggregation.inputs``); the scale-out path instead
-  rewrites the pipeline with :func:`rewrite_for_partials`, which
-  injects a hidden ``count(*)`` so the counts travel inside the
-  partials themselves and work for *any* engine.
+  per-piece qualifying-row counts pass them via ``counts`` (the
+  in-process slicer, :func:`repro.engines.compound.run_compound_pipeline`,
+  reads ``ctx.aggregation.inputs`` — free and exact); the scale-out
+  path runs arbitrary engines and instead rewrites the pipeline with
+  :func:`rewrite_for_partials`, which injects a hidden ``count(*)`` so
+  the counts travel inside the partials themselves.  The hidden count
+  changes a single-tuple kernel's charges, so the two channels coexist:
+  moving the in-process slicers onto the scheme would drift their
+  simulated clock.
 * **AVG does not merge from plain partials** (an average of averages is
-  wrong under skew).  Without a :class:`PartialScheme` the merge
-  refuses, exactly as block streaming always has; with a scheme, AVG
-  is decomposed into hidden SUM and COUNT partials and recombined
-  exactly.
+  wrong under skew).  Every slicer therefore runs AVG sinks on the
+  :func:`rewrite_for_partials` pipeline, whose :class:`PartialScheme`
+  decomposes AVG into hidden SUM and COUNT partials that recombine
+  exactly; handed plain AVG partials without a scheme, the merge
+  refuses.
 """
 
 from __future__ import annotations
@@ -141,9 +148,7 @@ def merge_partials(
         produce).  Materialize outputs concatenate in piece order;
         aggregate outputs re-reduce per :data:`MERGE_OPS`.
     schema:
-        When given, merged aggregate columns are cast to these dtypes
-        (the block streamer's behaviour; the vector engine passes
-        ``None`` and lets the engine's output cast handle it).
+        When given, merged aggregate columns are cast to these dtypes.
     counts:
         Per-piece qualifying-row counts, used to mask empty-piece
         min/max placeholders (single-tuple sinks only).
@@ -176,7 +181,8 @@ def merge_partials(
         if spec.op not in MERGE_OPS and spec.name not in scheme.avg_parts:
             raise PlanError(
                 f"aggregate {spec.op!r} cannot be merged across {context} "
-                "(use run-to-finish for AVG queries)"
+                "from plain partials (run the slices on rewrite_for_partials "
+                "and pass its scheme)"
             )
     if sink.group_keys:
         merged = _merge_grouped(sink, partials, scheme, schema)

@@ -32,6 +32,12 @@ from ..storage.table import Table
 #: Supported partitioning schemes.
 PARTITION_SCHEMES = ("hash", "range")
 
+#: Over-partitioning factor: the fact table splits into
+#: ``devices * MORSELS_PER_DEVICE`` pieces so the LPT scheduler can
+#: redistribute work around skewed partitions.  The executor cuts by it
+#: and the optimizer's cost estimator prices by it.
+MORSELS_PER_DEVICE = 2
+
 #: Knuth's multiplicative constant (golden ratio, 64-bit).
 _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 

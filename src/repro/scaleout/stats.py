@@ -7,7 +7,7 @@ every result of the recovering executor carries its fault accounting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from ..faults.recovery import RecoveryStats
 
@@ -42,6 +42,18 @@ class DeviceShare:
     def pcie_bytes(self) -> int:
         """Total bytes over this device's link (h2d + d2h)."""
         return self.input_bytes + self.gather_bytes
+
+    def __iadd__(self, other: "DeviceShare") -> "DeviceShare":
+        """Add another share of the same device (a later recovery
+        wave): every counter sums."""
+        for spec in fields(self):
+            if spec.name != "device":
+                setattr(
+                    self,
+                    spec.name,
+                    getattr(self, spec.name) + getattr(other, spec.name),
+                )
+        return self
 
 
 @dataclass

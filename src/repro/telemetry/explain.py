@@ -67,14 +67,10 @@ def render_explain_analyze(result) -> str:
         f"EXPLAIN ANALYZE  ({result.engine} on {result.device_name}; "
         f"{result.table.num_rows} result rows)"
     )
-    parts = []
-    if rows:
-        parts.append(format_table(_COLUMNS, rows, title=title,
-                                  float_format="{:.4g}"))
-    else:
-        parts.append(f"{title}\n(no per-pipeline spans — out-of-core "
-                     "streaming execution; totals below cover the whole run)")
-    parts.append(_totals(result, pipelines))
+    parts = [
+        format_table(_COLUMNS, rows, title=title, float_format="{:.4g}"),
+        _totals(result, pipelines),
+    ]
     footer = _footer_lines(result, trace)
     if footer:
         parts.append("\n".join(footer))

@@ -4,17 +4,21 @@ derivation, batch streaming) including capacity failure injection."""
 import numpy as np
 import pytest
 
+from repro.api import connect
 from repro.engines import CompoundEngine, OperatorAtATimeEngine
 from repro.errors import DeviceMemoryError, PlanError
 from repro.expressions import col
-from repro.hardware import GTX970, VirtualCoprocessor
+from repro.hardware import GTX970, MemoryLevel, VirtualCoprocessor
 from repro.macro import (
     BatchExecutor,
     batch_processing_movement,
     kernel_at_a_time_movement,
     run_to_finish,
 )
+from repro.macro.batch import execute_out_of_core
 from repro.plan import PlanBuilder
+from repro.plan.pipelines import extract_pipelines
+from repro.telemetry import render_explain_analyze, tracing
 from repro.storage.table import rows_approx_equal
 from repro.workloads import star_join_aggregate_query, star_join_query, ssb_plan
 
@@ -114,14 +118,90 @@ class TestBatchExecutor:
         assert small.num_blocks > large.num_blocks
         assert small.end_to_end_ms > large.end_to_end_ms
 
-    def test_avg_cannot_stream(self, ssb_db, device):
-        plan = (
-            PlanBuilder.scan("lineorder")
-            .aggregate(group_by=[], aggregates=[("avg", col("lo_revenue"), "a")])
-            .build()
+    def test_avg_streams(self, ssb_db, device):
+        """AVG merges across blocks through the hidden SUM/COUNT
+        decomposition scale-out uses (it used to raise PlanError)."""
+        for group_by in ([], ["lo_discount"]):
+            plan = (
+                PlanBuilder.scan("lineorder")
+                .filter(col("lo_discount") > 2)
+                .aggregate(
+                    group_by=group_by,
+                    aggregates=[
+                        ("avg", col("lo_revenue"), "a"),
+                        ("sum", col("lo_quantity"), "s"),
+                    ],
+                )
+                .build()
+            )
+            streamed = BatchExecutor(block_bytes=8 * 1024).execute(plan, ssb_db, device)
+            reference = CompoundEngine().execute(plan, ssb_db, VirtualCoprocessor(GTX970))
+            assert streamed.num_blocks > 1
+            assert rows_approx_equal(
+                streamed.table.sorted_rows(), reference.table.sorted_rows(),
+                rel_tol=1e-9,
+            )
+
+    def test_avg_streams_through_the_residency_fallback(self, ssb_db):
+        """Regression: an AVG query whose base columns exceed the device
+        raised PlanError out of the automatic out-of-core fallback."""
+        sql = (
+            "select avg(lo_revenue) as a, sum(lo_quantity) as s "
+            "from lineorder where lo_discount > 2"
         )
-        with pytest.raises(PlanError, match="merged"):
-            BatchExecutor(block_bytes=1024).execute(plan, ssb_db, device)
+        small = GTX970.with_overrides(memory_capacity=150_000)
+        result = connect(ssb_db, device=small, residency=True).execute(sql)
+        assert result.placement.out_of_core
+        assert rows_approx_equal(
+            result.table.sorted_rows(),
+            connect(ssb_db).execute(sql).table.sorted_rows(),
+            rel_tol=1e-9,
+        )
+
+    @pytest.mark.parametrize(
+        "query, block_bytes, end_to_end_ms, num_blocks, peak_device_bytes",
+        [
+            (star_join_aggregate_query, 4 * 1024, 0.8810330867556471, 24, 113664),
+            (star_join_aggregate_query, 16 * 1024, 0.34103308675564686, 6, 162816),
+            (star_join_aggregate_query, 32 * 1024, 0.25103308675564684, 3, 228352),
+            (star_join_aggregate_query, 64 * 1024, 0.22103308675564684, 2, 359424),
+            (star_join_aggregate_query, 256 * 1024, 0.19103308675564684, 1, 481280),
+            (star_join_query, 32 * 1024, 0.25232458675564684, 3, 228352),
+        ],
+    )
+    def test_breakdown_pinned(
+        self, ssb_db, device, query, block_bytes, end_to_end_ms, num_blocks,
+        peak_device_bytes,
+    ):
+        """The timing breakdown is read off the engine's own profile;
+        these are the values the hand-rolled loop produced before."""
+        result = BatchExecutor(block_bytes=block_bytes).execute(
+            query(), ssb_db, device
+        )
+        assert result.end_to_end_ms == pytest.approx(end_to_end_ms, rel=1e-12)
+        assert result.num_blocks == num_blocks
+        assert result.peak_device_bytes == peak_device_bytes
+
+    def test_out_of_core_result_is_the_engines_own(self, ssb_db, device):
+        """execute_out_of_core hands back what Engine.execute built:
+        kernel sources included, one pipeline span per pipeline whose
+        global bytes reconcile with the profile, EXPLAIN ANALYZE rows."""
+        plan = ssb_plan("q3.1", ssb_db)
+        with tracing():
+            result = execute_out_of_core(plan, ssb_db, device, block_bytes=32 * 1024)
+        assert result.engine == "batch[lrgp_simd]"
+        assert result.placement.out_of_core
+        pipelines = extract_pipelines(plan, ssb_db).pipelines
+        assert set(result.kernel_sources) == {p.name for p in pipelines}
+        spans = result.trace.spans("pipeline")
+        assert [span.name for span in spans] == [
+            f"pipeline[{index}]" for index in range(len(pipelines))
+        ]
+        assert sum(span.attrs["global_bytes"] for span in spans) == (
+            result.profile.bytes_at(MemoryLevel.GLOBAL)
+        )
+        text = render_explain_analyze(result)
+        assert "rows out" in text and "WARNING" not in text
 
     def test_virtual_final_source_rejected(self, ssb_db, device):
         plan = (

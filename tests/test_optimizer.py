@@ -376,6 +376,46 @@ def test_auto_never_out_of_memory(ssb_db, x, groups, shape):
     )
 
 
+def test_auto_streams_avg_out_of_core(ssb_db):
+    """Regression: ``streaming_ok`` never looked at AVG, so the advisor
+    routed an oversized AVG query out-of-core where it raised
+    PlanError; the streamer now merges AVG partials."""
+    sql = (
+        "select avg(lo_revenue) as a, sum(lo_quantity) as s "
+        "from lineorder where lo_discount > 2"
+    )
+    small = GTX970.with_overrides(memory_capacity=150_000)
+    result = Session(ssb_db, device=small, engine="auto").execute(sql)
+    assert result.optimizer.chosen.macro == "out-of-core"
+    assert rows_approx_equal(
+        result.table.sorted_rows(),
+        Session(ssb_db).execute(sql).table.sorted_rows(),
+        rel_tol=1e-9,
+    )
+
+
+def test_auto_fleet_decisions_are_repeatable(ssb_db):
+    """Regression: the calibrator observed ``makespan + merge_ms`` with
+    ``merge_ms`` a host wall-clock reading, so two identical sessions
+    disagreed on every ``observed_ms`` and soon on ``predicted_ms``.
+    It now observes the merge overhead the estimator models."""
+
+    def decisions():
+        session = Session(ssb_db, engine="auto", devices=2)
+        return [
+            (
+                decision.chosen.describe(),
+                decision.predicted_ms,
+                decision.observed_ms,
+            )
+            for _ in range(3)
+            for name in ("q1.1", "q2.1", "q3.1", "q4.1")
+            for decision in [session.execute(SSB_QUERIES[name]).optimizer]
+        ]
+
+    assert decisions() == decisions()
+
+
 # ----------------------------------------------------------------------
 # plan cache keying + session/serving surfaces
 # ----------------------------------------------------------------------

@@ -17,7 +17,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api import Session
-from repro.engines import make_engine
+from repro.engines import VectorAtATimeEngine, make_engine
+from repro.hardware import GTX970, PCIE3, VirtualCoprocessor
+from repro.macro.batch import execute_out_of_core
 from repro.scaleout import PARTITION_SCHEMES, ScaleOutExecutor
 from repro.storage.table import rows_approx_equal
 from repro.workloads import SSB_QUERIES, TPCH_PLANS, ssb_plan, tpch_plan
@@ -67,6 +69,39 @@ def test_tpch_agrees_across_device_counts(tpch_db, tpch_reference, name, scheme)
         assert rows_approx_equal(
             result.table.sorted_rows(), expected, rel_tol=1e-6, abs_tol=1e-6
         ), f"{name} differs at devices={devices}, {scheme}"
+
+
+# ----------------------------------------------------------------------
+# the in-process slicers: streamed blocks and vectors change nothing
+# ----------------------------------------------------------------------
+SLICED = [("ssb", name) for name in sorted(SSB_QUERIES)] + [
+    ("tpch", "q1"),  # AVG: merges through the hidden SUM/COUNT partials
+    ("tpch", "q6"),
+]
+
+
+@pytest.mark.parametrize("suite, name", SLICED)
+def test_blocks_and_vectors_agree_with_run_to_finish(
+    ssb_db, ssb_reference, tpch_db, tpch_reference, suite, name
+):
+    """Out-of-core streaming and the vector engine feed the same
+    pipelines a slice at a time; results must match run-to-finish under
+    ``repro.validation``'s tolerances."""
+    if suite == "ssb":
+        database, plan, expected = ssb_db, ssb_plan(name, ssb_db), ssb_reference[name]
+    else:
+        database, plan, expected = tpch_db, tpch_plan(name, tpch_db), tpch_reference[name]
+    streamed = execute_out_of_core(
+        plan, database, VirtualCoprocessor(GTX970, interconnect=PCIE3),
+        block_bytes=16 * 1024,
+    )
+    vectors = VectorAtATimeEngine(4096).execute(
+        plan, database, VirtualCoprocessor(GTX970, interconnect=PCIE3)
+    )
+    for label, result in (("out-of-core", streamed), ("vector", vectors)):
+        assert rows_approx_equal(
+            result.table.sorted_rows(), expected, rel_tol=1e-4, abs_tol=1e-2
+        ), f"{suite} {name} differs under {label}"
 
 
 # ----------------------------------------------------------------------

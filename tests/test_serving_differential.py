@@ -95,14 +95,9 @@ def cached_session(ssb_db) -> Session:
 @given(sql=filter_aggregate_sql())
 def test_engines_agree_through_server_and_session(sql, ssb_db, server, cached_session):
     """Zero result disagreements across 5 engines x 2 paths x warm/cold."""
-    engines = ENGINES
-    if "avg(" in sql:
-        # Documented restriction: the vector engine cannot merge AVG
-        # partials across vectors (see VectorAtATimeEngine docstring).
-        engines = [engine for engine in ENGINES if engine != "vector"]
     reference = None
     disagreements = []
-    for engine in engines:
+    for engine in ENGINES:
         runs = {
             "session-cold": Session(ssb_db, engine=engine).execute(sql),
             "server-cold": server.execute(sql, engine=engine),
@@ -130,13 +125,11 @@ def test_vector_min_ignores_empty_vector_partials(ssb_db):
     assert actual == expected
 
 
-def test_vector_engine_rejects_cross_vector_avg(ssb_db):
-    from repro.errors import PlanError
-
-    with pytest.raises(PlanError, match="avg"):
-        Session(ssb_db, engine="vector").execute(
-            "select avg(lo_quantity) as v from lineorder where lo_discount < 5"
-        )
+def test_vector_engine_merges_cross_vector_avg(ssb_db):
+    sql = "select avg(lo_quantity) as v from lineorder where lo_discount < 5"
+    expected = Session(ssb_db, engine="resolution").execute(sql).table.sorted_rows()
+    actual = Session(ssb_db, engine="vector").execute(sql).table.sorted_rows()
+    assert rows_approx_equal(actual, expected, rel_tol=1e-9)
 
 
 def test_server_warm_path_hits_plan_cache(server):

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.api import Session, connect
-from repro.hardware import MemoryLevel
+from repro.hardware import GTX970, MemoryLevel
 from repro.serving import Server
 from repro.telemetry import (
     Histogram,
@@ -163,6 +163,23 @@ class TestExplainAnalyze:
         result = connect(ssb_db).execute(QUERY)
         with pytest.raises(ValueError):
             render_explain_analyze(result)
+
+    def test_out_of_core_execution_has_pipeline_rows(self, ssb_db):
+        """A streamed query runs the same per-pipeline spans as any
+        other (it used to render "(no per-pipeline spans ...)")."""
+        small = GTX970.with_overrides(memory_capacity=150_000)
+        session = connect(ssb_db, device=small, residency=True)
+        with tracing():
+            result = session.execute(QUERY)
+        assert result.placement.out_of_core
+        pipelines = result.trace.spans("pipeline")
+        assert [span.name for span in pipelines] == ["pipeline[0]", "pipeline[1]"]
+        assert sum(span.attrs["global_bytes"] for span in pipelines) == (
+            result.profile.bytes_at(MemoryLevel.GLOBAL)
+        )
+        text = session.explain(QUERY, analyze=True)
+        assert "[1]" in text and "rows out" in text
+        assert "no per-pipeline spans" not in text
 
     def test_pipeline_rows_attrs(self, traced_result):
         pipelines = traced_result.trace.spans("pipeline")

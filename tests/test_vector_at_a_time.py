@@ -55,16 +55,25 @@ class TestCorrectness:
             vector.table.sorted_rows(), compound.table.sorted_rows()
         )
 
-    def test_avg_rejected(self, ssb_db):
-        from repro.errors import PlanError
-
-        plan = (
-            PlanBuilder.scan("lineorder")
-            .aggregate(group_by=[], aggregates=[("avg", col("lo_revenue"), "a")])
-            .build()
-        )
-        with pytest.raises(PlanError, match="merged"):
-            _run(VectorAtATimeEngine(512), plan, ssb_db)
+    def test_avg_merges_across_vectors(self, ssb_db):
+        """AVG re-reduces from hidden per-vector SUM/COUNT partials (it
+        used to raise PlanError)."""
+        for group_by in ([], ["lo_discount"]):
+            plan = (
+                PlanBuilder.scan("lineorder")
+                .filter(col("lo_quantity") < lit(20))
+                .aggregate(
+                    group_by=group_by,
+                    aggregates=[("avg", col("lo_revenue"), "a")],
+                )
+                .build()
+            )
+            vector = _run(VectorAtATimeEngine(512), plan, ssb_db)
+            compound = _run(CompoundEngine("lrgp_simd"), plan, ssb_db)
+            assert len(vector.profile.kernels) > 1
+            assert rows_approx_equal(
+                vector.table.sorted_rows(), compound.table.sorted_rows(), rel_tol=1e-9
+            )
 
 
 class TestSection3Argument:

@@ -16,15 +16,14 @@ finite ``times`` budget, so firings are a deterministic function of the
 execution schedule — retries of the same morsel consume budget in
 order, which is what makes "fail twice then succeed" expressible.
 
-All hooks are thread-safe (device workers run concurrently); because
-specs are pinned to a device and/or a morsel, and a given morsel runs
-on exactly one device per wave, the firing sequence per spec does not
-depend on thread interleaving.
+The executor runs the devices of a wave one after another on the
+calling thread, so the hooks fire in one total order — wave, then
+device, then morsel, then attempt — and :attr:`FaultInjector.fired`
+repeats exactly from run to run.
 """
 
 from __future__ import annotations
 
-import threading
 import zlib
 from dataclasses import dataclass
 
@@ -66,10 +65,9 @@ class FaultInjector:
     def __init__(self, plan: FaultPlan, policy: RetryPolicy | None = None):
         self.plan = plan
         self.policy = policy if policy is not None else RetryPolicy()
-        self._lock = threading.Lock()
         #: Remaining firings per spec (parallel to ``plan.specs``).
         self._remaining = [spec.times for spec in plan.specs]
-        #: Every fault fired so far, in firing order per device.
+        #: Every fault fired so far, in firing order.
         self.fired: list[FiredFault] = []
 
     # ------------------------------------------------------------------
@@ -87,31 +85,28 @@ class FaultInjector:
         consumes one phase's kinds only.
         """
         taken: list[FaultSpec] = []
-        with self._lock:
-            for index, spec in enumerate(self.plan.specs):
-                if (spec.kind == "corruption") != corruption:
-                    continue
-                if self._remaining[index] < 1 or not spec.matches(op, device, morsel):
-                    continue
-                self._remaining[index] -= 1
-                self.fired.append(
-                    FiredFault(kind=spec.kind, device=device, morsel=morsel, op=op)
-                )
-                taken.append(spec)
+        for index, spec in enumerate(self.plan.specs):
+            if (spec.kind == "corruption") != corruption:
+                continue
+            if self._remaining[index] < 1 or not spec.matches(op, device, morsel):
+                continue
+            self._remaining[index] -= 1
+            self.fired.append(
+                FiredFault(kind=spec.kind, device=device, morsel=morsel, op=op)
+            )
+            taken.append(spec)
         return taken
 
     def counts(self) -> dict:
         """Faults fired so far, by kind."""
-        with self._lock:
-            out: dict = {}
-            for fired in self.fired:
-                out[fired.kind] = out.get(fired.kind, 0) + 1
-            return out
+        out: dict = {}
+        for fired in self.fired:
+            out[fired.kind] = out.get(fired.kind, 0) + 1
+        return out
 
     def fired_count(self) -> int:
         """Total firings so far (marker for :meth:`fired_matching`)."""
-        with self._lock:
-            return len(self.fired)
+        return len(self.fired)
 
     def fired_matching(
         self, start: int, device: int, morsel: int | None = None
@@ -120,12 +115,11 @@ class FaultInjector:
         morsel, when given)?  The executor uses this to tell injected
         failures (finite budgets — worth a fresh round) from genuine
         ones (which exhaust)."""
-        with self._lock:
-            return any(
-                fired.device == device
-                and (morsel is None or fired.morsel == morsel)
-                for fired in self.fired[start:]
-            )
+        return any(
+            fired.device == device
+            and (morsel is None or fired.morsel == morsel)
+            for fired in self.fired[start:]
+        )
 
     # ------------------------------------------------------------------
     # injection points

@@ -47,8 +47,10 @@ class FaultSpec:
     """One scheduled fault.
 
     ``device``/``morsel`` select where it fires: a morsel-op spec must
-    pin at least one of the two (both ``None`` would race across device
-    threads and break replay); a build-op spec must pin the device.
+    pin at least one of the two (both ``None`` would hit whichever
+    morsel the host happens to simulate first — an artifact of the
+    schedule, not a place in the modeled fleet); a build-op spec must
+    pin the device.
     ``times`` is how many matched executions the fault fires on before
     burning out — retries of the same morsel consume firings, which is
     how a plan distinguishes "fails once, retry succeeds" (``times=1``)

@@ -13,6 +13,10 @@ joins against aggregated subplans); duplicate keys raise ``PlanError``.
 
 from __future__ import annotations
 
+import hashlib
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -84,53 +88,24 @@ def _next_power_of_two(value: int) -> int:
     return power
 
 
-class JoinHashTable:
-    """An open-addressing (linear probing) hash table over build rows.
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
-    Created via :meth:`build`, which simulates the build kernel on a
-    device; probed via :meth:`probe`, which accounts its traffic into
-    the probing kernel's meter (probes happen *inside* pipelines).
+
+class _Layout:
+    """Where every build row lands, and what landing there cost.
+
+    A pure function of the key *content* and the load factor — not of
+    the device, the table name or the query — so every table built over
+    the same keys shares one (see :func:`_layout_of`).  It holds the
+    slot array, the insert counts every build kernel is charged from,
+    and the direct-address index that probes grow on demand.  All of it
+    is host bookkeeping: device memory is accounted by the tables, each
+    of which allocates its own slot buffer.
     """
 
-    def __init__(
-        self,
-        key_arrays: list[np.ndarray],
-        slots: np.ndarray,
-        capacity: int,
-        name: str,
-    ):
-        self.key_arrays = key_arrays
-        self.slots = slots
-        self.capacity = capacity
-        self.name = name
-        #: Device buffer backing ``slots`` (set by the build paths so
-        #: error handling can free a half-built table).
-        self.slots_buffer = None
-        #: Host-side direct-address index (see :meth:`_dense_index`).
-        self._dense: _DenseIndex | None = None
-
-    # ------------------------------------------------------------------
-    @property
-    def num_rows(self) -> int:
-        return len(self.key_arrays[0])
-
-    @property
-    def entry_bytes(self) -> int:
-        """Bytes read to inspect one slot: row index + stored key."""
-        return _SLOT_BYTES + sum(array.dtype.itemsize for array in self.key_arrays)
-
-    @property
-    def table_bytes(self) -> int:
-        """Global-memory footprint of the slot array."""
-        return self.capacity * _SLOT_BYTES
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def _insert_all(
-        cls, key_arrays: list[np.ndarray], name: str, load_factor: float
-    ) -> tuple[np.ndarray, int, int, int]:
-        """Shared insert loop: returns (slots, capacity, attempts,
-        max same-slot contention)."""
+    def __init__(self, key_arrays: list[np.ndarray], name: str, load_factor: float):
         n = len(key_arrays[0])
         if any(len(array) != n for array in key_arrays):
             raise PlanError("join key columns must have equal length")
@@ -182,7 +157,195 @@ class JoinHashTable:
             colliders = pending[occupied]
             position[colliders] = (position[colliders] + 1) & (capacity - 1)
             pending = np.concatenate([colliders, losers])
-        return slots, capacity, attempts, max_slot_contention
+
+        #: Read-only copies: the caller may reuse its buffers.
+        self.keys = [_frozen(array.copy()) for array in key_arrays]
+        self.load_factor = load_factor
+        self.slots = _frozen(slots)
+        self.capacity = capacity
+        #: Slot reads of the insert loop / worst same-slot CAS contention.
+        self.attempts = attempts
+        self.max_contention = max_slot_contention
+        #: Direct-address index (see :meth:`JoinHashTable._dense_index`)
+        #: and the single-integer-key probe rows seen so far, over every
+        #: table on this layout.  The tuple is replaced atomically; a
+        #: lost ``probed_rows`` update only delays the index.
+        self.dense: _DenseIndex | None = None
+        self.probed_rows = 0
+
+    @property
+    def nbytes(self) -> int:
+        dense = self.dense
+        return (
+            self.slots.nbytes
+            + sum(array.nbytes for array in self.keys)
+            + (dense.rows.nbytes + dense.steps.nbytes if dense is not None else 0)
+        )
+
+    def lays_out(self, key_arrays: list[np.ndarray], load_factor: float) -> bool:
+        """Is this the layout of exactly these keys?  Byte equality —
+        what a digest hit is confirmed by."""
+        return (
+            load_factor == self.load_factor
+            and len(key_arrays) == len(self.keys)
+            and all(
+                theirs.dtype == ours.dtype
+                and theirs.shape == ours.shape
+                and np.array_equal(theirs.view(np.uint8), ours.view(np.uint8))
+                for theirs, ours in zip(key_arrays, self.keys)
+            )
+        )
+
+
+@dataclass
+class LayoutCacheStats:
+    """A snapshot of the process-wide build-layout memo."""
+
+    hits: int
+    misses: int
+    evictions: int
+    bytes: int
+
+    @property
+    def hit_rate(self) -> float:
+        total = self.hits + self.misses
+        return self.hits / total if total else 0.0
+
+
+#: Layouts are pure functions of key content and load factor, so the
+#: content is the memo key: a broadcast build side is laid out once for
+#: the whole fleet, and a dimension filtered the same way is laid out
+#: once across queries, sessions and server workers.  LRU bounded by
+#: host bytes (slots + key copies + index); lock-guarded like the
+#: compiled-kernel cache in :mod:`repro.kernels.codegen`.
+LAYOUT_CACHE_BYTES = 16 * 1024 * 1024
+#: Widest key domain an index may cover on the strength of *earlier*
+#: probes (at most 16 bytes per value: an eighth of the budget), so one
+#: outlier key in a long-lived process cannot allocate without bound.
+_SHARED_INDEX_SPAN = LAYOUT_CACHE_BYTES // 8 // 16
+_layout_lock = threading.Lock()
+_layouts: "OrderedDict[bytes, _Layout]" = OrderedDict()
+_layout_hits = 0
+_layout_misses = 0
+_layout_evictions = 0
+
+
+def layout_cache_stats() -> LayoutCacheStats:
+    """Process-wide memo counters (see :class:`LayoutCacheStats`)."""
+    with _layout_lock:
+        return LayoutCacheStats(
+            hits=_layout_hits,
+            misses=_layout_misses,
+            evictions=_layout_evictions,
+            bytes=sum(layout.nbytes for layout in _layouts.values()),
+        )
+
+
+def clear_layout_cache() -> None:
+    """Drop all memoised layouts and reset the counters (tests/benchmarks)."""
+    global _layout_hits, _layout_misses, _layout_evictions
+    with _layout_lock:
+        _layouts.clear()
+        _layout_hits = _layout_misses = _layout_evictions = 0
+
+
+def _content_digest(key_arrays: list[np.ndarray], load_factor: float) -> bytes:
+    digest = hashlib.blake2b(repr(load_factor).encode(), digest_size=16)
+    for array in key_arrays:
+        digest.update(f"|{array.dtype.str}{array.shape}".encode())
+        digest.update(array.view(np.uint8))
+    return digest.digest()
+
+
+def _trim_layouts() -> None:
+    """Evict least-recently-used layouts down to the byte budget (lock
+    held).  A table keeps the layout it was built on either way."""
+    global _layout_evictions
+    total = sum(layout.nbytes for layout in _layouts.values())
+    while total > LAYOUT_CACHE_BYTES:
+        _, evicted = _layouts.popitem(last=False)
+        total -= evicted.nbytes
+        _layout_evictions += 1
+
+
+def _layout_of(key_arrays: list[np.ndarray], name: str, load_factor: float) -> _Layout:
+    """The memoised layout of these (contiguous) key columns."""
+    global _layout_hits, _layout_misses
+    digest = _content_digest(key_arrays, load_factor)
+    with _layout_lock:
+        layout = _layouts.get(digest)
+        if layout is not None and layout.lays_out(key_arrays, load_factor):
+            _layouts.move_to_end(digest)
+            _layout_hits += 1
+            return layout
+        _layout_misses += 1
+    # A PlanError (duplicate keys, ragged columns) leaves no entry.
+    layout = _Layout(key_arrays, name, load_factor)
+    with _layout_lock:
+        _layouts[digest] = layout
+        _layouts.move_to_end(digest)
+        _trim_layouts()
+    return layout
+
+
+class JoinHashTable:
+    """An open-addressing (linear probing) hash table over build rows.
+
+    Created via :meth:`build`, which simulates the build kernel on a
+    device; probed via :meth:`probe`, which accounts its traffic into
+    the probing kernel's meter (probes happen *inside* pipelines).
+    """
+
+    def __init__(self, layout: _Layout, name: str):
+        self._layout = layout
+        self.key_arrays = layout.keys
+        self.slots = layout.slots
+        self.capacity = layout.capacity
+        self.name = name
+        #: Device buffer backing ``slots`` (set by the build paths so
+        #: error handling can free a half-built table).
+        self.slots_buffer = None
+
+    # ------------------------------------------------------------------
+    @property
+    def num_rows(self) -> int:
+        return len(self.key_arrays[0])
+
+    @property
+    def entry_bytes(self) -> int:
+        """Bytes read to inspect one slot: row index + stored key."""
+        return _SLOT_BYTES + sum(array.dtype.itemsize for array in self.key_arrays)
+
+    @property
+    def table_bytes(self) -> int:
+        """Global-memory footprint of the slot array."""
+        return self.capacity * _SLOT_BYTES
+
+    # ------------------------------------------------------------------
+    @classmethod
+    def _inserted(
+        cls, meter: TrafficMeter, key_arrays: list[np.ndarray], name: str,
+        load_factor: float,
+    ) -> "JoinHashTable":
+        """A table over these keys, with the atomic-CAS slot traffic of
+        inserting them charged to ``meter`` — from the layout's recorded
+        counts, so a memo hit charges exactly what computing it did."""
+        layout = _layout_of(
+            [np.ascontiguousarray(array) for array in key_arrays], name, load_factor
+        )
+        n = len(layout.keys[0])
+        # Every insert attempt reads a slot; every success writes one.
+        meter.record_table_read(layout.attempts * _SLOT_BYTES)
+        meter.record_table_write(n * _SLOT_BYTES)
+        meter.record_atomics(
+            AtomicBatch(
+                count=layout.attempts,
+                max_chain=max(layout.max_contention, 1) if n else 0,
+                kind="rmw",
+            )
+        )
+        meter.record_instructions(3 * layout.attempts)
+        return cls(layout, name)
 
     @classmethod
     def build(
@@ -197,31 +360,15 @@ class JoinHashTable:
         Reads materialized key columns from GPU global memory (the
         multi-pass and operator-at-a-time flow).
         """
-        key_arrays = [np.ascontiguousarray(array) for array in key_arrays]
-        n = len(key_arrays[0])
-        slots, capacity, attempts, max_slot_contention = cls._insert_all(
-            key_arrays, name, load_factor
-        )
-        table = cls(key_arrays=key_arrays, slots=slots, capacity=capacity, name=name)
-
         meter = device.new_meter()
-        key_bytes = sum(array.nbytes for array in key_arrays)
-        meter.record_read(MemoryLevel.GLOBAL, key_bytes)
-        # Every insert attempt reads a slot; every success writes one.
-        meter.record_table_read(attempts * _SLOT_BYTES)
-        meter.record_table_write(n * _SLOT_BYTES)
-        meter.record_atomics(
-            AtomicBatch(
-                count=attempts,
-                max_chain=max(max_slot_contention, 1) if n else 0,
-                kind="rmw",
-            )
+        table = cls._inserted(meter, key_arrays, name, load_factor)
+        meter.record_read(
+            MemoryLevel.GLOBAL, sum(array.nbytes for array in table.key_arrays)
         )
-        meter.record_instructions(3 * attempts)
-        device.launch(f"build.{name}", "build", n, meter)
+        device.launch(f"build.{name}", "build", table.num_rows, meter)
 
         # The slot array stays resident in device global memory.
-        table.slots_buffer = device.allocate(slots, label=f"{name}.slots")
+        table.slots_buffer = device.allocate(table.slots, label=f"{name}.slots")
         return table
 
     @classmethod
@@ -240,23 +387,8 @@ class JoinHashTable:
         build pipeline (Section 5.2: "hash table operations" as function
         calls in the generated kernel).
         """
-        key_arrays = [np.ascontiguousarray(array) for array in key_arrays]
-        n = len(key_arrays[0])
-        slots, capacity, attempts, max_slot_contention = cls._insert_all(
-            key_arrays, name, load_factor
-        )
-        meter.record_table_read(attempts * _SLOT_BYTES)
-        meter.record_table_write(n * _SLOT_BYTES)
-        meter.record_atomics(
-            AtomicBatch(
-                count=attempts,
-                max_chain=max(max_slot_contention, 1) if n else 0,
-                kind="rmw",
-            )
-        )
-        meter.record_instructions(3 * attempts)
-        table = cls(key_arrays=key_arrays, slots=slots, capacity=capacity, name=name)
-        table.slots_buffer = device.allocate(slots, label=f"{name}.slots")
+        table = cls._inserted(meter, key_arrays, name, load_factor)
+        table.slots_buffer = device.allocate(table.slots, label=f"{name}.slots")
         return table
 
     # ------------------------------------------------------------------
@@ -293,7 +425,7 @@ class JoinHashTable:
         else:
             offsets = np.subtract(probe_arrays[0], index.lo, dtype=np.intp)
             result = index.rows.take(offsets)
-            steps = int(index.steps.take(offsets).sum())
+            steps = int(index.steps.take(offsets).sum(dtype=np.int64))
 
         structure_bytes = self.capacity * _SLOT_BYTES + sum(
             array.nbytes for array in self.key_arrays
@@ -338,14 +470,16 @@ class JoinHashTable:
         probe must :meth:`_walk`.
 
         A single integer key whose domain — the union of the build keys'
-        and the probe keys' ``[min, max]`` — spans no more values than
-        the probe has rows is answered by ``key - lo``: hashing the
-        domain once is then cheaper than hashing every probe key.  (A
-        filtered build side is routinely probed by keys outside its own
-        range, hence the union.)  The index is kept on the table and
-        widened when a later probe reaches beyond it; it is host-side
-        bookkeeping, not device memory.  Replacing the tuple is atomic,
-        so concurrent probes need no lock.
+        and the probed keys' ``[min, max]`` — spans no more values than
+        the layout has been probed with so far, over every table built
+        on it, is answered by ``key - lo``: hashing the domain once is
+        then cheaper than hashing every probe key, and the morsels of
+        one scan and the devices of one fleet pay for one index between
+        them.  (A filtered build side is routinely probed by keys
+        outside its own range, hence the union.)  The index is kept on
+        the layout and widened when a later probe reaches beyond it; it
+        is host-side bookkeeping, not device memory.  Replacing the
+        tuple is atomic, so concurrent probes need no lock.
         """
         # A full table has no empty slot to end a miss on; only the walk
         # reports that.
@@ -354,17 +488,24 @@ class JoinHashTable:
         probe, build = probe_arrays[0], self.key_arrays[0]
         if probe.dtype.kind not in "iu" or build.dtype.kind not in "iu":
             return None
+        layout = self._layout
+        layout.probed_rows += len(probe)
         lo, hi = int(probe.min()), int(probe.max())
-        index = self._dense
+        index = layout.dense
         if index is not None:
             if index.lo <= lo and hi <= index.hi:
                 return index
             lo, hi = min(lo, index.lo), max(hi, index.hi)
         elif len(build):
             lo, hi = min(lo, int(build.min())), max(hi, int(build.max()))
-        if hi >= _INT64_MAX or hi - lo >= len(probe):
+        # A probe that pays for its index alone gets it; credit from
+        # earlier probes buys only an index the memo can afford to keep.
+        credit = max(len(probe), min(layout.probed_rows, _SHARED_INDEX_SPAN))
+        if hi >= _INT64_MAX or hi - lo >= credit:
             return None
-        index = self._dense = self._build_dense_index(lo, hi)
+        index = layout.dense = self._build_dense_index(lo, hi)
+        with _layout_lock:
+            _trim_layouts()
         return index
 
     def _build_dense_index(self, lo: int, hi: int) -> _DenseIndex:
@@ -386,11 +527,14 @@ class JoinHashTable:
         next_empty = np.minimum.accumulate(next_empty[::-1])[::-1]
         home = hash_key_columns([np.arange(lo, hi + 1, dtype=np.int64)])
         home = (home & np.uint64(mask)).astype(np.intp)
-        steps = (next_empty - slot_ids + 1).take(home)
+        # At most ``capacity`` per key, so four bytes hold it for every
+        # table short of 2**31 slots.
+        compact = np.int32 if capacity < 2**31 else np.intp
+        steps = (next_empty - slot_ids + 1).astype(compact).take(home)
         rows = np.full(hi - lo + 1, -1, dtype=np.int64)
         stored_slots = np.flatnonzero(~empty)
         stored_rows = self.slots[stored_slots]
         stored_at = np.subtract(self.key_arrays[0][stored_rows], lo, dtype=np.intp)
         rows[stored_at] = stored_rows
         steps[stored_at] = ((stored_slots - home[stored_at]) & mask) + 1
-        return _DenseIndex(lo, hi, rows, steps)
+        return _DenseIndex(lo, hi, _frozen(rows), _frozen(steps))

@@ -9,11 +9,11 @@ One query runs data-parallel over a :class:`~repro.scaleout.fleet.DeviceFleet`:
    (and per-device buffer pools stay warm).
 2. **Scatter** — pieces are assigned to devices by the deterministic
    LPT scheduler (:mod:`repro.scaleout.scheduler`).  Each
-   participating device runs, concurrently on its own simulated
-   clock: the dimension pipelines (build sides *broadcast* to every
-   device), then its fact morsels through the rewritten final
-   pipeline (:func:`repro.scaleout.merge.rewrite_for_partials` makes
-   AVG and empty pieces mergeable), gathering each partial d2h.
+   participating device runs, on its own simulated clock: the
+   dimension pipelines (build sides *broadcast* to every device),
+   then its fact morsels through the rewritten final pipeline
+   (:func:`repro.scaleout.merge.rewrite_for_partials` makes AVG and
+   empty pieces mergeable), gathering each partial d2h.
 3. **Gather/merge** — partials merge in piece order through the shared
    :func:`repro.scaleout.merge.merge_partials`, then the host applies
    ORDER BY/LIMIT through the routine single-device ``finalize`` uses
@@ -41,17 +41,25 @@ A morsel that fails on *every* surviving device raises
 :class:`~repro.errors.MorselExhaustedError`; losing every device
 degrades to a whole-query host fallback through the out-of-core
 :class:`~repro.macro.batch.BatchExecutor`.  Everything else
-(``KeyboardInterrupt`` included) is fatal and re-raised with its
-original traceback.  Because partials are merged in global piece order
-and each piece's partial does not depend on which device computed it,
-any fault schedule that leaves at least one live device yields results
-byte-identical to the fault-free run.
+(``KeyboardInterrupt`` included) is fatal and propagates as raised.
+Because partials are merged in global piece order and each piece's
+partial does not depend on which device computed it, any fault schedule
+that leaves at least one live device yields results byte-identical to
+the fault-free run.
 
 The returned :class:`~repro.engines.base.ExecutionResult` aggregates
 the whole fleet: ``profile``/``total_ms`` is the *serial* sum of all
 device work, while ``result.scaleout.makespan_ms`` is the parallel
 completion time (the busiest device) — their ratio is the modeled
 strong-scaling speedup the Fig-21-style benchmark reports.
+
+**Host execution.**  The fleet's parallelism is *modeled*, not run: the
+devices of a wave are simulated one after another on the calling
+thread, in device order, each against its own clock.  Waves, retries,
+grace rounds and the host fallback are therefore one deterministic
+schedule — the fault log, the event log and ``RecoveryStats`` repeat
+exactly — and the host pays for the fleet's work once, not for threads
+contending over it.
 """
 
 from __future__ import annotations
@@ -59,7 +67,6 @@ from __future__ import annotations
 import contextlib
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -88,7 +95,7 @@ from ..plan.physical import PhysicalQuery, Pipeline
 from ..plan.pipelines import extract_pipelines
 from ..storage.database import Database
 from ..storage.table import Table
-from ..telemetry.events import current_query, record_event
+from ..telemetry.events import record_event
 from ..telemetry.trace import Tracer, active_tracer, tracing_enabled
 from .fleet import DeviceFleet
 from .merge import PartialScheme, merge_partials, rewrite_for_partials
@@ -111,14 +118,13 @@ _RECOVERABLE = (FaultError, DeviceMemoryError)
 
 @dataclass
 class _DeviceRun:
-    """What one device's worker brings back to the merge (one wave)."""
+    """What one device's turn brings back to the merge (one wave)."""
 
     share: DeviceShare
     partials: dict[int, dict[str, np.ndarray]] = field(default_factory=dict)
     profile: Profile = field(default_factory=Profile)
     kernel_sources: dict[str, str] = field(default_factory=dict)
     placement: object | None = None
-    tracer: Tracer | None = None
     #: Pieces this device gave up on this wave -> failure kind.
     failed: dict[int, str] = field(default_factory=dict)
     #: Failed pieces whose failing attempts involved an *injected*
@@ -205,7 +211,6 @@ class ScaleOutExecutor:
             compression=self.compression,
         )
         self._partition_cache: dict[tuple, PartitionSet] = {}
-        self._cache_lock = threading.Lock()
         #: One query at a time per fleet (device profiler state is
         #: per-query); the serving layer gives each worker its own
         #: executor, same as it gives each worker its own device.
@@ -220,7 +225,6 @@ class ScaleOutExecutor:
         self._host_fallbacks = 0
         self._faulted_queries = 0
         self._last_live = self.devices
-        self._event_query: str | None = None
 
     # ------------------------------------------------------------------
     def execute(
@@ -236,11 +240,6 @@ class ScaleOutExecutor:
         else:
             query = extract_pipelines(plan, database)
         with self._run_lock:
-            # The submitting thread's correlation id, re-stamped on
-            # events emitted from the per-device worker threads (their
-            # thread-locals don't inherit the query scope).  Safe to
-            # keep on ``self``: the run lock serializes queries.
-            self._event_query = current_query()
             final = query.final_pipeline
             if final.source_is_virtual:
                 return self._execute_fallback(engine, query, database, seed)
@@ -251,16 +250,13 @@ class ScaleOutExecutor:
         parts = self.devices * MORSELS_PER_DEVICE
         serial = database.fingerprint()[0]  # stable catalog identity
         key = (serial, fact_table, self.partitioning, parts)
-        with self._cache_lock:
-            cached = self._partition_cache.get(key)
-            if cached is None:
-                cached = build_partitions(
-                    database, fact_table, parts, self.partitioning
-                )
-                self._partition_cache[key] = cached
-            else:
-                cached.refresh(database)
-            return cached
+        cached = self._partition_cache.get(key)
+        if cached is None:
+            cached = build_partitions(database, fact_table, parts, self.partitioning)
+            self._partition_cache[key] = cached
+        else:
+            cached.refresh(database)
+        return cached
 
     # ------------------------------------------------------------------
     def _execute_partitioned(
@@ -375,7 +371,8 @@ class ScaleOutExecutor:
         unfinished list is non-empty only when every device was lost
         (the caller degrades to the host fallback).  Raises
         :class:`MorselExhaustedError` when a piece has failed on every
-        surviving device, and re-raises fatal errors unchanged.
+        surviving device; a fatal error propagates from the device that
+        raised it, and the wave's later devices never start.
         """
         pieces = partition_set.pieces
         runs: list[_DeviceRun] = []
@@ -385,7 +382,6 @@ class ScaleOutExecutor:
         #: last grace round (see the eligibility loop below).
         fault_seen: set[int] = set()
         alive = list(range(self.devices))
-        abort = threading.Event()
         wave_loads = [
             load
             for load in loads
@@ -395,30 +391,13 @@ class ScaleOutExecutor:
         while wave_loads:
             wave += 1
             recovery.waves = wave
-            wave_runs: dict[int, _DeviceRun] = {}
-            fatal: list[BaseException] = []
-
-            def run_device(load: DeviceLoad) -> None:
-                try:
-                    wave_runs[load.device] = self._run_device(
-                        engine, query, rewritten, partition_set, load, seed,
-                        tracer, injector, abort,
-                    )
-                except BaseException as error:  # fatal: re-raised below
-                    abort.set()
-                    fatal.append(error)
-
-            if len(wave_loads) == 1:
-                run_device(wave_loads[0])
-            else:
-                with ThreadPoolExecutor(
-                    max_workers=len(wave_loads), thread_name_prefix="repro-scaleout"
-                ) as pool:
-                    list(pool.map(run_device, wave_loads))
+            # One device after another, in device order, on this thread.
             ordered = [
-                wave_runs[load.device]
+                self._run_device(
+                    engine, query, rewritten, partition_set, load, seed,
+                    tracer, injector,
+                )
                 for load in wave_loads
-                if load.device in wave_runs
             ]
             for run in ordered:
                 runs.append(run)
@@ -429,25 +408,10 @@ class ScaleOutExecutor:
                 for piece_index in run.failed:
                     failed_on.setdefault(piece_index, set()).add(run.share.device)
                 fault_seen |= run.fault_fired
-                if tracer is not None and run.tracer is not None:
-                    tracer.adopt(run.tracer)
-            if fatal:
-                # KeyboardInterrupt/SystemExit win over concurrent
-                # failures; original exception objects keep tracebacks.
-                for error in fatal:
-                    if isinstance(error, (KeyboardInterrupt, SystemExit)):
-                        raise error
-                raise fatal[0]
-            for run in ordered:
                 if run.lost and run.share.device in alive:
                     alive.remove(run.share.device)
                     recovery.degraded_devices.append(run.share.device)
-                    record_event(
-                        "device.lost",
-                        query=self._event_query,
-                        device=run.share.device,
-                        wave=wave,
-                    )
+                    record_event("device.lost", device=run.share.device, wave=wave)
                     if tracer is not None:
                         tracer.event(
                             f"device {run.share.device} lost", "fault", wave=wave
@@ -502,7 +466,6 @@ class ScaleOutExecutor:
             recovery.redistributed_morsels += len(pending)
             record_event(
                 "morsel.redistributed",
-                query=self._event_query,
                 wave=wave,
                 morsels=len(pending),
                 survivors=len(alive),
@@ -522,27 +485,29 @@ class ScaleOutExecutor:
         partition_set: PartitionSet,
         load: DeviceLoad,
         seed: int,
-        parent_tracer: Tracer | None,
+        tracer: Tracer | None,
         injector: FaultInjector | None,
-        abort: threading.Event,
     ) -> _DeviceRun:
         device = self.fleet.devices[load.device]
         pool = self.fleet.pools[load.device]
         self.fleet.begin_query(load.device)
-        child = None
-        if parent_tracer is not None:
-            child = Tracer(
+        # One subtree per device turn; ``device_lane`` puts it on its
+        # own track pair in the Chrome trace.
+        span = (
+            tracer.span(
                 f"device[{load.device}]",
+                "device",
                 device_lane=load.device,
                 device=device.profile.name,
             )
-            child.root.category = "device"
-        activation = child.activate() if child is not None else contextlib.nullcontext()
+            if tracer is not None
+            else contextlib.nullcontext()
+        )
         partition_db = partition_set.database
         assert partition_db is not None
-        with activation:
+        with span:
             runtime = QueryRuntime(device, partition_db, seed=seed, pool=pool)
-            run = _DeviceRun(share=DeviceShare(device=load.device), tracer=child)
+            run = _DeviceRun(share=DeviceShare(device=load.device))
             try:
                 try:
                     fired_mark = injector.fired_count() if injector else 0
@@ -550,7 +515,7 @@ class ScaleOutExecutor:
                         injector.on_build(load.device, device)
                     # Build sides: every dimension pipeline runs on
                     # every participating device (broadcast join).
-                    engine.run_pipelines(query.pipelines[:-1], runtime, child)
+                    engine.run_pipelines(query.pipelines[:-1], runtime, tracer)
                     run.share.broadcast_bytes = runtime.input_bytes
                 except _RECOVERABLE as error:
                     # A build failure fails every piece of this share:
@@ -566,7 +531,6 @@ class ScaleOutExecutor:
                     if injected:
                         record_event(
                             "fault.fired",
-                            query=self._event_query,
                             fault=kind,
                             device=load.device,
                             stage="build",
@@ -579,14 +543,12 @@ class ScaleOutExecutor:
                     return run
                 # Fact morsels, in piece order.
                 for position, piece_index in enumerate(load.pieces):
-                    if abort.is_set():
-                        break
                     piece = partition_set.pieces[piece_index]
                     if piece.rows == 0:
                         continue
                     self._execute_morsel(
                         engine, query, rewritten, piece, runtime, device, run,
-                        injector, child,
+                        injector, tracer,
                     )
                     if run.lost:
                         for later in load.pieces[position + 1:]:
@@ -618,7 +580,7 @@ class ScaleOutExecutor:
         device,
         run: _DeviceRun,
         injector: FaultInjector | None,
-        child: Tracer | None,
+        tracer: Tracer | None,
     ) -> bool:
         """One fact morsel with per-attempt cleanup and capped-backoff
         retries; returns True when the partial was gathered.  On defeat
@@ -641,7 +603,7 @@ class ScaleOutExecutor:
                 produced = engine.run_pipelines(
                     [morsel],
                     runtime,
-                    child,
+                    tracer,
                     first_index=len(query.pipelines) - 1 + piece.index,
                 )
                 assert produced is not None
@@ -672,7 +634,6 @@ class ScaleOutExecutor:
                     run.fault_fired.add(piece.index)
                     record_event(
                         "fault.fired",
-                        query=self._event_query,
                         fault=kind,
                         device=run.share.device,
                         morsel=piece.index,
@@ -687,15 +648,14 @@ class ScaleOutExecutor:
                     run.backoff_ms += backoff
                     record_event(
                         "morsel.retry",
-                        query=self._event_query,
                         device=run.share.device,
                         morsel=piece.index,
                         attempt=attempt,
                         fault=kind,
                         backoff_ms=backoff,
                     )
-                    if child is not None:
-                        child.event(
+                    if tracer is not None:
+                        tracer.event(
                             f"retry p{piece.index}", "fault",
                             attempt=attempt, backoff_ms=backoff, kind=kind,
                         )
@@ -761,11 +721,7 @@ class ScaleOutExecutor:
         on the reserve host device, streaming out-of-core (run-to-finish
         when the plan cannot stream)."""
         recovery.host_fallback = True
-        record_event(
-            "fallback.host",
-            query=self._event_query,
-            devices_lost=len(recovery.degraded_devices),
-        )
+        record_event("fallback.host", devices_lost=len(recovery.degraded_devices))
         if tracer is not None:
             tracer.event(
                 "host fallback", "fault", devices_lost=len(recovery.degraded_devices)

@@ -265,8 +265,7 @@ class query_scope:
     """Bind a correlation id to the current thread for a ``with`` block.
 
     Events emitted on this thread without an explicit ``query=`` pick
-    the id up automatically (cross-thread emitters — the scale-out
-    device workers — are handed the id explicitly instead)."""
+    the id up automatically."""
 
     def __init__(self, query_id: str | None):
         self.query_id = query_id

@@ -209,26 +209,6 @@ class Tracer:
         finally:
             _local.tracer = previous
 
-    def adopt(self, child: "Tracer") -> Span:
-        """Graft another tracer's span tree under the current span.
-
-        The scale-out executor gives every device thread its own child
-        tracer (thread-locals cannot be shared), then adopts the per-
-        device trees into the query tracer once the scatter phase
-        joins.  Child timestamps are rebased from the child's epoch to
-        this tracer's epoch so the grafted spans sit at their true
-        wall-clock position; the child root is closed if still open.
-        """
-        offset_us = (child._epoch - self._epoch) * 1e6
-        if child.root.end_us is None:
-            child.root.end_us = child._now_us()
-        for span in child.root.walk():
-            span.start_us += offset_us
-            if span.end_us is not None:
-                span.end_us += offset_us
-        self._stack[-1].children.append(child.root)
-        return child.root
-
     def finish(self) -> "QueryTrace":
         """Close the root span and package the finished trace."""
         if not self._finished:
@@ -267,9 +247,11 @@ class QueryTrace:
         host one.
 
         Scale-out traces carry a ``device_lane`` attribute on each
-        per-device subtree (set by the executor's child tracers); such
-        subtrees render on their own host + simulated track pair so the
-        fleet's concurrency is visible.  Single-device traces have no
+        per-device subtree (the executor's ``device[i]`` spans); such
+        subtrees render on their own host + simulated track pair: the
+        host tracks show the devices simulated one after another, the
+        simulated tracks the modeled concurrent clocks.  Single-device
+        traces have no
         ``device_lane`` anywhere and keep the original two tracks.
         """
         events: list[dict] = [

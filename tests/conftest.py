@@ -37,6 +37,11 @@ def buffer_leak_guard(monkeypatch):
     (``device.pooled_bytes``) are the only allowed survivors."""
     from repro.engines.base import Engine
     from repro.macro.batch import BatchExecutor
+    from repro.primitives.hashtable import clear_layout_cache
+
+    # Process-wide host memo: no test sees layouts (or probe credit
+    # toward an index) left behind by another.
+    clear_layout_cache()
 
     def checked(original):
         def wrapper(self, plan, database, device, seed=42):

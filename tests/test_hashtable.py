@@ -11,8 +11,11 @@ from hypothesis.extra.numpy import arrays
 
 from repro.errors import PlanError
 from repro.hardware import GTX970, VirtualCoprocessor
+from repro.hardware.traffic import MemoryLevel
 from repro.primitives import JoinHashTable, hash_key_columns
+from repro.primitives import hashtable
 from repro.primitives.gather import TRANSACTION_BYTES, random_access_volume
+from repro.primitives.hashtable import clear_layout_cache, layout_cache_stats
 
 
 def _device():
@@ -204,11 +207,11 @@ def _build_ints(lo, hi, dtype):
 @st.composite
 def _join_cases(draw):
     """(build key columns, [probe key columns, ...]) — the probes run in
-    order against one table."""
+    order, alternating between two tables that share one layout."""
     shape = draw(
         st.sampled_from(
             ["dense", "sparse", "negative", "mixed_width", "uint64_high",
-             "composite", "float", "out_of_domain", "widening"]
+             "composite", "float", "out_of_domain", "widening", "morsels"]
         )
     )
     if shape == "dense":
@@ -249,7 +252,16 @@ def _join_cases(draw):
         probes = [[draw(_ints(0, 50, np.int64))],
                   [draw(_ints(150, 190, np.int32))],
                   [draw(_ints(10**6, 10**6 + 40, np.int32))]]
-    else:  # one table, each probe reaching beyond the previous domain
+    elif shape == "morsels":
+        # A scan cut into morsels smaller than the key domain: the first
+        # ones walk, the one whose rows bring the layout's total past
+        # the span gets the index, later ones reuse or widen it.
+        build = [draw(_build_ints(0, 200, np.int64))]
+        morsel = st.just(80)
+        probes = [[draw(_ints(0, 200, np.int64, morsel))] for _ in range(4)]
+        probes.append([draw(_ints(-60, 300, np.int32, morsel))])
+        probes.append([draw(_ints(-100, 400, np.int64, morsel))])
+    else:  # each probe reaching beyond the previous domain
         build = [draw(_build_ints(40, 60, np.int64))]
         probes = [[draw(_ints(45, 55, np.int64))],
                   [draw(_ints(20, 80, np.int64))],
@@ -262,12 +274,27 @@ def _join_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_property_probe_equals_reference_walk(case, pipelined, l2_capacity):
     build, probes = case
+    clear_layout_cache()
     device = _device()
-    if pipelined:
-        table = JoinHashTable.build_pipelined(device.new_meter(), device, build)
-    else:
-        table = JoinHashTable.build(device, build)
-    for probe_arrays in probes:
+    built = []
+    for use_pipelined in (pipelined, not pipelined):
+        meter = device.new_meter()
+        if use_pipelined:
+            table = JoinHashTable.build_pipelined(meter, device, build)
+        else:
+            table = JoinHashTable.build(device, build)
+            meter = device.log.kernels[-1].meter
+            # ``build`` alone reads the materialized keys.
+            meter.reads[MemoryLevel.GLOBAL] -= sum(array.nbytes for array in build)
+        built.append((table, vars(meter)))
+    (first, miss_charges), (second, hit_charges) = built
+    # One layout, laid out once; the hit is charged what the miss was.
+    assert first._layout is second._layout
+    stats = layout_cache_stats()
+    assert (stats.misses, stats.hits) == (1, 1)
+    assert hit_charges == miss_charges
+    for turn, probe_arrays in enumerate(probes):
+        table = built[turn % 2][0]
         meter = device.new_meter()
         rows = table.probe(meter, probe_arrays, l2_capacity)
         expected_rows, table_bytes, instructions = _reference_probe(
@@ -277,6 +304,135 @@ def test_property_probe_equals_reference_walk(case, pipelined, l2_capacity):
         assert rows.tolist() == expected_rows.tolist()
         assert meter.table_bytes == table_bytes
         assert meter.instructions == instructions
+
+
+def test_index_decision_is_cumulative_over_the_layout(device):
+    """Morsels smaller than the key domain walk until the layout has
+    been asked about as many rows as the domain spans; from then on
+    every table on the layout answers from the one index."""
+    build = np.arange(0, 200, 2, dtype=np.int64)
+    tables = [JoinHashTable.build(device, [build]) for _ in range(2)]
+    layout = tables[0]._layout
+    assert layout is tables[1]._layout
+    rng = np.random.default_rng(11)
+    morsels = [rng.integers(0, 200, 80) for _ in range(4)]
+    seen = []
+    for turn, morsel in enumerate(morsels):
+        table = tables[turn % 2]
+        meter = device.new_meter()
+        rows = table.probe(meter, [morsel])
+        want_rows, table_bytes, instructions = _reference_probe(table, [morsel], None)
+        assert rows.tolist() == want_rows.tolist()
+        assert (meter.table_bytes, meter.instructions) == (table_bytes, instructions)
+        seen.append(layout.dense is not None)
+    # span <= 200 values: 80 and 160 rows walk, 240 rows buy the index.
+    assert seen == [False, False, True, True]
+    index = layout.dense
+    tables[1].probe(device.new_meter(), [np.array([3, 5])])
+    assert layout.dense is index  # covered: reused as is, by either table
+    tables[0].probe(device.new_meter(), [rng.integers(-50, 250, 80)])
+    assert (layout.dense.lo, layout.dense.hi) != (index.lo, index.hi)  # widened
+
+
+class TestLayoutMemo:
+    def test_stats_shape_and_clear(self, device):
+        clear_layout_cache()
+        JoinHashTable.build(device, [np.arange(100, dtype=np.int64)])
+        JoinHashTable.build(device, [np.arange(100, dtype=np.int64)])
+        JoinHashTable.build(device, [np.arange(100, dtype=np.int32)])
+        stats = layout_cache_stats()
+        assert (stats.hits, stats.misses, stats.evictions) == (1, 2, 0)
+        assert stats.bytes > 0 and stats.hit_rate == pytest.approx(1 / 3)
+        clear_layout_cache()
+        stats = layout_cache_stats()
+        assert (stats.hits, stats.misses, stats.evictions, stats.bytes) == (0, 0, 0, 0)
+
+    def test_load_factor_is_part_of_the_key(self, device):
+        keys = np.arange(100, dtype=np.int64)
+        half = JoinHashTable.build(device, [keys], load_factor=0.5)
+        quarter = JoinHashTable.build(device, [keys], load_factor=0.25)
+        assert quarter.capacity == 2 * half.capacity
+        assert layout_cache_stats().misses == 2
+
+    def test_each_table_allocates_its_own_slot_buffer(self, device):
+        first = JoinHashTable.build(device, [np.arange(50, dtype=np.int64)])
+        allocated = device.allocated_bytes
+        second = JoinHashTable.build(device, [np.arange(50, dtype=np.int64)])
+        assert first.slots_buffer is not second.slots_buffer
+        assert device.allocated_bytes == 2 * allocated
+        device.free(first.slots_buffer)
+        assert not second.slots_buffer.freed
+
+    def test_equal_digest_different_content_is_not_served_stale(
+        self, device, monkeypatch
+    ):
+        monkeypatch.setattr(
+            hashtable, "_content_digest", lambda key_arrays, load_factor: b"same"
+        )
+        evens = np.arange(0, 40, 2, dtype=np.int64)
+        odds = evens + 1
+        for keys in (evens, odds, evens):
+            table = JoinHashTable.build(device, [keys])
+            rows = table.probe(device.new_meter(), [keys])
+            assert rows.tolist() == list(range(len(keys)))
+            assert table.probe(device.new_meter(), [keys + 1]).tolist() == [-1] * 20
+        assert layout_cache_stats().hits == 0
+        # Same content under the shared digest still hits.
+        JoinHashTable.build(device, [evens.copy()])
+        assert layout_cache_stats().hits == 1
+
+    def test_mutating_the_callers_keys_cannot_corrupt_a_later_build(self, device):
+        keys = np.arange(10, 30, dtype=np.int64)
+        original = keys.copy()
+        first = JoinHashTable.build(device, [keys])
+        keys[:] = keys[::-1]  # the caller reuses its buffer
+        assert first.probe(device.new_meter(), [original]).tolist() == list(range(20))
+        again = JoinHashTable.build(device, [original])
+        assert again._layout is first._layout
+        assert again.probe(device.new_meter(), [original]).tolist() == list(range(20))
+        reversed_table = JoinHashTable.build(device, [keys])
+        assert reversed_table._layout is not first._layout
+        assert reversed_table.probe(device.new_meter(), [original]).tolist() == list(
+            range(19, -1, -1)
+        )
+        with pytest.raises(ValueError):
+            first.key_arrays[0][0] = 99  # what the memo keeps is read-only
+        with pytest.raises(ValueError):
+            first.slots[0] = 0
+
+    def test_plan_errors_are_never_cached(self, device):
+        duplicate = [np.array([1, 2, 1], dtype=np.int64)]
+        ragged = [np.arange(3, dtype=np.int64), np.arange(4, dtype=np.int64)]
+        for _ in range(3):
+            with pytest.raises(PlanError, match="duplicate keys"):
+                JoinHashTable.build(device, duplicate)
+            with pytest.raises(PlanError, match="duplicate keys"):
+                JoinHashTable.build_pipelined(device.new_meter(), device, duplicate)
+            with pytest.raises(PlanError, match="equal length"):
+                JoinHashTable.build(device, ragged)
+        stats = layout_cache_stats()
+        assert (stats.hits, stats.bytes) == (0, 0)
+        assert device.allocated_bytes == 0 and not device.log.kernels
+
+    def test_byte_budget_evicts_least_recently_used(self, device, monkeypatch):
+        keys = [np.arange(start, start + 500, dtype=np.int64) for start in (0, 1, 2)]
+        JoinHashTable.build(device, [keys[0]])
+        one = layout_cache_stats().bytes
+        monkeypatch.setattr(hashtable, "LAYOUT_CACHE_BYTES", 2 * one)
+        JoinHashTable.build(device, [keys[1]])
+        JoinHashTable.build(device, [keys[0]])  # refresh: keys[1] is now oldest
+        survivor = JoinHashTable.build(device, [keys[2]])
+        stats = layout_cache_stats()
+        assert (stats.evictions, stats.bytes) == (1, 2 * one)
+        JoinHashTable.build(device, [keys[0]])
+        assert layout_cache_stats().hits == 2
+        JoinHashTable.build(device, [keys[1]])
+        assert layout_cache_stats().misses == 4
+        # An index grown by probing counts against the budget too; the
+        # table keeps its layout when the memo lets go of it.
+        survivor.probe(device.new_meter(), [np.arange(0, 600, dtype=np.int64)])
+        assert layout_cache_stats().bytes <= 2 * one
+        assert survivor.probe(device.new_meter(), [keys[2]]).tolist() == list(range(500))
 
 
 def test_probe_allocates_no_device_memory(device):
@@ -290,22 +446,24 @@ def test_probe_allocates_no_device_memory(device):
 
 
 def test_concurrent_probes_with_widening_domains(device):
-    """Threads probing one table, each over a different key domain (so
-    they race to replace the table's index), all get the serial answer."""
+    """Threads probing two tables on one layout, each over a different
+    key domain (so they race to replace the layout's index), all get
+    the serial answer."""
     build = np.arange(100, 200, 3, dtype=np.int64)
-    table = JoinHashTable.build(device, [build])
+    tables = [JoinHashTable.build(device, [build]) for _ in range(2)]
+    assert tables[0]._layout is tables[1]._layout
     rng = np.random.default_rng(5)
     probes = [
         rng.integers(150 - 40 * k, 150 + 40 * k, 400 * k).astype(np.int64)
         for k in range(1, 9)
     ]
-    expected = [_reference_probe(table, [probe], None) for probe in probes]
+    expected = [_reference_probe(tables[0], [probe], None) for probe in probes]
     failures = []
 
     def work(k):
         for _ in range(30):
             meter = device.new_meter()
-            rows = table.probe(meter, [probes[k]])
+            rows = tables[k % 2].probe(meter, [probes[k]])
             want_rows, table_bytes, instructions = expected[k]
             if (
                 rows.tolist() != want_rows.tolist()

@@ -13,21 +13,12 @@ times scale linearly with SF (see EXPERIMENTS.md).
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import os
-import time
 from pathlib import Path
 
-from repro.engines import (
-    CompoundEngine,
-    CpuOperatorAtATimeEngine,
-    MultiPassEngine,
-    OperatorAtATimeEngine,
-)
 from repro.hardware import PCIE3, VirtualCoprocessor, get_profile
-from repro.telemetry.metrics import Histogram
-from repro.workloads import generate_ssb, generate_tpch
+from repro.workloads import generate_ssb
 
 #: Scale factor used by the benchmark harnesses (paper: SF 10).
 BENCH_SF = float(os.environ.get("REPRO_BENCH_SF", "0.02"))
@@ -40,70 +31,9 @@ def ssb_database(scale_factor: float = BENCH_SF):
     return generate_ssb(scale_factor, seed=7)
 
 
-@functools.lru_cache(maxsize=None)
-def tpch_database(scale_factor: float = BENCH_SF):
-    return generate_tpch(scale_factor, seed=11)
-
-
 def gpu(name: str = "gtx970") -> VirtualCoprocessor:
     """A fresh virtual device by profile name."""
     return VirtualCoprocessor(get_profile(name), interconnect=PCIE3)
-
-
-def engine_roster():
-    """The three micro execution models of Experiments 3 and 4."""
-    return {
-        "Operator-at-a-time": OperatorAtATimeEngine,
-        "HorseQC: Multi-pass": MultiPassEngine,
-        "HorseQC: Fully pipelined": lambda: CompoundEngine("lrgp_simd"),
-    }
-
-
-def reduction_roster():
-    """The reduction-technique roster of Experiments 1 and G.1."""
-    return {
-        "Multi-pass": MultiPassEngine,
-        "Pipelined": lambda: CompoundEngine("atomic"),
-        "Resolution:WE": lambda: CompoundEngine("lrgp_we"),
-        "Resolution:SIMD": lambda: CompoundEngine("lrgp_simd"),
-    }
-
-
-def cpu_engine():
-    return CpuOperatorAtATimeEngine()
-
-
-class LatencyRecorder:
-    """Per-iteration latency distribution for benchmark reports.
-
-    Observations land in the telemetry log-bucket
-    :class:`~repro.telemetry.Histogram`, so benchmark percentiles are
-    the same bucket-upper-bound p50/p95/p99 the serving runtime
-    exposes over Prometheus — comparable across surfaces.
-    """
-
-    def __init__(self, label: str = "latency"):
-        self.label = label
-        self.histogram = Histogram()
-
-    def observe_ms(self, ms: float) -> None:
-        self.histogram.observe(ms)
-
-    @contextlib.contextmanager
-    def measure(self):
-        """Time a with-block (host wall clock) into the histogram."""
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.histogram.observe((time.perf_counter() - started) * 1e3)
-
-    def summary(self) -> str:
-        """``label: n=… mean … p50 … p95 … p99 …`` (empty-safe)."""
-        snapshot = self.histogram.snapshot()
-        if not snapshot.count:
-            return f"{self.label}: no observations"
-        return f"{self.label}: {snapshot.summary()}"
 
 
 def emit(name: str, report: str) -> str:

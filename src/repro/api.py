@@ -358,12 +358,14 @@ class Session:
         seed: int,
         queue_wait_ms: float = 0.0,
         worker: int = -1,
+        query_id: str | None = None,
     ) -> ExecutionResult:
         """The query lifecycle (``docs/architecture.md``): flight record
         -> correlation id -> tracer -> plan -> dispatch -> serving stats
         -> metrics.  :class:`~repro.serving.Server` workers enter here
-        with their admission-queue wait and worker index; direct
-        executions are worker ``-1`` with no wait."""
+        with their admission-queue wait, worker index and the
+        correlation id issued at admission; direct executions are
+        worker ``-1`` with no wait and draw their own id."""
         chosen, alias = self.engine, self.engine_alias
         if engine is not None:
             alias = engine if isinstance(engine, str) else None
@@ -376,14 +378,13 @@ class Session:
         flight = None
         if recorder is not None:
             flight = recorder.start(
-                query, seed=seed, worker=worker, **self._strategy(alias)
+                query, seed=seed, worker=worker, query_id=query_id,
+                **self._strategy(alias),
             )
-        # A correlation id whenever anything is listening: the flight's
-        # when the recorder is on, a fresh one when only a bare event
-        # log is installed.
-        query_id = flight.query_id if flight is not None else (
-            new_query_id() if installed_log() is not None else None
-        )
+            query_id = flight.query_id
+        elif query_id is None and installed_log() is not None:
+            # No recorder, but a bare event log is listening.
+            query_id = new_query_id()
         tracer = None
         try:
             if tracing_enabled():
@@ -533,38 +534,13 @@ def _coerce_fault_plan(fault_plan):
     )
 
 
-def connect(
-    database: Database,
-    device: VirtualCoprocessor | DeviceProfile | str = GTX970,
-    engine: Engine | str = "resolution",
-    plan_cache: "PlanCache | None" = None,
-    residency: bool = False,
-    metrics: "MetricsRegistry | None" = None,
-    devices: int | str = 1,
-    partitioning: str = "range",
-    fault_plan=None,
-    retry_policy=None,
-    recorder=None,
-    compression: str = "off",
-) -> Session:
-    """Create a session (the one-line entry point).
+def connect(database: Database, **options) -> Session:
+    """Create a session (the one-line entry point); ``options`` are
+    :class:`Session`'s keywords, forwarded as given.
 
     ``engine="auto"`` / ``devices="auto"`` enable the adaptive
     cost-based optimizer (see :class:`Session`).  ``compression=
     "auto"`` ships base columns over the link compressed (see
     ``docs/compression.md``); a codec name pins one codec, ``"off"``
     (the default) keeps raw transfers."""
-    return Session(
-        database,
-        device=device,
-        engine=engine,
-        plan_cache=plan_cache,
-        residency=residency,
-        metrics=metrics,
-        devices=devices,
-        partitioning=partitioning,
-        fault_plan=fault_plan,
-        retry_policy=retry_policy,
-        recorder=recorder,
-        compression=compression,
-    )
+    return Session(database, **options)

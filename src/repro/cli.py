@@ -18,16 +18,13 @@ Commands
 ``experiment``
     Regenerate one of the paper's tables/figures by name
     (``table1``..``table4``, ``fig5``..``fig27``), or ``all``.
-``serve-bench``
-    Run the serving-runtime benchmark: cold vs. warm plan/kernel
-    caches and multi-worker throughput on the mixed SSB workload;
-    ``--metrics-out`` writes the server's Prometheus exposition.
 ``metrics``
-    Run a small SSB workload through a server and print its
+    Run the 13 SSB queries through a server (``--devices`` fleets,
+    fault plans and the flight recorder as for ``query``) and print its
     Prometheus text exposition (latency histograms, cache counters).
 ``log``
     Tail a structured event-log JSONL file (written by
-    ``query --events-out`` / ``serve-bench --events-out``), with
+    ``query --events-out`` / ``metrics --events-out``), with
     ``--kind`` / ``--query`` filters.
 ``baseline``
     Record (``baseline record``) or check (``baseline check``) the
@@ -139,57 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="workload scale factor (default: each experiment's default)",
     )
 
-    serve = sub.add_parser(
-        "serve-bench",
-        help="benchmark the serving runtime (cache warmup + worker scaling)",
-    )
-    serve.add_argument(
-        "--scale-factor", type=float, default=0.005,
-        help="SSB scale factor (default: 0.005)",
-    )
-    serve.add_argument(
-        "--workers", default="1,2,4,8",
-        help="comma-separated worker counts (default: 1,2,4,8)",
-    )
-    serve.add_argument(
-        "--repeats", type=int, default=3,
-        help="warm latency passes per query (default: 3)",
-    )
-    serve.add_argument(
-        "--passes", type=int, default=4,
-        help="workload repetitions in the throughput phase (default: 4)",
-    )
-    serve.add_argument(
-        "--device", default="gtx970", help="device profile (default: gtx970)",
-    )
-    _add_engine_option(serve)
-    serve.add_argument(
-        "--devices", type=_devices_arg, default=1,
-        help="simulated devices per worker; > 1 runs every query "
-        "through the scale-out fleet; 'auto' lets the optimizer "
-        "pick per query (default: 1)",
-    )
-    serve.add_argument(
-        "--partitioning", choices=("range", "hash"), default="range",
-        help="fact-table partitioning scheme for --devices > 1 "
-        "(default: range)",
-    )
-    _add_fault_options(serve)
-    serve.add_argument(
-        "--tiny", action="store_true",
-        help="CI smoke mode: tiny scale factor, fewer workers/passes",
-    )
-    serve.add_argument(
-        "--metrics-out", default=None, metavar="PATH",
-        help="write the latency server's Prometheus text exposition",
-    )
-    serve.add_argument(
-        "--recorder", action="store_true",
-        help="run the benchmark servers with the flight recorder on "
-        "(failures write post-mortem bundles)",
-    )
-    _add_recorder_options(serve)
-
     metrics = sub.add_parser(
         "metrics",
         help="run a small SSB workload through a server and print "
@@ -211,10 +157,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--device", default="gtx970", help="device profile (default: gtx970)",
     )
     _add_engine_option(metrics)
+    _add_fleet_options(metrics)
+    _add_fault_options(metrics)
     metrics.add_argument(
         "--out", default=None, metavar="PATH",
         help="also write the exposition to a file",
     )
+    metrics.add_argument(
+        "--recorder", action="store_true",
+        help="run the server with the flight recorder on (failures "
+        "write post-mortem bundles)",
+    )
+    _add_recorder_options(metrics)
 
     log = sub.add_parser(
         "log", help="tail a structured event-log JSONL file"
@@ -303,17 +257,7 @@ def _add_common(cmd: argparse.ArgumentParser) -> None:
         help="keep base columns device-resident between queries (buffer "
         "pool with cost-aware eviction and out-of-core fallback)",
     )
-    cmd.add_argument(
-        "--devices", type=_devices_arg, default=1,
-        help="simulated device count; > 1 partitions the fact table "
-        "across a scale-out fleet and merges partials; 'auto' lets "
-        "the optimizer pick per query (default: 1)",
-    )
-    cmd.add_argument(
-        "--partitioning", choices=("range", "hash"), default="range",
-        help="fact-table partitioning scheme for --devices > 1 "
-        "(default: range)",
-    )
+    _add_fleet_options(cmd)
     cmd.add_argument(
         "--compression", default="off", metavar="MODE",
         help="wire compression for host<->device transfers: 'auto' "
@@ -329,6 +273,20 @@ def _add_engine_option(cmd: argparse.ArgumentParser) -> None:
         "--engine", default="resolution", choices=_engine_choices(),
         help="execution engine; 'auto' enables the adaptive "
         "cost-based optimizer (default: resolution)",
+    )
+
+
+def _add_fleet_options(cmd: argparse.ArgumentParser) -> None:
+    cmd.add_argument(
+        "--devices", type=_devices_arg, default=1,
+        help="simulated device count (per server worker); > 1 "
+        "partitions the fact table across a scale-out fleet and merges "
+        "partials; 'auto' lets the optimizer pick per query (default: 1)",
+    )
+    cmd.add_argument(
+        "--partitioning", choices=("range", "hash"), default="range",
+        help="fact-table partitioning scheme for --devices > 1 "
+        "(default: range)",
     )
 
 
@@ -390,7 +348,7 @@ def _database_recipe(args) -> dict:
     """Replay recipe matching :func:`_database` for bundle manifests."""
     if getattr(args, "data_dir", None):
         return {"data_dir": args.data_dir}
-    if args.workload == "tpch":
+    if getattr(args, "workload", "ssb") == "tpch":
         return {"workload": "tpch", "scale_factor": args.scale_factor, "seed": 11}
     return {"workload": "ssb", "scale_factor": args.scale_factor, "seed": 7}
 
@@ -410,7 +368,7 @@ def _finish_recorder(recorder, args) -> None:
 
 
 def _fault_kwargs(args) -> dict:
-    """Build the Session/benchmark fault keywords from CLI flags
+    """Build the Session/Server fault keywords from CLI flags
     (:class:`~repro.faults.RetryPolicy` validates the knobs and raises
     :class:`~repro.errors.ConfigurationError` on bad values)."""
     kwargs: dict = {"fault_plan": args.fault_plan, "retry_policy": None}
@@ -603,62 +561,31 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _cmd_serve_bench(args) -> int:
-    from .serving.bench import run_serving_benchmark
-
-    if args.tiny:
-        scale_factor = min(args.scale_factor, 0.001)
-        worker_counts: tuple[int, ...] = (1, 2)
-        repeats, passes = 2, 2
-    else:
-        scale_factor = args.scale_factor
-        worker_counts = tuple(
-            int(part) for part in args.workers.split(",") if part.strip()
-        )
-        repeats, passes = args.repeats, args.passes
-    recorder = _recorder(
-        args, {"workload": "ssb", "scale_factor": scale_factor, "seed": 7}
-    )
-    try:
-        report = run_serving_benchmark(
-            scale_factor=scale_factor,
-            worker_counts=worker_counts,
-            repeats=repeats,
-            passes=passes,
-            device=args.device,
-            engine=args.engine,
-            devices=args.devices,
-            partitioning=args.partitioning,
-            recorder=recorder,
-            **_fault_kwargs(args),
-        )
-    finally:
-        _finish_recorder(recorder, args)
-    print(report.text())
-    if args.metrics_out and report.metrics_text is not None:
-        with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            handle.write(report.metrics_text)
-        print(f"\nwrote Prometheus metrics to {args.metrics_out}")
-    return 0 if report.passed else 1
-
-
 def _cmd_metrics(args) -> int:
     from .serving import Server
 
     database = generate_ssb(args.scale_factor)
     names = sorted(SSB_QUERIES)
     workload = [SSB_QUERIES[name] for name in names]
-    with Server(
-        database,
-        device=args.device,
-        engine=args.engine,
-        workers=args.workers,
-        queue_size=len(workload) + 1,
-    ) as server:
-        for _ in range(max(1, args.passes)):
-            server.execute_many(workload)
-        text = server.metrics_text()
-        summary = server.stats().summary()
+    recorder = _recorder(args, _database_recipe(args))
+    try:
+        with Server(
+            database,
+            device=args.device,
+            engine=args.engine,
+            workers=args.workers,
+            queue_size=len(workload) + 1,
+            devices=args.devices,
+            partitioning=args.partitioning,
+            recorder=recorder,
+            **_fault_kwargs(args),
+        ) as server:
+            for _ in range(max(1, args.passes)):
+                server.execute_many(workload)
+            text = server.metrics_text()
+            summary = server.stats().summary()
+    finally:
+        _finish_recorder(recorder, args)
     print(text)
     print(f"# {summary}".replace("\n", "\n# "), file=sys.stderr)
     if args.out:
@@ -729,7 +656,6 @@ _COMMANDS = {
     "bench": _cmd_bench,
     "generate": _cmd_generate,
     "experiment": _cmd_experiment,
-    "serve-bench": _cmd_serve_bench,
     "metrics": _cmd_metrics,
     "log": _cmd_log,
     "baseline": _cmd_baseline,

@@ -169,6 +169,14 @@ class Engine:
     #: Last execution's generated sources (rebound atomically per run).
     kernel_sources: dict[str, str] = {}
 
+    def lazy_capable(self, pipeline: Pipeline) -> bool:
+        """Whether this engine's load of ``pipeline`` lets a
+        ``compression="lazy"`` policy defer decode kernels: the value
+        the engine hands to :meth:`QueryRuntime.load_source`, and the
+        one fact the cost estimator reads before pricing late
+        materialization."""
+        return False
+
     def execute(
         self,
         plan: LogicalPlan | PhysicalQuery,

@@ -43,10 +43,15 @@ class CompoundEngine(Engine):
         #: rebound per run — see :class:`~repro.engines.base.Engine`.
         self.kernel_sources: dict[str, str] = {}
 
+    def lazy_capable(self, pipeline: Pipeline) -> bool:
+        return True
+
     def execute_pipeline(
         self, pipeline: Pipeline, runtime: QueryRuntime
     ) -> dict[str, np.ndarray] | None:
-        scope = runtime.load_source(pipeline, lazy_capable=True)
+        scope = runtime.load_source(
+            pipeline, lazy_capable=self.lazy_capable(pipeline)
+        )
         return run_compound_pipeline(pipeline, runtime, self.mode, scope)
 
 

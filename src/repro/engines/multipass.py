@@ -34,11 +34,16 @@ class MultiPassEngine(Engine):
     def __init__(self):
         self.kernel_sources: dict[str, str] = {}
 
+    def lazy_capable(self, pipeline: Pipeline) -> bool:
+        return True
+
     def execute_pipeline(
         self, pipeline: Pipeline, runtime: QueryRuntime
     ) -> dict[str, np.ndarray] | None:
         device = runtime.device
-        scope = runtime.load_source(pipeline, lazy_capable=True)
+        scope = runtime.load_source(
+            pipeline, lazy_capable=self.lazy_capable(pipeline)
+        )
 
         # Phase 1: count kernel.
         count_ctx = KernelContext(

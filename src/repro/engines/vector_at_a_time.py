@@ -36,14 +36,17 @@ class VectorAtATimeEngine(CompoundEngine):
         self.vector_rows = vector_rows
         self.name = f"vector-at-a-time[{vector_rows}]"
 
+    def lazy_capable(self, pipeline: Pipeline) -> bool:
+        # Only the un-vectorized builds: a vector is a view of its
+        # column, and a deferred (lazy) decode cannot be tracked per view.
+        return isinstance(pipeline.sink, BuildSink)
+
     def execute_pipeline(
         self, pipeline: Pipeline, runtime: QueryRuntime
     ) -> dict[str, np.ndarray] | None:
         if isinstance(pipeline.sink, BuildSink):
             # Hash-table builds must observe every row at once.
             return super().execute_pipeline(pipeline, runtime)
-        # Eager loads: a vector is a view of its column, and a deferred
-        # (lazy) decode cannot be tracked per view.
         scope = runtime.load_source(pipeline)
         if not scope:
             # No column to cut into vectors (an unfiltered count(*)).

@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from ..engines import make_engine
 from ..expressions.expr import (
     Between,
     BinaryOp,
@@ -364,10 +365,19 @@ class CostEstimator:
         final = query.final_pipeline
         fact_pipeline_est: PipelineEstimate | None = None
         raw_h2d_bytes = 0  # decoded footprint (device memory, not link)
+        # Late materialization is priced only for the pipelines the
+        # engine loads lazily; the rest decode at load, as under "auto".
+        lazy_engine = (
+            make_engine(strategy.engine)
+            if getattr(self.compression, "lazy", False)
+            else None
+        )
 
         for pipeline in query.pipelines:
             pipe = self._estimate_pipeline(
-                pipeline, database, strategy, virtual_rows, builds
+                pipeline, database, strategy, virtual_rows, builds,
+                lazy=lazy_engine is not None
+                and lazy_engine.lazy_capable(pipeline),
             )
             estimate.pipelines.append(pipe)
             estimate.global_bytes += pipe.global_bytes
@@ -407,13 +417,11 @@ class CostEstimator:
 
     # ------------------------------------------------------------------
     def _estimate_pipeline(
-        self, pipeline: Pipeline, database, strategy, virtual_rows, builds
+        self, pipeline: Pipeline, database, strategy, virtual_rows, builds,
+        lazy: bool,
     ) -> PipelineEstimate:
         stats: TableStats | None = None
         renames = pipeline.source_rename
-        lazy = self.compression is not None and getattr(
-            self.compression, "lazy", False
-        )
         column_objs: dict[str, object] = {}
         if pipeline.source_is_virtual:
             rows_in = virtual_rows.get(pipeline.source, 1)

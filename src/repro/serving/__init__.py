@@ -11,8 +11,8 @@
         print(result.table.to_rows(), result.serving)
 
 See ``docs/serving.md`` for the architecture, cache keys, and
-invalidation rules.  The throughput benchmark lives in
-:mod:`repro.serving.bench` (imported lazily — it pulls in workloads).
+invalidation rules.  Serving is measured by the ``serving_resident``
+workload of ``perf/run.py`` (host and simulated clocks kept apart).
 """
 
 from .plan_cache import CachedPlan, PlanCache, PlanCacheStats, normalize_sql

@@ -42,7 +42,7 @@ from ..kernels.codegen import kernel_cache_stats
 from ..placement import PlacementStats
 from ..plan.logical import LogicalPlan
 from ..storage.database import Database
-from ..telemetry.events import record_event
+from ..telemetry.events import installed_log, new_query_id, record_event
 from ..telemetry.metrics import MetricsRegistry
 from .plan_cache import PlanCache
 from .stats import ServerStats
@@ -55,6 +55,8 @@ class _Request:
     query: object  # str | LogicalPlan
     engine: Engine | str | None  # as submitted (alias validated)
     seed: int
+    #: Correlation id issued at admission (``None``: nothing listens).
+    query_id: str | None = None
     future: Future = field(default_factory=Future)
     enqueued_at: float = field(default_factory=time.perf_counter)
 
@@ -228,7 +230,10 @@ class Server:
             raise ServingError("server is closed")
         if isinstance(engine, str) and engine != "auto":
             make_engine(engine)  # reject unknown aliases at the front door
-        request = _Request(query=query, engine=engine, seed=seed)
+        query_id = new_query_id() if installed_log() is not None else None
+        request = _Request(
+            query=query, engine=engine, seed=seed, query_id=query_id
+        )
         try:
             self._queue.put(request, block=block, timeout=timeout)
         except queue.Full:
@@ -240,6 +245,7 @@ class Server:
             self._submitted += 1
         record_event(
             "query.admitted",
+            query=query_id,
             queue_depth=self._queue.qsize(),
             queue_capacity=self._queue_capacity,
         )
@@ -301,7 +307,8 @@ class Server:
         queue_wait_ms = (time.perf_counter() - item.enqueued_at) * 1e3
         try:
             result = self._sessions[index]._execute(
-                item.query, item.engine, item.seed, queue_wait_ms, index
+                item.query, item.engine, item.seed, queue_wait_ms, index,
+                item.query_id,
             )
         except BaseException as error:
             with self._lock:

@@ -92,6 +92,7 @@ def measure_fingerprint(
     from ..engines import make_engine
     from ..hardware.device import VirtualCoprocessor
     from ..workloads import ssb_plan, tpch_plan
+    from .recorder import result_fingerprint
 
     plan = (
         tpch_plan(name, database) if workload == "tpch" else ssb_plan(name, database)
@@ -99,15 +100,9 @@ def measure_fingerprint(
     device = VirtualCoprocessor(profile)
     device.compression = resolve_compression(compression)
     result = make_engine(engine_name).execute(plan, database, device, seed=seed)
-    return {
-        "sim_ms": round(result.total_ms, 6),
-        "kernel_ms": round(result.kernel_ms, 6),
-        "pcie_bytes": int(result.input_bytes + result.output_bytes),
-        "global_bytes": int(result.global_memory_bytes),
-        "kernel_launches": len(result.profile.kernels),
-        "peak_alloc_bytes": int(device.peak_allocated),
-        "rows": int(result.table.num_rows),
-    }
+    fingerprint = result_fingerprint(result)
+    fingerprint["peak_alloc_bytes"] = int(device.peak_allocated)
+    return fingerprint
 
 
 def _measure_all(config: dict) -> dict:

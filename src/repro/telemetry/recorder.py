@@ -205,14 +205,18 @@ class FlightRecorder:
     # ------------------------------------------------------------------
     # the per-query lifecycle
     # ------------------------------------------------------------------
-    def start(self, query, seed: int = 42, **strategy) -> Flight:
-        """Open a flight; ``query`` may be SQL text or a plan object."""
+    def start(
+        self, query, seed: int = 42, query_id: str | None = None, **strategy
+    ) -> Flight:
+        """Open a flight; ``query`` may be SQL text or a plan object.
+        ``query_id`` continues a correlation id the caller already
+        issued (a server's admission event); default: a fresh one."""
         from .events import new_query_id
 
         with self._lock:
             self._flights += 1
         return Flight(
-            query_id=new_query_id(),
+            query_id=query_id or new_query_id(),
             sql=query if isinstance(query, str) else None,
             started=time.perf_counter(),
             started_at=time.time(),
@@ -376,8 +380,10 @@ class FlightRecorder:
         return recipe
 
 
-def _result_metrics(result) -> dict:
-    metrics = {
+def result_fingerprint(result) -> dict:
+    """The simulated-clock numbers of one execution, rounded once for
+    both their consumers: flight records and the perf baselines."""
+    return {
         "sim_ms": round(result.total_ms, 6),
         "kernel_ms": round(result.kernel_ms, 6),
         "pcie_bytes": int(result.input_bytes + result.output_bytes),
@@ -385,6 +391,10 @@ def _result_metrics(result) -> dict:
         "kernel_launches": len(result.profile.kernels),
         "rows": int(result.table.num_rows),
     }
+
+
+def _result_metrics(result) -> dict:
+    metrics = result_fingerprint(result)
     if result.serving is not None:
         metrics["plan_cache_hit"] = bool(result.serving.plan_cache_hit)
     if result.scaleout is not None:

@@ -149,6 +149,46 @@ class TestErrorExitCodes:
         assert "error:" in capsys.readouterr().err
 
 
+class TestMetricsCommand:
+    """``repro metrics`` serves the 13 SSB queries and writes the
+    server's exposition — the ``serve-metrics.txt`` CI uploads."""
+
+    ARGS = ["metrics", "--scale-factor", "0.001", "--passes", "1"]
+
+    def _exposition(self, tmp_path, *flags):
+        from repro.telemetry import parse_prometheus_text
+
+        path = tmp_path / "serve-metrics.txt"
+        assert main([*self.ARGS, "--out", str(path), *flags]) == 0
+        return parse_prometheus_text(path.read_text())
+
+    def test_exposition_counts_the_queries_served(self, tmp_path, capsys):
+        series = self._exposition(tmp_path)
+        assert series["repro_query_latency_ms_count"][0][1] == 13
+        assert "repro_query_latency_ms_count" in capsys.readouterr().out
+
+    def test_devices_flag_serves_through_a_fleet(self, tmp_path):
+        series = self._exposition(tmp_path, "--devices", "2")
+        assert any(name.startswith("repro_scaleout_") for name in series)
+
+    def test_recorder_flags_write_a_correlated_event_log(self, tmp_path):
+        from repro.telemetry.events import load_jsonl
+
+        events = tmp_path / "events.jsonl"
+        self._exposition(
+            tmp_path, "--recorder", "--events-out", str(events),
+            "--postmortem-dir", str(tmp_path / "postmortems"),
+        )
+        kinds: dict = {}
+        for event in load_jsonl(str(events)):
+            kinds.setdefault(event.query, set()).add(event.kind)
+        assert len(kinds) == 13 and None not in kinds
+        assert all(
+            {"query.admitted", "query.executed"} <= seen
+            for seen in kinds.values()
+        )
+
+
 class TestObservabilityCommands:
     SQL = "SELECT SUM(lo_revenue) AS rev FROM lineorder"
 

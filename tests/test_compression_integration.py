@@ -71,6 +71,47 @@ class TestByteIdentity:
         assert codecs <= {"forpack", "passthrough"}
 
 
+class TestWireReduction:
+    """[sim] The subsystem's paper-facing claim at SF 0.02, where the
+    fact table outweighs per-column framing: the link carries at least
+    2x fewer H2D bytes and every saved byte is paid for by a decode
+    kernel that is really launched."""
+
+    @pytest.fixture(scope="class")
+    def bench_database(self):
+        return generate_ssb(0.02, seed=7)
+
+    def test_auto_halves_h2d_bytes_and_charges_decode_kernels(self, bench_database):
+        raw = wire = 0
+        for engine in ("resolution", "multipass", "operator-at-a-time"):
+            off = connect(bench_database, engine=engine, compression="off")
+            auto = connect(bench_database, engine=engine, compression="auto")
+            for name in ("q1.1", "q2.1", "q3.2", "q4.1"):
+                plan = ssb_plan(name, bench_database)
+                base, compressed = off.execute(plan), auto.execute(plan)
+                assert table_checksum(compressed.table) == table_checksum(
+                    base.table
+                ), f"{engine}/{name} diverged under compression"
+                extra = len(compressed.profile.kernels) - len(base.profile.kernels)
+                assert extra >= compressed.compression.decode_kernels > 0
+                raw += base.input_bytes
+                wire += compressed.input_bytes
+        assert raw >= 2.0 * wire
+
+    @pytest.mark.parametrize("devices", [1, 2, 4])
+    def test_scatter_ships_compressed_partitions(self, bench_database, devices):
+        plan = ssb_plan("q4.1", bench_database)
+        base, compressed = (
+            connect(
+                bench_database, engine="resolution", devices=devices,
+                compression=mode,
+            ).execute(plan)
+            for mode in ("off", "auto")
+        )
+        assert table_checksum(compressed.table) == table_checksum(base.table)
+        assert compressed.input_bytes < base.input_bytes
+
+
 class TestTransferAccounting:
     def test_wire_bytes_on_link_raw_bytes_on_device(self, database):
         """The link is charged wire bytes; decode kernels account the

@@ -245,13 +245,25 @@ def test_chaos_pinned_seed_matrix(ssb_db, tpch_db, seed, scheme):
 
 
 def test_empty_plan_is_idle(ssb_db):
-    """Armed-but-empty injection changes nothing and reports no faults."""
+    """Armed-but-empty injection changes nothing — not the rows, not the
+    modeled timeline ([sim]; injection that fires nothing must charge no
+    simulated time) — and reports no faults."""
     result = _run_chaos(
         "ssb", "q1.1", ssb_db, FaultPlan(), 3, "range", "empty-plan"
     )
     recovery = result.scaleout.recovery
     assert recovery is not None and not recovery.faulted
     assert recovery.waves == 1 and recovery.injected == {}
+    engine = make_engine("resolution")
+    for name in ("q1.1", "q2.1", "q3.2", "q4.1"):
+        plan = ssb_plan(name, ssb_db)
+        plain = ScaleOutExecutor(3).execute(engine, plan, ssb_db)
+        armed = ScaleOutExecutor(3, fault_plan=FaultPlan()).execute(
+            engine, plan, ssb_db
+        )
+        assert armed.scaleout.makespan_ms == plain.scaleout.makespan_ms, name
+        assert armed.table.sorted_rows() == plain.table.sorted_rows(), name
+        assert not armed.scaleout.recovery.faulted
 
 
 def test_replay_is_deterministic(ssb_db):

@@ -234,6 +234,31 @@ class TestAccounting:
         assert lazy.global_memory_bytes * 1.5 < auto.global_memory_bytes
         assert lazy.kernel_ms < auto.kernel_ms
 
+    def test_selective_family_reduction_and_never_slower(self):
+        """[sim] SF 0.02, ``lazy`` against its decode-everything twin
+        ``auto``: the selective q1.x family moves >= 1.5x fewer device
+        global bytes in total, and no query — the join-heavy q3.2
+        control included — pays for it in kernel or end-to-end time."""
+        database = generate_ssb(0.02, seed=7)
+        eager_global = lazy_global = 0
+        for engine in ("resolution", "multipass"):
+            auto = connect(database, engine=engine, compression="auto")
+            lazy = connect(database, engine=engine, compression="lazy")
+            for name in ("q1.1", "q1.2", "q1.3", "q3.2"):
+                plan = ssb_plan(name, database)
+                base, deferred = auto.execute(plan), lazy.execute(plan)
+                label = f"{engine}/{name}"
+                assert table_checksum(deferred.table) == table_checksum(
+                    base.table
+                ), label
+                assert deferred.kernel_ms <= base.kernel_ms, label
+                assert deferred.total_ms <= base.total_ms, label
+                assert deferred.compression.compressed_scans > 0, label
+                if name != "q3.2":
+                    eager_global += base.global_memory_bytes
+                    lazy_global += deferred.global_memory_bytes
+        assert eager_global >= 1.5 * lazy_global
+
     def test_block_skip_accounting(self, database):
         result = connect(
             database, engine="resolution", compression="lazy"
@@ -314,3 +339,40 @@ class TestComposition:
         assert (
             advice.estimate.global_bytes < eager.estimate.global_bytes
         )
+
+    def test_eager_loads_are_not_priced_for_late_materialization(self, database):
+        """A pipeline its engine decodes at load runs ``lazy`` exactly
+        as it runs ``auto``; the estimator must price it that way too."""
+        from dataclasses import asdict
+
+        from repro.engines import ENGINE_FACTORIES, make_engine
+        from repro.hardware import GTX970, PCIE3
+        from repro.optimizer.cost import CostEstimator, StrategyChoice
+        from repro.plan.pipelines import extract_pipelines
+
+        plan = ssb_plan("q1.1", database)
+        query = extract_pipelines(plan, database)
+        for name in ENGINE_FACTORIES:
+            engine = make_engine(name)
+            capable = [engine.lazy_capable(pipe) for pipe in query.pipelines]
+            auto, lazy = (
+                CostEstimator(
+                    GTX970, PCIE3, compression=CompressionPolicy(mode)
+                ).estimate(query, database, StrategyChoice(engine=name))
+                for mode in ("auto", "lazy")
+            )
+            for deferred, eager, can in zip(lazy.pipelines, auto.pipelines, capable):
+                label = f"{name}/{eager.name}"
+                if can:
+                    assert deferred.scan_notes, label
+                else:
+                    assert asdict(deferred) == asdict(eager), label
+            if not any(capable):
+                assert asdict(lazy) == asdict(auto), name
+            # The flag is the engine's own: it scans wire images exactly
+            # when it says some pipeline may.
+            run = connect(database, engine=name, compression="lazy").execute(plan)
+            assert (run.compression.compressed_scans > 0) == any(capable), name
+        # vector: the date build un-vectorized and lazy, the fact eager.
+        vector = make_engine("vector")
+        assert [vector.lazy_capable(p) for p in query.pipelines] == [True, False]

@@ -51,6 +51,30 @@ class TestSessionResidency:
             assert cold.global_memory_bytes == warm.global_memory_bytes
             assert warm.input_bytes < cold.input_bytes
 
+    def test_mixed_workload_warm_pass_moves_5x_fewer_pcie_bytes(self, ssb_db):
+        """[sim] All 13 SSB queries, one pass to fill the pool and one
+        measured: the warm pass moves >= 5x fewer link bytes than the
+        same pass run stateless, over 80% of its column loads are pool
+        hits, and rows and GPU-global bytes do not move at all."""
+        stateless = connect(ssb_db, residency=False)
+        resident = connect(ssb_db, residency=True)
+        queries = [SSB_QUERIES[name] for name in sorted(SSB_QUERIES)]
+        for sql in queries:
+            resident.execute(sql)
+        before = resident.placement_stats()
+        cold_pcie = warm_pcie = 0
+        for sql in queries:
+            cold = stateless.execute(sql)
+            warm = resident.execute(sql)
+            assert cold.table.sorted_rows() == warm.table.sorted_rows()
+            assert cold.global_memory_bytes == warm.global_memory_bytes
+            cold_pcie += cold.input_bytes + cold.output_bytes
+            warm_pcie += warm.input_bytes + warm.output_bytes
+        after = resident.placement_stats()
+        hits = after.hits - before.hits
+        assert cold_pcie >= 5 * warm_pcie
+        assert hits / (hits + after.misses - before.misses) > 0.8
+
     def test_session_default_is_stateless(self, ssb_db):
         session = Session(ssb_db)
         result = session.execute(QUERY)

@@ -26,7 +26,7 @@ from repro.scaleout.partition import partition_name, partition_selectors
 from repro.serving import Server
 from repro.telemetry.metrics import MetricsRegistry, parse_prometheus_text
 from repro.telemetry.trace import tracing
-from repro.workloads import SSB_QUERIES, ssb_plan, tpch_plan
+from repro.workloads import SSB_QUERIES, generate_ssb, ssb_plan, tpch_plan
 
 
 # ----------------------------------------------------------------------
@@ -214,6 +214,19 @@ class TestExecutorAccounting:
         assert stats.makespan_ms == pytest.approx(max(busy))
         assert stats.serial_ms == pytest.approx(sum(busy))
         assert result.total_ms == pytest.approx(stats.serial_ms)
+
+    def test_four_devices_clear_the_strong_scaling_bar(self):
+        """[sim] Once the fact table dominates the broadcast (SF 0.05),
+        four range-partitioned devices finish q1.1 at least 1.5x sooner
+        than one: modeled makespan against single-device total."""
+        database = generate_ssb(0.05, seed=7)
+        plan = ssb_plan("q1.1", database)
+        single = connect(database, engine="resolution").execute(plan)
+        result = ScaleOutExecutor(4, partitioning="range").execute(
+            make_engine("resolution"), plan, database
+        )
+        assert result.table.sorted_rows() == single.table.sorted_rows()
+        assert single.total_ms / result.scaleout.makespan_ms >= 1.5
 
     def test_per_device_morsels_cover_all_partitions(self, runs):
         _single, result = runs

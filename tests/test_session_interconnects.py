@@ -1,8 +1,10 @@
 """Session-level interconnect configuration and the NVLink argument."""
 
+import inspect
+
 import pytest
 
-from repro.api import Session
+from repro.api import Session, connect
 from repro.engines import CompoundEngine, OperatorAtATimeEngine
 from repro.hardware import GTX970, NVLINK1, OPENCAPI, PCIE3, VirtualCoprocessor
 from repro.workloads import ssb_plan
@@ -24,6 +26,16 @@ class TestSessionInterconnect:
         pcie = Session(ssb_db, device=GTX970, interconnect=PCIE3).execute(sql)
         capi = Session(ssb_db, device=GTX970, interconnect=OPENCAPI).execute(sql)
         assert pcie.kernel_ms == pytest.approx(capi.kernel_ms)
+
+    def test_connect_accepts_every_session_keyword(self, ssb_db):
+        """``connect`` forwards to ``Session``; its hand-copied keyword
+        list had already lost ``interconnect``."""
+        assert connect(ssb_db, interconnect=NVLINK1).device.interconnect is NVLINK1
+        keywords = list(inspect.signature(Session).parameters.values())[1:]
+        assert len(keywords) >= 12
+        for keyword in keywords:
+            session = connect(ssb_db, **{keyword.name: keyword.default})
+            assert isinstance(session, Session)
 
 
 class TestSection9Argument:

@@ -20,7 +20,7 @@ from ..kernels.context import KernelContext
 from ..plan.physical import AggregateSink, BuildSink, MaterializeSink, Pipeline
 from ..primitives.hashtable import JoinHashTable
 from ..primitives.prefix import device_scan
-from ..primitives.reduce import device_reduce
+from ..primitives.reduce import charge_device_reduce
 from ..primitives.sortlib import device_radix_sort, device_segmented_reduce
 from .base import Engine
 from .runtime import HashTableEntry, QueryRuntime
@@ -89,7 +89,7 @@ class MultiPassEngine(Engine):
         if isinstance(sink, BuildSink):
             return self._finish_build(pipeline, runtime, write_ctx)
         if isinstance(sink, AggregateSink):
-            return self._finish_aggregate(pipeline, runtime, write_ctx, flags)
+            return self._finish_aggregate(pipeline, runtime, write_ctx)
         raise AssertionError(f"unhandled sink {type(sink).__name__}")
 
     # ------------------------------------------------------------------
@@ -119,16 +119,17 @@ class MultiPassEngine(Engine):
         pipeline: Pipeline,
         runtime: QueryRuntime,
         write_ctx: KernelContext,
-        flags: np.ndarray,
     ) -> dict[str, np.ndarray]:
         """Library reductions over the materialized intermediates."""
         sink = pipeline.sink
         assert isinstance(sink, AggregateSink)
         if pipeline.output_schema is None:
             raise PlanError(f"aggregate pipeline {pipeline.name} lacks an output schema")
-        # write_ctx.scope carries the payload columns the probes added.
+        # write_ctx.scope carries the payload columns the probes added,
+        # over the flagged rows only — so it takes the write kernel's
+        # own final mask, not the source-length flags.
         result = runtime.aggregate_rows(
-            sink, write_ctx.scope, flags, pipeline.output_schema
+            sink, write_ctx.scope, write_ctx.final_mask, pipeline.output_schema
         )
 
         if result.codes is not None:
@@ -152,16 +153,15 @@ class MultiPassEngine(Engine):
                 label=f"{pipeline.name}.group_reduce",
             )
         else:
-            # B1: one hierarchical global reduce per aggregate.
+            # B1: one hierarchical global reduce per aggregate, over
+            # its materialized values (count(*) reduces 4-byte ones).
+            # The result is already known; only the charge is due.
             for spec in sink.aggregates:
-                key = f"value:{spec.name}"
-                values = write_ctx.intermediates.get(
-                    key, np.zeros(result.inputs, dtype=np.int32)
-                )
-                device_reduce(
+                values = write_ctx.intermediates.get(f"value:{spec.name}")
+                charge_device_reduce(
                     runtime.device,
-                    values,
-                    op="sum" if spec.op in ("count", "avg") else spec.op,
+                    result.inputs,
+                    4 if values is None else values.dtype.itemsize,
                     label=f"{pipeline.name}.{spec.name}",
                 )
         return result.outputs

@@ -36,7 +36,7 @@ from ..plan.physical import (
 from ..primitives.gather import INDEX_BYTES, random_access_volume
 from ..primitives.hashtable import JoinHashTable
 from ..primitives.prefix import device_scan
-from ..primitives.reduce import device_reduce
+from ..primitives.reduce import charge_device_reduce
 from ..primitives.sortlib import device_radix_sort, device_segmented_reduce
 from .base import Engine
 from .runtime import HashTableEntry, QueryRuntime
@@ -125,7 +125,8 @@ class OperatorAtATimeEngine(Engine):
 
         # Kernel 5: aligned write — compact every live column.
         scope = self._aligned_write(
-            device, scope, flags, scan.total, live, pipeline, f"write{index}"
+            device, scope, np.flatnonzero(flags), count, live, pipeline,
+            f"write{index}",
         )
         return scope, scan.total
 
@@ -187,10 +188,11 @@ class OperatorAtATimeEngine(Engine):
         else:
             scan = device_scan(device, flags, label=f"{pipeline.name}.prefix{index}")
             new_count = scan.total
+            selected = np.flatnonzero(flags)
             scope = self._aligned_write(
-                device, scope, flags, new_count, live, pipeline, f"write{index}"
+                device, scope, selected, count, live, pipeline, f"write{index}"
             )
-            matched_rows = rows[flags]
+            matched_rows = rows.take(selected)
             for name in stage.payload:
                 scope[name] = self._gather_payload(
                     device, entry, matched_rows, name, new_count, pipeline
@@ -235,24 +237,24 @@ class OperatorAtATimeEngine(Engine):
         self,
         device,
         scope: dict[str, np.ndarray],
-        flags: np.ndarray,
-        selected: int,
+        selected: np.ndarray,
+        count: int,
         live: set[str],
         pipeline: Pipeline,
         label: str,
     ) -> dict[str, np.ndarray]:
-        """Compact every live column into a dense array (one kernel)."""
+        """Compact every live column into a dense array (one kernel):
+        the ``selected`` of its ``count`` rows, one index gather each."""
         keep = [name for name in scope if name in live]
         meter = device.new_meter()
-        count = len(flags)
         meter.record_read(MemoryLevel.GLOBAL, 2 * count * INDEX_BYTES)  # flags+prefix
         for name in keep:
             itemsize = scope[name].dtype.itemsize
             meter.record_read(MemoryLevel.GLOBAL, count * itemsize)
-            meter.record_write(MemoryLevel.GLOBAL, selected * itemsize)
+            meter.record_write(MemoryLevel.GLOBAL, len(selected) * itemsize)
         meter.record_instructions(count * max(len(keep), 1))
         device.launch(f"{pipeline.name}.{label}", "gather", count, meter)
-        return {name: np.ascontiguousarray(scope[name][flags]) for name in keep}
+        return {name: scope[name].take(selected) for name in keep}
 
     # ------------------------------------------------------------------
     # sinks
@@ -281,9 +283,12 @@ class OperatorAtATimeEngine(Engine):
             if not isinstance(expr, ColumnRef):
                 self._materialize_expr(device, scope, count, expr, pipeline)
         value_bytes = 0
+        #: Bytes per reduced value; count(*) reduces 4-byte ones.
+        itemsizes = {spec.name: 4 for spec in sink.aggregates}
         for spec in sink.aggregates:
             if spec.expr is not None:
                 values = self._materialize_expr(device, scope, count, spec.expr, pipeline)
+                itemsizes[spec.name] = values.dtype.itemsize
                 value_bytes += values.dtype.itemsize
 
         result = runtime.aggregate_rows(sink, scope, mask, pipeline.output_schema)
@@ -302,17 +307,13 @@ class OperatorAtATimeEngine(Engine):
                 label=f"{pipeline.name}.group_reduce",
             )
         else:
+            # B1 per aggregate: aggregate_rows holds the results, so
+            # only the charge is due.
             for spec in sink.aggregates:
-                if spec.expr is not None:
-                    values = np.broadcast_to(
-                        np.asarray(evaluate(spec.expr, scope)), (count,)
-                    )
-                else:
-                    values = np.zeros(count, dtype=np.int32)
-                device_reduce(
+                charge_device_reduce(
                     device,
-                    values,
-                    op="sum" if spec.op in ("count", "avg") else spec.op,
+                    count,
+                    itemsizes[spec.name],
                     label=f"{pipeline.name}.{spec.name}",
                 )
         return result.outputs

@@ -475,8 +475,17 @@ class QueryRuntime:
 
         Engines charge the *cost* of this computation separately (C1,
         C2, or C3 accounting) using the returned cost drivers.
+        ``mask`` is over the rows ``scope`` serves; a kernel context's
+        scope holds survivors only, so its mask selects every row and
+        nothing is gathered.
         """
-        selected = np.flatnonzero(mask)
+        inputs = int(np.count_nonzero(mask))
+        selected = None if inputs == mask.size else np.flatnonzero(mask)
+
+        def qualifying(expr) -> np.ndarray:
+            values = np.broadcast_to(np.asarray(evaluate(expr, scope)), mask.shape)
+            return values if selected is None else values.take(selected)
+
         outputs: dict[str, np.ndarray] = {}
         key_bytes = 0
         value_bytes = 0
@@ -484,10 +493,7 @@ class QueryRuntime:
         if sink.group_keys:
             key_arrays = []
             for name, expr in sink.group_keys:
-                values = np.broadcast_to(
-                    np.asarray(evaluate(expr, scope)), mask.shape
-                )[selected]
-                key_arrays.append(np.ascontiguousarray(values))
+                key_arrays.append(np.ascontiguousarray(qualifying(expr)))
                 key_bytes += output_schema.dtypes[name].itemsize
             codes, uniques = factorize(key_arrays)
             num_groups = len(uniques[0]) if uniques else 0
@@ -498,14 +504,9 @@ class QueryRuntime:
             num_groups = 1
 
         for spec in sink.aggregates:
-            if spec.expr is not None:
-                values = np.broadcast_to(
-                    np.asarray(evaluate(spec.expr, scope)), mask.shape
-                )[selected]
-            else:
-                values = None
+            values = qualifying(spec.expr) if spec.expr is not None else None
             value_bytes += _accumulator_bytes(spec.op)
-            outputs[spec.name] = _reduce_spec(spec, values, codes, num_groups, len(selected))
+            outputs[spec.name] = _reduce_spec(spec, values, codes, num_groups, inputs)
 
         # Cast to the declared output types.
         for name, dtype in output_schema.dtypes.items():
@@ -516,7 +517,7 @@ class QueryRuntime:
             codes=codes,
             num_groups=num_groups,
             entry_bytes=max(key_bytes + value_bytes, 8),
-            inputs=len(selected),
+            inputs=inputs,
         )
 
     # ------------------------------------------------------------------

@@ -9,9 +9,22 @@ identically across engines.
 
 A context represents ONE kernel: its meter accumulates until the engine
 launches it on the device.
+
+On the device a filtered-out thread does nothing more, and every charge
+here is a function of the alive count.  The host works the same way:
+the context owns a *row domain* — the source rows still alive — and
+:class:`RowScope` serves every column over that domain, so a stage
+computes, probes and gathers survivors only.  ``mask`` in generated
+source is a mask over the current domain; a stage that drops rows
+re-bases the domain on the survivors and hands back an all-alive mask.
+Source-row flags come back only where the device model needs thread
+positions (:meth:`KernelContext.finish_count`,
+:meth:`KernelContext.positions`, :meth:`KernelContext.store`).
 """
 
 from __future__ import annotations
+
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -32,6 +45,67 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 REDUCTION_MODES = ("multipass", "atomic", "lrgp_simd", "lrgp_we")
 
 
+class RowScope(Mapping):
+    """The columns a generated kernel sees, over the rows still alive.
+
+    ``scope[name]`` is a *source* column gathered through the selection
+    on first read, or a *computed* column (a map output, a join
+    payload) the kernel assigned at domain length.  :meth:`narrow`
+    re-bases both on a subset of the domain.
+    """
+
+    def __init__(self, source: dict[str, np.ndarray]):
+        #: The pipeline's input arrays, at source length.
+        self.source = source
+        #: Ascending source-row ids of the domain; None = every row.
+        self.selection: np.ndarray | None = None
+        self._columns: dict[str, np.ndarray] = {}
+        self._computed: set[str] = set()
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        try:
+            return self._columns[name]
+        except KeyError:
+            pass
+        values = self.over_domain(self.source[name])
+        self._columns[name] = values
+        return values
+
+    def __setitem__(self, name: str, values) -> None:
+        self._columns[name] = values
+        self._computed.add(name)
+
+    def __iter__(self):
+        yield from self._computed
+        yield from (name for name in self.source if name not in self._computed)
+
+    def __len__(self) -> int:
+        return len(self._computed | set(self.source))
+
+    def source_array(self, name: str) -> np.ndarray | None:
+        """The source-length array behind ``name`` (None for a computed
+        column).  Lazy (wire-resident) columns are registered under the
+        identity of these arrays, never of a gathered copy."""
+        return None if name in self._computed else self.source.get(name)
+
+    def over_domain(self, values: np.ndarray) -> np.ndarray:
+        """A source-length array taken through the selection."""
+        return values if self.selection is None else values.take(self.selection)
+
+    def narrow(self, index: np.ndarray) -> None:
+        """Keep the domain rows ``index`` (ascending positions in the
+        current domain).  Computed columns are compacted now; gathered
+        source columns are dropped and re-gathered if read again, which
+        a predicate column usually is not."""
+        self.selection = index if self.selection is None else self.selection.take(index)
+        columns = self._columns
+        for name in list(columns):
+            if name not in self._computed:
+                del columns[name]
+            elif np.ndim(columns[name]):  # a map of literals is 0-d
+                columns[name] = columns[name].take(index)
+
+
 class KernelContext:
     """Accounting + semantics facade for one generated kernel.
 
@@ -40,7 +114,8 @@ class KernelContext:
     runtime:
         The query runtime (hash tables, rng).
     scope:
-        Column arrays of the pipeline source (full block length).
+        Column arrays of the pipeline source (full block length);
+        ``ctx.scope`` serves them over the row domain.
     schema:
         Scope schema (for per-column byte widths).
     mode:
@@ -74,7 +149,7 @@ class KernelContext:
             raise CompilationError(f"unknown reduction mode {mode!r}")
         self.np = np
         self.runtime = runtime
-        self.scope = dict(scope)
+        self.scope = RowScope(scope)
         self.schema = schema
         self.mode = mode
         # ``rows`` is the authoritative source cardinality: a pipeline
@@ -89,16 +164,23 @@ class KernelContext:
         self.outputs: dict[str, np.ndarray] = {}
         self.sink = sink
         self.output_schema = output_schema
-        #: Final selection flags (count kernel result / write kernel input).
+        #: Final selection flags, one per *source* row (count kernel
+        #: result / write kernel input).
         self.flags: np.ndarray | None = None
+        #: The mask a multi-pass write kernel ended on, over its own
+        #: final domain (``materialize_for_aggregate``).
+        self.final_mask: np.ndarray | None = None
         #: Intermediates materialized by multi-pass write kernels.
         self.intermediates: dict[str, np.ndarray] = {}
         self.aggregation = None
         self._positions: ScanResult | None = None
         self._loaded: set[str] = set()
         self._valid = self.n if base_count is None else base_count
-        #: (probe rows, rows >= 0, hit count) of the latest probe stage.
-        self._probe_hits: tuple[np.ndarray, np.ndarray, int] | None = None
+        #: The latest probe stage: the rows array handed to the
+        #: generated code (its identity names the stage), those rows
+        #: over the current domain, which of them hit (None: all), and
+        #: the hit count at probe time, which each payload charges.
+        self._probe: tuple[np.ndarray, np.ndarray, np.ndarray | None, int] | None = None
         #: The physical pipeline this kernel implements (None for
         #: hand-built contexts).  Needed by :meth:`filter_stage` to
         #: reach the predicate *expression tree* at runtime — generated
@@ -134,7 +216,7 @@ class KernelContext:
                 continue
             self._loaded.add(name)
             if runtime.lazy_columns:
-                state = runtime.lazy_lookup(self.scope.get(name))
+                state = runtime.lazy_lookup(self.scope.source_array(name))
                 if state is not None and runtime.lazy_gather(
                     state, charge, self.meter
                 ):
@@ -144,6 +226,58 @@ class KernelContext:
     def mark_loaded(self, names: list[str]) -> None:
         """Treat columns as already in registers (no load charge)."""
         self._loaded.update(names)
+
+    # ------------------------------------------------------------------
+    # the row domain
+    # ------------------------------------------------------------------
+    def _narrow(self, keep: np.ndarray) -> np.ndarray | None:
+        """Re-base the domain on the rows ``keep`` (a mask over the
+        current domain) leaves alive.  Returns their positions in the
+        old domain, or None when no row was dropped."""
+        alive = int(np.count_nonzero(keep))
+        self._valid = alive
+        if alive == keep.size:
+            return None
+        index = np.flatnonzero(keep)
+        self.scope.narrow(index)
+        self._probe = None
+        return index
+
+    def _survivors(self, keep: np.ndarray) -> np.ndarray:
+        """The mask a dropping stage hands back: ``keep`` itself when
+        nothing was dropped, else all-alive over the re-based domain."""
+        if self._narrow(keep) is None:
+            return keep
+        return np.ones(self._valid, dtype=bool)
+
+    def _alive_index(self, mask: np.ndarray) -> np.ndarray | None:
+        """Domain positions of the rows alive under ``mask``; None when
+        that is all of them (the mask a re-based domain carries)."""
+        if np.count_nonzero(mask) == mask.size:
+            return None
+        return np.flatnonzero(mask)
+
+    def _selected(self, values, mask: np.ndarray, index: np.ndarray | None) -> np.ndarray:
+        """``values`` (anything that broadcasts over the domain) for the
+        rows ``index`` picks."""
+        values = np.broadcast_to(np.asarray(values), mask.shape)
+        return values if index is None else values.take(index)
+
+    def _source_rows(self, index: np.ndarray | None) -> np.ndarray | slice:
+        """Source-row ids of the domain rows ``index`` picks."""
+        selection = self.scope.selection
+        if index is None:
+            return slice(None) if selection is None else selection
+        return index if selection is None else selection.take(index)
+
+    def _source_flags(self, mask: np.ndarray) -> np.ndarray:
+        """``mask`` expanded to one flag per source row — per device
+        thread, which is what a scan and a thread group are made of."""
+        if self.scope.selection is None:
+            return mask
+        flags = np.zeros(self.n, dtype=bool)
+        flags[self._source_rows(self._alive_index(mask))] = True
+        return flags
 
     # ------------------------------------------------------------------
     # pipeline stages
@@ -159,9 +293,7 @@ class KernelContext:
         """
         self.meter.record_instructions(self._valid * cost)
         flags = np.broadcast_to(np.asarray(flags, dtype=bool), mask.shape)
-        mask = mask & flags
-        self._valid = int(mask.sum())
-        return mask
+        return self._survivors(mask & flags)
 
     def filter_stage(self, mask, index, fn, cost, columns):
         """Execute one FilterStage: load the predicate columns and AND
@@ -191,7 +323,7 @@ class KernelContext:
                 names = conjunct.columns()
                 if len(names) == 1:
                     name = next(iter(names))
-                    state = self.runtime.lazy_lookup(self.scope.get(name))
+                    state = self.runtime.lazy_lookup(self.scope.source_array(name))
                     if state is not None:
                         plan = plan_scan(state, conjunct, name)
                         if plan is not None:
@@ -214,8 +346,10 @@ class KernelContext:
                 for conjunct, plan, state in plans:
                     if plan is not None:
                         self.runtime.record_scan(state, plan, self.meter)
-                        mask = mask & plan.flags
-                        self._valid = int(mask.sum())
+                        # The scan's flags are one per column row.
+                        mask = self._survivors(
+                            mask & self.scope.over_domain(plan.flags)
+                        )
                     else:
                         from ..expressions.eval import evaluate
 
@@ -236,46 +370,59 @@ class KernelContext:
     ) -> np.ndarray:
         """Probe a hash table for the rows still alive under ``mask``.
 
-        Returns a full-length array of build row indices (-1 for
-        misses and for dead rows).  Probe traffic is charged for the
-        alive rows only — dead threads skip the probe.
+        Returns one build row index per domain row (-1 for a miss).
+        Probe traffic is charged for the alive rows only — dead threads
+        skip the probe — and since dropped rows leave the domain, the
+        alive rows are normally all of them.
         """
         entry = self.runtime.hash_table(table_id)
         alive_count = int(np.count_nonzero(mask))
         if key_cost:
             self.meter.record_instructions(alive_count * key_cost)
         if not alive_count:
-            return np.full(self.n, -1, dtype=np.int64)
+            return np.full(mask.size, -1, dtype=np.int64)
         keys = [np.broadcast_to(np.asarray(k), mask.shape) for k in key_arrays]
-        if alive_count == self.n:
+        if alive_count == mask.size:
             return entry.table.probe(self.meter, keys, self.profile.l2_capacity)
+        # A mask with dead rows is one this context did not issue (a
+        # hand-built caller's): they neither probe nor hit.
         alive = np.flatnonzero(mask)
-        rows = np.full(self.n, -1, dtype=np.int64)
+        rows = np.full(mask.size, -1, dtype=np.int64)
         rows[alive] = entry.table.probe(
             self.meter, [k[alive] for k in keys], self.profile.l2_capacity
         )
         return rows
 
-    def _hits(self, rows: np.ndarray) -> tuple[np.ndarray, int]:
-        """``rows >= 0`` and its count, computed once per probe result
-        (``apply_probe`` and every ``payload`` of a stage share it)."""
-        if self._probe_hits is None or self._probe_hits[0] is not rows:
+    def _probed(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, int]:
+        """The stage ``rows`` names: its rows over the current domain,
+        which of them hit (None: all) and the hit count at probe time,
+        computed once (``apply_probe`` and every ``payload`` share it)."""
+        if self._probe is None or self._probe[0] is not rows:
             found = rows >= 0
-            self._probe_hits = (rows, found, int(np.count_nonzero(found)))
-        return self._probe_hits[1:]
+            hits = int(np.count_nonzero(found))
+            self._probe = (rows, rows, None if hits == rows.size else found, hits)
+        return self._probe[1:]
 
     def apply_probe(self, mask: np.ndarray, rows: np.ndarray, kind: str) -> np.ndarray:
         """Fold probe hits/misses into the mask per join kind."""
+        current, found, hits = self._probed(rows)
         if kind == "inner" or kind == "semi":
-            mask = mask & self._hits(rows)[0]
+            keep = mask if found is None else mask & found
         elif kind == "anti":
-            mask = mask & ~self._hits(rows)[0]
+            keep = np.zeros_like(mask) if found is None else mask & ~found
         elif kind == "left":
-            pass  # all probe rows survive
+            keep = mask  # all probe rows survive
         else:
             raise PlanError(f"unknown join kind {kind!r}")
-        self._valid = int(np.count_nonzero(mask))
-        return mask
+        index = self._narrow(keep)
+        if index is None:
+            return keep
+        # The stage's payloads come next and must see its rows over the
+        # domain it just narrowed: inner/semi survivors all hit.
+        if found is not None:
+            found = None if kind in ("inner", "semi") else found.take(index)
+        self._probe = (rows, current.take(index), found, hits)
+        return np.ones(self._valid, dtype=bool)
 
     def payload(
         self,
@@ -288,20 +435,22 @@ class KernelContext:
 
         Charges one random global-memory read per alive hit; missing
         rows yield ``default`` (left joins) or an arbitrary value that
-        is masked off downstream (inner joins).
+        no surviving row reads.
         """
         entry = self.runtime.hash_table(table_id)
         try:
             source = entry.payload[name]
         except KeyError:
             raise PlanError(f"hash table {table_id!r} has no payload {name!r}") from None
-        found, hits = self._hits(rows)
+        rows, found, hits = self._probed(rows)
         itemsize = source.dtype.itemsize
         self.meter.record_read(
             MemoryLevel.GLOBAL,
             random_access_volume(hits, itemsize, source.nbytes, self.profile.l2_capacity),
         )
         self.meter.record_instructions(hits)
+        if found is None:
+            return source.take(rows)
         if len(source) == 0:
             # Empty build side: every probe missed; any fill value is
             # masked off downstream (or replaced by the left-join default).
@@ -318,20 +467,23 @@ class KernelContext:
     # reductions
     # ------------------------------------------------------------------
     def positions(self, mask: np.ndarray) -> ScanResult:
-        """Write positions for the selected rows, per reduction mode."""
+        """Write positions for the selected rows, per reduction mode.
+
+        Positions are indexed by source row: LRGP thread groups are
+        groups of threads, and ``runtime.rng`` is drawn with the sizes
+        the source gives, whatever the domain has shrunk to.
+        """
+        if self.mode == "multipass":
+            raise CompilationError(
+                "multipass kernels compute prefix sums in separate kernels; "
+                "positions() is only valid in compound kernels"
+            )
+        flags = self._source_flags(mask)
         if self.mode == "atomic":
-            return atomic_positions(self.meter, mask, self.runtime.rng)
-        if self.mode == "lrgp_simd":
-            return lrgp_positions(
-                self.meter, mask, self.profile, self.runtime.rng, "simd"
-            )
-        if self.mode == "lrgp_we":
-            return lrgp_positions(
-                self.meter, mask, self.profile, self.runtime.rng, "work_efficient"
-            )
-        raise CompilationError(
-            "multipass kernels compute prefix sums in separate kernels; "
-            "positions() is only valid in compound kernels"
+            return atomic_positions(self.meter, flags, self.runtime.rng)
+        mechanism = "work_efficient" if self.mode == "lrgp_we" else "simd"
+        return lrgp_positions(
+            self.meter, flags, self.profile, self.runtime.rng, mechanism
         )
 
     def set_positions(self, positions: ScanResult) -> None:
@@ -356,14 +508,16 @@ class KernelContext:
         )
 
     def single_aggregate_cost(self, count: int, accumulators: int) -> None:
-        """Charge a pipelined single-tuple aggregation (B2 or B3)."""
-        values = np.zeros(count, dtype=np.float32)
+        """Charge a pipelined single-tuple aggregation (B2 or B3): one
+        reduction of ``count`` 4-byte values per accumulator."""
         for _ in range(max(accumulators, 1)):
             if self.mode == "atomic":
-                primitives.atomic_reduce(self.meter, values, "sum")
+                primitives.charge_atomic_reduce(self.meter, count)
             else:
                 mechanism = "work_efficient" if self.mode == "lrgp_we" else "simd"
-                primitives.lrgp_reduce(self.meter, values, self.profile, "sum", mechanism)
+                primitives.charge_lrgp_reduce(
+                    self.meter, count, 4, self.profile, mechanism
+                )
 
     # ------------------------------------------------------------------
     # outputs
@@ -387,28 +541,34 @@ class KernelContext:
         positions it is input order.
         """
         itemsize = self.itemsize(name)
-        full = np.broadcast_to(np.asarray(values), mask.shape)
-        selected = full[mask]
-        dense = np.empty(positions.total, dtype=np.asarray(selected).dtype)
-        dense[positions.positions[mask]] = selected
+        index = self._alive_index(mask)
+        selected = self._selected(values, mask, index)
+        dense = np.empty(positions.total, dtype=selected.dtype)
+        dense[positions.positions[self._source_rows(index)]] = selected
         self.write_output(name, dense, itemsize)
 
     # ------------------------------------------------------------------
     # multi-pass count/write protocol
     # ------------------------------------------------------------------
     def finish_count(self, mask: np.ndarray) -> None:
-        """Count kernel epilogue: write the selection flags array."""
+        """Count kernel epilogue: write the selection flags array (one
+        flag per source row — the prefix sum scans threads)."""
         self.meter.record_write(MemoryLevel.GLOBAL, self.n * INDEX_BYTES)
-        self.flags = mask
+        self.flags = self._source_flags(mask)
 
     def install_flags(self, flags: np.ndarray) -> None:
         self.flags = flags
 
     def initial_mask(self) -> np.ndarray:
-        """Write kernel prologue: threads consult their selection flag."""
+        """Write kernel prologue: threads consult their selection flag,
+        and only the flagged ones re-execute the primitives — the domain
+        starts on them."""
         if self.flags is None:
             raise CompilationError("write kernel needs flags from the count kernel")
-        return self.flags.copy()
+        index = np.flatnonzero(self.flags)
+        if index.size < self.n:
+            self.scope.narrow(index)
+        return np.ones(index.size, dtype=bool)
 
     def installed_positions(self) -> ScanResult:
         if self._positions is None:
@@ -441,15 +601,16 @@ class KernelContext:
             raise CompilationError("context has no aggregation sink bound")
         from ..expressions.eval import evaluate
 
-        selected = np.flatnonzero(mask)
+        self.final_mask = mask
+        selected = self._alive_index(mask)
         for index, (name, expr) in enumerate(self.sink.group_keys):
-            values = np.broadcast_to(np.asarray(evaluate(expr, self.scope)), mask.shape)[selected]
+            values = self._selected(evaluate(expr, self.scope), mask, selected)
             self.meter.record_write(MemoryLevel.GLOBAL, values.nbytes)
             self.intermediates[f"key{index}:{name}"] = values
         for spec in self.sink.aggregates:
             if spec.expr is None:
                 continue
-            values = np.broadcast_to(np.asarray(evaluate(spec.expr, self.scope)), mask.shape)[selected]
+            values = self._selected(evaluate(spec.expr, self.scope), mask, selected)
             self.meter.record_write(MemoryLevel.GLOBAL, values.nbytes)
             self.intermediates[f"value:{spec.name}"] = values
 
@@ -461,9 +622,9 @@ class KernelContext:
         from ..engines.runtime import HashTableEntry
         from ..primitives.hashtable import JoinHashTable
 
-        selected = np.flatnonzero(mask)
+        selected = self._alive_index(mask)
         keys = [
-            np.ascontiguousarray(np.broadcast_to(np.asarray(array), mask.shape)[selected])
+            np.ascontiguousarray(self._selected(array, mask, selected))
             for array in key_arrays
         ]
         table = JoinHashTable.build_pipelined(
@@ -473,7 +634,9 @@ class KernelContext:
         payload_buffers = []
         try:
             for name in self.sink.payload:
-                values = np.ascontiguousarray(self.scope[name][selected])
+                values = np.ascontiguousarray(
+                    self._selected(self.scope[name], mask, selected)
+                )
                 self.meter.record_write(MemoryLevel.GLOBAL, values.nbytes)
                 payload_buffers.append(
                     self.runtime.device.allocate(
@@ -499,15 +662,15 @@ class KernelContext:
         engine then builds the hash table in a separate kernel."""
         if self.sink is None:
             raise CompilationError("context has no build sink bound")
-        selected = np.flatnonzero(mask)
+        selected = self._alive_index(mask)
         for index, array in enumerate(key_arrays):
-            values = np.ascontiguousarray(
-                np.broadcast_to(np.asarray(array), mask.shape)[selected]
-            )
+            values = np.ascontiguousarray(self._selected(array, mask, selected))
             self.meter.record_write(MemoryLevel.GLOBAL, values.nbytes)
             self.intermediates[f"key{index}"] = values
         for name in self.sink.payload:
-            values = np.ascontiguousarray(self.scope[name][selected])
+            values = np.ascontiguousarray(
+                self._selected(self.scope[name], mask, selected)
+            )
             self.meter.record_write(MemoryLevel.GLOBAL, values.nbytes)
             self.intermediates[f"payload:{name}"] = values
 

@@ -32,7 +32,15 @@ from .prefix import (
     reference_positions,
     sequential_prefix_sum,
 )
-from .reduce import atomic_reduce, device_reduce, lrgp_reduce, reduce_reference
+from .reduce import (
+    atomic_reduce,
+    charge_atomic_reduce,
+    charge_device_reduce,
+    charge_lrgp_reduce,
+    device_reduce,
+    lrgp_reduce,
+    reduce_reference,
+)
 from .segmented import (
     HashAggregateCost,
     atomic_hash_aggregate,
@@ -54,6 +62,9 @@ __all__ = [
     "atomic_hash_aggregate",
     "atomic_positions",
     "atomic_reduce",
+    "charge_atomic_reduce",
+    "charge_device_reduce",
+    "charge_lrgp_reduce",
     "cta_ids",
     "device_radix_sort",
     "device_reduce",

@@ -22,8 +22,6 @@ enclosing compound kernel's :class:`TrafficMeter`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..hardware.device import VirtualCoprocessor
@@ -42,17 +40,38 @@ from .common import (
 _FLAG_BYTES = 4  # flags/prefix entries are 4-byte ints on the device
 
 
-@dataclass
 class ScanResult:
     """Write positions for the selected elements of a pipeline.
 
     ``positions[i]`` is the output slot of element ``i`` where
     ``flags[i]`` is true and -1 elsewhere; ``total`` is the number of
     selected elements.  Positions are a permutation of ``range(total)``.
+
+    An ordered scan (:func:`reference_positions`) is a pure function of
+    its flags, so it keeps the flags and computes ``positions`` on first
+    read: only a materializing sink ever reads them, while every
+    multi-pass pipeline needs ``total``.
     """
 
-    positions: np.ndarray
-    total: int
+    def __init__(
+        self,
+        total: int,
+        positions: np.ndarray | None = None,
+        flags: np.ndarray | None = None,
+    ):
+        if positions is None and flags is None:
+            raise ValueError("a ScanResult needs its positions or the flags to scan")
+        self.total = total
+        self._positions = positions
+        self._flags = flags
+
+    @property
+    def positions(self) -> np.ndarray:
+        if self._positions is None:
+            self._positions = np.where(
+                self._flags, exclusive_cumsum(self._flags), -1
+            )
+        return self._positions
 
 
 def sequential_prefix_sum(flags) -> list[int]:
@@ -75,9 +94,7 @@ def sequential_prefix_sum(flags) -> list[int]:
 def reference_positions(flags: np.ndarray) -> ScanResult:
     """Vectorized ordered positions (equivalent to A1's semantics)."""
     flags = np.asarray(flags, dtype=bool)
-    running = exclusive_cumsum(flags.astype(np.int64))
-    positions = np.where(flags, running, -1)
-    return ScanResult(positions=positions, total=int(flags.sum()))
+    return ScanResult(total=int(np.count_nonzero(flags)), flags=flags)
 
 
 # ----------------------------------------------------------------------
@@ -146,7 +163,7 @@ def atomic_positions(
     selectivity.  Returned positions are unique but unordered.
     """
     flags = np.asarray(flags, dtype=bool)
-    total = int(flags.sum())
+    total = int(np.count_nonzero(flags))
     meter.record_atomics(AtomicBatch(count=total, max_chain=total))
     meter.record_instructions(len(flags))
     positions = np.full(len(flags), -1, dtype=np.int64)
@@ -245,4 +262,4 @@ def lrgp_positions(
     global_offsets[order] = exclusive_cumsum(totals[order])
     element_group = np.arange(n, dtype=np.int64) // group
     positions = np.where(flags, global_offsets[element_group] + local, -1)
-    return ScanResult(positions=positions, total=int(flags.sum()))
+    return ScanResult(positions=positions, total=int(np.count_nonzero(flags)))

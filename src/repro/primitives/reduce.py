@@ -46,17 +46,16 @@ def reduce_reference(values: np.ndarray, op: str):
 # ----------------------------------------------------------------------
 # B1 — multi-pass hierarchical reduction
 # ----------------------------------------------------------------------
-def device_reduce(
+def charge_device_reduce(
     device: VirtualCoprocessor,
-    values: np.ndarray,
-    op: str = "sum",
+    n: int,
+    item: int,
     cta_size: int = DEFAULT_CTA_SIZE,
     label: str = "reduce",
-):
-    """Two-kernel tree reduction over device-resident data (B1)."""
-    values = np.asarray(values)
-    n = len(values)
-    item = values.dtype.itemsize
+) -> None:
+    """Launch B1's two kernels for ``n`` values of ``item`` bytes.  The
+    charge depends on the count alone, so a caller that already holds
+    the result (or needs none) reduces nothing."""
     blocks = num_blocks(n, cta_size)
 
     meter = device.new_meter()
@@ -74,14 +73,25 @@ def device_reduce(
     meter.record_instructions(blocks)
     device.launch(f"{label}.final_reduce", "reduce", blocks, meter)
 
+
+def device_reduce(
+    device: VirtualCoprocessor,
+    values: np.ndarray,
+    op: str = "sum",
+    cta_size: int = DEFAULT_CTA_SIZE,
+    label: str = "reduce",
+):
+    """Two-kernel tree reduction over device-resident data (B1)."""
+    values = np.asarray(values)
+    charge_device_reduce(device, len(values), values.dtype.itemsize, cta_size, label)
     return reduce_reference(values, op)
 
 
 # ----------------------------------------------------------------------
 # B2 — atomic reduce (inside a compound kernel)
 # ----------------------------------------------------------------------
-def atomic_reduce(meter: TrafficMeter, values: np.ndarray, op: str = "sum"):
-    """One atomic RMW per qualifying element on a global accumulator.
+def charge_atomic_reduce(meter: TrafficMeter, count: int) -> None:
+    """B2's charge for ``count`` qualifying elements.
 
     Unlike the atomic prefix sum, the returned value is not consumed by
     later pipeline work, which relaxes the dependency; the hardware can
@@ -89,28 +99,30 @@ def atomic_reduce(meter: TrafficMeter, values: np.ndarray, op: str = "sum"):
     the paper attributes the Kepler/Maxwell difference in Appendix G.1
     to exactly this pressure.
     """
-    values = np.asarray(values)
-    count = len(values)
     meter.record_atomics(AtomicBatch(count=count, max_chain=count, kind="add"))
     meter.record_instructions(count)
+
+
+def atomic_reduce(meter: TrafficMeter, values: np.ndarray, op: str = "sum"):
+    """One atomic RMW per qualifying element on a global accumulator."""
+    values = np.asarray(values)
+    charge_atomic_reduce(meter, len(values))
     return reduce_reference(values, op)
 
 
 # ----------------------------------------------------------------------
 # B3 — local resolution, global propagation reduce
 # ----------------------------------------------------------------------
-def lrgp_reduce(
+def charge_lrgp_reduce(
     meter: TrafficMeter,
-    values: np.ndarray,
+    n: int,
+    item: int,
     profile: DeviceProfile,
-    op: str = "sum",
     mechanism: str = "simd",
     cta_size: int = DEFAULT_CTA_SIZE,
-):
-    """On-chip pre-reduction, then one atomic per thread group (B3)."""
-    values = np.asarray(values)
-    n = len(values)
-    item = max(values.dtype.itemsize, 4)
+) -> None:
+    """B3's charge for ``n`` qualifying elements of ``item`` bytes."""
+    item = max(item, 4)
     if mechanism == "work_efficient":
         group = cta_size
         steps = log2_ceil(group)
@@ -126,4 +138,19 @@ def lrgp_reduce(
     meter.record_write(MemoryLevel.ONCHIP, steps * n * item)
     meter.record_instructions((steps + 1) * n)
     meter.record_atomics(AtomicBatch(count=groups, max_chain=groups, kind="add"))
+
+
+def lrgp_reduce(
+    meter: TrafficMeter,
+    values: np.ndarray,
+    profile: DeviceProfile,
+    op: str = "sum",
+    mechanism: str = "simd",
+    cta_size: int = DEFAULT_CTA_SIZE,
+):
+    """On-chip pre-reduction, then one atomic per thread group (B3)."""
+    values = np.asarray(values)
+    charge_lrgp_reduce(
+        meter, len(values), values.dtype.itemsize, profile, mechanism, cta_size
+    )
     return reduce_reference(values, op)

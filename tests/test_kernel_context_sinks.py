@@ -105,6 +105,24 @@ class TestSinkBuild:
             ctx.sink_build(np.ones(512, dtype=bool), [scope["k"]])
 
 
+class TestSingleAggregateCost:
+    @pytest.mark.parametrize("mode", ["atomic", "lrgp_simd", "lrgp_we"])
+    def test_charges_from_the_count_what_reducing_charged(self, tiny_db, mode):
+        """One 4-byte reduction per accumulator, charged without
+        allocating or summing ``count`` zeros."""
+        ctx, _, _ = _context(tiny_db, mode)
+        ctx.single_aggregate_cost(count=300, accumulators=3)
+        reference, _, _ = _context(tiny_db, mode)
+        values = np.zeros(300, dtype=np.float32)
+        for _ in range(3):
+            if mode == "atomic":
+                reference.atomic_reduce(values, "sum")
+            else:
+                reference.lrgp_reduce(values, "sum")
+        assert ctx.meter.snapshot() == reference.meter.snapshot()
+        assert ctx.meter.instructions > 0
+
+
 class TestReduceWrappers:
     def test_ctx_atomic_reduce(self, tiny_db):
         ctx, scope, _ = _context(tiny_db, "atomic")

@@ -1,5 +1,7 @@
 """Tests for the prefix-sum family (techniques A1, A2, A3)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,6 +69,28 @@ class TestDeviceScan:
     def test_empty_input(self, device):
         result = device_scan(device, np.zeros(0, dtype=bool))
         assert result.total == 0
+        assert result.positions.tolist() == []
+
+    def test_total_needs_no_position_array(self, device):
+        """Every multi-pass pipeline scans; only a materializing sink
+        reads the positions.  ``total`` alone allocates no int64 per
+        flag, and the positions still are the sequential prefix sum."""
+        n = 1_000_000
+        flags = _rng().random(n) < 0.3
+        tracemalloc.start()
+        try:
+            result = device_scan(device, flags)
+            total = result.total
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert total == int(flags.sum())
+        assert peak < n  # an int64[n] is 8 n bytes
+        assert len(device.log.kernels) == 3
+        head = 2000
+        assert result.positions[:head].tolist() == sequential_prefix_sum(flags[:head])
+        assert result.positions.dtype == np.int64 and result.positions.shape == (n,)
+        assert result.positions is result.positions  # computed once
 
 
 class TestAtomicPositions:

@@ -12,7 +12,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.engines import CompoundEngine, MultiPassEngine, OperatorAtATimeEngine
+from repro.engines import (
+    CompoundEngine,
+    CpuOperatorAtATimeEngine,
+    MultiPassEngine,
+    OperatorAtATimeEngine,
+    VectorAtATimeEngine,
+    make_cpu_device,
+)
 from repro.expressions import col, lit
 from repro.expressions.expr import BooleanOp, Comparison
 from repro.hardware import GTX970, VirtualCoprocessor
@@ -137,6 +144,74 @@ def test_random_grouped_aggregation(predicate, op):
         .build()
     )
     _assert_engines_agree(plan)
+
+
+# ----------------------------------------------------------------------
+# filter / join chains at the selectivities that stress a row domain
+# ----------------------------------------------------------------------
+#: Predicates over ``f_a`` (uniform in 0..49) and over ``d_key``
+#: (0..11) that keep no row, a few, about half, and every row.
+_FACT_LEVELS = {
+    "none": col("f_a") < 0,
+    "tiny": col("f_a") == 7,
+    "half": col("f_a") < 25,
+    "all": col("f_a") >= 0,
+}
+_DIM_LEVELS = {
+    "none": col("d_key") < 0,
+    "tiny": col("d_key") == 3,
+    "half": col("d_key") < 6,
+    "all": col("d_key") >= 0,
+}
+_LEVELS = st.sampled_from(["none", "tiny", "half", "all"])
+
+_steps = st.one_of(
+    st.tuples(st.just("filter"), _LEVELS),
+    st.tuples(st.sampled_from(["inner", "semi", "anti", "left"]), _LEVELS),
+)
+
+
+@given(st.lists(_steps, min_size=1, max_size=4), st.booleans())
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_random_chains_match_the_cpu_engine(steps, project):
+    """Every engine carries only the surviving rows from stage to
+    stage; whatever a chain of filters and joins leaves alive — nothing,
+    a handful, half, everything — each returns the cpu engine's rows."""
+    builder = PlanBuilder.scan("fact")
+    weighted = False
+    for step, level in steps:
+        if step == "filter":
+            builder = builder.filter(_FACT_LEVELS[level])
+            continue
+        # The first inner / left join brings the payload along.
+        carries = step in ("inner", "left") and not weighted
+        weighted = weighted or carries
+        builder = builder.join(
+            PlanBuilder.scan("dim").filter(_DIM_LEVELS[level]),
+            build_keys=["d_key"],
+            probe_keys=["f_key"],
+            payload=["d_weight"] if carries else [],
+            kind=step,
+            payload_defaults={"d_weight": -3} if carries and step == "left" else {},
+        )
+    value = col("f_a") * col("d_weight") if weighted else col("f_a") + col("f_b")
+    if project:
+        plan = builder.project(["f_key", ("value", value)]).build()
+    else:
+        plan = builder.aggregate(
+            group_by=["f_key"],
+            aggregates=[("sum", value, "s"), ("count", None, "n")],
+        ).build()
+    expected = (
+        CpuOperatorAtATimeEngine().execute(plan, DB, make_cpu_device()).table.sorted_rows()
+    )
+    for factory in ENGINES + [
+        lambda: CompoundEngine("lrgp_we"),
+        lambda: VectorAtATimeEngine(vector_rows=64),
+    ]:
+        engine = factory()
+        rows = engine.execute(plan, DB, VirtualCoprocessor(GTX970)).table.sorted_rows()
+        assert rows == expected, engine.name
 
 
 def test_reference_cross_check_with_python():

@@ -10,6 +10,9 @@ from repro.hardware import GTX970, VirtualCoprocessor
 from repro.primitives import (
     atomic_hash_aggregate,
     atomic_reduce,
+    charge_atomic_reduce,
+    charge_device_reduce,
+    charge_lrgp_reduce,
     device_reduce,
     factorize,
     grouped_reduce,
@@ -67,6 +70,39 @@ class TestLrgpReduce:
     def test_unknown_mechanism(self, device):
         with pytest.raises(ValueError):
             lrgp_reduce(device.new_meter(), np.ones(4), GTX970, "sum", "nope")
+
+
+class TestChargeWithoutComputing:
+    """A reduction's charge depends on the count (and the value width)
+    alone; callers that hold the result already charge from the count
+    and the meter reads field for field what reducing would give."""
+
+    @pytest.mark.parametrize("count", [0, 1, 255, 256, 257, 5000])
+    def test_pipelined_charges(self, device, count):
+        values = np.zeros(count, dtype=np.float32)
+        reduced, charged = device.new_meter(), device.new_meter()
+        atomic_reduce(reduced, values, "sum")
+        charge_atomic_reduce(charged, count)
+        assert charged.snapshot() == reduced.snapshot()
+        for mechanism in ("simd", "work_efficient"):
+            reduced, charged = device.new_meter(), device.new_meter()
+            lrgp_reduce(reduced, values, GTX970, "sum", mechanism)
+            charge_lrgp_reduce(charged, count, 4, GTX970, mechanism)
+            assert charged.snapshot() == reduced.snapshot()
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.float64])
+    def test_device_reduce_charge(self, dtype):
+        values = np.arange(3000).astype(dtype)
+        reduced, charged = VirtualCoprocessor(GTX970), VirtualCoprocessor(GTX970)
+        device_reduce(reduced, values, "max", label="r")
+        charge_device_reduce(charged, len(values), values.dtype.itemsize, label="r")
+        assert [
+            (trace.name, trace.elements, trace.meter.snapshot(), trace.time_ms)
+            for trace in charged.log.kernels
+        ] == [
+            (trace.name, trace.elements, trace.meter.snapshot(), trace.time_ms)
+            for trace in reduced.log.kernels
+        ]
 
 
 class TestFactorize:

@@ -93,9 +93,10 @@ class Session:
 
     ``compression="auto"`` turns on compression-aware transfers: each
     base column crosses the simulated link in its cheapest sampled
-    codec and is decompressed by a generated kernel on device, so PCIe
-    charges shrink while results stay byte-identical (see
-    ``docs/compression.md``).  A codec name (``"rle"``, ``"forpack"``,
+    codec, stays a wire image on the device and is decoded in the
+    registers of the kernels that read it, so PCIe charges shrink while
+    results stay byte-identical (see ``docs/compression.md``;
+    ``"lazy"`` is an alias).  A codec name (``"rle"``, ``"forpack"``,
     ``"delta"``, ``"dictionary"``, ``"passthrough"``) pins that codec;
     ``"off"`` (default) keeps raw transfers.
     """

@@ -261,9 +261,9 @@ def _add_common(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument(
         "--compression", default="off", metavar="MODE",
         help="wire compression for host<->device transfers: 'auto' "
-        "samples a codec per column, a codec name (rle, forpack, "
-        "delta, dictionary, passthrough) pins it, 'off' disables "
-        "(default: off)",
+        "samples a codec per column ('lazy' is an alias), a codec name "
+        "(rle, forpack, delta, dictionary, passthrough) pins it, 'off' "
+        "disables (default: off)",
     )
     _add_fault_options(cmd)
 

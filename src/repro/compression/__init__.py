@@ -2,9 +2,9 @@
 
 See :mod:`repro.compression.codecs` for the wire formats,
 :mod:`repro.compression.policy` for the per-column auto chooser,
-:mod:`repro.compression.lazy` for late materialization (predicates on
-wire images), and ``docs/compression.md`` for how wire bytes are
-accounted end to end.
+:mod:`repro.compression.lazy` for the register decode (kernels read
+wire images; predicates scan them), and ``docs/compression.md`` for how
+wire bytes are accounted end to end.
 """
 
 from .codecs import (
@@ -18,17 +18,16 @@ from .kernels import (
     compressed_scan_source,
     decode_kernel_source,
     encode_kernel_source,
-    gather_decode_source,
+    register_decode_source,
 )
 from .lazy import (
     LAZY_BLOCK,
-    SCANNABLE_CODECS,
     LazyColumn,
     ScanPlan,
     flatten_conjuncts,
-    gather_cost,
     interval_analyzer,
     plan_scan,
+    register_decode,
 )
 from .policy import (
     MIN_RATIO,
@@ -47,15 +46,14 @@ __all__ = [
     "compressed_scan_source",
     "decode_kernel_source",
     "encode_kernel_source",
-    "gather_decode_source",
+    "register_decode_source",
     "LAZY_BLOCK",
-    "SCANNABLE_CODECS",
     "LazyColumn",
     "ScanPlan",
     "flatten_conjuncts",
-    "gather_cost",
     "interval_analyzer",
     "plan_scan",
+    "register_decode",
     "MIN_RATIO",
     "VALID_MODES",
     "CompressionPolicy",

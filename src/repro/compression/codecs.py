@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -83,9 +84,10 @@ class EncodedColumn:
     #: Codec-specific scalars (reference value, bit width, first value).
     meta: dict = field(default_factory=dict)
 
-    @property
+    @cached_property
     def wire_nbytes(self) -> int:
-        """Exact bytes that cross the interconnect for this column."""
+        """Exact bytes that cross the interconnect for this column
+        (the parts never change once encoded)."""
         if self.codec == "passthrough":
             return self.raw_nbytes
         return WIRE_HEADER_BYTES + sum(part.nbytes for part in self.parts.values())

@@ -1,10 +1,10 @@
-"""Generated decompression-kernel sources (for EXPLAIN inspection).
+"""Source listings of the compression work a query ran (for EXPLAIN).
 
-The simulated device charges decode work through a
-:class:`~repro.hardware.traffic.TrafficMeter` (GLOBAL read of the wire
-bytes, GLOBAL write of the raw bytes) — the honest cost of compressed
-transfer.  Like the relational kernels, the charged launch keeps a
-generated source listing so ``EXPLAIN ANALYZE`` can show what ran.
+Generated kernels decode wire images in registers, so their own source
+never changes with the policy; what was fused into them — a register
+decode, a compressed scan — and the stand-alone decode / encode
+launches that remain (materializing engines, D2H results) keep a
+listing here so ``EXPLAIN ANALYZE`` can show what ran.
 """
 
 from __future__ import annotations
@@ -80,11 +80,7 @@ def compressed_scan_source(
             "    elif block_all_false: flags[block] = False  # skip unpack\n"
             "    else: flags[i] = predicate(reference + extract_bits(...))"
         ),
-        "unpack-scan": (
-            "    # unpack into registers and test; raw never hits global\n"
-            "    flags[i] = predicate(unpack(wire, i))"
-        ),
-    }.get(strategy, "    flags[i] = predicate(unpack(wire, i))")
+    }[strategy]
     header = f"    # {strategy} over {codec} wire image"
     if detail:
         header += f" {detail}"
@@ -96,15 +92,13 @@ def compressed_scan_source(
     )
 
 
-def gather_decode_source(
-    name: str, codec: str, dtype: str, rows: int, read_bytes: int, write_bytes: int
-) -> str:
-    """Source listing for a partial (late) materialization: decode only
-    the selected positions of a wire-resident column."""
+def register_decode_source(name: str, codec: str, note: str) -> str:
+    """Source listing for a register decode fused into the kernel that
+    reads a wire-resident column (``note``: the first one's EXPLAIN
+    line — rows read, wire bytes charged)."""
     return (
-        f"def {name.replace('.', '_')}(wire, positions, out):\n"
-        f"    # {codec} gather-decode: {rows} selected x {dtype} "
-        f"({read_bytes} wire B read -> {write_bytes} raw B written)\n"
-        f"    # traffic: GLOBAL read {read_bytes} B, GLOBAL write {write_bytes} B\n"
-        f"    out[t] = unpack({codec!r}, wire, positions[t])\n"
+        f"def {name.replace('.', '_')}(wire, positions):\n"
+        f"    # {note}\n"
+        f"    # traffic: GLOBAL read of the wire image only; no write, no launch\n"
+        f"    value = unpack({codec!r}, wire, positions[t])  # stays in registers\n"
     )

@@ -1,18 +1,22 @@
-"""Late materialization: predicates evaluated directly on wire images.
+"""Decode in registers: generated kernels read the wire image.
 
-PR 9 shipped base columns compressed but paid a full decode kernel
-before the first predicate ran — a global-memory round trip (wire read
-+ raw write + raw re-read) for every column of every query.  This
-module elides that materialization the way the paper elides
-inter-operator materialization: the *scan operates on the compressed
-representation itself*, and raw bytes only ever exist for the
-positions a query actually needs.
+A compressed base column crosses the link as its wire image and *stays*
+that way in device memory.  The kernel that reads it decodes in
+registers, the way the paper elides every other inter-operator
+materialization: a compressed column costs the wire bytes of the rows
+read, no raw write, no extra launch.  :func:`register_decode` is the
+one definition of that charge — :class:`~repro.kernels.context.KernelContext`
+records it (through ``QueryRuntime.lazy_gather``) and the optimizer's
+:class:`~repro.optimizer.cost.CostEstimator` prices it, with observed
+and estimated rows respectively.
 
-Three compressed-scan strategies, picked per predicate conjunct:
+A single-column predicate conjunct can do better than unpack-and-test.
+Three compressed-scan strategies exist, and :func:`plan_scan` returns
+one only when it reads no more global bytes *and* issues no more
+instructions than unpacking the same rows would:
 
 * ``rle-runs``   — evaluate the predicate once per *run* instead of
-  once per row; selectivity testing is amortized over run lengths and
-  the raw column never touches global memory.
+  once per row.
 * ``dict-lookup`` — pre-evaluate the predicate over the (tiny) code
   domain into an on-chip lookup table; the scan degenerates to one
   table probe per packed code.
@@ -20,14 +24,6 @@ Three compressed-scan strategies, picked per predicate conjunct:
   per-block ``[min, max]`` interval against the predicate first and
   unpack only *mixed* blocks; blocks that are provably all-true or
   all-false never leave the wire image.
-
-Anything without a cheaper strategy falls back to ``unpack-scan``:
-unpack into registers and test, charging packed bytes instead of the
-decode round trip.  Columns needed *downstream* of the selection
-materialize only the selected positions (a gather-decode fused into
-the scan kernel); a per-column :class:`LazyColumn` tracks cumulative
-partial traffic and flips to a real full decode when repeated gathers
-would exceed it.
 
 Every strategy computes **exactly** the flags the decoded predicate
 would: runs/codes/blocks are genuine alternate representations of the
@@ -37,12 +33,15 @@ byte-identical on every engine, device count, and codec.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..expressions.eval import evaluate
 from ..expressions.expr import Between, ColumnRef, Comparison, Expr, InList, Literal, Not
+from ..hardware.traffic import MemoryLevel, TrafficMeter
+from ..primitives.prefix import charge_lookback_scan
 from .codecs import EncodedColumn, _from_storage, _from_u64
 
 #: Rows per skippable block (matches the cascade codec's block size so
@@ -53,30 +52,20 @@ LAZY_BLOCK = 4096
 #: min + max (8 bytes each) — the price of being able to skip at all.
 BLOCK_META_BYTES = 16
 
-#: Codecs whose wire image a compressed scan can consume directly.
-SCANNABLE_CODECS = frozenset(
-    {"rle", "dictionary", "forpack", "delta", "cascade", "boolpack"}
-)
-
 #: Largest dictionary/code domain we will materialize as an on-chip LUT.
 MAX_LUT_DOMAIN = 1 << 20
 
 
 @dataclass
 class LazyColumn:
-    """Per-query lazy-decode state for one wire-resident column."""
+    """One wire-resident column (or streamed block of one): what the
+    device holds, plus the values it decodes to."""
 
     label: str
     encoded: EncodedColumn
     #: Frozen ground-truth array (the decoded values; computation is
     #: free in the simulation — only *charging* is modeled).
     values: np.ndarray
-    #: True once the raw column materialized in device global memory.
-    decoded: bool = False
-    #: Cumulative modeled bytes spent on partial gather-decodes.
-    partial_bytes: int = 0
-    #: True once at least one predicate consumed the column compressed.
-    scanned: bool = False
 
     @property
     def n(self) -> int:
@@ -91,22 +80,26 @@ class LazyColumn:
         return np.dtype(self.encoded.dtype).itemsize
 
     @property
-    def raw_nbytes(self) -> int:
-        return self.encoded.raw_nbytes
-
-    @property
     def packed_nbytes(self) -> int:
         """Wire payload bytes (parts only, header excluded)."""
         return sum(part.nbytes for part in self.encoded.parts.values())
 
-    @property
-    def decode_bytes(self) -> int:
-        """GLOBAL traffic a full decode kernel would charge (wire+raw)."""
-        return self.encoded.wire_nbytes + self.encoded.raw_nbytes
+    def decode(self, rows: int, meter: TrafficMeter, span: int | None = None) -> str:
+        """Charge ``meter`` the :func:`register_decode` of ``rows`` of
+        this column's values; returns the EXPLAIN line of that read."""
+        before = meter.reads[MemoryLevel.GLOBAL]
+        register_decode(self.encoded, rows, span, meter)
+        read_bytes = meter.reads[MemoryLevel.GLOBAL] - before
+        return (
+            f"{self.label}: register decode ({self.codec}) {rows} rows "
+            f"~{read_bytes / 1e3:.1f}KB of {self.encoded.raw_nbytes / 1e3:.1f}KB raw"
+        )
 
     def block_extents(self):
-        """Per-LAZY_BLOCK ``(mins, maxs)`` of the integer storage values."""
-        cached = self.__dict__.get("_extents")
+        """Per-LAZY_BLOCK ``(mins, maxs)`` of the integer storage values
+        (the modeled block metadata): a property of the encoding, so it
+        is cached there and shared by estimation and every execution."""
+        cached = self.encoded.__dict__.get("_extents")
         if cached is None:
             stored = self.values
             if stored.dtype == np.bool_:
@@ -119,8 +112,55 @@ class LazyColumn:
                     np.minimum.reduceat(stored, starts),
                     np.maximum.reduceat(stored, starts),
                 )
-            self.__dict__["_extents"] = cached
+            self.encoded.__dict__["_extents"] = cached
         return cached
+
+
+# ----------------------------------------------------------------------
+# the register decode
+# ----------------------------------------------------------------------
+def register_decode(
+    encoded: EncodedColumn,
+    rows: int,
+    span: int | None = None,
+    meter: TrafficMeter | None = None,
+) -> TrafficMeter:
+    """What it costs the kernel that reads ``rows`` values of a
+    wire-resident column to decode them in registers, charged to
+    ``meter`` (a fresh one by default) and returned.
+
+    ``forpack``, ``dictionary``, ``boolpack`` and ``cascade`` are
+    position-local and ``rle`` is run-local: a thread reads the packed
+    bits (blocks, runs) of its own row, so the wire image — header and
+    per-block metadata included — is read pro rata to the rows read.
+    ``delta`` is an *ordered* prefix sum over the packed differences:
+    every CTA of the kernel's ``span`` of rows (the whole column unless
+    the kernel covers a slice of it) scans its differences on chip and
+    propagates one aggregate, whatever the rows still alive, charged as
+    :func:`~repro.primitives.prefix.charge_lookback_scan` charges it —
+    whose 8-byte CTA descriptors are the only global write a register
+    decode ever records.  Decoded values never leave registers.
+    """
+    cost = TrafficMeter() if meter is None else meter
+    n = encoded.length
+    rows = min(int(rows), n)
+    if rows <= 0:
+        return cost
+    if encoded.codec == "delta":
+        span = n if span is None else min(int(span), n)
+        cost.record_read(MemoryLevel.GLOBAL, _pro_rata(encoded, span))
+        charge_lookback_scan(
+            cost, span, item_bytes=np.dtype(encoded.dtype).itemsize
+        )
+    else:
+        cost.record_read(MemoryLevel.GLOBAL, _pro_rata(encoded, rows))
+    cost.record_instructions(2 * rows)
+    return cost
+
+
+def _pro_rata(encoded: EncodedColumn, rows: int) -> int:
+    """Wire bytes behind ``rows`` of the column's rows (rounded up)."""
+    return -(-encoded.wire_nbytes * rows // encoded.length)
 
 
 # ----------------------------------------------------------------------
@@ -238,6 +278,7 @@ class ScanPlan:
 
     strategy: str
     column: str
+    codec: str
     #: Modeled GLOBAL bytes the fused scan reads from the wire image.
     read_bytes: int
     #: Modeled instruction count of the fused scan.
@@ -246,33 +287,50 @@ class ScanPlan:
     onchip_bytes: int = 0
     blocks: int = 0
     blocks_skipped: int = 0
-    #: Exact selection flags over the full column (computed from the
-    #: compressed representation, byte-identical to the decoded eval).
-    flags: np.ndarray = field(default=None, repr=False)
     detail: str = ""
+    #: GLOBAL bytes unpacking the same rows in registers would read.
+    unpack_bytes: int = 0
+    #: Computes the exact selection flags over the column's rows
+    #: (byte-identical to the decoded evaluation).  Execution calls it;
+    #: the estimator prices the plan and never does.
+    compute_flags: Callable[[], np.ndarray] = field(default=None, repr=False)
 
-    def note(self, decode_bytes: int) -> str:
+    @property
+    def flags(self) -> np.ndarray:
+        return self.compute_flags()
+
+    def charge(self, meter: TrafficMeter) -> None:
+        meter.record_read(MemoryLevel.GLOBAL, self.read_bytes)
+        if self.onchip_bytes:
+            meter.record_read(MemoryLevel.ONCHIP, self.onchip_bytes)
+        meter.record_instructions(self.instructions)
+
+    def note(self, label: str) -> str:
         return (
-            f"{self.column}: {self.strategy} {self.detail} "
-            f"~{self.read_bytes / 1e3:.1f}KB vs decode "
-            f"{decode_bytes / 1e3:.1f}KB"
+            f"{label}: compressed scan ({self.strategy}, {self.codec}) "
+            f"{self.detail} ~{self.read_bytes / 1e3:.1f}KB vs unpack "
+            f"{self.unpack_bytes / 1e3:.1f}KB"
         )
 
 
 def _scan_rle(state: LazyColumn, conjunct: Expr, name: str) -> ScanPlan:
     run_values = state.encoded.parts["values"]
     lengths = state.encoded.parts["lengths"]
-    typed = _from_storage(run_values, state.encoded.dtype)
-    run_flags = np.asarray(evaluate(conjunct, {name: typed}), dtype=bool)
-    flags = np.repeat(run_flags, lengths.astype(np.int64))
     runs = len(run_values)
+
+    def flags() -> np.ndarray:
+        typed = _from_storage(run_values, state.encoded.dtype)
+        run_flags = np.asarray(evaluate(conjunct, {name: typed}), dtype=bool)
+        return np.repeat(run_flags, lengths.astype(np.int64))
+
     return ScanPlan(
         strategy="rle-runs",
         column=name,
+        codec=state.codec,
         read_bytes=run_values.nbytes + lengths.nbytes,
         instructions=conjunct.size() * runs + state.n,
-        flags=flags,
         detail=f"({runs} runs)",
+        compute_flags=flags,
     )
 
 
@@ -281,19 +339,24 @@ def _scan_dictionary(state: LazyColumn, conjunct: Expr, name: str) -> ScanPlan |
     domain = 1 << width
     if domain > MAX_LUT_DOMAIN:
         return None
-    codes = np.arange(domain, dtype=np.uint64)
-    lut = np.asarray(
-        evaluate(conjunct, {name: _from_u64(codes, state.encoded.dtype)}), dtype=bool
-    )
-    flags = lut[state.values.astype(np.int64, copy=False)]
+
+    def flags() -> np.ndarray:
+        codes = np.arange(domain, dtype=np.uint64)
+        lut = np.asarray(
+            evaluate(conjunct, {name: _from_u64(codes, state.encoded.dtype)}),
+            dtype=bool,
+        )
+        return lut[state.values.astype(np.int64, copy=False)]
+
     return ScanPlan(
         strategy="dict-lookup",
         column=name,
+        codec=state.codec,
         read_bytes=state.packed_nbytes,
         instructions=conjunct.size() * domain + state.n,
         onchip_bytes=state.n,
-        flags=flags,
         detail=f"({domain}-entry LUT)",
+        compute_flags=flags,
     )
 
 
@@ -305,90 +368,74 @@ def _scan_block_skip(state: LazyColumn, conjunct: Expr, name: str) -> ScanPlan |
     if los is None:
         return None
     n = state.n
-    values = state.values
-    flags = np.empty(n, dtype=bool)
+    blocks = len(los)
+    verdicts = [test(int(lo), int(hi)) for lo, hi in zip(los, his)]
+    mixed = np.array([verdict == "mixed" for verdict in verdicts], dtype=bool)
+    block_rows = np.minimum(LAZY_BLOCK, n - np.arange(blocks) * LAZY_BLOCK)
     if state.codec == "cascade":
         widths = state.encoded.parts["widths"].astype(np.int64)
     else:
-        widths = None
-    width = int(state.encoded.meta.get("width", 0))
-    survivor_rows = 0
-    survivor_bits = 0
-    skipped = 0
-    blocks = len(los)
-    for index in range(blocks):
-        start = index * LAZY_BLOCK
-        stop = min(start + LAZY_BLOCK, n)
-        verdict = test(int(los[index]), int(his[index]))
-        if verdict == "all":
-            flags[start:stop] = True
-            skipped += 1
-        elif verdict == "none":
-            flags[start:stop] = False
-            skipped += 1
-        else:
-            flags[start:stop] = np.asarray(
-                evaluate(conjunct, {name: values[start:stop]}), dtype=bool
-            )
-            rows = stop - start
-            survivor_rows += rows
-            survivor_bits += rows * (int(widths[index]) if widths is not None else width)
-    read_bytes = blocks * BLOCK_META_BYTES + (survivor_bits + 7) // 8
+        widths = int(state.encoded.meta.get("width", 0))
+    survivor_rows = int(block_rows[mixed].sum())
+    survivor_bits = int((block_rows * widths)[mixed].sum())
+    skipped = blocks - int(mixed.sum())
+
+    def flags() -> np.ndarray:
+        out = np.empty(n, dtype=bool)
+        for index, verdict in enumerate(verdicts):
+            start = index * LAZY_BLOCK
+            stop = min(start + LAZY_BLOCK, n)
+            if verdict == "mixed":
+                out[start:stop] = np.asarray(
+                    evaluate(conjunct, {name: state.values[start:stop]}), dtype=bool
+                )
+            else:
+                out[start:stop] = verdict == "all"
+        return out
+
     return ScanPlan(
         strategy="block-skip",
         column=name,
-        read_bytes=read_bytes,
+        codec=state.codec,
+        read_bytes=blocks * BLOCK_META_BYTES + (survivor_bits + 7) // 8,
         instructions=2 * blocks + (2 + conjunct.size()) * survivor_rows,
         blocks=blocks,
         blocks_skipped=skipped,
-        flags=flags,
         detail=f"({skipped}/{blocks} blocks skipped)",
+        compute_flags=flags,
     )
 
 
-def _scan_unpack(state: LazyColumn, conjunct: Expr, name: str) -> ScanPlan:
-    flags = np.asarray(evaluate(conjunct, {name: state.values}), dtype=bool)
-    return ScanPlan(
-        strategy="unpack-scan",
-        column=name,
-        read_bytes=state.packed_nbytes,
-        instructions=(2 + conjunct.size()) * state.n,
-        flags=flags,
-    )
+def plan_scan(
+    state: LazyColumn, conjunct: Expr, name: str, rows: int | None = None
+) -> ScanPlan | None:
+    """The compressed-scan strategy for one single-column conjunct over
+    a wire image, or ``None`` when unpacking the ``rows`` values still
+    alive in registers (:func:`register_decode`) and testing them is at
+    least as cheap — always for ``delta`` (an ordered prefix sum has no
+    random block access) and ``boolpack`` (no exploitable order).
 
-
-def plan_scan(state: LazyColumn, conjunct: Expr, name: str) -> ScanPlan | None:
-    """Build the cheapest compressed-scan plan for one single-column
-    conjunct, or ``None`` when the codec cannot be scanned in place."""
+    A strategy is taken only if it is no worse on global bytes *and* on
+    instructions, so fusing a predicate can never read more than the
+    plain register decode, which never reads more than the raw column.
+    """
     codec = state.codec
-    if codec not in SCANNABLE_CODECS:
-        return None
     if codec == "rle":
-        return _scan_rle(state, conjunct, name)
-    if codec == "dictionary":
+        plan = _scan_rle(state, conjunct, name)
+    elif codec == "dictionary":
         plan = _scan_dictionary(state, conjunct, name)
-        return plan if plan is not None else _scan_unpack(state, conjunct, name)
-    if codec in ("forpack", "cascade"):
+    elif codec in ("forpack", "cascade"):
         plan = _scan_block_skip(state, conjunct, name)
-        return plan if plan is not None else _scan_unpack(state, conjunct, name)
-    # delta needs the sequential prefix sum (no random block access);
-    # boolpack has no exploitable order — both unpack in registers.
-    return _scan_unpack(state, conjunct, name)
-
-
-# ----------------------------------------------------------------------
-# partial materialization (gather-decode)
-# ----------------------------------------------------------------------
-def gather_cost(state: LazyColumn, rows: int):
-    """Modeled ``(read_bytes, write_bytes, instructions)`` of gathering
-    ``rows`` selected values out of the wire image, or ``None`` when
-    the codec cannot be randomly accessed (delta's prefix dependency)
-    and only a full decode will do."""
-    if state.codec == "delta":
+    else:
+        plan = None
+    if plan is None:
         return None
-    rows = int(min(rows, state.n))
-    write_bytes = rows * state.itemsize
-    read_bytes = state.packed_nbytes
-    if state.codec == "cascade":
-        read_bytes += len(state.encoded.parts["widths"]) * BLOCK_META_BYTES
-    return read_bytes, write_bytes, 2 * rows
+    # Every codec with a strategy is position- or run-local.
+    rows = state.n if rows is None else min(int(rows), state.n)
+    plan.unpack_bytes = _pro_rata(state.encoded, rows) if rows > 0 else 0
+    if (
+        plan.read_bytes > plan.unpack_bytes
+        or plan.instructions > (2 + conjunct.size()) * rows
+    ):
+        return None
+    return plan

@@ -41,10 +41,9 @@ SAMPLE_WINDOWS = 4
 #: column ships raw (``passthrough``).
 MIN_RATIO = 1.1
 
-#: Everything ``compression=`` accepts.  ``"lazy"`` chooses codecs
-#: exactly like ``"auto"`` but additionally defers decode: predicates
-#: execute directly on wire images and raw columns materialize only on
-#: demand (see ``repro.compression.lazy`` / docs/compression.md).
+#: Everything ``compression=`` accepts.  ``"lazy"`` is an alias of
+#: ``"auto"``: since kernels decode wire images in registers (see
+#: ``repro.compression.lazy`` / docs/compression.md) there is one path.
 VALID_MODES = ("auto", "lazy", "off") + CODEC_NAMES
 
 
@@ -115,47 +114,10 @@ class CompressionPolicy:
                 f"unknown compression mode {mode!r}; "
                 f"valid choices: {', '.join(name for name in VALID_MODES if name != 'off')}"
             )
-        self.mode = mode
-        #: ``"lazy"`` defers decode (late materialization); codec
-        #: choice itself is identical to ``"auto"``.
-        self.lazy = mode == "lazy"
-        #: Per-codec observed decode throughput (bytes / sim ms), fed
-        #: by the calibration layer; ``None`` until observed.
-        self.decode_throughput: dict[str, float] = {}
+        self.mode = "auto" if mode == "lazy" else mode
 
     def __repr__(self) -> str:
         return f"CompressionPolicy({self.mode!r})"
-
-    # ------------------------------------------------------------------
-    # calibration feedback
-    # ------------------------------------------------------------------
-    #: EWMA weight for decode-throughput observations.
-    THROUGHPUT_ALPHA = 0.3
-
-    def observe_decode(self, codec: str, raw_bytes: int, sim_ms: float) -> None:
-        """Fold an observed decode-kernel timing into the per-codec
-        throughput estimate the chooser and runtime consult."""
-        if sim_ms <= 0 or raw_bytes <= 0:
-            return
-        rate = raw_bytes / sim_ms
-        prior = self.decode_throughput.get(codec)
-        if prior is None:
-            self.decode_throughput[codec] = rate
-        else:
-            alpha = self.THROUGHPUT_ALPHA
-            self.decode_throughput[codec] = alpha * rate + (1 - alpha) * prior
-
-    def decode_factor(self, codec: str) -> float:
-        """Relative decode slowness of ``codec`` vs the fastest codec
-        observed so far (1.0 when uncalibrated).  >1 means this codec's
-        decode kernels run slow, which tilts decisions toward
-        compressed scans and away from eager decode."""
-        rate = self.decode_throughput.get(codec)
-        if not rate or not self.decode_throughput:
-            return 1.0
-        best = max(self.decode_throughput.values())
-        factor = best / rate if rate else 1.0
-        return min(4.0, max(0.25, factor))
 
     # ------------------------------------------------------------------
     # whole-column encoding (cached)
@@ -163,12 +125,10 @@ class CompressionPolicy:
     def encoded(self, column) -> EncodedColumn:
         """The column's wire encoding under this policy (cached)."""
         cache = column.__dict__.setdefault("_compression_cache", {})
-        # "lazy" picks codecs exactly like "auto" — share its cache slot.
-        key = "auto" if self.lazy else self.mode
-        hit = cache.get(key)
+        hit = cache.get(self.mode)
         if hit is None:
             hit = self._encode_full(column)
-            cache[key] = hit
+            cache[self.mode] = hit
         return hit
 
     def wire_nbytes(self, column) -> int:
@@ -176,7 +136,7 @@ class CompressionPolicy:
 
     def _encode_full(self, column) -> EncodedColumn:
         values = column.values
-        codec = self.choose(column) if self.mode in ("auto", "lazy") else self.mode
+        codec = self.choose(column) if self.mode == "auto" else self.mode
         if codec != "passthrough":
             result = encode(values, codec, _dictionary_size(column))
             if result is not None and result.raw_nbytes >= MIN_RATIO * result.wire_nbytes:

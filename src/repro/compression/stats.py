@@ -10,8 +10,8 @@ class CompressionStats:
     """What compression did to one query's link traffic.
 
     ``raw_bytes``/``wire_bytes`` count transfers that actually crossed
-    the interconnect (placement hits contribute decode kernels but no
-    wire bytes).  ``columns`` counts transferred columns/blocks,
+    the interconnect (placement hits contribute no wire bytes).
+    ``columns`` counts transferred columns/blocks,
     ``encoded_columns`` the subset that shipped in a non-passthrough
     codec, and ``codecs`` the per-codec breakdown.
     """
@@ -20,13 +20,15 @@ class CompressionStats:
     wire_bytes: int = 0
     columns: int = 0
     encoded_columns: int = 0
+    #: Stand-alone ``decode.*`` launches: only engines that materialize
+    #: at load (operator-at-a-time, cpu) have any.
     decode_kernels: int = 0
     encode_kernels: int = 0
     codecs: dict = field(default_factory=dict)
-    #: Late materialization (``compression="lazy"``): predicate
-    #: conjuncts executed directly on wire images, block-skip
-    #: accounting, columns whose raw form never hit global memory, and
-    #: modeled bytes of partial (selected-positions-only) decodes.
+    #: Fused into the consuming kernels instead: predicate conjuncts
+    #: executed directly on wire images, block-skip accounting, columns
+    #: (or streamed blocks) that stayed wire-resident, and the raw bytes'
+    #: worth of values decoded in registers, never written back.
     compressed_scans: int = 0
     scan_blocks: int = 0
     scan_blocks_skipped: int = 0
@@ -35,11 +37,11 @@ class CompressionStats:
     #: D2H partials shipped as wire images decode on the host; these
     #: bytes never charge a device kernel.
     host_decode_bytes: int = 0
-    #: Human-readable per-conjunct scan decisions (for EXPLAIN).
+    #: Human-readable fusion decisions, one per column and conjunct
+    #: (for EXPLAIN): compressed scan or register decode.
     scans: list = field(default_factory=list)
-    #: Observed decode-kernel cost by codec (calibration feedback).
+    #: Simulated ms of the stand-alone decode launches, by codec.
     decode_ms_by_codec: dict = field(default_factory=dict)
-    decode_bytes_by_codec: dict = field(default_factory=dict)
 
     @property
     def ratio(self) -> float:
@@ -58,13 +60,10 @@ class CompressionStats:
             self.encoded_columns += 1
         self.codecs[name] = self.codecs.get(name, 0) + 1
 
-    def record_decode_cost(self, codec: str, raw_nbytes: int, sim_ms: float) -> None:
-        name = codec or "passthrough"
-        self.decode_ms_by_codec[name] = (
-            self.decode_ms_by_codec.get(name, 0.0) + float(sim_ms)
-        )
-        self.decode_bytes_by_codec[name] = (
-            self.decode_bytes_by_codec.get(name, 0) + int(raw_nbytes)
+    def record_decode_kernel(self, codec: str, sim_ms: float) -> None:
+        self.decode_kernels += 1
+        self.decode_ms_by_codec[codec] = (
+            self.decode_ms_by_codec.get(codec, 0.0) + float(sim_ms)
         )
 
     def merge(self, other: "CompressionStats") -> None:
@@ -87,10 +86,6 @@ class CompressionStats:
             self.decode_ms_by_codec[name] = (
                 self.decode_ms_by_codec.get(name, 0.0) + ms
             )
-        for name, nbytes in other.decode_bytes_by_codec.items():
-            self.decode_bytes_by_codec[name] = (
-                self.decode_bytes_by_codec.get(name, 0) + nbytes
-            )
 
     @classmethod
     def aggregate(cls, items) -> "CompressionStats | None":
@@ -112,11 +107,11 @@ class CompressionStats:
             f"({self.ratio:.2f}x, {self.encoded_columns}/{self.columns} "
             f"columns encoded; {codecs})"
         )
-        if self.compressed_scans:
+        if self.deferred_columns:
             text += (
-                f"; {self.compressed_scans} compressed scans "
-                f"({self.scan_blocks_skipped}/{self.scan_blocks} blocks "
-                f"skipped), {self.deferred_columns} decodes deferred"
+                f"; {self.deferred_columns} columns decoded in registers, "
+                f"{self.compressed_scans} compressed scans "
+                f"({self.scan_blocks_skipped}/{self.scan_blocks} blocks skipped)"
             )
         return text
 
@@ -160,7 +155,7 @@ def observe_compression_metrics(metrics, stats: CompressionStats) -> None:
     ).inc(stats.deferred_columns)
     metrics.counter(
         "repro_compression_partial_decode_bytes_total",
-        "Raw bytes materialized by selected-positions-only decodes",
+        "Raw bytes' worth of values decoded in registers by consuming kernels",
     ).inc(stats.partial_decode_bytes)
     metrics.counter(
         "repro_compression_host_decode_bytes_total",

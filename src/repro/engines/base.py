@@ -170,11 +170,14 @@ class Engine:
     kernel_sources: dict[str, str] = {}
 
     def lazy_capable(self, pipeline: Pipeline) -> bool:
-        """Whether this engine's load of ``pipeline`` lets a
-        ``compression="lazy"`` policy defer decode kernels: the value
-        the engine hands to :meth:`QueryRuntime.load_source`, and the
-        one fact the cost estimator reads before pricing late
-        materialization."""
+        """Whether this engine reads ``pipeline``'s input columns
+        through :class:`~repro.kernels.context.KernelContext`, so a
+        compressed column can stay wire-resident and be decoded in the
+        registers of the kernels that read it: the value the engine
+        hands to :meth:`QueryRuntime.load_source`, and the one fact the
+        cost estimator reads before pricing a fused decode.  Engines
+        that charge column reads themselves (operator-at-a-time, cpu)
+        say no and decode at load."""
         return False
 
     def execute(

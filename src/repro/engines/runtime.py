@@ -18,8 +18,8 @@ from ..compression import (
     decode_kernel_source,
     encode_kernel_source,
 )
-from ..compression.kernels import compressed_scan_source, gather_decode_source
-from ..compression.lazy import LazyColumn, gather_cost
+from ..compression.kernels import compressed_scan_source, register_decode_source
+from ..compression.lazy import LazyColumn
 from ..errors import PlanError
 from ..expressions.eval import evaluate
 from ..hardware.device import VirtualCoprocessor
@@ -119,10 +119,9 @@ class QueryRuntime:
         self._compression_stats = (
             CompressionStats() if self.compression is not None else None
         )
-        #: Late materialization (``compression="lazy"``): wire-resident
-        #: columns whose decode is deferred, keyed by ``id(values)`` of
-        #: the ground-truth array the scope holds.
-        self.lazy_columns: dict[int, LazyColumn] = {}
+        #: Wire-resident columns, decoded in registers by the kernels
+        #: that read them, keyed by ``(source table, base column)``.
+        self.lazy_columns: dict[tuple[str, str], LazyColumn] = {}
 
     # ------------------------------------------------------------------
     def source_rows(self, pipeline: Pipeline) -> int:
@@ -141,13 +140,14 @@ class QueryRuntime:
         """The pipeline's input scope: base columns (transferred on
         first use) or a virtual table already on the device.
 
-        ``lazy_capable=True`` (compound/multipass engines, whose charge
-        paths route through :class:`~repro.kernels.context.KernelContext`)
-        lets a ``compression="lazy"`` policy defer decode kernels: the
-        column stays wire-resident and a :class:`LazyColumn` is
-        registered for compressed scans / on-demand materialization.
+        Under a compression policy a column ships, and stays on the
+        device, as its wire image.  ``lazy_capable=True`` (engines whose
+        column reads are charged through
+        :class:`~repro.kernels.context.KernelContext`) registers it as
+        wire-resident: the kernels that read it decode in registers.
         Engines that charge column reads outside the context (the
-        operator-at-a-time design) keep the eager decode-at-load path.
+        operator-at-a-time design) materialize it here instead, with a
+        stand-alone ``decode.<column>`` kernel into raw scratch.
         """
         if pipeline.source_is_virtual:
             try:
@@ -159,152 +159,110 @@ class QueryRuntime:
                 ) from None
             return dict(virtual.arrays)
         table = self.database.table(pipeline.source)
-        lazy = (
-            lazy_capable
-            and self.compression is not None
-            and getattr(self.compression, "lazy", False)
-        )
         scope: dict[str, np.ndarray] = {}
         for name in pipeline.required_columns:
             base_name = pipeline.source_rename.get(name, name)
             column = table.column(base_name)
-            key = (pipeline.source, base_name)
-            if key not in self._transferred:
-                self._transferred.add(key)
-                label = f"{pipeline.source}.{base_name}"
-                encoded = (
-                    self.compression.encoded(column)
-                    if self.compression is not None
-                    else None
-                )
-                if self.pool is not None:
-                    entry, hit = self.pool.acquire(
-                        pipeline.source, base_name, column,
-                        self.database.fingerprint(),
-                    )
-                    self._pinned.append(entry)
-                    if self.tracer is not None:
-                        self.tracer.event(
-                            f"placement {label}",
-                            "placement",
-                            hit=hit,
-                            nbytes=column.nbytes,
-                        )
-                    # entry.nbytes is the resident footprint: the wire
-                    # size when the pool stores the column compressed.
-                    if hit:
-                        self.placement_hits += 1
-                        self.placement_hit_bytes += entry.nbytes
-                    else:
-                        self.placement_misses += 1
-                        self.input_bytes += entry.nbytes
-                        if encoded is not None:
-                            self._compression_stats.record(
-                                column.nbytes, entry.nbytes, encoded.codec
-                            )
-                    if encoded is not None and encoded.codec != "passthrough":
-                        if lazy:
-                            # Decoded-on-demand residency: the wire
-                            # image stays pooled, raw materializes only
-                            # if a consumer actually needs it.
-                            self._register_lazy(label, encoded, column)
-                        else:
-                            # Resident data is compressed: every query
-                            # (hit or miss) decodes it into a transient
-                            # raw buffer — hits skip the link, not the
-                            # decode.
-                            self.device.allocate(
-                                np.empty(encoded.raw_nbytes, dtype=np.uint8),
-                                label=f"decode.{label}",
-                            )
-                            self.charge_decode(encoded, label)
-                elif encoded is not None and encoded.codec != "passthrough":
-                    if lazy:
-                        # Ship and keep only the wire image; no decode
-                        # kernel, no raw allocation — yet.
-                        self.device.transfer_to_device(
-                            encoded.wire_array,
-                            label=label,
-                            raw_nbytes=column.nbytes,
-                            codec=encoded.codec,
-                        )
-                        self.input_bytes += encoded.wire_nbytes
-                        self._compression_stats.record(
-                            column.nbytes, encoded.wire_nbytes, encoded.codec
-                        )
-                        self._register_lazy(label, encoded, column)
-                    else:
-                        self.device.transfer_to_device(
-                            column.values,
-                            label=label,
-                            wire_nbytes=encoded.wire_nbytes,
-                            codec=encoded.codec,
-                        )
-                        self.input_bytes += encoded.wire_nbytes
-                        self._compression_stats.record(
-                            column.nbytes, encoded.wire_nbytes, encoded.codec
-                        )
-                        self.charge_decode(encoded, label)
-                else:
-                    self.device.transfer_to_device(column.values, label=label)
-                    self.input_bytes += column.nbytes
-                    if self._compression_stats is not None:
-                        self._compression_stats.record(
-                            column.nbytes, column.nbytes, "passthrough"
-                        )
             scope[name] = column.values
+            key = (pipeline.source, base_name)
+            if key in self._transferred:
+                continue
+            self._transferred.add(key)
+            label = f"{pipeline.source}.{base_name}"
+            encoded = None
+            if self.compression is not None:
+                encoded = self.compression.encoded(column)
+                if encoded.codec == "passthrough":
+                    encoded = None
+            # What lands on the device: the wire image, else the column.
+            resident = column.values if encoded is None else encoded.wire_array
+            raw_nbytes, codec = (
+                (0, "") if encoded is None else (column.nbytes, encoded.codec)
+            )
+            if self.pool is not None:
+                entry, hit = self.pool.acquire(
+                    pipeline.source, base_name, column,
+                    self.database.fingerprint(),
+                )
+                self._pinned.append(entry)
+                if self.tracer is not None:
+                    self.tracer.event(
+                        f"placement {label}",
+                        "placement",
+                        hit=hit,
+                        nbytes=column.nbytes,
+                    )
+                # entry.nbytes is the resident footprint: the wire size
+                # when the pool stores the column compressed.
+                moved = entry.nbytes
+                if hit:
+                    self.placement_hits += 1
+                    self.placement_hit_bytes += moved
+                else:
+                    self.placement_misses += 1
+            else:
+                hit, moved = False, resident.nbytes
+                self.device.transfer_to_device(
+                    resident, label=label, raw_nbytes=raw_nbytes, codec=codec
+                )
+            if not hit:
+                self.input_bytes += moved
+                if self._compression_stats is not None:
+                    self._compression_stats.record(column.nbytes, moved, codec)
+            if encoded is None:
+                continue
+            if lazy_capable:
+                self.register_wire(key, encoded, column.values)
+            else:
+                self.device.allocate(
+                    np.empty(encoded.raw_nbytes, dtype=np.uint8),
+                    label=f"decode.{label}",
+                )
+                self._charge_decode(encoded, label)
         return scope
 
     # ------------------------------------------------------------------
     # compressed-transfer accounting
     # ------------------------------------------------------------------
-    def charge_decode(self, encoded, label: str) -> None:
-        """Charge one on-device decompression kernel: GLOBAL read of
+    def _charge_decode(self, encoded, label: str) -> None:
+        """Charge one stand-alone decompression kernel: GLOBAL read of
         the wire bytes, GLOBAL write of the decoded raw bytes."""
-        self.charge_decode_raw(
-            encoded.wire_nbytes,
-            encoded.raw_nbytes,
-            encoded.length,
-            label,
-            encoded.codec,
-            dtype=str(encoded.dtype),
-        )
-
-    def charge_decode_raw(
-        self,
-        wire_nbytes: int,
-        raw_nbytes: int,
-        elements: int,
-        label: str,
-        codec: str,
-        dtype: str = "mixed",
-    ) -> None:
         name = f"decode.{label}"
         meter = self.device.new_meter()
-        meter.record_read(MemoryLevel.GLOBAL, wire_nbytes)
-        meter.record_write(MemoryLevel.GLOBAL, raw_nbytes)
-        meter.record_instructions(2 * elements)
-        self.device.launch(name, "decode", elements, meter)
+        meter.record_read(MemoryLevel.GLOBAL, encoded.wire_nbytes)
+        meter.record_write(MemoryLevel.GLOBAL, encoded.raw_nbytes)
+        meter.record_instructions(2 * encoded.length)
+        trace = self.device.launch(name, "decode", encoded.length, meter)
         if name not in self.kernel_sources:
             self.kernel_sources[name] = decode_kernel_source(
-                name, codec, dtype, elements, wire_nbytes, raw_nbytes
+                name,
+                encoded.codec,
+                str(encoded.dtype),
+                encoded.length,
+                encoded.wire_nbytes,
+                encoded.raw_nbytes,
             )
-        if self._compression_stats is not None:
-            self._compression_stats.decode_kernels += 1
-            # Observed decode cost by codec feeds the calibration layer
-            # (per-codec decode-throughput factors).
-            trace = self.device.log.kernels[-1]
-            self._compression_stats.record_decode_cost(
-                codec, raw_nbytes, trace.time_ms
-            )
+        self._compression_stats.record_decode_kernel(encoded.codec, trace.time_ms)
 
-    def _charge_encode(self, encoded, label: str) -> None:
-        """Charge a device-side result-encode kernel before D2H."""
-        name = f"encode.{label}"
+    def _encode_for_d2h(self, encoded, label: str) -> bool:
+        """Encode a result / partial column on the device before its
+        D2H — if that pays: the modeled link time the wire image saves
+        must exceed the encode kernel's own modeled time, launch
+        overhead included.  Returns whether the wire image ships (the
+        ``encode.<label>`` kernel has then been charged)."""
+        if encoded.codec == "passthrough":
+            return False
         meter = self.device.new_meter()
         meter.record_read(MemoryLevel.GLOBAL, encoded.raw_nbytes)
         meter.record_write(MemoryLevel.GLOBAL, encoded.wire_nbytes)
         meter.record_instructions(2 * encoded.length)
+        link = self.device.interconnect
+        saved = link.transfer_time(encoded.raw_nbytes, "d2h") - link.transfer_time(
+            encoded.wire_nbytes, "d2h"
+        )
+        if saved <= self.device.cost_model.breakdown(meter, "encode").total:
+            return False
+        name = f"encode.{label}"
         self.device.launch(name, "encode", encoded.length, meter)
         if name not in self.kernel_sources:
             self.kernel_sources[name] = encode_kernel_source(
@@ -315,99 +273,46 @@ class QueryRuntime:
                 encoded.wire_nbytes,
                 encoded.raw_nbytes,
             )
-        if self._compression_stats is not None:
-            self._compression_stats.encode_kernels += 1
+        self._compression_stats.encode_kernels += 1
+        return True
 
     def compression_stats(self):
         """Per-query compression accounting (None when disabled)."""
         return self._compression_stats
 
     # ------------------------------------------------------------------
-    # late materialization (compression="lazy")
+    # wire-resident columns: decoded in registers by their readers
     # ------------------------------------------------------------------
-    def _register_lazy(self, label: str, encoded, column) -> None:
-        state = LazyColumn(label=label, encoded=encoded, values=column.values)
-        self.lazy_columns[id(column.values)] = state
-        if self._compression_stats is not None:
-            self._compression_stats.deferred_columns += 1
-
-    def lazy_lookup(self, array) -> "LazyColumn | None":
-        """The undecoded lazy state backing a scope array, if any.
-
-        Sliced views (the vector engine's per-vector scopes) resolve
-        through ``array.base`` and force a full decode — per-vector
-        partial tracking would charge the decode piecemeal anyway.
-        """
-        if not self.lazy_columns or array is None:
-            return None
-        state = self.lazy_columns.get(id(array))
-        if state is not None:
-            return None if state.decoded else state
-        base = getattr(array, "base", None)
-        if base is not None:
-            state = self.lazy_columns.get(id(base))
-            if state is not None and not state.decoded:
-                self.ensure_decoded(state)
-        return None
-
-    def ensure_decoded(self, state: LazyColumn) -> None:
-        """Materialize a wire-resident column in full: the deferred
-        decode kernel runs now, exactly as the eager path charges it."""
-        if state.decoded:
+    def register_wire(self, key: tuple[str, str], encoded, values) -> None:
+        """The rows of ``key`` (table, base column) now on the device
+        are ``encoded`` (the column's wire image, or the current
+        streamed block's); a passthrough encoding un-registers it —
+        those rows are raw."""
+        if encoded.codec == "passthrough":
+            self.lazy_columns.pop(key, None)
             return
-        state.decoded = True
-        if self._compression_stats is not None:
-            self._compression_stats.deferred_columns -= 1
-        self.device.allocate(
-            np.empty(state.encoded.raw_nbytes, dtype=np.uint8),
-            label=f"decode.{state.label}",
-        )
-        self.charge_decode(state.encoded, state.label)
+        self.lazy_columns[key] = LazyColumn(".".join(key), encoded, values)
+        self._compression_stats.deferred_columns += 1
 
-    def lazy_gather(self, state: LazyColumn, rows: int, meter) -> bool:
-        """Charge a partial gather-decode (selected positions only)
-        fused into the running kernel's meter.
-
-        Returns True when the partial charge was applied — the caller
-        skips its normal raw-column read, the gathered values live in
-        registers.  Returns False when the column flipped to a full
-        decode instead (repeated gathers would exceed the decode cost,
-        or the codec has a sequential dependency): the deferred decode
-        kernel has then been charged and the caller proceeds eagerly.
-        """
-        cost = gather_cost(state, rows)
-        if cost is not None and 2 * rows <= state.n:
-            read_bytes, write_bytes, instructions = cost
-            if state.partial_bytes + read_bytes + write_bytes < state.decode_bytes:
-                state.partial_bytes += read_bytes + write_bytes
-                meter.record_read(MemoryLevel.GLOBAL, read_bytes)
-                meter.record_write(MemoryLevel.GLOBAL, write_bytes)
-                meter.record_instructions(instructions)
-                name = f"gather.{state.label}"
-                if name not in self.kernel_sources:
-                    self.kernel_sources[name] = gather_decode_source(
-                        name,
-                        state.codec,
-                        str(state.encoded.dtype),
-                        int(rows),
-                        read_bytes,
-                        write_bytes,
-                    )
-                if self._compression_stats is not None:
-                    self._compression_stats.partial_decode_bytes += write_bytes
-                return True
-        self.ensure_decoded(state)
-        return False
+    def lazy_gather(
+        self, state: LazyColumn, rows: int, meter, span: int | None = None
+    ) -> None:
+        """Charge the running kernel (``meter``; ``span`` source rows)
+        for reading ``rows`` values of a wire-resident column: the
+        register decode, in place of a raw column read."""
+        note = state.decode(int(rows), meter, span)
+        stats = self._compression_stats
+        stats.partial_decode_bytes += min(rows, state.n) * state.itemsize
+        name = f"gather.{state.label}"
+        if name not in self.kernel_sources:
+            self.kernel_sources[name] = register_decode_source(name, state.codec, note)
+            stats.scans.append(note)
 
     def record_scan(self, state: LazyColumn, plan, meter) -> None:
         """Account one compressed-scan conjunct: charge the fused
         strategy traffic and keep the decision visible (kernel source
         listing + stats note for EXPLAIN)."""
-        meter.record_read(MemoryLevel.GLOBAL, plan.read_bytes)
-        if plan.onchip_bytes:
-            meter.record_read(MemoryLevel.ONCHIP, plan.onchip_bytes)
-        meter.record_instructions(plan.instructions)
-        state.scanned = True
+        plan.charge(meter)
         name = f"compressed_scan.{state.label}"
         if name not in self.kernel_sources:
             self.kernel_sources[name] = compressed_scan_source(
@@ -418,14 +323,13 @@ class QueryRuntime:
                 plan.instructions,
                 plan.detail,
             )
-        if self._compression_stats is not None:
-            stats = self._compression_stats
-            stats.compressed_scans += 1
-            stats.scan_blocks += plan.blocks
-            stats.scan_blocks_skipped += plan.blocks_skipped
-            note = plan.note(state.decode_bytes)
-            if note not in stats.scans:
-                stats.scans.append(note)
+        stats = self._compression_stats
+        stats.compressed_scans += 1
+        stats.scan_blocks += plan.blocks
+        stats.scan_blocks_skipped += plan.blocks_skipped
+        note = plan.note(state.label)
+        if note not in stats.scans:
+            stats.scans.append(note)
 
     # ------------------------------------------------------------------
     def query_placement(self):
@@ -529,65 +433,57 @@ class QueryRuntime:
 
     def _ship_result(self, table: Table) -> None:
         """Charge the result's d2h: one transfer per column, as CoGaDB
-        does, each as a wire image when the policy's cached encoding
-        is not passthrough."""
+        does, each as a wire image when encoding it first pays
+        (:meth:`_encode_for_d2h`)."""
         self.output_bytes = table.nbytes
         if self.device.interconnect is None:
             return
         self.output_bytes = 0
         for name, column in table.columns.items():
-            wire, codec = column.nbytes, ""
+            encoded = None
             if self.compression is not None:
                 encoded = self.compression.encoded(column)
-                if encoded.codec != "passthrough":
-                    wire, codec = encoded.wire_nbytes, encoded.codec
-                    self._charge_encode(encoded, f"result.{name}")
-                self._compression_stats.record(
-                    column.nbytes, wire, codec or "passthrough"
-                )
-            self.device.record_stream_transfer(
-                wire,
-                "d2h",
-                label=f"result.{name}",
-                raw_nbytes=column.nbytes if codec else 0,
-                codec=codec,
+            self.output_bytes += self._ship_d2h(
+                column.nbytes, encoded, f"result.{name}"
             )
-            self.output_bytes += wire
+
+    def _ship_d2h(self, raw_nbytes: int, encoded, label: str) -> int:
+        """One D2H transfer of ``raw_nbytes`` — of ``encoded``'s wire
+        image instead when a policy is set and encoding pays; returns
+        the bytes that crossed the link."""
+        wire, codec = raw_nbytes, ""
+        if encoded is not None and self._encode_for_d2h(encoded, label):
+            wire, codec = encoded.wire_nbytes, encoded.codec
+        self.device.record_stream_transfer(
+            wire, "d2h", label=label, raw_nbytes=raw_nbytes if codec else 0, codec=codec
+        )
+        if self._compression_stats is not None:
+            self._compression_stats.record(raw_nbytes, wire, codec)
+        return wire
 
     def ship_partial(self, outputs: dict[str, np.ndarray], label: str) -> int:
-        """Ship one partial result (a morsel's or a block's sink
-        outputs) d2h; returns the bytes that crossed the link.
+        """Ship one partial result (a morsel's sink outputs) d2h;
+        returns the bytes that crossed the link.
 
         Without a compression policy the partial is one raw transfer.
-        With one, each non-empty column that clears the wire-ratio gate
-        pays a device-side encode kernel and travels as a wire image,
-        decoded by the host merge (``host_decode_bytes``).
+        With one, each non-empty column travels on its own — as a wire
+        image, decoded by the host merge (``host_decode_bytes``), when
+        encoding it on the device first pays.
         """
-        device = self.device
         if self.compression is None:
             nbytes = sum(np.asarray(array).nbytes for array in outputs.values())
-            device.record_stream_transfer(nbytes, "d2h", label=label)
+            self.device.record_stream_transfer(nbytes, "d2h", label=label)
             return nbytes
-        stats = self._compression_stats
         shipped = 0
         for name, array in outputs.items():
             arr = np.asarray(array)
             if arr.nbytes == 0:
                 continue
-            encoded = self.compression.encode_array(arr)
-            wire, codec = arr.nbytes, ""
-            if encoded.codec != "passthrough" and encoded.wire_nbytes < arr.nbytes:
-                wire, codec = encoded.wire_nbytes, encoded.codec
-                self._charge_encode(encoded, f"{label}.{name}")
-                stats.host_decode_bytes += arr.nbytes
-            device.record_stream_transfer(
-                wire,
-                "d2h",
-                label=f"{label}.{name}",
-                raw_nbytes=arr.nbytes if codec else 0,
-                codec=codec,
+            wire = self._ship_d2h(
+                arr.nbytes, self.compression.encode_array(arr), f"{label}.{name}"
             )
-            stats.record(arr.nbytes, wire, codec or "passthrough")
+            if wire < arr.nbytes:
+                self._compression_stats.host_decode_bytes += arr.nbytes
             shipped += wire
         return shipped
 

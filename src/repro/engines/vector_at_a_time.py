@@ -36,18 +36,16 @@ class VectorAtATimeEngine(CompoundEngine):
         self.vector_rows = vector_rows
         self.name = f"vector-at-a-time[{vector_rows}]"
 
-    def lazy_capable(self, pipeline: Pipeline) -> bool:
-        # Only the un-vectorized builds: a vector is a view of its
-        # column, and a deferred (lazy) decode cannot be tracked per view.
-        return isinstance(pipeline.sink, BuildSink)
-
     def execute_pipeline(
         self, pipeline: Pipeline, runtime: QueryRuntime
     ) -> dict[str, np.ndarray] | None:
         if isinstance(pipeline.sink, BuildSink):
             # Hash-table builds must observe every row at once.
             return super().execute_pipeline(pipeline, runtime)
-        scope = runtime.load_source(pipeline)
+        # A vector decodes, and is charged for, the rows it reads.
+        scope = runtime.load_source(
+            pipeline, lazy_capable=self.lazy_capable(pipeline)
+        )
         if not scope:
             # No column to cut into vectors (an unfiltered count(*)).
             return run_compound_pipeline(pipeline, runtime, self.mode, scope)

@@ -28,6 +28,7 @@ from collections.abc import Mapping
 
 import numpy as np
 
+from ..compression import lazy
 from ..errors import CompilationError, PlanError
 from ..hardware.profiles import DeviceProfile
 from ..hardware.traffic import MemoryLevel, TrafficMeter
@@ -82,11 +83,10 @@ class RowScope(Mapping):
     def __len__(self) -> int:
         return len(self._computed | set(self.source))
 
-    def source_array(self, name: str) -> np.ndarray | None:
-        """The source-length array behind ``name`` (None for a computed
-        column).  Lazy (wire-resident) columns are registered under the
-        identity of these arrays, never of a gathered copy."""
-        return None if name in self._computed else self.source.get(name)
+    def is_source(self, name: str) -> bool:
+        """Whether ``name`` still reads the pipeline's input column (a
+        map output of the same name shadows it)."""
+        return name in self.source and name not in self._computed
 
     def over_domain(self, values: np.ndarray) -> np.ndarray:
         """A source-length array taken through the selection."""
@@ -182,8 +182,9 @@ class KernelContext:
         #: the hit count at probe time, which each payload charges.
         self._probe: tuple[np.ndarray, np.ndarray, np.ndarray | None, int] | None = None
         #: The physical pipeline this kernel implements (None for
-        #: hand-built contexts).  Needed by :meth:`filter_stage` to
-        #: reach the predicate *expression tree* at runtime — generated
+        #: hand-built contexts).  Names the table behind each input
+        #: column (:meth:`_wire_column`) and gives :meth:`filter_stage`
+        #: the predicate *expression tree* at runtime — generated
         #: source stays identical regardless of compression policy.
         self.pipeline = pipeline
 
@@ -201,27 +202,33 @@ class KernelContext:
         return dtype.itemsize
 
     def touch(self, names: list[str], count: int | None = None) -> None:
-        """Charge the first global-memory load of each named column.
-
-        A column whose decode is deferred (``compression="lazy"``)
-        charges a *gather-decode* fused into this kernel instead — only
-        the alive positions materialize — unless cumulative partial
-        traffic flips it to the full decode kernel first.
-        """
+        """Charge the first global-memory load of each named column: a
+        raw read, or — for a wire-resident column — its register
+        decode, fused into this kernel."""
         charge = self._valid if count is None else count
         charge = min(charge, self.base_count)
-        runtime = self.runtime
         for name in names:
             if name in self._loaded:
                 continue
             self._loaded.add(name)
-            if runtime.lazy_columns:
-                state = runtime.lazy_lookup(self.scope.source_array(name))
-                if state is not None and runtime.lazy_gather(
-                    state, charge, self.meter
-                ):
-                    continue
-            self.meter.record_read(MemoryLevel.GLOBAL, charge * self.itemsize(name))
+            state = self._wire_column(name)
+            if state is not None:
+                self.runtime.lazy_gather(state, charge, self.meter, self.n)
+            else:
+                self.meter.record_read(
+                    MemoryLevel.GLOBAL, charge * self.itemsize(name)
+                )
+
+    def _wire_column(self, name: str):
+        """The wire-resident state of input column ``name``, if the
+        device holds it compressed (looked up by table and base column,
+        so a slice or a gathered copy of the array finds it too)."""
+        pipeline, registry = self.pipeline, self.runtime.lazy_columns
+        if not registry or pipeline is None or not self.scope.is_source(name):
+            return None
+        return registry.get(
+            (pipeline.source, pipeline.source_rename.get(name, name))
+        )
 
     def mark_loaded(self, names: list[str]) -> None:
         """Treat columns as already in registers (no load charge)."""
@@ -299,65 +306,49 @@ class KernelContext:
         """Execute one FilterStage: load the predicate columns and AND
         its flags into the mask.
 
-        The default path charges exactly what the classic emission did
-        (touch + one apply_filter).  Under ``compression="lazy"``,
-        single-column conjuncts over wire-resident columns execute as
-        *compressed scans* — on RLE runs, dictionary-code LUTs, or
-        min/max-skipped packed blocks — so the predicate columns never
-        materialize raw (see ``repro.compression.lazy``).  Both paths
-        compute identical flags.
+        Over wire-resident columns a single-column conjunct executes as
+        a *compressed scan* — on RLE runs, dictionary-code LUTs, or
+        min/max-skipped packed blocks — where
+        :func:`repro.compression.lazy.plan_scan` finds one cheaper than
+        unpacking the alive rows in registers; the rest of the
+        predicate, and every other stage, takes the default path
+        (touch + one apply_filter).  Both compute identical flags.
         """
-        predicate = None
+        planned = []
         if self.pipeline is not None and self.runtime.lazy_columns:
-            stage = self.pipeline.stages[index]
-            predicate = getattr(stage, "predicate", None)
-        if predicate is not None:
-            from ..compression.lazy import flatten_conjuncts, plan_scan
-
-            conjuncts = flatten_conjuncts(predicate)
-            plans = []
-            any_scan = False
-            policy = self.runtime.compression
+            predicate = getattr(self.pipeline.stages[index], "predicate", None)
+            conjuncts = [] if predicate is None else lazy.flatten_conjuncts(predicate)
+            rows = min(self._valid, self.base_count)
             for conjunct in conjuncts:
                 plan = state = None
                 names = conjunct.columns()
                 if len(names) == 1:
                     name = next(iter(names))
-                    state = self.runtime.lazy_lookup(self.scope.source_array(name))
-                    if state is not None:
-                        plan = plan_scan(state, conjunct, name)
-                        if plan is not None:
-                            # Compressed scan vs decode-then-scan, with
-                            # the calibrated per-codec decode factor.
-                            factor = (
-                                policy.decode_factor(state.codec)
-                                if policy is not None
-                                else 1.0
-                            )
-                            decode_side = state.decode_bytes * factor + min(
-                                self._valid, self.base_count
-                            ) * state.itemsize
-                            if plan.read_bytes + plan.onchip_bytes >= decode_side:
-                                plan = None
-                if plan is not None:
-                    any_scan = True
-                plans.append((conjunct, plan, state))
-            if any_scan:
-                for conjunct, plan, state in plans:
-                    if plan is not None:
-                        self.runtime.record_scan(state, plan, self.meter)
-                        # The scan's flags are one per column row.
-                        mask = self._survivors(
-                            mask & self.scope.over_domain(plan.flags)
-                        )
-                    else:
-                        from ..expressions.eval import evaluate
+                    state = self._wire_column(name)
+                    # A scan's flags are one per column row: a kernel
+                    # over a slice of the column unpacks instead.
+                    if (
+                        state is not None
+                        and state.n == self.n
+                        and name not in self._loaded
+                    ):
+                        plan = lazy.plan_scan(state, conjunct, name, rows)
+                planned.append((conjunct, plan, state))
+        if any(plan is not None for _, plan, _ in planned):
+            from ..expressions.eval import evaluate
 
-                        self.touch(sorted(conjunct.columns()))
-                        mask = self.apply_filter(
-                            mask, evaluate(conjunct, self.scope), conjunct.size()
-                        )
-                return mask
+            for conjunct, plan, state in planned:
+                if plan is not None:
+                    self.runtime.record_scan(state, plan, self.meter)
+                    mask = self._survivors(
+                        mask & self.scope.over_domain(plan.flags)
+                    )
+                else:
+                    self.touch(sorted(conjunct.columns()))
+                    mask = self.apply_filter(
+                        mask, evaluate(conjunct, self.scope), conjunct.size()
+                    )
+            return mask
         self.touch(columns)
         return self.apply_filter(mask, fn(self.scope), cost)
 

@@ -90,50 +90,47 @@ class _BlockStreamer(CompoundEngine):
 
         table = runtime.database.table(pipeline.source)
         columns = [
-            (name, table.column(pipeline.source_rename.get(name, name)))
+            (name, base := pipeline.source_rename.get(name, name), table.column(base))
             for name in pipeline.required_columns
         ]
         # Rows such that each column block is ~block_bytes (the paper
         # partitions each column into fixed-size blocks).
-        width = max((column.itemsize for _, column in columns), default=4)
+        width = max((column.itemsize for *_, column in columns), default=4)
         bounds = slice_bounds(table.num_rows, max(1, self.block_bytes // width))
         self.num_blocks = len(bounds)
         stats = runtime.compression_stats()
         block_nbytes = 0
 
         def ship_block(index: int, start: int, stop: int) -> None:
-            """Charge one block's h2d; under a policy each column slice
+            """Charge one block's h2d.  Under a policy each column slice
             ships in the column's chosen codec (exact per-block wire
-            bytes) and one decompression kernel covers the block."""
+            bytes) and stays wire-resident for the block's kernel, which
+            decodes it in registers."""
             nonlocal block_nbytes
-            block_nbytes = wire = 0
-            for _, column in columns:
-                raw = column.values[start:stop].nbytes
-                block_nbytes += raw
+            raw = wire = 0
+            for _, base, column in columns:
+                values = column.values[start:stop]
+                raw += values.nbytes
                 if policy is not None:
                     encoded = policy.encode_slice(column, start, stop)
                     wire += encoded.wire_nbytes
-                    stats.record(raw, encoded.wire_nbytes, encoded.codec)
+                    stats.record(values.nbytes, encoded.wire_nbytes, encoded.codec)
+                    runtime.register_wire((pipeline.source, base), encoded, values)
             label = f"block{index}"
-            if policy is not None and wire < block_nbytes:
+            if policy is not None and wire < raw:
                 device.record_stream_transfer(
-                    wire, "h2d", label=label, raw_nbytes=block_nbytes, codec="block"
-                )
-                runtime.charge_decode_raw(
-                    wire, block_nbytes, stop - start, label, "block"
+                    wire, "h2d", label=label, raw_nbytes=raw, codec="block"
                 )
             else:
-                wire = block_nbytes
+                wire = raw
                 device.record_stream_transfer(wire, "h2d", label=label)
+            block_nbytes = wire
             runtime.input_bytes += wire
 
         def gather_block(index: int, outputs: dict) -> None:
-            # Block partials cross the link only under a compression
-            # policy; without one they stay un-charged, as before
-            # compression existed (the plain-mode timing baselines
-            # depend on it — ROADMAP item 4).
-            if policy is not None:
-                runtime.ship_partial(outputs, f"partial.block{index}")
+            # Block partials stay on the device until the merged result
+            # ships (``assemble_result``): its d2h is the only one
+            # charged, with or without a compression policy.
             self.peak_device_bytes = max(
                 self.peak_device_bytes, device.allocated_bytes + block_nbytes
             )
@@ -142,7 +139,7 @@ class _BlockStreamer(CompoundEngine):
             pipeline,
             runtime,
             self.mode,
-            {name: column.values for name, column in columns},
+            {name: column.values for name, _, column in columns},
             bounds=bounds,
             suffix="block",
             before=ship_block,

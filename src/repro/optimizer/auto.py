@@ -201,14 +201,6 @@ class AutoExecutor:
             predicted_bytes=decision.estimate.pcie_bytes,
             observed_bytes=decision.observed_pcie_bytes,
         )
-        # Per-codec decode throughput observed this run feeds both the
-        # calibrator and the policy's scan-vs-decode decision factor.
-        if result.compression is not None:
-            for codec, sim_ms in result.compression.decode_ms_by_codec.items():
-                raw = result.compression.decode_bytes_by_codec.get(codec, 0)
-                self.calibrator.observe_decode(codec, raw, sim_ms)
-                if self.compression is not None:
-                    self.compression.observe_decode(codec, raw, sim_ms)
         result.optimizer = decision
         with self._lock:
             self.decisions += 1

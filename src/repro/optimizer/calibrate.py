@@ -76,10 +76,6 @@ class Calibrator:
         self._factors: dict[tuple[str, str, str], float] = {}
         self._byte_errors: deque[float] = deque(maxlen=history)
         self._time_errors: deque[float] = deque(maxlen=history)
-        #: Per-codec decode throughput (raw bytes / simulated ms), EWMA
-        #: over observed decode kernels.  Feeds the compression policy's
-        #: scan-vs-decode decision (see ``CompressionPolicy.decode_factor``).
-        self._decode_throughput: dict[str, float] = {}
         self.samples = 0
 
     # ------------------------------------------------------------------
@@ -129,26 +125,6 @@ class Calibrator:
         return sample
 
     # ------------------------------------------------------------------
-    def observe_decode(self, codec: str, raw_bytes: int, sim_ms: float) -> None:
-        """Fold one decode kernel's throughput into the codec's EWMA."""
-        if raw_bytes <= 0 or sim_ms <= 0:
-            return
-        rate = raw_bytes / sim_ms
-        with self._lock:
-            current = self._decode_throughput.get(codec)
-            if current is None:
-                self._decode_throughput[codec] = rate
-            else:
-                self._decode_throughput[codec] = (
-                    (1.0 - self.alpha) * current + self.alpha * rate
-                )
-
-    def decode_throughput(self) -> dict[str, float]:
-        """Copy of the per-codec decode-throughput table (bytes/ms)."""
-        with self._lock:
-            return dict(self._decode_throughput)
-
-    # ------------------------------------------------------------------
     def median_byte_error(self) -> float | None:
         """Median relative PCIe-byte error over the recent window."""
         with self._lock:
@@ -172,5 +148,4 @@ class Calibrator:
             self._factors.clear()
             self._byte_errors.clear()
             self._time_errors.clear()
-            self._decode_throughput.clear()
             self.samples = 0

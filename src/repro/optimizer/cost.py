@@ -40,6 +40,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from ..compression.lazy import (
+    LazyColumn,
+    flatten_conjuncts,
+    plan_scan,
+    register_decode,
+)
 from ..engines import make_engine
 from ..expressions.expr import (
     Between,
@@ -56,7 +62,9 @@ from ..hardware.costmodel import KernelCostModel
 from ..hardware.interconnect import Interconnect
 from ..hardware.profiles import DeviceProfile
 from ..hardware.traffic import AtomicBatch, MemoryLevel, TrafficMeter
+from ..kernels.codegen import sink_input_columns
 from ..macro.batch import BLOCK_OVERHEAD
+from ..primitives.reduce import charge_atomic_reduce, charge_lrgp_reduce
 from ..plan.physical import (
     AggregateSink,
     BuildSink,
@@ -153,8 +161,9 @@ class PipelineEstimate:
     #: Estimated result bytes this pipeline ships d2h (final only).
     output_bytes: int = 0
     groups: int = 0
-    #: Per-column late-materialization decisions (compressed scan vs
-    #: decode-then-scan), surfaced in EXPLAIN under ``compression="lazy"``.
+    #: What was fused into the pipeline's kernels per wire-resident
+    #: column (compressed scan or register decode), for EXPLAIN: the
+    #: notes execution itself records in ``CompressionStats.scans``.
     scan_notes: list = field(default_factory=list)
 
 
@@ -191,6 +200,55 @@ class CostEstimate:
         return self.kernel_ms + self.transfer_ms + self.overhead_ms
 
 
+class _FusedReads:
+    """What a pipeline's kernels charge for its wire-resident input
+    columns: the stage walk of :class:`~repro.kernels.context.KernelContext`
+    (``filter_stage`` / ``touch``) over estimated rows, through the same
+    :func:`~repro.compression.lazy.plan_scan` and
+    :func:`~repro.compression.lazy.register_decode` — so EXPLAIN and
+    execution cannot disagree about what a fused read costs."""
+
+    def __init__(self):
+        self.columns: dict[str, LazyColumn] = {}
+        #: Raw bytes of those columns, which the kernels do not stream.
+        self.raw_bytes = 0
+        self.meter = TrafficMeter()
+        self.notes: list[str] = []
+        self._loaded: set[str] = set()
+
+    def touch(self, names, rows: int) -> None:
+        """First read of each column, ``rows`` rows alive."""
+        for name in sorted(names):
+            state = self.columns.get(name)
+            if state is None or name in self._loaded:
+                continue
+            self._loaded.add(name)
+            self.notes.append(state.decode(rows, self.meter))
+
+    def filter(self, predicate: Expr, rows: int) -> None:
+        """One FilterStage: a compressed scan per conjunct where
+        ``plan_scan`` finds one, a first read of its columns otherwise."""
+        if not self.columns:
+            return
+        for conjunct in flatten_conjuncts(predicate):
+            names = conjunct.columns()
+            name = next(iter(names), None)
+            state = self.columns.get(name) if len(names) == 1 else None
+            plan = None
+            if state is not None and name not in self._loaded:
+                plan = plan_scan(state, conjunct, name, rows)
+            if plan is None:
+                self.touch(names, rows)
+            else:
+                plan.charge(self.meter)
+                self.notes.append(plan.note(state.label))
+
+    def reread(self, rows: int) -> None:
+        """A second kernel reading every column again (multi-pass)."""
+        for state in self.columns.values():
+            register_decode(state.encoded, rows, meter=self.meter)
+
+
 class CostEstimator:
     """Predicts per-strategy traffic and time for a compiled query."""
 
@@ -210,8 +268,11 @@ class CostEstimator:
         #: Wire-compression policy execution will run under: the model
         #: learns per-column compressed sizes (cached on the columns, so
         #: estimation shares the encodings execution will use) and
-        #: prices the decode kernels that pay for the link savings.
+        #: prices the decode that pays for the link savings — fused into
+        #: the reading kernels, or a kernel of its own where the engine
+        #: materializes at load (``Engine.lazy_capable``).
         self.compression = compression if self.interconnect is not None else None
+        self._pipelines_memo: tuple | None = None
 
     def stream_block_bytes(self) -> int:
         """Streaming block size, shrunk on small devices so double
@@ -358,27 +419,12 @@ class CostEstimator:
         ``strategy``.  ``resident_bytes`` discounts the h2d charge for
         base columns already pooled on the device (pooled placement)."""
         estimate = CostEstimate(strategy=strategy)
-        virtual_rows: dict[str, int] = {}
-        #: build table id -> (match fraction, payload columns, rows)
-        builds: dict[str, tuple[float, int, int]] = {}
         table_budget = 0  # resident hash/aggregation tables
         final = query.final_pipeline
         fact_pipeline_est: PipelineEstimate | None = None
         raw_h2d_bytes = 0  # decoded footprint (device memory, not link)
-        # Late materialization is priced only for the pipelines the
-        # engine loads lazily; the rest decode at load, as under "auto".
-        lazy_engine = (
-            make_engine(strategy.engine)
-            if getattr(self.compression, "lazy", False)
-            else None
-        )
-
-        for pipeline in query.pipelines:
-            pipe = self._estimate_pipeline(
-                pipeline, database, strategy, virtual_rows, builds,
-                lazy=lazy_engine is not None
-                and lazy_engine.lazy_capable(pipeline),
-            )
+        pipes = self._pipeline_estimates(query, database, strategy.engine)
+        for pipeline, pipe in zip(query.pipelines, pipes):
             estimate.pipelines.append(pipe)
             estimate.global_bytes += pipe.global_bytes
             estimate.onchip_bytes += pipe.onchip_bytes
@@ -398,8 +444,6 @@ class CostEstimator:
             if pipeline is final:
                 estimate.pcie_d2h_bytes += pipe.output_bytes
                 fact_pipeline_est = pipe
-            elif pipeline.output_schema is not None:
-                virtual_rows[pipeline.output_name] = pipe.rows_out
 
         scratch = max(
             (16 * pipe.rows_in for pipe in estimate.pipelines), default=0
@@ -408,21 +452,58 @@ class CostEstimator:
             raw_h2d_bytes + resident_bytes + table_budget + scratch
             + estimate.pcie_d2h_bytes
         )
-        if strategy.placement == "pooled":
-            estimate.pcie_h2d_bytes = max(
-                0, estimate.pcie_h2d_bytes - resident_bytes
-            )
-        self._apply_macro(estimate, query, strategy, fact_pipeline_est)
+        #: Share of the base columns' bytes that still cross the link;
+        #: their per-transfer latencies are charged in proportion.
+        shipped = 1.0
+        if strategy.placement == "pooled" and estimate.pcie_h2d_bytes:
+            cold = estimate.pcie_h2d_bytes
+            estimate.pcie_h2d_bytes = max(0, cold - resident_bytes)
+            shipped = estimate.pcie_h2d_bytes / cold
+        self._apply_macro(estimate, query, strategy, fact_pipeline_est, shipped)
         return estimate
 
     # ------------------------------------------------------------------
+    def _pipeline_estimates(
+        self, query: PhysicalQuery, database: Database, engine_name: str
+    ) -> list[PipelineEstimate]:
+        """One estimate per pipeline.  They depend on the micro engine
+        alone, so the candidates of one ``advise`` that differ only in
+        macro model, device count or placement share them (the advisor
+        enumerates engine-major; the last answer is kept, keyed by the
+        query object, the catalog version and the engine)."""
+        key = (engine_name, database.fingerprint())
+        memo = self._pipelines_memo
+        if memo is not None and memo[0] is query and memo[1] == key:
+            return memo[2]
+        virtual_rows: dict[str, int] = {}
+        #: build table id -> (match fraction, payload columns, rows)
+        builds: dict[str, tuple[float, int, int]] = {}
+        # Which pipelines read wire images is the engine's own answer.
+        engine = make_engine(engine_name) if self.compression is not None else None
+        pipes = []
+        for pipeline in query.pipelines:
+            pipe = self._estimate_pipeline(
+                pipeline, database, engine_name, virtual_rows, builds,
+                fused=engine is not None and engine.lazy_capable(pipeline),
+            )
+            pipes.append(pipe)
+            if (
+                pipeline is not query.final_pipeline
+                and pipeline.output_schema is not None
+            ):
+                virtual_rows[pipeline.output_name] = pipe.rows_out
+        self._pipelines_memo = (query, key, pipes)
+        return pipes
+
     def _estimate_pipeline(
-        self, pipeline: Pipeline, database, strategy, virtual_rows, builds,
-        lazy: bool,
+        self, pipeline: Pipeline, database, engine: str, virtual_rows, builds,
+        fused: bool,
     ) -> PipelineEstimate:
         stats: TableStats | None = None
         renames = pipeline.source_rename
-        column_objs: dict[str, object] = {}
+        #: The pipeline's wire-resident input columns by scope name, when
+        #: its engine decodes them in the reading kernels (``fused``).
+        reads = _FusedReads()
         if pipeline.source_is_virtual:
             rows_in = virtual_rows.get(pipeline.source, 1)
             input_bytes = 8 * rows_in * max(1, len(pipeline.required_columns))
@@ -437,23 +518,25 @@ class CostEstimator:
             for name in pipeline.required_columns:
                 base = renames.get(name, name)
                 column = table.column(base)
-                column_objs[name] = column
+                # Per-column wire encoding (cached on the column, so the
+                # estimator prices the exact encodings execution ships).
+                encoded = (
+                    self.compression.encoded(column)
+                    if self.compression is not None
+                    else None
+                )
+                compressed = encoded is not None and encoded.codec != "passthrough"
+                if fused and compressed:
+                    reads.columns[name] = LazyColumn(
+                        f"{pipeline.source}.{base}", encoded, column.values
+                    )
                 if base not in seen:
                     seen.add(base)
                     input_bytes += column.nbytes
-                    # Per-column compressed wire size (cached on the
-                    # column, so the estimator prices the exact
-                    # encodings execution will ship).
-                    wire_bytes += (
-                        self.compression.wire_nbytes(column)
-                        if self.compression is not None
-                        else column.nbytes
-                    )
+                    wire_bytes += encoded.wire_nbytes if compressed else column.nbytes
+                    if fused and compressed:
+                        reads.raw_bytes += column.nbytes
 
-        #: Single-column predicate conjuncts eligible for a compressed
-        #: scan under ``compression="lazy"``: (scope name, conjunct,
-        #: estimated selectivity).
-        scan_candidates: list[tuple] = []
         selectivity = 1.0
         probe_traffic = 0.0
         map_count = 0
@@ -461,25 +544,11 @@ class CostEstimator:
         rows = float(rows_in)
         for stage in pipeline.stages:
             if isinstance(stage, FilterStage):
+                reads.filter(stage.predicate, int(rows))
                 stage_sel = self.predicate_selectivity(
                     stage.predicate, stats, renames
                 )
                 selectivity *= stage_sel
-                if lazy and column_objs:
-                    from ..compression.lazy import flatten_conjuncts
-
-                    for conjunct in flatten_conjuncts(stage.predicate):
-                        names = conjunct.columns()
-                        if len(names) == 1:
-                            cname = next(iter(names))
-                            if cname in column_objs:
-                                scan_candidates.append((
-                                    cname,
-                                    conjunct,
-                                    self.predicate_selectivity(
-                                        conjunct, stats, renames
-                                    ),
-                                ))
                 if stats is not None and not pipeline.source_is_virtual:
                     for name in stage.predicate.columns():
                         base = renames.get(name, name)
@@ -488,6 +557,8 @@ class CostEstimator:
                             pred_bytes += 4 * rows_in
                 rows = rows_in * selectivity
             elif isinstance(stage, ProbeStage):
+                for key in stage.probe_keys:
+                    reads.touch(key.columns(), int(rows))
                 fraction, payload, _build_rows = builds.get(
                     stage.table_id, (1.0, 0, 0)
                 )
@@ -497,13 +568,19 @@ class CostEstimator:
                 if stage.kind == "inner":
                     selectivity *= min(1.0, fraction)
                 if stage.residual is not None:
+                    reads.touch(stage.residual.columns(), int(rows_in * selectivity))
                     selectivity *= self.predicate_selectivity(
                         stage.residual, None, renames
                     )
                 rows = rows_in * selectivity
             elif isinstance(stage, MapStage):
+                reads.touch(stage.expr.columns(), int(rows))
                 map_count += 1
         rows_out = max(0, int(round(rows_in * selectivity)))
+        reads.touch(sink_input_columns(pipeline.sink), rows_out)
+        if engine == "multipass":
+            # The write kernel re-reads for the flagged rows only.
+            reads.reread(rows_out)
 
         groups = 0
         sink = pipeline.sink
@@ -531,151 +608,24 @@ class CostEstimator:
             wire_bytes=wire_bytes,
             output_bytes=output_bytes,
             groups=groups,
+            scan_notes=reads.notes,
         )
         self._engine_traffic(
-            pipe, pipeline, strategy.engine, probe_traffic, pred_bytes,
-            map_count,
+            pipe, pipeline, engine, probe_traffic, pred_bytes, map_count, reads,
         )
-        if pipe.wire_bytes < pipe.input_bytes:
-            if lazy:
-                self._price_lazy(
-                    pipe, column_objs, scan_candidates, rows_in, rows_out
-                )
-            else:
-                # The link savings are not free: a decompression kernel
-                # reads the wire image and writes the raw columns back
-                # to global memory before the pipeline proper starts.
-                decode = TrafficMeter()
-                decode.record_read(_GLOBAL, pipe.wire_bytes)
-                decode.record_write(_GLOBAL, pipe.input_bytes)
-                decode.record_instructions(2 * rows_in)
-                breakdown = self.cost_model.breakdown(decode, kind="decode")
-                pipe.kernel_ms += breakdown.total * 1e3
-                pipe.global_bytes += pipe.wire_bytes + pipe.input_bytes
-                pipe.kernels += 1
-        return pipe
-
-    # ------------------------------------------------------------------
-    def _price_lazy(
-        self,
-        pipe: PipelineEstimate,
-        column_objs: dict,
-        scan_candidates: list,
-        rows_in: int,
-        rows_out: int,
-    ) -> None:
-        """Price late materialization (``compression="lazy"``): predicate
-        columns are scanned directly on their wire images when cheaper
-        than the decode round trip, and the remaining columns gather
-        only the selected positions — per-column decisions land in
-        ``pipe.scan_notes`` for EXPLAIN."""
-        from ..compression.codecs import WIRE_HEADER_BYTES
-
-        policy = self.compression
-        meter = TrafficMeter()
-        glob = 0
-        priced = set()
-        for name, column in column_objs.items():
-            if id(column) in priced:
-                continue
-            priced.add(id(column))
-            encoded = policy.encoded(column)
-            codec = encoded.codec
-            if codec == "passthrough":
-                continue  # ships raw; nothing to decode
-            raw = column.nbytes
-            wire = encoded.wire_nbytes
-            packed = max(0, wire - WIRE_HEADER_BYTES)
-            n = max(1, encoded.length)
-            itemsize = max(1, raw // n)
-            decode_side = (wire + raw) * policy.decode_factor(codec)
-            conjuncts = [
-                (conjunct, sel)
-                for cname, conjunct, sel in scan_candidates
-                if column_objs.get(cname) is column
-            ]
-
-            scanned = False
-            if conjuncts:
-                conjunct, sel = conjuncts[0]
-                read, strategy = self._scan_read_estimate(
-                    encoded, packed, n, conjunct, sel
-                )
-                if read < decode_side:
-                    meter.record_read(_GLOBAL, int(read))
-                    if strategy == "dict-lookup":
-                        meter.record_read(_ONCHIP, n)
-                    glob += int(read)
-                    pipe.scan_notes.append(
-                        f"{name}: compressed scan ({strategy}, {codec}) "
-                        f"~{read / 1e3:.1f}KB vs decode "
-                        f"{decode_side / 1e3:.1f}KB"
-                    )
-                    scanned = True
-                else:
-                    pipe.scan_notes.append(
-                        f"{name}: decode-then-scan ({codec}; scan "
-                        f"~{read / 1e3:.1f}KB not under decode "
-                        f"{decode_side / 1e3:.1f}KB)"
-                    )
-            if scanned:
-                continue
-
-            # Downstream (or unprofitable-scan) column: gather only the
-            # selected rows unless that would exceed the full decode.
-            sel_rows = min(rows_out, n)
-            if codec != "delta" and 2 * sel_rows <= n:
-                read, write = packed, sel_rows * itemsize
-                if not conjuncts:
-                    pipe.scan_notes.append(
-                        f"{name}: gather-decode {sel_rows} rows ({codec})"
-                    )
-            else:
-                read, write = wire, raw
-                if not conjuncts:
-                    pipe.scan_notes.append(f"{name}: full decode ({codec})")
-            meter.record_read(_GLOBAL, int(read))
-            meter.record_write(_GLOBAL, int(write))
-            glob += int(read) + int(write)
-
-        if glob:
-            meter.record_instructions(2 * rows_in)
-            breakdown = self.cost_model.breakdown(meter, kind="decode")
+        if pipe.wire_bytes < pipe.input_bytes and not fused:
+            # The engine materializes at load: a decompression kernel
+            # reads the wire image and writes the raw columns back to
+            # global memory before the pipeline proper starts.
+            decode = TrafficMeter()
+            decode.record_read(_GLOBAL, pipe.wire_bytes)
+            decode.record_write(_GLOBAL, pipe.input_bytes)
+            decode.record_instructions(2 * rows_in)
+            breakdown = self.cost_model.breakdown(decode, kind="decode")
             pipe.kernel_ms += breakdown.total * 1e3
-            pipe.global_bytes += int(glob)
-            pipe.onchip_bytes += meter.bytes_at(_ONCHIP)
+            pipe.global_bytes += pipe.wire_bytes + pipe.input_bytes
             pipe.kernels += 1
-
-    @staticmethod
-    def _scan_read_estimate(encoded, packed, n, conjunct, sel):
-        """Modeled GLOBAL read bytes of the compressed-scan strategy
-        :func:`repro.compression.lazy.plan_scan` would pick (estimated
-        analytically — block survivor counts come from selectivity, not
-        from evaluating the predicate)."""
-        from ..compression.lazy import (
-            BLOCK_META_BYTES,
-            LAZY_BLOCK,
-            MAX_LUT_DOMAIN,
-            interval_analyzer,
-        )
-
-        codec = encoded.codec
-        if codec == "rle":
-            return (
-                encoded.parts["values"].nbytes
-                + encoded.parts["lengths"].nbytes,
-                "rle-runs",
-            )
-        if codec == "dictionary":
-            width = int(encoded.meta.get("width", 0))
-            if (1 << width) <= MAX_LUT_DOMAIN:
-                return packed, "dict-lookup"
-            return packed, "unpack-scan"
-        if codec in ("forpack", "cascade") and interval_analyzer(conjunct) is not None:
-            blocks = max(1, -(-n // LAZY_BLOCK))
-            mixed = min(1.0, 2.0 * min(sel, 1.0 - sel) + 0.05)
-            return int(blocks * BLOCK_META_BYTES + packed * mixed), "block-skip"
-        return packed, "unpack-scan"
+        return pipe
 
     def _output_bytes(self, pipeline: Pipeline, rows_out: int, groups: int) -> int:
         sink = pipeline.sink
@@ -709,11 +659,15 @@ class CostEstimator:
         probe_traffic: float,
         pred_bytes: int,
         map_count: int,
+        reads: "_FusedReads",
     ) -> None:
         """Fill ``pipe.global_bytes/onchip_bytes/kernels/kernel_ms``
         with the byte shape of ``engine`` priced through the shared
-        kernel cost model."""
+        kernel cost model.  ``reads`` carries what the kernels charge
+        for wire-resident input columns, in place of their raw bytes."""
         rows_in, rows_out = pipe.rows_in, pipe.rows_out
+        #: Raw bytes the kernels stream from input columns.
+        scanned = pipe.input_bytes - reads.raw_bytes
         sink = pipeline.sink
         is_agg = isinstance(sink, AggregateSink)
         is_build = isinstance(sink, BuildSink)
@@ -730,9 +684,21 @@ class CostEstimator:
         kind = "compound"
         if engine in ("pipelined", "resolution", "resolution-simd",
                       "resolution-we"):
-            glob = pipe.input_bytes + probe_traffic + build_traffic + out_dev
+            glob = scanned + probe_traffic + build_traffic + out_dev
             kernels = 1
-            if is_agg:
+            if is_agg and not sink.group_keys:
+                # Single-tuple aggregation: the context's own charge
+                # (``KernelContext.single_aggregate_cost``), per accumulator.
+                for spec in sink.aggregates:
+                    for _ in range(2 if spec.op == "avg" else 1):
+                        if engine == "pipelined":
+                            charge_atomic_reduce(meter, rows_out)
+                        else:
+                            charge_lrgp_reduce(
+                                meter, rows_out, 4, self.profile,
+                                "work_efficient" if engine == "resolution-we" else "simd",
+                            )
+            elif is_agg:
                 if engine == "pipelined":
                     glob += 1.5 * rows_out * 8 * (1 + n_aggs)
                     meter.record_atomics(AtomicBatch(
@@ -779,10 +745,10 @@ class CostEstimator:
         elif engine == "multipass":
             kind = "write"
             flags = 4 * rows_in if has_filter else 0
-            count_pass = pipe.input_bytes + flags
+            count_pass = scanned + flags
             prefix_pass = 16 * rows_in
             write_pass = (
-                pipe.input_bytes + flags + 4 * rows_out + out_dev
+                scanned + flags + 4 * rows_out + out_dev
                 + build_traffic + probe_traffic
             )
             glob = count_pass + prefix_pass + write_pass + probe_traffic
@@ -811,6 +777,8 @@ class CostEstimator:
         meter.record_read(_GLOBAL, int(max(0, glob) * 0.6))
         meter.record_write(_GLOBAL, int(max(0, glob) * 0.4))
         meter.record_instructions(4 * rows_in)
+        meter.merge(reads.meter)
+        glob += reads.meter.bytes_at(_GLOBAL)
         breakdown = self.cost_model.breakdown(meter, kind=kind)
         launch = self.profile.kernel_launch_overhead * max(0, kernels - 1)
         pipe.global_bytes = int(glob)
@@ -837,11 +805,14 @@ class CostEstimator:
         query: PhysicalQuery,
         strategy: StrategyChoice,
         fact: PipelineEstimate | None,
+        shipped: float,
     ) -> None:
-        transfers = sum(
+        # One h2d per base column that is not resident, plus the result.
+        columns = sum(
             len(set(p.required_columns)) for p in query.pipelines
             if not p.source_is_virtual
-        ) + 1
+        )
+        transfers = round(columns * shipped) + 1
         if strategy.devices > 1:
             self._apply_scaleout(estimate, query, strategy, fact)
             return

@@ -130,11 +130,9 @@ class BufferPool:
             # compression policy on the device, the resident buffer is
             # the *wire image*: more columns fit per device, eviction
             # and re-transfer are charged at the compressed size, and
-            # each query decodes into transient scratch (the runtime
-            # charges that decode kernel).  Under ``compression="lazy"``
-            # pooled columns are *decoded on demand*: the runtime defers
-            # the decode entirely and predicates scan the resident wire
-            # image in place (see :mod:`repro.compression.lazy`).
+            # the kernels that read it decode in registers (see
+            # :mod:`repro.compression.lazy`; only an engine that
+            # materializes at load decodes into transient scratch).
             policy = self.device.compression
             encoded = policy.encoded(column) if policy is not None else None
             if encoded is not None and encoded.codec != "passthrough":

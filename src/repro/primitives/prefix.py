@@ -176,6 +176,37 @@ def atomic_positions(
 # ----------------------------------------------------------------------
 # Decoupled look-back (Merrill & Garland), for comparison (Section 10)
 # ----------------------------------------------------------------------
+def charge_lookback_scan(
+    meter: TrafficMeter,
+    n: int,
+    cta_size: int = DEFAULT_CTA_SIZE,
+    lookback_window: int = 4,
+    item_bytes: int = _FLAG_BYTES,
+) -> None:
+    """Charge an *ordered* single-pass prefix scan over ``n`` items of
+    ``item_bytes`` to the enclosing kernel: the CTA-local scan on chip,
+    then one global propagation per CTA by decoupled look-back.
+
+    Shared by :func:`lookback_positions` and by the register decode of
+    a ``delta`` column (:func:`repro.compression.register_decode`),
+    whose values are an ordered prefix sum over the packed differences.
+    """
+    blocks = num_blocks(n, cta_size)
+    # Local scan (same on-chip work as work-efficient local resolution).
+    scan_steps = 2 * log2_ceil(cta_size)
+    meter.record_read(MemoryLevel.ONCHIP, scan_steps * n * item_bytes)
+    meter.record_write(MemoryLevel.ONCHIP, scan_steps * n * item_bytes)
+    meter.record_instructions((scan_steps + 1) * n)
+    meter.record_barrier(blocks * scan_steps)
+    # Publish per-CTA aggregate + status flag, then look back: on
+    # average each CTA re-reads `lookback_window` predecessor entries
+    # (8-byte descriptor) before composing its inclusive prefix.
+    descriptor = 8
+    meter.record_write(MemoryLevel.GLOBAL, blocks * descriptor)
+    meter.record_read(MemoryLevel.GLOBAL, blocks * lookback_window * descriptor)
+    meter.record_instructions(blocks * lookback_window)
+
+
 def lookback_positions(
     meter: TrafficMeter,
     flags: np.ndarray,
@@ -195,21 +226,7 @@ def lookback_positions(
     Output positions are strictly ordered (unlike A2/A3).
     """
     flags = np.asarray(flags, dtype=bool)
-    n = len(flags)
-    blocks = num_blocks(n, cta_size)
-    # Local scan (same on-chip work as work-efficient local resolution).
-    scan_steps = 2 * log2_ceil(cta_size)
-    meter.record_read(MemoryLevel.ONCHIP, scan_steps * n * _FLAG_BYTES)
-    meter.record_write(MemoryLevel.ONCHIP, scan_steps * n * _FLAG_BYTES)
-    meter.record_instructions((scan_steps + 1) * n)
-    meter.record_barrier(blocks * scan_steps)
-    # Publish per-CTA aggregate + status flag, then look back: on
-    # average each CTA re-reads `lookback_window` predecessor entries
-    # (8-byte descriptor) before composing its inclusive prefix.
-    descriptor = 8
-    meter.record_write(MemoryLevel.GLOBAL, blocks * descriptor)
-    meter.record_read(MemoryLevel.GLOBAL, blocks * lookback_window * descriptor)
-    meter.record_instructions(blocks * lookback_window)
+    charge_lookback_scan(meter, len(flags), cta_size, lookback_window)
     return reference_positions(flags)
 
 

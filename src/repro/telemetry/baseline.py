@@ -86,8 +86,8 @@ def measure_fingerprint(
 
     ``compression`` (a mode string or policy) fingerprints the
     compression-aware transfer path: ``pcie_bytes`` then counts wire
-    (compressed) bytes and ``kernel_launches`` includes the decode
-    kernels, so codec or chooser drift is caught exactly."""
+    (compressed) bytes and ``global_bytes`` the register decodes and
+    compressed scans, so codec or chooser drift is caught exactly."""
     from ..compression import resolve_compression
     from ..engines import make_engine
     from ..hardware.device import VirtualCoprocessor
@@ -131,8 +131,9 @@ def _measure_all(config: dict) -> dict:
             seed=config["seed"],
         )
         # Compressed-transfer twin: same query under compression="auto".
-        # Wire bytes, decode-kernel counts, and ratios are exactly
-        # deterministic, so codec/chooser drift fails the check too.
+        # Wire bytes and fused-decode traffic are exactly deterministic,
+        # so codec / chooser / scan-strategy drift fails the check too
+        # (and a twin slower than its plain query is a policy that lost).
         fingerprints[f"{workload}:{name}:compressed"] = measure_fingerprint(
             workload,
             name,
@@ -142,9 +143,7 @@ def _measure_all(config: dict) -> dict:
             seed=config["seed"],
             compression="auto",
         )
-        # Late-materialization twin: compression="lazy" fingerprints the
-        # compressed-scan/gather-decode path — strategy or block-skip
-        # drift shifts global bytes and launch counts exactly.
+        # The alias: compression="lazy" must stay the same policy.
         fingerprints[f"{workload}:{name}:lazy"] = measure_fingerprint(
             workload,
             name,

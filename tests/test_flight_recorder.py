@@ -227,9 +227,11 @@ class TestByteIdenticalReplay:
         self, ssb_db, recorder, monkeypatch
     ):
         """Regression: the recipe dropped ``compression`` and
-        ``residency``, so a lazy-scan / pooled flight replayed on a
-        different code path.  Bundles without the keys (written before
-        they were recorded) replay at the Session defaults."""
+        ``residency``, so a compressed / pooled flight replayed on a
+        different code path.  ``"lazy"`` is recorded as the policy it
+        resolves to; a bundle written while it was a mode of its own
+        still replays.  Bundles without the keys (written before they
+        were recorded) replay at the Session defaults."""
         import repro.api
 
         built = []
@@ -244,17 +246,22 @@ class TestByteIdenticalReplay:
         )
         session.execute(SSB_QUERIES["q1.1"])
         record = recorder.last()
-        assert record.strategy["compression"] == "lazy"
+        assert record.strategy["compression"] == "auto"
         assert record.strategy["residency"] is True
         bundle = recorder.capture(record, name="lazy-pooled")
         monkeypatch.setattr(repro.api, "Session", SpySession)
         assert replay_bundle(bundle).matched
-        assert built[-1]["compression"] == "lazy"
+        assert built[-1]["compression"] == "auto"
         assert built[-1]["residency"] is True
 
         manifest_path = os.path.join(bundle, BUNDLE_MANIFEST)
         with open(manifest_path) as handle:
             manifest = json.load(handle)
+        manifest["replay"]["compression"] = "lazy"  # an older bundle
+        with open(manifest_path, "w") as handle:
+            json.dump(manifest, handle)
+        assert replay_bundle(bundle).matched
+        assert built[-1]["compression"] == "lazy"
         for key in ("compression", "residency"):
             del manifest["replay"][key]
         with open(manifest_path, "w") as handle:

@@ -347,7 +347,7 @@ class TestThreadPositions:
 
 
 # ----------------------------------------------------------------------
-# late materialization looks columns up by the *source* array
+# wire-resident columns after the domain narrowed
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def ssb():
@@ -356,39 +356,46 @@ def ssb():
 
 @pytest.mark.parametrize("engine", ["resolution", "multipass"])
 def test_lazy_columns_after_narrowing(ssb, engine):
-    """filter -> anti join -> filter -> project: the second predicate
-    scans a wire-resident column after two stages narrowed the domain
-    (its flags are per column row), and the projected columns
-    gather-decode survivors only.  Both are found through the source
-    array a lazy column is registered under — a gathered copy has
-    another identity and would silently decode in full."""
+    """filter -> anti join -> filter -> project over forpack wire
+    images: the first predicate's blocks are all mixed, so it unpacks
+    in registers; the second scans the sorted order key compressed
+    (block-skip) after two stages narrowed the domain — its flags are
+    per column row and must be taken through the selection; and the
+    probe key and the projected columns decode the survivors only.
+    All are found by table and column name, whatever gathered copy or
+    slice of the array the domain serves."""
     plan = (
         PlanBuilder.scan("lineorder")
-        .filter(col("lo_discount") < 4)
+        .filter(col("lo_discount") < 9)
         .join(
             PlanBuilder.scan("date").filter(col("d_year") == 1993),
             ["d_datekey"],
             ["lo_orderdate"],
             kind="anti",
         )
-        .filter(col("lo_quantity") < 30)
+        .filter(col("lo_orderkey") < 3000)
         .project(["lo_orderkey", ("net", col("lo_revenue") - col("lo_supplycost"))])
         .build()
     )
     off = repro.connect(ssb, engine=engine, compression="off").execute(plan)
-    lazy = repro.connect(ssb, engine=engine, compression="lazy").execute(plan)
+    lazy = repro.connect(ssb, engine=engine, compression="forpack").execute(plan)
     assert table_checksum(lazy.table) == table_checksum(off.table)
     assert lazy.table.num_rows > 0
     fused = set(lazy.kernel_sources)
     assert {
-        "compressed_scan.lineorder.lo_discount",
-        "compressed_scan.lineorder.lo_quantity",  # after two narrowings
-        "gather.lineorder.lo_orderdate",  # the probe key, after one
+        "gather.lineorder.lo_discount",  # every block mixed: unpack
+        "gather.lineorder.lo_orderdate",  # the probe key, after one narrowing
+        "compressed_scan.lineorder.lo_orderkey",  # after two narrowings
         "gather.lineorder.lo_revenue",  # the projection, after three
         "gather.lineorder.lo_supplycost",
         "gather.lineorder.lo_orderkey",
     } <= fused
-    assert lazy.compression.partial_decode_bytes > 0
+    assert "compressed_scan.lineorder.lo_discount" not in fused
+    stats = lazy.compression
+    assert 0 < stats.scan_blocks_skipped < stats.scan_blocks
+    # Survivors only: fewer values decoded than the columns hold.
+    assert 0 < stats.partial_decode_bytes < stats.raw_bytes
+    assert lazy.global_memory_bytes < off.global_memory_bytes
 
 
 # ----------------------------------------------------------------------

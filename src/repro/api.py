@@ -27,7 +27,6 @@ from .hardware.profiles import GTX970, DeviceProfile, get_profile
 from .kernels.codegen import begin_thread_compile_stats, thread_compile_stats
 from .placement.executor import dispatch
 from .plan.logical import LogicalPlan
-from .plan.pipelines import extract_pipelines
 from .sql.translate import plan_sql
 from .storage.database import Database
 from .telemetry.events import (
@@ -49,11 +48,13 @@ __all__ = ["ENGINE_FACTORIES", "Session", "connect", "make_engine"]
 class Session:
     """A database bound to a virtual coprocessor and a default engine.
 
-    Passing a :class:`~repro.serving.PlanCache` makes ``execute`` skip
-    SQL parsing and pipeline extraction on repeat queries (the cache
-    may be shared with a :class:`~repro.serving.Server` or with other
-    sessions); cached executions carry their serving metrics in
-    ``result.serving``.
+    Every session resolves a statement once per database version: SQL
+    text goes through a :class:`~repro.serving.PlanCache`, so a repeat
+    ``execute`` skips parsing and pipeline extraction and finds its
+    compiled kernels on the cached plan.  ``plan_cache=`` shares one
+    cache with a :class:`~repro.serving.Server` or with other sessions;
+    left at ``None`` the session builds a private one.  Every execution
+    carries its serving metrics in ``result.serving``.
 
     ``residency=True`` attaches a :class:`~repro.placement.BufferPool`
     to the session's device: base columns stay device-resident between
@@ -163,6 +164,10 @@ class Session:
         #: histogram and bumps ``repro_queries_total`` (the same metric
         #: names a :class:`~repro.serving.Server` exposes).
         self.metrics = metrics
+        if plan_cache is None:
+            from .serving.plan_cache import PlanCache
+
+            plan_cache = PlanCache()
         self.plan_cache = plan_cache
         #: Wire-compression policy (``None`` = off): base columns cross
         #: the simulated link compressed, decode kernels run on device,
@@ -266,14 +271,9 @@ class Session:
         return plan_sql(query, self.database)
 
     def physical(self, query: str | LogicalPlan):
-        """The extracted pipelines, via the plan cache when one is set."""
-        return self._lookup(query, self._strategy_token(self.engine))[0]
-
-    def _lookup(self, query, token) -> tuple:
-        """``(physical plan, plan-cache hit)`` for ``query``."""
-        if self.plan_cache is not None:
-            return self.plan_cache.lookup(query, self.database, token)
-        return extract_pipelines(self.plan(query), self.database), False
+        """The extracted pipelines, via the plan cache."""
+        token = self._strategy_token(self.engine)
+        return self.plan_cache.lookup(query, self.database, token)[0]
 
     def _strategy_token(self, chosen: "Engine | None") -> tuple | None:
         """Hashable execution-strategy identity for plan-cache keying.
@@ -437,7 +437,7 @@ class Session:
         with (
             tracer.span("plan", "plan") if tracer else contextlib.nullcontext()
         ) as span:
-            physical, hit = self._lookup(query, token)
+            physical, hit = self.plan_cache.lookup(query, self.database, token)
             if span is not None:
                 span.attrs["cache_hit"] = hit
         plan_ms = (time.perf_counter() - plan_start) * 1e3
@@ -456,8 +456,6 @@ class Session:
             execute_ms=round(execute_ms, 3),
             worker=worker,
         )
-        if self.plan_cache is None:
-            return result
         from .serving.stats import ServingStats
 
         compile_hits, compile_misses, compile_ms = thread_compile_stats()

@@ -182,14 +182,29 @@ def _smallest_uint(maximum: int) -> np.dtype:
 # bit packing (shared by forpack / delta / dictionary)
 # ----------------------------------------------------------------------
 def _bit_pack(values_u64: np.ndarray, width: int) -> np.ndarray:
-    """Pack the ``width`` low bits of each value into a dense uint8 stream."""
+    """Pack the ``width`` low bits of each value, most significant bit
+    first, into a dense uint8 stream."""
     n = len(values_u64)
     if width == 0 or n == 0:
         return np.empty(0, dtype=np.uint8)
-    bits = np.empty((n, width), dtype=np.uint8)
-    for bit in range(width):
-        shift = np.uint64(width - 1 - bit)
-        bits[:, bit] = ((values_u64 >> shift) & np.uint64(1)).astype(np.uint8)
+    if width < 8:
+        # A few passes over one byte per value are cheaper than
+        # unpacking eight bits to keep some of them.
+        low = values_u64.astype(np.uint8)
+        bits = np.empty((n, width), dtype=np.uint8)
+        for bit in range(width):
+            np.bitwise_and(low >> np.uint8(width - 1 - bit), 1, out=bits[:, bit])
+        return np.packbits(bits.reshape(-1))
+    # Left-align the bits in the smallest unsigned type that holds them:
+    # its big-endian bytes then begin with exactly the bits wanted.
+    size = next(size for size in (1, 2, 4, 8) if 8 * size >= width)
+    dtype = np.dtype(f"u{size}")
+    aligned = values_u64.astype(dtype)
+    aligned <<= dtype.type(8 * size - width)
+    stream = aligned.astype(dtype.newbyteorder(">"), copy=False).view(np.uint8)
+    if 8 * size == width:
+        return stream
+    bits = np.unpackbits(stream).reshape(n, 8 * size)[:, :width]
     return np.packbits(bits.reshape(-1))
 
 

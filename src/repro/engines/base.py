@@ -39,8 +39,9 @@ class ExecutionResult:
     #: that do not generate code).  Unlike ``engine.kernel_sources``,
     #: this is immune to concurrent executions on a shared engine.
     kernel_sources: dict[str, str] = field(default_factory=dict)
-    #: Per-query serving metrics (:class:`repro.serving.ServingStats`);
-    #: populated by the serving layer / cached sessions, else ``None``.
+    #: Per-query serving metrics (:class:`repro.serving.ServingStats`),
+    #: set by every :class:`~repro.api.Session` / ``Server`` execution;
+    #: ``None`` only on a bare ``Engine.execute`` result.
     serving: object | None = None
     #: Per-query residency outcome
     #: (:class:`repro.placement.QueryPlacement`) when a buffer pool is

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..expressions.eval import evaluate
+from ..expressions.eval import evaluate, over_rows
 from ..expressions.expr import ColumnRef, Expr
 from ..hardware.traffic import MemoryLevel
 from ..kernels.codegen import sink_input_columns
@@ -116,9 +116,7 @@ class OperatorAtATimeEngine(Engine):
         meter.record_write(MemoryLevel.GLOBAL, count * INDEX_BYTES)
         meter.record_instructions(count * predicate.size())
         device.launch(f"{pipeline.name}.select{index}", "scan", count, meter)
-        flags = np.broadcast_to(
-            np.asarray(evaluate(predicate, scope), dtype=bool), (count,)
-        )
+        flags = over_rows(evaluate(predicate, scope), (count,), dtype=bool)
 
         # Kernels 2-4: hierarchical prefix sum.
         scan = device_scan(device, flags, label=f"{pipeline.name}.prefix{index}")
@@ -139,7 +137,7 @@ class OperatorAtATimeEngine(Engine):
         )
         meter.record_instructions(count * stage.expr.size())
         device.launch(f"{pipeline.name}.map_{stage.name}", "map", count, meter)
-        values = np.broadcast_to(np.asarray(evaluate(stage.expr, scope)), (count,))
+        values = over_rows(evaluate(stage.expr, scope), (count,))
         scope[stage.name] = np.ascontiguousarray(values)
 
     def _run_probe(
@@ -163,7 +161,7 @@ class OperatorAtATimeEngine(Engine):
                 meter.record_read(
                     MemoryLevel.GLOBAL, count * self._itemsize(pipeline, name)
                 )
-            values = np.broadcast_to(np.asarray(evaluate(key, scope)), (count,))
+            values = over_rows(evaluate(key, scope), (count,))
             key_arrays.append(np.ascontiguousarray(values))
         rows = entry.table.probe(meter, key_arrays, device.profile.l2_capacity)
         meter.record_write(MemoryLevel.GLOBAL, 2 * count * INDEX_BYTES)
@@ -324,7 +322,7 @@ class OperatorAtATimeEngine(Engine):
         """Evaluate an expression; charge a map kernel unless it is a
         plain column reference (already materialized)."""
         values = np.ascontiguousarray(
-            np.broadcast_to(np.asarray(evaluate(expr, scope)), (count,))
+            over_rows(evaluate(expr, scope), (count,))
         )
         if not isinstance(expr, ColumnRef):
             meter = device.new_meter()

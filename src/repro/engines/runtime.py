@@ -21,7 +21,7 @@ from ..compression import (
 from ..compression.kernels import compressed_scan_source, register_decode_source
 from ..compression.lazy import LazyColumn
 from ..errors import PlanError
-from ..expressions.eval import evaluate
+from ..expressions.eval import evaluate, over_rows
 from ..hardware.device import VirtualCoprocessor
 from ..hardware.traffic import MemoryLevel
 from ..telemetry.trace import active_tracer
@@ -387,7 +387,7 @@ class QueryRuntime:
         selected = None if inputs == mask.size else np.flatnonzero(mask)
 
         def qualifying(expr) -> np.ndarray:
-            values = np.broadcast_to(np.asarray(evaluate(expr, scope)), mask.shape)
+            values = over_rows(evaluate(expr, scope), mask.shape)
             return values if selected is None else values.take(selected)
 
         outputs: dict[str, np.ndarray] = {}

@@ -18,6 +18,15 @@ from .expr import (
 )
 
 
+def over_rows(values, shape: tuple, dtype=None) -> np.ndarray:
+    """``values`` as an array of ``shape`` (one entry per row).  A
+    column, or anything computed from one, has that shape already and
+    comes back as it is; only an expression over literals alone is a
+    scalar that needs broadcasting (a read-only view)."""
+    values = np.asarray(values, dtype=dtype)
+    return values if values.shape == shape else np.broadcast_to(values, shape)
+
+
 def evaluate(expr: Expr, scope: dict[str, np.ndarray]) -> np.ndarray:
     """Evaluate ``expr`` over a scope of equal-length numpy arrays.
 

@@ -25,7 +25,7 @@ serialization the paper attributes to pipelined prefix sums (Section
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .profiles import DeviceProfile
 from .traffic import MemoryLevel, TrafficMeter
@@ -55,9 +55,10 @@ MEMORY_EFFICIENCY = {
 
 DEFAULT_EFFICIENCY = 0.9
 
+_GLOBAL, _ONCHIP = MemoryLevel.GLOBAL, MemoryLevel.ONCHIP
 
-@dataclass(frozen=True)
-class CostBreakdown:
+
+class CostBreakdown(NamedTuple):
     """Per-resource seconds for one kernel launch."""
 
     memory: float
@@ -75,17 +76,16 @@ class CostBreakdown:
 
     @property
     def bound_by(self) -> str:
-        """Which streaming resource dominates the launch."""
-        resources = {
-            "memory": self.memory,
-            "onchip": self.onchip,
-            "compute": self.compute,
-            "atomics": self.atomics,
-        }
-        dominant = max(resources, key=resources.get)
-        if resources[dominant] < self.launch:
-            return "launch"
-        return dominant
+        """Which streaming resource dominates the launch (the first of
+        memory, onchip, compute, atomics on a tie)."""
+        dominant, seconds = "memory", self.memory
+        if self.onchip > seconds:
+            dominant, seconds = "onchip", self.onchip
+        if self.compute > seconds:
+            dominant, seconds = "compute", self.compute
+        if self.atomics > seconds:
+            dominant, seconds = "atomics", self.atomics
+        return "launch" if seconds < self.launch else dominant
 
 
 class KernelCostModel:
@@ -111,30 +111,31 @@ class KernelCostModel:
             # small GPU kernels (this is what lets MonetDB win the
             # cheapest queries in Experiment 6).
             efficiency = max(efficiency, 0.85)
-        memory = meter.bytes_at(MemoryLevel.GLOBAL) / (
+        reads, writes = meter.reads, meter.writes
+        memory = (reads[_GLOBAL] + writes[_GLOBAL]) / (
             profile.global_bandwidth * 1e9 * efficiency * occupancy
         )
-        onchip = meter.bytes_at(MemoryLevel.ONCHIP) / (
+        onchip = (reads[_ONCHIP] + writes[_ONCHIP]) / (
             profile.onchip_bandwidth * 1e9 * occupancy
         )
         compute = meter.instructions / (profile.compute_throughput * occupancy)
         atomics = 0.0
         if meter.atomic_count:
-            throughput_term = meter.atomic_count / profile.atomic_throughput
-            chain_terms = (
-                meter.atomic_chains["add"]
+            chains = meter.atomic_chains
+            atomics = max(
+                meter.atomic_count / profile.atomic_throughput,
+                chains["add"]
                 / (profile.same_address_atomic_rate * profile.plain_add_speedup),
-                meter.atomic_chains["fetch_add"] / profile.same_address_atomic_rate,
-                meter.atomic_chains["rmw"] / profile.contended_rmw_rate,
+                chains["fetch_add"] / profile.same_address_atomic_rate,
+                chains["rmw"] / profile.contended_rmw_rate,
             )
-            atomics = max(throughput_term, *chain_terms)
         return CostBreakdown(
-            memory=memory,
-            onchip=onchip,
-            compute=compute,
-            atomics=atomics,
-            launch=profile.kernel_launch_overhead,
-            barriers=meter.barriers * profile.barrier_overhead,
+            memory,
+            onchip,
+            compute,
+            atomics,
+            profile.kernel_launch_overhead,
+            meter.barriers * profile.barrier_overhead,
         )
 
     def kernel_time(self, meter: TrafficMeter) -> float:

@@ -25,6 +25,14 @@ class MemoryLevel(enum.Enum):
     #: paper reports these together as "on-chip memory" (Figure 9).
     ONCHIP = "onchip"
 
+    # Members are singletons compared by identity, so the identity hash
+    # is the right one — and, unlike ``Enum.__hash__``, it runs in C:
+    # every ``reads[level]`` / ``writes[level]`` of a launch hashes one.
+    __hash__ = object.__hash__
+
+
+_LEVELS = tuple(MemoryLevel)
+_NO_BYTES = dict.fromkeys(_LEVELS, 0)
 
 #: Atomic operation kinds, ordered by same-address cost:
 #:
@@ -37,6 +45,7 @@ class MemoryLevel(enum.Enum):
 #:   cannot combine (hash-table inserts and aggregation-table updates);
 #:   their serialization is the contention cliff of Experiment 2.
 ATOMIC_KINDS = ("add", "fetch_add", "rmw")
+_NO_CHAINS = dict.fromkeys(ATOMIC_KINDS, 0)
 
 
 @dataclass
@@ -72,10 +81,10 @@ class TrafficMeter:
     """
 
     def __init__(self) -> None:
-        self.reads: dict[MemoryLevel, int] = {level: 0 for level in MemoryLevel}
-        self.writes: dict[MemoryLevel, int] = {level: 0 for level in MemoryLevel}
+        self.reads: dict[MemoryLevel, int] = _NO_BYTES.copy()
+        self.writes: dict[MemoryLevel, int] = _NO_BYTES.copy()
         self.atomic_count = 0
-        self.atomic_chains: dict[str, int] = {kind: 0 for kind in ATOMIC_KINDS}
+        self.atomic_chains: dict[str, int] = _NO_CHAINS.copy()
         self.instructions = 0
         self.barriers = 0
         #: Portion of GLOBAL traffic that targets device-resident hash
@@ -135,7 +144,7 @@ class TrafficMeter:
 
     def merge(self, other: "TrafficMeter") -> None:
         """Fold another meter's counts into this one."""
-        for level in MemoryLevel:
+        for level in _LEVELS:
             self.reads[level] += other.reads[level]
             self.writes[level] += other.writes[level]
         self.atomic_count += other.atomic_count

@@ -70,9 +70,17 @@ class KernelCacheStats:
 #: source and share one compiled entry across executions, sessions, and
 #: server workers.  Bounded LRU; guarded by a lock so concurrent
 #: serving workers can compile safely.
+#:
+#: A pipeline *object* that has been through the cache once remembers
+#: its kernels (``Pipeline.kernels``), so a cached plan's next execution
+#: is a lookup by identity and builds no source text.  That is the same
+#: cache seen from the plan's side, not a second one: it counts the
+#: same hit, refreshes the same LRU entry and is dropped by the same
+#: :func:`clear_kernel_cache` (which starts a new epoch).
 KERNEL_CACHE_CAPACITY = 1024
 _cache_lock = threading.Lock()
 _kernel_cache: "OrderedDict[str, CompiledKernel]" = OrderedDict()
+_cache_epoch = 0
 _cache_hits = 0
 _cache_misses = 0
 _cache_evictions = 0
@@ -94,9 +102,10 @@ def kernel_cache_stats() -> KernelCacheStats:
 
 def clear_kernel_cache() -> None:
     """Drop all cached kernels and reset the counters (tests/benchmarks)."""
-    global _cache_hits, _cache_misses, _cache_evictions
+    global _cache_epoch, _cache_hits, _cache_misses, _cache_evictions
     with _cache_lock:
         _kernel_cache.clear()
+        _cache_epoch += 1
         _cache_hits = _cache_misses = _cache_evictions = 0
 
 
@@ -125,6 +134,27 @@ def _record_probe(hit: bool) -> None:
     else:
         _cache_misses += 1
         _thread_stats.misses = getattr(_thread_stats, "misses", 0) + 1
+
+
+def _kernel(pipeline: Pipeline, kind: str, emit) -> CompiledKernel:
+    """The ``kind`` kernel of ``pipeline``: the one this pipeline object
+    resolved since the cache was last cleared, else ``emit(pipeline)``'s
+    lines through the source-keyed cache."""
+    epoch = _cache_epoch  # read before compiling: a clear meanwhile wins
+    known = pipeline.kernels.get(kind)
+    if known is None or known[0] != epoch:
+        kernel = _compile(f"{kind}_{pipeline.name}", kind, emit(pipeline))
+        pipeline.kernels[kind] = (epoch, kernel)
+        return kernel
+    kernel = known[1]
+    with _cache_lock:
+        _record_probe(True)
+        if kernel.source in _kernel_cache:
+            _kernel_cache.move_to_end(kernel.source)
+    tracer = active_tracer()
+    if tracer is not None:
+        tracer.event(f"compile {kernel.name}", "compile", cache_hit=True, kind=kind)
+    return kernel
 
 
 def _compile(name: str, kind: str, lines: list[str]) -> CompiledKernel:
@@ -276,6 +306,10 @@ def _emit_compound_sink(lines: list[str], pipeline: Pipeline) -> None:
 
 def generate_compound_kernel(pipeline: Pipeline) -> CompiledKernel:
     """One kernel for the whole fusion operator (Section 5.2)."""
+    return _kernel(pipeline, "compound", _compound_lines)
+
+
+def _compound_lines(pipeline: Pipeline) -> list[str]:
     lines = [
         f"# compound kernel for {pipeline.describe()}",
         "np = ctx.np",
@@ -284,11 +318,15 @@ def generate_compound_kernel(pipeline: Pipeline) -> CompiledKernel:
     ]
     _emit_stages(lines, pipeline)
     _emit_compound_sink(lines, pipeline)
-    return _compile(f"compound_{pipeline.name}", "compound", lines)
+    return lines
 
 
 def generate_count_kernel(pipeline: Pipeline) -> CompiledKernel:
     """Multi-pass phase 1: cardinality primitives + flag write."""
+    return _kernel(pipeline, "count", _count_lines)
+
+
+def _count_lines(pipeline: Pipeline) -> list[str]:
     lines = [
         f"# count kernel for {pipeline.describe()}",
         "np = ctx.np",
@@ -298,12 +336,16 @@ def generate_count_kernel(pipeline: Pipeline) -> CompiledKernel:
     _emit_stages(lines, pipeline)
     lines.append("# write selection flags for the prefix sum")
     lines.append("ctx.finish_count(mask)")
-    return _compile(f"count_{pipeline.name}", "count", lines)
+    return lines
 
 
 def generate_write_kernel(pipeline: Pipeline) -> CompiledKernel:
     """Multi-pass phase 3: re-execute primitives for flagged threads,
     then perform the aligned writes (or materialize sink inputs)."""
+    return _kernel(pipeline, "write", _write_lines)
+
+
+def _write_lines(pipeline: Pipeline) -> list[str]:
     lines = [
         f"# write kernel for {pipeline.describe()}",
         "np = ctx.np",
@@ -326,4 +368,4 @@ def generate_write_kernel(pipeline: Pipeline) -> CompiledKernel:
         lines.append("ctx.materialize_for_aggregate(mask)")
     else:  # pragma: no cover
         raise CompilationError(f"unknown sink {type(sink).__name__}")
-    return _compile(f"write_{pipeline.name}", "write", lines)
+    return lines

@@ -30,6 +30,7 @@ import numpy as np
 
 from ..compression import lazy
 from ..errors import CompilationError, PlanError
+from ..expressions.eval import over_rows
 from ..hardware.profiles import DeviceProfile
 from ..hardware.traffic import MemoryLevel, TrafficMeter
 from ..plan.logical import PlanSchema
@@ -267,7 +268,7 @@ class KernelContext:
     def _selected(self, values, mask: np.ndarray, index: np.ndarray | None) -> np.ndarray:
         """``values`` (anything that broadcasts over the domain) for the
         rows ``index`` picks."""
-        values = np.broadcast_to(np.asarray(values), mask.shape)
+        values = over_rows(values, mask.shape)
         return values if index is None else values.take(index)
 
     def _source_rows(self, index: np.ndarray | None) -> np.ndarray | slice:
@@ -299,7 +300,7 @@ class KernelContext:
         estimate), charged for the rows still alive before the filter.
         """
         self.meter.record_instructions(self._valid * cost)
-        flags = np.broadcast_to(np.asarray(flags, dtype=bool), mask.shape)
+        flags = over_rows(flags, mask.shape, dtype=bool)
         return self._survivors(mask & flags)
 
     def filter_stage(self, mask, index, fn, cost, columns):
@@ -372,7 +373,7 @@ class KernelContext:
             self.meter.record_instructions(alive_count * key_cost)
         if not alive_count:
             return np.full(mask.size, -1, dtype=np.int64)
-        keys = [np.broadcast_to(np.asarray(k), mask.shape) for k in key_arrays]
+        keys = [over_rows(k, mask.shape) for k in key_arrays]
         if alive_count == mask.size:
             return entry.table.probe(self.meter, keys, self.profile.l2_capacity)
         # A mask with dead rows is one this context did not issue (a

@@ -103,10 +103,29 @@ class Pipeline:
     output_schema: PlanSchema | None = None
     #: scope column name -> base table column name, for renamed scans.
     source_rename: dict[str, str] = field(default_factory=dict)
+    #: What execution resolved for this pipeline *object* and would
+    #: resolve identically again: its compiled kernels by kind
+    #: (:mod:`repro.kernels.codegen`) and the pipelines derived from it
+    #: at run time (:meth:`derive`).  Not part of the pipeline's value —
+    #: a ``dataclasses.replace`` clone starts empty — and held by
+    #: nothing else, so both die with the plan that owns the pipeline.
+    kernels: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def is_final(self) -> bool:
         return self.output_name == RESULT_NAME
+
+    def derive(self, key, build):
+        """``build()`` once per ``key`` on this pipeline object: the
+        partial-merge rewrite, a morsel's clone.  A pipeline derived
+        once keeps its identity across executions of a cached plan, and
+        with it the kernels already compiled for it."""
+        try:
+            return self.derived[key]
+        except KeyError:
+            # Two workers racing here build equal values; either stays.
+            return self.derived.setdefault(key, build())
 
     def describe(self) -> str:
         """A one-line summary, e.g. ``lineorder |filter|probe|probe| -> agg``."""

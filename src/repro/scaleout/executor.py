@@ -595,10 +595,13 @@ class ScaleOutExecutor:
             try:
                 if injector is not None:
                     injector.before_morsel(run.share.device, piece.index, device)
-                morsel = replace(
-                    rewritten,
-                    name=f"{rewritten.name}_p{piece.index}",
-                    source=piece.table_name,
+                morsel = rewritten.derive(
+                    (piece.index, piece.table_name),
+                    lambda: replace(
+                        rewritten,
+                        name=f"{rewritten.name}_p{piece.index}",
+                        source=piece.table_name,
+                    ),
                 )
                 produced = engine.run_pipelines(
                     [morsel],

@@ -93,11 +93,17 @@ def rewrite_for_partials(pipeline: Pipeline) -> tuple[Pipeline, PartialScheme]:
     ``count(*)`` so the merge can tell a real 0 from the empty-piece
     placeholder.  Materialize sinks pass through unchanged.  The clone
     shares stages with the original (both are read-only at execution
-    time); its sink and output schema are fresh objects.
+    time); its sink and output schema are fresh objects.  It is derived
+    once per pipeline object (:meth:`Pipeline.derive`), so a cached
+    plan's rewrite keeps the kernels compiled for it.
     """
-    sink = pipeline.sink
-    if not isinstance(sink, AggregateSink):
+    if not isinstance(pipeline.sink, AggregateSink):
         return pipeline, PartialScheme()
+    return pipeline.derive("partials", lambda: _rewrite_aggregate(pipeline))
+
+
+def _rewrite_aggregate(pipeline: Pipeline) -> tuple[Pipeline, PartialScheme]:
+    sink = pipeline.sink
     scope_dtypes = pipeline.scope_schema.dtypes
     specs: list[AggSpec] = []
     avg_parts: dict[str, tuple[str, str]] = {}

@@ -321,7 +321,10 @@ class Server:
             self._completed += 1
             self._per_worker[index] += 1
             self._plan_hits += int(serving.plan_cache_hit)
-            self._plan_misses += int(not serving.plan_cache_hit)
+            # A plan object bypasses the cache: neither hit nor miss.
+            self._plan_misses += int(
+                isinstance(item.query, str) and not serving.plan_cache_hit
+            )
             self._compile_hits += serving.compile_hits
             self._compile_misses += serving.compile_misses
             self._queue_wait_ms += queue_wait_ms

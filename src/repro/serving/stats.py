@@ -79,7 +79,8 @@ class ServerStats:
     failed: int
     #: Queries cancelled before a worker picked them up.
     cancelled: int
-    #: Per-query plan-cache outcomes, as counted by this server.
+    #: Per-query plan-cache outcomes over SQL text, as counted by this
+    #: server (a plan object bypasses the cache and is in neither).
     plan_hits: int
     plan_misses: int
     #: Compiled-kernel cache outcomes summed over this server's queries.

@@ -110,6 +110,9 @@ def _footer_lines(result, trace) -> list[str]:
             f"kernel cache: {hits}/{len(compiles)} hits"
         )
     serving = result.serving
+    # None for a bare ``Engine.execute`` result, which
+    # ``render_explain_analyze`` also accepts; every Session / Server
+    # execution carries its serving stats.
     if serving is not None:
         lines.append(
             f"plan cache: {'hit' if serving.plan_cache_hit else 'miss'}  "

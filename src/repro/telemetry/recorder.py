@@ -395,8 +395,7 @@ def result_fingerprint(result) -> dict:
 
 def _result_metrics(result) -> dict:
     metrics = result_fingerprint(result)
-    if result.serving is not None:
-        metrics["plan_cache_hit"] = bool(result.serving.plan_cache_hit)
+    metrics["plan_cache_hit"] = bool(result.serving.plan_cache_hit)
     if result.scaleout is not None:
         metrics["makespan_ms"] = round(result.scaleout.makespan_ms, 6)
         recovery = result.scaleout.recovery

@@ -212,6 +212,40 @@ def test_wire_header_accounting():
 
 
 # ----------------------------------------------------------------------
+# bit packing: the wire image is pinned, not only the round trip
+# ----------------------------------------------------------------------
+def _reference_bit_pack(values_u64: np.ndarray, width: int) -> np.ndarray:
+    """The packer as it was before it went through ``unpackbits``: one
+    pass per bit, most significant first.  A pack / unpack pair that
+    changed bit order together would still round-trip; the stream
+    itself has to equal this one."""
+    n = len(values_u64)
+    if width == 0 or n == 0:
+        return np.empty(0, dtype=np.uint8)
+    bits = np.empty((n, width), dtype=np.uint8)
+    for bit in range(width):
+        shift = np.uint64(width - 1 - bit)
+        bits[:, bit] = ((values_u64 >> shift) & np.uint64(1)).astype(np.uint8)
+    return np.packbits(bits.reshape(-1))
+
+
+@pytest.mark.parametrize("n", (0, 1, 7, 4096, 180_001))
+def test_bit_pack_stream_equals_the_bit_loop(n):
+    from repro.compression.codecs import _bit_pack, _bit_unpack
+
+    rng = np.random.default_rng(n)
+    # Full-range values: bits above ``width`` must be ignored, not packed.
+    values = rng.integers(0, 2**64 - 1, size=n, dtype=np.uint64, endpoint=True)
+    for width in range(65):
+        packed = _bit_pack(values, width)
+        reference = _reference_bit_pack(values, width)
+        assert packed.dtype == np.uint8
+        assert packed.tobytes() == reference.tobytes(), (n, width)
+        low = values & np.uint64((1 << width) - 1)
+        assert np.array_equal(_bit_unpack(packed, n, width), low), (n, width)
+
+
+# ----------------------------------------------------------------------
 # policy / chooser
 # ----------------------------------------------------------------------
 class TestPolicy:

@@ -175,7 +175,10 @@ def test_logical_plans_bypass_the_cache():
         assert hit is False
         assert physical.pipelines
     assert len(cache) == 0
-    assert cache.stats().misses == 2
+    # Neither a hit nor a miss: the counters are over SQL text only, so
+    # plan-object traffic cannot drag a hit rate it never touched.
+    stats = cache.stats()
+    assert (stats.hits, stats.misses, stats.hit_rate) == (0, 0, 0.0)
 
 
 def test_capacity_must_be_positive():

@@ -184,10 +184,10 @@ class Session:
     def _bind(self, device: VirtualCoprocessor, share=None) -> None:
         """Attach the session to ``device`` and build the device-bound
         half of its configured route: the adaptive executor (on the
-        statistics and calibrator of a sibling's, ``share``), the
-        scale-out fleet, or the buffer pool (else the bare engine).
-        Everything set here is private to this session; everything
-        else is shared with its siblings."""
+        statistics catalog of a sibling's, ``share``), the scale-out
+        fleet, or the buffer pool (else the bare engine).  Everything
+        set here is private to this session; everything else is shared
+        with its siblings."""
         self.device = device
         device.compression = self.compression
         self.auto = self.scaleout = self.pool = None
@@ -200,7 +200,6 @@ class Session:
                 engine=None if self.engine_alias == "auto" else self.engine_alias,
                 devices=None if self.devices == "auto" else self.devices,
                 statistics=share.statistics if share else None,
-                calibrator=share.calibrator if share else None,
             )
         elif self.devices > 1 or self._fault_plan is not None:
             from .scaleout import ScaleOutExecutor
@@ -243,8 +242,8 @@ class Session:
         Siblings share the database, plan cache, recorder, default
         engine instance, compression policy (safe: its encoding cache
         lives on the immutable columns) and — on auto sessions — one
-        statistics catalog and one calibrator, so every observation
-        tightens the same model."""
+        statistics catalog (a cache of pure functions of the data: no
+        worker's history reaches another's decisions)."""
         twin = copy.copy(self)
         twin._bind(
             VirtualCoprocessor(

@@ -314,6 +314,7 @@ class Engine:
                 ),
                 atomics=sum(trace.meter.atomic_count for trace in kernels),
                 pcie_bytes=sum(record.nbytes for record in transfers),
+                kernel_ms=sum(trace.time_ms for trace in kernels),
                 sim_ms=sum(trace.time_ms for trace in kernels)
                 + sum(record.time_ms for record in transfers),
             )
@@ -325,6 +326,15 @@ class Engine:
     ) -> dict[str, np.ndarray] | None:
         """Run one pipeline; returns output arrays for result/virtual
         sinks, None for hash-table builds."""
+        raise NotImplementedError
+
+    def estimate_pipeline(self, pipeline: Pipeline, runtime) -> tuple[int, int]:
+        """Price one pipeline without running it: launch on ``runtime``
+        (an :class:`~repro.engines.estimate.EstimateRuntime`) the
+        kernels :meth:`execute_pipeline` would, charged over row counts
+        by the code that charges them over rows.  Returns the rows that
+        reach the sink and the groups it aggregates them into (0 when
+        it does not aggregate)."""
         raise NotImplementedError
 
 

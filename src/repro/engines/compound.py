@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..kernels.codegen import generate_compound_kernel
-from ..kernels.context import KernelContext
+from ..kernels.context import EstimateContext, KernelContext
 from ..plan.physical import AggregateSink, BuildSink, Pipeline
 from ..scaleout.merge import merge_partials, rewrite_for_partials
 from .base import Engine
@@ -53,6 +53,33 @@ class CompoundEngine(Engine):
             pipeline, lazy_capable=self.lazy_capable(pipeline)
         )
         return run_compound_pipeline(pipeline, runtime, self.mode, scope)
+
+    def estimate_pipeline(self, pipeline: Pipeline, runtime) -> tuple[int, int]:
+        scope = runtime.load_source(
+            pipeline, lazy_capable=self.lazy_capable(pipeline)
+        )
+        kernel = generate_compound_kernel(pipeline)
+        ctx = _launch(
+            EstimateContext, kernel, pipeline, runtime, self.mode, scope,
+            runtime.source_rows(pipeline), kernel.name,
+        )
+        return ctx.valid, ctx.groups
+
+
+def _launch(
+    context, kernel, pipeline: Pipeline, runtime, mode: str, scope, rows: int,
+    name: str, occupancy_rows: int = 1,
+) -> KernelContext:
+    """Run ``pipeline``'s compound ``kernel`` over ``scope`` on a
+    ``context`` and launch what it charged as ``name``."""
+    ctx = context(
+        runtime, scope, pipeline.scope_schema, mode=mode, sink=pipeline.sink,
+        output_schema=pipeline.output_schema, rows=rows, pipeline=pipeline,
+    )
+    kernel(ctx)
+    occupancy = min(1.0, max(ctx.n, 1) / occupancy_rows)
+    runtime.device.launch(name, "compound", ctx.n, ctx.meter, occupancy=occupancy)
+    return ctx
 
 
 def slice_bounds(total_rows: int, slice_rows: int) -> list[tuple[int, int]]:
@@ -103,25 +130,10 @@ def run_compound_pipeline(
     runtime.kernel_sources[pipeline.name] = kernel.source
 
     def launch(rows_scope, rows: int, name: str) -> KernelContext:
-        ctx = KernelContext(
-            runtime,
-            rows_scope,
-            launched.scope_schema,
-            mode=mode,
-            sink=launched.sink,
-            output_schema=launched.output_schema,
-            rows=rows,
-            pipeline=launched,
+        return _launch(
+            KernelContext, kernel, launched, runtime, mode, rows_scope, rows, name,
+            occupancy_rows,
         )
-        kernel(ctx)
-        runtime.device.launch(
-            name,
-            "compound",
-            ctx.n,
-            ctx.meter,
-            occupancy=min(1.0, max(ctx.n, 1) / occupancy_rows),
-        )
-        return ctx
 
     if bounds is None:
         ctx = launch(scope, runtime.source_rows(pipeline), kernel.name)

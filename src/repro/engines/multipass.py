@@ -16,14 +16,10 @@ import numpy as np
 
 from ..errors import PlanError
 from ..kernels.codegen import generate_count_kernel, generate_write_kernel
-from ..kernels.context import KernelContext
+from ..kernels.context import EstimateContext, KernelContext
 from ..plan.physical import AggregateSink, BuildSink, MaterializeSink, Pipeline
-from ..primitives.hashtable import JoinHashTable
-from ..primitives.prefix import device_scan
-from ..primitives.reduce import charge_device_reduce
-from ..primitives.sortlib import device_radix_sort, device_segmented_reduce
 from .base import Engine
-from .runtime import HashTableEntry, QueryRuntime
+from .runtime import QueryRuntime, charge_library_aggregate
 
 
 class MultiPassEngine(Engine):
@@ -40,78 +36,75 @@ class MultiPassEngine(Engine):
     def execute_pipeline(
         self, pipeline: Pipeline, runtime: QueryRuntime
     ) -> dict[str, np.ndarray] | None:
+        write_ctx = self._run_passes(pipeline, runtime, KernelContext)
+        sink = pipeline.sink
+        if isinstance(sink, MaterializeSink):
+            return write_ctx.outputs
+        if isinstance(sink, BuildSink):
+            runtime.build_hash_table(sink.table_id, *_materialized(pipeline, write_ctx))
+            return None
+        if isinstance(sink, AggregateSink):
+            return self._finish_aggregate(pipeline, runtime, write_ctx)
+        raise AssertionError(f"unhandled sink {type(sink).__name__}")
+
+    def _run_passes(self, pipeline: Pipeline, runtime, context) -> KernelContext:
+        """The three phases every sink shares, on ``context`` kernels;
+        returns the write kernel's context."""
         device = runtime.device
         scope = runtime.load_source(
             pipeline, lazy_capable=self.lazy_capable(pipeline)
         )
+        rows = runtime.source_rows(pipeline)
+
+        def kernel_context(**sink) -> KernelContext:
+            return context(
+                runtime, scope, pipeline.scope_schema, mode="multipass", rows=rows,
+                pipeline=pipeline, **sink,
+            )
 
         # Phase 1: count kernel.
-        count_ctx = KernelContext(
-            runtime,
-            scope,
-            pipeline.scope_schema,
-            mode="multipass",
-            rows=runtime.source_rows(pipeline),
-            pipeline=pipeline,
-        )
+        count_ctx = kernel_context()
         count_kernel = generate_count_kernel(pipeline)
         runtime.kernel_sources[f"{pipeline.name}.count"] = count_kernel.source
         count_kernel(count_ctx)
         device.launch(count_kernel.name, "count", count_ctx.n, count_ctx.meter)
-        flags = count_ctx.flags
-        assert flags is not None
 
         # Phase 2: hierarchical prefix sum over the materialized flags.
-        scan = device_scan(device, flags, label=f"{pipeline.name}.prefix_sum")
+        scan = count_ctx.scan_flags(device, f"{pipeline.name}.prefix_sum")
 
         # Phase 3: write kernel (re-executes primitives for survivors).
-        write_ctx = KernelContext(
-            runtime,
-            scope,
-            pipeline.scope_schema,
-            mode="multipass",
-            base_count=scan.total,
-            sink=pipeline.sink,
-            output_schema=pipeline.output_schema,
-            rows=runtime.source_rows(pipeline),
-            pipeline=pipeline,
+        write_ctx = kernel_context(
+            base_count=scan.total, sink=pipeline.sink, output_schema=pipeline.output_schema
         )
-        write_ctx.install_flags(flags)
+        write_ctx.install_flags(count_ctx.flags)
         write_ctx.set_positions(scan)
         write_kernel = generate_write_kernel(pipeline)
         runtime.kernel_sources[f"{pipeline.name}.write"] = write_kernel.source
         write_kernel(write_ctx)
         device.launch(write_kernel.name, "write", write_ctx.n, write_ctx.meter)
+        return write_ctx
 
-        sink = pipeline.sink
-        if isinstance(sink, MaterializeSink):
-            return write_ctx.outputs
+    def estimate_pipeline(self, pipeline: Pipeline, runtime) -> tuple[int, int]:
+        write_ctx = self._run_passes(pipeline, runtime, EstimateContext)
+        sink, rows = pipeline.sink, write_ctx.valid
         if isinstance(sink, BuildSink):
-            return self._finish_build(pipeline, runtime, write_ctx)
-        if isinstance(sink, AggregateSink):
-            return self._finish_aggregate(pipeline, runtime, write_ctx)
-        raise AssertionError(f"unhandled sink {type(sink).__name__}")
+            runtime.build_table(pipeline, rows, *_materialized(pipeline, write_ctx))
+        if not isinstance(sink, AggregateSink):
+            return rows, 0
+        groups = runtime.groups(pipeline, rows) if sink.group_keys else 1
+        self._charge_reduction(pipeline, runtime.device, write_ctx, rows, groups)
+        return rows, groups
 
-    # ------------------------------------------------------------------
-    def _finish_build(
-        self, pipeline: Pipeline, runtime: QueryRuntime, write_ctx: KernelContext
-    ) -> None:
-        """Build the hash table from the materialized key columns."""
-        sink = pipeline.sink
-        assert isinstance(sink, BuildSink)
-        keys = [
-            write_ctx.intermediates[f"key{index}"] for index in range(len(sink.keys))
-        ]
-        table = JoinHashTable.build(
-            runtime.device, keys, name=sink.table_id
+    def _charge_reduction(self, pipeline, device, write_ctx, rows: int, groups: int) -> None:
+        """The library reduction over the write kernel's intermediates."""
+        itemsizes = {
+            spec.name: write_ctx.intermediates[f"value:{spec.name}"].dtype.itemsize
+            for spec in pipeline.sink.aggregates
+            if spec.expr is not None
+        }
+        charge_library_aggregate(
+            device, pipeline, rows, groups, itemsizes, sum(itemsizes.values())
         )
-        payload: dict[str, np.ndarray] = {}
-        for name in sink.payload:
-            values = write_ctx.intermediates[f"payload:{name}"]
-            runtime.device.allocate(values, label=f"{sink.table_id}.{name}")
-            payload[name] = values
-        runtime.register_hash_table(sink.table_id, HashTableEntry(table, payload))
-        return None
 
     # ------------------------------------------------------------------
     def _finish_aggregate(
@@ -132,36 +125,17 @@ class MultiPassEngine(Engine):
             sink, write_ctx.scope, write_ctx.final_mask, pipeline.output_schema
         )
 
-        if result.codes is not None:
-            # C1: global sort by group key, then reduce segments.
-            value_bytes = sum(
-                write_ctx.intermediates[f"value:{spec.name}"].dtype.itemsize
-                for spec in sink.aggregates
-                if spec.expr is not None
-            )
-            device_radix_sort(
-                runtime.device,
-                result.codes,
-                payload_bytes=value_bytes,
-                label=f"{pipeline.name}.group_sort",
-            )
-            device_segmented_reduce(
-                runtime.device,
-                np.sort(result.codes),
-                value_bytes_per_row=max(value_bytes, 4),
-                num_groups=result.num_groups,
-                label=f"{pipeline.name}.group_reduce",
-            )
-        else:
-            # B1: one hierarchical global reduce per aggregate, over
-            # its materialized values (count(*) reduces 4-byte ones).
-            # The result is already known; only the charge is due.
-            for spec in sink.aggregates:
-                values = write_ctx.intermediates.get(f"value:{spec.name}")
-                charge_device_reduce(
-                    runtime.device,
-                    result.inputs,
-                    4 if values is None else values.dtype.itemsize,
-                    label=f"{pipeline.name}.{spec.name}",
-                )
+        self._charge_reduction(
+            pipeline, runtime.device, write_ctx, result.inputs, result.num_groups
+        )
         return result.outputs
+
+
+def _materialized(pipeline: Pipeline, write_ctx: KernelContext):
+    """The key and payload columns a build pipeline's write kernel left
+    for the stand-alone build kernel."""
+    sink, made = pipeline.sink, write_ctx.intermediates
+    return (
+        [made[f"key{index}"] for index in range(len(sink.keys))],
+        {name: made[f"payload:{name}"] for name in sink.payload},
+    )

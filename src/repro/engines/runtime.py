@@ -26,7 +26,9 @@ from ..hardware.device import VirtualCoprocessor
 from ..hardware.traffic import MemoryLevel
 from ..telemetry.trace import active_tracer
 from ..primitives.hashtable import JoinHashTable
+from ..primitives.reduce import charge_device_reduce
 from ..primitives.segmented import factorize, grouped_reduce
+from ..primitives.sortlib import charge_radix_sort, charge_segmented_reduce, radix_passes
 from ..storage.column import Column
 from ..storage.database import Database
 from ..storage.table import Table
@@ -358,6 +360,17 @@ class QueryRuntime:
     def register_hash_table(self, table_id: str, entry: HashTableEntry) -> None:
         self.hash_tables[table_id] = entry
 
+    def build_hash_table(
+        self, table_id: str, keys: list[np.ndarray], payload: dict[str, np.ndarray]
+    ) -> None:
+        """Build ``table_id`` over materialized ``keys`` (one stand-alone
+        kernel) and register it with its ``payload`` columns, which stay
+        on the device."""
+        table = JoinHashTable.build(self.device, keys, name=table_id)
+        for name, values in payload.items():
+            self.device.allocate(values, label=f"{table_id}.{name}")
+        self.register_hash_table(table_id, HashTableEntry(table, payload))
+
     def hash_table(self, table_id: str) -> HashTableEntry:
         try:
             return self.hash_tables[table_id]
@@ -391,14 +404,11 @@ class QueryRuntime:
             return values if selected is None else values.take(selected)
 
         outputs: dict[str, np.ndarray] = {}
-        key_bytes = 0
-        value_bytes = 0
 
         if sink.group_keys:
-            key_arrays = []
-            for name, expr in sink.group_keys:
-                key_arrays.append(np.ascontiguousarray(qualifying(expr)))
-                key_bytes += output_schema.dtypes[name].itemsize
+            key_arrays = [
+                np.ascontiguousarray(qualifying(expr)) for _, expr in sink.group_keys
+            ]
             codes, uniques = factorize(key_arrays)
             num_groups = len(uniques[0]) if uniques else 0
             for (name, _), unique in zip(sink.group_keys, uniques):
@@ -409,7 +419,6 @@ class QueryRuntime:
 
         for spec in sink.aggregates:
             values = qualifying(spec.expr) if spec.expr is not None else None
-            value_bytes += _accumulator_bytes(spec.op)
             outputs[spec.name] = _reduce_spec(spec, values, codes, num_groups, inputs)
 
         # Cast to the declared output types.
@@ -420,7 +429,7 @@ class QueryRuntime:
             outputs=outputs,
             codes=codes,
             num_groups=num_groups,
-            entry_bytes=max(key_bytes + value_bytes, 8),
+            entry_bytes=sink.entry_bytes(output_schema),
             inputs=inputs,
         )
 
@@ -488,6 +497,41 @@ class QueryRuntime:
         return shipped
 
 
+def charge_library_aggregate(
+    device,
+    pipeline: Pipeline,
+    rows: int,
+    groups: int,
+    itemsizes: dict[str, int],
+    sort_payload: int,
+) -> None:
+    """The library reduction of ``rows`` materialized rows into
+    ``groups`` (multi-pass, operator-at-a-time): C1 — global radix sort
+    by group code carrying ``sort_payload`` bytes per row, then a
+    segmented reduce; flat in the group count (Experiment 2) — when the
+    sink groups, else B1 per aggregate over its ``itemsizes`` bytes
+    (``count(*)`` reduces 4-byte ones).  Only the charge is due:
+    :meth:`QueryRuntime.aggregate_rows` holds the results."""
+    sink = pipeline.sink
+    if not sink.group_keys:
+        for spec in sink.aggregates:
+            charge_device_reduce(
+                device, rows, itemsizes.get(spec.name, 4),
+                label=f"{pipeline.name}.{spec.name}",
+            )
+        return
+    # The sort keys are the dense group codes ``factorize`` assigns:
+    # 8-byte ids in [0, groups).
+    charge_radix_sort(
+        device, rows, 8, radix_passes(rows, 0, groups - 1), sort_payload,
+        label=f"{pipeline.name}.group_sort",
+    )
+    charge_segmented_reduce(
+        device, rows, max(sum(itemsizes.values()), 4), groups,
+        label=f"{pipeline.name}.group_reduce",
+    )
+
+
 def assemble_result(
     query: PhysicalQuery, outputs: dict[str, np.ndarray], ship=None
 ) -> Table:
@@ -514,14 +558,6 @@ def assemble_result(
     if query.limit is not None:
         table = table.slice(0, query.limit)
     return table
-
-
-def _accumulator_bytes(op: str) -> int:
-    if op == "avg":
-        return 12  # running sum (8) + count (4)
-    if op == "count":
-        return 4
-    return 8
 
 
 def _reduce_spec(spec, values, codes, num_groups: int, selected: int):

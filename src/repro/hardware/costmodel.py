@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .profiles import DeviceProfile
-from .traffic import MemoryLevel, TrafficMeter
+from .traffic import KernelTrace, MemoryLevel, TrafficMeter
 
 #: Fraction of peak DRAM bandwidth each kernel kind achieves.
 #:
@@ -136,6 +136,27 @@ class KernelCostModel:
             atomics,
             profile.kernel_launch_overhead,
             meter.barriers * profile.barrier_overhead,
+        )
+
+    def trace(
+        self,
+        name: str,
+        kind: str,
+        elements: int,
+        meter: TrafficMeter,
+        occupancy: float = 1.0,
+    ) -> KernelTrace:
+        """The profiler record of one launch charged ``meter``: what a
+        device logs when the kernel runs, and what an estimate of the
+        same kernel is priced as."""
+        breakdown = self.breakdown(meter, kind, occupancy=occupancy)
+        return KernelTrace(
+            name=name,
+            kind=kind,
+            elements=elements,
+            meter=meter,
+            time_ms=breakdown.total * 1e3,
+            bound_by=breakdown.bound_by,
         )
 
     def kernel_time(self, meter: TrafficMeter) -> float:

@@ -291,15 +291,7 @@ class VirtualCoprocessor:
     ) -> KernelTrace:
         """Record one kernel launch and assign its simulated time."""
         self._check_alive()
-        breakdown = self.cost_model.breakdown(meter, kind, occupancy=occupancy)
-        trace = KernelTrace(
-            name=name,
-            kind=kind,
-            elements=elements,
-            meter=meter,
-            time_ms=breakdown.total * 1e3,
-            bound_by=breakdown.bound_by,
-        )
+        trace = self.cost_model.trace(name, kind, elements, meter, occupancy)
         self.log.kernels.append(trace)
         tracer = active_tracer()
         if tracer is not None:

@@ -6,10 +6,11 @@ from .codegen import (
     generate_count_kernel,
     generate_write_kernel,
 )
-from .context import REDUCTION_MODES, KernelContext
+from .context import REDUCTION_MODES, EstimateContext, KernelContext
 
 __all__ = [
     "CompiledKernel",
+    "EstimateContext",
     "KernelContext",
     "REDUCTION_MODES",
     "generate_compound_kernel",

@@ -30,12 +30,13 @@ import numpy as np
 
 from ..compression import lazy
 from ..errors import CompilationError, PlanError
-from ..expressions.eval import over_rows
+from ..expressions.eval import evaluate, over_rows
 from ..hardware.profiles import DeviceProfile
 from ..hardware.traffic import MemoryLevel, TrafficMeter
 from ..plan.logical import PlanSchema
 from ..primitives.gather import INDEX_BYTES, random_access_volume
-from ..primitives.prefix import ScanResult, atomic_positions, lrgp_positions
+from ..primitives import prefix, segmented
+from ..primitives.prefix import ScanResult, atomic_positions, device_scan, lrgp_positions
 from .. import primitives
 
 from typing import TYPE_CHECKING
@@ -267,9 +268,9 @@ class KernelContext:
 
     def _selected(self, values, mask: np.ndarray, index: np.ndarray | None) -> np.ndarray:
         """``values`` (anything that broadcasts over the domain) for the
-        rows ``index`` picks."""
+        rows ``index`` picks, as a column."""
         values = over_rows(values, mask.shape)
-        return values if index is None else values.take(index)
+        return np.ascontiguousarray(values if index is None else values.take(index))
 
     def _source_rows(self, index: np.ndarray | None) -> np.ndarray | slice:
         """Source-row ids of the domain rows ``index`` picks."""
@@ -299,9 +300,17 @@ class KernelContext:
         ``cost`` is the expression node count (per-element instruction
         estimate), charged for the rows still alive before the filter.
         """
+        return self._filter(mask, flags, cost, None)
+
+    def _filter(self, mask, flags, cost: int, predicate):
+        """``predicate``: what ``flags`` evaluate (None: a probe's residual)."""
         self.meter.record_instructions(self._valid * cost)
         flags = over_rows(flags, mask.shape, dtype=bool)
         return self._survivors(mask & flags)
+
+    def _scan(self, mask, plan, conjunct):
+        """Fold a compressed scan's flags (one per column row) in."""
+        return self._survivors(mask & self.scope.over_domain(plan.flags))
 
     def filter_stage(self, mask, index, fn, cost, columns):
         """Execute one FilterStage: load the predicate columns and AND
@@ -316,11 +325,12 @@ class KernelContext:
         (touch + one apply_filter).  Both compute identical flags.
         """
         planned = []
-        if self.pipeline is not None and self.runtime.lazy_columns:
+        predicate = None
+        if self.pipeline is not None:
             predicate = getattr(self.pipeline.stages[index], "predicate", None)
-            conjuncts = [] if predicate is None else lazy.flatten_conjuncts(predicate)
+        if predicate is not None and self.runtime.lazy_columns:
             rows = min(self._valid, self.base_count)
-            for conjunct in conjuncts:
+            for conjunct in lazy.flatten_conjuncts(predicate):
                 plan = state = None
                 names = conjunct.columns()
                 if len(names) == 1:
@@ -336,22 +346,18 @@ class KernelContext:
                         plan = lazy.plan_scan(state, conjunct, name, rows)
                 planned.append((conjunct, plan, state))
         if any(plan is not None for _, plan, _ in planned):
-            from ..expressions.eval import evaluate
-
             for conjunct, plan, state in planned:
                 if plan is not None:
                     self.runtime.record_scan(state, plan, self.meter)
-                    mask = self._survivors(
-                        mask & self.scope.over_domain(plan.flags)
-                    )
+                    mask = self._scan(mask, plan, conjunct)
                 else:
                     self.touch(sorted(conjunct.columns()))
-                    mask = self.apply_filter(
-                        mask, evaluate(conjunct, self.scope), conjunct.size()
+                    mask = self._filter(
+                        mask, evaluate(conjunct, self.scope), conjunct.size(), conjunct
                     )
             return mask
         self.touch(columns)
-        return self.apply_filter(mask, fn(self.scope), cost)
+        return self._filter(mask, fn(self.scope), cost, predicate)
 
     def probe(
         self,
@@ -532,12 +538,14 @@ class KernelContext:
         permuted allocation order of Section 6.1; with reference
         positions it is input order.
         """
-        itemsize = self.itemsize(name)
+        self.write_output(name, self._scattered(values, mask, positions), self.itemsize(name))
+
+    def _scattered(self, values, mask: np.ndarray, positions: ScanResult) -> np.ndarray:
         index = self._alive_index(mask)
         selected = self._selected(values, mask, index)
         dense = np.empty(positions.total, dtype=selected.dtype)
         dense[positions.positions[self._source_rows(index)]] = selected
-        self.write_output(name, dense, itemsize)
+        return dense
 
     # ------------------------------------------------------------------
     # multi-pass count/write protocol
@@ -547,6 +555,11 @@ class KernelContext:
         flag per source row — the prefix sum scans threads)."""
         self.meter.record_write(MemoryLevel.GLOBAL, self.n * INDEX_BYTES)
         self.flags = self._source_flags(mask)
+
+    def scan_flags(self, device, label: str) -> ScanResult:
+        """Phase 2 of the protocol: the hierarchical device prefix sum
+        over the flags :meth:`finish_count` wrote."""
+        return device_scan(device, self.flags, label=label)
 
     def install_flags(self, flags: np.ndarray) -> None:
         self.flags = flags
@@ -579,10 +592,7 @@ class KernelContext:
         if result.codes is not None:
             self.hash_aggregate_cost(result.codes, result.num_groups, result.entry_bytes)
         else:
-            accumulators = sum(
-                2 if spec.op == "avg" else 1 for spec in self.sink.aggregates
-            )
-            self.single_aggregate_cost(result.inputs, accumulators)
+            self.single_aggregate_cost(result.inputs, self.sink.accumulators)
         self.outputs.update(result.outputs)
         self.aggregation = result
 
@@ -591,8 +601,6 @@ class KernelContext:
         for the library sort/reduce that follows (pipeline breaker)."""
         if self.sink is None:
             raise CompilationError("context has no aggregation sink bound")
-        from ..expressions.eval import evaluate
-
         self.final_mask = mask
         selected = self._alive_index(mask)
         for index, (name, expr) in enumerate(self.sink.group_keys):
@@ -611,43 +619,36 @@ class KernelContext:
         insert themselves with atomic CAS, payload kept from registers."""
         if self.sink is None:
             raise CompilationError("context has no build sink bound")
+        selected = self._alive_index(mask)
+        keys = [self._selected(array, mask, selected) for array in key_arrays]
+        payload = {
+            name: self._selected(self.scope[name], mask, selected)
+            for name in self.sink.payload
+        }
+        self._build_table(keys, payload)
+        for values in [*payload.values(), *keys]:
+            self.meter.record_write(MemoryLevel.GLOBAL, values.nbytes)
+
+    def _build_table(self, keys: list[np.ndarray], payload: dict[str, np.ndarray]) -> None:
+        """Insert ``keys`` (charged to this kernel) and register the
+        table with its ``payload`` columns, which stay on the device."""
         from ..engines.runtime import HashTableEntry
         from ..primitives.hashtable import JoinHashTable
 
-        selected = self._alive_index(mask)
-        keys = [
-            np.ascontiguousarray(self._selected(array, mask, selected))
-            for array in key_arrays
-        ]
-        table = JoinHashTable.build_pipelined(
-            self.meter, self.runtime.device, keys, name=self.sink.table_id
-        )
-        payload: dict[str, np.ndarray] = {}
-        payload_buffers = []
+        device, table_id = self.runtime.device, self.sink.table_id
+        table = JoinHashTable.build_pipelined(self.meter, device, keys, name=table_id)
+        buffers = [table.slots_buffer]
         try:
-            for name in self.sink.payload:
-                values = np.ascontiguousarray(
-                    self._selected(self.scope[name], mask, selected)
-                )
-                self.meter.record_write(MemoryLevel.GLOBAL, values.nbytes)
-                payload_buffers.append(
-                    self.runtime.device.allocate(
-                        values, label=f"{self.sink.table_id}.{name}"
-                    )
-                )
-                payload[name] = values
+            for name, values in payload.items():
+                buffers.append(device.allocate(values, label=f"{table_id}.{name}"))
         except BaseException:
             # Free the half-built table (slots + any payload columns
             # already allocated) so a failed build does not leak.
-            for buffer in payload_buffers:
-                if not buffer.freed:
-                    self.runtime.device.free(buffer)
-            if table.slots_buffer is not None and not table.slots_buffer.freed:
-                self.runtime.device.free(table.slots_buffer)
+            for buffer in buffers:
+                if buffer is not None and not buffer.freed:
+                    device.free(buffer)
             raise
-        for array, key_values in zip(key_arrays, keys):
-            self.meter.record_write(MemoryLevel.GLOBAL, key_values.nbytes)
-        self.runtime.register_hash_table(self.sink.table_id, HashTableEntry(table, payload))
+        self.runtime.register_hash_table(table_id, HashTableEntry(table, payload))
 
     def materialize_for_build(self, mask: np.ndarray, key_arrays: list[np.ndarray]) -> None:
         """Multi-pass write kernel: materialize keys + payload; the
@@ -656,16 +657,133 @@ class KernelContext:
             raise CompilationError("context has no build sink bound")
         selected = self._alive_index(mask)
         for index, array in enumerate(key_arrays):
-            values = np.ascontiguousarray(self._selected(array, mask, selected))
+            values = self._selected(array, mask, selected)
             self.meter.record_write(MemoryLevel.GLOBAL, values.nbytes)
             self.intermediates[f"key{index}"] = values
         for name in self.sink.payload:
-            values = np.ascontiguousarray(
-                self._selected(self.scope[name], mask, selected)
-            )
+            values = self._selected(self.scope[name], mask, selected)
             self.meter.record_write(MemoryLevel.GLOBAL, values.nbytes)
             self.intermediates[f"payload:{name}"] = values
 
     @property
     def valid(self) -> int:
         return self._valid
+
+
+class EstimateContext(KernelContext):
+    """A kernel over a *cardinality* domain: the row domain is a count.
+
+    The same generated kernel text runs against it and records the
+    charges execution records — through the same methods, or through
+    the count-taking charge an array-driven primitive is made of, fed
+    expected cost drivers in place of measured ones.  ``scope`` serves
+    one row of every column (expressions evaluate to their dtype),
+    ``mask`` is an opaque token, and a stage that drops rows shrinks
+    :attr:`valid` by the selectivity ``runtime`` (an
+    :class:`~repro.engines.estimate.EstimateRuntime`) estimates, or by
+    the match fraction of the table it probes.  A multi-pass write
+    kernel (``base_count`` given) starts on the flagged rows, which
+    pass every stage again.
+    """
+
+    def __init__(self, runtime, scope, *args, base_count: int | None = None, **kwargs):
+        placeholders = {name: values[:1] for name, values in scope.items()}
+        super().__init__(runtime, placeholders, *args, base_count=base_count, **kwargs)
+        self._flagged = base_count is not None
+        self._probe_stage = -1  # index of the latest probe stage
+        #: Groups the sink aggregated into (0: not an aggregation).
+        self.groups = 0
+
+    # -- the domain -----------------------------------------------------
+    def full_mask(self, mask=None):
+        """Masks, flags and row indices of a count domain: a token."""
+        return None
+
+    initial_mask = _alive_index = _source_flags = full_mask
+
+    def _keep(self, fraction: float) -> None:
+        if not self._flagged:
+            self._valid = int(round(self._valid * min(1.0, max(0.0, fraction))))
+
+    def _selected(self, values, mask, index):
+        return count_column(np.asarray(values).dtype, self._valid)
+
+    def scan_flags(self, device, label):
+        prefix.charge_device_scan(device, self.n, label=label)
+        return ScanResult(total=self._valid)
+
+    # -- stages ---------------------------------------------------------
+    def _filter(self, mask, flags, cost, predicate):
+        self.meter.record_instructions(self._valid * cost)
+        if predicate is None:
+            predicate = self.pipeline.stages[self._probe_stage].residual
+        self._keep(self.runtime.selectivity(self.pipeline, predicate))
+
+    def _scan(self, mask, plan, conjunct):
+        self._keep(self.runtime.selectivity(self.pipeline, conjunct))
+
+    def probe(self, table_id, key_arrays, mask, key_cost=0):
+        """Charge the probes of the rows alive.  ``rows_<i>`` is a one-row
+        token; the stage's expected hits ride on ``_probe`` as measured
+        ones do, so :meth:`payload` charges and gathers as it is."""
+        table = self.runtime.hash_table(table_id)
+        stages = self.pipeline.stages
+        stage = self._probe_stage = next(
+            index
+            for index in range(self._probe_stage + 1, len(stages))
+            if getattr(stages[index], "table_id", None) == table_id
+        )
+        alive = self._valid
+        self.meter.record_instructions(alive * key_cost)
+        # Flagged survivors of an inner / semi probe all hit, of an anti
+        # probe none; a left probe drops nobody.
+        certain = {"inner": 1.0, "semi": 1.0, "anti": 0.0} if self._flagged else {}
+        hits = table.probe(
+            self.meter, alive, self.profile.l2_capacity, certain.get(stages[stage].kind)
+        )
+        rows = np.zeros(1, dtype=np.int64)
+        self._probe = (rows, rows, None, hits)
+        return rows
+
+    def apply_probe(self, mask, rows, kind):
+        hits = self._probed(rows)[2]
+        if kind in ("inner", "semi"):
+            self._valid = hits
+        elif kind == "anti":
+            self._valid -= hits
+
+    # -- reductions and sinks -------------------------------------------
+    def positions(self, mask):
+        if self.mode == "atomic":
+            prefix.charge_atomic_positions(self.meter, self.n, self._valid)
+        else:
+            mechanism = "work_efficient" if self.mode == "lrgp_we" else "simd"
+            prefix.charge_lrgp_positions(self.meter, self.n, self.profile, mechanism)
+        return ScanResult(total=self._valid)
+
+    def _scattered(self, values, mask, positions):
+        return count_column(np.asarray(values).dtype, positions.total)
+
+    def sink_aggregate(self, mask):
+        sink, rows = self.sink, self._valid
+        if not sink.group_keys:
+            self.groups = 1
+            self.single_aggregate_cost(rows, sink.accumulators)
+            return
+        self.groups = self.runtime.groups(self.pipeline, rows)
+        entry_bytes = sink.entry_bytes(self.output_schema)
+        hottest, pairs, ctas = segmented.uniform_group_drivers(rows, self.groups)
+        if self.mode == "atomic":
+            segmented.charge_atomic_hash_aggregate(self.meter, rows, hottest, entry_bytes)
+        else:
+            segmented.charge_segmented_hash_aggregate(
+                self.meter, rows, pairs, ctas, entry_bytes
+            )
+
+    def _build_table(self, keys, payload):
+        self.runtime.build_table(self.pipeline, self._valid, keys, payload, self.meter)
+
+
+def count_column(dtype, rows: int) -> np.ndarray:
+    """``rows`` rows nobody computed: a zero-stride column of ``dtype``."""
+    return np.broadcast_to(np.ones(1, dtype=dtype), (rows,))

@@ -2,26 +2,25 @@
 
 Turns the paper's hand-run crossover experiments — multi-pass vs.
 compound vs. local-resolution, run-to-finish vs. out-of-core, one
-device vs. a fleet, pooled vs. transient placement — into an automatic,
-self-calibrating decision per query:
+device vs. a fleet, pooled vs. transient placement — into an automatic
+decision per query:
 
 * :mod:`~repro.optimizer.stats` — fingerprint-cached table/column
   statistics feeding selectivity and group-count estimates;
 * :mod:`~repro.optimizer.cost` — per-strategy predictions of bytes per
-  memory level, atomic pressure, and PCIe traffic, priced through the
-  same :class:`~repro.hardware.costmodel.KernelCostModel` the simulator
+  memory level, atomic pressure, and PCIe traffic: the engines' own
+  kernels run over estimated cardinalities, priced through the same
+  :class:`~repro.hardware.costmodel.KernelCostModel` the simulator
   uses;
 * :mod:`~repro.optimizer.advisor` — lattice enumeration, dominance
   pruning, ranked :class:`StrategyChoice` with explainable breakdown;
-* :mod:`~repro.optimizer.calibrate` — bounded-EWMA correction of
-  predicted vs. observed time after every execution;
 * :mod:`~repro.optimizer.auto` — the ``engine="auto"`` executor wiring
-  it all into the session/serving paths.
+  it all into the session/serving paths, and the window of predicted
+  vs. observed errors the metrics report (it feeds no decision).
 """
 
 from .advisor import Advisor, OptimizerDecision, PrunedCandidate
-from .auto import AutoExecutor
-from .calibrate import CalibrationSample, Calibrator
+from .auto import AccuracyWindow, AutoExecutor
 from .cost import (
     MACRO_MODELS,
     MICRO_ENGINES,
@@ -39,10 +38,9 @@ from .stats import (
 )
 
 __all__ = [
+    "AccuracyWindow",
     "Advisor",
     "AutoExecutor",
-    "CalibrationSample",
-    "Calibrator",
     "ColumnStats",
     "CostEstimate",
     "CostEstimator",

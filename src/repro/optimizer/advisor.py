@@ -1,5 +1,5 @@
 """Strategy advisor: enumerate the candidate lattice, prune dominated
-options, rank the rest by calibrated predicted time.
+options, rank the rest by predicted time.
 
 The advisor turns the paper's hand-run crossover experiments into an
 automatic decision.  For a compiled :class:`PhysicalQuery` it builds the
@@ -14,9 +14,9 @@ drops candidates that are *provably* wrong before estimating them
 (out-of-core when the working set fits comfortably; multi-device when a
 single device already beats the fixed merge overhead; streaming for
 engines the batch executor cannot run), prices the rest through the
-:class:`~repro.optimizer.cost.CostEstimator`, applies the per-device
-calibration factor, and returns an :class:`OptimizerDecision` whose
-``candidates`` list is the full explainable breakdown.
+:class:`~repro.optimizer.cost.CostEstimator`, and returns an
+:class:`OptimizerDecision` whose ``candidates`` list is the full
+explainable breakdown.
 
 Pinned dimensions are respected: a caller that fixes ``engine=
 "pipelined"`` but leaves ``devices="auto"`` gets a lattice where only
@@ -33,7 +33,6 @@ from ..hardware.interconnect import Interconnect
 from ..hardware.profiles import DeviceProfile
 from ..plan.physical import AggregateSink, MaterializeSink, PhysicalQuery
 from ..storage.database import Database
-from .calibrate import Calibrator
 from .cost import (
     MACRO_MODELS,
     MICRO_ENGINES,
@@ -73,7 +72,7 @@ class OptimizerDecision:
 
     chosen: StrategyChoice
     estimate: CostEstimate
-    #: Feasible candidates, ranked best-first by calibrated time.
+    #: Feasible candidates, ranked best-first by predicted time.
     candidates: list[CostEstimate] = field(default_factory=list)
     pruned: list[PrunedCandidate] = field(default_factory=list)
     #: Advisor wall-clock (ms) — the planning overhead.
@@ -84,7 +83,7 @@ class OptimizerDecision:
 
     @property
     def predicted_ms(self) -> float:
-        return self.estimate.calibrated_ms
+        return self.estimate.total_ms
 
     def error_fraction(self) -> float | None:
         """Relative |predicted - observed| / observed, once observed."""
@@ -117,7 +116,7 @@ class OptimizerDecision:
             marker = "*" if estimate.strategy == self.chosen else " "
             lines.append(
                 f" {marker}{estimate.strategy.describe():<44} "
-                f"{estimate.calibrated_ms:>9.3f} "
+                f"{estimate.total_ms:>9.3f} "
                 f"{estimate.pcie_bytes / 1e6:>9.3f} "
                 f"{estimate.global_bytes / 1e6:>10.3f} "
                 f"{estimate.peak_device_bytes / 1e6:>9.1f}"
@@ -152,13 +151,11 @@ class Advisor:
         profile: DeviceProfile,
         interconnect: Interconnect | None = None,
         statistics: StatisticsCatalog | None = None,
-        calibrator: Calibrator | None = None,
         block_bytes: int = 2 * 1024 * 1024,
         compression=None,
     ):
         self.profile = profile
         self.statistics = statistics if statistics is not None else StatisticsCatalog()
-        self.calibrator = calibrator if calibrator is not None else Calibrator()
         self.estimator = CostEstimator(
             profile, interconnect, self.statistics, block_bytes=block_bytes,
             compression=compression,
@@ -244,7 +241,6 @@ class Advisor:
         partitioning: str = "range",
         placement: str | None = None,
         resident_bytes: int = 0,
-        device_name: str | None = None,
     ) -> OptimizerDecision:
         """Pick the cheapest feasible strategy for ``query``."""
         started = time.perf_counter()
@@ -286,9 +282,6 @@ class Advisor:
                         f" exceeds device memory {capacity / 1e6:.0f}MB",
                     ))
                     continue
-            estimate.calibrated_ms = estimate.total_ms * self.calibrator.factor(
-                device_name or self.profile.name, choice
-            )
             estimates.append(estimate)
 
         if fits_comfortably and run_to_finish_available:
@@ -336,11 +329,11 @@ class Advisor:
 
 
 def _rank_key(estimate: CostEstimate) -> tuple:
-    """Calibrated time, with deterministic tie-breaks: fewer devices,
+    """Predicted time, with deterministic tie-breaks: fewer devices,
     pooled before transient, run-to-finish before streaming."""
     strategy = estimate.strategy
     return (
-        round(estimate.calibrated_ms, 9),
+        round(estimate.total_ms, 9),
         strategy.devices,
         0 if strategy.placement == "pooled" else 1,
         0 if strategy.macro == "run-to-finish" else 1,

@@ -1,9 +1,9 @@
 """The ``engine="auto"`` execution driver.
 
 :class:`AutoExecutor` owns everything a self-tuning session needs: the
-statistics catalog, the advisor, the calibrator, a pooled device (with
-a :class:`~repro.placement.BufferPool` attached), a pool-less transient
-device, and lazily-built scale-out executors per device count.  For
+statistics catalog, the advisor, the accuracy window, a pooled device
+(with a :class:`~repro.placement.BufferPool` attached), a pool-less
+transient device, and lazily-built scale-out executors per device count.  For
 each compiled query it
 
 1. asks the :class:`~repro.optimizer.advisor.Advisor` for the cheapest
@@ -16,21 +16,24 @@ each compiled query it
    :func:`~repro.placement.execute_with_placement`, or the bare
    ``Engine.execute``) so results are byte-identical to pinned runs by
    construction,
-3. feeds the observed time and exact PCIe bytes back into the
-   :class:`~repro.optimizer.calibrate.Calibrator`, and attaches the
-   full :class:`~repro.optimizer.advisor.OptimizerDecision` to
+3. records the prediction beside the observed time and exact PCIe
+   bytes in its :class:`AccuracyWindow` (reported, never fed back),
+   and attaches the full
+   :class:`~repro.optimizer.advisor.OptimizerDecision` to
    ``result.optimizer``.
 
 A safety net guarantees the advisor can never strand a query on an
 infeasible pick: any run-to-finish execution that still raises
 :class:`~repro.errors.DeviceMemoryError` (the estimate was wrong) is
-retried on the streaming out-of-core path, and the miss is recorded so
-calibration learns from it.
+retried on the streaming out-of-core path, and the miss is recorded
+(``fallbacks``, and a pruned candidate on the decision).
 """
 
 from __future__ import annotations
 
+import statistics
 import threading
+from collections import deque
 
 from ..compression import resolve_compression
 from ..engines import make_engine
@@ -44,9 +47,39 @@ from ..plan.physical import PhysicalQuery
 from ..storage.database import Database
 from ..telemetry.events import record_event
 from .advisor import Advisor, OptimizerDecision, PrunedCandidate
-from .calibrate import Calibrator
 from .cost import StrategyChoice, merge_overhead_ms
 from .stats import StatisticsCatalog
+
+
+class AccuracyWindow:
+    """Relative time and link-byte errors of the last ``history``
+    predictions.  What the metrics and the benchmark report — no
+    decision reads it: an estimate is a pure function of (plan,
+    statistics, policy, pool contents)."""
+
+    def __init__(self, history: int = 256):
+        self._lock = threading.Lock()
+        self._time_errors: deque[float] = deque(maxlen=history)
+        self._byte_errors: deque[float] = deque(maxlen=history)
+        self.samples = 0
+
+    def observe(self, predicted_ms, observed_ms, predicted_bytes=None, observed_bytes=None):
+        with self._lock:
+            if observed_ms > 0 and predicted_ms > 0:
+                self._time_errors.append(abs(predicted_ms - observed_ms) / observed_ms)
+            if predicted_bytes is not None and observed_bytes:
+                self._byte_errors.append(
+                    abs(predicted_bytes - observed_bytes) / observed_bytes
+                )
+            self.samples += 1
+
+    def median_time_error(self) -> float | None:
+        with self._lock:
+            return statistics.median(self._time_errors) if self._time_errors else None
+
+    def median_byte_error(self) -> float | None:
+        with self._lock:
+            return statistics.median(self._byte_errors) if self._byte_errors else None
 
 
 class AutoExecutor:
@@ -67,19 +100,19 @@ class AutoExecutor:
         partitioning: str = "range",
         placement: str | None = None,
         statistics: StatisticsCatalog | None = None,
-        calibrator: Calibrator | None = None,
         compression=None,
     ):
         self.profile = profile
         self.interconnect = interconnect
         self.compression = resolve_compression(compression)
         self.statistics = statistics if statistics is not None else StatisticsCatalog()
-        self.calibrator = calibrator if calibrator is not None else Calibrator()
+        #: Estimate accuracy over this executor's recent queries (named
+        #: for the correction loop it outlived: the benchmark reads it).
+        self.calibrator = AccuracyWindow()
         self.advisor = Advisor(
             profile,
             interconnect,
             statistics=self.statistics,
-            calibrator=self.calibrator,
             compression=self.compression,
         )
         self.pinned_engine = engine
@@ -194,8 +227,6 @@ class AutoExecutor:
         decision.observed_ms = observed_ms
         decision.observed_pcie_bytes = result.input_bytes + result.output_bytes
         self.calibrator.observe(
-            self.profile.name,
-            strategy,
             predicted_ms=decision.predicted_ms,
             observed_ms=observed_ms,
             predicted_bytes=decision.estimate.pcie_bytes,
@@ -273,7 +304,7 @@ class AutoExecutor:
         ).set_total(fallbacks)
         metrics.gauge(
             "repro_optimizer_calibration_samples",
-            "Prediction/observation pairs folded into calibration",
+            "Prediction/observation pairs in the accuracy window",
             **labels,
         ).set(self.calibrator.samples)
         byte_error = self.calibrator.median_byte_error()

@@ -77,6 +77,18 @@ class AggregateSink:
     group_keys: list[tuple[str, Expr]]
     aggregates: list[AggSpec]
 
+    @property
+    def accumulators(self) -> int:
+        """Reduction targets: AVG keeps a running sum and a count."""
+        return sum(2 if spec.op == "avg" else 1 for spec in self.aggregates)
+
+    def entry_bytes(self, output_schema: PlanSchema) -> int:
+        """Bytes of one aggregation-table entry: the group key plus all
+        accumulators (AVG: 8-byte sum + 4-byte count; COUNT: 4; else 8)."""
+        key_bytes = sum(output_schema.dtypes[name].itemsize for name, _ in self.group_keys)
+        sizes = {"avg": 12, "count": 4}
+        return max(key_bytes + sum(sizes.get(spec.op, 8) for spec in self.aggregates), 8)
+
 
 Stage = FilterStage | MapStage | ProbeStage
 Sink = MaterializeSink | BuildSink | AggregateSink
@@ -157,6 +169,10 @@ class PhysicalQuery:
     limit: int | None = None
     output_columns: list[str] = field(default_factory=list)
     output_schema: PlanSchema | None = None
+    #: Per-pipeline cost estimates the optimizer derived for this plan
+    #: *object*, keyed by everything else they are a function of.  Like
+    #: :attr:`Pipeline.kernels`: not part of its value, gone with it.
+    estimates: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def final_pipeline(self) -> Pipeline:

@@ -93,6 +93,110 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def table_capacity(rows: int, load_factor: float = 0.5) -> int:
+    return _next_power_of_two(max(16, int(rows / load_factor)))
+
+
+def charge_inserts(meter: TrafficMeter, rows: int, attempts: int, max_contention: int) -> None:
+    """The atomic-CAS slot traffic of inserting ``rows`` keys: every
+    one of the ``attempts`` reads a slot, every success writes one."""
+    meter.record_table_read(attempts * _SLOT_BYTES)
+    meter.record_table_write(rows * _SLOT_BYTES)
+    chain = max(max_contention, 1) if rows else 0
+    meter.record_atomics(AtomicBatch(count=attempts, max_chain=chain, kind="rmw"))
+    meter.record_instructions(3 * attempts)
+
+
+def charge_build_kernel(
+    device, name: str, rows: int, attempts: int, max_contention: int, key_bytes: int
+) -> None:
+    """The stand-alone build kernel: the inserts plus a read of the
+    materialized key columns (``key_bytes`` in all)."""
+    meter = device.new_meter()
+    charge_inserts(meter, rows, attempts, max_contention)
+    meter.record_read(MemoryLevel.GLOBAL, key_bytes)
+    device.launch(f"build.{name}", "build", rows, meter)
+
+
+def charge_probes(
+    meter: TrafficMeter, steps: int, entry_bytes: int, structure_bytes: int,
+    l2_capacity: int | None,
+) -> None:
+    """``steps`` slot inspections (a random read of one entry each) of
+    a table whose slots and keys take ``structure_bytes``."""
+    meter.record_table_read(
+        random_access_volume(steps, entry_bytes, structure_bytes, l2_capacity)
+    )
+    meter.record_instructions(4 * steps)
+
+
+@dataclass
+class TableEstimate:
+    """A hash table that was priced, not built: what the kernels that
+    would build and probe it are charged from, with the expected cost
+    drivers of uniformly hashed keys where :class:`JoinHashTable` has
+    measured ones (linear probing at the table's load, Knuth 6.4)."""
+
+    rows: int
+    #: Share of its source's rows the build kept — the fraction of
+    #: foreign keys that find a match, for keys spread evenly over them.
+    match_fraction: float
+    #: Bytes of one row's key columns.
+    key_bytes: int
+    #: Payload columns: ``rows`` zero-stride rows of the right dtype.
+    payload: dict[str, np.ndarray]
+
+    def __post_init__(self) -> None:
+        self.capacity = table_capacity(self.rows)
+        load = self.rows / self.capacity
+        # Knuth's Q_0(m, n - 1) and Q_1(m, n): sums of falling-factorial
+        # terms, which a small table is far from the limit 1 / (1 - load)
+        # of (its terms fall off faster than load ** k).
+        q0 = q1 = term0 = term1 = 1.0
+        k = 0
+        while k < self.rows and (k + 2) * term1 > 1e-4:
+            k += 1
+            term0 *= (self.rows - k) / self.capacity
+            term1 *= (self.rows - k + 1) / self.capacity
+            q0 += term0
+            q1 += (k + 1) * term1
+        self._hit, self._miss = 0.5 * (1.0 + q0), 0.5 * (1.0 + q1)
+        #: Slot reads of the build: a successful search per key, plus
+        #: the re-read of every key that lost the first round's CAS
+        #: race (about ``load / 2`` of them).
+        self.attempts = int(round(self.rows * (self._hit + load / 2)))
+        #: Worst same-slot contention: the largest of ~n Poisson(<= 0.5)
+        #: slot populations is 4 to 6 from a thousand to a million rows.
+        self.max_contention = min(self.rows, 5)
+
+    @property
+    def entry_bytes(self) -> int:
+        return _SLOT_BYTES + self.key_bytes
+
+    @property
+    def structure_bytes(self) -> int:
+        return self.capacity * _SLOT_BYTES + self.rows * self.key_bytes
+
+    def probe_steps(self, probes: int, hits: int) -> int:
+        """Slots inspected by ``probes`` lookups of which ``hits`` match."""
+        return int(round(hits * self._hit + (probes - hits) * self._miss))
+
+    def probe(
+        self, meter: TrafficMeter, probes: int, l2_capacity: int | None,
+        match_fraction: float | None = None,
+    ) -> int:
+        """Charge ``probes`` lookups as :meth:`JoinHashTable.probe` does;
+        returns how many of them hit."""
+        share = self.match_fraction if match_fraction is None else match_fraction
+        hits = int(round(probes * share))
+        if probes:
+            charge_probes(
+                meter, self.probe_steps(probes, hits), self.entry_bytes,
+                self.structure_bytes, l2_capacity,
+            )
+        return hits
+
+
 class _Layout:
     """Where every build row lands, and what landing there cost.
 
@@ -109,7 +213,7 @@ class _Layout:
         n = len(key_arrays[0])
         if any(len(array) != n for array in key_arrays):
             raise PlanError("join key columns must have equal length")
-        capacity = _next_power_of_two(max(16, int(n / load_factor)))
+        capacity = table_capacity(n, load_factor)
         mask = np.uint64(capacity - 1)
 
         slots = np.full(capacity, -1, dtype=np.int64)
@@ -323,29 +427,12 @@ class JoinHashTable:
 
     # ------------------------------------------------------------------
     @classmethod
-    def _inserted(
-        cls, meter: TrafficMeter, key_arrays: list[np.ndarray], name: str,
-        load_factor: float,
-    ) -> "JoinHashTable":
-        """A table over these keys, with the atomic-CAS slot traffic of
-        inserting them charged to ``meter`` — from the layout's recorded
-        counts, so a memo hit charges exactly what computing it did."""
-        layout = _layout_of(
-            [np.ascontiguousarray(array) for array in key_arrays], name, load_factor
-        )
-        n = len(layout.keys[0])
-        # Every insert attempt reads a slot; every success writes one.
-        meter.record_table_read(layout.attempts * _SLOT_BYTES)
-        meter.record_table_write(n * _SLOT_BYTES)
-        meter.record_atomics(
-            AtomicBatch(
-                count=layout.attempts,
-                max_chain=max(layout.max_contention, 1) if n else 0,
-                kind="rmw",
-            )
-        )
-        meter.record_instructions(3 * layout.attempts)
-        return cls(layout, name)
+    def _laid_out(cls, key_arrays: list[np.ndarray], name: str, load_factor: float):
+        """A table over these keys.  Its build is charged from the
+        layout's recorded counts (``attempts`` / ``max_contention``), so
+        a memo hit charges exactly what computing it did."""
+        keys = [np.ascontiguousarray(array) for array in key_arrays]
+        return cls(_layout_of(keys, name, load_factor), name)
 
     @classmethod
     def build(
@@ -360,12 +447,12 @@ class JoinHashTable:
         Reads materialized key columns from GPU global memory (the
         multi-pass and operator-at-a-time flow).
         """
-        meter = device.new_meter()
-        table = cls._inserted(meter, key_arrays, name, load_factor)
-        meter.record_read(
-            MemoryLevel.GLOBAL, sum(array.nbytes for array in table.key_arrays)
+        table = cls._laid_out(key_arrays, name, load_factor)
+        layout = table._layout
+        charge_build_kernel(
+            device, name, table.num_rows, layout.attempts, layout.max_contention,
+            sum(array.nbytes for array in table.key_arrays),
         )
-        device.launch(f"build.{name}", "build", table.num_rows, meter)
 
         # The slot array stays resident in device global memory.
         table.slots_buffer = device.allocate(table.slots, label=f"{name}.slots")
@@ -387,7 +474,9 @@ class JoinHashTable:
         build pipeline (Section 5.2: "hash table operations" as function
         calls in the generated kernel).
         """
-        table = cls._inserted(meter, key_arrays, name, load_factor)
+        table = cls._laid_out(key_arrays, name, load_factor)
+        layout = table._layout
+        charge_inserts(meter, table.num_rows, layout.attempts, layout.max_contention)
         table.slots_buffer = device.allocate(table.slots, label=f"{name}.slots")
         return table
 
@@ -430,10 +519,7 @@ class JoinHashTable:
         structure_bytes = self.capacity * _SLOT_BYTES + sum(
             array.nbytes for array in self.key_arrays
         )
-        meter.record_table_read(
-            random_access_volume(steps, self.entry_bytes, structure_bytes, l2_capacity)
-        )
-        meter.record_instructions(4 * steps)
+        charge_probes(meter, steps, self.entry_bytes, structure_bytes, l2_capacity)
         return result
 
     def _walk(self, probe_arrays: list[np.ndarray]) -> tuple[np.ndarray, int]:

@@ -50,7 +50,8 @@ class ScanResult:
     An ordered scan (:func:`reference_positions`) is a pure function of
     its flags, so it keeps the flags and computes ``positions`` on first
     read: only a materializing sink ever reads them, while every
-    multi-pass pipeline needs ``total``.
+    multi-pass pipeline needs ``total``.  An estimated scan is its
+    ``total`` alone.
     """
 
     def __init__(
@@ -59,8 +60,6 @@ class ScanResult:
         positions: np.ndarray | None = None,
         flags: np.ndarray | None = None,
     ):
-        if positions is None and flags is None:
-            raise ValueError("a ScanResult needs its positions or the flags to scan")
         self.total = total
         self._positions = positions
         self._flags = flags
@@ -100,20 +99,16 @@ def reference_positions(flags: np.ndarray) -> ScanResult:
 # ----------------------------------------------------------------------
 # A1 — multi-pass hierarchical scan (pipeline breaker)
 # ----------------------------------------------------------------------
-def device_scan(
+def charge_device_scan(
     device: VirtualCoprocessor,
-    flags: np.ndarray,
+    n: int,
     cta_size: int = DEFAULT_CTA_SIZE,
     label: str = "prefix_sum",
-) -> ScanResult:
-    """A Blelloch-style hierarchical scan as separate device kernels.
-
-    Launches the classic three-kernel sequence (block scan, scan of
-    block totals, offset add), each reading and writing GPU global
-    memory — exactly the round trips the compound kernel eliminates.
-    """
-    flags = np.asarray(flags, dtype=bool)
-    n = len(flags)
+) -> None:
+    """Launch the classic three-kernel Blelloch-style hierarchical scan
+    over ``n`` flags (block scan, scan of block totals, offset add), each
+    reading and writing GPU global memory — exactly the round trips the
+    compound kernel eliminates."""
     blocks = num_blocks(n, cta_size)
     flag_bytes = n * _FLAG_BYTES
     block_bytes = blocks * _FLAG_BYTES
@@ -144,12 +139,28 @@ def device_scan(
     meter.record_instructions(n)
     device.launch(f"{label}.offset_add", "prefix_sum", n, meter)
 
+
+def device_scan(
+    device: VirtualCoprocessor,
+    flags: np.ndarray,
+    cta_size: int = DEFAULT_CTA_SIZE,
+    label: str = "prefix_sum",
+) -> ScanResult:
+    """:func:`charge_device_scan` over ``flags``, and their positions."""
+    flags = np.asarray(flags, dtype=bool)
+    charge_device_scan(device, len(flags), cta_size, label)
     return reference_positions(flags)
 
 
 # ----------------------------------------------------------------------
 # A2 — atomic prefix sum (fully pipelined, no local resolution)
 # ----------------------------------------------------------------------
+def charge_atomic_positions(meter: TrafficMeter, n: int, total: int) -> None:
+    """A2's charge: ``total`` of ``n`` threads add to one counter."""
+    meter.record_atomics(AtomicBatch(count=total, max_chain=total))
+    meter.record_instructions(n)
+
+
 def atomic_positions(
     meter: TrafficMeter,
     flags: np.ndarray,
@@ -164,8 +175,7 @@ def atomic_positions(
     """
     flags = np.asarray(flags, dtype=bool)
     total = int(np.count_nonzero(flags))
-    meter.record_atomics(AtomicBatch(count=total, max_chain=total))
-    meter.record_instructions(len(flags))
+    charge_atomic_positions(meter, len(flags), total)
     positions = np.full(len(flags), -1, dtype=np.int64)
     if total:
         order = rng.permutation(total).astype(np.int64)
@@ -233,15 +243,15 @@ def lookback_positions(
 # ----------------------------------------------------------------------
 # A3 — local resolution, global propagation
 # ----------------------------------------------------------------------
-def lrgp_positions(
+def charge_lrgp_positions(
     meter: TrafficMeter,
-    flags: np.ndarray,
+    n: int,
     profile: DeviceProfile,
-    rng: np.random.Generator,
     mechanism: str = "simd",
     cta_size: int = DEFAULT_CTA_SIZE,
-) -> ScanResult:
-    """Local resolution (on-chip pre-scan) + one atomic per thread group.
+) -> int:
+    """A3's charge for ``n`` threads — it does not depend on how many
+    are selected.  Returns the thread-group size.
 
     ``mechanism`` selects the local-resolution algorithm (Figure 15):
 
@@ -250,8 +260,6 @@ def lrgp_positions(
     * ``"simd"`` — warp/wavefront scan (Sengupta et al.); no barriers,
       one atomic per SIMD group of ``profile.simd_width`` threads.
     """
-    flags = np.asarray(flags, dtype=bool)
-    n = len(flags)
     if mechanism == "work_efficient":
         group = cta_size
         scan_steps = 2 * log2_ceil(group)
@@ -270,6 +278,22 @@ def lrgp_positions(
     # Global propagation: one atomic add per thread group, all on the
     # same global counter.
     meter.record_atomics(AtomicBatch(count=groups, max_chain=groups))
+    return group
+
+
+def lrgp_positions(
+    meter: TrafficMeter,
+    flags: np.ndarray,
+    profile: DeviceProfile,
+    rng: np.random.Generator,
+    mechanism: str = "simd",
+    cta_size: int = DEFAULT_CTA_SIZE,
+) -> ScanResult:
+    """Local resolution, global propagation: :func:`charge_lrgp_positions`."""
+    flags = np.asarray(flags, dtype=bool)
+    n = len(flags)
+    group = charge_lrgp_positions(meter, n, profile, mechanism, cta_size)
+    groups = num_blocks(n, group)
 
     totals = segment_totals(flags.astype(np.int64), group)
     local = segment_exclusive_cumsum(flags.astype(np.int64), group)

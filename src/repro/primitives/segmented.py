@@ -97,6 +97,16 @@ class HashAggregateCost:
 # ----------------------------------------------------------------------
 # C2 — atomic hash reduce
 # ----------------------------------------------------------------------
+def charge_atomic_hash_aggregate(meter: TrafficMeter, n: int, max_chain: int, entry_bytes: int) -> None:
+    """C2's charge: one atomic RMW per tuple against its group's entry;
+    ``max_chain`` is the population of the hottest group."""
+    meter.record_atomics(AtomicBatch(count=n, max_chain=max_chain, kind="rmw"))
+    # Hash + probe instructions and the RMW traffic on the global table.
+    meter.record_instructions(4 * n)
+    meter.record_table_read(n * entry_bytes)
+    meter.record_table_write(n * entry_bytes)
+
+
 def atomic_hash_aggregate(
     meter: TrafficMeter,
     codes: np.ndarray,
@@ -112,11 +122,7 @@ def atomic_hash_aggregate(
     """
     n = len(codes)
     max_chain = int(np.bincount(codes, minlength=max(num_groups, 1)).max()) if n else 0
-    meter.record_atomics(AtomicBatch(count=n, max_chain=max_chain, kind="rmw"))
-    # Hash + probe instructions and the RMW traffic on the global table.
-    meter.record_instructions(4 * n)
-    meter.record_table_read(n * entry_bytes)
-    meter.record_table_write(n * entry_bytes)
+    charge_atomic_hash_aggregate(meter, n, max_chain, entry_bytes)
     return HashAggregateCost(
         inputs=n, groups=num_groups, global_atomics=n, max_chain=max_chain
     )
@@ -125,6 +131,33 @@ def atomic_hash_aggregate(
 # ----------------------------------------------------------------------
 # C3 — segmented pre-aggregation in scratchpad
 # ----------------------------------------------------------------------
+def charge_segmented_hash_aggregate(
+    meter: TrafficMeter,
+    n: int,
+    distinct_pairs: int,
+    max_chain: int,
+    entry_bytes: int,
+    cta_size: int = DEFAULT_CTA_SIZE,
+) -> None:
+    """C3's charge for ``n`` tuples: the scratchpad sort and segmented
+    reduce of every CTA, then one insert per distinct (CTA, key) pair;
+    ``max_chain`` is the most CTAs any one group was seen by."""
+    blocks = num_blocks(n, cta_size)
+    # Bitonic sort in scratchpad: ~log^2(cta)/2 compare-exchange stages.
+    stages = log2_ceil(cta_size) * (log2_ceil(cta_size) + 1) // 2
+    meter.record_read(MemoryLevel.ONCHIP, stages * n * entry_bytes)
+    meter.record_write(MemoryLevel.ONCHIP, stages * n * entry_bytes)
+    meter.record_instructions(stages * n)
+    meter.record_barrier(blocks * stages)
+    # Segmented reduce over the sorted slice.
+    meter.record_read(MemoryLevel.ONCHIP, n * entry_bytes)
+    meter.record_write(MemoryLevel.ONCHIP, n * entry_bytes)
+    meter.record_instructions(2 * n)
+    meter.record_atomics(AtomicBatch(count=distinct_pairs, max_chain=max_chain, kind="rmw"))
+    meter.record_table_read(distinct_pairs * entry_bytes)
+    meter.record_table_write(distinct_pairs * entry_bytes)
+
+
 def segmented_hash_aggregate(
     meter: TrafficMeter,
     codes: np.ndarray,
@@ -142,18 +175,6 @@ def segmented_hash_aggregate(
     that saw the group.
     """
     n = len(codes)
-    blocks = num_blocks(n, cta_size)
-    # Bitonic sort in scratchpad: ~log^2(cta)/2 compare-exchange stages.
-    stages = log2_ceil(cta_size) * (log2_ceil(cta_size) + 1) // 2
-    meter.record_read(MemoryLevel.ONCHIP, stages * n * entry_bytes)
-    meter.record_write(MemoryLevel.ONCHIP, stages * n * entry_bytes)
-    meter.record_instructions(stages * n)
-    meter.record_barrier(blocks * stages)
-    # Segmented reduce over the sorted slice.
-    meter.record_read(MemoryLevel.ONCHIP, n * entry_bytes)
-    meter.record_write(MemoryLevel.ONCHIP, n * entry_bytes)
-    meter.record_instructions(2 * n)
-
     if n:
         cta_of = np.arange(n, dtype=np.int64) // cta_size
         pairs = np.unique(cta_of * max(num_groups, 1) + codes)
@@ -163,12 +184,23 @@ def segmented_hash_aggregate(
     else:
         distinct_pairs = 0
         max_chain = 0
-    meter.record_atomics(AtomicBatch(count=distinct_pairs, max_chain=max_chain, kind="rmw"))
-    meter.record_table_read(distinct_pairs * entry_bytes)
-    meter.record_table_write(distinct_pairs * entry_bytes)
+    charge_segmented_hash_aggregate(meter, n, distinct_pairs, max_chain, entry_bytes, cta_size)
     return HashAggregateCost(
         inputs=n,
         groups=num_groups,
         global_atomics=distinct_pairs,
         max_chain=max_chain,
     )
+
+
+def uniform_group_drivers(n: int, num_groups: int, cta_size: int = DEFAULT_CTA_SIZE):
+    """The cost drivers of aggregating ``n`` tuples spread uniformly over
+    ``num_groups``: C2's hottest-group population, and C3's distinct
+    (CTA, key) pairs and the CTAs the busiest group is seen by."""
+    if not n:
+        return 0, 0, 0
+    groups = max(num_groups, 1)
+    blocks = num_blocks(n, cta_size)
+    seen = 1.0 - (1.0 - 1.0 / groups) ** min(cta_size, n)
+    pairs = min(n, max(blocks, int(round(blocks * groups * seen))))
+    return -(-n // groups), pairs, min(pairs, max(1, int(round(blocks * seen))))

@@ -79,7 +79,7 @@ class Server:
         the :class:`~repro.engines.runtime.QueryRuntime`).
         ``engine="auto"`` (and/or ``devices="auto"``) gives every
         worker an adaptive :class:`~repro.optimizer.AutoExecutor`
-        sharing one statistics catalog and calibrator: each query runs
+        sharing one statistics catalog: each query runs
         on the cost-based optimizer's cheapest feasible strategy, the
         plan cache keys auto entries separately from pinned ones, and
         ``metrics_text`` grows the ``repro_optimizer_*`` family.

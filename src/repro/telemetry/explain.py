@@ -46,9 +46,24 @@ def render_explain_analyze(result) -> str:
             "with repro.telemetry.tracing() enabled"
         )
     pipelines = trace.spans("pipeline")
+    # An optimizer's pick shows its estimate beside the actual (a
+    # fleet's fact morsels, which it prices as one pipeline, show none).
+    optimizer = getattr(result, "optimizer", None)
+    priced = optimizer.estimate.pipelines if optimizer else []
+    if getattr(result, "scaleout", None) is not None:
+        priced = priced[:-1]
+    estimated = {f"pipeline[{index}]": pipe for index, pipe in enumerate(priced)}
     rows = []
     for index, span in enumerate(pipelines):
         attrs = span.attrs
+        estimate = []
+        if optimizer is not None:
+            pipe, actual = estimated.get(span.name), attrs.get("kernel_ms", 0.0)
+            estimate = ["", "", ""] if pipe is None else [
+                pipe.result_rows,
+                round(pipe.kernel_ms, 4),
+                f"{abs(pipe.kernel_ms - actual) / actual:.1%}" if actual else "",
+            ]
         rows.append(
             [
                 f"[{index}]",
@@ -61,14 +76,17 @@ def render_explain_analyze(result) -> str:
                 round(attrs.get("pcie_bytes", 0) / 1e3, 1),
                 round(attrs.get("sim_ms", 0.0), 4),
                 round(span.duration_us / 1e3, 3),
+                *estimate,
             ]
         )
     title = (
         f"EXPLAIN ANALYZE  ({result.engine} on {result.device_name}; "
         f"{result.table.num_rows} result rows)"
     )
+    # ``est ms`` / ``error`` are the pipeline's kernels, est vs actual.
+    columns = _COLUMNS + (["est rows", "est ms", "error"] if optimizer else [])
     parts = [
-        format_table(_COLUMNS, rows, title=title, float_format="{:.4g}"),
+        format_table(columns, rows, title=title, float_format="{:.4g}"),
         _totals(result, pipelines),
     ]
     footer = _footer_lines(result, trace)

@@ -1,0 +1,232 @@
+"""The estimate *is* the execution when cardinalities are exact.
+
+An engine prices a pipeline by running the kernels and library charges
+it executes with over row counts (``Engine.estimate_pipeline``).  What
+separates the estimated meter of a kernel from the executed one is
+therefore only what the counts were guessed from: selectivities, group
+counts, hash-table cost drivers.  These tests feed measured ones back
+in and require the meters to agree — field for field where nothing is
+left to guess, to the percent where a uniform-keys expectation remains.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro import connect, generate_ssb
+from repro.compression import resolve_compression
+from repro.engines import make_engine
+from repro.engines.estimate import EstimateRuntime
+from repro.expressions.eval import evaluate
+from repro.hardware import GTX970, PCIE3, VirtualCoprocessor
+from repro.hardware.traffic import MemoryLevel
+from repro.optimizer.cost import MICRO_ENGINES, CostEstimator, StrategyChoice
+from repro.placement.executor import base_columns
+from repro.plan.pipelines import extract_pipelines
+from repro.primitives.hashtable import JoinHashTable, TableEstimate
+from repro.sql.translate import plan_sql
+from repro.telemetry import tracing
+from repro.workloads import SSB_QUERIES, microbench
+
+ENGINES = MICRO_ENGINES + ("resolution-we",)
+POLICIES = ("off", "auto")
+
+
+@pytest.fixture(scope="module")
+def database():
+    return generate_ssb(0.004, seed=11)
+
+
+class Observed:
+    """Cardinalities measured on the data: each predicate's share of the
+    rows still alive in its pipeline (conjuncts narrow in the order the
+    kernels apply them), and — from a traced execution — the rows every
+    aggregation produced."""
+
+    def __init__(self, query, database):
+        self._alive: dict[str, np.ndarray] = {}
+        device = VirtualCoprocessor(GTX970, interconnect=PCIE3)
+        with tracing():
+            result = make_engine("resolution").execute(query, database, device)
+        self._produced = {
+            pipeline.name: span.attrs["rows_out"]
+            for pipeline, span in zip(query.pipelines, result.trace.spans("pipeline"))
+        }
+
+    def selectivity(self, database, pipeline, predicate) -> float:
+        table = database.table(pipeline.source)
+        scope = {
+            name: table.column(pipeline.source_rename.get(name, name)).values
+            for name in pipeline.required_columns
+        }
+        alive = self._alive.get(pipeline.name, np.ones(table.num_rows, dtype=bool))
+        flags = np.asarray(evaluate(predicate, scope), dtype=bool)
+        self._alive[pipeline.name] = alive & flags
+        before = int(np.count_nonzero(alive))
+        return int(np.count_nonzero(alive & flags)) / before if before else 0.0
+
+    def groups(self, database, pipeline, rows) -> int:
+        return self._produced[pipeline.name]
+
+
+def estimated_kernels(query, database, alias, cardinalities, policy):
+    """The launches ``alias`` prices for ``query``, pipeline by pipeline
+    (what ``CostEstimator._pipeline_estimates`` slices its numbers from)."""
+    estimator = CostEstimator(GTX970, PCIE3, compression=resolve_compression(policy))
+    runtime = EstimateRuntime(
+        estimator.cost_model, estimator.interconnect, database, cardinalities,
+        estimator.compression,
+    )
+    engine = make_engine(alias)
+    for pipeline in query.pipelines:
+        rows, groups = engine.estimate_pipeline(pipeline, runtime)
+        if not pipeline.is_final and pipeline.output_schema is not None:
+            produced = min(groups, max(rows, 1)) if groups else rows
+            runtime.register_virtual_rows(pipeline.output_name, produced, pipeline.output_schema)
+    return runtime.device.log.kernels
+
+
+def executed_kernels(query, database, alias, policy):
+    return connect(database, engine=alias, compression=policy).execute(query).profile.kernels
+
+
+def _physical(plan, database):
+    if isinstance(plan, str):
+        plan = plan_sql(plan, database)
+    return extract_pipelines(plan, database)
+
+
+EXACT = {
+    "sum": lambda: "select sum(lo_revenue) as r from lineorder",
+    "proj-x0": lambda: microbench.projection_query(0),
+    "groupby-g1": lambda: microbench.group_by_query(1),
+}
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("alias", ENGINES)
+@pytest.mark.parametrize("name", sorted(EXACT))
+def test_exact_cardinalities_give_the_executed_meters(database, name, alias, policy):
+    """No data-dependent cost driver is left to guess in these
+    pipelines once the selectivity is the observed one: every launch
+    has the executed launch's name, kind, elements and meter."""
+    plan = EXACT[name]()
+    query = _physical(plan, database)
+    estimated = estimated_kernels(query, database, alias, Observed(query, database), policy)
+    executed = executed_kernels(plan, database, alias, policy)
+    assert [(t.name, t.kind, t.elements) for t in estimated] == [
+        (t.name, t.kind, t.elements) for t in executed
+    ]
+    for ours, theirs in zip(estimated, executed):
+        assert ours.meter.snapshot() == theirs.meter.snapshot(), ours.name
+        assert ours.time_ms == theirs.time_ms
+
+
+JOIN = (
+    "select sum(lo_revenue + d_year) as r from lineorder, date "
+    "where lo_orderdate = d_datekey"
+)
+
+#: name -> (statement, compression policy, build rows of ``date``, probing
+#: rows of ``lineorder``): an unfiltered build probed with a 100 % match,
+#: and SSB q1.1 — a filtered build, a filtered probe side, 14 % matching.
+JOINS = {
+    "full-match": (JOIN, "off", lambda d: d("d_year") > 0, lambda lo: lo("lo_quantity") > 0),
+    "q1.1": (
+        SSB_QUERIES["q1.1"],
+        "auto",
+        lambda d: d("d_year") == 1993,
+        lambda lo: (lo("lo_discount") >= 1) & (lo("lo_discount") <= 3) & (lo("lo_quantity") < 25),
+    ),
+}
+
+
+@pytest.mark.parametrize("alias", ENGINES)
+@pytest.mark.parametrize("case", sorted(JOINS))
+def test_join_with_measured_and_expected_drivers(database, case, alias, monkeypatch):
+    """What an estimated hash join guesses beyond the selectivities is
+    the table's layout (insert attempts, contention), the slots its
+    probes inspect and the share of them that hit.  With the measured
+    ones injected the meters are the executed ones; with the
+    linear-probing expectations global bytes agree within 10 %."""
+    sql, policy, build_rows, probe_rows = JOINS[case]
+    query = _physical(sql, database)
+    date, lineorder = database.table("date"), database.table("lineorder")
+    keys = date.column("d_datekey").values[build_rows(lambda n: date.column(n).values)]
+    probes = lineorder.column("lo_orderdate").values[
+        probe_rows(lambda n: lineorder.column(n).values)
+    ]
+    built = JoinHashTable._laid_out([keys], "measured", 0.5)
+    found, steps = built._walk([probes])
+    matching = probes[found >= 0]
+    # A multi-pass write kernel probes again with the rows that matched.
+    steps_of = {len(probes): steps, len(matching): built._walk([matching])[1]}
+
+    class Measured(TableEstimate):
+        def __post_init__(self):
+            super().__post_init__()
+            self.attempts = built._layout.attempts
+            self.max_contention = built._layout.max_contention
+            self.match_fraction = len(matching) / len(probes)
+
+        def probe_steps(self, probes, hits):
+            return steps_of[probes]
+
+    executed = executed_kernels(sql, database, alias, policy)
+    monkeypatch.setattr("repro.engines.estimate.TableEstimate", Measured)
+    measured = estimated_kernels(query, database, alias, Observed(query, database), policy)
+    monkeypatch.undo()
+    assert [t.name for t in measured] == [t.name for t in executed]
+    for ours, theirs in zip(measured, executed):
+        assert ours.meter.snapshot() == theirs.meter.snapshot(), ours.name
+    expected = estimated_kernels(query, database, alias, Observed(query, database), policy)
+    for ours, theirs in zip(expected, executed):
+        assert ours.global_bytes == pytest.approx(theirs.global_bytes, rel=0.10), ours.name
+
+
+#: The one miss of the 5 % bound below.  The expected slot inspections
+#: are unbiased (over the 84 one-month tables of ``date`` measured /
+#: expected is 0.998) but a 31-key table's own layout scatters 13 %
+#: around them, this one (January 1994) sits at 0.82, and under
+#: ``auto`` the probe is 40 % of what the compound kernels read.
+LAYOUT_LUCK = {("q1.2", "pipelined", "auto"), ("q1.2", "resolution", "auto")}
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("alias", MICRO_ENGINES)
+@pytest.mark.parametrize("name", sorted(SSB_QUERIES))
+def test_ssb_global_bytes_given_observed_selectivities(database, name, alias, policy, request):
+    """With observed selectivities and group counts, what is left for
+    the SSB set is the uniform-keys expectation (probe hits, slot
+    inspections, groups per CTA): global bytes within 5 %."""
+    if (name, alias, policy) in LAYOUT_LUCK:
+        request.applymarker(pytest.mark.xfail(strict=True, reason="one 31-key table's layout"))
+    sql = SSB_QUERIES[name]
+    query = _physical(sql, database)
+    estimated = estimated_kernels(query, database, alias, Observed(query, database), policy)
+    executed = executed_kernels(sql, database, alias, policy)
+    assert len(estimated) == len(executed)
+    ours = sum(trace.global_bytes for trace in estimated)
+    theirs = sum(trace.meter.bytes_at(MemoryLevel.GLOBAL) for trace in executed)
+    assert ours == pytest.approx(theirs, rel=0.05)
+
+
+@pytest.mark.parametrize("devices", (1, 4))
+def test_estimated_transfer_count_is_the_executed_one(database, devices):
+    """Every link transfer pays a latency, so the estimate counts them
+    from the plan as execution ships them: one h2d per base column that
+    is not resident (per morsel for a fleet's fact columns), one d2h per
+    result column (per morsel partial for a fleet) — cold and warm."""
+    estimator = CostEstimator(GTX970, PCIE3)
+    strategy = StrategyChoice("resolution", "run-to-finish", devices, "range", "pooled")
+    for name, sql in sorted(SSB_QUERIES.items()):
+        session = connect(database, engine="resolution", devices=devices, residency=True)
+        query = session.physical(sql)
+        resident = sum(column.nbytes for _t, _c, column in base_columns(query, database))
+        for warm in (False, True):
+            estimate = estimator.estimate(
+                query, database, strategy, resident_bytes=resident if warm else 0
+            )
+            executed = session.execute(sql)
+            assert estimate.transfers == len(executed.profile.transfers), (name, warm)

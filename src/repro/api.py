@@ -58,7 +58,9 @@ class Session:
 
     ``residency=True`` attaches a :class:`~repro.placement.BufferPool`
     to the session's device: base columns stay device-resident between
-    queries (repeat loads skip the PCIe charge), and working sets
+    queries (repeat loads skip the PCIe charge), so do the join hash
+    tables built from them (a build pipeline whose table is resident
+    does not run), and working sets
     larger than device memory transparently fall back to the streaming
     out-of-core executor.  Off by default so single-shot measurement
     sessions keep the paper's stateless reset-per-query semantics;

@@ -10,7 +10,7 @@ import numpy as np
 from ..hardware.device import VirtualCoprocessor
 from ..hardware.traffic import MemoryLevel, Profile
 from ..plan.logical import LogicalPlan, PlanSchema
-from ..plan.physical import PhysicalQuery, Pipeline
+from ..plan.physical import BuildSink, PhysicalQuery, Pipeline
 from ..plan.pipelines import extract_pipelines
 from ..storage.database import Database
 from ..storage.table import Table
@@ -196,9 +196,11 @@ class Engine:
         not cache data between queries", Section 8.9); with a
         :class:`~repro.placement.BufferPool` attached, pool-resident
         base columns survive between queries and repeat loads skip the
-        PCIe charge.  Either way, all transient allocations (hash
-        tables, payloads, scratch) are reclaimed when the query ends,
-        even on error.
+        PCIe charge, and so do the hash tables completed build
+        pipelines left: a build whose table is resident does not run
+        (:meth:`run_pipelines`).  Either way, all transient allocations
+        (scratch, and every hash table no pool keeps) are reclaimed
+        when the query ends, even on error.
         """
         if isinstance(plan, PhysicalQuery):
             query = plan
@@ -263,11 +265,16 @@ class Engine:
         produced; non-final outputs become virtual tables.  With a
         ``tracer`` each runs in its ``pipeline[first_index + i]`` span.
         (Also the scale-out executor's way to run build sides and fact
-        morsels on a device's runtime.)"""
+        morsels on a device's runtime.)
+
+        A build pipeline asks the device's buffer pool first
+        (:meth:`_run_pipeline`), so every caller of this loop — the
+        engines, the block streamer, a fleet device's build phase —
+        keeps build sides resident the same way."""
         produced = None
         for index, pipeline in enumerate(pipelines, first_index):
             if tracer is None:
-                produced = self.execute_pipeline(pipeline, runtime)
+                produced = self._run_pipeline(pipeline, runtime)
             else:
                 produced = self._execute_pipeline_traced(
                     index, pipeline, runtime, tracer
@@ -279,6 +286,26 @@ class Engine:
                     _cast_outputs(produced, pipeline.output_schema),
                     pipeline.output_schema,
                 )
+        return produced
+
+    def _run_pipeline(
+        self, pipeline: Pipeline, runtime: QueryRuntime
+    ) -> dict[str, np.ndarray] | None:
+        """:meth:`execute_pipeline` — or, for a build whose hash table
+        is resident in the pool, nothing: the table is registered under
+        this query's id and the pipeline does not run.  A table the
+        pipeline did build is handed to the pool once it *completed*
+        (an error on the way leaves the pool as it was); what restoring
+        it costs is the modeled time the pipeline took."""
+        key = runtime.table_key(pipeline) if isinstance(pipeline.sink, BuildSink) else None
+        if key is None:
+            return self.execute_pipeline(pipeline, runtime)
+        if runtime.resident_build(pipeline, key):
+            return None
+        log = runtime.device.log
+        started_ms = log.total_time_ms
+        produced = self.execute_pipeline(pipeline, runtime)
+        runtime.keep_build(pipeline, key, log.total_time_ms - started_ms)
         return produced
 
     def _execute_pipeline_traced(
@@ -299,7 +326,9 @@ class Engine:
             source=pipeline.source,
             sink=pipeline.output_name,
         ) as span:
-            produced = self.execute_pipeline(pipeline, runtime)
+            produced = self._run_pipeline(pipeline, runtime)
+            if pipeline.output_name in runtime.resident_tables:
+                span.attrs["resident"] = True
             kernels = device.log.kernels[kernel_mark:]
             transfers = device.log.transfers[transfer_mark:]
             span.attrs.update(

@@ -9,7 +9,7 @@ delegates to CoGaDB's original engine, Section 7).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,6 +42,9 @@ class HashTableEntry:
 
     table: JoinHashTable
     payload: dict[str, np.ndarray]
+    #: The device buffers behind it (slot array, then one per payload
+    #: column): what a buffer pool takes over to keep the table.
+    buffers: list = field(default_factory=list)
 
 
 @dataclass
@@ -78,7 +81,10 @@ class QueryRuntime:
     When a :class:`~repro.placement.BufferPool` is supplied, base
     column loads route through it: resident columns skip the PCIe
     charge (a placement hit, pinned until :meth:`close`), cold columns
-    transfer once and stay resident for later queries.
+    transfer once and stay resident for later queries.  Build pipelines
+    route through it as well: :meth:`resident_build` serves a pipeline
+    the table an earlier query left, :meth:`keep_build` leaves this
+    query's.
     """
 
     def __init__(
@@ -113,6 +119,13 @@ class QueryRuntime:
         self.placement_misses = 0
         #: PCIe bytes the placement hits avoided.
         self.placement_hit_bytes = 0
+        #: Ids of the hash tables served from the pool (their build
+        #: pipelines did not run) / built and handed to it.
+        self.resident_tables: set[str] = set()
+        self.table_misses = 0
+        #: table id -> build signature (None: not poolable) of every
+        #: build pipeline seen so far, for the builds that probe them.
+        self._signatures: dict[str, str | None] = {}
         #: Wire compression policy (``device.compression``).  Zero-copy
         #: devices never cross a link, so there is nothing to compress.
         self.compression = (
@@ -345,31 +358,91 @@ class QueryRuntime:
             misses=self.placement_misses,
             hit_bytes=self.placement_hit_bytes,
             transferred_bytes=self.input_bytes,
+            table_hits=len(self.resident_tables),
+            table_misses=self.table_misses,
         )
 
     def close(self) -> None:
         """End-of-query cleanup: unpin pool entries and reclaim every
-        transient device allocation (hash tables, payload columns,
-        scratch) so only pool-resident buffers stay on the device."""
+        transient device allocation (scratch, and the hash tables no
+        pool took over) so only pool-resident buffers stay on the
+        device."""
         if self.pool is not None and self._pinned:
             self.pool.release(self._pinned)
             self._pinned = []
         self.device.release_transient()
 
     # ------------------------------------------------------------------
+    # resident build sides
+    # ------------------------------------------------------------------
+    def table_key(self, pipeline: Pipeline) -> tuple | None:
+        """The pool key of the table build ``pipeline`` leaves
+        (:meth:`BufferPool.table_key
+        <repro.placement.BufferPool.table_key>`); ``None`` without a
+        pool, or when the table is not poolable."""
+        if self.pool is None:
+            return None
+        return self.pool.table_key(pipeline, self._signatures, self.database)
+
+    def resident_build(self, pipeline: Pipeline, key: tuple) -> bool:
+        """Serve build ``pipeline`` from the pool: on a hit the resident
+        table is registered under this query's table id and pinned until
+        :meth:`close` — the pipeline need not run, and nothing of it
+        does (no launch, no source column load, no kernel lookup)."""
+        resident = self.pool.acquire_table(key, self.database.fingerprint())
+        if resident is None:
+            self.table_misses += 1
+            return False
+        self._pinned.append(resident)
+        table_id = pipeline.sink.table_id
+        self.resident_tables.add(table_id)
+        self.register_hash_table(table_id, resident.table)
+        if self.tracer is not None:
+            self.tracer.event(
+                f"placement {table_id}", "placement", hit=True, nbytes=resident.nbytes
+            )
+        return True
+
+    def keep_build(self, pipeline: Pipeline, key: tuple, restore_ms: float) -> None:
+        """Hand the table build ``pipeline`` just completed to the pool
+        (pinned by this query like one it was served); ``restore_ms`` is
+        the modeled time the pipeline took."""
+        entry = self.hash_tables[pipeline.sink.table_id]
+        self._pinned.append(
+            self.pool.keep_table(
+                key, self.database.fingerprint(), entry, entry.buffers, restore_ms
+            )
+        )
+
+    # ------------------------------------------------------------------
     def register_hash_table(self, table_id: str, entry: HashTableEntry) -> None:
         self.hash_tables[table_id] = entry
+
+    def register_built_table(
+        self, table_id: str, table: JoinHashTable, payload: dict[str, np.ndarray]
+    ) -> None:
+        """Register ``table`` (its slot array just allocated) with its
+        ``payload`` columns, which stay on the device."""
+        buffers = [table.slots_buffer]
+        try:
+            for name, values in payload.items():
+                buffers.append(self.device.allocate(values, label=f"{table_id}.{name}"))
+        except BaseException:
+            # Free the half-built table (slots + any payload columns
+            # already allocated) so a failed build does not leak.
+            for buffer in buffers:
+                if buffer is not None and not buffer.freed:
+                    self.device.free(buffer)
+            raise
+        self.register_hash_table(table_id, HashTableEntry(table, payload, buffers))
 
     def build_hash_table(
         self, table_id: str, keys: list[np.ndarray], payload: dict[str, np.ndarray]
     ) -> None:
         """Build ``table_id`` over materialized ``keys`` (one stand-alone
-        kernel) and register it with its ``payload`` columns, which stay
-        on the device."""
+        kernel) and register it with its ``payload`` columns."""
         table = JoinHashTable.build(self.device, keys, name=table_id)
-        for name, values in payload.items():
-            self.device.allocate(values, label=f"{table_id}.{name}")
-        self.register_hash_table(table_id, HashTableEntry(table, payload))
+        self.register_built_table(table_id, table, payload)
 
     def hash_table(self, table_id: str) -> HashTableEntry:
         try:
@@ -448,21 +521,30 @@ class QueryRuntime:
         if self.device.interconnect is None:
             return
         self.output_bytes = 0
+        policy = self.compression
         for name, column in table.columns.items():
-            encoded = None
-            if self.compression is not None:
-                encoded = self.compression.encoded(column)
             self.output_bytes += self._ship_d2h(
-                column.nbytes, encoded, f"result.{name}"
+                column.nbytes,
+                None if policy is None else lambda: policy.encoded(column),
+                f"result.{name}",
             )
 
-    def _ship_d2h(self, raw_nbytes: int, encoded, label: str) -> int:
-        """One D2H transfer of ``raw_nbytes`` — of ``encoded``'s wire
-        image instead when a policy is set and encoding pays; returns
-        the bytes that crossed the link."""
+    def _ship_d2h(self, raw_nbytes: int, encode, label: str) -> int:
+        """One D2H transfer of ``raw_nbytes`` — of the wire image
+        ``encode()`` makes instead when a policy is set (``encode`` not
+        None) and encoding pays; returns the bytes that crossed the
+        link.  A wire image saves less link time than the raw bytes
+        take (``raw / bandwidth``) and costs an encode kernel — at least
+        one launch; when the first is within the second it cannot pay,
+        and nothing is sampled, scored or encoded to find that out."""
         wire, codec = raw_nbytes, ""
-        if encoded is not None and self._encode_for_d2h(encoded, label):
-            wire, codec = encoded.wire_nbytes, encoded.codec
+        if encode is not None and (
+            raw_nbytes / (self.device.interconnect.d2h_bandwidth * 1e9)
+            > self.device.profile.kernel_launch_overhead
+        ):
+            encoded = encode()
+            if self._encode_for_d2h(encoded, label):
+                wire, codec = encoded.wire_nbytes, encoded.codec
         self.device.record_stream_transfer(
             wire, "d2h", label=label, raw_nbytes=raw_nbytes if codec else 0, codec=codec
         )
@@ -489,7 +571,9 @@ class QueryRuntime:
             if arr.nbytes == 0:
                 continue
             wire = self._ship_d2h(
-                arr.nbytes, self.compression.encode_array(arr), f"{label}.{name}"
+                arr.nbytes,
+                lambda: self.compression.encode_array(arr),
+                f"{label}.{name}",
             )
             if wire < arr.nbytes:
                 self._compression_stats.host_decode_bytes += arr.nbytes

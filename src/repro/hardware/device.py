@@ -100,6 +100,9 @@ class VirtualCoprocessor:
         #: Called by :meth:`reset_all` so an attached pool can drop its
         #: residency bookkeeping along with the device accounting.
         self.reset_callback = None
+        #: Called by :meth:`mark_lost`: what a pool kept of work this
+        #: device did (built hash tables) does not outlive it.
+        self.lost_callback = None
         #: Optional :class:`~repro.compression.CompressionPolicy`: when
         #: set, transfer points ship compressed wire bytes over the
         #: interconnect and charge decode kernels on arrival.  ``None``
@@ -147,6 +150,18 @@ class VirtualCoprocessor:
         if buffer.pooled:
             self.pooled_bytes -= buffer.nbytes
 
+    def keep_resident(self, buffer: DeviceBuffer) -> None:
+        """Hand a live transient buffer over to the attached pool: from
+        here on it survives :meth:`release_transient` and counts in
+        :attr:`pooled_bytes` (how a hash table a query built becomes a
+        pool resident without being allocated twice)."""
+        if buffer.freed or buffer.pooled or id(buffer) not in self._live_buffers:
+            raise AllocationError(
+                f"only a live transient buffer can become resident: {buffer.label!r}"
+            )
+        buffer.pooled = True
+        self.pooled_bytes += buffer.nbytes
+
     @property
     def resident_bytes(self) -> int:
         """Bytes pinned across queries by an attached buffer pool."""
@@ -155,9 +170,10 @@ class VirtualCoprocessor:
     def release_transient(self, keep: frozenset | None = None) -> None:
         """Free every live buffer that is not pool-owned.
 
-        Engines call this at the end of a query: hash-table slots,
-        payload columns, and any other per-query scratch are reclaimed,
-        while pooled base columns stay resident for the next query.
+        Engines call this at the end of a query: per-query scratch and
+        every hash table no pool took over (:meth:`keep_resident`) are
+        reclaimed, while pooled base columns and build sides stay
+        resident for the next query.
 
         ``keep`` (a :meth:`transient_snapshot`) limits the sweep to
         buffers allocated *after* the snapshot — the failure-path
@@ -320,6 +336,8 @@ class VirtualCoprocessor:
         transfer, or launch raises :class:`~repro.errors.DeviceLostError`
         until :meth:`revive` (a new query on a recovered fleet)."""
         self.alive = False
+        if self.lost_callback is not None:
+            self.lost_callback()
 
     def revive(self) -> None:
         """Return a lost device to service (fleet recovery between

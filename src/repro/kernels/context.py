@@ -632,23 +632,13 @@ class KernelContext:
     def _build_table(self, keys: list[np.ndarray], payload: dict[str, np.ndarray]) -> None:
         """Insert ``keys`` (charged to this kernel) and register the
         table with its ``payload`` columns, which stay on the device."""
-        from ..engines.runtime import HashTableEntry
         from ..primitives.hashtable import JoinHashTable
 
-        device, table_id = self.runtime.device, self.sink.table_id
-        table = JoinHashTable.build_pipelined(self.meter, device, keys, name=table_id)
-        buffers = [table.slots_buffer]
-        try:
-            for name, values in payload.items():
-                buffers.append(device.allocate(values, label=f"{table_id}.{name}"))
-        except BaseException:
-            # Free the half-built table (slots + any payload columns
-            # already allocated) so a failed build does not leak.
-            for buffer in buffers:
-                if buffer is not None and not buffer.freed:
-                    device.free(buffer)
-            raise
-        self.runtime.register_hash_table(table_id, HashTableEntry(table, payload))
+        table_id = self.sink.table_id
+        table = JoinHashTable.build_pipelined(
+            self.meter, self.runtime.device, keys, name=table_id
+        )
+        self.runtime.register_built_table(table_id, table, payload)
 
     def materialize_for_build(self, mask: np.ndarray, key_arrays: list[np.ndarray]) -> None:
         """Multi-pass write kernel: materialize keys + payload; the

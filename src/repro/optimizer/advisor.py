@@ -241,8 +241,12 @@ class Advisor:
         partitioning: str = "range",
         placement: str | None = None,
         resident_bytes: int = 0,
+        resident_tables: frozenset[int] = frozenset(),
     ) -> OptimizerDecision:
-        """Pick the cheapest feasible strategy for ``query``."""
+        """Pick the cheapest feasible strategy for ``query``.
+        ``resident_bytes`` / ``resident_tables``: what a pooled device
+        already holds of it (see :meth:`CostEstimator.estimate
+        <repro.optimizer.cost.CostEstimator.estimate>`)."""
         started = time.perf_counter()
         capacity = self.profile.memory_capacity
         candidates, pruned = self.candidate_strategies(
@@ -263,7 +267,8 @@ class Advisor:
         )
         for choice in candidates:
             estimate = self.estimator.estimate(
-                query, database, choice, resident_bytes=resident_bytes
+                query, database, choice, resident_bytes=resident_bytes,
+                resident_tables=resident_tables,
             )
             if not estimate.feasible:
                 pruned.append(PrunedCandidate(choice, estimate.reason))

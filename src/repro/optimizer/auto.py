@@ -8,7 +8,8 @@ each compiled query it
 
 1. asks the :class:`~repro.optimizer.advisor.Advisor` for the cheapest
    feasible :class:`~repro.optimizer.cost.StrategyChoice` (discounting
-   the h2d charge for columns already pool-resident),
+   the h2d charge for columns already pool-resident, and the whole of a
+   build pipeline whose hash table is),
 2. runs that point through :func:`repro.placement.executor.dispatch`
    — the one ladder a pinned session uses too
    (:class:`~repro.scaleout.ScaleOutExecutor`,
@@ -173,28 +174,36 @@ class AutoExecutor:
             return executor
 
     # ------------------------------------------------------------------
-    def _resident_bytes(self, query: PhysicalQuery, database: Database) -> int:
-        """Bytes of the plan's base columns already pool-resident.
+    def _residency(
+        self, query: PhysicalQuery, database: Database
+    ) -> tuple[int, frozenset[int]]:
+        """What of the plan is already on the pooled device: the build
+        pipelines whose hash tables are resident (they will not run),
+        and the bytes of the base columns the *other* pipelines read
+        that are resident.
 
         With a compression policy the pool stores wire images, so the
         discount (and the peak contribution) is the wire size."""
         device = self._devices.get(True)
         if device is None:
-            return 0
+            return 0, frozenset()
         pool = device.placement_pool
         serial = database.fingerprint()[0]
-        return sum(
+        tables = pool.resident_builds(query.pipelines, database)
+        resident = sum(
             self.compression.wire_nbytes(column)
             if self.compression is not None
             else column.nbytes
-            for table, name, column in base_columns(query, database)
+            for table, name, column in base_columns(query, database, skip=tables)
             if (serial, table, name) in pool
         )
+        return resident, tables
 
     # ------------------------------------------------------------------
     def advise(
         self, query: PhysicalQuery, database: Database
     ) -> OptimizerDecision:
+        resident_bytes, resident_tables = self._residency(query, database)
         return self.advisor.advise(
             query,
             database,
@@ -202,7 +211,8 @@ class AutoExecutor:
             devices=self.pinned_devices,
             partitioning=self.partitioning,
             placement=self.pinned_placement,
-            resident_bytes=self._resident_bytes(query, database),
+            resident_bytes=resident_bytes,
+            resident_tables=resident_tables,
         )
 
     def execute(

@@ -25,13 +25,13 @@ the :class:`CostEstimator` adds on top is the arithmetic of the things
 it decides between: link transfers (bytes and per-transfer latencies,
 counted from the plan), residency, streaming blocks, the fleet's
 makespan and merge.  An estimate is a pure function of (plan,
-statistics, compression policy, resident bytes).
+statistics, compression policy, what is resident: bytes and tables).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..engines import make_engine
 from ..engines.estimate import EstimateRuntime
@@ -136,6 +136,10 @@ class PipelineEstimate:
     #: column (compressed scan or register decode), for EXPLAIN: the
     #: notes execution itself records in ``CompressionStats.scans``.
     scan_notes: list = field(default_factory=list)
+    #: A build pipeline whose hash table is pool-resident under the
+    #: strategy priced: it does not run (no kernels, traffic or loads;
+    #: ``rows_out`` still sizes the table it stands for).
+    resident: bool = False
 
     @property
     def result_rows(self) -> int:
@@ -358,14 +362,22 @@ class CostEstimator:
         database: Database,
         strategy: StrategyChoice,
         resident_bytes: int = 0,
+        resident_tables: frozenset[int] = frozenset(),
     ) -> CostEstimate:
         """Predict the full cost of executing ``query`` under
-        ``strategy``.  ``resident_bytes`` discounts the h2d charge for
-        base columns already pooled on the device (pooled placement)."""
+        ``strategy``.  What the pooled device already holds counts under
+        pooled placement only: ``resident_tables`` are the indexes of
+        the build pipelines whose hash tables are resident — execution
+        skips them, so their kernels, traffic and column loads are not
+        priced — and ``resident_bytes`` discounts the h2d charge for
+        the base columns, of the pipelines that do run, already there."""
         estimate = CostEstimate(strategy=strategy)
         table_budget = 0  # resident hash/aggregation tables
         raw_h2d_bytes = 0  # decoded footprint (device memory, not link)
-        pipes = self._pipeline_estimates(query, database, strategy.engine)
+        pipes = self._pipeline_estimates(
+            query, database, strategy.engine,
+            resident_tables if strategy.placement == "pooled" else frozenset(),
+        )
         estimate.pipelines = list(pipes)
         for pipeline, pipe in zip(query.pipelines, pipes):
             estimate.global_bytes += pipe.global_bytes
@@ -403,26 +415,40 @@ class CostEstimator:
 
     # ------------------------------------------------------------------
     def _pipeline_estimates(
-        self, query: PhysicalQuery, database: Database, engine_name: str
+        self,
+        query: PhysicalQuery,
+        database: Database,
+        engine_name: str,
+        resident: frozenset[int] = frozenset(),
     ) -> list[PipelineEstimate]:
         """One estimate per pipeline: what ``engine_name``'s own kernels
-        charge over the estimated cardinalities.  A pure function of the
-        plan, the micro engine, the device profile, the compression
-        policy, the statistics' sample size and the catalog version — so
-        the plan object keeps it, for the candidates of one ``advise``
-        that differ only in macro model, device count or placement, and
-        for every later ``advise`` of the same cached plan; an entry
-        priced on another catalog version is replaced."""
+        charge over the estimated cardinalities (the build pipelines at
+        the ``resident`` indexes priced as not running).  A pure function
+        of the plan, the micro engine, the device profile, the
+        compression policy, the statistics' sample size, the catalog
+        version and ``resident`` — so the plan object keeps it, for the
+        candidates of one ``advise`` that differ only in macro model,
+        device count or placement, and for every later ``advise`` of the
+        same cached plan; an entry priced on another catalog version is
+        replaced."""
         key = (
             engine_name,
             self.profile,
             self.compression.mode if self.compression is not None else None,
             self.statistics.sample_limit,
+            resident,
         )
         version = database.fingerprint()
         cached = query.estimates.get(key)
         if cached is not None and cached[0] == version:
             return cached[1]
+        if resident:
+            pipes = self._skip_resident(
+                query, database,
+                self._pipeline_estimates(query, database, engine_name), resident,
+            )
+            query.estimates[key] = (version, pipes)
+            return pipes
         engine = make_engine(engine_name)
         runtime = EstimateRuntime(
             self.cost_model, self.interconnect, database, self, self.compression
@@ -460,6 +486,42 @@ class CostEstimator:
                 )
         query.estimates[key] = (version, pipes)
         return pipes
+
+    def _skip_resident(
+        self, query: PhysicalQuery, database: Database, pipes, resident: frozenset[int]
+    ) -> list[PipelineEstimate]:
+        """``pipes`` as execution goes on a pool holding the tables of
+        the ``resident`` build pipelines: those pipelines launch and
+        load nothing, and a base column one of them was first to read
+        is loaded by the next pipeline that reads it."""
+        first_reader: dict[tuple[str, str], int] = {}
+        for index, pipeline in enumerate(query.pipelines):
+            for key in pipeline.base_columns():
+                first_reader.setdefault(key, index)
+        out = []
+        for index, (pipeline, pipe) in enumerate(zip(query.pipelines, pipes)):
+            if index in resident:
+                out.append(replace(
+                    pipe, input_bytes=0, wire_bytes=0, columns=0, global_bytes=0,
+                    onchip_bytes=0, kernels=0, kernel_ms=0.0, scan_notes=[],
+                    resident=True,
+                ))
+                continue
+            for key in pipeline.base_columns():
+                if first_reader[key] in resident:
+                    first_reader[key] = index
+                    column = database.table(key[0]).column(key[1])
+                    wire = (
+                        self.compression.wire_nbytes(column)
+                        if self.compression is not None
+                        else column.nbytes
+                    )
+                    pipe = replace(
+                        pipe, input_bytes=pipe.input_bytes + column.nbytes,
+                        wire_bytes=pipe.wire_bytes + wire, columns=pipe.columns + 1,
+                    )
+            out.append(pipe)
+        return out
 
     @staticmethod
     def _output_width(pipeline: Pipeline) -> int:

@@ -1,4 +1,5 @@
-"""Device placement: cross-query column residency, eviction, spill.
+"""Device placement: cross-query residency (columns and build sides),
+eviction, spill.
 
 This package is the data-placement layer the paper's analysis calls
 for (and systems like Theseus build in production): device memory is a
@@ -17,7 +18,7 @@ executor instead of failing.
 
 from .executor import base_column_bytes, execute_with_placement
 from .policy import POLICIES, cost_aware_lru, lru, resolve_policy
-from .pool import BufferPool, ResidentColumn
+from .pool import BufferPool, ResidentEntry
 from .stats import PlacementStats, QueryPlacement
 
 __all__ = [
@@ -25,7 +26,7 @@ __all__ = [
     "BufferPool",
     "PlacementStats",
     "QueryPlacement",
-    "ResidentColumn",
+    "ResidentEntry",
     "base_column_bytes",
     "cost_aware_lru",
     "execute_with_placement",

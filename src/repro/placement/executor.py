@@ -30,20 +30,19 @@ from ..plan.physical import PhysicalQuery
 from ..storage.database import Database
 
 
-def base_columns(query: PhysicalQuery, database: Database):
+def base_columns(query: PhysicalQuery, database: Database, skip=frozenset()):
     """Yield ``(table name, column name, column)`` once per distinct
-    base column the plan reads."""
+    base column the plan reads — not counting the pipelines at the
+    ``skip`` indexes (builds a buffer pool serves resident tables for
+    read nothing)."""
     seen: set[tuple[str, str]] = set()
-    for pipeline in query.pipelines:
-        if pipeline.source_is_virtual:
+    for index, pipeline in enumerate(query.pipelines):
+        if index in skip:
             continue
-        table = database.table(pipeline.source)
-        for name in pipeline.required_columns:
-            base = pipeline.source_rename.get(name, name)
-            key = (pipeline.source, base)
+        for key in pipeline.base_columns():
             if key not in seen:
                 seen.add(key)
-                yield pipeline.source, base, table.column(base)
+                yield *key, database.table(key[0]).column(key[1])
 
 
 def base_column_bytes(query: PhysicalQuery, database: Database) -> int:

@@ -2,13 +2,16 @@
 
 The pool evicts when an allocation (a new resident column, a hash
 table, per-query scratch) would exceed device capacity.  Victims are
-always *unpinned* resident columns — buffers acquired by an in-flight
-query are never candidates.
+always *unpinned* residents — base columns and built hash tables in
+one candidate list; buffers acquired by an in-flight query are never
+candidates.
 
-The default policy is cost-aware: the price of evicting a column is
-what it costs to bring it back, i.e. its modeled host->device transfer
-time (bytes x the link's per-byte cost, plus setup latency).  Columns
-that are cheap to restore go first; ties — including every column on a
+The default policy is cost-aware: the price of evicting an entry is
+what it costs to have it back.  For a column that is its modeled
+host->device transfer time (bytes x the link's per-byte cost, plus
+setup latency); for a hash table, the modeled time its build pipeline
+took (kernels plus whatever it had to transfer).  Entries that are
+cheap to restore go first; ties — including every column on a
 zero-copy device, where re-transfer is free — break least recently
 used first.
 """
@@ -18,20 +21,20 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Iterable, List
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .pool import ResidentColumn
+    from .pool import ResidentEntry
 
 #: A policy orders eviction candidates, cheapest-to-evict first.
-PolicyFn = Callable[[Iterable["ResidentColumn"]], List["ResidentColumn"]]
+PolicyFn = Callable[[Iterable["ResidentEntry"]], List["ResidentEntry"]]
 
 
-def cost_aware_lru(candidates: Iterable["ResidentColumn"]) -> List["ResidentColumn"]:
-    """Evict the column with the lowest re-transfer cost first; break
-    ties (equal cost, e.g. equal size or a zero-copy link) by least
-    recently used."""
-    return sorted(candidates, key=lambda entry: (entry.retransfer_cost, entry.last_used))
+def cost_aware_lru(candidates: Iterable["ResidentEntry"]) -> List["ResidentEntry"]:
+    """Evict the entry with the lowest restore cost first; break ties
+    (equal cost, e.g. equal size or a zero-copy link) by least recently
+    used."""
+    return sorted(candidates, key=lambda entry: (entry.restore_cost, entry.last_used))
 
 
-def lru(candidates: Iterable["ResidentColumn"]) -> List["ResidentColumn"]:
+def lru(candidates: Iterable["ResidentEntry"]) -> List["ResidentEntry"]:
     """Plain least-recently-used ordering (cost-blind baseline)."""
     return sorted(candidates, key=lambda entry: entry.last_used)
 

@@ -24,11 +24,29 @@ class QueryPlacement:
     transferred_bytes: int = 0
     #: True when the query ran through the streaming out-of-core path.
     out_of_core: bool = False
+    #: Build pipelines whose hash table was served from the pool (the
+    #: pipeline did not run: no launch, no column load) / was built —
+    #: and kept — by this query.  ``hits`` / ``misses`` above keep
+    #: meaning column loads, so a warm star join shows few of either.
+    table_hits: int = 0
+    table_misses: int = 0
 
     @property
     def hit_rate(self) -> float:
         probes = self.hits + self.misses
         return self.hits / probes if probes else 0.0
+
+    @classmethod
+    def aggregate(cls, placements: "list[QueryPlacement]") -> "QueryPlacement":
+        """One query's outcome over the devices of a fleet."""
+        return cls(
+            hits=sum(p.hits for p in placements),
+            misses=sum(p.misses for p in placements),
+            hit_bytes=sum(p.hit_bytes for p in placements),
+            transferred_bytes=sum(p.transferred_bytes for p in placements),
+            table_hits=sum(p.table_hits for p in placements),
+            table_misses=sum(p.table_misses for p in placements),
+        )
 
 
 @dataclass
@@ -58,6 +76,13 @@ class PlacementStats:
     resident_columns: int = 0
     #: Device memory capacity (summed over pools when aggregated).
     capacity_bytes: int = 0
+    #: Build pipelines served a resident hash table / that had to build.
+    table_hits: int = 0
+    table_misses: int = 0
+    #: Number of built hash tables currently resident (their bytes are
+    #: part of ``resident_bytes``; evictions and invalidations count
+    #: tables and columns alike).
+    resident_tables: int = 0
     #: Number of pools summed into this snapshot.
     pools: int = field(default=1)
 
@@ -82,15 +107,19 @@ class PlacementStats:
             total.resident_bytes += snap.resident_bytes
             total.resident_columns += snap.resident_columns
             total.capacity_bytes += snap.capacity_bytes
+            total.table_hits += snap.table_hits
+            total.table_misses += snap.table_misses
+            total.resident_tables += snap.resident_tables
             total.pools += snap.pools
         return total
 
     def summary(self) -> str:
         return (
             f"resident {self.resident_bytes / 1e6:.1f} MB in "
-            f"{self.resident_columns} columns  "
+            f"{self.resident_columns} columns + {self.resident_tables} tables  "
             f"hits {self.hits}/{self.hits + self.misses} "
             f"({self.hit_rate * 100:.0f}%)  "
+            f"table hits {self.table_hits}/{self.table_hits + self.table_misses}  "
             f"saved {self.hit_bytes / 1e6:.1f} MB PCIe  "
             f"evictions {self.evictions}  "
             f"invalidations {self.invalidations}  "

@@ -139,6 +139,47 @@ class Pipeline:
             # Two workers racing here build equal values; either stays.
             return self.derived.setdefault(key, build())
 
+    def base_columns(self) -> list[tuple[str, str]]:
+        """``(table, base column)`` of every column the pipeline reads
+        from a catalog table (none for a virtual source)."""
+        if self.source_is_virtual:
+            return []
+        rename = self.source_rename
+        return [(self.source, rename.get(name, name)) for name in self.required_columns]
+
+    def build_signature(self, probed: dict[str, str | None]) -> str | None:
+        """What the hash table this build pipeline leaves is a function
+        of besides the catalog: source table, renames, stages, sink keys
+        and payload names — the structure, not the plan-local names, so
+        the same dimension filtered the same way in two plans has one
+        signature.  A probe stage stands for the signature of the table
+        it probes (``probed``: table id -> signature of the builds that
+        ran before).  ``None`` when the table cannot be named that way:
+        the source, or a probed table, is a virtual (per-query) one."""
+
+        def signature() -> str | None:
+            if self.source_is_virtual or not isinstance(self.sink, BuildSink):
+                return None
+            parts = [f"{self.source}{sorted(self.source_rename.items())!r}"]
+            for stage in self.stages:
+                if isinstance(stage, FilterStage):
+                    parts.append(f"filter({stage.predicate!r})")
+                elif isinstance(stage, MapStage):
+                    parts.append(f"map({stage.name}={stage.expr!r})")
+                else:
+                    table = probed.get(stage.table_id)
+                    if table is None:
+                        return None
+                    parts.append(
+                        f"probe[{table}]({stage.kind}, {stage.probe_keys!r}, "
+                        f"{stage.payload!r}, {sorted(stage.payload_defaults.items())!r}, "
+                        f"{stage.residual!r})"
+                    )
+            parts.append(f"build({self.sink.keys!r}, {self.sink.payload!r})")
+            return " | ".join(parts)
+
+        return self.derive("build-signature", signature)
+
     def describe(self) -> str:
         """A one-line summary, e.g. ``lineorder |filter|probe|probe| -> agg``."""
         parts = []

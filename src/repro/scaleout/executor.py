@@ -167,8 +167,8 @@ class ScaleOutExecutor:
         ``"range"`` (default, order-preserving views) or ``"hash"``.
     residency:
         Attach a per-device :class:`~repro.placement.BufferPool`;
-        broadcast dimension columns and fact pieces stay device-
-        resident across queries.
+        broadcast dimension columns, the hash tables built from them
+        and fact pieces stay device-resident across queries.
     fault_plan:
         Optional :class:`~repro.faults.FaultPlan` armed on every query
         (a fresh deterministic :class:`~repro.faults.FaultInjector` per
@@ -772,12 +772,7 @@ class ScaleOutExecutor:
         if placements:
             from ..placement.stats import QueryPlacement
 
-            placement = QueryPlacement(
-                hits=sum(p.hits for p in placements),
-                misses=sum(p.misses for p in placements),
-                hit_bytes=sum(p.hit_bytes for p in placements),
-                transferred_bytes=sum(p.transferred_bytes for p in placements),
-            )
+            placement = QueryPlacement.aggregate(placements)
         return package_result(
             self.fleet.devices[0],
             sum(run.share.input_bytes for run in runs),

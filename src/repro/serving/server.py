@@ -97,9 +97,10 @@ class Server:
     residency:
         Default ``True``: each worker's device gets a
         :class:`~repro.placement.BufferPool`, so repeated queries reuse
-        device-resident base columns (no repeat PCIe charge) and
-        oversized working sets fall back to the streaming out-of-core
-        executor instead of failing.  ``False`` restores the stateless
+        device-resident base columns (no repeat PCIe charge) and the
+        hash tables built from them (a warm star join launches its fact
+        pipeline only), and oversized working sets fall back to the
+        streaming out-of-core executor instead of failing.  ``False`` restores the stateless
         reset-per-query behaviour.
     devices:
         ``devices=N`` (N > 1) gives each worker a private scale-out
@@ -431,11 +432,20 @@ class Server:
             placement = stats.placement
             metrics.gauge(
                 "repro_placement_resident_bytes",
-                "Device-resident base-column bytes (all worker pools)",
+                "Device-resident bytes: base columns and built hash tables "
+                "(all worker pools)",
             ).set(placement.resident_bytes)
             metrics.gauge(
                 "repro_placement_resident_columns", "Device-resident columns"
             ).set(placement.resident_columns)
+            metrics.gauge(
+                "repro_placement_resident_tables",
+                "Device-resident join hash tables (build sides kept across queries)",
+            ).set(placement.resident_tables)
+            metrics.counter(
+                "repro_placement_table_hits_total",
+                "Build pipelines served a resident hash table instead of running",
+            ).set_total(placement.table_hits)
             for outcome, value in (
                 ("hit", placement.hits),
                 ("miss", placement.misses),

@@ -24,7 +24,7 @@ kind                   emitted by / meaning
 ``query.planned``      plan ready; ``cache_hit`` says whether the plan
                        cache served it
 ``query.executed``     terminal state; ``status`` is ``ok``/``failed``
-``placement.evicted``  buffer pool evicted a resident column
+``placement.evicted``  buffer pool evicted a resident (``entry``: column / table)
 ``morsel.retry``       same-device retry of a failed fact morsel
 ``morsel.redistributed``  failed morsels re-scheduled onto survivors
 ``fault.fired``        an armed :class:`~repro.faults.FaultPlan` fired

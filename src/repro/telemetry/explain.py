@@ -67,7 +67,10 @@ def render_explain_analyze(result) -> str:
         rows.append(
             [
                 f"[{index}]",
-                attrs.get("shape", span.name),
+                # A build served from the buffer pool keeps its row: it
+                # launched nothing, its table is the rows out.
+                attrs.get("shape", span.name)
+                + ("  [resident]" if attrs.get("resident") else ""),
                 attrs.get("rows_in", 0),
                 attrs.get("rows_out", 0),
                 attrs.get("kernels", 0),
@@ -141,7 +144,9 @@ def _footer_lines(result, trace) -> list[str]:
     if placement is not None:
         lines.append(
             f"placement: {placement.hits} hits / {placement.misses} misses  "
-            f"saved {placement.hit_bytes / 1e3:.1f} KB PCIe"
+            f"saved {placement.hit_bytes / 1e3:.1f} KB PCIe  "
+            f"resident tables {placement.table_hits}/"
+            f"{placement.table_hits + placement.table_misses}"
             + ("  [out-of-core]" if placement.out_of_core else "")
         )
     host_ops = []

@@ -33,8 +33,9 @@ def buffer_leak_guard(monkeypatch):
     """Assert every engine/batch execution returns the device to its
     pooled-only baseline: transient allocations (hash-table slots,
     payload columns, scratch) must all be freed by the end of the
-    query, whether it succeeded or raised.  Pool-resident base columns
-    (``device.pooled_bytes``) are the only allowed survivors."""
+    query, whether it succeeded or raised.  Pool residents — base
+    columns and the hash tables a pool took over
+    (``device.pooled_bytes``) — are the only allowed survivors."""
     from repro.engines.base import Engine
     from repro.macro.batch import BatchExecutor
     from repro.primitives.hashtable import clear_layout_cache
@@ -84,6 +85,63 @@ def buffer_leak_guard(monkeypatch):
     monkeypatch.setattr(
         ScaleOutExecutor, "execute", checked_scaleout(ScaleOutExecutor.execute)
     )
+
+
+def launch_rows(result) -> list[tuple]:
+    """Every kernel launch of ``result`` as a comparable row: name,
+    elements, per-level bytes and atomics (the meter), ``time_ms``."""
+    return [
+        (trace.name, trace.elements, trace.meter.snapshot(), trace.time_ms)
+        for trace in result.profile.kernels
+    ]
+
+
+def _assert_warm_contract(stateless, warm, physical) -> int:
+    """What residency may change, besides PCIe: rows are equal; the warm
+    run's launches are the stateless run's minus those of the build
+    pipelines served from the pool, and the remaining launches are
+    equal row for row (name, elements, per-level bytes, atomics,
+    ``time_ms``); ``kernel_sources`` lists what this execution launched.
+    Returns the number of builds served."""
+    import re
+
+    from repro.plan.physical import BuildSink
+
+    assert warm.table.sorted_rows() == stateless.table.sorted_rows()
+    # What a build pipeline launches or lists is named after it, after
+    # its table, or after a column of its source table (decode / gather
+    # of a compressed column; a star join reads no dimension twice).
+    builds = {
+        pipeline.name: re.compile(
+            rf"\b(\w+_)?{pipeline.name}\b|\bbuild\.{pipeline.sink.table_id}\b"
+            rf"|^(decode|gather|compressed_scan)\.{pipeline.source}\."
+        )
+        for pipeline in physical.pipelines
+        if isinstance(pipeline.sink, BuildSink)
+    }
+
+    def owner(name: str) -> str | None:
+        return next((b for b, pattern in builds.items() if pattern.search(name)), None)
+
+    launched = {owner(row[0]) for row in launch_rows(warm)}
+    served = set(builds) - launched
+    assert len(served) == warm.placement.table_hits
+    assert launch_rows(warm) == [
+        row for row in launch_rows(stateless) if owner(row[0]) not in served
+    ]
+    assert set(warm.kernel_sources) == {
+        name for name in stateless.kernel_sources if owner(name) not in served
+    }
+    for name, source in warm.kernel_sources.items():
+        assert source == stateless.kernel_sources[name]
+    return len(served)
+
+
+@pytest.fixture()
+def assert_warm_contract():
+    """:func:`_assert_warm_contract` for tests that compare a warm
+    pooled execution with a stateless one."""
+    return _assert_warm_contract
 
 
 @pytest.fixture(scope="session")

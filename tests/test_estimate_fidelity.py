@@ -185,6 +185,105 @@ def test_join_with_measured_and_expected_drivers(database, case, alias, monkeypa
         assert ours.global_bytes == pytest.approx(theirs.global_bytes, rel=0.10), ours.name
 
 
+@pytest.mark.parametrize("alias", ENGINES)
+@pytest.mark.parametrize("case", sorted(JOINS))
+def test_warm_pooled_estimate_is_the_warm_execution(database, case, alias, monkeypatch):
+    """The optimizer sees what execution sees: with the build side's
+    hash table pool-resident, a pooled estimate prices the build
+    pipeline as not running — with measured cardinalities and table
+    drivers its kernel count and ``kernel_ms`` are the warm execution's,
+    and its transfers too; the cold estimate is what it was."""
+    sql, policy, build_rows, probe_rows = JOINS[case]
+    date, lineorder = database.table("date"), database.table("lineorder")
+    keys = date.column("d_datekey").values[build_rows(lambda n: date.column(n).values)]
+    probes = lineorder.column("lo_orderdate").values[
+        probe_rows(lambda n: lineorder.column(n).values)
+    ]
+    built = JoinHashTable._laid_out([keys], "measured", 0.5)
+    found, steps = built._walk([probes])
+    matching = probes[found >= 0]
+    steps_of = {len(probes): steps, len(matching): built._walk([matching])[1]}
+
+    class Measured(TableEstimate):
+        def __post_init__(self):
+            super().__post_init__()
+            self.attempts = built._layout.attempts
+            self.max_contention = built._layout.max_contention
+            self.match_fraction = len(matching) / len(probes)
+
+        def probe_steps(self, probes, hits):
+            return steps_of[probes]
+
+    session = connect(database, engine=alias, residency=True, compression=policy)
+    cold, warm = session.execute(sql), session.execute(sql)
+    assert (warm.placement.table_hits, warm.placement.table_misses) == (1, 0)
+
+    query = _physical(sql, database)
+    observed = Observed(query, database)
+    estimator = CostEstimator(GTX970, PCIE3, compression=resolve_compression(policy))
+    monkeypatch.setattr(estimator, "selectivity", observed.selectivity)
+    monkeypatch.setattr(estimator, "groups", observed.groups)
+    monkeypatch.setattr("repro.engines.estimate.TableEstimate", Measured)
+    strategy = StrategyChoice(alias, "run-to-finish", 1, "range", "pooled")
+    resident_tables = session.pool.resident_builds(query.pipelines, database)
+    assert resident_tables == {0}
+    resident_bytes = sum(
+        session.pool._entries[database.fingerprint()[0], table, name].nbytes
+        for table, name, _ in base_columns(query, database, skip=resident_tables)
+    )
+    priced_cold = estimator.estimate(query, database, strategy)
+    priced_warm = estimator.estimate(
+        query, database, strategy,
+        resident_bytes=resident_bytes, resident_tables=resident_tables,
+    )
+    transient = estimator.estimate(
+        query, database, StrategyChoice(alias, "run-to-finish", 1, "range", "transient"),
+        resident_bytes=resident_bytes, resident_tables=resident_tables,
+    )
+    for priced, executed in ((priced_cold, cold), (priced_warm, warm)):
+        assert sum(pipe.kernels for pipe in priced.pipelines) == len(executed.profile.kernels)
+        assert priced.kernel_ms == pytest.approx(executed.kernel_ms, rel=1e-12)
+        assert priced.global_bytes == executed.global_memory_bytes
+        assert priced.transfers == len(executed.profile.transfers)
+        assert priced.pcie_h2d_bytes == executed.input_bytes
+    build, fact = priced_warm.pipelines
+    assert build.resident and (build.kernels, build.kernel_ms, build.columns) == (0, 0.0, 0)
+    assert build.rows_out == priced_cold.pipelines[0].rows_out == len(keys)
+    assert not fact.resident and fact == priced_cold.pipelines[1]
+    # Residency is a property of the pool: a transient strategy runs
+    # everything, and the cached per-pipeline estimates are not touched.
+    assert transient.kernel_ms == priced_cold.kernel_ms
+    assert not any(pipe.resident for pipe in transient.pipelines)
+    assert estimator.estimate(query, database, strategy).kernel_ms == priced_cold.kernel_ms
+
+
+def test_decisions_with_resident_tables_are_pure(database):
+    """Two fresh auto sessions given the same sequence agree on every
+    estimate, cold pass and warm pass; on the warm pass every build of
+    the chosen pooled strategy is priced as resident, and the launches
+    it predicts are the launches made."""
+    sessions = [connect(database, engine="auto") for _ in range(2)]
+    for attempt in ("cold", "warm"):
+        for name, sql in sorted(SSB_QUERIES.items()):
+            first, second = (session.execute(sql) for session in sessions)
+            ours, theirs = first.optimizer, second.optimizer
+            assert ours.chosen == theirs.chosen
+            assert [c.total_ms for c in ours.candidates] == [
+                c.total_ms for c in theirs.candidates
+            ]
+            assert ours.chosen.placement == "pooled"
+            pipes = ours.estimate.pipelines
+            assert sum(pipe.kernels for pipe in pipes) == len(first.profile.kernels), name
+            # Priced as resident: exactly the builds the pool then served
+            # (on the cold pass, the tables earlier queries share).
+            resident = sum(pipe.resident for pipe in pipes)
+            assert resident == first.placement.table_hits
+            if attempt == "warm":
+                assert resident == len(pipes) - 1
+            if attempt == "warm":  # (a partly resident plan counts in proportion)
+                assert ours.estimate.transfers == len(first.profile.transfers)
+
+
 #: The one miss of the 5 % bound below.  The expected slot inspections
 #: are unbiased (over the 84 one-month tables of ``date`` measured /
 #: expected is 0.998) but a 31-key table's own layout scatters 13 %

@@ -158,18 +158,15 @@ def test_warm_pooled_hit_allocates_nothing_for_a_fused_column(ssb_db):
         warm = session.execute(SSB_QUERIES[name])
         assert warm.input_bytes == 0
         assert warm.compression.deferred_columns > 0
-    base_columns = {
-        f"{table}.{column}"
-        for table in ssb_db.table_names
-        for column in ssb_db.table(table).column_names
-    }
-    # Hash tables and payloads only: no base column, no decode scratch.
-    assert allocated
-    assert not [
-        label
-        for label in allocated
-        if label in base_columns or label.startswith("decode.")
-    ]
+        # Every build side is resident: the fact pipeline alone runs.
+        assert warm.placement.table_hits == len(warm.profile.kernels) + (
+            2 if name == "q2.1" else 3
+        )
+        assert warm.placement.table_misses == 0
+    # No base column, no decode scratch — and, the hash tables being
+    # pool residents now, no slot array or payload column either.
+    assert allocated == []
+    assert session.device.pooled_bytes == session.pool.resident_bytes
 
 
 # ----------------------------------------------------------------------
@@ -265,6 +262,55 @@ def test_partials_are_gated_the_same_way(device, ssb_db):
     stats = runtime.compression_stats()
     assert stats.encode_kernels == 1
     assert stats.host_decode_bytes == large["key"].nbytes
+
+
+def test_a_result_that_cannot_pay_is_never_sampled_or_encoded(device, ssb_db, monkeypatch):
+    """Host clock only: a wire image saves less link time than the raw
+    bytes take and costs at least one launch, so below ``launch
+    overhead x d2h bandwidth`` raw bytes nothing is chosen, sampled or
+    encoded to find out that it ships raw — and the accounting is what
+    it was when every result column was encoded first."""
+    calls = []
+    for name in ("encoded", "encode_array", "choose"):
+        original = getattr(CompressionPolicy, name)
+
+        def counting(self, *args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(CompressionPolicy, name, counting)
+    link, launch = device.interconnect, device.profile.kernel_launch_overhead
+    threshold = int(launch * link.d2h_bandwidth * 1e9)  # bytes
+
+    device.compression = CompressionPolicy("auto")
+    runtime = QueryRuntime(device, ssb_db)
+    below = {"key": np.arange(threshold // 8, dtype=np.int64)}
+    assert runtime.ship_partial(below, "gather.p0") == below["key"].nbytes
+    assert calls == [] and device.log.kernels == []
+    # Past the bound the full test decides, as before: it takes the
+    # encoding to know what it saves.
+    above = {"key": np.arange(threshold // 8 + 1, dtype=np.int64)}
+    assert runtime.ship_partial(above, "gather.p1") == above["key"].nbytes
+    assert calls.count("encode_array") == 1 and device.log.kernels == []
+    far = {"key": np.arange(threshold, dtype=np.int64)}
+    assert runtime.ship_partial(far, "gather.p2") * 10 < far["key"].nbytes
+    assert calls.count("encode_array") == 2
+    stats = runtime.compression_stats()
+    assert (stats.columns, stats.encoded_columns, stats.encode_kernels) == (3, 1, 1)
+    assert stats.raw_bytes == sum(part["key"].nbytes for part in (below, above, far))
+
+    # A whole query: the base columns are encoded (cached on them), the
+    # 81-row result's three columns are not looked at.
+    del calls[:]
+    fresh = generate_ssb(0.004, seed=7)
+    result = run(fresh, SSB_QUERIES["q2.1"], compression="auto")
+    base_columns = sum(
+        len(pipeline.required_columns)
+        for pipeline in repro.connect(fresh).physical(SSB_QUERIES["q2.1"]).pipelines
+    )
+    assert calls.count("choose") == base_columns
+    assert result.compression.columns == base_columns + len(result.table.columns)
+    assert result.output_bytes == result.table.nbytes
 
 
 # ----------------------------------------------------------------------

@@ -344,10 +344,23 @@ class TestComposition:
         second = session.execute(plan)
         assert table_checksum(first.table) == table_checksum(base.table)
         assert table_checksum(second.table) == table_checksum(base.table)
-        # Repeat hits the pool (no link bytes) and scans the resident
-        # wire image in place.
+        # Repeat hits the pool (no link bytes) and reads the resident
+        # wire images of the fact columns in place.  The date build —
+        # whose ``d_year`` filter was the compressed scan — is served
+        # its resident table and does not run, so what is left of the
+        # first run's scan notes is exactly the fact pipeline's.
+        assert first.compression.compressed_scans > 0
         assert second.input_bytes == 0
-        assert second.compression.compressed_scans > 0
+        assert (second.placement.table_hits, second.placement.table_misses) == (1, 0)
+        fact = [note for note in first.compression.scans if note.startswith("lineorder.")]
+        assert fact and second.compression.scans == fact
+        assert second.compression.deferred_columns == len(fact)
+        assert second.compression.compressed_scans == sum(
+            "compressed scan" in note for note in fact
+        )
+        assert [trace.name for trace in second.profile.kernels] == [
+            first.profile.kernels[-1].name
+        ]
 
     def test_explain_shows_scan_decisions(self, database):
         from repro.telemetry import tracing

@@ -31,49 +31,68 @@ class TestSessionResidency:
         warm = session.execute(QUERY)
 
         assert cold.placement is not None and cold.placement.misses > 0
-        assert warm.placement.hits == cold.placement.misses
+        assert (cold.placement.table_hits, cold.placement.table_misses) == (0, 1)
+        # The date build is served from the pool: its pipeline does not
+        # run, so its two columns are not even looked up.  Every column
+        # the fact pipeline loads is a hit.
+        assert (warm.placement.table_hits, warm.placement.table_misses) == (1, 0)
+        build = session.physical(QUERY).pipelines[0]
+        assert warm.placement.hits == cold.placement.misses - len(build.required_columns)
         assert warm.placement.misses == 0
         assert warm.input_bytes == 0
         assert cold.input_bytes > 0
 
-    def test_warm_and_cold_agree_on_results_and_global_traffic(self, ssb_db):
-        """The differential guarantee: residency only changes PCIe
-        traffic.  Kernel-level GLOBAL volume and the result rows are
-        identical between a stateless session and a warm one."""
+    def test_warm_and_cold_agree_on_results_and_global_traffic(
+        self, ssb_db, assert_warm_contract
+    ):
+        """The differential guarantee: besides PCIe traffic, residency
+        only removes the build pipelines whose tables are resident.
+        Result rows are identical between a stateless session and a
+        warm one, and every launch the warm one still makes equals the
+        stateless one's, row for row."""
         stateless = connect(ssb_db, residency=False)
         resident = connect(ssb_db, residency=True)
         resident.execute(QUERY)  # warm the pool
+        physical = resident.physical(QUERY)
 
         for _ in range(2):
             cold = stateless.execute(QUERY)
             warm = resident.execute(QUERY)
-            assert cold.table.sorted_rows() == warm.table.sorted_rows()
-            assert cold.global_memory_bytes == warm.global_memory_bytes
+            assert assert_warm_contract(cold, warm, physical) == 1
+            build_bytes = cold.profile.kernels[0].global_bytes
+            assert warm.global_memory_bytes == cold.global_memory_bytes - build_bytes
             assert warm.input_bytes < cold.input_bytes
 
-    def test_mixed_workload_warm_pass_moves_5x_fewer_pcie_bytes(self, ssb_db):
+    def test_mixed_workload_warm_pass_moves_5x_fewer_pcie_bytes(
+        self, ssb_db, assert_warm_contract
+    ):
         """[sim] All 13 SSB queries, one pass to fill the pool and one
         measured: the warm pass moves >= 5x fewer link bytes than the
         same pass run stateless, over 80% of its column loads are pool
-        hits, and rows and GPU-global bytes do not move at all."""
+        hits, every build pipeline is served from the pool (36 builds,
+        25 distinct tables), and rows and the launches that remain do
+        not move at all."""
         stateless = connect(ssb_db, residency=False)
         resident = connect(ssb_db, residency=True)
         queries = [SSB_QUERIES[name] for name in sorted(SSB_QUERIES)]
         for sql in queries:
             resident.execute(sql)
         before = resident.placement_stats()
-        cold_pcie = warm_pcie = 0
+        assert (before.table_misses, before.resident_tables) == (25, 25)
+        cold_pcie = warm_pcie = served = 0
         for sql in queries:
             cold = stateless.execute(sql)
             warm = resident.execute(sql)
-            assert cold.table.sorted_rows() == warm.table.sorted_rows()
-            assert cold.global_memory_bytes == warm.global_memory_bytes
+            served += assert_warm_contract(cold, warm, resident.physical(sql))
+            assert len(warm.profile.kernels) == 1  # the fact pipeline
             cold_pcie += cold.input_bytes + cold.output_bytes
             warm_pcie += warm.input_bytes + warm.output_bytes
         after = resident.placement_stats()
         hits = after.hits - before.hits
+        assert served == after.table_hits - before.table_hits == 36
         assert cold_pcie >= 5 * warm_pcie
         assert hits / (hits + after.misses - before.misses) > 0.8
+        assert resident.device.pooled_bytes == resident.pool.resident_bytes
 
     def test_session_default_is_stateless(self, ssb_db):
         session = Session(ssb_db)

@@ -102,10 +102,37 @@ def test_one_layout_per_build_side_and_no_thread(ssb_db, monkeypatch, name, mode
     assert stats.misses == builds  # ... and one of them lays it out.
     assert stats.hits == builds * (turns - 1)
     if mode == "residency":
+        # The pinned warm pass re-ran the build sides on every device;
+        # now each device's pool serves them, so a device's warm turn is
+        # the pinned one minus its build launches (the first ``builds``
+        # kernels of its cold turn) — transfers were all hits already.
+        build_ms = [
+            sum(trace.time_ms for trace in device.log.kernels[:builds])
+            for device in session.scaleout.fleet.devices
+        ]
+        pinned = PINNED[f"{name}/residency-warm"]
+        kernel_ms = [ms - built for ms, built in zip(pinned["kernel_ms"], build_ms)]
+        busy_ms = [ms - built for ms, built in zip(pinned["busy_ms"], build_ms)]
+        warm = _observe(session, SSB_QUERIES[name])
         _assert_pinned(
-            _observe(session, SSB_QUERIES[name]), PINNED[f"{name}/residency-warm"]
+            warm,
+            dict(
+                pinned,
+                kernel_ms=kernel_ms,
+                busy_ms=busy_ms,
+                makespan_ms=max(busy_ms),
+                serial_ms=sum(busy_ms),
+                launches=[count - builds for count in pinned["launches"]],
+                total_launches=pinned["total_launches"] - builds * DEVICES,
+            ),
         )
-        assert layout_cache_stats().misses == builds
+        # Nothing was built, so nothing was laid out or looked up.
+        after = layout_cache_stats()
+        assert (after.hits, after.misses) == (stats.hits, stats.misses)
+        placement = session.placement_stats()
+        assert (placement.table_hits, placement.table_misses) == (
+            builds * DEVICES, builds * DEVICES
+        )
     assert started == []
     assert threading.enumerate() == threads
     assert not any("repro-scaleout" in thread.name for thread in threads)

@@ -177,8 +177,25 @@ class TestExplainAnalyze:
         assert sum(span.attrs["global_bytes"] for span in pipelines) == (
             result.profile.bytes_at(MemoryLevel.GLOBAL)
         )
+        build = pipelines[0].attrs
+        assert build["kernels"] == 1 and "resident" not in build
+        # The second execution is served the date table by the pool:
+        # its build keeps a row — resident, nothing launched, the
+        # table's rows out — and the spans still reconcile.
+        with tracing():
+            warm = session.execute(QUERY)
+        spans = warm.trace.spans("pipeline")
+        assert [span.name for span in spans] == ["pipeline[0]", "pipeline[1]"]
+        resident = spans[0].attrs
+        assert resident["resident"] is True
+        assert (resident["kernels"], resident["sim_ms"], resident["pcie_bytes"]) == (0, 0, 0)
+        assert resident["rows_out"] == build["rows_out"] > 0
+        assert sum(span.attrs["global_bytes"] for span in spans) == (
+            warm.profile.bytes_at(MemoryLevel.GLOBAL)
+        )
         text = session.explain(QUERY, analyze=True)
         assert "[1]" in text and "rows out" in text
+        assert "[resident]" in text and "resident tables 1/1" in text
         assert "no per-pipeline spans" not in text
 
     def test_pipeline_rows_attrs(self, traced_result):

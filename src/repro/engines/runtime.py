@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..compression import (
+    CompressionPolicy,
     CompressionStats,
     decode_kernel_source,
     encode_kernel_source,
@@ -260,8 +261,9 @@ class QueryRuntime:
         self._compression_stats.record_decode_kernel(encoded.codec, trace.time_ms)
 
     def _encode_for_d2h(self, encoded, label: str) -> bool:
-        """Encode a result / partial column on the device before its
-        D2H — if that pays: the modeled link time the wire image saves
+        """Encode one segment (column) of a packed result / partial on
+        the device before its D2H — if that pays: the modeled link time
+        the wire image saves (the transfer's one latency cancels out)
         must exceed the encode kernel's own modeled time, launch
         overhead included.  Returns whether the wire image ships (the
         ``encode.<label>`` kernel has then been charged)."""
@@ -514,71 +516,65 @@ class QueryRuntime:
         return assemble_result(query, outputs, ship=self._ship_result)
 
     def _ship_result(self, table: Table) -> None:
-        """Charge the result's d2h: one transfer per column, as CoGaDB
-        does, each as a wire image when encoding it first pays
-        (:meth:`_encode_for_d2h`)."""
-        self.output_bytes = table.nbytes
-        if self.device.interconnect is None:
-            return
-        self.output_bytes = 0
-        policy = self.compression
-        for name, column in table.columns.items():
-            self.output_bytes += self._ship_d2h(
-                column.nbytes,
-                None if policy is None else lambda: policy.encoded(column),
-                f"result.{name}",
-            )
-
-    def _ship_d2h(self, raw_nbytes: int, encode, label: str) -> int:
-        """One D2H transfer of ``raw_nbytes`` — of the wire image
-        ``encode()`` makes instead when a policy is set (``encode`` not
-        None) and encoding pays; returns the bytes that crossed the
-        link.  A wire image saves less link time than the raw bytes
-        take (``raw / bandwidth``) and costs an encode kernel — at least
-        one launch; when the first is within the second it cannot pay,
-        and nothing is sampled, scored or encoded to find that out."""
-        wire, codec = raw_nbytes, ""
-        if encode is not None and (
-            raw_nbytes / (self.device.interconnect.d2h_bandwidth * 1e9)
-            > self.device.profile.kernel_launch_overhead
-        ):
-            encoded = encode()
-            if self._encode_for_d2h(encoded, label):
-                wire, codec = encoded.wire_nbytes, encoded.codec
-        self.device.record_stream_transfer(
-            wire, "d2h", label=label, raw_nbytes=raw_nbytes if codec else 0, codec=codec
+        """Charge the result's d2h: one packed transfer
+        (:meth:`_ship_packed`)."""
+        self.output_bytes, _ = self._ship_packed(
+            table.columns, CompressionPolicy.encoded, "result"
         )
-        if self._compression_stats is not None:
-            self._compression_stats.record(raw_nbytes, wire, codec)
-        return wire
 
     def ship_partial(self, outputs: dict[str, np.ndarray], label: str) -> int:
-        """Ship one partial result (a morsel's sink outputs) d2h;
-        returns the bytes that crossed the link.
-
-        Without a compression policy the partial is one raw transfer.
-        With one, each non-empty column travels on its own — as a wire
-        image, decoded by the host merge (``host_decode_bytes``), when
-        encoding it on the device first pays.
-        """
-        if self.compression is None:
-            nbytes = sum(np.asarray(array).nbytes for array in outputs.values())
-            self.device.record_stream_transfer(nbytes, "d2h", label=label)
-            return nbytes
-        shipped = 0
-        for name, array in outputs.items():
-            arr = np.asarray(array)
-            if arr.nbytes == 0:
-                continue
-            wire = self._ship_d2h(
-                arr.nbytes,
-                lambda: self.compression.encode_array(arr),
-                f"{label}.{name}",
-            )
-            if wire < arr.nbytes:
-                self._compression_stats.host_decode_bytes += arr.nbytes
-            shipped += wire
+        """Ship one partial result (a morsel's sink outputs) d2h as one
+        packed transfer (:meth:`_ship_packed`); returns the bytes that
+        crossed the link.  The host merge decodes the segments that
+        crossed as wire images (``host_decode_bytes``)."""
+        shipped, decoded = self._ship_packed(
+            {name: np.asarray(array) for name, array in outputs.items()},
+            CompressionPolicy.encode_array,
+            label,
+        )
+        if decoded:
+            self._compression_stats.host_decode_bytes += decoded
         return shipped
+
+    def _ship_packed(self, segments, encode, label: str) -> tuple[int, int]:
+        """Ship a sink's output columns d2h as ONE transfer of one
+        packed device buffer, so a result pays the link latency once:
+        ``segments`` (name -> column or array) lie back to back, each
+        raw or — under a compression policy, when encoding it on the
+        device first pays (:meth:`_encode_for_d2h`) — as the wire image
+        ``encode(policy, segment)`` makes.  A wire image saves less link
+        time than the raw bytes take (``raw / bandwidth``) and costs an
+        encode kernel — at least one launch; when the first is within
+        the second it cannot pay, and nothing is sampled, scored or
+        encoded to find that out.  Returns the bytes that crossed the
+        link and the raw bytes of the segments that crossed encoded."""
+        policy = self.compression
+        shipped = raw_total = decoded = 0
+        codecs = []
+        for name, segment in segments.items():
+            raw = wire = segment.nbytes
+            codec = ""
+            if policy is not None:
+                if (
+                    raw / (self.device.interconnect.d2h_bandwidth * 1e9)
+                    > self.device.profile.kernel_launch_overhead
+                ):
+                    encoded = encode(policy, segment)
+                    if self._encode_for_d2h(encoded, f"{label}.{name}"):
+                        wire, codec = encoded.wire_nbytes, encoded.codec
+                        decoded += raw
+                        codecs.append(codec)
+                self._compression_stats.record(raw, wire, codec)
+            raw_total += raw
+            shipped += wire
+        self.device.record_stream_transfer(
+            shipped,
+            "d2h",
+            label=label,
+            raw_nbytes=raw_total if codecs else 0,
+            codec="+".join(dict.fromkeys(codecs)),
+        )
+        return shipped, decoded
 
 
 def charge_library_aggregate(
@@ -621,8 +617,8 @@ def assemble_result(
 ) -> Table:
     """The host side of every execution path's result: cast the final
     pipeline's (or the merged partials') outputs to the query schema,
-    let ``ship(table)`` charge the d2h, then ORDER BY / LIMIT on the
-    host (the original engine's job, Section 7)."""
+    let ``ship(table)`` charge the d2h (one packed transfer), then
+    ORDER BY / LIMIT on the host (the original engine's job, Section 7)."""
     schema = query.output_schema
     assert schema is not None
     table = Table(

@@ -129,8 +129,8 @@ class _BlockStreamer(CompoundEngine):
 
         def gather_block(index: int, outputs: dict) -> None:
             # Block partials stay on the device until the merged result
-            # ships (``assemble_result``): its d2h is the only one
-            # charged, with or without a compression policy.
+            # ships (``assemble_result``): that one packed d2h is the
+            # only one charged, with or without a compression policy.
             self.peak_device_bytes = max(
                 self.peak_device_bytes, device.allocated_bytes + block_nbytes
             )
@@ -174,7 +174,7 @@ class BatchExecutor:
             )
         streamer = _BlockStreamer(self.mode, self.block_bytes)
         result = streamer.execute(query, database, device, seed=seed)
-        # The result.* d2h records count as streaming-phase transfers.
+        # The packed result's d2h counts as a streaming-phase transfer.
         profile = result.profile
         return BatchResult(
             table=result.table,

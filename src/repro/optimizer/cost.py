@@ -51,7 +51,6 @@ from ..hardware.interconnect import Interconnect
 from ..hardware.profiles import DeviceProfile
 from ..macro.batch import BLOCK_OVERHEAD
 from ..plan.physical import AggregateSink, BuildSink, PhysicalQuery, Pipeline
-from ..scaleout.merge import rewrite_for_partials
 from ..scaleout.partition import MORSELS_PER_DEVICE
 from ..storage.database import Database
 from .stats import StatisticsCatalog, TableStats
@@ -538,21 +537,30 @@ class CostEstimator:
     # ------------------------------------------------------------------
     # macro / devices / transfers
     # ------------------------------------------------------------------
-    def _transfer_ms(self, h2d_bytes: int, d2h_bytes: int, transfers: int) -> float:
+    def _transfer_ms(
+        self, h2d_bytes: int, d2h_bytes: int, loads: int, results: int = 1
+    ) -> float:
+        """Link time of ``loads`` h2d transfers moving ``h2d_bytes`` and
+        ``results`` packed d2h transfers moving ``d2h_bytes``.  Each
+        pays the link latency — but an empty result costs nothing
+        (``Interconnect.transfer_time(0, ...)`` is 0)."""
         if self.interconnect is None:
             return 0.0
         seconds = 0.0
         if h2d_bytes:
             seconds += h2d_bytes / (self.interconnect.h2d_bandwidth * 1e9)
+        latencies = loads
         if d2h_bytes:
             seconds += d2h_bytes / (self.interconnect.d2h_bandwidth * 1e9)
-        return (seconds + transfers * self.interconnect.latency) * 1e3
+            latencies += results
+        return (seconds + latencies * self.interconnect.latency) * 1e3
 
     def _apply_macro(self, estimate, query, strategy, shipped: float) -> None:
         """Transfers, streaming and the fleet on top of the pipelines.
         Every transfer pays the link latency, so they are counted as
         execution records them: one h2d per base column that is not
-        resident (``shipped`` of them), one d2h per result column."""
+        resident (``shipped`` of them), one d2h for the packed result
+        (``QueryRuntime._ship_packed``)."""
         fact = estimate.pipelines[-1]
         streamed = strategy.macro == "out-of-core"
         if (streamed or strategy.devices > 1) and query.final_pipeline.source_is_virtual:
@@ -564,21 +572,21 @@ class CostEstimator:
             return
         columns = sum(pipe.columns for pipe in estimate.pipelines)
         if strategy.devices > 1:
-            self._apply_scaleout(estimate, query, strategy.devices, fact, columns, shipped)
+            self._apply_scaleout(estimate, strategy.devices, fact, columns, shipped)
             return
-        results = len(query.output_columns)
         if not streamed:
-            estimate.transfers = round(columns * shipped) + results
+            loads = round(columns * shipped)
+            estimate.transfers = loads + 1
             estimate.transfer_ms = self._transfer_ms(
-                estimate.pcie_h2d_bytes, estimate.pcie_d2h_bytes, estimate.transfers
+                estimate.pcie_h2d_bytes, estimate.pcie_d2h_bytes, loads
             )
             return
         dims_h2d = max(0, estimate.pcie_h2d_bytes - fact.wire_bytes)
         block_bytes = self.stream_block_bytes()
         blocks = max(1, math.ceil(fact.input_bytes / block_bytes))
         # The fact columns arrive as one transfer per block.
-        loads = round((columns - fact.columns) * shipped) + results
-        estimate.transfers = loads + blocks
+        loads = round((columns - fact.columns) * shipped)
+        estimate.transfers = loads + blocks + 1
         estimate.transfer_ms = self._transfer_ms(dims_h2d, estimate.pcie_d2h_bytes, loads)
         estimate.kernel_ms -= fact.kernel_ms
         estimate.overhead_ms = (
@@ -588,7 +596,7 @@ class CostEstimator:
         # Streaming never holds the whole fact table on device.
         estimate.peak_device_bytes += 2 * block_bytes - fact.input_bytes
 
-    def _apply_scaleout(self, estimate, query, devices, fact, columns, shipped) -> None:
+    def _apply_scaleout(self, estimate, devices, fact, columns, shipped) -> None:
         pieces = devices * MORSELS_PER_DEVICE
         dims_h2d = max(0, estimate.pcie_h2d_bytes - fact.wire_bytes)
         dims_kernel_ms = estimate.kernel_ms - fact.kernel_ms
@@ -602,22 +610,17 @@ class CostEstimator:
             self.profile.kernel_launch_overhead * fact.kernels * (pieces - 1) * 1e3
         )
         # Per device: its broadcast columns once; per morsel the fact
-        # columns (each piece is a table of its own) and the partial —
-        # one transfer, or one per column under a compression policy
-        # (``QueryRuntime.ship_partial``).
-        partial = 1
-        if self.compression is not None:
-            shipped_pipeline, _ = rewrite_for_partials(query.final_pipeline)
-            partial = len(shipped_pipeline.output_schema.dtypes)
+        # columns (each piece is a table of its own) and the partial,
+        # one packed transfer (``QueryRuntime.ship_partial``).
         broadcast = round((columns - fact.columns) * shipped)
-        per_morsel = round(fact.columns * shipped) + partial
-        estimate.transfers = devices * broadcast + pieces * per_morsel
+        per_morsel = round(fact.columns * shipped)
+        estimate.transfers = devices * broadcast + pieces * (per_morsel + 1)
         estimate.kernel_ms = (
             dims_kernel_ms
             + (fact.kernel_ms + launch_ms) / devices
             + self._transfer_ms(
                 int(per_device_h2d), int(gather_total / devices),
-                broadcast + MORSELS_PER_DEVICE * per_morsel,
+                broadcast + MORSELS_PER_DEVICE * per_morsel, MORSELS_PER_DEVICE,
             )
         )
         estimate.transfer_ms = 0.0

@@ -167,15 +167,18 @@ class TestFinalize:
         assert runtime.finalize(query, outputs).num_rows == 3
 
     def test_result_transferred_per_column(self, tiny_db, runtime):
+        """The result columns ship as one packed transfer: one link
+        latency per result, every column's bytes in it."""
         query = self._query(tiny_db)
         outputs = {
             "c_nation": tiny_db["customer"]["c_nation"].values,
             "c_custkey": tiny_db["customer"]["c_custkey"].values,
         }
-        runtime.finalize(query, outputs)
-        d2h = [r for r in runtime.device.log.transfers if r.direction == "d2h"]
-        assert len(d2h) == 2
-        assert runtime.output_bytes == sum(r.nbytes for r in d2h)
+        table = runtime.finalize(query, outputs)
+        [d2h] = [r for r in runtime.device.log.transfers if r.direction == "d2h"]
+        assert d2h.label == "result"
+        assert d2h.nbytes == sum(c.nbytes for c in table.columns.values())
+        assert d2h.nbytes == runtime.output_bytes
 
     def test_string_columns_decoded_with_dictionary(self, tiny_db, runtime):
         query = self._query(tiny_db)

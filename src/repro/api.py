@@ -13,7 +13,6 @@ choice; ``execute`` accepts SQL text or a logical plan.
 
 from __future__ import annotations
 
-import contextlib
 import copy
 import time
 from typing import TYPE_CHECKING
@@ -35,7 +34,7 @@ from .telemetry.events import (
     query_scope,
     record_event,
 )
-from .telemetry.trace import Tracer, tracing_enabled
+from .telemetry.trace import NO_TRACER, Tracer, tracing_enabled
 
 if TYPE_CHECKING:  # avoid the api -> serving -> api import cycle
     from .serving.plan_cache import PlanCache
@@ -319,8 +318,8 @@ class Session:
         """The fusion-operator decomposition of a query (pipelines +
         host post-processing), one line per pipeline.
 
-        With ``analyze=True`` the query actually *runs* (with span
-        tracing enabled) and the report shows per-pipeline rows in/out,
+        With ``analyze=True`` the query actually *runs* and the report
+        shows, from its query record, per-pipeline rows in/out,
         kernels launched, per-level byte volumes, PCIe bytes, simulated
         vs host milliseconds, and cache/placement outcomes.
 
@@ -347,9 +346,10 @@ class Session:
     ) -> ExecutionResult:
         """Run a query; returns the result table plus all metrics.
 
-        When tracing is enabled (:func:`repro.telemetry.tracing`) the
-        result carries the full span tree on ``result.trace``,
-        including the front-end ``plan`` span.
+        ``result.profile`` is the query record (every launch and
+        transfer, one row per pipeline).  When tracing is enabled
+        (:func:`repro.telemetry.tracing`) ``result.trace`` is the span
+        tree over it, including the front-end ``plan`` span.
         """
         return self._execute(query, engine, seed)
 
@@ -387,17 +387,17 @@ class Session:
         elif query_id is None and installed_log() is not None:
             # No recorder, but a bare event log is listening.
             query_id = new_query_id()
-        tracer = None
+        # The one place a query gets a tracer; everything below reaches
+        # it through ``active_tracer()`` and gets a no-op when off.
+        tracer = NO_TRACER
+        if tracing_enabled():
+            origin = {"api": "session"} if worker < 0 else {"worker": worker}
+            if query_id is not None:
+                origin["query_id"] = query_id
+            tracer = Tracer(**origin)
         try:
-            if tracing_enabled():
-                tracer = (
-                    Tracer(api="session") if worker < 0 else Tracer(worker=worker)
-                )
-                if query_id is not None:
-                    tracer.root.attrs["query_id"] = query_id
-            activation = tracer.activate() if tracer else contextlib.nullcontext()
-            with query_scope(query_id), activation:
-                if tracer is not None and worker >= 0:
+            with query_scope(query_id), tracer.activate():
+                if worker >= 0:
                     tracer.event("queue_wait", "queue", wait_ms=queue_wait_ms)
                 result = self._plan_and_run(
                     chosen, query, seed, tracer, flight, queue_wait_ms, worker
@@ -407,13 +407,12 @@ class Session:
                 recorder.fail(
                     flight,
                     error,
-                    trace=tracer.finish() if tracer is not None else None,
+                    trace=tracer.finish(),
                     fault_plan=self._fault_plan,
                     retry_policy=self._retry_policy,
                 )
             raise
-        if tracer is not None:
-            result.trace = tracer.finish()
+        result.trace = tracer.finish(result.profile)
         if recorder is not None:
             recorder.complete(flight, result)
         if self.metrics is not None:
@@ -435,12 +434,9 @@ class Session:
     ) -> ExecutionResult:
         token = self._strategy_token(chosen)
         plan_start = time.perf_counter()
-        with (
-            tracer.span("plan", "plan") if tracer else contextlib.nullcontext()
-        ) as span:
+        with tracer.span("plan", "plan") as span:
             physical, hit = self.plan_cache.lookup(query, self.database, token)
-            if span is not None:
-                span.attrs["cache_hit"] = hit
+            span.attrs["cache_hit"] = hit
         plan_ms = (time.perf_counter() - plan_start) * 1e3
         record_event("query.planned", cache_hit=hit, plan_ms=round(plan_ms, 3))
         if flight is not None:
@@ -460,7 +456,6 @@ class Session:
         from .serving.stats import ServingStats
 
         compile_hits, compile_misses, compile_ms = thread_compile_stats()
-        placement = result.placement
         result.serving = ServingStats(
             plan_cache_hit=hit,
             compile_hits=compile_hits,
@@ -470,10 +465,6 @@ class Session:
             compile_ms=compile_ms,
             execute_ms=execute_ms,
             worker=worker,
-            placement_hits=placement.hits if placement else 0,
-            placement_misses=placement.misses if placement else 0,
-            placement_hit_bytes=placement.hit_bytes if placement else 0,
-            out_of_core=bool(placement and placement.out_of_core),
         )
         if isinstance(query, str) and result.optimizer is not None:
             self.plan_cache.record_strategy(

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,7 +13,7 @@ from ..plan.physical import BuildSink, PhysicalQuery, Pipeline
 from ..plan.pipelines import extract_pipelines
 from ..storage.database import Database
 from ..storage.table import Table
-from ..telemetry.trace import Tracer, active_tracer, tracing_enabled
+from ..telemetry.events import record_event
 from .runtime import QueryRuntime
 
 
@@ -47,8 +46,10 @@ class ExecutionResult:
     #: (:class:`repro.placement.QueryPlacement`) when a buffer pool is
     #: attached to the device, else ``None``.
     placement: object | None = None
-    #: Per-query span tree (:class:`repro.telemetry.trace.QueryTrace`)
-    #: when tracing was enabled for this execution, else ``None``.
+    #: Per-query span tree (:class:`repro.telemetry.trace.QueryTrace`,
+    #: a view over ``profile`` plus the host phases) when a
+    #: :class:`~repro.api.Session` / ``Server`` ran the query with
+    #: tracing enabled, else ``None``.
     trace: object | None = None
     #: Fleet accounting (:class:`repro.scaleout.ScaleOutStats`) when
     #: the query ran through the scale-out executor, else ``None``.
@@ -211,74 +212,65 @@ class Engine:
             device.reset_all()
         else:
             device.begin_query()
-        # Tracing: reuse the caller's tracer (Session/Server opened the
-        # root span) or, when tracing is enabled and no tracer is
-        # active, own a fresh one for this execution.
-        tracer = active_tracer()
-        owned = tracer is None and tracing_enabled()
-        if owned:
-            tracer = Tracer(engine=self.name, device=device.profile.name)
-        activation = tracer.activate() if owned else contextlib.nullcontext()
-        with activation:
-            runtime = QueryRuntime(device, database, seed=seed, pool=pool)
+        runtime = QueryRuntime(device, database, seed=seed, pool=pool)
+        log = device.log
+        try:
+            outputs = self.run_pipelines(query.pipelines, runtime)
+            assert outputs is not None, "query had no final pipeline"
+            # The result's row of the query record: what shipping it
+            # launched (encodes) and moved, and the host's sort / limit.
+            record = log.open(None, None, log.pipelines[-1].rows_out)
             try:
-                outputs = self.run_pipelines(query.pipelines, runtime, tracer)
-                assert outputs is not None, "query had no final pipeline"
-                if tracer is None:
-                    table = runtime.finalize(query, outputs)
-                else:
-                    with tracer.span("finalize", "finalize") as span:
-                        table = runtime.finalize(query, outputs)
-                        span.attrs.update(
-                            rows=table.num_rows,
-                            output_bytes=runtime.output_bytes,
-                        )
-                # Rebind (do not mutate) the convenience attribute: concurrent
-                # executions each install their own complete dict, so a reader
-                # always sees one query's sources, never a mixture.
-                self.kernel_sources = dict(runtime.kernel_sources)
-                result = package_result(
-                    device,
-                    runtime.input_bytes,
-                    runtime.output_bytes,
-                    table=table,
-                    profile=device.log,
-                    engine=self.name,
-                    kernel_sources=dict(runtime.kernel_sources),
-                    placement=runtime.query_placement(),
-                    compression=runtime.compression_stats(),
-                )
-                if owned:
-                    result.trace = tracer.finish()
-                return result
+                table = runtime.finalize(query, outputs)
+                record.rows_out = table.num_rows
             finally:
-                runtime.close()
+                log.close(record)
+            check_accounting(log, engine=self.name)
+            # Rebind (do not mutate) the convenience attribute: concurrent
+            # executions each install their own complete dict, so a reader
+            # always sees one query's sources, never a mixture.
+            self.kernel_sources = dict(runtime.kernel_sources)
+            return package_result(
+                device,
+                runtime.input_bytes,
+                runtime.output_bytes,
+                table=table,
+                profile=log,
+                engine=self.name,
+                kernel_sources=dict(runtime.kernel_sources),
+                placement=runtime.query_placement(),
+                compression=runtime.compression_stats(),
+            )
+        finally:
+            runtime.close()
 
     def run_pipelines(
         self,
         pipelines: list[Pipeline],
         runtime: QueryRuntime,
-        tracer: Tracer | None,
         first_index: int = 0,
     ) -> dict[str, np.ndarray] | None:
         """Run ``pipelines`` in order and return what the last one
-        produced; non-final outputs become virtual tables.  With a
-        ``tracer`` each runs in its ``pipeline[first_index + i]`` span.
-        (Also the scale-out executor's way to run build sides and fact
-        morsels on a device's runtime.)
+        produced; non-final outputs become virtual tables.  Each run
+        writes its ``pipeline[first_index + i]`` row of the query record
+        (:class:`~repro.hardware.traffic.PipelineRecord`) on the device
+        log.  (Also the scale-out executor's way to run build sides and
+        fact morsels on a device's runtime.)
 
         A build pipeline asks the device's buffer pool first
         (:meth:`_run_pipeline`), so every caller of this loop — the
         engines, the block streamer, a fleet device's build phase —
         keeps build sides resident the same way."""
+        log = runtime.device.log
         produced = None
         for index, pipeline in enumerate(pipelines, first_index):
-            if tracer is None:
+            record = log.open(index, pipeline, runtime.source_rows(pipeline))
+            try:
                 produced = self._run_pipeline(pipeline, runtime)
-            else:
-                produced = self._execute_pipeline_traced(
-                    index, pipeline, runtime, tracer
-                )
+                record.rows_out = _produced_rows(pipeline, produced, runtime)
+                record.resident = pipeline.output_name in runtime.resident_tables
+            finally:
+                log.close(record)
             if not pipeline.is_final and pipeline.output_schema is not None:
                 assert produced is not None
                 runtime.register_virtual(
@@ -308,47 +300,6 @@ class Engine:
         runtime.keep_build(pipeline, key, log.total_time_ms - started_ms)
         return produced
 
-    def _execute_pipeline_traced(
-        self, index: int, pipeline: Pipeline, runtime: QueryRuntime, tracer: Tracer
-    ) -> dict[str, np.ndarray] | None:
-        """Run one pipeline inside a span carrying the per-pipeline
-        accounting EXPLAIN ANALYZE renders: rows in/out, kernels
-        launched, per-level byte volumes (sliced exactly from the
-        device profile, so pipeline sums always reconcile with
-        ``Profile.bytes_at``), PCIe bytes, and simulated ms."""
-        device = runtime.device
-        kernel_mark = len(device.log.kernels)
-        transfer_mark = len(device.log.transfers)
-        with tracer.span(
-            f"pipeline[{index}]",
-            "pipeline",
-            shape=pipeline.describe(),
-            source=pipeline.source,
-            sink=pipeline.output_name,
-        ) as span:
-            produced = self._run_pipeline(pipeline, runtime)
-            if pipeline.output_name in runtime.resident_tables:
-                span.attrs["resident"] = True
-            kernels = device.log.kernels[kernel_mark:]
-            transfers = device.log.transfers[transfer_mark:]
-            span.attrs.update(
-                rows_in=runtime.source_rows(pipeline),
-                rows_out=_produced_rows(pipeline, produced, runtime),
-                kernels=len(kernels),
-                global_bytes=sum(
-                    trace.meter.bytes_at(MemoryLevel.GLOBAL) for trace in kernels
-                ),
-                onchip_bytes=sum(
-                    trace.meter.bytes_at(MemoryLevel.ONCHIP) for trace in kernels
-                ),
-                atomics=sum(trace.meter.atomic_count for trace in kernels),
-                pcie_bytes=sum(record.nbytes for record in transfers),
-                kernel_ms=sum(trace.time_ms for trace in kernels),
-                sim_ms=sum(trace.time_ms for trace in kernels)
-                + sum(record.time_ms for record in transfers),
-            )
-        return produced
-
     # ------------------------------------------------------------------
     def execute_pipeline(
         self, pipeline: Pipeline, runtime: QueryRuntime
@@ -365,6 +316,22 @@ class Engine:
         reach the sink and the groups it aggregates them into (0 when
         it does not aggregate)."""
         raise NotImplementedError
+
+
+def check_accounting(log: Profile, **where) -> None:
+    """The query record's self-check, run wherever a device's records
+    are closed: every launch and transfer on ``log`` lies in a pipeline
+    or ``finalize`` row, else an ``accounting.mismatch`` event says how
+    many do not (something reached the device outside
+    :meth:`Engine.run_pipelines`; EXPLAIN ANALYZE would not add up)."""
+    unaccounted = log.unaccounted
+    if unaccounted:
+        record_event(
+            "accounting.mismatch",
+            entries=len(log.kernels) + len(log.transfers),
+            unaccounted=unaccounted,
+            **where,
+        )
 
 
 def _produced_rows(

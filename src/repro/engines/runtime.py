@@ -98,9 +98,6 @@ class QueryRuntime:
         self.device = device
         self.database = database
         self.pool = pool
-        #: Span tracer bound to the executing thread (None when tracing
-        #: is disabled) — picked up once so hot loops skip the lookup.
-        self.tracer = active_tracer()
         self.rng = np.random.default_rng(seed)
         self.hash_tables: dict[str, HashTableEntry] = {}
         self.virtual_tables: dict[str, VirtualTable] = {}
@@ -201,13 +198,9 @@ class QueryRuntime:
                     self.database.fingerprint(),
                 )
                 self._pinned.append(entry)
-                if self.tracer is not None:
-                    self.tracer.event(
-                        f"placement {label}",
-                        "placement",
-                        hit=hit,
-                        nbytes=column.nbytes,
-                    )
+                active_tracer().event(
+                    f"placement {label}", "placement", hit=hit, nbytes=column.nbytes
+                )
                 # entry.nbytes is the resident footprint: the wire size
                 # when the pool stores the column compressed.
                 moved = entry.nbytes
@@ -399,10 +392,9 @@ class QueryRuntime:
         table_id = pipeline.sink.table_id
         self.resident_tables.add(table_id)
         self.register_hash_table(table_id, resident.table)
-        if self.tracer is not None:
-            self.tracer.event(
-                f"placement {table_id}", "placement", hit=True, nbytes=resident.nbytes
-            )
+        active_tracer().event(
+            f"placement {table_id}", "placement", hit=True, nbytes=resident.nbytes
+        )
         return True
 
     def keep_build(self, pipeline: Pipeline, key: tuple, restore_ms: float) -> None:

@@ -187,13 +187,11 @@ class FaultInjector:
             raise error
 
     def _trace(self, kind: str, device: int, morsel: int | None, **attrs) -> None:
-        tracer = active_tracer()
-        if tracer is not None:
-            where = f"p{morsel}" if morsel is not None else "build"
-            tracer.event(
-                f"fault {kind} {where}", "fault", device=device, morsel=morsel,
-                kind=kind, **attrs,
-            )
+        where = f"p{morsel}" if morsel is not None else "build"
+        active_tracer().event(
+            f"fault {kind} {where}", "fault", device=device, morsel=morsel,
+            kind=kind, **attrs,
+        )
 
 
 def _corrupt(produced: dict) -> dict:

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import AllocationError, DeviceLostError, DeviceMemoryError
-from ..telemetry.trace import active_tracer
 from .costmodel import KernelCostModel
 from .interconnect import PCIE3, Interconnect
 from .profiles import DeviceProfile
@@ -274,22 +273,7 @@ class VirtualCoprocessor:
                 raw_nbytes=raw_nbytes,
                 codec=codec,
             )
-        self.log.transfers.append(record)
-        tracer = active_tracer()
-        if tracer is not None:
-            attrs = dict(
-                sim_ms=record.time_ms,
-                nbytes=record.nbytes,
-                direction=direction,
-            )
-            if codec:
-                attrs["codec"] = codec
-                attrs["raw_nbytes"] = raw_nbytes
-            tracer.event(
-                f"transfer {label}" if label else "transfer",
-                "transfer",
-                **attrs,
-            )
+        self.log.append(record)
 
     # ------------------------------------------------------------------
     # kernels
@@ -308,20 +292,7 @@ class VirtualCoprocessor:
         """Record one kernel launch and assign its simulated time."""
         self._check_alive()
         trace = self.cost_model.trace(name, kind, elements, meter, occupancy)
-        self.log.kernels.append(trace)
-        tracer = active_tracer()
-        if tracer is not None:
-            tracer.event(
-                f"kernel {name}",
-                "kernel",
-                sim_ms=trace.time_ms,
-                kind=kind,
-                elements=elements,
-                global_bytes=trace.global_bytes,
-                onchip_bytes=trace.onchip_bytes,
-                atomics=meter.atomic_count,
-                bound_by=trace.bound_by,
-            )
+        self.log.append(trace)
         return trace
 
     # ------------------------------------------------------------------
@@ -351,12 +322,9 @@ class VirtualCoprocessor:
         self._check_alive()
         if delay_ms < 0:
             raise ValueError(f"stall delay must be >= 0, got {delay_ms}")
-        self.log.transfers.append(
+        self.log.append(
             TransferRecord(nbytes=0, direction="stall", time_ms=delay_ms, label=label)
         )
-        tracer = active_tracer()
-        if tracer is not None:
-            tracer.event(f"stall {label}", "fault", sim_ms=delay_ms)
 
     # ------------------------------------------------------------------
     # baselines & bookkeeping

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from time import perf_counter
 
 
 class MemoryLevel(enum.Enum):
@@ -186,6 +187,10 @@ class KernelTrace:
     #: Which cost-model component dominated ("memory", "compute",
     #: "atomics", "onchip", "launch") — used by tests and reports.
     bound_by: str = ""
+    #: Issue order across the log's kernels *and* transfers, and the
+    #: host clock (``perf_counter`` seconds) when the entry was logged.
+    seq: int = field(default=0, compare=False)
+    at: float = field(default=0.0, compare=False)
 
     @property
     def global_bytes(self) -> int:
@@ -207,19 +212,29 @@ class TransferRecord:
     """
 
     nbytes: int
-    direction: str  # "h2d" or "d2h"
+    direction: str  # "h2d", "d2h", or "stall" (a zero-byte delay)
     time_ms: float
     label: str = ""
     raw_nbytes: int = 0
     codec: str = ""
+    #: Issue order and host clock, as on :class:`KernelTrace`.
+    seq: int = field(default=0, compare=False)
+    at: float = field(default=0.0, compare=False)
 
 
 @dataclass
-class Profile:
-    """Everything observed while executing a query on a virtual device."""
+class LogSlice:
+    """A run of profiler entries and the sums every report takes over
+    it: a whole query (:class:`Profile`) or what one pipeline issued
+    (:class:`PipelineRecord`)."""
 
     kernels: list[KernelTrace] = field(default_factory=list)
     transfers: list[TransferRecord] = field(default_factory=list)
+
+    @property
+    def entries(self) -> list:
+        """Kernels and transfers in the order they were issued."""
+        return sorted(self.kernels + self.transfers, key=lambda entry: entry.seq)
 
     @property
     def kernel_time_ms(self) -> float:
@@ -242,9 +257,6 @@ class Profile:
 
     def bytes_at(self, level: MemoryLevel) -> int:
         return sum(trace.meter.bytes_at(level) for trace in self.kernels)
-
-    def reads_at(self, level: MemoryLevel) -> int:
-        return sum(trace.meter.reads[level] for trace in self.kernels)
 
     def writes_at(self, level: MemoryLevel) -> int:
         return sum(trace.meter.writes[level] for trace in self.kernels)
@@ -274,6 +286,95 @@ class Profile:
             entry["time_ms"] += trace.time_ms
         return summary
 
+
+@dataclass
+class PipelineRecord(LogSlice):
+    """What one pipeline run — or ``finalize`` (``pipeline is None``) —
+    issued to the device: the entries logged between
+    :meth:`Profile.open` and :meth:`Profile.close`, its cardinalities
+    and its host interval.  Its sums run over that slice, so a row of
+    EXPLAIN ANALYZE always reconciles with :meth:`Profile.bytes_at`."""
+
+    #: Position among the query's pipelines (``None``: finalize).
+    index: int | None = None
+    pipeline: object | None = None
+    rows_in: int = 0
+    rows_out: int = 0
+    #: A build the buffer pool served: nothing ran.
+    resident: bool = False
+    #: Host clock (``perf_counter`` seconds) of the interval.
+    started: float = 0.0
+    ended: float = 0.0
+    #: ``(kernels, transfers)`` logged before it began.
+    marks: tuple = (0, 0)
+
+    @property
+    def name(self) -> str:
+        return "finalize" if self.pipeline is None else f"pipeline[{self.index}]"
+
+    @property
+    def shape(self) -> str:
+        return "result" if self.pipeline is None else self.pipeline.describe()
+
+    @property
+    def host_ms(self) -> float:
+        return (self.ended - self.started) * 1e3
+
+
+@dataclass
+class Profile(LogSlice):
+    """Everything observed while executing a query on a virtual device:
+    the log, and — the *query record* — one :class:`PipelineRecord` per
+    pipeline run, in execution order, and one for ``finalize``.  Always
+    written; the span trace, EXPLAIN ANALYZE, flight records and the
+    perf baselines are views over it (``docs/observability.md``)."""
+
+    pipelines: list[PipelineRecord] = field(default_factory=list)
+    #: Stalls among ``transfers``: delays the fault layer charges
+    #: *between* pipelines, so no record covers them.
+    stalls: int = 0
+
+    def append(self, entry: KernelTrace | TransferRecord) -> None:
+        """Append a launch or a transfer, stamped with its issue order
+        and the host clock."""
+        entry.seq = len(self.kernels) + len(self.transfers)
+        entry.at = perf_counter()
+        if isinstance(entry, KernelTrace):
+            self.kernels.append(entry)
+        else:
+            self.transfers.append(entry)
+            self.stalls += entry.direction == "stall"
+
+    def open(self, index: int | None, pipeline, rows_in: int) -> PipelineRecord:
+        """Begin the record of pipeline ``index`` (``finalize``: both
+        ``None``); every entry logged until :meth:`close` is its."""
+        record = PipelineRecord(
+            index=index, pipeline=pipeline, rows_in=rows_in, started=perf_counter(),
+            marks=(len(self.kernels), len(self.transfers)),
+        )
+        self.pipelines.append(record)
+        return record
+
+    def close(self, record: PipelineRecord) -> None:
+        """End ``record`` here.  Closing the latest record again extends
+        it (a fleet morsel's row covers the gather of its partial)."""
+        record.kernels = self.kernels[record.marks[0]:]
+        record.transfers = self.transfers[record.marks[1]:]
+        record.ended = perf_counter()
+
+    @property
+    def unaccounted(self) -> int:
+        """Launches and transfers no pipeline or ``finalize`` record
+        covers — 0 unless something reached the device outside
+        ``Engine.run_pipelines`` (the ``accounting.mismatch`` event)."""
+        covered = sum(
+            len(record.kernels) + len(record.transfers) for record in self.pipelines
+        )
+        return len(self.kernels) + len(self.transfers) - covered - self.stalls
+
     def merge(self, other: "Profile") -> None:
+        """Append ``other``'s log and records (another device's turn)."""
         self.kernels.extend(other.kernels)
         self.transfers.extend(other.transfers)
+        self.pipelines.extend(other.pipelines)
+        self.stalls += other.stalls

@@ -151,9 +151,9 @@ def _kernel(pipeline: Pipeline, kind: str, emit) -> CompiledKernel:
         _record_probe(True)
         if kernel.source in _kernel_cache:
             _kernel_cache.move_to_end(kernel.source)
-    tracer = active_tracer()
-    if tracer is not None:
-        tracer.event(f"compile {kernel.name}", "compile", cache_hit=True, kind=kind)
+    active_tracer().event(
+        f"compile {kernel.name}", "compile", cache_hit=True, kind=kind
+    )
     return kernel
 
 
@@ -166,8 +166,7 @@ def _compile(name: str, kind: str, lines: list[str]) -> CompiledKernel:
         _record_probe(cached is not None)
         if cached is not None:
             _kernel_cache.move_to_end(source)
-            if tracer is not None:
-                tracer.event(f"compile {name}", "compile", cache_hit=True, kind=kind)
+            tracer.event(f"compile {name}", "compile", cache_hit=True, kind=kind)
             return cached
     started = time.perf_counter()
     namespace: dict = {}
@@ -177,11 +176,9 @@ def _compile(name: str, kind: str, lines: list[str]) -> CompiledKernel:
         raise CompilationError(f"generated kernel failed to compile: {error}\n{source}")
     kernel = CompiledKernel(name=name, kind=kind, source=source, entry=namespace[name])
     compile_ms = (time.perf_counter() - started) * 1e3
-    if tracer is not None:
-        tracer.event(
-            f"compile {name}", "compile",
-            cache_hit=False, kind=kind, compile_ms=compile_ms,
-        )
+    tracer.event(
+        f"compile {name}", "compile", cache_hit=False, kind=kind, compile_ms=compile_ms
+    )
     _thread_stats.compile_ms = (
         getattr(_thread_stats, "compile_ms", 0.0) + compile_ms
     )

@@ -18,6 +18,7 @@ from ..engines.compound import CompoundEngine, run_compound_pipeline, slice_boun
 from ..engines.runtime import QueryRuntime
 from ..errors import PlanError
 from ..hardware.device import VirtualCoprocessor
+from ..hardware.traffic import LogSlice
 from ..plan.logical import LogicalPlan
 from ..plan.physical import PhysicalQuery, Pipeline
 from ..plan.pipelines import extract_pipelines
@@ -68,9 +69,9 @@ class _BlockStreamer(CompoundEngine):
     every other pipeline runs run-to-finish (dimension hash tables stay
     resident, pooled dimension columns too — fact blocks never do).
 
-    One instance serves ONE query: it notes where on ``device.log`` the
-    streaming phase began, the block count and the device-memory peak —
-    all a :class:`BatchResult` adds to the engine's own result.
+    One instance serves ONE query: it notes the block count and the
+    device-memory peak — all a :class:`BatchResult` adds to the engine's
+    own result and its query record.
     """
 
     def __init__(self, mode: str, block_bytes: int):
@@ -83,9 +84,6 @@ class _BlockStreamer(CompoundEngine):
             return super().execute_pipeline(pipeline, runtime)
         device = runtime.device
         policy = runtime.compression
-        self.build_ms = device.log.total_time_ms
-        self.kernel_mark = len(device.log.kernels)
-        self.transfer_mark = len(device.log.transfers)
         self.peak_device_bytes = device.allocated_bytes
 
         table = runtime.database.table(pipeline.source)
@@ -174,20 +172,20 @@ class BatchExecutor:
             )
         streamer = _BlockStreamer(self.mode, self.block_bytes)
         result = streamer.execute(query, database, device, seed=seed)
-        # The packed result's d2h counts as a streaming-phase transfer.
+        # The streaming phase begins where the final pipeline's row of
+        # the query record does; the packed result's d2h (``finalize``)
+        # counts as a streaming-phase transfer.
         profile = result.profile
+        kernel_mark, transfer_mark = profile.pipelines[-2].marks
+        build = LogSlice(profile.kernels[:kernel_mark], profile.transfers[:transfer_mark])
+        stream = LogSlice(profile.kernels[kernel_mark:], profile.transfers[transfer_mark:])
         return BatchResult(
             table=result.table,
             block_bytes=self.block_bytes,
             num_blocks=streamer.num_blocks,
-            build_ms=streamer.build_ms,
-            stream_transfer_ms=sum(
-                record.time_ms
-                for record in profile.transfers[streamer.transfer_mark:]
-            ),
-            stream_kernel_ms=sum(
-                trace.time_ms for trace in profile.kernels[streamer.kernel_mark:]
-            ),
+            build_ms=build.total_time_ms,
+            stream_transfer_ms=stream.transfer_time_ms,
+            stream_kernel_ms=stream.kernel_time_ms,
             overhead_ms=streamer.num_blocks * BLOCK_OVERHEAD * 1e3,
             input_bytes=result.input_bytes,
             output_bytes=result.output_bytes,

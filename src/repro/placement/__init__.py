@@ -17,19 +17,14 @@ executor instead of failing.
 """
 
 from .executor import base_column_bytes, execute_with_placement
-from .policy import POLICIES, cost_aware_lru, lru, resolve_policy
 from .pool import BufferPool, ResidentEntry
 from .stats import PlacementStats, QueryPlacement
 
 __all__ = [
-    "POLICIES",
     "BufferPool",
     "PlacementStats",
     "QueryPlacement",
     "ResidentEntry",
     "base_column_bytes",
-    "cost_aware_lru",
     "execute_with_placement",
-    "lru",
-    "resolve_policy",
 ]

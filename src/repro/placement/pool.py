@@ -22,9 +22,13 @@ a first-class, cross-query concern:
   no launch, no source column load.
 * **Capacity pressure** (a new column, a hash table, per-query
   scratch) evicts unpinned residents — columns and tables alike, one
-  candidate list — by a cost-aware policy (modeled cost of restoring
-  the entry: a column's re-transfer, a table's build; LRU tiebreak).
-  Buffers pinned by an in-flight query are never evicted.
+  candidate list — cheapest to have back first: the price of evicting
+  an entry is the modeled cost of restoring it (a column's re-transfer:
+  bytes x the link's per-byte cost plus setup latency; a table's build:
+  the modeled time its pipeline took).  Ties — including every column
+  on a zero-copy device, where re-transfer is free — break least
+  recently used first.  Buffers pinned by an in-flight query are never
+  evicted.
 * **Staleness** is impossible: entries carry the database fingerprint
   (catalog serial + mutation version) they were loaded or built under;
   any catalog mutation invalidates the entry on next acquire.
@@ -44,7 +48,6 @@ from ..errors import PlacementError
 from ..hardware.device import DeviceBuffer, VirtualCoprocessor
 from ..plan.physical import BuildSink
 from ..telemetry.events import record_event
-from .policy import PolicyFn, resolve_policy
 from .stats import PlacementStats
 
 
@@ -101,15 +104,10 @@ class BufferPool:
         The coprocessor whose memory this pool manages.  The pool
         installs itself as ``device.placement_pool`` and hooks the
         device's allocation-pressure, reset and loss callbacks.
-    policy:
-        Eviction policy: ``"cost"`` (default, restore cost with LRU
-        tiebreak), ``"lru"``, or a callable ordering candidates
-        cheapest-to-evict first.
     """
 
-    def __init__(self, device: VirtualCoprocessor, policy: "str | PolicyFn" = "cost"):
+    def __init__(self, device: VirtualCoprocessor):
         self.device = device
-        self.policy = resolve_policy(policy)
         self._entries: dict[tuple, ResidentEntry] = {}
         self._clock = 0
         self._lock = threading.RLock()
@@ -276,12 +274,15 @@ class BufferPool:
     # eviction
     # ------------------------------------------------------------------
     def evict(self, nbytes: int) -> int:
-        """Evict unpinned residents until ``nbytes`` are freed (or no
-        candidates remain); returns the bytes actually freed."""
+        """Evict unpinned residents, cheapest to restore first (ties
+        least recently used first), until ``nbytes`` are freed or no
+        candidates remain; returns the bytes actually freed."""
         freed = 0
         with self._lock:
             candidates = [e for e in self._entries.values() if not e.pinned]
-            for entry in self.policy(candidates):
+            for entry in sorted(
+                candidates, key=lambda e: (e.restore_cost, e.last_used)
+            ):
                 if freed >= nbytes:
                     break
                 freed += entry.nbytes

@@ -64,7 +64,6 @@ contending over it.
 
 from __future__ import annotations
 
-import contextlib
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -72,7 +71,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..compression import CompressionStats, resolve_compression
-from ..engines.base import Engine, ExecutionResult, package_result
+from ..engines.base import Engine, ExecutionResult, check_accounting, package_result
 from ..engines.runtime import QueryRuntime, assemble_result
 from ..faults.injector import FaultInjector, partial_checksum
 from ..faults.plan import FaultPlan
@@ -96,7 +95,7 @@ from ..plan.pipelines import extract_pipelines
 from ..storage.database import Database
 from ..storage.table import Table
 from ..telemetry.events import record_event
-from ..telemetry.trace import Tracer, active_tracer, tracing_enabled
+from ..telemetry.trace import active_tracer
 from .fleet import DeviceFleet
 from .merge import PartialScheme, merge_partials, rewrite_for_partials
 from .partition import (
@@ -264,91 +263,62 @@ class ScaleOutExecutor:
     ) -> ExecutionResult:
         final = query.final_pipeline
         tracer = active_tracer()
-        owned = tracer is None and tracing_enabled()
-        if owned:
-            tracer = Tracer(
-                engine=f"scaleout[{self.devices}x{engine.name}]",
-                device=self.profile.name,
+        with tracer.span("partition", "scaleout") as span:
+            partition_set = self._partitions(database, final.source)
+            span.attrs.update(
+                fact=final.source, scheme=self.partitioning, parts=partition_set.parts
             )
-        activation = tracer.activate() if owned else contextlib.nullcontext()
-        with activation:
-            if tracer is not None:
-                with tracer.span("partition", "scaleout") as span:
-                    partition_set = self._partitions(database, final.source)
-                    span.attrs.update(
-                        fact=final.source,
-                        scheme=self.partitioning,
-                        parts=partition_set.parts,
-                    )
-            else:
-                partition_set = self._partitions(database, final.source)
-            rewritten, scheme = rewrite_for_partials(final)
-            # Injected device losses last for the query that suffered
-            # them; every query starts with the full fleet in service.
-            self.fleet.revive_all()
-            injector = (
-                FaultInjector(self.fault_plan, self.retry_policy)
-                if self.fault_plan is not None
-                else None
+        rewritten, scheme = rewrite_for_partials(final)
+        # Injected device losses last for the query that suffered
+        # them; every query starts with the full fleet in service.
+        self.fleet.revive_all()
+        injector = (
+            FaultInjector(self.fault_plan, self.retry_policy)
+            if self.fault_plan is not None
+            else None
+        )
+        recovery = RecoveryStats()
+        loads = assign_pieces(
+            [piece.nbytes for piece in partition_set.pieces], self.devices
+        )
+        runs, by_piece, unfinished = self._scatter(
+            engine, query, rewritten, partition_set, loads, seed, injector, recovery
+        )
+        if injector is not None:
+            recovery.injected = injector.counts()
+        if unfinished:
+            # Every device lost: degrade to the host fallback.
+            result = self._host_fallback(
+                engine, query, database, seed, partition_set, runs, recovery
             )
-            recovery = RecoveryStats()
-            loads = assign_pieces(
-                [piece.nbytes for piece in partition_set.pieces], self.devices
-            )
-            runs, by_piece, unfinished = self._scatter(
-                engine,
-                query,
-                rewritten,
-                partition_set,
-                loads,
-                seed,
-                tracer,
-                injector,
-                recovery,
-            )
-            if injector is not None:
-                recovery.injected = injector.counts()
-            if unfinished:
-                # Every device lost: degrade to the host fallback.
-                result = self._host_fallback(
-                    engine, query, database, seed, partition_set, runs,
-                    recovery, tracer,
-                )
-                if owned:
-                    result.trace = tracer.finish()
-                self._record_totals(result.scaleout)
-                return result
-            merge_start = time.perf_counter()
-            # Merge in global piece order, independent of which device
-            # ran which piece: deterministic results for free.
-            ordered = [by_piece[index] for index in sorted(by_piece)]
-            merged = merge_partials(
-                final.sink,
-                final.output_schema,
-                ordered,
-                scheme=scheme,
-                context="partitions",
-            )
-            # The d2h was charged per gathered partial; only the cast
-            # and ORDER BY / LIMIT remain.
-            table = assemble_result(query, merged)
-            merge_ms = (time.perf_counter() - merge_start) * 1e3
-            if tracer is not None:
-                tracer.event(
-                    "merge", "scaleout", partials=len(ordered), rows=table.num_rows
-                )
-            stats = ScaleOutStats(
-                devices=self.devices,
-                partitions=partition_set.parts,
-                scheme=self.partitioning,
-                fact_table=final.source,
-                shares=_combined_shares(runs),
-                merge_ms=merge_ms,
-                recovery=recovery,
-            )
-            result = self._package(engine, runs, table, stats)
-            if owned:
-                result.trace = tracer.finish()
+            self._record_totals(result.scaleout)
+            return result
+        merge_start = time.perf_counter()
+        # Merge in global piece order, independent of which device
+        # ran which piece: deterministic results for free.
+        ordered = [by_piece[index] for index in sorted(by_piece)]
+        merged = merge_partials(
+            final.sink,
+            final.output_schema,
+            ordered,
+            scheme=scheme,
+            context="partitions",
+        )
+        # The d2h was charged per gathered partial; only the cast
+        # and ORDER BY / LIMIT remain.
+        table = assemble_result(query, merged)
+        merge_ms = (time.perf_counter() - merge_start) * 1e3
+        tracer.event("merge", "scaleout", partials=len(ordered), rows=table.num_rows)
+        stats = ScaleOutStats(
+            devices=self.devices,
+            partitions=partition_set.parts,
+            scheme=self.partitioning,
+            fact_table=final.source,
+            shares=_combined_shares(runs),
+            merge_ms=merge_ms,
+            recovery=recovery,
+        )
+        result = self._package(engine, runs, table, stats)
         self._record_totals(stats)
         return result
 
@@ -361,7 +331,6 @@ class ScaleOutExecutor:
         partition_set: PartitionSet,
         loads: list[DeviceLoad],
         seed: int,
-        tracer: Tracer | None,
         injector: FaultInjector | None,
         recovery: RecoveryStats,
     ) -> tuple[list[_DeviceRun], dict[int, dict[str, np.ndarray]], list[int]]:
@@ -394,8 +363,7 @@ class ScaleOutExecutor:
             # One device after another, in device order, on this thread.
             ordered = [
                 self._run_device(
-                    engine, query, rewritten, partition_set, load, seed,
-                    tracer, injector,
+                    engine, query, rewritten, partition_set, load, seed, injector
                 )
                 for load in wave_loads
             ]
@@ -412,10 +380,9 @@ class ScaleOutExecutor:
                     alive.remove(run.share.device)
                     recovery.degraded_devices.append(run.share.device)
                     record_event("device.lost", device=run.share.device, wave=wave)
-                    if tracer is not None:
-                        tracer.event(
-                            f"device {run.share.device} lost", "fault", wave=wave
-                        )
+                    active_tracer().event(
+                        f"device {run.share.device} lost", "fault", wave=wave
+                    )
             recovery.degraded_devices.sort()
             pending = sorted(
                 piece_index
@@ -470,11 +437,10 @@ class ScaleOutExecutor:
                 morsels=len(pending),
                 survivors=len(alive),
             )
-            if tracer is not None:
-                tracer.event(
-                    "redistribute", "fault",
-                    wave=wave, morsels=len(pending), survivors=len(alive),
-                )
+            active_tracer().event(
+                "redistribute", "fault",
+                wave=wave, morsels=len(pending), survivors=len(alive),
+            )
         return runs, by_piece, []
 
     def _run_device(
@@ -485,7 +451,6 @@ class ScaleOutExecutor:
         partition_set: PartitionSet,
         load: DeviceLoad,
         seed: int,
-        tracer: Tracer | None,
         injector: FaultInjector | None,
     ) -> _DeviceRun:
         device = self.fleet.devices[load.device]
@@ -493,19 +458,14 @@ class ScaleOutExecutor:
         self.fleet.begin_query(load.device)
         # One subtree per device turn; ``device_lane`` puts it on its
         # own track pair in the Chrome trace.
-        span = (
-            tracer.span(
-                f"device[{load.device}]",
-                "device",
-                device_lane=load.device,
-                device=device.profile.name,
-            )
-            if tracer is not None
-            else contextlib.nullcontext()
-        )
         partition_db = partition_set.database
         assert partition_db is not None
-        with span:
+        with active_tracer().span(
+            f"device[{load.device}]",
+            "device",
+            device_lane=load.device,
+            device=device.profile.name,
+        ):
             runtime = QueryRuntime(device, partition_db, seed=seed, pool=pool)
             run = _DeviceRun(share=DeviceShare(device=load.device))
             try:
@@ -515,7 +475,7 @@ class ScaleOutExecutor:
                         injector.on_build(load.device, device)
                     # Build sides: every dimension pipeline runs on
                     # every participating device (broadcast join).
-                    engine.run_pipelines(query.pipelines[:-1], runtime, tracer)
+                    engine.run_pipelines(query.pipelines[:-1], runtime)
                     run.share.broadcast_bytes = runtime.input_bytes
                 except _RECOVERABLE as error:
                     # A build failure fails every piece of this share:
@@ -547,8 +507,7 @@ class ScaleOutExecutor:
                     if piece.rows == 0:
                         continue
                     self._execute_morsel(
-                        engine, query, rewritten, piece, runtime, device, run,
-                        injector, tracer,
+                        engine, query, rewritten, piece, runtime, device, run, injector
                     )
                     if run.lost:
                         for later in load.pieces[position + 1:]:
@@ -563,11 +522,11 @@ class ScaleOutExecutor:
                 share.kernel_ms = device.log.kernel_time_ms
                 share.transfer_ms = device.log.transfer_time_ms
                 share.busy_ms = device.log.total_time_ms
-                share.placement_hits = runtime.placement_hits
                 run.profile = device.log
                 run.kernel_sources = dict(runtime.kernel_sources)
                 run.placement = runtime.query_placement()
                 run.compression = runtime.compression_stats()
+                check_accounting(device.log, device=load.device)
                 runtime.close()
 
     def _execute_morsel(
@@ -580,7 +539,6 @@ class ScaleOutExecutor:
         device,
         run: _DeviceRun,
         injector: FaultInjector | None,
-        tracer: Tracer | None,
     ) -> bool:
         """One fact morsel with per-attempt cleanup and capped-backoff
         retries; returns True when the partial was gathered.  On defeat
@@ -606,7 +564,6 @@ class ScaleOutExecutor:
                 produced = engine.run_pipelines(
                     [morsel],
                     runtime,
-                    tracer,
                     first_index=len(query.pipelines) - 1 + piece.index,
                 )
                 assert produced is not None
@@ -657,17 +614,18 @@ class ScaleOutExecutor:
                         fault=kind,
                         backoff_ms=backoff,
                     )
-                    if tracer is not None:
-                        tracer.event(
-                            f"retry p{piece.index}", "fault",
-                            attempt=attempt, backoff_ms=backoff, kind=kind,
-                        )
+                    active_tracer().event(
+                        f"retry p{piece.index}", "fault",
+                        attempt=attempt, backoff_ms=backoff, kind=kind,
+                    )
                     continue
                 run.failed[piece.index] = kind
                 return False
             run.share.gather_bytes += runtime.ship_partial(
                 produced, f"gather.p{piece.index}"
             )
+            # The morsel's row of the query record covers its gather.
+            device.log.close(device.log.pipelines[-1])
             run.partials[piece.index] = produced
             run.share.morsels += 1
             run.share.rows += piece.rows
@@ -717,7 +675,6 @@ class ScaleOutExecutor:
         partition_set: PartitionSet,
         runs: list[_DeviceRun],
         recovery: RecoveryStats,
-        tracer: Tracer | None,
     ) -> ExecutionResult:
         """Last rung of the degradation ladder: every fleet device is
         lost, so the whole query re-runs against the *parent* database
@@ -725,10 +682,9 @@ class ScaleOutExecutor:
         when the plan cannot stream)."""
         recovery.host_fallback = True
         record_event("fallback.host", devices_lost=len(recovery.degraded_devices))
-        if tracer is not None:
-            tracer.event(
-                "host fallback", "fault", devices_lost=len(recovery.degraded_devices)
-            )
+        active_tracer().event(
+            "host fallback", "fault", devices_lost=len(recovery.degraded_devices)
+        )
         from ..macro.batch import execute_out_of_core, streaming_mode
 
         device = self.fleet.host_device()
@@ -760,10 +716,9 @@ class ScaleOutExecutor:
         table: Table,
         stats: ScaleOutStats,
     ) -> ExecutionResult:
-        profile = Profile(
-            kernels=[trace for run in runs for trace in run.profile.kernels],
-            transfers=[record for run in runs for record in run.profile.transfers],
-        )
+        profile = Profile()
+        for run in runs:
+            profile.merge(run.profile)
         kernel_sources: dict[str, str] = {}
         for run in runs:
             kernel_sources.update(run.kernel_sources)

@@ -35,8 +35,6 @@ class DeviceShare:
     transfer_ms: float = 0.0
     #: Simulated busy time (kernels + transfers) on this device.
     busy_ms: float = 0.0
-    #: Buffer-pool hits (0 without residency).
-    placement_hits: int = 0
 
     @property
     def pcie_bytes(self) -> int:

@@ -44,14 +44,6 @@ class ServingStats:
     execute_ms: float
     #: Index of the worker that executed the query (-1 for sessions).
     worker: int = -1
-    #: Base-column loads served from device-resident buffers (0 when
-    #: residency management is off).
-    placement_hits: int = 0
-    placement_misses: int = 0
-    #: PCIe bytes the placement hits avoided.
-    placement_hit_bytes: int = 0
-    #: True when the query ran on the out-of-core streaming path.
-    out_of_core: bool = False
 
     @property
     def host_overhead_ms(self) -> float:

@@ -68,6 +68,7 @@ from .metrics import (
     render_prometheus,
 )
 from .trace import (
+    NO_TRACER,
     QueryTrace,
     Span,
     Tracer,
@@ -90,6 +91,7 @@ __all__ = [
     "Histogram",
     "HistogramSnapshot",
     "MetricsRegistry",
+    "NO_TRACER",
     "QueryTrace",
     "ReplayReport",
     "Span",

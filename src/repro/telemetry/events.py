@@ -10,10 +10,8 @@ and joined against its spans (the id is stamped on the tracer root)
 and flight record.
 
 Emission goes through :func:`record_event`, which is a single
-module-global ``None`` check when no log is installed — the same
-disabled-fast-path discipline as :func:`repro.telemetry.trace.active_tracer`,
-so an instrumented hot loop pays nothing until observability is
-switched on.
+module-global ``None`` check when no log is installed, so an
+instrumented hot loop pays nothing until observability is switched on.
 
 Event kinds (see ``docs/observability.md`` for the full schema):
 
@@ -31,6 +29,9 @@ kind                   emitted by / meaning
 ``device.lost``        a fleet device dropped out mid-query
 ``fallback.host``      every device lost; host out-of-core fallback
 ``optimizer.decision``  the adaptive optimizer chose a strategy
+``accounting.mismatch``  launches / transfers outside every pipeline and
+                       ``finalize`` row of the query record
+                       (``unaccounted`` of ``entries``)
 =====================  ==================================================
 """
 

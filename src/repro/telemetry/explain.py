@@ -1,21 +1,23 @@
 """EXPLAIN ANALYZE: run a query and render the per-pipeline accounting.
 
-This is the human-readable face of the span tracer: the query executes
-with tracing enabled, and the per-pipeline spans (rows in/out, kernels
-launched, per-level byte volumes, PCIe bytes, simulated vs host
-milliseconds) render as a table via
-:func:`repro.analysis.report.format_table`, followed by the
-compile/cache, placement, and host post-processing outcomes.
+This is the human-readable face of the query record
+(:class:`~repro.hardware.traffic.Profile`): one row per pipeline the
+execution ran (rows in/out, kernels launched, per-level byte volumes,
+PCIe bytes, simulated vs host milliseconds) and a ``[result]`` row for
+``finalize`` — what shipping the result launched and moved — rendered
+via :func:`repro.analysis.report.format_table`, followed by the
+compile/cache and placement outcomes.  Any
+:class:`~repro.engines.base.ExecutionResult` renders, traced or not.
 
-The per-pipeline global-memory bytes are sliced exactly from the
-device profile, so the table's GLOBAL column always sums to
+Every row's bytes are sums over the slice of the device log it issued,
+so the table's GLOBAL column always sums to
 ``Profile.bytes_at(MemoryLevel.GLOBAL)`` — the paper's Figure 9/13
 movement numbers stay auditable from this surface.
 """
 
 from __future__ import annotations
 
-from .trace import tracing
+from ..hardware.traffic import MemoryLevel
 
 __all__ = ["explain_analyze", "render_explain_analyze"]
 
@@ -26,39 +28,31 @@ _COLUMNS = [
 
 
 def explain_analyze(session, query, engine=None, seed: int = 42) -> str:
-    """Execute ``query`` on ``session`` with tracing on and render the
-    EXPLAIN ANALYZE report."""
-    with tracing():
-        result = session.execute(query, engine=engine, seed=seed)
-    return render_explain_analyze(result)
+    """Execute ``query`` on ``session`` and render the EXPLAIN ANALYZE
+    report."""
+    return render_explain_analyze(session.execute(query, engine=engine, seed=seed))
 
 
 def render_explain_analyze(result) -> str:
-    """Render an executed (traced) :class:`ExecutionResult`."""
+    """Render an executed :class:`ExecutionResult` from its query
+    record, ``result.profile``."""
     # Imported lazily: analysis pulls in the engine layer, which itself
     # imports repro.telemetry for the tracing hooks.
     from ..analysis.report import format_table
 
-    trace = result.trace
-    if trace is None:
-        raise ValueError(
-            "EXPLAIN ANALYZE needs a traced execution; run the query "
-            "with repro.telemetry.tracing() enabled"
-        )
-    pipelines = trace.spans("pipeline")
+    records = result.profile.pipelines
     # An optimizer's pick shows its estimate beside the actual (a
     # fleet's fact morsels, which it prices as one pipeline, show none).
     optimizer = getattr(result, "optimizer", None)
     priced = optimizer.estimate.pipelines if optimizer else []
     if getattr(result, "scaleout", None) is not None:
         priced = priced[:-1]
-    estimated = {f"pipeline[{index}]": pipe for index, pipe in enumerate(priced)}
     rows = []
-    for index, span in enumerate(pipelines):
-        attrs = span.attrs
+    for position, record in enumerate(records):
         estimate = []
-        if optimizer is not None:
-            pipe, actual = estimated.get(span.name), attrs.get("kernel_ms", 0.0)
+        if optimizer is not None and record.pipeline is not None:
+            pipe = priced[record.index] if record.index < len(priced) else None
+            actual = record.kernel_time_ms
             estimate = ["", "", ""] if pipe is None else [
                 pipe.result_rows,
                 round(pipe.kernel_ms, 4),
@@ -66,19 +60,18 @@ def render_explain_analyze(result) -> str:
             ]
         rows.append(
             [
-                f"[{index}]",
+                "[result]" if record.pipeline is None else f"[{position}]",
                 # A build served from the buffer pool keeps its row: it
                 # launched nothing, its table is the rows out.
-                attrs.get("shape", span.name)
-                + ("  [resident]" if attrs.get("resident") else ""),
-                attrs.get("rows_in", 0),
-                attrs.get("rows_out", 0),
-                attrs.get("kernels", 0),
-                round(attrs.get("global_bytes", 0) / 1e3, 1),
-                round(attrs.get("onchip_bytes", 0) / 1e3, 1),
-                round(attrs.get("pcie_bytes", 0) / 1e3, 1),
-                round(attrs.get("sim_ms", 0.0), 4),
-                round(span.duration_us / 1e3, 3),
+                record.shape + ("  [resident]" if record.resident else ""),
+                record.rows_in,
+                record.rows_out,
+                len(record.kernels),
+                round(record.bytes_at(MemoryLevel.GLOBAL) / 1e3, 1),
+                round(record.bytes_at(MemoryLevel.ONCHIP) / 1e3, 1),
+                round(record.transfer_bytes() / 1e3, 1),
+                round(record.total_time_ms, 4),
+                round(record.host_ms, 3),
                 *estimate,
             ]
         )
@@ -90,18 +83,16 @@ def render_explain_analyze(result) -> str:
     columns = _COLUMNS + (["est rows", "est ms", "error"] if optimizer else [])
     parts = [
         format_table(columns, rows, title=title, float_format="{:.4g}"),
-        _totals(result, pipelines),
+        _totals(result, records),
     ]
-    footer = _footer_lines(result, trace)
+    footer = _footer_lines(result)
     if footer:
         parts.append("\n".join(footer))
     return "\n\n".join(parts)
 
 
-def _totals(result, pipelines) -> str:
-    from ..hardware.traffic import MemoryLevel
-
-    pipeline_global = sum(span.attrs.get("global_bytes", 0) for span in pipelines)
+def _totals(result, records) -> str:
+    covered_global = sum(record.bytes_at(MemoryLevel.GLOBAL) for record in records)
     total_global = result.profile.bytes_at(MemoryLevel.GLOBAL)
     line = (
         f"totals: global {total_global / 1e3:.1f} KB  "
@@ -112,29 +103,26 @@ def _totals(result, pipelines) -> str:
         f"simulated {result.total_ms:.4f} ms "
         f"(kernels {result.kernel_ms:.4f} + transfers {result.transfer_ms:.4f})"
     )
-    if pipelines and pipeline_global != total_global:
-        # Kernels launched outside the pipeline loop would break the
+    if covered_global != total_global:
+        # Kernels launched outside every row would break the
         # reconciliation the docs promise; surface it rather than hide it.
         line += (
-            f"\nWARNING: pipeline global bytes ({pipeline_global}) != "
+            f"\nWARNING: pipeline global bytes ({covered_global}) != "
             f"profile global bytes ({total_global})"
         )
     return line
 
 
-def _footer_lines(result, trace) -> list[str]:
+def _footer_lines(result) -> list[str]:
     lines = []
-    compiles = trace.spans("compile")
-    if compiles:
-        hits = sum(1 for span in compiles if span.attrs.get("cache_hit"))
-        lines.append(
-            f"kernel cache: {hits}/{len(compiles)} hits"
-        )
     serving = result.serving
     # None for a bare ``Engine.execute`` result, which
     # ``render_explain_analyze`` also accepts; every Session / Server
     # execution carries its serving stats.
     if serving is not None:
+        probes = serving.compile_hits + serving.compile_misses
+        if probes:
+            lines.append(f"kernel cache: {serving.compile_hits}/{probes} hits")
         lines.append(
             f"plan cache: {'hit' if serving.plan_cache_hit else 'miss'}  "
             f"(plan {serving.plan_ms:.3f} ms, compile {serving.compile_ms:.3f} ms "
@@ -149,12 +137,6 @@ def _footer_lines(result, trace) -> list[str]:
             f"{placement.table_hits + placement.table_misses}"
             + ("  [out-of-core]" if placement.out_of_core else "")
         )
-    host_ops = []
-    finalize = trace.spans("finalize")
-    if finalize:
-        host_ops.append(f"finalize {finalize[0].duration_us / 1e3:.3f} ms")
-    if host_ops:
-        lines.append("host post-processing: " + ", ".join(host_ops))
     compression = result.compression
     if compression is not None:
         lines.append(f"compression: {compression.summary()}")

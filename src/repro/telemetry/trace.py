@@ -2,7 +2,7 @@
 
 The paper argues entirely from profiler timelines (nvprof/CodeXL);
 this module is the reproduction's equivalent of that tooling: a
-:class:`Tracer` records a tree of :class:`Span` objects per query —
+:class:`QueryTrace` is a tree of :class:`Span` objects per query —
 
 ::
 
@@ -16,6 +16,13 @@ this module is the reproduction's equivalent of that tooling: a
     ├─ pipeline[1] ...
     └─ finalize                  (result assembly, d2h)
 
+A :class:`Tracer` records only the host phases nothing else times
+(``plan``, ``compile``, ``placement``, a fleet's ``device[i]``, fault
+events ...); the ``pipeline`` / ``finalize`` / ``kernel`` / ``transfer``
+spans are the query record every execution writes anyway
+(:class:`~repro.hardware.traffic.Profile`), woven in when the tree is
+first read.
+
 Spans carry **host wall-clock** timestamps (``start_us``/``end_us``,
 microseconds since the trace epoch) for nesting, plus **simulated
 device time** and the :class:`~repro.hardware.traffic.TrafficMeter`
@@ -23,22 +30,26 @@ byte/atomic counters as attributes.  A finished trace exports as
 Chrome trace-event JSON (loadable in Perfetto / ``about://tracing``)
 or as JSONL, one span per line.
 
-Tracing is **off by default** and near-zero-cost when disabled: the
-instrumentation points (kernel launch, transfer, placement lookup,
-kernel compile) all go through :func:`active_tracer`, which returns
-``None`` after a single module-flag check unless tracing was enabled
-*and* a tracer was activated on the current thread.
+Tracing is **off by default**: the instrumentation points go through
+:func:`active_tracer`, which returns :data:`NO_TRACER` — every method a
+no-op — unless tracing was enabled *and* a tracer was activated on the
+current thread.
 """
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import json
+import operator
 import threading
 import time
 from dataclasses import dataclass, field
 
+from ..hardware.traffic import KernelTrace, MemoryLevel
+
 __all__ = [
+    "NO_TRACER",
     "QueryTrace",
     "Span",
     "Tracer",
@@ -88,15 +99,15 @@ def tracing(on: bool = True):
         _enabled = previous
 
 
-def active_tracer() -> "Tracer | None":
-    """The tracer bound to the current thread, or ``None``.
+def active_tracer() -> "Tracer | _NoTracer":
+    """The tracer bound to the current thread, else :data:`NO_TRACER`.
 
     This is the hook the instrumentation points call; it is the *only*
     cost tracing adds when disabled.
     """
     if not _enabled:
-        return None
-    return getattr(_local, "tracer", None)
+        return NO_TRACER
+    return getattr(_local, "tracer", NO_TRACER)
 
 
 @dataclass
@@ -169,10 +180,6 @@ class Tracer:
     def _now_us(self) -> float:
         return (time.perf_counter() - self._epoch) * 1e6
 
-    @property
-    def current(self) -> Span:
-        return self._stack[-1]
-
     @contextlib.contextmanager
     def span(self, name: str, category: str = "phase", **attrs):
         """Open a nested span for the duration of the ``with`` body.
@@ -202,27 +209,60 @@ class Tracer:
     @contextlib.contextmanager
     def activate(self):
         """Bind this tracer to the current thread for the scope."""
-        previous = getattr(_local, "tracer", None)
+        previous = active_tracer()
         _local.tracer = self
         try:
             yield self
         finally:
             _local.tracer = previous
 
-    def finish(self) -> "QueryTrace":
-        """Close the root span and package the finished trace."""
+    def finish(self, profile=None) -> "QueryTrace":
+        """Close the root span and package the finished trace over
+        ``profile``, the query record of the execution it timed (none:
+        a failed query keeps its host phases)."""
         if not self._finished:
             self.root.end_us = self._now_us()
             self._finished = True
-        return QueryTrace(root=self.root)
+        return QueryTrace(self.root, profile, self._epoch)
 
 
-@dataclass
+class _NoTracer:
+    """The tracer of a thread that is not tracing: spans, events and
+    activation do nothing, and :meth:`finish` has no trace to give."""
+
+    #: Attributes a call site attaches to its span: never read.
+    attrs: dict = {}
+
+    def span(self, *args, **attrs) -> "_NoTracer":
+        return self
+
+    def event(self, *args, **attrs) -> None:
+        return None
+
+    activate = __enter__ = span
+    finish = __exit__ = event
+
+
+NO_TRACER = _NoTracer()
+
+
 class QueryTrace:
-    """A finished per-query span tree, attached as
-    ``ExecutionResult.trace`` when tracing is enabled."""
+    """A per-query span tree, attached as ``ExecutionResult.trace`` when
+    tracing is enabled: the host phases a :class:`Tracer` recorded, and
+    — woven in on first read — the ``pipeline`` / ``finalize`` /
+    ``kernel`` / ``transfer`` / stall spans of the query record."""
 
-    root: Span
+    def __init__(self, root: Span, profile=None, epoch: float = 0.0):
+        self._root = root
+        self._profile = profile
+        self._epoch = epoch
+
+    @property
+    def root(self) -> Span:
+        profile, self._profile = self._profile, None
+        if profile is not None:
+            _weave(self._root, profile, self._epoch)
+        return self._root
 
     def timeline(self) -> list[Span]:
         """All spans in document (depth-first, start-time) order."""
@@ -265,20 +305,27 @@ class QueryTrace:
             """(host tid, simulated tid) for a device lane."""
             if lane is None:
                 return _HOST_TID, _DEVICE_TID
+            tids = _LANE_BASE + 2 * lane, _LANE_BASE + 2 * lane + 1
             if lane not in named_lanes:
                 named_lanes.add(lane)
-                host_tid, sim_tid = _LANE_BASE + 2 * lane, _LANE_BASE + 2 * lane + 1
-                events.append(
-                    _meta("thread_name", {"name": f"device[{lane}] host"}, tid=host_tid)
-                )
-                events.append(
-                    _meta(
-                        "thread_name",
-                        {"name": f"device[{lane}] (simulated)"},
-                        tid=sim_tid,
-                    )
-                )
-            return _LANE_BASE + 2 * lane, _LANE_BASE + 2 * lane + 1
+                for tid, track in zip(tids, ("host", "(simulated)")):
+                    name = {"name": f"device[{lane}] {track}"}
+                    events.append(_meta("thread_name", name, tid=tid))
+            return tids
+
+        def complete(span: Span, category: str, ts: float, dur: float, tid: int) -> None:
+            events.append(
+                {
+                    "name": span.name,
+                    "cat": category,
+                    "ph": "X",
+                    "ts": round(ts, 3),
+                    "dur": dur,
+                    "pid": _PID,
+                    "tid": tid,
+                    "args": {k: _jsonable(v) for k, v in span.attrs.items()},
+                }
+            )
 
         # (span, lane) in document order; lanes inherit down the tree.
         placed: list[tuple[Span, int | None]] = []
@@ -291,18 +338,9 @@ class QueryTrace:
 
         place(self.root, None)
         for span, lane in placed:
-            host_tid, _ = lane_tids(lane)
-            events.append(
-                {
-                    "name": span.name,
-                    "cat": span.category,
-                    "ph": "X",
-                    "ts": round(span.start_us, 3),
-                    "dur": round(span.duration_us, 3),
-                    "pid": _PID,
-                    "tid": host_tid,
-                    "args": {k: _jsonable(v) for k, v in span.attrs.items()},
-                }
+            complete(
+                span, span.category, span.start_us, round(span.duration_us, 3),
+                lane_tids(lane)[0],
             )
         # Each lane's simulated clock starts where its subtree starts
         # (device clocks run concurrently); the default lane starts at
@@ -316,20 +354,8 @@ class QueryTrace:
                 continue
             if lane not in cursors:
                 cursors[lane] = round(span.start_us, 3)
-            _, sim_tid = lane_tids(lane)
             dur_us = round(span.sim_ms * 1e3, 3)
-            events.append(
-                {
-                    "name": span.name,
-                    "cat": f"sim_{span.category}",
-                    "ph": "X",
-                    "ts": round(cursors[lane], 3),
-                    "dur": dur_us,
-                    "pid": _PID,
-                    "tid": sim_tid,
-                    "args": {k: _jsonable(v) for k, v in span.attrs.items()},
-                }
-            )
+            complete(span, f"sim_{span.category}", cursors[lane], dur_us, lane_tids(lane)[1])
             cursors[lane] += dur_us
         return {"traceEvents": events, "displayTimeUnit": "ms"}
 
@@ -346,6 +372,94 @@ class QueryTrace:
             for child in reversed(span.children):
                 stack.append((child, depth + 1))
         return "\n".join(lines) + "\n"
+
+
+def _weave(root: Span, profile, epoch: float) -> None:
+    """Hang the query record ``profile`` into the host span tree, in
+    host-time order: a pipeline / ``finalize`` record becomes a span
+    under the innermost host span running when it began (a fleet's
+    ``device[i]``) and adopts the host events of its interval; a log
+    entry becomes a leaf that lasts from the end of the span before it
+    to the moment it was logged."""
+
+    def micros(seconds: float) -> float:
+        return (seconds - epoch) * 1e6
+
+    spans = [
+        _record_span(record, micros(record.started), micros(record.ended))
+        for record in profile.pipelines
+    ] + [_leaf(entry, micros(entry.at)) for entry in profile.entries]
+    for span in sorted(spans, key=_START_US):
+        parent, leaf = root, span.category not in ("pipeline", "finalize")
+        while True:
+            siblings = parent.children
+            at = bisect.bisect_right(siblings, span.start_us, key=_START_US)
+            if not at or span.start_us >= siblings[at - 1].end_us:
+                break
+            parent = siblings[at - 1]
+        if leaf:
+            # At least one export tick inside its parent: a viewer that
+            # sorts intervals by (start, end) keeps the parent outside.
+            before = siblings[at - 1].end_us if at else parent.start_us + 1e-3
+            span.start_us = min(before, span.end_us)
+        else:
+            stop = at
+            while stop < len(siblings) and siblings[stop].end_us <= span.end_us:
+                stop += 1
+            span.children, siblings[at:stop] = siblings[at:stop], []
+        siblings.insert(at, span)
+
+
+_START_US = operator.attrgetter("start_us")
+
+
+def _record_span(record, start_us: float, end_us: float) -> Span:
+    """A pipeline's (or ``finalize``'s) row of the query record as a
+    span: what EXPLAIN ANALYZE prints of it, as attributes."""
+    if record.pipeline is None:
+        category, attrs = "finalize", {"rows": record.rows_out}
+    else:
+        category, pipeline = "pipeline", record.pipeline
+        attrs = dict(
+            shape=record.shape, source=pipeline.source, sink=pipeline.output_name
+        )
+        if record.resident:
+            attrs["resident"] = True
+        attrs.update(rows_in=record.rows_in, rows_out=record.rows_out)
+    attrs.update(
+        kernels=len(record.kernels),
+        global_bytes=record.bytes_at(MemoryLevel.GLOBAL),
+        onchip_bytes=record.bytes_at(MemoryLevel.ONCHIP),
+        atomics=record.atomic_count,
+        pcie_bytes=record.transfer_bytes(),
+        kernel_ms=record.kernel_time_ms,
+        sim_ms=record.total_time_ms,
+    )
+    return Span(record.name, category, start_us, end_us, attrs)
+
+
+def _leaf(entry, logged_us: float) -> Span:
+    """One log entry as a span ending when it was logged: a launch, a
+    transfer, or a stall."""
+    if isinstance(entry, KernelTrace):
+        name, category = f"kernel {entry.name}", "kernel"
+        attrs = dict(
+            kind=entry.kind,
+            elements=entry.elements,
+            global_bytes=entry.global_bytes,
+            onchip_bytes=entry.onchip_bytes,
+            atomics=entry.meter.atomic_count,
+            bound_by=entry.bound_by,
+        )
+    elif entry.direction == "stall":
+        name, category, attrs = f"stall {entry.label}", "fault", {}
+    else:
+        name, category = f"transfer {entry.label}".rstrip(), "transfer"
+        attrs = dict(nbytes=entry.nbytes, direction=entry.direction)
+        if entry.codec:
+            attrs.update(codec=entry.codec, raw_nbytes=entry.raw_nbytes)
+    attrs["sim_ms"] = entry.time_ms
+    return Span(name, category, logged_us, logged_us, attrs)
 
 
 _PID = 1

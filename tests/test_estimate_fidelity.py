@@ -28,7 +28,6 @@ from repro.placement.executor import base_columns
 from repro.plan.pipelines import extract_pipelines
 from repro.primitives.hashtable import JoinHashTable, TableEstimate
 from repro.sql.translate import plan_sql
-from repro.telemetry import tracing
 from repro.workloads import SSB_QUERIES, microbench
 
 ENGINES = MICRO_ENGINES + ("resolution-we",)
@@ -43,17 +42,16 @@ def database():
 class Observed:
     """Cardinalities measured on the data: each predicate's share of the
     rows still alive in its pipeline (conjuncts narrow in the order the
-    kernels apply them), and — from a traced execution — the rows every
-    aggregation produced."""
+    kernels apply them), and — from an execution's query record — the
+    rows every aggregation produced."""
 
     def __init__(self, query, database):
         self._alive: dict[str, np.ndarray] = {}
         device = VirtualCoprocessor(GTX970, interconnect=PCIE3)
-        with tracing():
-            result = make_engine("resolution").execute(query, database, device)
+        result = make_engine("resolution").execute(query, database, device)
         self._produced = {
-            pipeline.name: span.attrs["rows_out"]
-            for pipeline, span in zip(query.pipelines, result.trace.spans("pipeline"))
+            record.pipeline.name: record.rows_out
+            for record in result.profile.pipelines[:-1]
         }
 
     def selectivity(self, database, pipeline, predicate) -> float:

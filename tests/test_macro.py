@@ -18,7 +18,7 @@ from repro.macro import (
 from repro.macro.batch import execute_out_of_core
 from repro.plan import PlanBuilder
 from repro.plan.pipelines import extract_pipelines
-from repro.telemetry import render_explain_analyze, tracing
+from repro.telemetry import render_explain_analyze
 from repro.storage.table import rows_approx_equal
 from repro.workloads import star_join_aggregate_query, star_join_query, ssb_plan
 
@@ -188,20 +188,20 @@ class TestBatchExecutor:
 
     def test_out_of_core_result_is_the_engines_own(self, ssb_db, device):
         """execute_out_of_core hands back what Engine.execute built:
-        kernel sources included, one pipeline span per pipeline whose
-        global bytes reconcile with the profile, EXPLAIN ANALYZE rows."""
+        kernel sources included, one row of the query record per
+        pipeline (plus ``finalize``) whose global bytes reconcile with
+        the profile, EXPLAIN ANALYZE rows."""
         plan = ssb_plan("q3.1", ssb_db)
-        with tracing():
-            result = execute_out_of_core(plan, ssb_db, device, block_bytes=32 * 1024)
+        result = execute_out_of_core(plan, ssb_db, device, block_bytes=32 * 1024)
         assert result.engine == "batch[lrgp_simd]"
         assert result.placement.out_of_core
         pipelines = extract_pipelines(plan, ssb_db).pipelines
         assert set(result.kernel_sources) == {p.name for p in pipelines}
-        spans = result.trace.spans("pipeline")
-        assert [span.name for span in spans] == [
+        records = result.profile.pipelines
+        assert [record.name for record in records] == [
             f"pipeline[{index}]" for index in range(len(pipelines))
-        ]
-        assert sum(span.attrs["global_bytes"] for span in spans) == (
+        ] + ["finalize"]
+        assert sum(record.bytes_at(MemoryLevel.GLOBAL) for record in records) == (
             result.profile.bytes_at(MemoryLevel.GLOBAL)
         )
         text = render_explain_analyze(result)

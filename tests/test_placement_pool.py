@@ -7,8 +7,7 @@ import pytest
 
 from repro.errors import DeviceMemoryError
 from repro.hardware import GTX970, PCIE3, VirtualCoprocessor
-from repro.placement import BufferPool, resolve_policy
-from repro.placement.policy import cost_aware_lru, lru
+from repro.placement import BufferPool
 from repro.storage import Column, Database, Table
 
 
@@ -168,13 +167,3 @@ class TestInvalidation:
         assert device.allocated_bytes == 0
 
 
-class TestPolicies:
-    def test_resolve_policy_names_and_callables(self):
-        assert resolve_policy("cost") is cost_aware_lru
-        assert resolve_policy("lru") is lru
-        custom = lambda entries: entries  # noqa: E731
-        assert resolve_policy(custom) is custom
-
-    def test_unknown_policy_lists_choices(self):
-        with pytest.raises(ValueError, match="cost"):
-            resolve_policy("random")

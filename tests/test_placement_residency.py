@@ -178,9 +178,9 @@ class TestServerResidency:
         assert stats.placement.resident_bytes > 0
         assert stats.placement.hit_rate > 0.0
         for result in warm:
-            assert result.serving.placement_hits > 0
-            assert result.serving.placement_misses == 0
-            assert not result.serving.out_of_core
+            assert result.placement.hits > 0
+            assert result.placement.misses == 0
+            assert not result.placement.out_of_core
 
     def test_server_warm_hit_rate_exceeds_080(self, ssb_db):
         queries = [SSB_QUERIES[name] for name in sorted(SSB_QUERIES)]

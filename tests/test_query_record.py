@@ -1,0 +1,317 @@
+"""The query record: ``result.profile`` is written once, always, and the
+span trace, EXPLAIN ANALYZE and the accounting self-check read it.
+
+* the trace's ``kernel`` / ``transfer`` spans *are* the profile's
+  entries (one to one, issue order, equal attributes), synthesized on
+  read — executing with tracing on allocates none of them;
+* EXPLAIN ANALYZE renders any result, its rows string-equal traced and
+  untraced (host-ms column aside), and its GLOBAL column reconciles on
+  every engine x {single device, out-of-core, fleet} x {off, auto} —
+  the ``[result]`` row carries what ``finalize`` launched;
+* on the host track a pipeline's children tile its interval;
+* a launch outside ``run_pipelines`` fires ``accounting.mismatch``.
+"""
+
+from __future__ import annotations
+
+import re
+
+import pytest
+
+import repro
+from repro.engines import ENGINE_FACTORIES, make_engine
+from repro.faults import FaultPlan
+from repro.hardware import GTX970, MemoryLevel
+from repro.telemetry import EventLog, install_log, render_explain_analyze, tracing
+from repro.telemetry import trace as trace_module
+from repro.telemetry import uninstall_log
+from repro.workloads import SSB_QUERIES, generate_ssb, ssb_plan
+
+ENGINES = ("resolution", "pipelined", "multipass", "operator-at-a-time", "vector")
+#: Materializes three columns: under ``compression="auto"`` the result
+#: (and, on a fleet, each morsel's partial) is encoded before its d2h.
+MATERIALIZE = (
+    "select lo_orderdate, lo_discount, lo_quantity from lineorder "
+    "where lo_discount >= 1"
+)
+KERNEL_ATTRS = (
+    "sim_ms", "kind", "elements", "global_bytes", "onchip_bytes", "atomics", "bound_by",
+)
+
+
+@pytest.fixture(scope="module")
+def wide_db():
+    """Big enough that encoding a result column — and an eighth of one,
+    a fleet morsel's partial — pays for its kernel."""
+    return generate_ssb(scale_factor=0.05, seed=7)
+
+
+def _sessions(database, compression="off"):
+    """One session per macro model: single device, out-of-core (a device
+    the build sides fit on and the fact columns do not), a 4-device
+    fleet."""
+    rows = database.table("lineorder").num_rows
+    small = GTX970.with_overrides(name="small", memory_capacity=max(150_000, rows * 3))
+    return {
+        "single": repro.connect(database, compression=compression),
+        "out-of-core": repro.connect(
+            database, device=small, residency=True, compression=compression
+        ),
+        "fleet": repro.connect(database, devices=4, compression=compression),
+    }
+
+
+def _fault_session(database):
+    plan = FaultPlan.generate(seed=101, devices=2, morsels=8)
+    return repro.Session(database, engine="resolution", devices=2, fault_plan=plan)
+
+
+def _pipeline_rows(text: str) -> list[str]:
+    """The table rows of an EXPLAIN ANALYZE report without their host-ms
+    cell (the tenth column; an optimizer's estimates follow it)."""
+    rows = []
+    for line in text.splitlines():
+        if re.match(r"^\[(\d+|result)\]", line):
+            cells = re.split(r"\s{2,}", line.replace("  [resident]", " [resident]"))
+            rows.append("  ".join(cells[:9] + cells[10:]))
+    return rows
+
+
+def _global_reconciles(result) -> bool:
+    rows = sum(row.bytes_at(MemoryLevel.GLOBAL) for row in result.profile.pipelines)
+    return rows == result.profile.bytes_at(MemoryLevel.GLOBAL)
+
+
+# ----------------------------------------------------------------------
+# (i) the trace's leaves are the profile's entries
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("compression", ["off", "auto"])
+@pytest.mark.parametrize("engine", ENGINES)
+def test_kernel_and_transfer_spans_are_the_profile_entries(ssb_db, engine, compression):
+    session = repro.connect(ssb_db, engine=engine, compression=compression)
+    with tracing():
+        result = session.execute(SSB_QUERIES["q2.1"])
+    kernels, transfers = result.trace.spans("kernel"), result.trace.spans("transfer")
+    assert [span.name for span in kernels] == [
+        f"kernel {trace.name}" for trace in result.profile.kernels
+    ]
+    for span, trace in zip(kernels, result.profile.kernels):
+        assert [span.attrs[key] for key in KERNEL_ATTRS] == [
+            trace.time_ms, trace.kind, trace.elements, trace.global_bytes,
+            trace.onchip_bytes, trace.meter.atomic_count, trace.bound_by,
+        ]
+    assert [span.name for span in transfers] == [
+        f"transfer {record.label}" for record in result.profile.transfers
+    ]
+    for span, record in zip(transfers, result.profile.transfers):
+        assert (span.attrs["sim_ms"], span.attrs["nbytes"], span.attrs["direction"]) == (
+            record.time_ms, record.nbytes, record.direction
+        )
+        assert span.attrs.get("codec", "") == record.codec
+        assert span.attrs.get("raw_nbytes", 0) == (record.raw_nbytes if record.codec else 0)
+    # Issue order across the two lists: the leaves in document order are
+    # the log in ``seq`` order.
+    leaves = [s for s in result.timeline() if s.category in ("kernel", "transfer")]
+    assert [span.name.split(" ", 1)[1] for span in leaves] == [
+        getattr(entry, "name", None) or entry.label for entry in result.profile.entries
+    ]
+    assert [entry.seq for entry in result.profile.entries] == list(range(len(leaves)))
+
+
+def test_fault_armed_fleet_trace_has_every_entry_and_its_stalls(ssb_db):
+    with tracing():
+        result = _fault_session(ssb_db).execute(SSB_QUERIES["q2.1"])
+    assert result.scaleout.recovery.faulted
+    moved = [r for r in result.profile.transfers if r.direction != "stall"]
+    stalls = [r for r in result.profile.transfers if r.direction == "stall"]
+    assert len(result.trace.spans("kernel")) == len(result.profile.kernels)
+    assert len(result.trace.spans("transfer")) == len(moved)
+    assert sorted(
+        span.name for span in result.trace.spans("fault") if span.name.startswith("stall ")
+    ) == sorted(f"stall {record.label}" for record in stalls)
+    assert result.profile.stalls == len(stalls)
+    # Every leaf hangs under the device turn that issued it.
+    for device in result.trace.spans("device"):
+        assert device.find("kernel"), device.name
+
+
+# ----------------------------------------------------------------------
+# (ii) / (vi) EXPLAIN ANALYZE reads the record: any result renders
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("engine", ENGINES)
+def test_explain_rows_equal_traced_and_untraced(ssb_db, engine):
+    sessions = {
+        f"{engine}/{macro}": session for macro, session in _sessions(ssb_db).items()
+    }
+    sessions["fault-armed fleet"] = _fault_session(ssb_db)
+    for key, session in sessions.items():
+        alias = None if "fault" in key else engine
+        plain = session.execute(SSB_QUERIES["q3.1"], engine=alias)
+        with tracing():
+            traced = session.execute(SSB_QUERIES["q3.1"], engine=alias)
+        assert plain.trace is None and traced.trace is not None, key
+        # The pooled out-of-core session is warm the second time: only
+        # compare like with like.
+        if key.endswith("out-of-core"):
+            plain = session.execute(SSB_QUERIES["q3.1"], engine=alias)
+        rows = _pipeline_rows(render_explain_analyze(plain))
+        assert rows and rows == _pipeline_rows(render_explain_analyze(traced)), key
+        # ... and the traced result's pipeline spans say the same.
+        spans = traced.trace.spans("pipeline")
+        records = [row for row in traced.profile.pipelines if row.pipeline is not None]
+        assert [span.name for span in spans] == [row.name for row in records], key
+        assert [span.attrs["global_bytes"] for span in spans] == [
+            row.bytes_at(MemoryLevel.GLOBAL) for row in records
+        ], key
+
+
+def test_bare_engine_result_renders_explain_analyze(ssb_db, device):
+    result = make_engine("resolution").execute(ssb_plan("q2.1", ssb_db), ssb_db, device)
+    assert result.trace is None and result.serving is None
+    text = render_explain_analyze(result)
+    rows = _pipeline_rows(text)
+    assert [row.split()[0] for row in rows] == ["[0]", "[1]", "[2]", "[3]", "[result]"]
+    assert "WARNING" not in text
+    assert [row.name for row in result.profile.pipelines] == [
+        "pipeline[0]", "pipeline[1]", "pipeline[2]", "pipeline[3]", "finalize",
+    ]
+
+
+# ----------------------------------------------------------------------
+# bugfix: an encoded result reconciles ([result] row)
+# ----------------------------------------------------------------------
+def test_encoded_result_has_a_result_row_and_no_warning(wide_db):
+    """``encode.result.*`` launches in ``finalize``, outside every
+    pipeline: half the query's global bytes were in no row."""
+    session = repro.connect(wide_db, compression="auto")
+    text = session.explain(MATERIALIZE, analyze=True)
+    assert "WARNING" not in text
+    result = session.execute(MATERIALIZE)
+    *_, finalize = result.profile.pipelines
+    assert [trace.name for trace in finalize.kernels] == [
+        "encode.result.lo_orderdate", "encode.result.lo_discount",
+        "encode.result.lo_quantity",
+    ]
+    assert [record.label for record in finalize.transfers] == ["result"]
+    assert finalize.bytes_at(MemoryLevel.GLOBAL) > 0 and _global_reconciles(result)
+    row = [line for line in text.splitlines() if line.startswith("[result]")]
+    assert len(row) == 1 and row[0].split()[4] == "3"  # kernels
+
+
+@pytest.mark.parametrize("macro", ["out-of-core", "fleet"])
+def test_encoded_partials_reconcile(wide_db, macro):
+    session = _sessions(wide_db, "auto")[macro]
+    result = session.execute(MATERIALIZE)
+    encodes = [trace for trace in result.profile.kernels if trace.kind == "encode"]
+    assert encodes, "the query was meant to encode what it ships"
+    assert _global_reconciles(result) and result.profile.unaccounted == 0
+    assert "WARNING" not in render_explain_analyze(result)
+    if macro == "fleet":
+        # A morsel's row covers the gather of its partial.
+        morsels = [row for row in result.profile.pipelines if row.pipeline.is_final]
+        assert len(morsels) == result.scaleout.partitions
+        assert all(row.transfers[-1].label.startswith("gather.p") for row in morsels)
+        assert sum(len(row.kernels_of_kind("encode")) for row in morsels) == len(encodes)
+
+
+@pytest.mark.parametrize("compression", ["off", "auto"])
+@pytest.mark.parametrize("engine", sorted(ENGINE_FACTORIES))
+def test_global_column_reconciles_everywhere(ssb_db, engine, compression):
+    for macro, session in _sessions(ssb_db, compression).items():
+        for name in ("q1.1", "q2.1", "q4.1"):
+            result = session.execute(SSB_QUERIES[name], engine=engine)
+            assert _global_reconciles(result), (macro, name)
+            assert result.profile.unaccounted == 0, (macro, name)
+
+
+# ----------------------------------------------------------------------
+# (iii) the host track shows where the time went
+# ----------------------------------------------------------------------
+def test_pipeline_children_tile_the_host_interval(ssb_db):
+    with tracing():
+        result = repro.connect(ssb_db).execute(SSB_QUERIES["q3.1"])
+    pipelines = result.trace.spans("pipeline")
+    assert pipelines
+    for pipeline in pipelines:
+        cursor = pipeline.start_us
+        for child in pipeline.children:
+            assert cursor <= child.start_us <= child.end_us <= pipeline.end_us
+            cursor = child.end_us
+        assert any(
+            child.category == "kernel" and child.duration_us > 0
+            for child in pipeline.children
+        )
+    # The leaves account for the pipelines' host time, not a sliver of it.
+    covered = sum(c.duration_us for p in pipelines for c in p.children)
+    assert covered > 0.5 * sum(p.duration_us for p in pipelines)
+
+
+# ----------------------------------------------------------------------
+# (iv) tracing allocates no device span until the trace is read
+# ----------------------------------------------------------------------
+def test_no_kernel_or_transfer_span_before_the_trace_is_read(ssb_db, monkeypatch):
+    made = []
+
+    class CountingSpan(trace_module.Span):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self.category)
+
+    monkeypatch.setattr(trace_module, "Span", CountingSpan)
+    session = repro.connect(ssb_db)
+    with tracing():
+        result = session.execute(SSB_QUERIES["q2.1"])
+    assert made and not {"kernel", "transfer", "pipeline", "finalize"} & set(made)
+    assert result.trace is not None
+    assert not {"kernel", "transfer", "pipeline", "finalize"} & set(made)
+    spans = result.timeline()
+    assert made.count("kernel") == len(result.profile.kernels)
+    assert made.count("transfer") == len(result.profile.transfers)
+    assert result.timeline() == spans and len(made) == len(spans)  # woven once
+
+
+# ----------------------------------------------------------------------
+# always-on self-check
+# ----------------------------------------------------------------------
+@pytest.fixture()
+def event_log():
+    log = EventLog()
+    install_log(log)
+    yield log
+    uninstall_log(log)
+
+
+def test_stray_launch_fires_accounting_mismatch(ssb_db, device, event_log, monkeypatch):
+    from repro.engines.runtime import QueryRuntime
+
+    engine, plan = make_engine("resolution"), ssb_plan("q2.1", ssb_db)
+    clean = engine.execute(plan, ssb_db, device)
+    assert clean.profile.unaccounted == 0
+    assert event_log.events(kind="accounting.mismatch") == []
+
+    init = QueryRuntime.__init__
+
+    def stray(self, device, *args, **kwargs):
+        init(self, device, *args, **kwargs)
+        # Before the first pipeline: outside every row of the record.
+        device.launch("stray", "scan", 1, device.new_meter())
+
+    monkeypatch.setattr(QueryRuntime, "__init__", stray)
+    result = engine.execute(plan, ssb_db, device)
+    [event] = event_log.events(kind="accounting.mismatch")
+    assert event.attrs["unaccounted"] == result.profile.unaccounted == 1
+    assert event.attrs["entries"] == len(clean.profile.entries) + 1
+    assert event.attrs["engine"] == engine.name
+    # The same stray on a fleet device is reported per device turn.
+    repro.connect(ssb_db, devices=2).execute(SSB_QUERIES["q2.1"])
+    fleet = event_log.events(kind="accounting.mismatch")[1:]
+    assert sorted(event.attrs["device"] for event in fleet) == [0, 1]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_ssb_fires_no_accounting_mismatch(ssb_db, event_log, engine):
+    session = repro.connect(ssb_db, engine=engine)
+    for sql in SSB_QUERIES.values():
+        assert session.execute(sql).profile.unaccounted == 0
+    assert event_log.events(kind="accounting.mismatch") == []
+    assert event_log.events(kind="query.executed")  # the log was listening

@@ -302,12 +302,12 @@ def test_restore_cost_orders_tables_and_columns_in_one_loop():
         (7, "t", "dear"), fingerprint, object(), _transient_table(device, 128), 50.0
     )
     pool.release([cheap, dear])
-    assert [entry.kind for entry in pool.policy(pool._entries.values())] == [
-        "table", "column", "table",
-    ]
     device.allocate(np.zeros(8192 - device.allocated_bytes + 1, dtype=np.uint8))
     assert (7, "t", "cheap") not in pool
     assert (7, "t", "a") in pool and (7, "t", "dear") in pool
+    # ... table, column, table: the column goes next, the dear table last.
+    pool.evict(1)
+    assert (7, "t", "a") not in pool and (7, "t", "dear") in pool
 
 
 # ----------------------------------------------------------------------

@@ -213,12 +213,15 @@ def test_session_and_server_share_one_lifecycle(route, ssb_db, tmp_path):
 
 
 def test_session_serving_stats_carry_placement(ssb_db):
-    """Regression: only the Server's copy of the lifecycle filled the
-    placement fields of ServingStats."""
+    """Both doors report a query's residency outcome in one place,
+    ``result.placement`` (``ServingStats`` kept a copy of it once, and
+    only the Server's lifecycle filled it)."""
     session = Session(ssb_db, plan_cache=PlanCache(), residency=True)
     session.execute(SSB_QUERIES["q2.1"])
     repeat = session.execute(SSB_QUERIES["q2.1"])
-    assert repeat.placement.hits > 0
-    assert repeat.serving.placement_hits == repeat.placement.hits
-    assert repeat.serving.placement_hit_bytes == repeat.placement.hit_bytes
-    assert repeat.serving.placement_misses == repeat.placement.misses
+    with Server(ssb_db, workers=1, plan_cache=PlanCache()) as server:
+        server.execute(SSB_QUERIES["q2.1"])
+        served = server.execute(SSB_QUERIES["q2.1"])
+    assert repeat.placement.hits > 0 and repeat.placement.hit_bytes > 0
+    assert repeat.placement == served.placement
+    assert not hasattr(repeat.serving, "placement_hits")

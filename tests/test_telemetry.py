@@ -9,6 +9,7 @@ from repro.api import Session, connect
 from repro.hardware import GTX970, MemoryLevel
 from repro.serving import Server
 from repro.telemetry import (
+    NO_TRACER,
     Histogram,
     MetricsRegistry,
     Tracer,
@@ -39,7 +40,7 @@ def traced_result(ssb_db):
 class TestTracer:
     def test_disabled_by_default(self, ssb_db):
         assert not tracing_enabled()
-        assert active_tracer() is None
+        assert active_tracer() is NO_TRACER
         result = connect(ssb_db).execute(QUERY)
         assert result.trace is None
         assert result.timeline() == []
@@ -47,11 +48,19 @@ class TestTracer:
     def test_active_tracer_needs_flag_and_activation(self):
         tracer = Tracer()
         with tracer.activate():
-            assert active_tracer() is None  # flag off
+            assert active_tracer() is NO_TRACER  # flag off
         with tracing():
-            assert active_tracer() is None  # not activated
+            assert active_tracer() is NO_TRACER  # not activated
             with tracer.activate():
                 assert active_tracer() is tracer
+
+    def test_no_tracer_is_a_no_op(self):
+        """What every instrumentation point holds while tracing is off:
+        spans, events and activation do nothing and there is no trace."""
+        with NO_TRACER.activate(), NO_TRACER.span("plan", "plan") as span:
+            span.attrs["cache_hit"] = True
+            assert NO_TRACER.event("tick", "kernel", sim_ms=0.5) is None
+        assert NO_TRACER.finish() is None
 
     def test_span_nesting(self):
         tracer = Tracer()
@@ -159,10 +168,13 @@ class TestExplainAnalyze:
         assert "kernel cache" in text
         assert not tracing_enabled()  # flag restored after the run
 
-    def test_render_requires_trace(self, ssb_db):
+    def test_render_without_trace(self, ssb_db):
+        """EXPLAIN ANALYZE reads the query record: an untraced result
+        renders (it used to raise), with the rows of a traced one."""
         result = connect(ssb_db).execute(QUERY)
-        with pytest.raises(ValueError):
-            render_explain_analyze(result)
+        assert result.trace is None
+        text = render_explain_analyze(result)
+        assert "rows out" in text and "[result]" in text and "WARNING" not in text
 
     def test_out_of_core_execution_has_pipeline_rows(self, ssb_db):
         """A streamed query runs the same per-pipeline spans as any

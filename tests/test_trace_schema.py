@@ -139,6 +139,27 @@ class TestChromeTraceSchema:
         assert any("host" in label for label in labels)
         assert any("simulated" in label for label in labels)
 
+    def test_device_lane_leaves_show_host_time(self, faulted_trace):
+        """Kernel and transfer spans are read from the query record:
+        on each device's *host* lane they last as long as the host took
+        to produce them (they were zero-duration points), and every one
+        also sits on that device's simulated lane."""
+        events = validate_chrome_trace(faulted_trace.chrome_trace())
+        lanes = {
+            event["tid"] for event in events if event["cat"] == "device"
+        }
+        assert len(lanes) == 2
+        for host_tid in lanes:
+            kernels = [
+                e for e in events if e["tid"] == host_tid and e["cat"] == "kernel"
+            ]
+            assert kernels and all(e["dur"] > 0 for e in kernels)
+            simulated = [
+                e for e in events
+                if e["tid"] == host_tid + 1 and e["cat"] == "sim_kernel"
+            ]
+            assert [e["name"] for e in simulated] == [e["name"] for e in kernels]
+
     def test_fault_events_appear_on_trace(self, faulted_trace):
         trace = faulted_trace.chrome_trace()
         categories = {

@@ -9,9 +9,9 @@ from dataclasses import dataclass, field
 class CompressionStats:
     """What compression did to one query's link traffic.
 
-    ``raw_bytes``/``wire_bytes`` count transfers that actually crossed
-    the interconnect (placement hits contribute no wire bytes).
-    ``columns`` counts transferred columns/blocks,
+    ``raw_bytes``/``wire_bytes`` (transfers that crossed the link, both
+    ways) and the decode/encode launch counts are read off the query
+    record (:meth:`read_log`); ``columns`` counts transferred columns/blocks,
     ``encoded_columns`` the subset that shipped in a non-passthrough
     codec, and ``codecs`` the per-codec breakdown.
     """
@@ -51,9 +51,7 @@ class CompressionStats:
     def saved_bytes(self) -> int:
         return self.raw_bytes - self.wire_bytes
 
-    def record(self, raw_nbytes: int, wire_nbytes: int, codec: str) -> None:
-        self.raw_bytes += int(raw_nbytes)
-        self.wire_bytes += int(wire_nbytes)
+    def record(self, codec: str) -> None:
         self.columns += 1
         name = codec or "passthrough"
         if name != "passthrough":
@@ -61,18 +59,21 @@ class CompressionStats:
         self.codecs[name] = self.codecs.get(name, 0) + 1
 
     def record_decode_kernel(self, codec: str, sim_ms: float) -> None:
-        self.decode_kernels += 1
         self.decode_ms_by_codec[codec] = (
             self.decode_ms_by_codec.get(codec, 0.0) + float(sim_ms)
         )
 
+    def read_log(self, log) -> None:
+        """Fill the link bytes and launch counts from the query record."""
+        self.raw_bytes = log.raw_transfer_bytes()
+        self.wire_bytes = log.transfer_bytes()
+        self.decode_kernels = len(log.kernels_of_kind("decode"))
+        self.encode_kernels = len(log.kernels_of_kind("encode"))
+
     def merge(self, other: "CompressionStats") -> None:
-        self.raw_bytes += other.raw_bytes
-        self.wire_bytes += other.wire_bytes
+        """Add ``other``'s facts but those :meth:`read_log` fills."""
         self.columns += other.columns
         self.encoded_columns += other.encoded_columns
-        self.decode_kernels += other.decode_kernels
-        self.encode_kernels += other.encode_kernels
         self.compressed_scans += other.compressed_scans
         self.scan_blocks += other.scan_blocks
         self.scan_blocks_skipped += other.scan_blocks_skipped

@@ -25,7 +25,7 @@ class ExecutionResult:
     profile: Profile
     engine: str
     device_name: str
-    #: Base-column bytes moved host -> device.
+    #: Bytes moved host -> device: the query record's h2d transfers.
     input_bytes: int
     #: Result bytes moved device -> host.
     output_bytes: int
@@ -142,12 +142,18 @@ class ExecutionResult:
 
 
 def package_result(
-    device: VirtualCoprocessor, input_bytes: int, output_bytes: int, **fields
+    device: VirtualCoprocessor, profile: Profile, output_bytes: int, **fields
 ) -> ExecutionResult:
-    """An :class:`ExecutionResult` whose two baselines are derived from
-    its PCIe volumes on ``device``."""
+    """An :class:`ExecutionResult` read off its query record ``profile``
+    (``input_bytes``, the log's share of ``placement`` / ``compression``),
+    its two baselines derived from its PCIe volumes on ``device``."""
+    input_bytes = profile.moved_bytes("h2d")
+    for stats in (fields.get("placement"), fields.get("compression")):
+        if stats is not None:
+            stats.read_log(profile)
     fields.setdefault("device_name", device.profile.name)
     return ExecutionResult(
+        profile=profile,
         input_bytes=input_bytes,
         output_bytes=output_bytes,
         pcie_ms=device.pcie_baseline_ms(input_bytes, output_bytes),
@@ -232,10 +238,9 @@ class Engine:
             self.kernel_sources = dict(runtime.kernel_sources)
             return package_result(
                 device,
-                runtime.input_bytes,
+                log,
                 runtime.output_bytes,
                 table=table,
-                profile=log,
                 engine=self.name,
                 kernel_sources=dict(runtime.kernel_sources),
                 placement=runtime.query_placement(),

@@ -8,6 +8,7 @@ runs nothing."""
 from __future__ import annotations
 
 from ..hardware.costmodel import KernelCostModel
+from ..hardware.device import link_record
 from ..hardware.traffic import KernelTrace, Profile, TrafficMeter
 from ..kernels.context import count_column
 from ..plan.logical import PlanSchema
@@ -17,9 +18,8 @@ from .runtime import QueryRuntime
 
 
 class PricedLaunches:
-    """What an estimate needs of a device: a launch is priced as
-    ``VirtualCoprocessor.launch`` prices it and logged, a load is
-    counted (columns, raw bytes), nothing is stored."""
+    """What an estimate needs of a device: a launch is priced and a load
+    logged as ``VirtualCoprocessor`` does it, nothing is stored."""
 
     def __init__(self, cost_model: KernelCostModel, interconnect, compression):
         self.cost_model = cost_model
@@ -27,8 +27,6 @@ class PricedLaunches:
         self.interconnect = interconnect
         self.compression = compression
         self.log = Profile()
-        self.columns = 0
-        self.raw_bytes = 0
 
     new_meter = staticmethod(TrafficMeter)
 
@@ -38,8 +36,9 @@ class PricedLaunches:
         return trace
 
     def transfer_to_device(self, array, label="", raw_nbytes=0, codec="") -> None:
-        self.columns += 1
-        self.raw_bytes += raw_nbytes or array.nbytes
+        self.log.transfers.append(
+            link_record(self.interconnect, array.nbytes, "h2d", label, raw_nbytes, codec)
+        )
 
     def allocate(self, array, label="") -> None:
         pass  # decode scratch: inside the estimator's working-set bound

@@ -108,8 +108,6 @@ class QueryRuntime:
         self._transferred: set[tuple[str, str]] = set()
         #: Pool entries pinned by this query (unpinned by :meth:`close`).
         self._pinned: list = []
-        #: Base-column bytes moved host->device (PCIe input volume).
-        self.input_bytes = 0
         #: Result bytes moved device->host.
         self.output_bytes = 0
         #: Base-column loads served from device-resident buffers.
@@ -203,21 +201,18 @@ class QueryRuntime:
                 )
                 # entry.nbytes is the resident footprint: the wire size
                 # when the pool stores the column compressed.
-                moved = entry.nbytes
                 if hit:
                     self.placement_hits += 1
-                    self.placement_hit_bytes += moved
+                    self.placement_hit_bytes += entry.nbytes
                 else:
                     self.placement_misses += 1
             else:
-                hit, moved = False, resident.nbytes
+                hit = False
                 self.device.transfer_to_device(
                     resident, label=label, raw_nbytes=raw_nbytes, codec=codec
                 )
-            if not hit:
-                self.input_bytes += moved
-                if self._compression_stats is not None:
-                    self._compression_stats.record(column.nbytes, moved, codec)
+            if not hit and self._compression_stats is not None:
+                self._compression_stats.record(codec)
             if encoded is None:
                 continue
             if lazy_capable:
@@ -283,7 +278,6 @@ class QueryRuntime:
                 encoded.wire_nbytes,
                 encoded.raw_nbytes,
             )
-        self._compression_stats.encode_kernels += 1
         return True
 
     def compression_stats(self):
@@ -352,8 +346,6 @@ class QueryRuntime:
             hits=self.placement_hits,
             misses=self.placement_misses,
             hit_bytes=self.placement_hit_bytes,
-            transferred_bytes=self.input_bytes,
-            table_hits=len(self.resident_tables),
             table_misses=self.table_misses,
         )
 
@@ -556,7 +548,7 @@ class QueryRuntime:
                         wire, codec = encoded.wire_nbytes, encoded.codec
                         decoded += raw
                         codecs.append(codec)
-                self._compression_stats.record(raw, wire, codec)
+                self._compression_stats.record(codec)
             raw_total += raw
             shipped += wire
         self.device.record_stream_transfer(

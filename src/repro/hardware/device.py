@@ -32,6 +32,22 @@ from .profiles import DeviceProfile
 from .traffic import KernelTrace, Profile, TrafficMeter, TransferRecord
 
 
+def link_record(
+    interconnect: Interconnect | None,
+    nbytes: int,
+    direction: str,
+    label: str = "",
+    raw_nbytes: int = 0,
+    codec: str = "",
+) -> TransferRecord:
+    """The log entry of moving ``nbytes`` over ``interconnect`` — free on
+    a zero-copy device (``None``), which keeps them as ``raw_nbytes``."""
+    if interconnect is None:
+        return TransferRecord(0, direction, 0.0, label, raw_nbytes=nbytes)
+    seconds = interconnect.transfer_time(nbytes, direction)
+    return TransferRecord(nbytes, direction, seconds * 1e3, label, raw_nbytes, codec)
+
+
 @dataclass
 class DeviceBuffer:
     """A numpy array accounted as resident in device global memory.
@@ -207,33 +223,20 @@ class VirtualCoprocessor:
         array: np.ndarray,
         label: str = "",
         pooled: bool = False,
-        wire_nbytes: int | None = None,
         raw_nbytes: int = 0,
         codec: str = "",
     ) -> DeviceBuffer:
-        """Move a host array onto the device (PCIe h2d, or free on APUs).
-
-        ``wire_nbytes`` charges the link for fewer bytes than the
-        allocated array (a compressed transfer whose raw decode buffer
-        materializes on-device); ``raw_nbytes``/``codec`` label a
-        transfer whose *allocated array* is the compressed wire image
-        (pooled resident columns stored compressed).
-        """
+        """Move a host array onto the device (PCIe h2d, or free on APUs);
+        ``raw_nbytes``/``codec`` label an ``array`` that is a compressed
+        wire image."""
         buffer = self.allocate(array, label=label, pooled=pooled)
-        if wire_nbytes is not None:
-            self._record_transfer(
-                wire_nbytes, "h2d", label, raw_nbytes=array.nbytes, codec=codec
-            )
-        else:
-            self._record_transfer(
-                array.nbytes, "h2d", label, raw_nbytes=raw_nbytes, codec=codec
-            )
+        self.record_stream_transfer(array.nbytes, "h2d", label, raw_nbytes, codec)
         return buffer
 
     def transfer_to_host(self, buffer: DeviceBuffer, label: str = "") -> np.ndarray:
         """Move a device buffer back to the host and free it."""
         array = buffer.array
-        self._record_transfer(array.nbytes, "d2h", label or buffer.label)
+        self.record_stream_transfer(array.nbytes, "d2h", label or buffer.label)
         self.free(buffer)
         return array
 
@@ -245,35 +248,12 @@ class VirtualCoprocessor:
         raw_nbytes: int = 0,
         codec: str = "",
     ) -> None:
-        """Log a streaming transfer that is not device-resident afterwards
-        (batch processing blocks, which are consumed and discarded)."""
-        self._record_transfer(nbytes, direction, label, raw_nbytes=raw_nbytes, codec=codec)
-
-    def _record_transfer(
-        self,
-        nbytes: int,
-        direction: str,
-        label: str,
-        raw_nbytes: int = 0,
-        codec: str = "",
-    ) -> None:
+        """Log a transfer; on its own, one that is not device-resident
+        afterwards (batch processing blocks, consumed and discarded)."""
         self._check_alive()
-        if self.interconnect is None:
-            # Zero-copy device: data never crosses a link.
-            record = TransferRecord(
-                nbytes=0, direction=direction, time_ms=0.0, label=label
-            )
-        else:
-            seconds = self.interconnect.transfer_time(nbytes, direction)
-            record = TransferRecord(
-                nbytes=nbytes,
-                direction=direction,
-                time_ms=seconds * 1e3,
-                label=label,
-                raw_nbytes=raw_nbytes,
-                codec=codec,
-            )
-        self.log.append(record)
+        self.log.append(
+            link_record(self.interconnect, nbytes, direction, label, raw_nbytes, codec)
+        )
 
     # ------------------------------------------------------------------
     # kernels

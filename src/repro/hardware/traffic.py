@@ -208,7 +208,8 @@ class TransferRecord:
     ``nbytes`` is what crossed the link — for a compressed transfer
     that is the *wire* size, with ``raw_nbytes`` holding the decoded
     size and ``codec`` naming the wire encoding (``raw_nbytes == 0``
-    means the transfer was uncompressed).
+    means the transfer was uncompressed; on a zero-copy device, which
+    crosses no link, ``nbytes`` is 0 and ``raw_nbytes`` the host bytes).
     """
 
     nbytes: int
@@ -254,6 +255,14 @@ class LogSlice:
             for record in self.transfers
             if direction is None or record.direction == direction
         )
+
+    def moved_bytes(self, direction: str) -> int:
+        """Link bytes of ``direction`` (a zero-copy device's: the host bytes)."""
+        return sum(r.nbytes or r.raw_nbytes for r in self.transfers if r.direction == direction)
+
+    def raw_transfer_bytes(self) -> int:
+        """Decoded bytes of every transfer."""
+        return sum(r.raw_nbytes or r.nbytes for r in self.transfers)
 
     def bytes_at(self, level: MemoryLevel) -> int:
         return sum(trace.meter.bytes_at(level) for trace in self.kernels)

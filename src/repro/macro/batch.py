@@ -112,7 +112,7 @@ class _BlockStreamer(CompoundEngine):
                 if policy is not None:
                     encoded = policy.encode_slice(column, start, stop)
                     wire += encoded.wire_nbytes
-                    stats.record(values.nbytes, encoded.wire_nbytes, encoded.codec)
+                    stats.record(encoded.codec)
                     runtime.register_wire((pipeline.source, base), encoded, values)
             label = f"block{index}"
             if policy is not None and wire < raw:
@@ -123,7 +123,6 @@ class _BlockStreamer(CompoundEngine):
                 wire = raw
                 device.record_stream_transfer(wire, "h2d", label=label)
             block_nbytes = wire
-            runtime.input_bytes += wire
 
         def gather_block(index: int, outputs: dict) -> None:
             # Block partials stay on the device until the merged result

@@ -49,6 +49,7 @@ from ..expressions.expr import (
 from ..hardware.costmodel import KernelCostModel
 from ..hardware.interconnect import Interconnect
 from ..hardware.profiles import DeviceProfile
+from ..hardware.traffic import LogSlice, MemoryLevel
 from ..macro.batch import BLOCK_OVERHEAD
 from ..plan.physical import AggregateSink, BuildSink, PhysicalQuery, Pipeline
 from ..scaleout.partition import MORSELS_PER_DEVICE
@@ -452,28 +453,27 @@ class CostEstimator:
         runtime = EstimateRuntime(
             self.cost_model, self.interconnect, database, self, self.compression
         )
-        device = runtime.device
+        log = runtime.device.log
         notes = getattr(runtime.compression_stats(), "scans", [])
         pipes = []
         for pipeline in query.pipelines:
-            mark, noted = len(device.log.kernels), len(notes)
-            columns, raw, wire = device.columns, device.raw_bytes, runtime.input_bytes
+            marks, noted = (len(log.kernels), len(log.transfers)), len(notes)
             rows_in = runtime.source_rows(pipeline)
             rows_out, groups = engine.estimate_pipeline(pipeline, runtime)
-            kernels = device.log.kernels[mark:]
+            priced = LogSlice(log.kernels[marks[0]:], log.transfers[marks[1]:])
             pipe = PipelineEstimate(
                 name=pipeline.name,
                 source=pipeline.source,
                 rows_in=rows_in,
                 selectivity=rows_out / rows_in if rows_in else 0.0,
                 rows_out=rows_out,
-                input_bytes=device.raw_bytes - raw,
-                wire_bytes=runtime.input_bytes - wire,
-                columns=device.columns - columns,
-                global_bytes=sum(trace.global_bytes for trace in kernels),
-                onchip_bytes=sum(trace.onchip_bytes for trace in kernels),
-                kernels=len(kernels),
-                kernel_ms=sum(trace.time_ms for trace in kernels),
+                input_bytes=priced.raw_transfer_bytes(),
+                wire_bytes=priced.moved_bytes("h2d"),
+                columns=len(priced.transfers),
+                global_bytes=priced.bytes_at(MemoryLevel.GLOBAL),
+                onchip_bytes=priced.bytes_at(MemoryLevel.ONCHIP),
+                kernels=len(priced.kernels),
+                kernel_ms=priced.kernel_time_ms,
                 groups=groups,
                 scan_notes=notes[noted:],
             )

@@ -78,7 +78,7 @@ from ..faults.plan import FaultPlan
 from ..faults.recovery import RecoveryStats, RetryPolicy
 from ..hardware.interconnect import PCIE3, Interconnect
 from ..hardware.profiles import GTX970, DeviceProfile, get_profile
-from ..hardware.traffic import Profile
+from ..hardware.traffic import LogSlice, Profile
 from ..errors import (
     ConfigurationError,
     DeviceLostError,
@@ -476,11 +476,9 @@ class ScaleOutExecutor:
                     # Build sides: every dimension pipeline runs on
                     # every participating device (broadcast join).
                     engine.run_pipelines(query.pipelines[:-1], runtime)
-                    run.share.broadcast_bytes = runtime.input_bytes
                 except _RECOVERABLE as error:
                     # A build failure fails every piece of this share:
                     # without the build sides no morsel can run here.
-                    run.share.broadcast_bytes = runtime.input_bytes
                     run.lost = not device.alive
                     kind = _fault_kind(error, device)
                     if isinstance(error, MorselTimeoutError):
@@ -516,12 +514,7 @@ class ScaleOutExecutor:
                         break
                 return run
             finally:
-                share = run.share
-                share.input_bytes = runtime.input_bytes
-                share.partition_bytes = runtime.input_bytes - share.broadcast_bytes
-                share.kernel_ms = device.log.kernel_time_ms
-                share.transfer_ms = device.log.transfer_time_ms
-                share.busy_ms = device.log.total_time_ms
+                _read_share(run.share, device.log, len(query.pipelines) - 1)
                 run.profile = device.log
                 run.kernel_sources = dict(runtime.kernel_sources)
                 run.placement = runtime.query_placement()
@@ -621,9 +614,7 @@ class ScaleOutExecutor:
                     continue
                 run.failed[piece.index] = kind
                 return False
-            run.share.gather_bytes += runtime.ship_partial(
-                produced, f"gather.p{piece.index}"
-            )
+            runtime.ship_partial(produced, f"gather.p{piece.index}")
             # The morsel's row of the query record covers its gather.
             device.log.close(device.log.pipelines[-1])
             run.partials[piece.index] = produced
@@ -639,17 +630,8 @@ class ScaleOutExecutor:
         from ..placement.executor import dispatch
 
         result = dispatch(engine, query, database, self.fleet.devices[0], seed)
-        share = DeviceShare(
-            device=0,
-            morsels=1,
-            rows=0,
-            input_bytes=result.input_bytes,
-            partition_bytes=result.input_bytes,
-            gather_bytes=result.output_bytes,
-            kernel_ms=result.profile.kernel_time_ms,
-            transfer_ms=result.profile.transfer_time_ms,
-            busy_ms=result.profile.total_time_ms,
-        )
+        share = DeviceShare(device=0, morsels=1)
+        _read_share(share, result.profile, 0)
         stats = ScaleOutStats(
             devices=self.devices,
             partitions=1,
@@ -730,10 +712,9 @@ class ScaleOutExecutor:
             placement = QueryPlacement.aggregate(placements)
         return package_result(
             self.fleet.devices[0],
-            sum(run.share.input_bytes for run in runs),
+            profile,
             table.nbytes,
             table=table,
-            profile=profile,
             engine=f"scaleout[{self.devices}x{engine.name}]",
             device_name=f"{self.profile.name} x{self.devices}",
             kernel_sources=kernel_sources,
@@ -840,6 +821,21 @@ class ScaleOutExecutor:
             "repro_faults_queries_total",
             "Queries that saw any fault or recovery action", **labels,
         ).set_total(faulted_queries)
+
+
+def _read_share(share: DeviceShare, log: Profile, first_morsel: int) -> None:
+    """Fill ``share``'s link bytes and times from its device's ``log``:
+    h2d before the first morsel's record (pipeline ``first_morsel`` on)
+    is the broadcast build sides', the rest its partitions'."""
+    morsels = [r for r in log.pipelines if (r.index or 0) >= first_morsel]
+    mark = morsels[0].marks[1] if morsels else len(log.transfers)
+    share.input_bytes = log.moved_bytes("h2d")
+    share.broadcast_bytes = LogSlice(transfers=log.transfers[:mark]).moved_bytes("h2d")
+    share.partition_bytes = share.input_bytes - share.broadcast_bytes
+    share.gather_bytes = log.moved_bytes("d2h")
+    share.kernel_ms = log.kernel_time_ms
+    share.transfer_ms = log.transfer_time_ms
+    share.busy_ms = log.total_time_ms
 
 
 def _combined_shares(runs: list[_DeviceRun]) -> list[DeviceShare]:

@@ -14,7 +14,8 @@ from ..faults.recovery import RecoveryStats
 
 @dataclass
 class DeviceShare:
-    """One device's share of a scale-out execution."""
+    """One device's share of a scale-out execution: the morsels it ran,
+    and its link bytes and times as read off its device's log."""
 
     device: int
     #: Fact morsels this device executed.

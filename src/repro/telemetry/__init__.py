@@ -1,18 +1,24 @@
 """End-to-end query telemetry: span tracing, metrics, EXPLAIN ANALYZE.
 
-Three surfaces over one substrate:
+Every surface reads one substrate: the **query record**,
+``ExecutionResult.profile`` (:class:`~repro.hardware.traffic.Profile`)
+— each launch and transfer of the query, and one row per pipeline run
+plus ``finalize``, written always, with no flag.  The stats objects on
+a result are its tier facts plus what is read off that record once
+(``docs/observability.md``, "Counted once").  The surfaces:
 
 * **Tracing** (:mod:`repro.telemetry.trace`) — hierarchical spans
   (``query → plan → compile → pipeline[i] → kernel/transfer/placement``)
   carrying host wall-clock and simulated device time plus the
-  byte/atomic counters; per query on ``ExecutionResult.trace``;
-  exportable as Chrome trace-event JSON (Perfetto) or JSONL.
+  byte/atomic counters, the device spans synthesized from the record;
+  per query on ``ExecutionResult.trace``; exportable as Chrome
+  trace-event JSON (Perfetto) or JSONL.
 * **Metrics** (:mod:`repro.telemetry.metrics`) — counters, gauges, and
   log-bucket latency histograms with a Prometheus text exposition
   (``Server.metrics_text()``, ``repro metrics``).
 * **EXPLAIN ANALYZE** (:mod:`repro.telemetry.explain`) —
   ``Session.explain(sql, analyze=True)`` / ``repro explain --analyze``:
-  run the query, render the per-pipeline movement/time table.
+  render the record's per-pipeline movement/time table.
 
 Plus the durable observability layer on top:
 
@@ -28,7 +34,7 @@ Plus the durable observability layer on top:
   ``repro baseline record`` / ``repro baseline check`` gate CI against
   silent cost-model or executor drift.
 
-Tracing and the event log are off by default and near-zero-cost when
+The span tracer and the event log are off by default and near-zero-cost when
 disabled; see ``docs/observability.md``.
 """
 

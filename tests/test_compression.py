@@ -8,6 +8,8 @@ randomized arrays; directed cases pin the edges the paper-facing
 benchmark relies on.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,8 +25,11 @@ from repro.compression import (
     encode,
     resolve_compression,
 )
+import repro
 from repro.errors import ConfigurationError
+from repro.hardware.traffic import Profile, TransferRecord
 from repro.storage import Column
+from repro.workloads import SSB_QUERIES
 
 
 def _assert_roundtrip(values: np.ndarray, codec: str, dictionary_size=None):
@@ -311,20 +316,43 @@ class TestResolveCompression:
 
 
 class TestStats:
-    def test_merge_and_aggregate(self):
-        first = CompressionStats()
-        first.record(100, 40, "rle")
-        second = CompressionStats()
-        second.record(100, 100, "passthrough")
-        merged = CompressionStats.aggregate([first, second, None])
-        assert merged.raw_bytes == 200
-        assert merged.wire_bytes == 140
-        assert merged.codecs == {"rle": 1, "passthrough": 1}
+    def test_merge_and_aggregate(self, ssb_db, monkeypatch):
+        """A fleet's stats: the link bytes are its merged log's sums,
+        the codec counts the sum of the devices' own."""
+        per_device = []
+        aggregate = CompressionStats.aggregate.__func__
+
+        def spy(cls, items):
+            items = list(items)
+            per_device.extend(item for item in items if item is not None)
+            return aggregate(cls, items)
+
+        monkeypatch.setattr(CompressionStats, "aggregate", classmethod(spy))
+        session = repro.connect(ssb_db, devices=2, compression="auto")
+        result = session.execute(SSB_QUERIES["q2.1"])
+        stats, log = result.compression, result.profile
+        assert len(per_device) == 2
+        assert stats.wire_bytes == sum(
+            record.nbytes for record in log.transfers if record.direction != "stall"
+        )
+        assert stats.raw_bytes == sum(
+            record.raw_nbytes or record.nbytes for record in log.transfers
+        )
+        assert stats.raw_bytes > stats.wire_bytes
+        codecs = Counter()
+        for item in per_device:
+            codecs.update(item.codecs)
+        assert stats.codecs == dict(codecs)
+        assert stats.columns == sum(item.columns for item in per_device)
         assert CompressionStats.aggregate([None, None]) is None
 
     def test_summary_mentions_ratio(self):
+        log = Profile()
+        log.append(TransferRecord(250, "h2d", 0.0, raw_nbytes=1000, codec="forpack"))
         stats = CompressionStats()
-        stats.record(1000, 250, "forpack")
+        stats.record("forpack")
+        stats.read_log(log)
+        assert (stats.raw_bytes, stats.wire_bytes) == (1000, 250)
         assert "4.00x" in stats.summary()
 
 

@@ -315,3 +315,116 @@ def test_ssb_fires_no_accounting_mismatch(ssb_db, event_log, engine):
         assert session.execute(sql).profile.unaccounted == 0
     assert event_log.events(kind="accounting.mismatch") == []
     assert event_log.events(kind="query.executed")  # the log was listening
+
+
+# ----------------------------------------------------------------------
+# counted once: every stats field the log knows is its log sum
+# ----------------------------------------------------------------------
+def _h2d(transfers) -> int:
+    # A zero-copy transfer keeps its bytes as ``raw_nbytes``.
+    return sum(r.nbytes or r.raw_nbytes for r in transfers if r.direction == "h2d")
+
+
+def _assert_counted_once(result, key):
+    """Each value filled from the query record equals its sum over the
+    records, taken here entry by entry."""
+    log = result.profile
+    moved = [r for r in log.transfers if r.direction != "stall"]
+    h2d = _h2d(log.transfers)
+    assert result.input_bytes == h2d, key
+    compression = result.compression
+    if compression is not None:
+        assert compression.wire_bytes == sum(r.nbytes for r in moved), key
+        assert compression.raw_bytes == sum(r.raw_nbytes or r.nbytes for r in moved), key
+        assert compression.decode_kernels == sum(t.kind == "decode" for t in log.kernels), key
+        assert compression.encode_kernels == sum(t.kind == "encode" for t in log.kernels), key
+    placement = result.placement
+    if placement is not None:
+        assert placement.transferred_bytes == h2d, key
+        assert placement.table_hits == sum(row.resident for row in log.pipelines), key
+    if result.scaleout is not None:
+        shares = result.scaleout.shares
+        morsels = [
+            row for row in log.pipelines
+            if row.pipeline is not None and row.pipeline.is_final
+        ]
+        assert sum(s.input_bytes for s in shares) == h2d, key
+        assert sum(s.partition_bytes for s in shares) == sum(
+            _h2d(row.transfers) for row in morsels
+        ), key
+        assert sum(s.broadcast_bytes for s in shares) == h2d - sum(
+            s.partition_bytes for s in shares
+        ), key
+        assert sum(s.gather_bytes for s in shares) == sum(
+            r.nbytes for r in moved if r.direction == "d2h"
+        ), key
+        assert sum(s.kernel_ms for s in shares) == pytest.approx(log.kernel_time_ms), key
+        assert sum(s.transfer_ms for s in shares) == pytest.approx(log.transfer_time_ms), key
+        assert result.scaleout.serial_ms == pytest.approx(log.total_time_ms), key
+
+
+@pytest.mark.parametrize("pool", [False, True])
+@pytest.mark.parametrize("devices", [1, 2])
+@pytest.mark.parametrize("compression", ["off", "auto"])
+@pytest.mark.parametrize("engine", ["resolution", "vector", "operator-at-a-time"])
+def test_stats_are_their_log_sums(ssb_db, engine, compression, devices, pool):
+    session = repro.connect(
+        ssb_db, engine=engine, compression=compression, devices=devices, residency=pool
+    )
+    for warmth in ("cold", "warm"):
+        for name in ("q1.1", "q2.1", "q4.1"):
+            result = session.execute(SSB_QUERIES[name])
+            _assert_counted_once(result, (name, warmth))
+    if pool:
+        assert result.placement.table_hits, "the warm star join was meant to hit"
+
+
+@pytest.mark.parametrize("compression", ["off", "auto"])
+def test_out_of_core_stats_are_their_log_sums(ssb_db, compression):
+    session = _sessions(ssb_db, compression)["out-of-core"]
+    for name in ("q1.1", "q2.1", "q4.1"):
+        result = session.execute(SSB_QUERIES[name])
+        assert result.placement.out_of_core, name
+        _assert_counted_once(result, name)
+        # Streamed blocks are h2d transfers the pool never sees.
+        assert result.placement.transferred_bytes > 0
+
+
+def test_fault_armed_fleet_stats_are_their_log_sums(ssb_db):
+    plan = FaultPlan.generate(seed=5, devices=3, morsels=6)
+    session = repro.Session(ssb_db, engine="resolution", devices=3, fault_plan=plan)
+    faulted = 0
+    for name in sorted(SSB_QUERIES):
+        result = session.execute(SSB_QUERIES[name])
+        faulted += result.scaleout.recovery.faulted
+        _assert_counted_once(result, name)
+    assert faulted, "the plan was meant to fire"
+
+
+@pytest.mark.parametrize("compression", ["off", "auto"])
+def test_estimated_loads_are_the_first_reads(ssb_db, compression):
+    """An estimate's per-pipeline loads, read off the stand-in device's
+    log, are the base columns each pipeline is first to read."""
+    from repro.compression import resolve_compression
+    from repro.hardware import PCIE3
+    from repro.optimizer.cost import CostEstimator
+    from repro.plan import extract_pipelines
+
+    policy = resolve_compression(compression)
+    estimator = CostEstimator(GTX970, PCIE3, compression=policy)
+    for name in sorted(SSB_QUERIES):
+        query = extract_pipelines(ssb_plan(name, ssb_db), ssb_db)
+        pipes = estimator._pipeline_estimates(query, ssb_db, "resolution")
+        seen = set()
+        for pipeline, pipe in zip(query.pipelines, pipes):
+            loads = [key for key in pipeline.base_columns() if key not in seen]
+            seen.update(loads)
+            columns = [ssb_db.table(table).column(base) for table, base in loads]
+            wire = 0
+            for column in columns:
+                encoded = policy.encoded(column) if policy is not None else None
+                passthrough = encoded is None or encoded.codec == "passthrough"
+                wire += column.nbytes if passthrough else encoded.wire_nbytes
+            assert (pipe.columns, pipe.input_bytes, pipe.wire_bytes) == (
+                len(columns), sum(column.nbytes for column in columns), wire
+            ), (name, pipe.name)

@@ -33,9 +33,11 @@ class TestLoadSource:
         plan = PlanBuilder.scan("lineorder").project(["lo_revenue"]).build()
         pipeline = _pipeline(tiny_db, plan)
         runtime.load_source(pipeline)
-        first = runtime.input_bytes
+        log = runtime.device.log
+        first = log.transfer_bytes("h2d")
         runtime.load_source(pipeline)
-        assert runtime.input_bytes == first
+        assert log.transfer_bytes("h2d") == first
+        assert len(log.transfers) == 1
 
     def test_renamed_source_columns(self, tiny_db, runtime):
         plan = (

@@ -35,9 +35,10 @@ class PricedLaunches:
         self.log.kernels.append(trace)
         return trace
 
-    def transfer_to_device(self, array, label="", raw_nbytes=0, codec="") -> None:
+    def transfer_to_device(self, arrays, label="", raw_nbytes=0, codec="") -> None:
+        nbytes = sum(array.nbytes for array in arrays)
         self.log.transfers.append(
-            link_record(self.interconnect, array.nbytes, "h2d", label, raw_nbytes, codec)
+            link_record(self.interconnect, nbytes, "h2d", label, raw_nbytes, codec)
         )
 
     def allocate(self, array, label="") -> None:

@@ -82,7 +82,8 @@ class QueryRuntime:
     When a :class:`~repro.placement.BufferPool` is supplied, base
     column loads route through it: resident columns skip the PCIe
     charge (a placement hit, pinned until :meth:`close`), cold columns
-    transfer once and stay resident for later queries.  Build pipelines
+    ship with their pipeline's one load and stay resident for later
+    queries.  Build pipelines
     route through it as well: :meth:`resident_build` serves a pipeline
     the table an earlier query left, :meth:`keep_build` leaves this
     query's.
@@ -148,17 +149,25 @@ class QueryRuntime:
     def load_source(
         self, pipeline: Pipeline, lazy_capable: bool = False
     ) -> dict[str, np.ndarray]:
-        """The pipeline's input scope: base columns (transferred on
-        first use) or a virtual table already on the device.
+        """The pipeline's input scope: base columns or a virtual table
+        already on the device.
 
-        Under a compression policy a column ships, and stays on the
-        device, as its wire image.  ``lazy_capable=True`` (engines whose
+        The one h2d loader: each base column the pipeline is first to
+        read gets a device buffer of its own (a pool entry when a pool is
+        set; a hit already has one), and those that are not resident
+        ship as ONE transfer, so a pipeline pays the link latency once,
+        not once per column.  Under a compression policy a column ships,
+        and stays on the device, as its wire image: the record's
+        ``nbytes`` is what crosses, and when any column is encoded its
+        ``raw_nbytes`` is every column's raw size and its ``codec`` the
+        ``+``-joined codecs.  ``lazy_capable=True`` (engines whose
         column reads are charged through
         :class:`~repro.kernels.context.KernelContext`) registers it as
         wire-resident: the kernels that read it decode in registers.
         Engines that charge column reads outside the context (the
         operator-at-a-time design) materialize it here instead, with a
-        stand-alone ``decode.<column>`` kernel into raw scratch.
+        stand-alone ``decode.<column>`` kernel into raw scratch, after
+        the transfer that carried it.
         """
         if pipeline.source_is_virtual:
             try:
@@ -171,6 +180,7 @@ class QueryRuntime:
             return dict(virtual.arrays)
         table = self.database.table(pipeline.source)
         scope: dict[str, np.ndarray] = {}
+        shipped, raw_nbytes, codecs, wire = [], 0, [], []
         for name in pipeline.required_columns:
             base_name = pipeline.source_rename.get(name, name)
             column = table.column(base_name)
@@ -185,16 +195,14 @@ class QueryRuntime:
                 encoded = self.compression.encoded(column)
                 if encoded.codec == "passthrough":
                     encoded = None
-            # What lands on the device: the wire image, else the column.
-            resident = column.values if encoded is None else encoded.wire_array
-            raw_nbytes, codec = (
-                (0, "") if encoded is None else (column.nbytes, encoded.codec)
-            )
+            codec = "" if encoded is None else encoded.codec
             if self.pool is not None:
                 entry, hit = self.pool.acquire(
                     pipeline.source, base_name, column,
                     self.database.fingerprint(),
                 )
+                # What the pool holds: the wire image, else the column.
+                resident = entry.buffer.array
                 self._pinned.append(entry)
                 active_tracer().event(
                     f"placement {label}", "placement", hit=hit, nbytes=column.nbytes
@@ -208,15 +216,28 @@ class QueryRuntime:
                     self.placement_misses += 1
             else:
                 hit = False
-                self.device.transfer_to_device(
-                    resident, label=label, raw_nbytes=raw_nbytes, codec=codec
-                )
-            if not hit and self._compression_stats is not None:
-                self._compression_stats.record(codec)
-            if encoded is None:
-                continue
+                # What lands on the device: the wire image, else the column.
+                resident = column.values if encoded is None else encoded.wire_array
+                self.device.allocate(resident, label=label)
+            if not hit:
+                shipped.append(resident)
+                raw_nbytes += column.nbytes
+                if codec:
+                    codecs.append(codec)
+                if self._compression_stats is not None:
+                    self._compression_stats.record(codec)
+            if encoded is not None:
+                wire.append((key, encoded, column.values, label))
+        if shipped:
+            self.device.transfer_to_device(
+                shipped,
+                label=pipeline.source,
+                raw_nbytes=raw_nbytes if codecs else 0,
+                codec="+".join(dict.fromkeys(codecs)),
+            )
+        for key, encoded, values, label in wire:
             if lazy_capable:
-                self.register_wire(key, encoded, column.values)
+                self.register_wire(key, encoded, values)
             else:
                 self.device.allocate(
                     np.empty(encoded.raw_nbytes, dtype=np.uint8),

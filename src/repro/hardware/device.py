@@ -219,19 +219,15 @@ class VirtualCoprocessor:
     # transfers
     # ------------------------------------------------------------------
     def transfer_to_device(
-        self,
-        array: np.ndarray,
-        label: str = "",
-        pooled: bool = False,
-        raw_nbytes: int = 0,
-        codec: str = "",
-    ) -> DeviceBuffer:
-        """Move a host array onto the device (PCIe h2d, or free on APUs);
-        ``raw_nbytes``/``codec`` label an ``array`` that is a compressed
-        wire image."""
-        buffer = self.allocate(array, label=label, pooled=pooled)
-        self.record_stream_transfer(array.nbytes, "h2d", label, raw_nbytes, codec)
-        return buffer
+        self, arrays, label: str = "", raw_nbytes: int = 0, codec: str = ""
+    ) -> None:
+        """Fill the device buffers allocated for the host ``arrays`` as
+        ONE h2d transfer (PCIe, or free on APUs), so a load pays the link
+        latency once however many buffers it fills; ``raw_nbytes`` /
+        ``codec`` label arrays among them that are compressed wire
+        images."""
+        nbytes = sum(array.nbytes for array in arrays)
+        self.record_stream_transfer(nbytes, "h2d", label, raw_nbytes, codec)
 
     def transfer_to_host(self, buffer: DeviceBuffer, label: str = "") -> np.ndarray:
         """Move a device buffer back to the host and free it."""

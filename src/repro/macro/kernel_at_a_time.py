@@ -27,10 +27,9 @@ from ..storage.database import Database
 class _StreamingDevice(VirtualCoprocessor):
     """A device that moves each kernel's I/O over PCIe (Figure 3)."""
 
-    def transfer_to_device(self, array, label: str = "", **_link_accounting):
-        # No up-front column transfers in this model: the first kernel
-        # that reads a column streams it (charged at launch below).
-        return self.allocate(array, label=label)
+    def transfer_to_device(self, arrays, label: str = "", **_link_accounting):
+        """No up-front column loads in this model: the first kernel that
+        reads a column streams it (charged at launch below)."""
 
     def launch(
         self,

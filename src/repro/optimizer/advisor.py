@@ -240,11 +240,11 @@ class Advisor:
         devices: int | None = None,
         partitioning: str = "range",
         placement: str | None = None,
-        resident_bytes: int = 0,
+        resident_columns: frozenset = frozenset(),
         resident_tables: frozenset[int] = frozenset(),
     ) -> OptimizerDecision:
         """Pick the cheapest feasible strategy for ``query``.
-        ``resident_bytes`` / ``resident_tables``: what a pooled device
+        ``resident_columns`` / ``resident_tables``: what a pooled device
         already holds of it (see :meth:`CostEstimator.estimate
         <repro.optimizer.cost.CostEstimator.estimate>`)."""
         started = time.perf_counter()
@@ -267,7 +267,7 @@ class Advisor:
         )
         for choice in candidates:
             estimate = self.estimator.estimate(
-                query, database, choice, resident_bytes=resident_bytes,
+                query, database, choice, resident_columns=resident_columns,
                 resident_tables=resident_tables,
             )
             if not estimate.feasible:

@@ -176,25 +176,22 @@ class AutoExecutor:
     # ------------------------------------------------------------------
     def _residency(
         self, query: PhysicalQuery, database: Database
-    ) -> tuple[int, frozenset[int]]:
-        """What of the plan is already on the pooled device: the build
-        pipelines whose hash tables are resident (they will not run),
-        and the bytes of the base columns the *other* pipelines read
-        that are resident.
-
-        With a compression policy the pool stores wire images, so the
-        discount (and the peak contribution) is the wire size."""
+    ) -> tuple[frozenset, frozenset[int]]:
+        """What of the plan is already on the pooled device: the base
+        columns, ``(table, column)``, the pipelines that run read and
+        the pool holds — which ones, not only their bytes, because a
+        pipeline loads iff one of its first reads is missing — and the
+        build pipelines whose hash tables are resident (they will not
+        run)."""
         device = self._devices.get(True)
         if device is None:
-            return 0, frozenset()
+            return frozenset(), frozenset()
         pool = device.placement_pool
         serial = database.fingerprint()[0]
         tables = pool.resident_builds(query.pipelines, database)
-        resident = sum(
-            self.compression.wire_nbytes(column)
-            if self.compression is not None
-            else column.nbytes
-            for table, name, column in base_columns(query, database, skip=tables)
+        resident = frozenset(
+            (table, name)
+            for table, name, _column in base_columns(query, database, skip=tables)
             if (serial, table, name) in pool
         )
         return resident, tables
@@ -203,7 +200,7 @@ class AutoExecutor:
     def advise(
         self, query: PhysicalQuery, database: Database
     ) -> OptimizerDecision:
-        resident_bytes, resident_tables = self._residency(query, database)
+        resident_columns, resident_tables = self._residency(query, database)
         return self.advisor.advise(
             query,
             database,
@@ -211,7 +208,7 @@ class AutoExecutor:
             devices=self.pinned_devices,
             partitioning=self.partitioning,
             placement=self.pinned_placement,
-            resident_bytes=resident_bytes,
+            resident_columns=resident_columns,
             resident_tables=resident_tables,
         )
 

@@ -123,8 +123,9 @@ class PipelineEstimate:
     #: Bytes that cross the link for those columns: the compressed wire
     #: size when a compression policy is set, else ``input_bytes``.
     wire_bytes: int = 0
-    #: How many base columns those are (one h2d transfer each).
-    columns: int = 0
+    #: Those columns, ``(table, column)``: the ones not resident ship
+    #: as one h2d transfer (``QueryRuntime.load_source``).
+    first_reads: frozenset = frozenset()
     global_bytes: int = 0
     onchip_bytes: int = 0
     kernels: int = 1
@@ -361,7 +362,7 @@ class CostEstimator:
         query: PhysicalQuery,
         database: Database,
         strategy: StrategyChoice,
-        resident_bytes: int = 0,
+        resident_columns: frozenset = frozenset(),
         resident_tables: frozenset[int] = frozenset(),
     ) -> CostEstimate:
         """Predict the full cost of executing ``query`` under
@@ -369,9 +370,15 @@ class CostEstimator:
         pooled placement only: ``resident_tables`` are the indexes of
         the build pipelines whose hash tables are resident — execution
         skips them, so their kernels, traffic and column loads are not
-        priced — and ``resident_bytes`` discounts the h2d charge for
-        the base columns, of the pipelines that do run, already there."""
+        priced — and ``resident_columns`` (``(table, column)``) the base
+        columns, of the pipelines that do run, already there: they leave
+        the h2d charge, and a pipeline that is first to read none but
+        them loads nothing."""
         estimate = CostEstimate(strategy=strategy)
+        resident_bytes = sum(
+            self._wire_nbytes(database.table(table).column(name))
+            for table, name in resident_columns
+        )
         table_budget = 0  # resident hash/aggregation tables
         raw_h2d_bytes = 0  # decoded footprint (device memory, not link)
         pipes = self._pipeline_estimates(
@@ -403,15 +410,18 @@ class CostEstimator:
             raw_h2d_bytes + resident_bytes + table_budget + scratch
             + estimate.pcie_d2h_bytes
         )
-        #: Share of the base columns' bytes that still cross the link;
-        #: their transfers are counted in proportion.
-        shipped = 1.0
-        if strategy.placement == "pooled" and estimate.pcie_h2d_bytes:
-            cold = estimate.pcie_h2d_bytes
-            estimate.pcie_h2d_bytes = max(0, cold - resident_bytes)
-            shipped = estimate.pcie_h2d_bytes / cold
-        self._apply_macro(estimate, query, strategy, shipped)
+        if strategy.placement == "pooled":
+            estimate.pcie_h2d_bytes = max(0, estimate.pcie_h2d_bytes - resident_bytes)
+        else:
+            resident_columns = frozenset()
+        self._apply_macro(estimate, query, strategy, resident_columns)
         return estimate
+
+    def _wire_nbytes(self, column) -> int:
+        """What ``column`` occupies on the link and in a pool."""
+        if self.compression is None:
+            return column.nbytes
+        return self.compression.wire_nbytes(column)
 
     # ------------------------------------------------------------------
     def _pipeline_estimates(
@@ -455,8 +465,10 @@ class CostEstimator:
         )
         log = runtime.device.log
         notes = getattr(runtime.compression_stats(), "scans", [])
-        pipes = []
+        pipes, seen = [], frozenset()
         for pipeline in query.pipelines:
+            first_reads = frozenset(pipeline.base_columns()) - seen
+            seen |= first_reads
             marks, noted = (len(log.kernels), len(log.transfers)), len(notes)
             rows_in = runtime.source_rows(pipeline)
             rows_out, groups = engine.estimate_pipeline(pipeline, runtime)
@@ -469,7 +481,7 @@ class CostEstimator:
                 rows_out=rows_out,
                 input_bytes=priced.raw_transfer_bytes(),
                 wire_bytes=priced.moved_bytes("h2d"),
-                columns=len(priced.transfers),
+                first_reads=first_reads,
                 global_bytes=priced.bytes_at(MemoryLevel.GLOBAL),
                 onchip_bytes=priced.bytes_at(MemoryLevel.ONCHIP),
                 kernels=len(priced.kernels),
@@ -501,23 +513,19 @@ class CostEstimator:
         for index, (pipeline, pipe) in enumerate(zip(query.pipelines, pipes)):
             if index in resident:
                 out.append(replace(
-                    pipe, input_bytes=0, wire_bytes=0, columns=0, global_bytes=0,
-                    onchip_bytes=0, kernels=0, kernel_ms=0.0, scan_notes=[],
-                    resident=True,
+                    pipe, input_bytes=0, wire_bytes=0, first_reads=frozenset(),
+                    global_bytes=0, onchip_bytes=0, kernels=0, kernel_ms=0.0,
+                    scan_notes=[], resident=True,
                 ))
                 continue
             for key in pipeline.base_columns():
                 if first_reader[key] in resident:
                     first_reader[key] = index
                     column = database.table(key[0]).column(key[1])
-                    wire = (
-                        self.compression.wire_nbytes(column)
-                        if self.compression is not None
-                        else column.nbytes
-                    )
                     pipe = replace(
                         pipe, input_bytes=pipe.input_bytes + column.nbytes,
-                        wire_bytes=pipe.wire_bytes + wire, columns=pipe.columns + 1,
+                        wire_bytes=pipe.wire_bytes + self._wire_nbytes(column),
+                        first_reads=pipe.first_reads | {key},
                     )
             out.append(pipe)
         return out
@@ -555,12 +563,12 @@ class CostEstimator:
             latencies += results
         return (seconds + latencies * self.interconnect.latency) * 1e3
 
-    def _apply_macro(self, estimate, query, strategy, shipped: float) -> None:
+    def _apply_macro(self, estimate, query, strategy, resident: frozenset) -> None:
         """Transfers, streaming and the fleet on top of the pipelines.
         Every transfer pays the link latency, so they are counted as
-        execution records them: one h2d per base column that is not
-        resident (``shipped`` of them), one d2h for the packed result
-        (``QueryRuntime._ship_packed``)."""
+        execution records them: one h2d per pipeline that is first to
+        read a base column not ``resident`` (``QueryRuntime.load_source``),
+        one d2h for the packed result (``QueryRuntime._ship_packed``)."""
         fact = estimate.pipelines[-1]
         streamed = strategy.macro == "out-of-core"
         if (streamed or strategy.devices > 1) and query.final_pipeline.source_is_virtual:
@@ -570,22 +578,22 @@ class CostEstimator:
                 "final pipeline; this one reads a virtual table"
             )
             return
-        columns = sum(pipe.columns for pipe in estimate.pipelines)
+        # The loads of the pipelines before the final one, and its own.
+        *dims, last = [bool(pipe.first_reads - resident) for pipe in estimate.pipelines]
+        loads = sum(dims)
         if strategy.devices > 1:
-            self._apply_scaleout(estimate, strategy.devices, fact, columns, shipped)
+            self._apply_scaleout(estimate, strategy.devices, fact, loads, int(last))
             return
         if not streamed:
-            loads = round(columns * shipped)
-            estimate.transfers = loads + 1
+            estimate.transfers = loads + last + 1
             estimate.transfer_ms = self._transfer_ms(
-                estimate.pcie_h2d_bytes, estimate.pcie_d2h_bytes, loads
+                estimate.pcie_h2d_bytes, estimate.pcie_d2h_bytes, loads + last
             )
             return
         dims_h2d = max(0, estimate.pcie_h2d_bytes - fact.wire_bytes)
         block_bytes = self.stream_block_bytes()
         blocks = max(1, math.ceil(fact.input_bytes / block_bytes))
         # The fact columns arrive as one transfer per block.
-        loads = round((columns - fact.columns) * shipped)
         estimate.transfers = loads + blocks + 1
         estimate.transfer_ms = self._transfer_ms(dims_h2d, estimate.pcie_d2h_bytes, loads)
         estimate.kernel_ms -= fact.kernel_ms
@@ -596,7 +604,7 @@ class CostEstimator:
         # Streaming never holds the whole fact table on device.
         estimate.peak_device_bytes += 2 * block_bytes - fact.input_bytes
 
-    def _apply_scaleout(self, estimate, devices, fact, columns, shipped) -> None:
+    def _apply_scaleout(self, estimate, devices, fact, broadcast, per_morsel) -> None:
         pieces = devices * MORSELS_PER_DEVICE
         dims_h2d = max(0, estimate.pcie_h2d_bytes - fact.wire_bytes)
         dims_kernel_ms = estimate.kernel_ms - fact.kernel_ms
@@ -609,11 +617,9 @@ class CostEstimator:
         launch_ms = (
             self.profile.kernel_launch_overhead * fact.kernels * (pieces - 1) * 1e3
         )
-        # Per device: its broadcast columns once; per morsel the fact
-        # columns (each piece is a table of its own) and the partial,
-        # one packed transfer (``QueryRuntime.ship_partial``).
-        broadcast = round((columns - fact.columns) * shipped)
-        per_morsel = round(fact.columns * shipped)
+        # Per device: one load per ``broadcast`` pipeline; per morsel
+        # one of the fact columns (each piece is a table of its own) and
+        # the partial, one packed transfer (``QueryRuntime.ship_partial``).
         estimate.transfers = devices * broadcast + pieces * (per_morsel + 1)
         estimate.kernel_ms = (
             dims_kernel_ms

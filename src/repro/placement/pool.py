@@ -9,9 +9,10 @@ paper).  A :class:`BufferPool` wraps one
 :class:`~repro.hardware.device.VirtualCoprocessor` and makes residency
 a first-class, cross-query concern:
 
-* **First use** of a base column transfers it host->device (charged
-  against the interconnect model, exactly as before) and keeps the
-  buffer resident (a *pooled* allocation).
+* **First use** of a base column allocates a resident (*pooled*)
+  buffer for it; the query's runtime ships every column a pipeline
+  missed host->device as one transfer, charged against the
+  interconnect model.
 * **Subsequent queries** on the same worker acquire the resident
   buffer without touching the link — a placement *hit*.
 * **Build sides** stay too: the hash table a completed build pipeline
@@ -135,10 +136,13 @@ class BufferPool:
         """Make ``table.column_name`` resident and pin it; returns
         ``(entry, hit)``.
 
-        A hit pays no transfer; a miss charges the H2D transfer through
-        the device's interconnect model.  An entry whose fingerprint no
-        longer matches the catalog is invalidated and re-transferred.
-        Pins are released by :meth:`release` at the end of the query.
+        A hit is served the resident buffer.  A miss allocates a pooled
+        one and transfers nothing: the caller ships what a pipeline
+        missed as one h2d (:meth:`QueryRuntime.load_source
+        <repro.engines.runtime.QueryRuntime.load_source>`).  An entry
+        whose fingerprint no longer matches the catalog is invalidated
+        and allocated anew.  Pins are released by :meth:`release` at the
+        end of the query.
         """
         key = (fingerprint[0], table, column_name)
         with self._lock:
@@ -153,7 +157,7 @@ class BufferPool:
                 self._hits += 1
                 self._hit_bytes += entry.nbytes
                 return entry, True
-            # Miss: transfer (allocation pressure may evict through
+            # Miss: allocate (allocation pressure may evict through
             # _on_pressure, re-entrant under this RLock).  With a
             # compression policy on the device, the resident buffer is
             # the *wire image*: more columns fit per device, eviction
@@ -163,18 +167,13 @@ class BufferPool:
             # materializes at load decodes into transient scratch).
             policy = self.device.compression
             encoded = policy.encoded(column) if policy is not None else None
-            if encoded is not None and encoded.codec != "passthrough":
-                buffer = self.device.transfer_to_device(
-                    encoded.wire_array,
-                    label=f"{table}.{column_name}",
-                    pooled=True,
-                    raw_nbytes=column.nbytes,
-                    codec=encoded.codec,
-                )
+            if encoded is None or encoded.codec == "passthrough":
+                array = column.values
             else:
-                buffer = self.device.transfer_to_device(
-                    column.values, label=f"{table}.{column_name}", pooled=True
-                )
+                array = encoded.wire_array
+            buffer = self.device.allocate(
+                array, label=f"{table}.{column_name}", pooled=True
+            )
             entry = ResidentEntry(
                 key=key,
                 buffers=[buffer],

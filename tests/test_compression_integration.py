@@ -144,11 +144,12 @@ class TestWireReduction:
 
 class TestTransferAccounting:
     def test_wire_bytes_on_link_raw_bytes_on_device(self, database):
-        """The link is charged wire bytes on every engine.  Raw bytes
-        exist on the device only where the engine materializes at load
-        (operator-at-a-time: one decode kernel and one raw scratch
-        buffer per compressed column); a compound engine keeps the wire
-        image and nothing else."""
+        """The link is charged wire bytes on every engine, a pipeline's
+        columns in one load record.  Raw bytes exist on the device only
+        where the engine materializes at load (operator-at-a-time: one
+        decode kernel and one raw scratch buffer per compressed column,
+        not per record); a compound engine keeps the wire image and
+        nothing else."""
         plan = ssb_plan("q1.1", database)
         peaks = {}
         for engine in ("resolution", "operator-at-a-time"):
@@ -169,7 +170,9 @@ class TestTransferAccounting:
             sources = " ".join(result.kernel_sources)
             assert len(decode_launches(result)) == stats.decode_kernels
             if engine == "operator-at-a-time":
-                assert stats.decode_kernels == len(transfers)
+                # The 8-byte result never pays to encode: every encoded
+                # column is a base column, decoded once at load.
+                assert stats.decode_kernels == stats.encoded_columns > len(transfers)
                 assert "decode." in sources
             else:
                 assert stats.decode_kernels == 0

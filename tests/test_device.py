@@ -51,16 +51,20 @@ class TestAllocator:
 
 class TestTransfers:
     def test_h2d_records_volume_and_time(self, device):
-        array = np.zeros(1_000_000, dtype=np.int32)
-        device.transfer_to_device(array, label="col")
-        record = device.log.transfers[-1]
+        """Several buffers filled by one transfer pay one latency."""
+        arrays = [np.zeros(600_000, dtype=np.int32), np.zeros(400_000, dtype=np.int32)]
+        device.transfer_to_device(arrays, label="cols")
+        [record] = device.log.transfers
         assert record.direction == "h2d"
         assert record.nbytes == 4_000_000
         expected_ms = PCIE3.transfer_time(4_000_000, "h2d") * 1e3
         assert record.time_ms == pytest.approx(expected_ms)
+        # Filling buffers allocates nothing: the loader allocated them.
+        assert device.allocated_bytes == 0
 
     def test_d2h_frees_the_buffer(self, device):
-        buffer = device.transfer_to_device(np.zeros(100, dtype=np.int8))
+        buffer = device.allocate(np.zeros(100, dtype=np.int8))
+        device.transfer_to_device([buffer.array])
         array = device.transfer_to_host(buffer)
         assert array.nbytes == 100
         assert device.allocated_bytes == 0
@@ -69,7 +73,7 @@ class TestTransfers:
     def test_zero_copy_device_has_free_transfers(self):
         apu = VirtualCoprocessor(A10)
         assert apu.interconnect is None
-        apu.transfer_to_device(np.zeros(1000, dtype=np.int8))
+        apu.transfer_to_device([np.zeros(1000, dtype=np.int8)])
         record = apu.log.transfers[-1]
         assert record.nbytes == 0
         assert record.time_ms == 0.0

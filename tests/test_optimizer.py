@@ -182,9 +182,10 @@ def test_pooled_residency_discounts_h2d(ssb_db):
     estimator = CostEstimator(GTX970, PCIE3, catalog)
     query = _physical(microbench.projection_query(25), ssb_db)
     pooled = StrategyChoice("resolution", "run-to-finish", 1, "range", "pooled")
-    cold = estimator.estimate(query, ssb_db, pooled, resident_bytes=0)
+    cold = estimator.estimate(query, ssb_db, pooled)
     warm = estimator.estimate(
-        query, ssb_db, pooled, resident_bytes=cold.pcie_h2d_bytes
+        query, ssb_db, pooled,
+        resident_columns=frozenset(query.final_pipeline.base_columns()),
     )
     assert warm.pcie_h2d_bytes < cold.pcie_h2d_bytes
     assert warm.total_ms < cold.total_ms

@@ -403,8 +403,9 @@ def test_fault_armed_fleet_stats_are_their_log_sums(ssb_db):
 
 @pytest.mark.parametrize("compression", ["off", "auto"])
 def test_estimated_loads_are_the_first_reads(ssb_db, compression):
-    """An estimate's per-pipeline loads, read off the stand-in device's
-    log, are the base columns each pipeline is first to read."""
+    """An estimate's per-pipeline load, read off the stand-in device's
+    log, is one transfer carrying exactly the base columns the pipeline
+    is first to read: their raw and their wire bytes."""
     from repro.compression import resolve_compression
     from repro.hardware import PCIE3
     from repro.optimizer.cost import CostEstimator
@@ -425,6 +426,6 @@ def test_estimated_loads_are_the_first_reads(ssb_db, compression):
                 encoded = policy.encoded(column) if policy is not None else None
                 passthrough = encoded is None or encoded.codec == "passthrough"
                 wire += column.nbytes if passthrough else encoded.wire_nbytes
-            assert (pipe.columns, pipe.input_bytes, pipe.wire_bytes) == (
-                len(columns), sum(column.nbytes for column in columns), wire
+            assert (pipe.first_reads, pipe.input_bytes, pipe.wire_bytes) == (
+                set(loads), sum(column.nbytes for column in columns), wire
             ), (name, pipe.name)

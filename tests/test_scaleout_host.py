@@ -9,7 +9,9 @@ layout.  These tests pin the three consequences:
   broadcast it, and starts no thread;
 * every simulated number equals the value the threaded executor
   produced (``scaleout_host_pinned.json``, written by :func:`_observe`
-  on the commit before the change, SSB SF 0.004 seed 7);
+  on the commit before the change, SSB SF 0.004 seed 7; the link times
+  of the cold entries re-recorded when a pipeline's base columns became
+  one load, launches and kernel times unchanged);
 * a fault schedule is one total order: the injector's firing log, the
   event log and ``RecoveryStats`` repeat exactly on a fresh session.
 """

@@ -34,11 +34,11 @@ from .telemetry.events import (
     query_scope,
     record_event,
 )
+from .telemetry.metrics import MetricsRegistry, count_query, observe_result
 from .telemetry.trace import NO_TRACER, Tracer, tracing_enabled
 
 if TYPE_CHECKING:  # avoid the api -> serving -> api import cycle
     from .serving.plan_cache import PlanCache
-    from .telemetry.metrics import MetricsRegistry
     from .telemetry.recorder import FlightRecorder
 
 __all__ = ["ENGINE_FACTORIES", "Session", "connect", "make_engine"]
@@ -111,7 +111,7 @@ class Session:
         interconnect: Interconnect = PCIE3,
         plan_cache: "PlanCache | None" = None,
         residency: bool = False,
-        metrics: "MetricsRegistry | None" = None,
+        metrics: MetricsRegistry | None = None,
         devices: int | str = 1,
         partitioning: str = "range",
         fault_plan=None,
@@ -161,9 +161,10 @@ class Session:
         self._retry_policy = retry_policy
         self._residency = residency
         #: Optional :class:`~repro.telemetry.MetricsRegistry`; when set,
-        #: every ``execute`` observes the session query-latency
-        #: histogram and bumps ``repro_queries_total`` (the same metric
-        #: names a :class:`~repro.serving.Server` exposes).
+        #: every finished query is folded into it
+        #: (:func:`~repro.telemetry.metrics.observe_result`) — the
+        #: families a :class:`~repro.serving.Server`, which hands its
+        #: registry to its worker sessions, exposes per query.
         self.metrics = metrics
         if plan_cache is None:
             from .serving.plan_cache import PlanCache
@@ -375,7 +376,6 @@ class Session:
                 chosen = None  # route through the adaptive optimizer
             else:
                 chosen = make_engine(engine) if alias else engine
-        started = time.perf_counter()
         recorder = self.recorder
         flight = None
         if recorder is not None:
@@ -411,22 +411,15 @@ class Session:
                     fault_plan=self._fault_plan,
                     retry_policy=self._retry_policy,
                 )
+            if self.metrics is not None:
+                count_query(self.metrics, "failed")
             raise
         result.trace = tracer.finish(result.profile)
         if recorder is not None:
             recorder.complete(flight, result)
         if self.metrics is not None:
-            self.metrics.histogram(
-                "repro_query_latency_ms",
-                "End-to-end query latency (host wall clock, ms)",
-            ).observe((time.perf_counter() - started) * 1e3)
-            self.metrics.counter(
-                "repro_queries_total", "Queries executed", status="completed"
-            ).inc()
-            if result.compression is not None:
-                from .compression import observe_compression_metrics
-
-                observe_compression_metrics(self.metrics, result.compression)
+            labels = {"worker": str(worker)} if worker >= 0 else {}
+            observe_result(self.metrics, result, **labels)
         return result
 
     def _plan_and_run(
@@ -457,7 +450,7 @@ class Session:
 
         compile_hits, compile_misses, compile_ms = thread_compile_stats()
         result.serving = ServingStats(
-            plan_cache_hit=hit,
+            plan_cache_hit=hit if isinstance(query, str) else None,
             compile_hits=compile_hits,
             compile_misses=compile_misses,
             queue_wait_ms=queue_wait_ms,
@@ -477,17 +470,10 @@ class Session:
         execution-model lattice, a pinned session *is* one; both run it
         through :func:`repro.placement.executor.dispatch`."""
         if chosen is None:
-            executor = self._auto_executor()
-            result = executor.execute(physical, self.database, seed=seed)
-        else:
-            executor = self.scaleout
-            result = dispatch(
-                chosen, physical, self.database, self.device, seed,
-                fleet=self.scaleout,
-            )
-        if self.metrics is not None and executor is not None:
-            executor.observe_metrics(self.metrics)
-        return result
+            return self._auto_executor().execute(physical, self.database, seed=seed)
+        return dispatch(
+            chosen, physical, self.database, self.device, seed, fleet=self.scaleout
+        )
 
     def placement_stats(self):
         """Residency counters (``None`` unless ``residency=True``).

@@ -35,7 +35,7 @@ from .policy import (
     CompressionPolicy,
     resolve_compression,
 )
-from .stats import CompressionStats, observe_compression_metrics
+from .stats import CompressionStats
 
 __all__ = [
     "CODEC_NAMES",
@@ -59,5 +59,4 @@ __all__ = [
     "CompressionPolicy",
     "resolve_compression",
     "CompressionStats",
-    "observe_compression_metrics",
 ]

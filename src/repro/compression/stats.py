@@ -1,4 +1,4 @@
-"""Per-query compression accounting and Prometheus export."""
+"""Per-query compression accounting."""
 
 from __future__ import annotations
 
@@ -115,56 +115,3 @@ class CompressionStats:
                 f"({self.scan_blocks_skipped}/{self.scan_blocks} blocks skipped)"
             )
         return text
-
-
-def observe_compression_metrics(metrics, stats: CompressionStats) -> None:
-    """Export one query's compression stats to a metrics registry."""
-    if metrics is None or stats is None:
-        return
-    metrics.counter(
-        "repro_compression_raw_bytes_total",
-        "Pre-compression bytes of link transfers",
-    ).inc(stats.raw_bytes)
-    metrics.counter(
-        "repro_compression_wire_bytes_total",
-        "Bytes actually moved over the interconnect",
-    ).inc(stats.wire_bytes)
-    metrics.counter(
-        "repro_compression_saved_bytes_total",
-        "Link bytes avoided by columnar compression",
-    ).inc(max(stats.saved_bytes, 0))
-    metrics.histogram(
-        "repro_compression_ratio",
-        "Per-query raw/wire compression ratio",
-        buckets=(1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 16.0),
-    ).observe(stats.ratio)
-    metrics.counter(
-        "repro_compression_decode_kernels_total",
-        "Decompression kernels launched on-device",
-    ).inc(stats.decode_kernels)
-    metrics.counter(
-        "repro_compression_compressed_scans_total",
-        "Predicate conjuncts executed directly on wire images",
-    ).inc(stats.compressed_scans)
-    metrics.counter(
-        "repro_compression_scan_blocks_skipped_total",
-        "Packed blocks skipped via min/max tests during compressed scans",
-    ).inc(stats.scan_blocks_skipped)
-    metrics.counter(
-        "repro_compression_deferred_decodes_total",
-        "Columns whose raw form never materialized in device memory",
-    ).inc(stats.deferred_columns)
-    metrics.counter(
-        "repro_compression_partial_decode_bytes_total",
-        "Raw bytes' worth of values decoded in registers by consuming kernels",
-    ).inc(stats.partial_decode_bytes)
-    metrics.counter(
-        "repro_compression_host_decode_bytes_total",
-        "Raw bytes of D2H partials decoded host-side",
-    ).inc(stats.host_decode_bytes)
-    for codec, count in stats.codecs.items():
-        metrics.counter(
-            "repro_compression_columns_total",
-            "Columns transferred, by wire codec",
-            codec=codec,
-        ).inc(count)

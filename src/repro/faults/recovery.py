@@ -76,8 +76,8 @@ class RecoveryStats:
     """Per-query fault and recovery accounting.
 
     Attached as ``ScaleOutStats.recovery`` on every partitioned
-    scale-out execution; the Prometheus ``repro_faults_*`` counters are
-    the cumulative sums of these per-query values.
+    scale-out execution; :func:`~repro.telemetry.metrics.observe_result`
+    sums these per-query values into the ``repro_faults_*`` counters.
     """
 
     #: Faults actually fired this query, by kind (injected only).
@@ -116,20 +116,6 @@ class RecoveryStats:
 
     def record_injected(self, kind: str, count: int = 1) -> None:
         self.injected[kind] = self.injected.get(kind, 0) + count
-
-    def __iadd__(self, other: "RecoveryStats") -> "RecoveryStats":
-        """Fold another query's accounting into a running total (the
-        executor's cumulative ``repro_faults_*`` counters)."""
-        for kind, count in other.injected.items():
-            self.record_injected(kind, count)
-        self.retries += other.retries
-        self.backoff_ms += other.backoff_ms
-        self.redistributed_morsels += other.redistributed_morsels
-        self.waves += other.waves
-        self.degraded_devices += other.degraded_devices
-        self.timeouts += other.timeouts
-        self.host_fallback = self.host_fallback or other.host_fallback
-        return self
 
     def summary(self) -> str:
         if not self.faulted:

@@ -57,6 +57,9 @@ OOC_PRUNE_FRACTION = 0.5
 #: kept only if nothing safer is feasible.
 FIT_SAFETY_FRACTION = 0.9
 
+#: Why the auto executor's safety net prunes the pick it had to stream.
+OUT_OF_MEMORY = "ran out of device memory"
+
 
 @dataclass
 class PrunedCandidate:
@@ -80,10 +83,18 @@ class OptimizerDecision:
     #: Observed execution time, attached post-run by the executor.
     observed_ms: float | None = None
     observed_pcie_bytes: int | None = None
+    #: The executor's :class:`~repro.optimizer.auto.Accuracy` window
+    #: right after this query's observation joined it.
+    accuracy: object | None = None
 
     @property
     def predicted_ms(self) -> float:
         return self.estimate.total_ms
+
+    @property
+    def oom_fallback(self) -> bool:
+        """Did the run hit the out-of-memory safety net?"""
+        return any(pruned.reason == OUT_OF_MEMORY for pruned in self.pruned)
 
     def error_fraction(self) -> float | None:
         """Relative |predicted - observed| / observed, once observed."""

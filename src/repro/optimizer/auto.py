@@ -35,6 +35,7 @@ from __future__ import annotations
 import statistics
 import threading
 from collections import deque
+from typing import NamedTuple
 
 from ..compression import resolve_compression
 from ..engines import make_engine
@@ -47,9 +48,17 @@ from ..placement.executor import base_columns, dispatch
 from ..plan.physical import PhysicalQuery
 from ..storage.database import Database
 from ..telemetry.events import record_event
-from .advisor import Advisor, OptimizerDecision, PrunedCandidate
+from .advisor import OUT_OF_MEMORY, Advisor, OptimizerDecision, PrunedCandidate
 from .cost import StrategyChoice, merge_overhead_ms
 from .stats import StatisticsCatalog
+
+
+class Accuracy(NamedTuple):
+    """An :class:`AccuracyWindow` as one observation left it."""
+
+    samples: int
+    median_time_error: float | None
+    median_byte_error: float | None
 
 
 class AccuracyWindow:
@@ -64,7 +73,9 @@ class AccuracyWindow:
         self._byte_errors: deque[float] = deque(maxlen=history)
         self.samples = 0
 
-    def observe(self, predicted_ms, observed_ms, predicted_bytes=None, observed_bytes=None):
+    def observe(
+        self, predicted_ms, observed_ms, predicted_bytes=None, observed_bytes=None
+    ) -> Accuracy:
         with self._lock:
             if observed_ms > 0 and predicted_ms > 0:
                 self._time_errors.append(abs(predicted_ms - observed_ms) / observed_ms)
@@ -73,14 +84,21 @@ class AccuracyWindow:
                     abs(predicted_bytes - observed_bytes) / observed_bytes
                 )
             self.samples += 1
+            return Accuracy(
+                self.samples, _median(self._time_errors), _median(self._byte_errors)
+            )
 
     def median_time_error(self) -> float | None:
         with self._lock:
-            return statistics.median(self._time_errors) if self._time_errors else None
+            return _median(self._time_errors)
 
     def median_byte_error(self) -> float | None:
         with self._lock:
-            return statistics.median(self._byte_errors) if self._byte_errors else None
+            return _median(self._byte_errors)
+
+
+def _median(values) -> float | None:
+    return statistics.median(values) if values else None
 
 
 class AutoExecutor:
@@ -126,7 +144,6 @@ class AutoExecutor:
         self._devices: dict[bool, VirtualCoprocessor] = {}
         self.decisions = 0
         self.fallbacks = 0
-        self._last_decision: OptimizerDecision | None = None
 
     # ------------------------------------------------------------------
     # lazily-built execution resources
@@ -233,7 +250,7 @@ class AutoExecutor:
             )
         decision.observed_ms = observed_ms
         decision.observed_pcie_bytes = result.input_bytes + result.output_bytes
-        self.calibrator.observe(
+        decision.accuracy = self.calibrator.observe(
             predicted_ms=decision.predicted_ms,
             observed_ms=observed_ms,
             predicted_bytes=decision.estimate.pcie_bytes,
@@ -242,7 +259,6 @@ class AutoExecutor:
         result.optimizer = decision
         with self._lock:
             self.decisions += 1
-            self._last_decision = decision
         return result
 
     def _dispatch(
@@ -280,73 +296,11 @@ class AutoExecutor:
             # Safety net: the fit estimate was wrong.  Stream instead.
             with self._lock:
                 self.fallbacks += 1
-            decision.pruned.append(
-                PrunedCandidate(strategy, "ran out of device memory")
-            )
+            decision.pruned.append(PrunedCandidate(strategy, OUT_OF_MEMORY))
             return dispatch(
                 engine, query, database, device, seed,
                 macro="out-of-core", block_bytes=block_bytes,
             )
-
-    # ------------------------------------------------------------------
-    def last_decision(self) -> OptimizerDecision | None:
-        with self._lock:
-            return self._last_decision
-
-    def observe_metrics(self, metrics, **labels) -> None:
-        """Export ``repro_optimizer_*`` metrics into ``metrics``."""
-        with self._lock:
-            decisions = self.decisions
-            fallbacks = self.fallbacks
-            last = self._last_decision
-        metrics.counter(
-            "repro_optimizer_decisions_total",
-            "Strategy decisions made by the adaptive optimizer",
-            **labels,
-        ).set_total(decisions)
-        metrics.counter(
-            "repro_optimizer_oom_fallbacks_total",
-            "Auto executions that hit the DeviceMemoryError safety net",
-            **labels,
-        ).set_total(fallbacks)
-        metrics.gauge(
-            "repro_optimizer_calibration_samples",
-            "Prediction/observation pairs in the accuracy window",
-            **labels,
-        ).set(self.calibrator.samples)
-        byte_error = self.calibrator.median_byte_error()
-        if byte_error is not None:
-            metrics.gauge(
-                "repro_optimizer_median_byte_error",
-                "Median relative predicted-vs-observed PCIe byte error",
-                **labels,
-            ).set(byte_error)
-        time_error = self.calibrator.median_time_error()
-        if time_error is not None:
-            metrics.gauge(
-                "repro_optimizer_median_time_error",
-                "Median relative predicted-vs-observed latency error",
-                **labels,
-            ).set(time_error)
-        if last is not None:
-            metrics.counter(
-                "repro_optimizer_strategies_total",
-                "Executions by chosen strategy",
-                strategy=last.chosen.describe(),
-                **labels,
-            ).inc()
-            metrics.histogram(
-                "repro_optimizer_advise_ms",
-                "Advisor planning overhead per query (ms)",
-                **labels,
-            ).observe(last.advise_ms)
-            error = last.error_fraction()
-            if error is not None:
-                metrics.histogram(
-                    "repro_optimizer_prediction_error",
-                    "Relative predicted-vs-observed latency error",
-                    **labels,
-                ).observe(error)
 
     def placement_stats(self):
         device = self._devices.get(True)

@@ -214,16 +214,6 @@ class ScaleOutExecutor:
         #: per-query); the serving layer gives each worker its own
         #: executor, same as it gives each worker its own device.
         self._run_lock = threading.Lock()
-        self._totals_lock = threading.Lock()
-        self._queries = 0
-        self._fallbacks = 0
-        self._device_totals = [DeviceShare(device=i) for i in range(self.devices)]
-        #: Sum of every query's RecoveryStats, plus the two per-query
-        #: flags the sum cannot count.
-        self._recovery_totals = RecoveryStats()
-        self._host_fallbacks = 0
-        self._faulted_queries = 0
-        self._last_live = self.devices
 
     # ------------------------------------------------------------------
     def execute(
@@ -288,11 +278,9 @@ class ScaleOutExecutor:
             recovery.injected = injector.counts()
         if unfinished:
             # Every device lost: degrade to the host fallback.
-            result = self._host_fallback(
+            return self._host_fallback(
                 engine, query, database, seed, partition_set, runs, recovery
             )
-            self._record_totals(result.scaleout)
-            return result
         merge_start = time.perf_counter()
         # Merge in global piece order, independent of which device
         # ran which piece: deterministic results for free.
@@ -318,9 +306,7 @@ class ScaleOutExecutor:
             merge_ms=merge_ms,
             recovery=recovery,
         )
-        result = self._package(engine, runs, table, stats)
-        self._record_totals(stats)
-        return result
+        return self._package(engine, runs, table, stats)
 
     # ------------------------------------------------------------------
     def _scatter(
@@ -642,9 +628,6 @@ class ScaleOutExecutor:
         )
         result.scaleout = stats
         result.engine = f"scaleout[{self.devices}x{engine.name}]"
-        self._record_totals(stats)
-        with self._totals_lock:
-            self._fallbacks += 1
         return result
 
     # ------------------------------------------------------------------
@@ -725,102 +708,9 @@ class ScaleOutExecutor:
             ),
         )
 
-    # ------------------------------------------------------------------
-    def _record_totals(self, stats: ScaleOutStats) -> None:
-        with self._totals_lock:
-            self._queries += 1
-            for share in stats.shares:
-                self._device_totals[share.device] += share
-            recovery = stats.recovery
-            self._last_live = self.devices
-            if recovery is not None:
-                self._recovery_totals += recovery
-                self._host_fallbacks += recovery.host_fallback
-                self._faulted_queries += recovery.faulted
-                self._last_live -= len(recovery.degraded_devices)
-
     def placement_stats(self):
         """Aggregated fleet residency counters (None without it)."""
         return self.fleet.placement_stats()
-
-    def observe_metrics(self, metrics, **labels) -> None:
-        """Export cumulative per-device gauges/counters into a
-        :class:`~repro.telemetry.metrics.MetricsRegistry` (the serving
-        layer calls this from ``Server.metrics_text``)."""
-        with self._totals_lock:
-            totals = [replace(share) for share in self._device_totals]
-            queries, fallbacks = self._queries, self._fallbacks
-            faults = replace(
-                self._recovery_totals,
-                injected=dict(self._recovery_totals.injected),
-            )
-            lost_devices = len(self._recovery_totals.degraded_devices)
-            host_fallbacks = self._host_fallbacks
-            faulted_queries = self._faulted_queries
-            last_live = self._last_live
-        metrics.gauge(
-            "repro_scaleout_devices", "Fleet size of the scale-out executor",
-            **labels,
-        ).set(self.devices)
-        metrics.counter(
-            "repro_scaleout_queries_total", "Queries executed by the fleet",
-            **labels,
-        ).set_total(queries)
-        metrics.counter(
-            "repro_scaleout_fallbacks_total",
-            "Queries that ran unpartitioned on one device", **labels,
-        ).set_total(fallbacks)
-        for share in totals:
-            device_labels = dict(labels, device=str(share.device))
-            metrics.counter(
-                "repro_scaleout_device_morsels_total",
-                "Fact morsels executed per device", **device_labels,
-            ).set_total(share.morsels)
-            metrics.counter(
-                "repro_scaleout_device_busy_ms_total",
-                "Simulated busy milliseconds per device", **device_labels,
-            ).set_total(share.busy_ms)
-            metrics.counter(
-                "repro_scaleout_device_pcie_bytes_total",
-                "PCIe bytes (h2d + d2h) per device", **device_labels,
-            ).set_total(share.pcie_bytes)
-        metrics.gauge(
-            "repro_faults_live_devices",
-            "Devices in service after the most recent query", **labels,
-        ).set(last_live)
-        for kind, count in sorted(faults.injected.items()):
-            metrics.counter(
-                "repro_faults_injected_total",
-                "Injected faults fired, by kind", kind=kind, **labels,
-            ).set_total(count)
-        metrics.counter(
-            "repro_faults_retries_total",
-            "Same-device morsel retries", **labels,
-        ).set_total(faults.retries)
-        metrics.counter(
-            "repro_faults_backoff_ms_total",
-            "Simulated retry backoff milliseconds", **labels,
-        ).set_total(faults.backoff_ms)
-        metrics.counter(
-            "repro_faults_redistributed_morsels_total",
-            "Morsels re-scheduled onto surviving devices", **labels,
-        ).set_total(faults.redistributed_morsels)
-        metrics.counter(
-            "repro_faults_timeouts_total",
-            "Morsel attempts abandoned past the morsel timeout", **labels,
-        ).set_total(faults.timeouts)
-        metrics.counter(
-            "repro_faults_lost_devices_total",
-            "Device losses suffered across all queries", **labels,
-        ).set_total(lost_devices)
-        metrics.counter(
-            "repro_faults_host_fallbacks_total",
-            "Queries degraded to the host out-of-core fallback", **labels,
-        ).set_total(host_fallbacks)
-        metrics.counter(
-            "repro_faults_queries_total",
-            "Queries that saw any fault or recovery action", **labels,
-        ).set_total(faulted_queries)
 
 
 def _read_share(share: DeviceShare, log: Profile, first_morsel: int) -> None:

@@ -14,8 +14,8 @@ Request path::
                                           │  lifecycle (plan cache,
                                           │  dispatch, serving stats —
                                           │  see docs/architecture.md)
-                                          ├─ fold result.serving into
-                                          │  the server counters
+                                          │  and folds the result into
+                                          │  the server's registry
                                           └─ future.set_result(result)
 
 Every result carries a :class:`~repro.serving.stats.ServingStats` in
@@ -43,7 +43,7 @@ from ..placement import PlacementStats
 from ..plan.logical import LogicalPlan
 from ..storage.database import Database
 from ..telemetry.events import installed_log, new_query_id, record_event
-from ..telemetry.metrics import MetricsRegistry
+from ..telemetry.metrics import MetricsRegistry, count_query
 from .plan_cache import PlanCache
 from .stats import ServerStats
 
@@ -82,7 +82,7 @@ class Server:
         sharing one statistics catalog: each query runs
         on the cost-based optimizer's cheapest feasible strategy, the
         plan cache keys auto entries separately from pinned ones, and
-        ``metrics_text`` grows the ``repro_optimizer_*`` family.
+        the ``repro_optimizer_*`` families count its decisions.
         Individual queries can still pin (``submit(..., engine=...)``)
         or opt in (``engine="auto"``) per request.
     workers:
@@ -114,10 +114,10 @@ class Server:
         deterministic :class:`~repro.faults.FaultPlan` (accepted as a
         plan object, dict, or JSON path) and shares the
         :class:`~repro.faults.RetryPolicy`.  Arming a plan creates the
-        scale-out executors even at ``devices=1``;
-        :meth:`metrics_text` then exposes the per-worker
+        scale-out executors even at ``devices=1``; the per-worker
         ``repro_faults_*`` counters and the
-        ``repro_faults_live_devices`` health gauge.
+        ``repro_faults_live_devices`` health gauge then count its
+        queries.
     """
 
     def __init__(
@@ -156,6 +156,9 @@ class Server:
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache(
             plan_cache_capacity
         )
+        #: Prometheus-style instruments, scraped via :meth:`metrics_text`:
+        #: the worker sessions fold every query they finish into it.
+        self.metrics = MetricsRegistry()
         # One Session validates the configuration; each further worker
         # gets a sibling on a private device (see ``Session._sibling``
         # for what they share).
@@ -172,32 +175,22 @@ class Server:
             retry_policy=retry_policy,
             recorder=recorder,
             compression=compression,
+            metrics=self.metrics,
         )
         self._sessions = [first] + [first._sibling() for _ in range(workers - 1)]
         self._queue: queue.Queue = queue.Queue(maxsize=queue_size)
         self._queue_capacity = queue_size
         self._closed = False
-        self._lock = threading.Lock()
-        self._submitted = 0
-        self._completed = 0
-        self._failed = 0
-        self._cancelled = 0
-        self._plan_hits = 0
-        self._plan_misses = 0
-        self._compile_hits = 0
-        self._compile_misses = 0
-        self._queue_wait_ms = 0.0
-        self._execute_ms = 0.0
-        self._per_worker = [0] * workers
-        #: Prometheus-style instruments; scraped via :meth:`metrics_text`.
-        self.metrics = MetricsRegistry()
-        self._latency_hist = self.metrics.histogram(
-            "repro_query_latency_ms",
-            "End-to-end query latency: queue wait + plan + execute (host ms)",
+        # What only the server sees, counted at the event: admissions,
+        # cancellations, and the wait and worker of each query started.
+        self._submitted = self.metrics.counter(
+            "repro_queries_submitted_total", "Queries admitted"
         )
         self._queue_wait_hist = self.metrics.histogram(
             "repro_queue_wait_ms", "Admission-queue wait (host ms)"
         )
+        #: Queries each worker picked up (written by that worker only).
+        self._per_worker = [0] * workers
         self._threads = [
             threading.Thread(
                 target=self._worker_loop,
@@ -242,8 +235,7 @@ class Server:
                 f"admission queue full ({self._queue_capacity} waiting); "
                 "retry later or raise queue_size"
             ) from None
-        with self._lock:
-            self._submitted += 1
+        self._submitted.inc()
         record_event(
             "query.admitted",
             query=query_id,
@@ -302,68 +294,51 @@ class Server:
 
     def _run_one(self, item: _Request, index: int) -> None:
         if not item.future.set_running_or_notify_cancel():
-            with self._lock:
-                self._cancelled += 1
+            count_query(self.metrics, "cancelled")
             return
         queue_wait_ms = (time.perf_counter() - item.enqueued_at) * 1e3
+        self._queue_wait_hist.observe(queue_wait_ms)
+        self._per_worker[index] += 1
         try:
+            # The worker's session counts the query, completed or failed.
             result = self._sessions[index]._execute(
                 item.query, item.engine, item.seed, queue_wait_ms, index,
                 item.query_id,
             )
         except BaseException as error:
-            with self._lock:
-                self._failed += 1
-                self._queue_wait_ms += queue_wait_ms
             item.future.set_exception(error)
             return
-        serving = result.serving
-        with self._lock:
-            self._completed += 1
-            self._per_worker[index] += 1
-            self._plan_hits += int(serving.plan_cache_hit)
-            # A plan object bypasses the cache: neither hit nor miss.
-            self._plan_misses += int(
-                isinstance(item.query, str) and not serving.plan_cache_hit
-            )
-            self._compile_hits += serving.compile_hits
-            self._compile_misses += serving.compile_misses
-            self._queue_wait_ms += queue_wait_ms
-            self._execute_ms += serving.execute_ms
-        self._latency_hist.observe(serving.total_ms)
-        self._queue_wait_hist.observe(queue_wait_ms)
-        if result.compression is not None:
-            from ..compression import observe_compression_metrics
-
-            observe_compression_metrics(self.metrics, result.compression)
         item.future.set_result(result)
 
     # ------------------------------------------------------------------
     # lifecycle & stats
     # ------------------------------------------------------------------
     def stats(self) -> ServerStats:
-        """A consistent snapshot of the server's counters."""
-        with self._lock:
-            return ServerStats(
-                workers=self.workers,
-                queue_capacity=self._queue_capacity,
-                queue_depth=self._queue.qsize(),
-                submitted=self._submitted,
-                completed=self._completed,
-                failed=self._failed,
-                cancelled=self._cancelled,
-                plan_hits=self._plan_hits,
-                plan_misses=self._plan_misses,
-                compile_hits=self._compile_hits,
-                compile_misses=self._compile_misses,
-                queue_wait_ms_total=self._queue_wait_ms,
-                execute_ms_total=self._execute_ms,
-                per_worker=list(self._per_worker),
-                plan_cache=self.plan_cache.stats(),
-                placement=self._placement_snapshot(),
-                latency=self._latency_hist.snapshot(),
-                queue_wait=self._queue_wait_hist.snapshot(),
-            )
+        """A snapshot of the server's counters, read off its registry."""
+
+        def count(name: str, **labels) -> int:
+            return int(self.metrics.counter(name, **labels).value)
+
+        queue_wait = self._queue_wait_hist.snapshot()
+        return ServerStats(
+            workers=self.workers,
+            queue_capacity=self._queue_capacity,
+            queue_depth=self._queue.qsize(),
+            submitted=int(self._submitted.value),
+            completed=count("repro_queries_total", status="completed"),
+            failed=count("repro_queries_total", status="failed"),
+            cancelled=count("repro_queries_total", status="cancelled"),
+            plan_hits=count("repro_plan_cache_lookups_total", outcome="hit"),
+            plan_misses=count("repro_plan_cache_lookups_total", outcome="miss"),
+            compile_hits=count("repro_kernel_cache_lookups_total", outcome="hit"),
+            compile_misses=count("repro_kernel_cache_lookups_total", outcome="miss"),
+            queue_wait_ms_total=queue_wait.sum,
+            per_worker=list(self._per_worker),
+            plan_cache=self.plan_cache.stats(),
+            placement=self._placement_snapshot(),
+            latency=self.metrics.histogram("repro_query_latency_ms").snapshot(),
+            queue_wait=queue_wait,
+        )
 
     def _placement_snapshot(self):
         """Aggregate buffer-pool stats across worker pools, fleets, and
@@ -380,9 +355,10 @@ class Server:
     def metrics_text(self) -> str:
         """Prometheus text exposition of the server's metrics.
 
-        Live instruments (the latency histograms, observed per query)
-        render alongside scrape-time exports of the counters the server
-        and its caches/pools already track; the output parses with
+        What the worker sessions folded in per query, and what the
+        server counted at admission, render alongside scrape-time
+        collectors of state a component owns (queue, caches, buffer
+        pools, recorder); the output parses with
         :func:`repro.telemetry.metrics.parse_prometheus_text`.
         """
         stats = self.stats()
@@ -394,32 +370,6 @@ class Server:
         metrics.gauge(
             "repro_queue_capacity", "Admission-queue bound"
         ).set(stats.queue_capacity)
-        for status, value in (
-            ("completed", stats.completed),
-            ("failed", stats.failed),
-            ("cancelled", stats.cancelled),
-        ):
-            metrics.counter(
-                "repro_queries_total", "Queries by final status", status=status
-            ).set_total(value)
-        metrics.counter(
-            "repro_queries_submitted_total", "Queries admitted"
-        ).set_total(stats.submitted)
-        for outcome, value in (
-            ("hit", stats.plan_hits), ("miss", stats.plan_misses)
-        ):
-            metrics.counter(
-                "repro_plan_cache_lookups_total",
-                "Plan-cache outcomes", outcome=outcome,
-            ).set_total(value)
-        for outcome, value in (
-            ("hit", stats.compile_hits), ("miss", stats.compile_misses)
-        ):
-            metrics.counter(
-                "repro_kernel_cache_lookups_total",
-                "Compiled-kernel cache outcomes (this server's queries)",
-                outcome=outcome,
-            ).set_total(value)
         if stats.plan_cache is not None:
             metrics.gauge(
                 "repro_plan_cache_size", "Cached physical plans"
@@ -461,12 +411,6 @@ class Server:
                 "repro_placement_saved_bytes_total",
                 "PCIe bytes avoided by residency hits",
             ).set_total(placement.hit_bytes)
-        for index, session in enumerate(self._sessions):
-            for executor in (
-                session.scaleout, session.auto, session._override_auto
-            ):
-                if executor is not None:
-                    executor.observe_metrics(metrics, worker=str(index))
         if self.recorder is not None:
             self.recorder.observe_metrics(metrics)
         return metrics.render()

@@ -28,8 +28,9 @@ class ServingStats:
     re-deriving phase timings from these scalars.
     """
 
-    #: True when the physical plan came from the plan cache.
-    plan_cache_hit: bool
+    #: True when the physical plan came from the plan cache; ``None``
+    #: when a plan object bypassed it.
+    plan_cache_hit: bool | None
     #: Compiled-kernel cache hits/misses during this query's execution.
     compile_hits: int
     compile_misses: int
@@ -58,7 +59,8 @@ class ServingStats:
 
 @dataclass
 class ServerStats:
-    """A consistent snapshot of a :class:`~repro.serving.Server`."""
+    """A snapshot of a :class:`~repro.serving.Server`, read off its
+    metrics registry."""
 
     workers: int
     queue_capacity: int
@@ -72,7 +74,8 @@ class ServerStats:
     #: Queries cancelled before a worker picked them up.
     cancelled: int
     #: Per-query plan-cache outcomes over SQL text, as counted by this
-    #: server (a plan object bypasses the cache and is in neither).
+    #: server's workers (a plan object bypasses the cache and is in
+    #: neither).
     plan_hits: int
     plan_misses: int
     #: Compiled-kernel cache outcomes summed over this server's queries.
@@ -80,9 +83,7 @@ class ServerStats:
     compile_misses: int
     #: Aggregate queue wait across completed + failed queries.
     queue_wait_ms_total: float
-    #: Aggregate engine execution wall clock.
-    execute_ms_total: float
-    #: Completed-query counts per worker index.
+    #: Queries each worker index picked up (completed + failed).
     per_worker: list[int] = field(default_factory=list)
     #: Snapshot of the shared plan cache (may include other servers'
     #: traffic when the cache is shared).
@@ -93,7 +94,8 @@ class ServerStats:
     #: End-to-end latency distribution (queue wait + plan + execute)
     #: over *completed* queries, as a frozen histogram snapshot.
     latency: HistogramSnapshot | None = None
-    #: Admission-queue wait distribution over completed queries.
+    #: Admission-queue wait distribution over completed + failed
+    #: queries.
     queue_wait: HistogramSnapshot | None = None
 
     @property

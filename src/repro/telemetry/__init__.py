@@ -15,7 +15,8 @@ a result are its tier facts plus what is read off that record once
   trace-event JSON (Perfetto) or JSONL.
 * **Metrics** (:mod:`repro.telemetry.metrics`) — counters, gauges, and
   log-bucket latency histograms with a Prometheus text exposition
-  (``Server.metrics_text()``, ``repro metrics``).
+  (``Server.metrics_text()``, ``repro metrics``); ``observe_result``
+  folds each finished query into a registry.
 * **EXPLAIN ANALYZE** (:mod:`repro.telemetry.explain`) —
   ``Session.explain(sql, analyze=True)`` / ``repro explain --analyze``:
   render the record's per-pipeline movement/time table.
@@ -70,6 +71,8 @@ from .metrics import (
     Histogram,
     HistogramSnapshot,
     MetricsRegistry,
+    count_query,
+    observe_result,
     parse_prometheus_text,
     render_prometheus,
 )
@@ -104,6 +107,7 @@ __all__ = [
     "Tracer",
     "active_tracer",
     "check_baselines",
+    "count_query",
     "current_query",
     "disable_tracing",
     "enable_tracing",
@@ -111,6 +115,7 @@ __all__ = [
     "install_log",
     "load_baselines",
     "new_query_id",
+    "observe_result",
     "parse_prometheus_text",
     "query_scope",
     "record_baselines",

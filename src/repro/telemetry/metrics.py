@@ -6,6 +6,12 @@ the Prometheus text exposition format (``render_prometheus``), and the
 module ships a deliberately small :func:`parse_prometheus_text` so CI
 and tests can check that what we expose actually parses.
 
+:func:`observe_result` is the one place a finished query becomes
+samples: ``Session._execute`` — the lifecycle a
+:class:`~repro.serving.Server`'s workers run too — calls it once per
+completed query, so both front doors count the same families the same
+way.
+
 Histograms use **fixed log-2 buckets** (sub-millisecond to tens of
 seconds by default) so percentile queries are O(buckets) and two
 histograms are always mergeable bucket-by-bucket.  ``percentile``
@@ -29,6 +35,8 @@ __all__ = [
     "Histogram",
     "HistogramSnapshot",
     "MetricsRegistry",
+    "count_query",
+    "observe_result",
     "parse_prometheus_text",
     "render_prometheus",
 ]
@@ -56,8 +64,9 @@ class Counter:
             self._value += amount
 
     def set_total(self, value: float) -> None:
-        """Sync to an externally tracked monotonic total (scrape-time
-        export of counters the server already maintains elsewhere)."""
+        """Sync to a monotonic total a component owns (a scrape-time
+        collector of, e.g., a buffer pool's or the event log's state).
+        A per-query fact is counted by :func:`observe_result` instead."""
         with self._lock:
             self._value = max(self._value, float(value))
 
@@ -227,7 +236,8 @@ class MetricsRegistry:
 
     ``counter``/``gauge``/``histogram`` are get-or-create: the first
     call registers the family (name, help text, type), later calls with
-    the same name and labels return the same instrument.
+    the same name and labels return the same instrument.  A reader may
+    leave ``help`` empty; the first caller that gives one sets it.
     """
 
     def __init__(self) -> None:
@@ -264,6 +274,7 @@ class MetricsRegistry:
                 raise ValueError(
                     f"metric {name!r} already registered as {family.kind}"
                 )
+            family.help = family.help or help
             instrument = family.instances.get(key)
             if instrument is None:
                 instrument = factory()
@@ -406,3 +417,176 @@ def parse_prometheus_text(text: str) -> dict:
         value = float("inf") if value_text == "+Inf" else float(value_text)
         samples.setdefault(match.group("name"), []).append((labels, value))
     return samples
+
+
+# ----------------------------------------------------------------------
+# the per-query fold
+# ----------------------------------------------------------------------
+def count_query(metrics: MetricsRegistry, status: str) -> None:
+    """Count one query that ended in ``status``."""
+    metrics.counter(
+        "repro_queries_total", "Queries by final status", status=status
+    ).inc()
+
+
+def observe_result(metrics: MetricsRegistry, result, **labels) -> None:
+    """Fold one finished ``ExecutionResult`` into ``metrics``, reading
+    only the result: ``serving``, ``compression``, ``scaleout`` (shares
+    and recovery) and ``optimizer``.  ``labels`` (a server worker's
+    ``worker=``) go on the scale-out, fault and optimizer families."""
+    count_query(metrics, "completed")
+    serving = result.serving
+    if serving is not None:
+        metrics.histogram(
+            "repro_query_latency_ms",
+            "End-to-end query latency: queue wait + plan + execute (host ms)",
+        ).observe(serving.total_ms)
+        hit = serving.plan_cache_hit
+        if hit is not None:  # a plan object bypasses the cache
+            for outcome, value in (("hit", hit), ("miss", not hit)):
+                metrics.counter(
+                    "repro_plan_cache_lookups_total", "Plan-cache outcomes",
+                    outcome=outcome,
+                ).inc(value)
+        for outcome, value in (
+            ("hit", serving.compile_hits), ("miss", serving.compile_misses)
+        ):
+            metrics.counter(
+                "repro_kernel_cache_lookups_total",
+                "Compiled-kernel cache outcomes", outcome=outcome,
+            ).inc(value)
+    if result.compression is not None:
+        _observe_compression(metrics, result.compression)
+    if result.scaleout is not None:
+        _observe_scaleout(metrics, result.scaleout, labels)
+    if result.optimizer is not None:
+        _observe_optimizer(metrics, result.optimizer, labels)
+
+
+def _observe_compression(metrics: MetricsRegistry, stats) -> None:
+    for name, help, value in (
+        ("raw_bytes", "Pre-compression bytes of link transfers", stats.raw_bytes),
+        ("wire_bytes", "Bytes actually moved over the interconnect", stats.wire_bytes),
+        ("saved_bytes", "Link bytes avoided by columnar compression",
+         max(stats.saved_bytes, 0)),
+        ("decode_kernels", "Decompression kernels launched on-device",
+         stats.decode_kernels),
+        ("compressed_scans", "Predicate conjuncts executed directly on wire images",
+         stats.compressed_scans),
+        ("scan_blocks_skipped",
+         "Packed blocks skipped via min/max tests during compressed scans",
+         stats.scan_blocks_skipped),
+        ("deferred_decodes",
+         "Columns whose raw form never materialized in device memory",
+         stats.deferred_columns),
+        ("partial_decode_bytes",
+         "Raw bytes' worth of values decoded in registers by consuming kernels",
+         stats.partial_decode_bytes),
+        ("host_decode_bytes", "Raw bytes of D2H partials decoded host-side",
+         stats.host_decode_bytes),
+    ):
+        metrics.counter(f"repro_compression_{name}_total", help).inc(value)
+    metrics.histogram(
+        "repro_compression_ratio",
+        "Per-query raw/wire compression ratio",
+        buckets=(1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 16.0),
+    ).observe(stats.ratio)
+    for codec, count in stats.codecs.items():
+        metrics.counter(
+            "repro_compression_columns_total",
+            "Columns transferred, by wire codec", codec=codec,
+        ).inc(count)
+
+
+def _observe_scaleout(metrics: MetricsRegistry, stats, labels: dict) -> None:
+    from ..faults.recovery import RecoveryStats
+
+    metrics.gauge(
+        "repro_scaleout_devices", "Fleet size of the scale-out executor", **labels
+    ).set(stats.devices)
+    metrics.counter(
+        "repro_scaleout_queries_total", "Queries executed by the fleet", **labels
+    ).inc()
+    metrics.counter(
+        "repro_scaleout_fallbacks_total",
+        "Queries that ran unpartitioned on one device", **labels,
+    ).inc(stats.fallback)
+    shares = {share.device: share for share in stats.shares}
+    # Every fleet device gets a sample, the ones that ran nothing a 0.
+    for device in range(stats.devices):
+        share = shares.get(device)
+        for name, help in (
+            ("morsels", "Fact morsels executed per device"),
+            ("busy_ms", "Simulated busy milliseconds per device"),
+            ("pcie_bytes", "PCIe bytes (h2d + d2h) per device"),
+        ):
+            metrics.counter(
+                f"repro_scaleout_device_{name}_total", help,
+                device=str(device), **labels,
+            ).inc(getattr(share, name) if share is not None else 0)
+    # The unpartitioned fallback bypasses recovery: all zeros.
+    recovery = stats.recovery or RecoveryStats()
+    lost = len(recovery.degraded_devices)
+    metrics.gauge(
+        "repro_faults_live_devices",
+        "Devices in service after the most recent query", **labels,
+    ).set(stats.devices - lost)
+    for kind, count in recovery.injected.items():
+        metrics.counter(
+            "repro_faults_injected_total",
+            "Injected faults fired, by kind", kind=kind, **labels,
+        ).inc(count)
+    for name, help, value in (
+        ("retries", "Same-device morsel retries", recovery.retries),
+        ("backoff_ms", "Simulated retry backoff milliseconds", recovery.backoff_ms),
+        ("redistributed_morsels", "Morsels re-scheduled onto surviving devices",
+         recovery.redistributed_morsels),
+        ("timeouts", "Morsel attempts abandoned past the morsel timeout",
+         recovery.timeouts),
+        ("lost_devices", "Device losses suffered across all queries", lost),
+        ("host_fallbacks", "Queries degraded to the host out-of-core fallback",
+         recovery.host_fallback),
+        ("queries", "Queries that saw any fault or recovery action",
+         recovery.faulted),
+    ):
+        metrics.counter(f"repro_faults_{name}_total", help, **labels).inc(value)
+
+
+def _observe_optimizer(metrics: MetricsRegistry, decision, labels: dict) -> None:
+    metrics.counter(
+        "repro_optimizer_decisions_total",
+        "Strategy decisions made by the adaptive optimizer", **labels,
+    ).inc()
+    metrics.counter(
+        "repro_optimizer_oom_fallbacks_total",
+        "Auto executions that hit the DeviceMemoryError safety net", **labels,
+    ).inc(decision.oom_fallback)
+    metrics.counter(
+        "repro_optimizer_strategies_total", "Executions by chosen strategy",
+        strategy=decision.chosen.describe(), **labels,
+    ).inc()
+    metrics.histogram(
+        "repro_optimizer_advise_ms",
+        "Advisor planning overhead per query (ms)", **labels,
+    ).observe(decision.advise_ms)
+    error = decision.error_fraction()
+    if error is not None:
+        metrics.histogram(
+            "repro_optimizer_prediction_error",
+            "Relative predicted-vs-observed latency error", **labels,
+        ).observe(error)
+    accuracy = decision.accuracy
+    metrics.gauge(
+        "repro_optimizer_calibration_samples",
+        "Prediction/observation pairs in the accuracy window", **labels,
+    ).set(accuracy.samples)
+    for name, help, value in (
+        ("byte", "Median relative predicted-vs-observed PCIe byte error",
+         accuracy.median_byte_error),
+        ("time", "Median relative predicted-vs-observed latency error",
+         accuracy.median_time_error),
+    ):
+        if value is not None:
+            metrics.gauge(
+                f"repro_optimizer_median_{name}_error", help, **labels
+            ).set(value)

@@ -30,6 +30,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.api import Session
 from repro.engines import make_engine
 from repro.faults import FaultPlan, RetryPolicy
 from repro.scaleout import PARTITION_SCHEMES, ScaleOutExecutor
@@ -302,22 +303,21 @@ def _counter_values(text: str, name: str) -> dict:
 
 def test_recovery_stats_reconcile_with_metrics(ssb_db):
     fault_plan = FaultPlan.generate(seed=5, devices=3, morsels=6)
-    executor = ScaleOutExecutor(3, fault_plan=fault_plan)
-    engine = make_engine("resolution")
+    metrics = MetricsRegistry()
+    session = Session(
+        ssb_db, engine="resolution", devices=3, fault_plan=fault_plan,
+        metrics=metrics,
+    )
     injected: dict = {}
     retries = redistributed = timeouts = fallbacks = 0
     for name in SSB_CHAOS:
-        recovery = executor.execute(
-            engine, ssb_plan(name, ssb_db), ssb_db
-        ).scaleout.recovery
+        recovery = session.execute(ssb_plan(name, ssb_db)).scaleout.recovery
         for kind, count in recovery.injected.items():
             injected[kind] = injected.get(kind, 0) + count
         retries += recovery.retries
         redistributed += recovery.redistributed_morsels
         timeouts += recovery.timeouts
         fallbacks += int(recovery.host_fallback)
-    metrics = MetricsRegistry()
-    executor.observe_metrics(metrics)
     text = metrics.render()
     by_kind = _counter_values(text, "repro_faults_injected_total")
     assert sum(by_kind.values()) == sum(injected.values())

@@ -615,13 +615,19 @@ def test_auto_configuration_errors(ssb_db):
 
 
 def test_auto_metrics_exported(ssb_db):
-    from repro.telemetry.metrics import MetricsRegistry
+    """The optimizer families count queries, not scrapes: 13 auto
+    queries scraped three times read 13 on every scrape."""
+    from repro.serving import Server
+    from repro.telemetry.metrics import parse_prometheus_text
 
-    auto = AutoExecutor(GTX970, PCIE3)
-    auto.execute(_physical(microbench.projection_query(5), ssb_db), ssb_db)
-    registry = MetricsRegistry()
-    auto.observe_metrics(registry, worker="0")
-    text = registry.render()
-    assert "repro_optimizer_decisions_total" in text
-    assert "repro_optimizer_oom_fallbacks_total" in text
-    assert "repro_optimizer_advise_ms" in text
+    queries = [SSB_QUERIES[name] for name in sorted(SSB_QUERIES)]
+    with Server(ssb_db, engine="auto", workers=1) as server:
+        server.execute_many(queries)
+        scrapes = [parse_prometheus_text(server.metrics_text()) for _ in range(3)]
+    for parsed in scrapes:
+        assert parsed["repro_optimizer_decisions_total"] == [({"worker": "0"}, 13.0)]
+        assert parsed["repro_optimizer_oom_fallbacks_total"] == [({"worker": "0"}, 0.0)]
+        assert sum(v for _l, v in parsed["repro_optimizer_strategies_total"]) == 13
+        for family in ("advise_ms", "prediction_error"):
+            counts = parsed[f"repro_optimizer_{family}_count"]
+            assert counts == [({"worker": "0"}, 13.0)], family

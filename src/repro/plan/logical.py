@@ -63,6 +63,13 @@ class PlanSchema:
 class LogicalPlan:
     """Base class of logical operator nodes."""
 
+    #: What :func:`repro.serving.plan_cache.resolve_plan` extracted this
+    #: plan *object* to: ``(database fingerprint, PhysicalQuery)``.  Not
+    #: a dataclass field of any node, so not part of its value: an equal
+    #: plan built anew starts with ``None``.  A plan is read, never
+    #: edited, once it has run; change a query by building a new plan.
+    resolved: tuple | None = None
+
     def schema(self, database: Database) -> PlanSchema:
         raise NotImplementedError
 

@@ -33,13 +33,30 @@ from ..hardware.traffic import AtomicBatch, MemoryLevel, TrafficMeter
 from .common import DEFAULT_CTA_SIZE, log2_ceil, num_blocks
 
 
+#: Integer keys whose combined value span is at most this many times
+#: the row count (or at most :data:`DENSE_SPAN_FLOOR`) are grouped by a
+#: presence bitmap over the span instead of a sort.
+DENSE_SPAN_FACTOR = 4
+DENSE_SPAN_FLOOR = 4096
+_INT64_MAX = int(np.iinfo(np.int64).max)
+#: Largest integer sum a float64 ``bincount`` still adds exactly.
+_FLOAT_EXACT = 2**53
+
+
+def dense_span_limit(n: int) -> int:
+    """The widest combined key span :func:`factorize` groups densely."""
+    return max(DENSE_SPAN_FACTOR * n, DENSE_SPAN_FLOOR)
+
+
 def factorize(key_arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
     """Map composite keys to dense group codes.
 
     Returns ``(codes, unique_keys)`` where ``codes[i]`` is the dense
     group id of row ``i`` and ``unique_keys[k][g]`` is the ``k``-th key
     component of group ``g``.  Group ids are assigned in sorted key
-    order, making results deterministic across engines.
+    order, making results deterministic across engines.  Integer keys
+    of a narrow span take :func:`_dense_factorize`; the output is the
+    same either way.
     """
     if not key_arrays:
         raise ExpressionError("factorize needs at least one key array")
@@ -48,6 +65,9 @@ def factorize(key_arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray
         raise ExpressionError("key arrays must have equal length")
     if n == 0:
         return np.zeros(0, dtype=np.int64), [array[:0] for array in key_arrays]
+    dense = _dense_factorize(key_arrays, dense_span_limit(n))
+    if dense is not None:
+        return dense
     if len(key_arrays) == 1:
         uniques, inverse = np.unique(key_arrays[0], return_inverse=True)
         return inverse.astype(np.int64), [uniques]
@@ -64,24 +84,80 @@ def factorize(key_arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray
     return codes, uniques
 
 
+def _dense_factorize(key_arrays: list[np.ndarray], limit: int):
+    """:func:`factorize` in O(rows + span) for integer keys, or ``None``.
+
+    Each column's offset from its minimum is folded mixed-radix into one
+    code, first column most significant, so ascending codes are the
+    sorted key order; a presence bitmap over the codes and its prefix
+    sum give each row its group.  ``None`` when a column is not integral,
+    holds a value beyond int64 (uint64 >= 2**63), or the product of the
+    spans exceeds ``limit``.
+    """
+    bounds = []
+    total = 1
+    for array in key_arrays:
+        if array.dtype.kind not in "iu":
+            return None
+        low, high = int(array.min()), int(array.max())
+        total *= high - low + 1
+        if high > _INT64_MAX or total > limit:
+            return None
+        bounds.append((low, high - low + 1))
+    combined = None
+    for array, (low, span) in zip(key_arrays, bounds):
+        offset = array.astype(np.int64)
+        offset -= low
+        if combined is None:
+            combined = offset
+        else:
+            combined *= span
+            combined += offset
+    present = np.zeros(total, dtype=bool)
+    present[combined] = True
+    rank = np.cumsum(present, dtype=np.int64)
+    rank -= 1
+    codes = rank[combined]
+    seen = np.flatnonzero(present)
+    uniques = []
+    for array, (low, span) in reversed(list(zip(key_arrays, bounds))):
+        uniques.append((seen % span + low).astype(array.dtype))
+        seen //= span
+    return codes, uniques[::-1]
+
+
 def grouped_reduce(codes: np.ndarray, num_groups: int, values: np.ndarray, op: str) -> np.ndarray:
-    """Reduce ``values`` into ``num_groups`` buckets keyed by ``codes``."""
+    """Reduce ``values`` into ``num_groups`` buckets keyed by ``codes``.
+
+    Integer values reduce exactly: a sum goes through float64
+    ``bincount`` only where no partial sum can pass 2**53, else it
+    accumulates in int64 (wrapping like ``np.sum``); min and max stay in
+    the values' own dtype.
+    """
     if op == "count":
         return np.bincount(codes, minlength=num_groups).astype(np.int64)
     values = np.asarray(values)
+    integral = values.dtype.kind in "iu"
     if op == "sum":
-        if np.issubdtype(values.dtype, np.integer):
-            return np.bincount(codes, weights=values.astype(np.float64), minlength=num_groups).astype(np.int64)
-        return np.bincount(codes, weights=values.astype(np.float64), minlength=num_groups)
-    if op == "min":
-        out = np.full(num_groups, np.inf)
-        np.minimum.at(out, codes, values.astype(np.float64))
-        return out.astype(values.dtype) if np.issubdtype(values.dtype, np.integer) else out
-    if op == "max":
-        out = np.full(num_groups, -np.inf)
-        np.maximum.at(out, codes, values.astype(np.float64))
-        return out.astype(values.dtype) if np.issubdtype(values.dtype, np.integer) else out
-    raise ExpressionError(f"unknown aggregate {op!r}")
+        if integral and len(values) and (
+            max(int(values.max()), -int(values.min())) * len(values) >= _FLOAT_EXACT
+        ):
+            out = np.zeros(num_groups, dtype=np.int64)
+            np.add.at(out, codes, values.astype(np.int64))
+            return out
+        sums = np.bincount(codes, weights=values.astype(np.float64), minlength=num_groups)
+        return sums.astype(np.int64) if integral else sums
+    if op not in ("min", "max"):
+        raise ExpressionError(f"unknown aggregate {op!r}")
+    reduce = np.minimum if op == "min" else np.maximum
+    if integral:
+        info = np.iinfo(values.dtype)
+        out = np.full(num_groups, info.max if op == "min" else info.min, dtype=values.dtype)
+        reduce.at(out, codes, values)
+        return out
+    out = np.full(num_groups, np.inf if op == "min" else -np.inf)
+    reduce.at(out, codes, values.astype(np.float64))
+    return out
 
 
 @dataclass
@@ -175,15 +251,7 @@ def segmented_hash_aggregate(
     that saw the group.
     """
     n = len(codes)
-    if n:
-        cta_of = np.arange(n, dtype=np.int64) // cta_size
-        pairs = np.unique(cta_of * max(num_groups, 1) + codes)
-        distinct_pairs = len(pairs)
-        pair_groups = pairs % max(num_groups, 1)
-        max_chain = int(np.bincount(pair_groups, minlength=max(num_groups, 1)).max())
-    else:
-        distinct_pairs = 0
-        max_chain = 0
+    distinct_pairs, max_chain = cta_group_drivers(codes, num_groups, cta_size)
     charge_segmented_hash_aggregate(meter, n, distinct_pairs, max_chain, entry_bytes, cta_size)
     return HashAggregateCost(
         inputs=n,
@@ -191,6 +259,32 @@ def segmented_hash_aggregate(
         global_atomics=distinct_pairs,
         max_chain=max_chain,
     )
+
+
+def cta_group_drivers(codes: np.ndarray, num_groups: int, cta_size: int = DEFAULT_CTA_SIZE):
+    """C3's observed drivers: the distinct (CTA, group) pairs among the
+    ``codes`` (each CTA a ``cta_size`` slice), and the most CTAs any one
+    group is seen by.  Each slice is sorted on its own, as the CTA sorts
+    it in scratchpad; the last one is padded with its own final code,
+    which adds no pair."""
+    n = len(codes)
+    if not n:
+        return 0, 0
+    blocks = num_blocks(n, cta_size)
+    pad = blocks * cta_size - n
+    # Quicksort is vectorized for 16-, 32- and 64-bit integers, and the
+    # narrowest is fastest; codes are in [0, num_groups).
+    narrow = np.int16 if num_groups <= 1 << 15 else np.int32 if num_groups <= 1 << 31 else np.int64
+    slices = codes.astype(narrow)
+    if pad:
+        slices = np.concatenate([slices, np.full(pad, slices[-1], dtype=slices.dtype)])
+    slices = np.sort(slices.reshape(blocks, cta_size), axis=1)
+    first = np.empty(slices.shape, dtype=bool)
+    first[:, 0] = True
+    np.not_equal(slices[:, 1:], slices[:, :-1], out=first[:, 1:])
+    seen = slices[first]
+    max_chain = int(np.bincount(seen, minlength=max(num_groups, 1)).max())
+    return len(seen), max_chain
 
 
 def uniform_group_drivers(n: int, num_groups: int, cta_size: int = DEFAULT_CTA_SIZE):

@@ -83,6 +83,21 @@ def normalize_sql(text: str) -> str:
     return normalized[:-1].rstrip() if normalized.endswith(";") else normalized
 
 
+def resolve_plan(plan: LogicalPlan, database: Database) -> PhysicalQuery:
+    """The physical plan ``plan`` extracts to on ``database``, kept on
+    the plan *object* (:attr:`LogicalPlan.resolved`) like
+    :attr:`~repro.plan.physical.Pipeline.kernels`: an equal plan built
+    anew, or a catalog at another fingerprint, extracts again.  Two
+    workers racing here extract equal plans; either stays."""
+    version = database.fingerprint()
+    resolved = plan.resolved
+    if resolved is not None and resolved[0] == version:
+        return resolved[1]
+    physical = extract_pipelines(plan, database)
+    plan.resolved = (version, physical)
+    return physical
+
+
 @dataclass
 class PlanCacheStats:
     """A snapshot of one plan cache's counters."""
@@ -140,12 +155,14 @@ class PlanCache:
         + the caller's ``strategy`` token (any hashable naming the
         resolved execution configuration; sessions with different
         pinned strategies — or auto vs. pinned — never share entries).
-        :class:`LogicalPlan` objects bypass the cache (they are already
-        past the expensive front end) and count as neither a hit nor a
-        miss: the counters are over SQL text, the only thing cached.
+        :class:`LogicalPlan` objects bypass the LRU and count as neither
+        a hit nor a miss: the counters are over SQL text.  The plan
+        object itself keeps what it resolved to (:func:`resolve_plan`),
+        so a reused object comes back with its pipelines, their kernels
+        and its cost estimates.
         """
         if isinstance(query, LogicalPlan):
-            return extract_pipelines(query, database), False
+            return resolve_plan(query, database), False
         key = self._key(query, database, strategy)
         with self._lock:
             cached = self._entries.get(key)

@@ -213,6 +213,30 @@ def test_plan_object_estimates_belong_to_one_statistics_configuration(ssb_db):
     assert len(query.estimates) == 2
 
 
+def test_a_reused_plan_object_is_priced_once(ssb_db, monkeypatch):
+    """A plan object keeps what it resolved to, and with it the
+    pipeline estimates: a second ``advise`` of the same object runs no
+    estimator engine and decides identically; an equal plan built anew
+    is priced anew."""
+    from dataclasses import asdict
+
+    import repro.optimizer.cost as cost
+
+    session = Session(ssb_db, engine="auto", compression="auto")
+    plan = microbench.star_join_aggregate_query()
+    first = session.optimizer_decision(plan)
+    priced = []
+    real = cost.make_engine
+    monkeypatch.setattr(cost, "make_engine", lambda name: priced.append(name) or real(name))
+    second = session.optimizer_decision(plan)
+    assert priced == []
+    assert second.chosen == first.chosen
+    assert [asdict(c) for c in second.candidates] == [asdict(c) for c in first.candidates]
+    rebuilt = session.optimizer_decision(microbench.star_join_aggregate_query())
+    assert priced
+    assert [asdict(c) for c in rebuilt.candidates] == [asdict(c) for c in first.candidates]
+
+
 def test_accuracy_window_byte_and_time_error():
     window = AccuracyWindow(history=4)
     # A fresh window has seen nothing (what ``reset`` used to restore).

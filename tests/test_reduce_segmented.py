@@ -20,6 +20,11 @@ from repro.primitives import (
     reduce_reference,
     segmented_hash_aggregate,
 )
+from repro.primitives.segmented import (
+    _dense_factorize,
+    cta_group_drivers,
+    dense_span_limit,
+)
 
 
 class TestReduceReference:
@@ -171,6 +176,122 @@ class TestGroupedReduce:
         for group in range(5):
             expected = sum(value for code, value in rows if code == group)
             assert sums[group] == expected
+
+    def test_integer_sums_are_exact_beyond_float64(self):
+        """A float64 ``bincount`` rounds 2**53 + 1 back to 2**53; the
+        grouped sum must agree with the ungrouped ``np.sum``."""
+        codes = np.array([0, 0, 1])
+        values = np.array([2**53, 1, 5], dtype=np.int64)
+        out = grouped_reduce(codes, 2, values, "sum")
+        assert out.dtype == np.int64
+        assert out.tolist() == [2**53 + 1, 5]
+        assert out[0] == np.sum(values[:2])
+
+    def test_integer_min_max_keep_their_dtype(self):
+        codes = np.array([1, 0, 1, 0])
+        values = np.array([2**62 + 1, -(2**62) - 1, 2**62 + 3, -(2**62) - 3], dtype=np.int64)
+        assert grouped_reduce(codes, 2, values, "min").tolist() == [-(2**62) - 3, 2**62 + 1]
+        assert grouped_reduce(codes, 2, values, "max").tolist() == [-(2**62) - 1, 2**62 + 3]
+        small = np.array([3, -4, 5, 6], dtype=np.int8)
+        out = grouped_reduce(codes, 2, small, "max")
+        assert out.dtype == np.int8
+        assert out.tolist() == [6, 5]
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 3), st.integers(-(2**60), 2**60)),
+            min_size=1,
+            max_size=7,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_wide_sums_min_max_match_python(self, rows):
+        codes = np.array([row[0] for row in rows], dtype=np.int64)
+        values = np.array([row[1] for row in rows], dtype=np.int64)
+        for op, fold in (("sum", sum), ("min", min), ("max", max)):
+            out = grouped_reduce(codes, 4, values, op)
+            for group in range(4):
+                members = [value for code, value in rows if code == group]
+                if members:
+                    assert int(out[group]) == fold(members), (op, group)
+
+
+class TestGroupingAgainstSortReference:
+    """``factorize`` (dense or sorting) and C3's per-CTA drivers against
+    references built from Python sets and sorts."""
+
+    DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+    @staticmethod
+    def reference_factorize(columns):
+        rows = list(zip(*(column.tolist() for column in columns)))
+        groups = sorted(set(rows))
+        index = {group: code for code, group in enumerate(groups)}
+        return [index[row] for row in rows], [list(part) for part in zip(*groups)]
+
+    @staticmethod
+    def reference_c3(codes, cta_size):
+        pairs = {(row // cta_size, code) for row, code in enumerate(codes)}
+        per_group = {}
+        for _cta, code in pairs:
+            per_group[code] = per_group.get(code, 0) + 1
+        return len(pairs), max(per_group.values(), default=0)
+
+    @st.composite
+    def key_columns(draw):
+        n = draw(st.integers(0, 200))
+        columns = []
+        for _ in range(draw(st.integers(1, 3))):
+            dtype = np.dtype(draw(st.sampled_from(TestGroupingAgainstSortReference.DTYPES)))
+            info = np.iinfo(dtype)
+            span = draw(
+                st.one_of(
+                    st.integers(1, 40),  # dense
+                    st.integers(3000, 5000),  # both sides of the 4096 floor
+                    st.integers(10**5, 2**40),  # sorted
+                )
+            )
+            span = min(span, int(info.max) - int(info.min) + 1)
+            if dtype == np.uint64 and draw(st.booleans()):
+                low = 2**63 + draw(st.integers(0, 2**62))  # beyond int64
+            else:
+                low = draw(st.integers(int(info.min), int(info.max) - span + 1))
+            offsets = draw(st.lists(st.integers(0, span - 1), min_size=n, max_size=n))
+            columns.append(np.array([low + offset for offset in offsets], dtype=dtype))
+        return columns
+
+    @given(key_columns(), st.sampled_from([1, 3, 32, 256]))
+    @settings(max_examples=150, deadline=None)
+    def test_property_matches_sort_reference(self, columns, cta_size):
+        codes, uniques = factorize(columns)
+        expected_codes, expected_uniques = self.reference_factorize(columns)
+        assert codes.dtype == np.int64
+        assert codes.tolist() == expected_codes
+        for column, unique, expected in zip(columns, uniques, expected_uniques or [[]] * len(columns)):
+            assert unique.dtype == column.dtype
+            assert unique.tolist() == expected
+        groups = len(uniques[0])
+        assert cta_group_drivers(codes, groups, cta_size) == self.reference_c3(
+            expected_codes, cta_size
+        )
+
+    def test_the_dense_threshold(self):
+        n = 2000
+        limit = dense_span_limit(n)
+        for span, dense in ((limit, True), (limit + 1, False)):
+            column = np.arange(n, dtype=np.int64) * ((span - 1) // (n - 1))
+            column[-1] = span - 1
+            assert (_dense_factorize([column], limit) is not None) is dense
+            codes, uniques = factorize([column])
+            assert codes.tolist() == list(range(n))
+            assert uniques[0].tolist() == column.tolist()
+        # Two columns: the spans multiply.
+        left, right = np.array([0, 99]), np.array([0, 40])
+        assert _dense_factorize([left, right], 100 * 41) is not None
+        assert _dense_factorize([left, right], 100 * 41 - 1) is None
+        # Floats and uint64 beyond int64 always sort.
+        assert _dense_factorize([np.array([1.0, 2.0])], limit) is None
+        assert _dense_factorize([np.array([2**63, 2**63 + 1], dtype=np.uint64)], limit) is None
 
 
 class TestHashAggregateCosts:

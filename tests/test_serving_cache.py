@@ -170,15 +170,74 @@ def test_logical_plans_bypass_the_cache():
     plan = plan_sql(SQL, database)
     assert isinstance(plan, LogicalPlan)
     cache = PlanCache()
+    resolved = []
     for _ in range(2):
         physical, hit = cache.lookup(plan, database)
         assert hit is False
         assert physical.pipelines
+        resolved.append(physical)
     assert len(cache) == 0
     # Neither a hit nor a miss: the counters are over SQL text only, so
     # plan-object traffic cannot drag a hit rate it never touched.
     stats = cache.stats()
     assert (stats.hits, stats.misses, stats.hit_rate) == (0, 0, 0.0)
+    assert stats.size == 0
+    # The plan object keeps what it resolved to: the second lookup is
+    # the same physical plan, with its pipelines' kernels and estimates.
+    assert resolved[1] is resolved[0]
+
+
+def _counting_extractions(monkeypatch) -> list:
+    import repro.serving.plan_cache as plan_cache
+
+    calls = []
+    real = plan_cache.extract_pipelines
+
+    def counted(plan, database):
+        calls.append(plan)
+        return real(plan, database)
+
+    monkeypatch.setattr(plan_cache, "extract_pipelines", counted)
+    return calls
+
+
+def test_a_catalog_mutation_re_extracts_a_plan_object(monkeypatch):
+    database = _orders_db([7, 7])
+    plan = plan_sql(SQL, database)
+    cache = PlanCache()
+    calls = _counting_extractions(monkeypatch)
+    before, _ = cache.lookup(plan, database)
+    assert cache.lookup(plan, database)[0] is before
+    assert len(calls) == 1
+    database.replace(
+        "orders",
+        Table({"o_revenue": Column.int32([5, 6, 7]), "o_quantity": Column.int32([1, 2, 3])}),
+    )
+    after, hit = cache.lookup(plan, database)
+    assert hit is False
+    assert after is not before
+    assert len(calls) == 2
+    assert cache.lookup(plan, database)[0] is after
+    assert len(calls) == 2
+    # The same object against another catalog resolves anew as well.
+    other = _orders_db([1])
+    assert cache.lookup(plan, other)[0] is not after
+    assert len(calls) == 3
+    session = connect(database, plan_cache=cache)
+    assert session.execute(plan).table.sorted_rows() == [(18,)]
+
+
+def test_an_equal_rebuilt_plan_object_does_not_share_an_entry(monkeypatch):
+    database = _orders_db([7, 7])
+    plan, rebuilt = plan_sql(SQL, database), plan_sql(SQL, database)
+    assert plan == rebuilt and plan is not rebuilt
+    cache = PlanCache()
+    calls = _counting_extractions(monkeypatch)
+    first, _ = cache.lookup(plan, database)
+    second, _ = cache.lookup(rebuilt, database)
+    assert second is not first
+    assert len(calls) == 2 and calls[0] is plan and calls[1] is rebuilt
+    assert cache.stats().size == 0
 
 
 def test_capacity_must_be_positive():

@@ -27,8 +27,8 @@ Commands
     ``query --events-out`` / ``metrics --events-out``), with
     ``--kind`` / ``--query`` filters.
 ``baseline``
-    Record (``baseline record``) or check (``baseline check``) the
-    perf-regression sentinel's committed per-query fingerprints.
+    Record (``baseline record``) or check (``baseline check``, exact)
+    the one committed simulated-clock pin: 627 cases, one row each.
 ``replay``
     Re-execute a post-mortem bundle's query deterministically and
     verify the outcome byte-for-byte against the recorded checksums.
@@ -193,12 +193,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     baseline = sub.add_parser(
         "baseline",
-        help="record or check the perf-regression sentinel's baselines",
+        help="record or check the simulated-clock pin (627 cases, exact)",
     )
     baseline.add_argument(
         "action", choices=("record", "check"),
-        help="'record' re-measures and writes the store; 'check' "
-        "re-measures and diffs against it",
+        help="'record' measures and writes the store; 'check' "
+        "measures and compares it exactly",
     )
     baseline.add_argument(
         "--baseline", default=None, metavar="PATH",
@@ -206,12 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
         "perf_baselines.json)",
     )
     baseline.add_argument(
-        "--tolerance", type=float, default=1.0, metavar="SCALE",
-        help="scale every metric's tolerance band (default: 1.0)",
-    )
-    baseline.add_argument(
-        "--scale-factor", type=float, default=0.002,
-        help="workload scale factor for 'record' (default: 0.002)",
+        "--dump", default=None, metavar="FILE",
+        help="with 'check': also write every case's launches in full to "
+        "FILE (diff two commits' dumps when a launch digest drifts)",
     )
 
     replay = sub.add_parser(
@@ -631,10 +628,10 @@ def _cmd_baseline(args) -> int:
 
     path = args.baseline or DEFAULT_BASELINE_PATH
     if args.action == "record":
-        store = record_baselines(path=path, scale_factor=args.scale_factor)
-        print(f"recorded {len(store['queries'])} query baselines to {path}")
+        store = record_baselines(path=path)
+        print(f"recorded {len(store['cases'])} cases to {path}")
         return 0
-    report = check_baselines(path, tolerance_scale=args.tolerance)
+    report = check_baselines(path, dump=args.dump)
     print(report.render())
     return 0 if report.passed else 1
 

@@ -30,9 +30,10 @@ Plus the durable observability layer on top:
 * **Flight recorder** (:mod:`repro.telemetry.recorder`) — compact
   per-query records; failures (and chaos misses) produce self-contained
   post-mortem bundles replayable byte-for-byte via ``repro replay``.
-* **Regression sentinel** (:mod:`repro.telemetry.baseline`) —
-  committed perf fingerprints per benchmark query;
-  ``repro baseline record`` / ``repro baseline check`` gate CI against
+* **Simulated-clock pin** (:mod:`repro.telemetry.baseline`) — one
+  committed store of 627 cases (plan x engine x compression, and the
+  fleet), one row each; ``repro baseline record`` writes it and
+  ``repro baseline check`` compares it exactly, gating CI against
   silent cost-model or executor drift.
 
 The span tracer and the event log are off by default and near-zero-cost when

@@ -1,40 +1,52 @@
-"""Perf-regression sentinel: baseline store + drift checking.
+"""The simulated-clock pin: one case matrix, one store, one exact check.
 
-The simulator is deterministic: for a fixed workload recipe, device
-profile, and engine, every benchmark query's cost-model outputs —
-simulated time, PCIe and global-memory byte volumes, kernel-launch
-count, peak device allocation — are exactly reproducible.  That makes
-them a **perf fingerprint**: any code change that silently shifts the
-cost model or the executor's data movement shows up as drift against a
-committed baseline, long before a human notices a benchmark curve
-moved.
+The simulator is deterministic: for a fixed database, plan, engine,
+compression policy and fleet, every launch's name, elements and traffic
+meter, every link byte, the simulated milliseconds and the result
+itself are exactly reproducible.  This module holds the one committed
+pin of those quantities, so any code change that shifts the cost model
+or the executor's data movement shows up as drift (see
+``docs/observability.md``)::
 
-Workflow (see ``docs/observability.md``)::
+    repro baseline record          # measure the matrix, write the store
+    repro baseline check           # re-measure, compare exactly; exit 1 on drift
 
-    repro baseline record          # write benchmarks/baselines/*.json
-    repro baseline check           # compare a fresh run; exit 1 on drift
+The matrix (:func:`measure`) is 627 cases on the SSB SF 0.004 seed 7 and
+TPC-H SF 0.004 seed 11 databases:
 
-Byte/count metrics must match exactly; simulated-time metrics get a
-small relative tolerance band (float arithmetic across numpy versions)
-that ``--tolerance`` widens.  :func:`check_baselines` returns a
-:class:`DriftReport` whose ``render()`` is the human-readable
-per-metric drift table CI prints on failure.
+* 41 plans (13 SSB queries, 16 TPC-H builders, 9 micro plans and 3
+  edge plans) x 5 engines x compression ``off`` / ``auto`` / ``lazy``,
+  each on a fresh one-device session: ``"<plan>|<engine>|<compression>"``;
+* SSB q2.1 / q3.1 / q4.1 on a 4-device fleet: plain, pooled cold,
+  pooled warm (the second execution) and with device 1 lost at its
+  first morsel: ``"fleet:<query>|<mode>"``.
+
+Each case runs through :func:`repro.connect` and is reduced from
+``result.profile`` to one row: every simulated time as exact ``repr``
+text, every byte and count as an integer, the launch list, the
+``CompressionStats`` and the result (values in output order) as
+digests.  :func:`check_baselines` compares the rows with ``==`` and
+returns a :class:`DriftReport`.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+
+from ..faults import FaultPlan, FaultSpec
 
 __all__ = [
-    "BASELINE_QUERIES",
+    "COMPRESSION",
     "DEFAULT_BASELINE_PATH",
-    "DriftEntry",
+    "ENGINES",
+    "LOSS",
     "DriftReport",
     "check_baselines",
     "load_baselines",
-    "measure_fingerprint",
+    "measure",
     "record_baselines",
 ]
 
@@ -42,152 +54,260 @@ DEFAULT_BASELINE_PATH = os.path.join(
     "benchmarks", "baselines", "perf_baselines.json"
 )
 
-#: (workload, query) pairs fingerprinted by record/check.  The SSB four
-#: cover the chaos suite's star-join shapes; the TPC-H two cover the
-#: scan-heavy aggregate and the multi-aggregate group-by.
-BASELINE_QUERIES: tuple = (
-    ("ssb", "q1.1"),
-    ("ssb", "q2.1"),
-    ("ssb", "q3.2"),
-    ("ssb", "q4.1"),
-    ("tpch", "q1"),
-    ("tpch", "q6"),
-)
+ENGINES = ("resolution", "pipelined", "multipass", "vector", "operator-at-a-time")
+COMPRESSION = ("off", "auto", "lazy")
+FLEET_QUERIES = ("q2.1", "q3.1", "q4.1")
+FLEET_MODES = ("plain", "residency-cold", "residency-warm", "loss")
+FLEET_DEVICES = 4
 
-#: Relative tolerance per metric.  Bytes, launches, and rows are exact
-#: integers of the deterministic simulation — zero drift allowed; the
-#: simulated-time floats get a narrow band.
-METRIC_TOLERANCES = {
-    "sim_ms": 0.01,
-    "kernel_ms": 0.01,
-    "pcie_bytes": 0.0,
-    "global_bytes": 0.0,
-    "kernel_launches": 0.0,
-    "peak_alloc_bytes": 0.0,
-    "rows": 0.0,
+_STORE_VERSION = 2
+
+#: Every pinned quantity and how the store holds it (``[t]``: one entry
+#: per fleet device).  ``peak_alloc_bytes`` is on one-device cases only,
+#: the fleet clocks and per-device lists on fleet cases only.
+_FIELDS = {
+    "launches": int,
+    "launch_digest": str,
+    "total_ms": str,
+    "kernel_ms": str,
+    "input_bytes": int,
+    "output_bytes": int,
+    "global_bytes": int,
+    "peak_alloc_bytes": int,
+    "compression": (str, type(None)),
+    "rows": int,
+    "result": str,
+    "makespan_ms": str,
+    "serial_ms": str,
+    "share_kernel_ms": [str],
+    "share_transfer_ms": [str],
+    "share_busy_ms": [str],
+    # Kernels of each device's last turn.
+    "device_launches": [int],
 }
 
-_STORE_VERSION = 1
+
+#: Device 1 dies at its first morsel; the survivors re-run the build
+#: sides in a second wave and take over its pieces.
+LOSS = FaultPlan(specs=(FaultSpec(kind="device-loss", device=1, op="morsel"),))
 
 
 # ----------------------------------------------------------------------
-# measurement
+# the case matrix
 # ----------------------------------------------------------------------
-def measure_fingerprint(
-    workload: str,
-    name: str,
-    database,
-    profile,
-    engine_name: str = "resolution",
-    seed: int = 42,
-    compression=None,
-) -> dict:
-    """One query's perf fingerprint on a fresh device.
+def _plans(ssb, tpch) -> dict:
+    """``name -> (database, plan)``: the 13 SSB queries, all sixteen
+    TPC-H builders (q1 / q6 are the scan-heavy pair, the rest add semi
+    joins, a left join with defaults and virtual-table sources),
+    ``perf``'s nine micro plans and :func:`_edge_plans`."""
+    from ..workloads import SSB_QUERIES, TPCH_PLANS, microbench, ssb_plan, tpch_plan
 
-    ``compression`` (a mode string or policy) fingerprints the
-    compression-aware transfer path: ``pcie_bytes`` then counts wire
-    (compressed) bytes and ``global_bytes`` the register decodes and
-    compressed scans, so codec or chooser drift is caught exactly."""
-    from ..compression import resolve_compression
-    from ..engines import make_engine
-    from ..hardware.device import VirtualCoprocessor
-    from ..workloads import ssb_plan, tpch_plan
-    from .recorder import result_fingerprint
-
-    plan = (
-        tpch_plan(name, database) if workload == "tpch" else ssb_plan(name, database)
-    )
-    device = VirtualCoprocessor(profile)
-    device.compression = resolve_compression(compression)
-    result = make_engine(engine_name).execute(plan, database, device, seed=seed)
-    fingerprint = result_fingerprint(result)
-    fingerprint["peak_alloc_bytes"] = int(device.peak_allocated)
-    return fingerprint
+    out = {f"ssb:{name}": (ssb, ssb_plan(name, ssb)) for name in SSB_QUERIES}
+    for name in TPCH_PLANS:
+        out[f"tpch:{name}"] = (tpch, tpch_plan(name, tpch))
+    for x in (0, 25):
+        out[f"micro:proj-x{x}"] = (ssb, microbench.projection_query(x))
+        out[f"micro:agg-x{x}"] = (ssb, microbench.aggregation_query(x))
+    for groups in (1, 64, 16384):
+        out[f"micro:groupby-g{groups}"] = (ssb, microbench.group_by_query(groups))
+    out["micro:star-join"] = (ssb, microbench.star_join_query())
+    out["micro:star-join-agg"] = (ssb, microbench.star_join_aggregate_query())
+    for name, plan in _edge_plans().items():
+        out[f"edge:{name}"] = (ssb, plan)
+    return out
 
 
-def _measure_all(config: dict) -> dict:
-    from ..hardware.profiles import get_profile
+def _edge_plans() -> dict:
+    """What no benchmark query does: an anti join, a residual over a
+    payload after a narrowing probe, a left join with a default, each
+    followed by more stages, and a projection (``store``) after two
+    narrowing stages."""
+    from ..expressions import col
+    from ..plan import PlanBuilder
+
+    year_1993 = PlanBuilder.scan("date").filter(col("d_year") == 1993)
+    asia = PlanBuilder.scan("supplier").filter(col("s_region") == "ASIA")
+    return {
+        "anti-project": PlanBuilder.scan("lineorder")
+        .filter(col("lo_discount") < 4)
+        .join(year_1993, ["d_datekey"], ["lo_orderdate"], kind="anti")
+        .filter(col("lo_quantity") < 30)
+        .project(["lo_orderkey", ("net", col("lo_revenue") - col("lo_supplycost"))])
+        .build(),
+        "residual-group": PlanBuilder.scan("lineorder")
+        .join(year_1993, ["d_datekey"], ["lo_orderdate"], kind="semi")
+        .join(
+            PlanBuilder.scan("supplier"),
+            ["s_suppkey"],
+            ["lo_suppkey"],
+            payload=["s_nation", "s_suppkey"],
+            residual=col("lo_quantity") > col("s_suppkey") % 50,
+        )
+        .aggregate(
+            group_by=["s_nation"],
+            aggregates=[("sum", col("lo_revenue"), "revenue"), ("count", None, "n")],
+        )
+        .build(),
+        "left-default": PlanBuilder.scan("lineorder")
+        .filter(col("lo_quantity") < 10)
+        .join(
+            asia,
+            ["s_suppkey"],
+            ["lo_suppkey"],
+            payload=["s_suppkey"],
+            kind="left",
+            payload_defaults={"s_suppkey": -7},
+        )
+        .filter(col("lo_discount") > 1)
+        .aggregate(
+            group_by=[("asian", col("s_suppkey") >= 0)],
+            aggregates=[("sum", col("lo_revenue"), "revenue"), ("avg", col("s_suppkey"), "key")],
+        )
+        .build(),
+    }
+
+
+def _cases(ssb, tpch) -> dict:
+    """``case -> (database, query, connect options, executions)``."""
+    from ..workloads import SSB_QUERIES
+
+    cases = {
+        f"{name}|{engine}|{compression}": (
+            database, plan, {"engine": engine, "compression": compression}, 1
+        )
+        for name, (database, plan) in _plans(ssb, tpch).items()
+        for engine in ENGINES
+        for compression in COMPRESSION
+    }
+    for name in FLEET_QUERIES:
+        for mode in FLEET_MODES:
+            options = {
+                "devices": FLEET_DEVICES,
+                "residency": mode.startswith("residency"),
+                "fault_plan": LOSS if mode == "loss" else None,
+            }
+            executions = 2 if mode == "residency-warm" else 1
+            cases[f"fleet:{name}|{mode}"] = (ssb, SSB_QUERIES[name], options, executions)
+    return cases
+
+
+def _digest(payload) -> str:
+    return hashlib.sha256(
+        json.dumps(payload, sort_keys=True).encode()
+    ).hexdigest()[:20]
+
+
+def _observe(session, result) -> tuple[dict, list]:
+    """One case's pinned row, and its launch list in full."""
+    from .recorder import table_checksum
+
+    launches = [
+        [trace.name, trace.elements, trace.meter.snapshot()]
+        for trace in result.profile.kernels
+    ]
+    stats = None
+    if result.compression is not None:
+        stats = asdict(result.compression)
+        stats["decode_ms_by_codec"] = {
+            codec: repr(ms) for codec, ms in stats["decode_ms_by_codec"].items()
+        }
+    row = {
+        "launches": len(launches),
+        "launch_digest": _digest(launches),
+        "total_ms": repr(result.total_ms),
+        "kernel_ms": repr(result.kernel_ms),
+        "input_bytes": int(result.input_bytes),
+        "output_bytes": int(result.output_bytes),
+        "global_bytes": int(result.global_memory_bytes),
+        "compression": None if stats is None else _digest(stats),
+        "rows": result.table.num_rows,
+        # Per column: dtype + raw values, in output order.
+        "result": _digest(table_checksum(result.table)),
+    }
+    if session.scaleout is None:
+        row["peak_alloc_bytes"] = int(session.device.peak_allocated)
+        return row, launches
+    fleet = result.scaleout
+    for name in ("kernel_ms", "transfer_ms", "busy_ms"):
+        row[f"share_{name}"] = [repr(getattr(share, name)) for share in fleet.shares]
+    row["makespan_ms"] = repr(fleet.makespan_ms)
+    row["serial_ms"] = repr(fleet.serial_ms)
+    row["device_launches"] = [
+        len(device.log.kernels) for device in session.scaleout.fleet.devices
+    ]
+    return row, launches
+
+
+def measure(keys=None, dump: str | None = None) -> dict:
+    """``case -> row`` for every case of the matrix, or for ``keys``.
+
+    ``dump`` also writes each row with its launches in full
+    (``launch_list``: name, elements, meter), to diff two commits when
+    a ``launch_digest`` moves."""
+    import repro
     from ..workloads import generate_ssb, generate_tpch
 
-    profile = get_profile(config["device"])
-    databases = {}
-    fingerprints = {}
-    for workload, name in BASELINE_QUERIES:
-        if workload not in databases:
-            if workload == "tpch":
-                databases[workload] = generate_tpch(
-                    config["scale_factor"], seed=config["data_seed"]
-                )
-            else:
-                databases[workload] = generate_ssb(
-                    config["scale_factor"], seed=config["data_seed"]
-                )
-        fingerprints[f"{workload}:{name}"] = measure_fingerprint(
-            workload,
-            name,
-            databases[workload],
-            profile,
-            engine_name=config["engine"],
-            seed=config["seed"],
-        )
-        # Compressed-transfer twin: same query under compression="auto".
-        # Wire bytes and fused-decode traffic are exactly deterministic,
-        # so codec / chooser / scan-strategy drift fails the check too
-        # (and a twin slower than its plain query is a policy that lost).
-        fingerprints[f"{workload}:{name}:compressed"] = measure_fingerprint(
-            workload,
-            name,
-            databases[workload],
-            profile,
-            engine_name=config["engine"],
-            seed=config["seed"],
-            compression="auto",
-        )
-        # The alias: compression="lazy" must stay the same policy.
-        fingerprints[f"{workload}:{name}:lazy"] = measure_fingerprint(
-            workload,
-            name,
-            databases[workload],
-            profile,
-            engine_name=config["engine"],
-            seed=config["seed"],
-            compression="lazy",
-        )
-    return fingerprints
+    cases = _cases(
+        generate_ssb(scale_factor=0.004, seed=7),
+        generate_tpch(scale_factor=0.004, seed=11),
+    )
+    rows = {}
+    launch_lists = {}
+    for key in cases if keys is None else keys:
+        database, query, options, executions = cases[key]
+        session = repro.connect(database, **options)
+        for _ in range(executions):
+            result = session.execute(query)
+        rows[key], launch_lists[key] = _observe(session, result)
+    if dump is not None:
+        with open(dump, "w", encoding="utf-8") as handle:
+            json.dump(
+                {key: dict(row, launch_list=launch_lists[key]) for key, row in rows.items()},
+                handle,
+                sort_keys=True,
+            )
+    return rows
 
 
-def record_baselines(
-    path: str | None = None,
-    scale_factor: float = 0.002,
-    device: str = "gtx970",
-    engine: str = "resolution",
-    data_seed: int = 7,
-    seed: int = 42,
-) -> dict:
-    """Measure every baseline query; write the store when ``path`` set."""
-    config = {
-        "scale_factor": scale_factor,
-        "device": device,
-        "engine": engine,
-        "data_seed": data_seed,
-        "seed": seed,
-    }
-    store = {
-        "version": _STORE_VERSION,
-        "config": config,
-        "queries": _measure_all(config),
-    }
+# ----------------------------------------------------------------------
+# the store
+# ----------------------------------------------------------------------
+def record_baselines(path: str | None = None) -> dict:
+    """Measure the matrix; write the store when ``path`` is set."""
+    store = {"version": _STORE_VERSION, "cases": measure()}
     if path is not None:
         parent = os.path.dirname(path)
         if parent:
             os.makedirs(parent, exist_ok=True)
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(store, handle, indent=2, sort_keys=True)
+            json.dump(store, handle, indent=0, sort_keys=True)
             handle.write("\n")
     return store
 
 
+def _fits(value, kind) -> bool:
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_fits(item, kind[0]) for item in value)
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _shape_problem(store) -> str | None:
+    if not isinstance(store, dict) or not isinstance(store.get("cases"), dict):
+        return "missing 'cases'"
+    if store.get("version") != _STORE_VERSION:
+        return f"version {store.get('version')!r}, expected {_STORE_VERSION}"
+    for case, row in store["cases"].items():
+        if not isinstance(row, dict):
+            return f"case {case!r} is not a row"
+        for name, value in row.items():
+            if name not in _FIELDS or not _fits(value, _FIELDS[name]):
+                return f"case {case!r} has {name} = {value!r}"
+    return None
+
+
 def load_baselines(path: str) -> dict:
+    """The store at ``path``; :class:`~repro.errors.ConfigurationError`
+    (naming the path) if it is unreadable or not this version's shape."""
     from ..errors import ConfigurationError
 
     try:
@@ -197,117 +317,73 @@ def load_baselines(path: str) -> dict:
         raise ConfigurationError(
             f"cannot read baseline store {path}: {error}"
         ) from None
-    if not isinstance(store, dict) or "queries" not in store or "config" not in store:
-        raise ConfigurationError(
-            f"{path} is not a baseline store (missing 'config'/'queries')"
-        )
+    problem = _shape_problem(store)
+    if problem is not None:
+        raise ConfigurationError(f"{path} is not a baseline store: {problem}")
     return store
 
 
 # ----------------------------------------------------------------------
-# drift checking
+# the check
 # ----------------------------------------------------------------------
-@dataclass
-class DriftEntry:
-    query: str
-    metric: str
-    baseline: float
-    current: float
-    drift: float  # relative, abs
-    tolerance: float
-    ok: bool
+_ABSENT = "(absent)"
 
 
 @dataclass
 class DriftReport:
-    """Per-metric comparison of a fresh run against the baseline store."""
+    """An exact comparison of measured rows against the store."""
 
-    entries: list = field(default_factory=list)
+    cases: int = 0
+    quantities: int = 0
+    #: ``case -> {quantity: (pinned, measured)}`` for every inequality.
+    drifted: dict = field(default_factory=dict)
     missing: list = field(default_factory=list)  # in store, not measured
     unexpected: list = field(default_factory=list)  # measured, not in store
 
     @property
     def passed(self) -> bool:
-        return (
-            not self.missing
-            and not self.unexpected
-            and all(entry.ok for entry in self.entries)
-        )
-
-    @property
-    def failures(self) -> list:
-        return [entry for entry in self.entries if not entry.ok]
+        return not (self.drifted or self.missing or self.unexpected)
 
     def render(self) -> str:
-        lines = []
         verdict = "PASS" if self.passed else "FAIL"
-        checked = {entry.query for entry in self.entries}
-        lines.append(
-            f"baseline check: {verdict} "
-            f"({len(checked)} queries, {len(self.entries)} metrics, "
-            f"{len(self.failures)} drifted)"
-        )
-        for query in self.missing:
-            lines.append(f"  MISSING  {query}: in baseline store, not measured")
-        for query in self.unexpected:
-            lines.append(f"  NEW      {query}: measured, not in baseline store")
-        for entry in self.failures:
-            lines.append(
-                f"  DRIFT    {entry.query} {entry.metric}: "
-                f"baseline {entry.baseline:g} -> current {entry.current:g} "
-                f"({entry.drift * 100:+.2f}% vs ±{entry.tolerance * 100:.2f}%)"
-            )
-        if self.passed:
-            for entry in self.entries:
-                if entry.drift > 0:
-                    lines.append(
-                        f"  ok       {entry.query} {entry.metric}: "
-                        f"{entry.drift * 100:+.3f}% within ±"
-                        f"{entry.tolerance * 100:.2f}%"
-                    )
+        lines = [
+            f"baseline check: {verdict} ({self.cases} cases, "
+            f"{self.quantities} quantities, {len(self.drifted)} drifted)"
+        ]
+        lines += [f"  MISSING  {case}: in baseline store, not measured" for case in self.missing]
+        lines += [f"  NEW      {case}: measured, not in baseline store" for case in self.unexpected]
+        for case, quantities in self.drifted.items():
+            for name, (pinned, measured) in quantities.items():
+                lines.append(f"  DRIFT    {case} {name}: {pinned!r} -> {measured!r}")
         return "\n".join(lines)
 
 
 def check_baselines(
-    store: dict | str,
-    tolerance_scale: float = 1.0,
-    current: dict | None = None,
+    store: dict | str, current: dict | None = None, dump: str | None = None
 ) -> DriftReport:
-    """Compare a fresh measurement run against a baseline store.
+    """Compare measured rows against a store, exactly.
 
-    ``store`` is the dict from :func:`record_baselines`/
-    :func:`load_baselines` or a path; ``tolerance_scale`` multiplies
-    every metric's band (``--tolerance 2`` doubles them, 0 demands
-    exact equality everywhere); ``current`` injects pre-measured
-    fingerprints (tests use this to simulate drift)."""
+    ``store`` is the dict from :func:`record_baselines` /
+    :func:`load_baselines` or a path; ``current`` injects rows already
+    measured (else :func:`measure` runs the matrix, passing ``dump``)."""
     if isinstance(store, str):
         store = load_baselines(store)
     if current is None:
-        current = _measure_all(store["config"])
-    report = DriftReport()
-    baseline_queries = store["queries"]
-    report.missing = sorted(set(baseline_queries) - set(current))
-    report.unexpected = sorted(set(current) - set(baseline_queries))
-    for query in sorted(set(baseline_queries) & set(current)):
-        recorded = baseline_queries[query]
-        measured = current[query]
-        for metric in sorted(set(recorded) | set(measured)):
-            base = float(recorded.get(metric, 0.0))
-            now = float(measured.get(metric, 0.0))
-            if base == 0.0:
-                drift = 0.0 if now == 0.0 else float("inf")
-            else:
-                drift = abs(now - base) / abs(base)
-            tolerance = METRIC_TOLERANCES.get(metric, 0.0) * tolerance_scale
-            report.entries.append(
-                DriftEntry(
-                    query=query,
-                    metric=metric,
-                    baseline=base,
-                    current=now,
-                    drift=drift,
-                    tolerance=tolerance,
-                    ok=drift <= tolerance,
-                )
-            )
+        current = measure(dump=dump)
+    pinned = store["cases"]
+    report = DriftReport(
+        missing=sorted(set(pinned) - set(current)),
+        unexpected=sorted(set(current) - set(pinned)),
+    )
+    for case in sorted(set(pinned) & set(current)):
+        names = sorted(set(pinned[case]) | set(current[case]))
+        pairs = {
+            name: (pinned[case].get(name, _ABSENT), current[case].get(name, _ABSENT))
+            for name in names
+        }
+        report.cases += 1
+        report.quantities += len(names)
+        moved = {name: pair for name, pair in pairs.items() if pair[0] != pair[1]}
+        if moved:
+            report.drifted[case] = moved
     return report

@@ -381,8 +381,8 @@ class FlightRecorder:
 
 
 def result_fingerprint(result) -> dict:
-    """The simulated-clock numbers of one execution, rounded once for
-    both their consumers: flight records and the perf baselines."""
+    """The simulated-clock numbers of one execution, rounded for the
+    flight record (the simulated-clock pin keeps exact text instead)."""
     return {
         "sim_ms": round(result.total_ms, 6),
         "kernel_ms": round(result.kernel_ms, 6),

@@ -22,27 +22,32 @@ def tpch_db() -> Database:
     return generate_tpch(scale_factor=0.004, seed=11)
 
 
+@pytest.fixture(scope="session")
+def baseline_matrix() -> dict:
+    """Every case of the simulated-clock pin (``repro baseline``),
+    measured once per run under the leak check; the checks inject it
+    (``check_baselines(current=)``)."""
+    from repro.primitives.hashtable import clear_layout_cache
+    from repro.telemetry.baseline import measure
+
+    clear_layout_cache()
+    with pytest.MonkeyPatch.context() as patch:
+        _check_leaks(patch)
+        return measure()
+
+
 @pytest.fixture()
 def device() -> VirtualCoprocessor:
     """A fresh GTX970 with a PCIe 3.0 link."""
     return VirtualCoprocessor(GTX970, interconnect=PCIE3)
 
 
-@pytest.fixture(autouse=True)
-def buffer_leak_guard(monkeypatch):
-    """Assert every engine/batch execution returns the device to its
-    pooled-only baseline: transient allocations (hash-table slots,
-    payload columns, scratch) must all be freed by the end of the
-    query, whether it succeeded or raised.  Pool residents — base
-    columns and the hash tables a pool took over
-    (``device.pooled_bytes``) — are the only allowed survivors."""
+def _check_leaks(patch: pytest.MonkeyPatch) -> None:
+    """Wrap every engine / batch / fleet execution (through ``patch``)
+    to assert it returns each device to its pooled-only baseline."""
     from repro.engines.base import Engine
     from repro.macro.batch import BatchExecutor
-    from repro.primitives.hashtable import clear_layout_cache
-
-    # Process-wide host memo: no test sees layouts (or probe credit
-    # toward an index) left behind by another.
-    clear_layout_cache()
+    from repro.scaleout.executor import ScaleOutExecutor
 
     def checked(original):
         def wrapper(self, plan, database, device, seed=42):
@@ -57,11 +62,6 @@ def buffer_leak_guard(monkeypatch):
                 )
 
         return wrapper
-
-    monkeypatch.setattr(Engine, "execute", checked(Engine.execute))
-    monkeypatch.setattr(BatchExecutor, "execute", checked(BatchExecutor.execute))
-
-    from repro.scaleout.executor import ScaleOutExecutor
 
     def checked_scaleout(original):
         def wrapper(self, engine, plan, database, seed=42):
@@ -82,9 +82,27 @@ def buffer_leak_guard(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(
+    patch.setattr(Engine, "execute", checked(Engine.execute))
+    patch.setattr(BatchExecutor, "execute", checked(BatchExecutor.execute))
+    patch.setattr(
         ScaleOutExecutor, "execute", checked_scaleout(ScaleOutExecutor.execute)
     )
+
+
+@pytest.fixture(autouse=True)
+def buffer_leak_guard(monkeypatch):
+    """Assert every engine/batch execution returns the device to its
+    pooled-only baseline: transient allocations (hash-table slots,
+    payload columns, scratch) must all be freed by the end of the
+    query, whether it succeeded or raised.  Pool residents — base
+    columns and the hash tables a pool took over
+    (``device.pooled_bytes``) — are the only allowed survivors."""
+    from repro.primitives.hashtable import clear_layout_cache
+
+    # Process-wide host memo: no test sees layouts (or probe credit
+    # toward an index) left behind by another.
+    clear_layout_cache()
+    _check_leaks(monkeypatch)
 
 
 def launch_rows(result) -> list[tuple]:

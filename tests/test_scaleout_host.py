@@ -7,67 +7,43 @@ layout.  These tests pin the three consequences:
 
 * a query lays out each build side once, however many devices
   broadcast it, and starts no thread;
-* every simulated number equals the value the threaded executor
-  produced (``scaleout_host_pinned.json``, written by :func:`_observe`
-  on the commit before the change, SSB SF 0.004 seed 7; the link times
-  of the cold entries re-recorded when a pipeline's base columns became
-  one load, launches and kernel times unchanged);
+* a pooled fleet's warm turn is its cold turn minus the build launches
+  (every simulated number of the plain, pooled cold / warm and loss
+  turns is pinned by ``repro baseline``, the ``fleet:`` cases, equal to
+  what the threaded executor produced);
 * a fault schedule is one total order: the injector's firing log, the
   event log and ``RecoveryStats`` repeat exactly on a fresh session.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 from dataclasses import asdict
-from pathlib import Path
 
 import pytest
 
 import repro.scaleout.executor as executor_module
 from repro import connect
-from repro.faults import FaultInjector, FaultPlan, FaultSpec
+from repro.faults import FaultInjector, FaultPlan
 from repro.plan.physical import BuildSink
 from repro.plan.pipelines import extract_pipelines
 from repro.primitives.hashtable import clear_layout_cache, layout_cache_stats
+from repro.telemetry.baseline import LOSS
 from repro.telemetry.events import EventLog, install_log, uninstall_log
 from repro.workloads import SSB_QUERIES, ssb_plan
 
-PINNED = json.loads(
-    (Path(__file__).parent / "scaleout_host_pinned.json").read_text()
-)
 QUERIES = ("q2.1", "q3.1", "q4.1")
 DEVICES = 4
 
-#: Device 1 dies at its first morsel; the survivors re-run the build
-#: sides in a second wave and take over its pieces.
-LOSS = FaultPlan(specs=(FaultSpec(kind="device-loss", device=1, op="morsel"),))
 
-
-def _observe(session, sql):
-    result = session.execute(sql)
-    stats = result.scaleout
-    return {
-        "kernel_ms": [share.kernel_ms for share in stats.shares],
-        "transfer_ms": [share.transfer_ms for share in stats.shares],
-        "busy_ms": [share.busy_ms for share in stats.shares],
-        "makespan_ms": stats.makespan_ms,
-        "serial_ms": stats.serial_ms,
-        # Kernels of each device's last turn, and of the whole query.
-        "launches": [
-            len(device.log.kernels) for device in session.scaleout.fleet.devices
-        ],
-        "total_launches": len(result.profile.kernels),
-    }
-
-
-def _assert_pinned(observed, pinned):
-    assert observed["launches"] == pinned["launches"]
-    assert observed["total_launches"] == pinned["total_launches"]
-    for name in ("kernel_ms", "transfer_ms", "busy_ms", "makespan_ms", "serial_ms"):
-        assert observed[name] == pytest.approx(pinned[name], rel=1e-9), name
+def _device_launches(session) -> list:
+    """Each device's last turn: name, elements, meter, time per launch."""
+    return [
+        [(trace.name, trace.elements, trace.meter.snapshot(), trace.time_ms)
+         for trace in device.log.kernels]
+        for device in session.scaleout.fleet.devices
+    ]
 
 
 def _build_pipelines(name, database):
@@ -95,8 +71,8 @@ def test_one_layout_per_build_side_and_no_thread(ssb_db, monkeypatch, name, mode
         original_start(thread)
 
     monkeypatch.setattr(threading.Thread, "start", recording_start)
-    label = f"{name}/{'residency-cold' if mode == 'residency' else mode}"
-    _assert_pinned(_observe(session, SSB_QUERIES[name]), PINNED[label])
+    sql = SSB_QUERIES[name]
+    cold = session.execute(sql)
     stats = layout_cache_stats()
     # Every device turn builds every build side (under the loss, two
     # survivors take a second turn for device 1's two pieces) ...
@@ -104,30 +80,12 @@ def test_one_layout_per_build_side_and_no_thread(ssb_db, monkeypatch, name, mode
     assert stats.misses == builds  # ... and one of them lays it out.
     assert stats.hits == builds * (turns - 1)
     if mode == "residency":
-        # The pinned warm pass re-ran the build sides on every device;
-        # now each device's pool serves them, so a device's warm turn is
-        # the pinned one minus its build launches (the first ``builds``
-        # kernels of its cold turn) — transfers were all hits already.
-        build_ms = [
-            sum(trace.time_ms for trace in device.log.kernels[:builds])
-            for device in session.scaleout.fleet.devices
-        ]
-        pinned = PINNED[f"{name}/residency-warm"]
-        kernel_ms = [ms - built for ms, built in zip(pinned["kernel_ms"], build_ms)]
-        busy_ms = [ms - built for ms, built in zip(pinned["busy_ms"], build_ms)]
-        warm = _observe(session, SSB_QUERIES[name])
-        _assert_pinned(
-            warm,
-            dict(
-                pinned,
-                kernel_ms=kernel_ms,
-                busy_ms=busy_ms,
-                makespan_ms=max(busy_ms),
-                serial_ms=sum(busy_ms),
-                launches=[count - builds for count in pinned["launches"]],
-                total_launches=pinned["total_launches"] - builds * DEVICES,
-            ),
-        )
+        # Each device's pool serves the build sides, so a device's warm
+        # turn is its cold turn minus the first ``builds`` launches.
+        cold_launches = _device_launches(session)
+        warm = session.execute(sql)
+        assert _device_launches(session) == [turn[builds:] for turn in cold_launches]
+        assert len(warm.profile.kernels) == len(cold.profile.kernels) - builds * DEVICES
         # Nothing was built, so nothing was laid out or looked up.
         after = layout_cache_stats()
         assert (after.hits, after.misses) == (stats.hits, stats.misses)

@@ -28,12 +28,7 @@ from .placement.executor import dispatch
 from .plan.logical import LogicalPlan
 from .sql.translate import plan_sql
 from .storage.database import Database
-from .telemetry.events import (
-    installed_log,
-    new_query_id,
-    query_scope,
-    record_event,
-)
+from .telemetry.events import query_events
 from .telemetry.metrics import MetricsRegistry, count_query, observe_result
 from .telemetry.trace import NO_TRACER, Tracer, tracing_enabled
 
@@ -147,8 +142,9 @@ class Session:
             )
         self.database = database
         #: Optional :class:`~repro.telemetry.FlightRecorder`; when set,
-        #: every ``execute`` lands a flight record (and failures write a
-        #: post-mortem bundle) under a per-query correlation id.
+        #: every ``execute`` lands a flight record with the query's
+        #: events (and failures write a post-mortem bundle) under a
+        #: query id the recorder issues.
         self.recorder = recorder
         #: The engine alias as given (``None`` for Engine instances) —
         #: what post-mortem replay recipes record.
@@ -348,7 +344,8 @@ class Session:
         """Run a query; returns the result table plus all metrics.
 
         ``result.profile`` is the query record (every launch and
-        transfer, one row per pipeline).  When tracing is enabled
+        transfer, one row per pipeline); ``result.events()`` the
+        query's structured events.  When tracing is enabled
         (:func:`repro.telemetry.tracing`) ``result.trace`` is the span
         tree over it, including the front-end ``plan`` span.
         """
@@ -361,14 +358,14 @@ class Session:
         seed: int,
         queue_wait_ms: float = 0.0,
         worker: int = -1,
-        query_id: str | None = None,
+        admission: dict | None = None,
     ) -> ExecutionResult:
-        """The query lifecycle (``docs/architecture.md``): flight record
-        -> correlation id -> tracer -> plan -> dispatch -> serving stats
-        -> metrics.  :class:`~repro.serving.Server` workers enter here
-        with their admission-queue wait, worker index and the
-        correlation id issued at admission; direct executions are
-        worker ``-1`` with no wait and draw their own id."""
+        """The query lifecycle (``docs/architecture.md``): flight ->
+        serving stats -> tracer -> plan -> dispatch -> landing (flight
+        record, metrics).  :class:`~repro.serving.Server` workers enter here with
+        their admission-queue wait, worker index and the admission facts
+        their request carries; direct executions are worker ``-1`` with
+        no wait."""
         chosen, alias = self.engine, self.engine_alias
         if engine is not None:
             alias = engine if isinstance(engine, str) else None
@@ -376,38 +373,41 @@ class Session:
                 chosen = None  # route through the adaptive optimizer
             else:
                 chosen = make_engine(engine) if alias else engine
+        from .serving.stats import ServingStats
+
         recorder = self.recorder
         flight = None
         if recorder is not None:
             flight = recorder.start(
-                query, seed=seed, worker=worker, query_id=query_id,
-                **self._strategy(alias),
+                query, seed=seed, worker=worker, **self._strategy(alias)
             )
-            query_id = flight.query_id
-        elif query_id is None and installed_log() is not None:
-            # No recorder, but a bare event log is listening.
-            query_id = new_query_id()
+        serving = ServingStats(
+            queue_wait_ms=queue_wait_ms, worker=worker, admission=admission,
+            started=time.perf_counter(),
+        )
         # The one place a query gets a tracer; everything below reaches
         # it through ``active_tracer()`` and gets a no-op when off.
         tracer = NO_TRACER
         if tracing_enabled():
             origin = {"api": "session"} if worker < 0 else {"worker": worker}
-            if query_id is not None:
-                origin["query_id"] = query_id
+            if flight is not None:
+                origin["query_id"] = flight.query_id
             tracer = Tracer(**origin)
         try:
-            with query_scope(query_id), tracer.activate():
+            with tracer.activate():
                 if worker >= 0:
                     tracer.event("queue_wait", "queue", wait_ms=queue_wait_ms)
-                result = self._plan_and_run(
-                    chosen, query, seed, tracer, flight, queue_wait_ms, worker
-                )
+                result = self._plan_and_run(chosen, query, seed, tracer, flight, serving)
         except BaseException as error:
+            # No result: what the query did on a device (its partial
+            # record) rides the error, the rest is in ``serving``.
+            record = getattr(error, "record", None)
             if recorder is not None:
                 recorder.fail(
                     flight,
                     error,
-                    trace=tracer.finish(),
+                    query_events(serving, record, error=error),
+                    trace=tracer.finish(record),
                     fault_plan=self._fault_plan,
                     retry_policy=self._retry_policy,
                 )
@@ -423,15 +423,18 @@ class Session:
         return result
 
     def _plan_and_run(
-        self, chosen, query, seed, tracer, flight, queue_wait_ms, worker
+        self, chosen, query, seed, tracer, flight, serving
     ) -> ExecutionResult:
+        """Plan and run ``query``, filling in ``serving`` as each step
+        finishes (what a failure leaves of it is the query's story)."""
         token = self._strategy_token(chosen)
         plan_start = time.perf_counter()
         with tracer.span("plan", "plan") as span:
             physical, hit = self.plan_cache.lookup(query, self.database, token)
             span.attrs["cache_hit"] = hit
-        plan_ms = (time.perf_counter() - plan_start) * 1e3
-        record_event("query.planned", cache_hit=hit, plan_ms=round(plan_ms, 3))
+        serving.planned_at = time.perf_counter()
+        serving.plan_ms = (serving.planned_at - plan_start) * 1e3
+        serving.plan_cache_hit = hit if isinstance(query, str) else None
         if flight is not None:
             from .telemetry.recorder import plan_fingerprint
 
@@ -439,26 +442,11 @@ class Session:
         begin_thread_compile_stats()
         execute_start = time.perf_counter()
         result = self._run(chosen, physical, seed)
-        execute_ms = (time.perf_counter() - execute_start) * 1e3
-        record_event(
-            "query.executed",
-            status="ok",
-            execute_ms=round(execute_ms, 3),
-            worker=worker,
+        serving.execute_ms = (time.perf_counter() - execute_start) * 1e3
+        serving.compile_hits, serving.compile_misses, serving.compile_ms = (
+            thread_compile_stats()
         )
-        from .serving.stats import ServingStats
-
-        compile_hits, compile_misses, compile_ms = thread_compile_stats()
-        result.serving = ServingStats(
-            plan_cache_hit=hit if isinstance(query, str) else None,
-            compile_hits=compile_hits,
-            compile_misses=compile_misses,
-            queue_wait_ms=queue_wait_ms,
-            plan_ms=plan_ms,
-            compile_ms=compile_ms,
-            execute_ms=execute_ms,
-            worker=worker,
-        )
+        result.serving = serving
         if isinstance(query, str) and result.optimizer is not None:
             self.plan_cache.record_strategy(
                 query, self.database, token, result.optimizer.chosen

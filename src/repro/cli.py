@@ -184,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     log.add_argument(
         "--query", default=None,
-        help="only events with this correlation id (e.g. q-000003)",
+        help="only events of this query id (e.g. q-000003)",
     )
     log.add_argument(
         "--json", action="store_true",
@@ -314,7 +314,7 @@ def _add_fault_options(cmd: argparse.ArgumentParser) -> None:
 def _add_recorder_options(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument(
         "--events-out", default=None, metavar="PATH",
-        help="write the structured event log as JSONL (tail it with "
+        help="write the recorded queries' events as JSONL (tail it with "
         "'repro log')",
     )
     cmd.add_argument(
@@ -351,17 +351,17 @@ def _database_recipe(args) -> dict:
 
 
 def _finish_recorder(recorder, args) -> None:
-    """Flush ``--events-out``, surface bundle paths, detach the log."""
+    """Write ``--events-out`` and surface bundle paths."""
     if recorder is None:
         return
     if args.events_out:
-        recorder.events.write_jsonl(args.events_out)
+        with open(args.events_out, "w", encoding="utf-8") as handle:
+            handle.write(recorder.events_jsonl())
         print(f"wrote event log to {args.events_out}", file=sys.stderr)
     for record in recorder.records(status="failed"):
         bundle = record.strategy.get("bundle")
         if bundle:
             print(f"wrote post-mortem bundle to {bundle}", file=sys.stderr)
-    recorder.uninstall()
 
 
 def _fault_kwargs(args) -> dict:

@@ -13,7 +13,7 @@ from ..plan.physical import BuildSink, PhysicalQuery, Pipeline
 from ..plan.pipelines import extract_pipelines
 from ..storage.database import Database
 from ..storage.table import Table
-from ..telemetry.events import record_event
+from ..telemetry.events import query_events
 from .runtime import QueryRuntime
 
 
@@ -75,6 +75,13 @@ class ExecutionResult:
         ``sim_ms`` attribute for device work.
         """
         return self.trace.timeline() if self.trace is not None else []
+
+    def events(self) -> list:
+        """This query's structured events, oldest first
+        (:func:`~repro.telemetry.events.query_events`): admission,
+        planning and outcome from ``serving``, the optimizer's decision,
+        and the notes of its record."""
+        return query_events(self.serving, self.profile, self.optimizer)
 
     @property
     def kernel_ms(self) -> float:
@@ -246,6 +253,11 @@ class Engine:
                 placement=runtime.query_placement(),
                 compression=runtime.compression_stats(),
             )
+        except BaseException as error:
+            # A failed query has no result: its partial record rides
+            # the error to whoever lands the query.
+            error.record = log
+            raise
         finally:
             runtime.close()
 
@@ -331,7 +343,7 @@ def check_accounting(log: Profile, **where) -> None:
     :meth:`Engine.run_pipelines`; EXPLAIN ANALYZE would not add up)."""
     unaccounted = log.unaccounted
     if unaccounted:
-        record_event(
+        log.note(
             "accounting.mismatch",
             entries=len(log.kernels) + len(log.transfers),
             unaccounted=unaccounted,

@@ -335,13 +335,16 @@ class Profile(LogSlice):
     """Everything observed while executing a query on a virtual device:
     the log, and — the *query record* — one :class:`PipelineRecord` per
     pipeline run, in execution order, and one for ``finalize``.  Always
-    written; the span trace, EXPLAIN ANALYZE, flight records and the
-    perf baselines are views over it (``docs/observability.md``)."""
+    written; the span trace, EXPLAIN ANALYZE, flight records, the
+    query's events and the perf baselines are views over it
+    (``docs/observability.md``)."""
 
     pipelines: list[PipelineRecord] = field(default_factory=list)
     #: Stalls among ``transfers``: delays the fault layer charges
     #: *between* pipelines, so no record covers them.
     stalls: int = 0
+    #: ``(host clock, kind, attrs)`` of each :meth:`note`, in host order.
+    events: list[tuple] = field(default_factory=list)
 
     def append(self, entry: KernelTrace | TransferRecord) -> None:
         """Append a launch or a transfer, stamped with its issue order
@@ -353,6 +356,12 @@ class Profile(LogSlice):
         else:
             self.transfers.append(entry)
             self.stalls += entry.direction == "stall"
+
+    def note(self, kind: str, **attrs) -> None:
+        """Log an event only the record can hold (an eviction, a fault,
+        a retry ...), stamped with the host clock.  It takes no issue
+        order: every launch and transfer keeps its ``seq``."""
+        self.events.append((perf_counter(), kind, attrs))
 
     def open(self, index: int | None, pipeline, rows_in: int) -> PipelineRecord:
         """Begin the record of pipeline ``index`` (``finalize``: both
@@ -382,8 +391,10 @@ class Profile(LogSlice):
         return len(self.kernels) + len(self.transfers) - covered - self.stalls
 
     def merge(self, other: "Profile") -> None:
-        """Append ``other``'s log and records (another device's turn)."""
+        """Append ``other``'s log and records (another device's turn);
+        the two devices' events interleave in host order."""
         self.kernels.extend(other.kernels)
         self.transfers.extend(other.transfers)
         self.pipelines.extend(other.pipelines)
         self.stalls += other.stalls
+        self.events = sorted(self.events + other.events, key=lambda event: event[0])

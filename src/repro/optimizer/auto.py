@@ -47,7 +47,6 @@ from ..hardware.profiles import DeviceProfile
 from ..placement.executor import base_columns, dispatch
 from ..plan.physical import PhysicalQuery
 from ..storage.database import Database
-from ..telemetry.events import record_event
 from .advisor import OUT_OF_MEMORY, Advisor, OptimizerDecision, PrunedCandidate
 from .cost import StrategyChoice, merge_overhead_ms
 from .stats import StatisticsCatalog
@@ -235,11 +234,6 @@ class AutoExecutor:
         """Advise, run, observe — the full adaptive loop for one query."""
         decision = self.advise(query, database)
         strategy = decision.chosen
-        record_event(
-            "optimizer.decision",
-            strategy=strategy.describe(),
-            predicted_ms=round(decision.predicted_ms, 6),
-        )
         result = self._dispatch(strategy, query, database, seed, decision)
         observed_ms = result.total_ms
         if result.scaleout is not None:

@@ -105,7 +105,11 @@ def execute_with_placement(
     try:
         return engine.execute(query, database, device, seed=seed)
     except DeviceMemoryError as error:
-        return _fallback(engine, query, database, device, seed, original=error)
+        result = _fallback(engine, query, database, device, seed, original=error)
+        # What the attempt that ran out did (its evictions) stays on record.
+        attempt = getattr(error, "record", None)
+        result.profile.events[:0] = attempt.events if attempt is not None else []
+        return result
 
 
 def _fallback(

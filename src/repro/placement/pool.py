@@ -48,7 +48,6 @@ from dataclasses import dataclass, field
 from ..errors import PlacementError
 from ..hardware.device import DeviceBuffer, VirtualCoprocessor
 from ..plan.physical import BuildSink
-from ..telemetry.events import record_event
 from .stats import PlacementStats
 
 
@@ -296,7 +295,7 @@ class BufferPool:
         self._drop(entry)
         self._evictions += 1
         self._evicted_bytes += entry.nbytes
-        record_event(
+        self.device.log.note(
             "placement.evicted",
             key=".".join(str(part) for part in entry.key)
             if isinstance(entry.key, tuple)

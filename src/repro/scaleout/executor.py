@@ -57,7 +57,7 @@ strong-scaling speedup the Fig-21-style benchmark reports.
 devices of a wave are simulated one after another on the calling
 thread, in device order, each against its own clock.  Waves, retries,
 grace rounds and the host fallback are therefore one deterministic
-schedule — the fault log, the event log and ``RecoveryStats`` repeat
+schedule — the fault log, the record's events and ``RecoveryStats`` repeat
 exactly — and the host pays for the fleet's work once, not for threads
 contending over it.
 """
@@ -94,7 +94,6 @@ from ..plan.physical import PhysicalQuery, Pipeline
 from ..plan.pipelines import extract_pipelines
 from ..storage.database import Database
 from ..storage.table import Table
-from ..telemetry.events import record_event
 from ..telemetry.trace import active_tracer
 from .fleet import DeviceFleet
 from .merge import PartialScheme, merge_partials, rewrite_for_partials
@@ -271,16 +270,27 @@ class ScaleOutExecutor:
         loads = assign_pieces(
             [piece.nbytes for piece in partition_set.pieces], self.devices
         )
-        runs, by_piece, unfinished = self._scatter(
-            engine, query, rewritten, partition_set, loads, seed, injector, recovery
-        )
-        if injector is not None:
-            recovery.injected = injector.counts()
-        if unfinished:
-            # Every device lost: degrade to the host fallback.
-            return self._host_fallback(
-                engine, query, database, seed, partition_set, runs, recovery
+        # Every device turn's log, and the executor's own notes (losses,
+        # redistribution, the host fallback): the query's record.
+        runs: list[_DeviceRun] = []
+        notes = Profile()
+        try:
+            by_piece, unfinished = self._scatter(
+                engine, query, rewritten, partition_set, loads, seed, injector,
+                recovery, runs, notes,
             )
+            if injector is not None:
+                recovery.injected = injector.counts()
+            if unfinished:
+                # Every device lost: degrade to the host fallback.
+                return self._host_fallback(
+                    engine, query, database, seed, partition_set, runs, notes,
+                    recovery,
+                )
+        except BaseException as error:
+            # What ran before the failure is the failed query's record.
+            error.record = _record(runs, notes, getattr(error, "record", None))
+            raise
         merge_start = time.perf_counter()
         # Merge in global piece order, independent of which device
         # ran which piece: deterministic results for free.
@@ -306,7 +316,7 @@ class ScaleOutExecutor:
             merge_ms=merge_ms,
             recovery=recovery,
         )
-        return self._package(engine, runs, table, stats)
+        return self._package(engine, runs, notes, table, stats)
 
     # ------------------------------------------------------------------
     def _scatter(
@@ -319,10 +329,13 @@ class ScaleOutExecutor:
         seed: int,
         injector: FaultInjector | None,
         recovery: RecoveryStats,
-    ) -> tuple[list[_DeviceRun], dict[int, dict[str, np.ndarray]], list[int]]:
-        """Wave-based scatter with recovery.
+        runs: list[_DeviceRun],
+        notes: Profile,
+    ) -> tuple[dict[int, dict[str, np.ndarray]], list[int]]:
+        """Wave-based scatter with recovery: every device turn lands in
+        ``runs`` as it starts, the executor's events in ``notes``.
 
-        Returns ``(runs, partials by piece, unfinished pieces)``; the
+        Returns ``(partials by piece, unfinished pieces)``; the
         unfinished list is non-empty only when every device was lost
         (the caller degrades to the host fallback).  Raises
         :class:`MorselExhaustedError` when a piece has failed on every
@@ -330,7 +343,6 @@ class ScaleOutExecutor:
         raised it, and the wave's later devices never start.
         """
         pieces = partition_set.pieces
-        runs: list[_DeviceRun] = []
         by_piece: dict[int, dict[str, np.ndarray]] = {}
         failed_on: dict[int, set[int]] = {}
         #: Pieces whose failures involved injected firings since their
@@ -347,14 +359,13 @@ class ScaleOutExecutor:
             wave += 1
             recovery.waves = wave
             # One device after another, in device order, on this thread.
-            ordered = [
+            first = len(runs)
+            for load in wave_loads:
                 self._run_device(
-                    engine, query, rewritten, partition_set, load, seed, injector
+                    engine, query, rewritten, partition_set, load, seed, injector,
+                    runs,
                 )
-                for load in wave_loads
-            ]
-            for run in ordered:
-                runs.append(run)
+            for run in runs[first:]:
                 by_piece.update(run.partials)
                 recovery.retries += run.retries
                 recovery.backoff_ms += run.backoff_ms
@@ -365,10 +376,7 @@ class ScaleOutExecutor:
                 if run.lost and run.share.device in alive:
                     alive.remove(run.share.device)
                     recovery.degraded_devices.append(run.share.device)
-                    record_event("device.lost", device=run.share.device, wave=wave)
-                    active_tracer().event(
-                        f"device {run.share.device} lost", "fault", wave=wave
-                    )
+                    notes.note("device.lost", device=run.share.device, wave=wave)
             recovery.degraded_devices.sort()
             pending = sorted(
                 piece_index
@@ -376,9 +384,9 @@ class ScaleOutExecutor:
                 if piece_index not in by_piece
             )
             if not pending:
-                return runs, by_piece, []
+                return by_piece, []
             if not alive:
-                return runs, by_piece, pending
+                return by_piece, pending
             eligible: list[list[int]] = []
             for piece_index in pending:
                 candidates = [
@@ -417,17 +425,13 @@ class ScaleOutExecutor:
                 if load.pieces
             ]
             recovery.redistributed_morsels += len(pending)
-            record_event(
+            notes.note(
                 "morsel.redistributed",
                 wave=wave,
                 morsels=len(pending),
                 survivors=len(alive),
             )
-            active_tracer().event(
-                "redistribute", "fault",
-                wave=wave, morsels=len(pending), survivors=len(alive),
-            )
-        return runs, by_piece, []
+        return by_piece, []
 
     def _run_device(
         self,
@@ -438,7 +442,8 @@ class ScaleOutExecutor:
         load: DeviceLoad,
         seed: int,
         injector: FaultInjector | None,
-    ) -> _DeviceRun:
+        runs: list[_DeviceRun],
+    ) -> None:
         device = self.fleet.devices[load.device]
         pool = self.fleet.pools[load.device]
         self.fleet.begin_query(load.device)
@@ -454,6 +459,7 @@ class ScaleOutExecutor:
         ):
             runtime = QueryRuntime(device, partition_db, seed=seed, pool=pool)
             run = _DeviceRun(share=DeviceShare(device=load.device))
+            runs.append(run)
             try:
                 try:
                     fired_mark = injector.fired_count() if injector else 0
@@ -473,7 +479,7 @@ class ScaleOutExecutor:
                         fired_mark, load.device
                     )
                     if injected:
-                        record_event(
+                        device.log.note(
                             "fault.fired",
                             fault=kind,
                             device=load.device,
@@ -484,7 +490,7 @@ class ScaleOutExecutor:
                             run.failed[piece_index] = kind
                             if injected:
                                 run.fault_fired.add(piece_index)
-                    return run
+                    return
                 # Fact morsels, in piece order.
                 for position, piece_index in enumerate(load.pieces):
                     piece = partition_set.pieces[piece_index]
@@ -498,7 +504,6 @@ class ScaleOutExecutor:
                             if partition_set.pieces[later].rows:
                                 run.failed[later] = "device-loss"
                         break
-                return run
             finally:
                 _read_share(run.share, device.log, len(query.pipelines) - 1)
                 run.profile = device.log
@@ -571,7 +576,7 @@ class ScaleOutExecutor:
                     fired_mark, run.share.device, piece.index
                 ):
                     run.fault_fired.add(piece.index)
-                    record_event(
+                    device.log.note(
                         "fault.fired",
                         fault=kind,
                         device=run.share.device,
@@ -585,17 +590,13 @@ class ScaleOutExecutor:
                     run.retries += 1
                     backoff = policy.backoff_ms(attempt)
                     run.backoff_ms += backoff
-                    record_event(
+                    device.log.note(
                         "morsel.retry",
                         device=run.share.device,
                         morsel=piece.index,
                         attempt=attempt,
                         fault=kind,
                         backoff_ms=backoff,
-                    )
-                    active_tracer().event(
-                        f"retry p{piece.index}", "fault",
-                        attempt=attempt, backoff_ms=backoff, kind=kind,
                     )
                     continue
                 run.failed[piece.index] = kind
@@ -639,17 +640,16 @@ class ScaleOutExecutor:
         seed: int,
         partition_set: PartitionSet,
         runs: list[_DeviceRun],
+        notes: Profile,
         recovery: RecoveryStats,
     ) -> ExecutionResult:
         """Last rung of the degradation ladder: every fleet device is
         lost, so the whole query re-runs against the *parent* database
         on the reserve host device, streaming out-of-core (run-to-finish
-        when the plan cannot stream)."""
+        when the plan cannot stream).  The result's record is the host
+        run's; the fleet's events come first in it."""
         recovery.host_fallback = True
-        record_event("fallback.host", devices_lost=len(recovery.degraded_devices))
-        active_tracer().event(
-            "host fallback", "fault", devices_lost=len(recovery.degraded_devices)
-        )
+        notes.note("fallback.host", devices_lost=len(recovery.degraded_devices))
         from ..macro.batch import execute_out_of_core, streaming_mode
 
         device = self.fleet.host_device()
@@ -661,6 +661,7 @@ class ScaleOutExecutor:
         except PlanError:
             device.reset_all()
             result = engine.execute(query, database, device, seed=seed)
+        result.profile.events[:0] = _record(runs, notes).events
         stats = ScaleOutStats(
             devices=self.devices,
             partitions=partition_set.parts,
@@ -678,12 +679,11 @@ class ScaleOutExecutor:
         self,
         engine: Engine,
         runs: list[_DeviceRun],
+        notes: Profile,
         table: Table,
         stats: ScaleOutStats,
     ) -> ExecutionResult:
-        profile = Profile()
-        for run in runs:
-            profile.merge(run.profile)
+        profile = _record(runs, notes)
         kernel_sources: dict[str, str] = {}
         for run in runs:
             kernel_sources.update(run.kernel_sources)
@@ -711,6 +711,16 @@ class ScaleOutExecutor:
     def placement_stats(self):
         """Aggregated fleet residency counters (None without it)."""
         return self.fleet.placement_stats()
+
+
+def _record(runs: list[_DeviceRun], *logs: Profile | None) -> Profile:
+    """The fleet's query record: each device turn's log, then ``logs``
+    (the executor's notes, a failed host run's record); the events of
+    all interleave in host order."""
+    record = Profile()
+    for log in [run.profile for run in runs] + [log for log in logs if log is not None]:
+        record.merge(log)
+    return record
 
 
 def _read_share(share: DeviceShare, log: Profile, first_morsel: int) -> None:

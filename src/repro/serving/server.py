@@ -42,7 +42,6 @@ from ..kernels.codegen import kernel_cache_stats
 from ..placement import PlacementStats
 from ..plan.logical import LogicalPlan
 from ..storage.database import Database
-from ..telemetry.events import installed_log, new_query_id, record_event
 from ..telemetry.metrics import MetricsRegistry, count_query
 from .plan_cache import PlanCache
 from .stats import ServerStats
@@ -55,8 +54,8 @@ class _Request:
     query: object  # str | LogicalPlan
     engine: Engine | str | None  # as submitted (alias validated)
     seed: int
-    #: Correlation id issued at admission (``None``: nothing listens).
-    query_id: str | None = None
+    #: The queue at admission: the ``query.admitted`` event's facts.
+    admission: dict
     future: Future = field(default_factory=Future)
     enqueued_at: float = field(default_factory=time.perf_counter)
 
@@ -224,9 +223,11 @@ class Server:
             raise ServingError("server is closed")
         if isinstance(engine, str) and engine != "auto":
             make_engine(engine)  # reject unknown aliases at the front door
-        query_id = new_query_id() if installed_log() is not None else None
+        # The depth with this query in it (a full queue: once it is let in).
+        depth = min(self._queue.qsize() + 1, self._queue_capacity)
         request = _Request(
-            query=query, engine=engine, seed=seed, query_id=query_id
+            query=query, engine=engine, seed=seed,
+            admission={"queue_depth": depth, "queue_capacity": self._queue_capacity},
         )
         try:
             self._queue.put(request, block=block, timeout=timeout)
@@ -236,12 +237,6 @@ class Server:
                 "retry later or raise queue_size"
             ) from None
         self._submitted.inc()
-        record_event(
-            "query.admitted",
-            query=query_id,
-            queue_depth=self._queue.qsize(),
-            queue_capacity=self._queue_capacity,
-        )
         return request.future
 
     def execute(
@@ -294,6 +289,7 @@ class Server:
 
     def _run_one(self, item: _Request, index: int) -> None:
         if not item.future.set_running_or_notify_cancel():
+            # No worker ran it, so no record: counted, with no event.
             count_query(self.metrics, "cancelled")
             return
         queue_wait_ms = (time.perf_counter() - item.enqueued_at) * 1e3
@@ -303,7 +299,7 @@ class Server:
             # The worker's session counts the query, completed or failed.
             result = self._sessions[index]._execute(
                 item.query, item.engine, item.seed, queue_wait_ms, index,
-                item.query_id,
+                item.admission,
             )
         except BaseException as error:
             item.future.set_exception(error)

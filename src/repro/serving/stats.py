@@ -16,7 +16,9 @@ class ServingStats:
     ``plan_ms`` is the front-end cost actually paid (≈0 on a plan-cache
     hit); ``execute_ms`` is the wall-clock of the engine run;
     ``queue_wait_ms`` is the time spent in the admission queue (0 for
-    direct :class:`~repro.api.Session` executions).
+    direct :class:`~repro.api.Session` executions).  The query lifecycle
+    fills it in as it goes, so a failed query leaves partial stats: its
+    ``query.admitted`` / ``query.planned`` events are read off them.
 
     **Containment:** ``compile_ms ⊂ execute_ms``.  Kernel compilation
     happens *inside* the engine run, so ``execute_ms`` already includes
@@ -30,21 +32,30 @@ class ServingStats:
 
     #: True when the physical plan came from the plan cache; ``None``
     #: when a plan object bypassed it.
-    plan_cache_hit: bool | None
+    plan_cache_hit: bool | None = None
     #: Compiled-kernel cache hits/misses during this query's execution.
-    compile_hits: int
-    compile_misses: int
+    compile_hits: int = 0
+    compile_misses: int = 0
     #: Wall-clock milliseconds spent waiting in the admission queue.
-    queue_wait_ms: float
+    queue_wait_ms: float = 0.0
     #: Wall-clock milliseconds of SQL parsing + pipeline extraction.
-    plan_ms: float
+    plan_ms: float = 0.0
     #: Wall-clock milliseconds spent compiling generated kernels (0 when
     #: every kernel came from the cache).
-    compile_ms: float
+    compile_ms: float = 0.0
     #: Wall-clock milliseconds of engine execution (incl. codegen).
-    execute_ms: float
+    execute_ms: float = 0.0
     #: Index of the worker that executed the query (-1 for sessions).
     worker: int = -1
+    #: What the server's admission queue held when it accepted the
+    #: query (``queue_depth``, ``queue_capacity``); ``None`` for direct
+    #: :class:`~repro.api.Session` executions.
+    admission: dict | None = None
+    #: Host clock (``perf_counter`` seconds) when the lifecycle began,
+    #: and when the plan was ready (0: planning never finished — the
+    #: partial stats a failed query leaves).
+    started: float = 0.0
+    planned_at: float = 0.0
 
     @property
     def host_overhead_ms(self) -> float:

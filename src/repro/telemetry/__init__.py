@@ -23,10 +23,12 @@ a result are its tier facts plus what is read off that record once
 
 Plus the durable observability layer on top:
 
-* **Event log** (:mod:`repro.telemetry.events`) — a bounded
-  thread-safe ring of typed JSON events (admission, planning, cache
-  and placement outcomes, retries, faults, optimizer decisions) with
-  per-query correlation ids; tail it with ``repro log``.
+* **Events** (:mod:`repro.telemetry.events`) — typed JSON entries
+  of the query record (admission, planning, placement evictions,
+  retries, faults, optimizer decisions): noted into the record where
+  they happen or read off the result, ``result.events()``; a flight
+  recorder lands them with each flight, ``--events-out`` writes them
+  and ``repro log`` tails them.
 * **Flight recorder** (:mod:`repro.telemetry.recorder`) — compact
   per-query records; failures (and chaos misses) produce self-contained
   post-mortem bundles replayable byte-for-byte via ``repro replay``.
@@ -36,8 +38,9 @@ Plus the durable observability layer on top:
   ``repro baseline check`` compares it exactly, gating CI against
   silent cost-model or executor drift.
 
-The span tracer and the event log are off by default and near-zero-cost when
-disabled; see ``docs/observability.md``.
+The span tracer is off by default and near-zero-cost when disabled;
+a noted event costs one list append.  See
+``docs/observability.md``.
 """
 
 from .baseline import (
@@ -46,16 +49,7 @@ from .baseline import (
     load_baselines,
     record_baselines,
 )
-from .events import (
-    Event,
-    EventLog,
-    current_query,
-    install_log,
-    new_query_id,
-    query_scope,
-    record_event,
-    uninstall_log,
-)
+from .events import Event
 from .explain import explain_analyze, render_explain_analyze
 from .recorder import (
     FlightRecord,
@@ -94,7 +88,6 @@ __all__ = [
     "DEFAULT_LATENCY_BUCKETS_MS",
     "DriftReport",
     "Event",
-    "EventLog",
     "FlightRecord",
     "FlightRecorder",
     "Gauge",
@@ -109,24 +102,18 @@ __all__ = [
     "active_tracer",
     "check_baselines",
     "count_query",
-    "current_query",
     "disable_tracing",
     "enable_tracing",
     "explain_analyze",
-    "install_log",
     "load_baselines",
-    "new_query_id",
     "observe_result",
     "parse_prometheus_text",
-    "query_scope",
     "record_baselines",
-    "record_event",
     "render_explain_analyze",
     "render_prometheus",
     "replay_bundle",
     "table_checksum",
     "tracing",
     "tracing_enabled",
-    "uninstall_log",
     "write_postmortem_bundle",
 ]

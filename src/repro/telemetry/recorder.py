@@ -3,10 +3,10 @@
 A :class:`FlightRecorder` keeps a bounded ring of compact
 :class:`FlightRecord` objects — one per query, holding the plan
 fingerprint, the resolved execution strategy, the traffic/recovery
-numbers, the result checksum, and the tail of the structured event log
-(:mod:`repro.telemetry.events`).  The ring is cheap enough to leave on
-in production serving: no span trees, no tables, just a few hundred
-bytes per query.
+numbers, the result checksum, and the query's events
+(:mod:`repro.telemetry.events`), read off its record when the flight
+lands.  The ring is cheap enough to leave on in production serving: no
+span trees, no tables, just a few hundred bytes per query.
 
 On a query **failure** (or an explicit :meth:`FlightRecorder.capture`,
 which the chaos suite uses for byte-identity misses) the recorder
@@ -14,7 +14,7 @@ writes a self-contained **post-mortem bundle** directory::
 
     postmortems/<stamp>-<query_id>/
         manifest.json     flight record + error + expected outcome
-        events.jsonl      the event-log tail for the query
+        events.jsonl      the query's events (the record's tail)
         trace.json        Chrome trace (when tracing was enabled)
         fault_plan.json   the armed FaultPlan (when any)
         optimizer.txt     the optimizer decision render (when any)
@@ -36,11 +36,11 @@ import re
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .events import Event, EventLog, install_log, uninstall_log
+from .events import Event
 
 __all__ = [
     "BUNDLE_MANIFEST",
@@ -107,7 +107,8 @@ class FlightRecord:
     metrics: dict = field(default_factory=dict)
     #: Expected outcome for replay (status, checksums, error type).
     expected: dict = field(default_factory=dict)
-    #: Event-log tail for this query (as dicts, oldest first).
+    #: The query's events, the newest ``event_tail`` of them (as
+    #: dicts, oldest first).
     events: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -145,13 +146,17 @@ class Flight:
 class FlightRecorder:
     """Bounded per-query flight-record ring + post-mortem bundle writer.
 
+    A recorder serves the sessions (and servers) it is handed to and
+    nothing else: it issues their query ids (``q-000001``, ...), lands
+    each query's events with its flight, numbering them (``seq``) in
+    landing order, and counts them per kind.
+
     Parameters
     ----------
     capacity:
         Flight records retained (ring; oldest dropped).
-    event_capacity / event_tail:
-        Size of the owned :class:`~repro.telemetry.events.EventLog` and
-        how many of a query's events each record keeps.
+    event_tail:
+        How many of a query's events its record keeps (the newest).
     postmortem_dir:
         Where failure bundles land (created on first write).
     database_recipe:
@@ -159,19 +164,14 @@ class FlightRecorder:
         ``{"workload": "ssb", "scale_factor": 0.002, "seed": 7}`` or
         ``{"data_dir": "/path"}`` — embedded in bundles so
         :func:`replay_bundle` can rebuild the exact input.
-    install:
-        Install the owned event log as the process-wide sink
-        (:func:`repro.telemetry.events.record_event`); default True.
     """
 
     def __init__(
         self,
         capacity: int = 256,
-        event_capacity: int = 2048,
         event_tail: int = 64,
         postmortem_dir: str = "postmortems",
         database_recipe: dict | None = None,
-        install: bool = True,
     ):
         from ..errors import ConfigurationError
 
@@ -179,7 +179,6 @@ class FlightRecorder:
             raise ConfigurationError(
                 f"flight-record capacity must be an integer >= 1, got {capacity!r}"
             )
-        self.events = EventLog(event_capacity)
         self.event_tail = event_tail
         self.postmortem_dir = postmortem_dir
         self.database_recipe = dict(database_recipe) if database_recipe else None
@@ -187,36 +186,31 @@ class FlightRecorder:
         self._lock = threading.Lock()
         self._postmortems = 0
         self._flights = 0
-        if install:
-            install_log(self.events)
+        #: Events landed (the last ``seq`` issued), per kind, and cut
+        #: from their record past ``event_tail``.
+        self._events = 0
+        self._kinds: dict[str, int] = {}
+        self._cut = 0
 
-    # ------------------------------------------------------------------
-    def uninstall(self) -> None:
-        """Detach the owned event log from the process-wide sink."""
-        uninstall_log(self.events)
-
+    # ``with FlightRecorder() as recorder:`` scopes a recorder like any
+    # other resource; there is nothing to set up or tear down.
     def __enter__(self) -> "FlightRecorder":
-        install_log(self.events)
         return self
 
     def __exit__(self, *_exc) -> None:
-        self.uninstall()
+        return None
 
     # ------------------------------------------------------------------
     # the per-query lifecycle
     # ------------------------------------------------------------------
-    def start(
-        self, query, seed: int = 42, query_id: str | None = None, **strategy
-    ) -> Flight:
-        """Open a flight; ``query`` may be SQL text or a plan object.
-        ``query_id`` continues a correlation id the caller already
-        issued (a server's admission event); default: a fresh one."""
-        from .events import new_query_id
-
+    def start(self, query, seed: int = 42, **strategy) -> Flight:
+        """Open a flight under a fresh query id; ``query`` may be SQL
+        text or a plan object."""
         with self._lock:
             self._flights += 1
+            query_id = f"q-{self._flights:06d}"
         return Flight(
-            query_id=query_id or new_query_id(),
+            query_id=query_id,
             sql=query if isinstance(query, str) else None,
             started=time.perf_counter(),
             started_at=time.time(),
@@ -224,7 +218,8 @@ class FlightRecorder:
         )
 
     def complete(self, flight: Flight, result) -> FlightRecord:
-        """Land a successful query: record strategy, traffic, checksum."""
+        """Land a successful query: record strategy, traffic, checksum
+        and the query's events (``result.events()``)."""
         record = self._base_record(flight, status="ok")
         if result.optimizer is not None:
             record.strategy["optimizer"] = result.optimizer.chosen.describe()
@@ -234,33 +229,31 @@ class FlightRecorder:
             "row_count": result.table.num_rows,
             "checksum": table_checksum(result.table),
         }
-        self._append(record)
+        self._land(record, result.events())
         return record
 
     def fail(
         self,
         flight: Flight,
         error: BaseException,
+        events: list,
         trace=None,
         fault_plan=None,
         retry_policy=None,
         write_bundle: bool = True,
     ) -> FlightRecord:
-        """Land a failed query; writes a post-mortem bundle by default.
+        """Land a failed query with its ``events`` (built from what it
+        left: :func:`~repro.telemetry.events.query_events` over its
+        partial serving stats and record, ending ``status=failed``);
+        writes a post-mortem bundle by default.
 
         Returns the record; the bundle path (when written) is in
         ``record.strategy["bundle"]``."""
-        self.events.emit(
-            "query.executed",
-            query=flight.query_id,
-            status="failed",
-            error=type(error).__name__,
-        )
         record = self._base_record(flight, status="failed")
         record.error_type = type(error).__name__
         record.error_message = str(error)
         record.expected = {"status": "failed", "error_type": record.error_type}
-        self._append(record)
+        self._land(record, events)
         if write_bundle:
             path = self.write_bundle(
                 record, trace=trace, fault_plan=fault_plan,
@@ -270,7 +263,6 @@ class FlightRecorder:
         return record
 
     def _base_record(self, flight: Flight, status: str) -> FlightRecord:
-        tail = self.events.events(query=flight.query_id, limit=self.event_tail)
         return FlightRecord(
             query_id=flight.query_id,
             sql=flight.sql,
@@ -278,11 +270,22 @@ class FlightRecorder:
             started_at=flight.started_at,
             host_ms=(time.perf_counter() - flight.started) * 1e3,
             strategy=dict(flight.strategy),
-            events=[event.to_dict() for event in tail],
         )
 
-    def _append(self, record: FlightRecord) -> None:
+    def _land(self, record: FlightRecord, events: list[Event]) -> None:
+        """Number ``events`` after every event landed before, stamp the
+        query id, keep the newest ``event_tail`` on ``record`` and ring
+        it."""
+        cut = max(0, len(events) - self.event_tail)
         with self._lock:
+            first, self._events = self._events, self._events + len(events)
+            for event in events:
+                self._kinds[event.kind] = self._kinds.get(event.kind, 0) + 1
+            self._cut += cut
+            record.events = [
+                replace(event, seq=first + event.seq, query=record.query_id).to_dict()
+                for event in events[cut:]
+            ]
             self._records.append(record)
 
     # ------------------------------------------------------------------
@@ -303,6 +306,12 @@ class FlightRecorder:
         lines = [json.dumps(record.to_dict()) for record in self.records()]
         return "\n".join(lines) + ("\n" if lines else "")
 
+    def events_jsonl(self) -> str:
+        """The buffered flights' events as JSONL, in ``seq`` order
+        (what ``--events-out`` writes)."""
+        lines = [json.dumps(event) for record in self.records() for event in record.events]
+        return "\n".join(lines) + ("\n" if lines else "")
+
     @property
     def postmortems(self) -> int:
         with self._lock:
@@ -315,6 +324,7 @@ class FlightRecorder:
             flights = self._flights
             postmortems = self._postmortems
             buffered = len(self._records)
+            kinds, cut = dict(self._kinds), self._cut
         metrics.counter(
             "repro_flights_total", "Queries tracked by the flight recorder",
             **labels,
@@ -327,7 +337,18 @@ class FlightRecorder:
             "repro_flight_records", "Flight records currently buffered",
             **labels,
         ).set(buffered)
-        self.events.observe_metrics(metrics, **labels)
+        for kind, count in sorted(kinds.items()):
+            metrics.counter(
+                "repro_events_total",
+                "Structured log events emitted, by kind",
+                kind=kind,
+                **labels,
+            ).set_total(count)
+        metrics.counter(
+            "repro_events_dropped_total",
+            "Events cut from their flight record past its event tail",
+            **labels,
+        ).set_total(cut)
 
     # ------------------------------------------------------------------
     # bundles
@@ -353,7 +374,7 @@ class FlightRecorder:
             self.postmortem_dir,
             record=record,
             replay=replay,
-            events=self.events.events(query=record.query_id),
+            events=record.events,
             trace=trace,
             fault_plan=fault_plan,
             name=name,
@@ -428,10 +449,10 @@ def write_postmortem_bundle(
 ) -> str:
     """Write one self-contained bundle directory; returns its path.
 
-    ``events`` may be :class:`~repro.telemetry.events.Event` objects or
-    plain dicts; ``trace`` a :class:`~repro.telemetry.trace.QueryTrace`
-    or a pre-built Chrome trace dict; ``fault_plan`` a
-    :class:`~repro.faults.FaultPlan` or a plan dict.
+    ``events`` are a flight record's event dicts; ``trace`` a
+    :class:`~repro.telemetry.trace.QueryTrace` or a pre-built Chrome
+    trace dict; ``fault_plan`` a :class:`~repro.faults.FaultPlan` or a
+    plan dict.
     """
     slug = name or f"{time.strftime('%Y%m%dT%H%M%S')}-{record.query_id}"
     slug = re.sub(r"[^A-Za-z0-9._-]+", "-", slug)
@@ -450,8 +471,7 @@ def write_postmortem_bundle(
     if events is not None:
         with open(os.path.join(path, "events.jsonl"), "w", encoding="utf-8") as out:
             for event in events:
-                data = event.to_dict() if isinstance(event, Event) else dict(event)
-                out.write(json.dumps(data) + "\n")
+                out.write(json.dumps(event) + "\n")
         contents.append("events.jsonl")
     if trace is not None:
         chrome = trace if isinstance(trace, dict) else trace.chrome_trace()

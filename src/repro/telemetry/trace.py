@@ -17,9 +17,10 @@ this module is the reproduction's equivalent of that tooling: a
     └─ finalize                  (result assembly, d2h)
 
 A :class:`Tracer` records only the host phases nothing else times
-(``plan``, ``compile``, ``placement``, a fleet's ``device[i]``, fault
-events ...); the ``pipeline`` / ``finalize`` / ``kernel`` / ``transfer``
-spans are the query record every execution writes anyway
+(``plan``, ``compile``, ``placement``, a fleet's ``device[i]`` ...);
+the ``pipeline`` / ``finalize`` / ``kernel`` / ``transfer`` spans, and
+the ``fault`` spans of stalls and of a fleet's recovery events, are
+the query record every execution writes anyway
 (:class:`~repro.hardware.traffic.Profile`), woven in when the tree is
 first read.
 
@@ -250,7 +251,8 @@ class QueryTrace:
     """A per-query span tree, attached as ``ExecutionResult.trace`` when
     tracing is enabled: the host phases a :class:`Tracer` recorded, and
     — woven in on first read — the ``pipeline`` / ``finalize`` /
-    ``kernel`` / ``transfer`` / stall spans of the query record."""
+    ``kernel`` / ``transfer`` / stall / recovery-event spans of the
+    query record."""
 
     def __init__(self, root: Span, profile=None, epoch: float = 0.0):
         self._root = root
@@ -380,15 +382,22 @@ def _weave(root: Span, profile, epoch: float) -> None:
     under the innermost host span running when it began (a fleet's
     ``device[i]``) and adopts the host events of its interval; a log
     entry becomes a leaf that lasts from the end of the span before it
-    to the moment it was logged."""
+    to the moment it was logged; so does a recovery event (a retry, a
+    lost device, a redistribution, the host fallback)."""
 
     def micros(seconds: float) -> float:
         return (seconds - epoch) * 1e6
 
+    notes = [
+        Span(_FAULT_SPANS[kind].format(**attrs), "fault", micros(at), micros(at),
+             dict(attrs, sim_ms=0.0))
+        for at, kind, attrs in profile.events
+        if kind in _FAULT_SPANS
+    ]
     spans = [
         _record_span(record, micros(record.started), micros(record.ended))
         for record in profile.pipelines
-    ] + [_leaf(entry, micros(entry.at)) for entry in profile.entries]
+    ] + [_leaf(entry, micros(entry.at)) for entry in profile.entries] + notes
     for span in sorted(spans, key=_START_US):
         parent, leaf = root, span.category not in ("pipeline", "finalize")
         while True:
@@ -411,6 +420,13 @@ def _weave(root: Span, profile, epoch: float) -> None:
 
 
 _START_US = operator.attrgetter("start_us")
+#: The record's events a trace shows, as ``fault`` spans of these names.
+_FAULT_SPANS = {
+    "morsel.retry": "retry p{morsel}",
+    "device.lost": "device {device} lost",
+    "morsel.redistributed": "redistribute",
+    "fallback.host": "host fallback",
+}
 
 
 def _record_span(record, start_us: float, end_us: float) -> Span:

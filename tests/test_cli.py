@@ -241,18 +241,15 @@ class TestObservabilityCommands:
             database_recipe={"workload": "ssb", "scale_factor": 0.002,
                              "seed": 7},
         )
-        try:
-            from repro.api import Session
-            from repro.workloads import generate_ssb
+        from repro.api import Session
+        from repro.workloads import generate_ssb
 
-            session = Session(
-                generate_ssb(0.002, seed=7), engine="resolution",
-                recorder=recorder,
-            )
-            session.execute(self.SQL)
-            bundle = recorder.capture(recorder.last(), name="cli-ok")
-        finally:
-            recorder.uninstall()
+        session = Session(
+            generate_ssb(0.002, seed=7), engine="resolution",
+            recorder=recorder,
+        )
+        session.execute(self.SQL)
+        bundle = recorder.capture(recorder.last(), name="cli-ok")
         assert main(["replay", bundle]) == 0
         out = capsys.readouterr().out
         assert "MATCH" in out and "byte-identical" in out

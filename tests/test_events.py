@@ -1,90 +1,38 @@
-"""Structured event log: ring semantics, correlation ids, emission.
+"""Structured events: the JSONL form, and the events of each query.
 
 Unit tests for :mod:`repro.telemetry.events` plus integration checks
-that the instrumentation points actually fire — Session planning and
-execution, Server admission, scale-out fault recovery (cross-thread
-correlation), placement eviction, and the adaptive optimizer.
+that each query's events are read off its own record and result —
+Session planning and execution, Server admission, scale-out fault
+recovery, placement eviction, the adaptive optimizer — and land in the
+flight recorder of the session that ran it, and in no other.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 
+import numpy as np
 import pytest
 
 from repro.api import Session
-from repro.errors import ConfigurationError
 from repro.faults import FaultPlan
 from repro.serving import Server
-from repro.telemetry.events import (
-    Event,
-    EventLog,
-    current_query,
-    install_log,
-    installed_log,
-    load_jsonl,
-    new_query_id,
-    query_scope,
-    record_event,
-    uninstall_log,
-)
+from repro.telemetry import FlightRecorder
+from repro.telemetry.events import Event, load_jsonl
 from repro.workloads import SSB_QUERIES
 
 
-@pytest.fixture
-def log():
-    """An installed EventLog, detached again after the test."""
-    event_log = EventLog(capacity=256)
-    install_log(event_log)
-    try:
-        yield event_log
-    finally:
-        uninstall_log(event_log)
+def _kinds(events) -> list:
+    return [event.kind for event in events]
 
 
 class TestEventLog:
-    def test_emit_assigns_monotonic_seq_and_counts(self):
-        log = EventLog()
-        first = log.emit("query.planned", cache_hit=False)
-        second = log.emit("query.executed", status="ok")
-        assert (first.seq, second.seq) == (1, 2)
-        assert log.counts() == {"query.planned": 1, "query.executed": 1}
-
-    def test_ring_drops_oldest_past_capacity(self):
-        log = EventLog(capacity=3)
-        for index in range(5):
-            log.emit("k", index=index)
-        events = log.events()
-        assert [event.seq for event in events] == [3, 4, 5]
-        assert log.dropped == 2
-        # Cumulative counts survive ring eviction.
-        assert log.counts() == {"k": 5}
-
-    def test_capacity_validated(self):
-        for bad in (0, -1, 1.5, True, "big"):
-            with pytest.raises(ConfigurationError):
-                EventLog(capacity=bad)
-
-    def test_filters_and_tail(self):
-        log = EventLog()
-        log.emit("a", query="q-1")
-        log.emit("b", query="q-1")
-        log.emit("a", query="q-2")
-        assert [e.kind for e in log.events(kind="a")] == ["a", "a"]
-        assert [e.kind for e in log.events(query="q-1")] == ["a", "b"]
-        assert len(log.tail(2)) == 2
-        assert log.tail(2)[-1].query == "q-2"
-
     def test_jsonl_round_trip(self, tmp_path):
-        log = EventLog()
-        log.emit("query.executed", query="q-7", status="ok", rows=3)
-        path = str(tmp_path / "events.jsonl")
-        assert log.write_jsonl(path) == 1
-        events = load_jsonl(path)
-        assert len(events) == 1
-        assert events[0].kind == "query.executed"
-        assert events[0].query == "q-7"
+        event = Event(7, 1.5, "query.executed", "q-7", {"status": "ok", "rows": 3})
+        path = tmp_path / "events.jsonl"
+        path.write_text(event.to_json() + "\n")
+        events = load_jsonl(str(path))
+        assert events == [event]
         assert events[0].attrs == {"status": "ok", "rows": 3}
 
     def test_load_jsonl_names_malformed_line(self, tmp_path):
@@ -100,107 +48,52 @@ class TestEventLog:
             load_jsonl(str(path))
 
     def test_attrs_coerced_to_json_types(self):
-        import numpy as np
-
-        log = EventLog()
-        event = log.emit("k", count=np.int64(3), share=np.float64(0.5),
-                         devices=(0, 1))
+        event = Event(1, 0.0, "k", None, dict(
+            count=np.int64(3), share=np.float64(0.5), devices=(0, 1),
+        ))
         data = json.loads(event.to_json())
         assert data["attrs"] == {"count": 3, "share": 0.5, "devices": [0, 1]}
 
-    def test_thread_safe_emission(self):
-        log = EventLog(capacity=10_000)
-
-        def worker():
-            for _ in range(500):
-                log.emit("k")
-
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert log.counts() == {"k": 2000}
-        assert len({event.seq for event in log.events()}) == len(log)
-
-
-class TestRecordEvent:
-    def test_noop_without_installed_log(self):
-        assert installed_log() is None
-        record_event("query.executed", status="ok")  # must not raise
-
-    def test_routes_to_installed_log(self, log):
-        record_event("query.planned", cache_hit=True)
-        assert log.counts() == {"query.planned": 1}
-
-    def test_uninstall_is_owner_scoped(self):
-        mine, other = EventLog(), EventLog()
-        install_log(mine)
-        uninstall_log(other)  # someone else's log: no-op
-        assert installed_log() is mine
-        uninstall_log(mine)
-        assert installed_log() is None
-
-
-class TestCorrelation:
-    def test_new_query_ids_are_unique(self):
-        ids = {new_query_id() for _ in range(10)}
-        assert len(ids) == 10
-        assert all(qid.startswith("q-") for qid in ids)
-
-    def test_query_scope_binds_and_restores(self, log):
-        assert current_query() is None
-        with query_scope("q-x"):
-            assert current_query() == "q-x"
-            record_event("inner")
-            with query_scope("q-y"):
-                assert current_query() == "q-y"
-            assert current_query() == "q-x"
-        assert current_query() is None
-        assert log.events()[0].query == "q-x"
-
-    def test_scope_does_not_cross_threads(self):
-        seen = []
-        with query_scope("q-main"):
-            thread = threading.Thread(target=lambda: seen.append(current_query()))
-            thread.start()
-            thread.join()
-        assert seen == [None]
-
 
 class TestSessionEmission:
-    def test_planned_and_executed_events(self, ssb_db, log):
+    def test_planned_and_executed_events(self, ssb_db):
         session = Session(ssb_db, engine="resolution")
-        session.execute(SSB_QUERIES["q1.1"])
-        kinds = [event.kind for event in log.events()]
-        assert kinds == ["query.planned", "query.executed"]
-        planned, executed = log.events()
+        events = session.execute(SSB_QUERIES["q1.1"]).events()
+        assert _kinds(events) == ["query.planned", "query.executed"]
+        planned, executed = events
         assert planned.attrs["cache_hit"] is False
         assert executed.attrs["status"] == "ok"
+        assert [event.seq for event in events] == [1, 2]
+        assert all(event.query is None for event in events)  # no recorder
 
-    def test_optimizer_decision_event(self, ssb_db, log):
+    def test_optimizer_decision_event(self, ssb_db):
         session = Session(ssb_db, engine="auto")
-        session.execute(SSB_QUERIES["q1.1"])
-        decisions = log.events(kind="optimizer.decision")
-        assert len(decisions) == 1
-        assert "strategy" in decisions[0].attrs
-        assert decisions[0].attrs["predicted_ms"] >= 0
+        events = session.execute(SSB_QUERIES["q1.1"]).events()
+        assert _kinds(events) == [
+            "query.planned", "optimizer.decision", "query.executed",
+        ]
+        decision = events[1]
+        assert "strategy" in decision.attrs
+        assert decision.attrs["predicted_ms"] >= 0
 
-    def test_fault_events_carry_correlation_id(self, ssb_db, log):
-        """Events emitted from scale-out device worker threads are
-        stamped with the submitting query's correlation id."""
+    def test_fault_events_carry_correlation_id(self, ssb_db, tmp_path):
+        """A recorded flight stamps its query id on every event of the
+        query, the fleet's fault events included."""
         plan = FaultPlan.generate(seed=101, devices=2, morsels=8)
+        recorder = FlightRecorder(postmortem_dir=str(tmp_path))
         session = Session(
             ssb_db, engine="resolution", devices=2, fault_plan=plan,
+            recorder=recorder,
         )
-        session.execute(SSB_QUERIES["q2.1"])
-        fired = log.events(kind="fault.fired")
+        result = session.execute(SSB_QUERIES["q2.1"])
+        record = recorder.last()
+        fired = [event for event in record.events if event["kind"] == "fault.fired"]
         assert fired, "the seed-101 plan fires at least once"
-        executed = log.events(kind="query.executed")
-        assert executed[-1].query is not None
-        assert all(event.query == executed[-1].query for event in fired)
+        assert record.query_id == "q-000001"
+        assert all(event["query"] == record.query_id for event in record.events)
+        assert [event["kind"] for event in record.events] == _kinds(result.events())
 
-    def test_placement_eviction_event(self, ssb_db, log):
+    def test_placement_eviction_event(self, ssb_db):
         from dataclasses import replace
 
         from repro.hardware.profiles import GTX970
@@ -209,27 +102,58 @@ class TestSessionEmission:
         tiny = replace(GTX970, name="tiny-pool", memory_capacity=600_000)
         session = Session(ssb_db, engine="resolution", device=tiny,
                           residency=True)
-        for name in ("q1.1", "q2.1", "q3.2"):
-            session.execute(SSB_QUERIES[name])
-        evictions = log.events(kind="placement.evicted")
+        evictions = [
+            event
+            for name in ("q1.1", "q2.1", "q3.2")
+            for event in session.execute(SSB_QUERIES[name]).events()
+            if event.kind == "placement.evicted"
+        ]
         assert evictions
         assert all("bytes" in event.attrs for event in evictions)
+        assert len(evictions) == session.placement_stats().evictions
 
 
 class TestServerEmission:
-    def test_admitted_planned_executed(self, ssb_db, log):
+    def test_admitted_planned_executed(self, ssb_db):
         with Server(ssb_db, workers=2, queue_size=8) as server:
-            server.execute_many([SSB_QUERIES["q1.1"], SSB_QUERIES["q2.1"]])
-        counts = log.counts()
-        assert counts["query.admitted"] == 2
-        assert counts["query.planned"] == 2
-        assert counts["query.executed"] == 2
-        admitted = log.events(kind="query.admitted")
-        assert all("queue_depth" in event.attrs for event in admitted)
+            results = server.execute_many([SSB_QUERIES["q1.1"], SSB_QUERIES["q2.1"]])
+        for result in results:
+            events = result.events()
+            assert _kinds(events) == [
+                "query.admitted", "query.planned", "query.executed",
+            ]
+            admitted = events[0]
+            assert 1 <= admitted.attrs["queue_depth"] <= 8
+            assert admitted.attrs["queue_capacity"] == 8
+            assert events[-1].attrs["worker"] == result.serving.worker
 
-    def test_cache_hit_flag_on_repeat(self, ssb_db, log):
+    def test_cache_hit_flag_on_repeat(self, ssb_db):
         with Server(ssb_db, workers=1, queue_size=4) as server:
-            server.execute(SSB_QUERIES["q1.1"])
-            server.execute(SSB_QUERIES["q1.1"])
-        planned = log.events(kind="query.planned")
+            results = [server.execute(SSB_QUERIES["q1.1"]) for _ in range(2)]
+        planned = [result.events()[1] for result in results]
+        assert [event.kind for event in planned] == ["query.planned"] * 2
         assert [event.attrs["cache_hit"] for event in planned] == [False, True]
+
+
+class TestRecordIsolation:
+    def test_each_recorder_holds_its_own_queries_events(self, ssb_db, tmp_path):
+        """Regression: every recorder installed its event log as the one
+        process-wide sink, so the last recorder built took the events of
+        every session's queries and the others recorded none."""
+        first = FlightRecorder(postmortem_dir=str(tmp_path / "a"))
+        second = FlightRecorder(postmortem_dir=str(tmp_path / "b"))
+        mine = Session(ssb_db, engine="resolution", recorder=first)
+        theirs = Session(ssb_db, engine="resolution", recorder=second)
+        mine.execute(SSB_QUERIES["q1.1"])
+        theirs.execute(SSB_QUERIES["q2.1"])
+        # A session without a recorder lands nothing anywhere.
+        Session(ssb_db, engine="resolution").execute(SSB_QUERIES["q3.1"])
+        for recorder, sql in ((first, "q1.1"), (second, "q2.1")):
+            [record] = recorder.records()
+            assert record.sql == SSB_QUERIES[sql]
+            assert [event["kind"] for event in record.events] == [
+                "query.planned", "query.executed",
+            ]
+            assert {event["query"] for event in record.events} == {record.query_id}
+            assert [event["seq"] for event in record.events] == [1, 2]
+            assert recorder.events_jsonl().count("\n") == 2

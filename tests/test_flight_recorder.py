@@ -35,14 +35,10 @@ SSB_RECIPE = {"workload": "ssb", "scale_factor": 0.004, "seed": 7}
 
 @pytest.fixture
 def recorder(tmp_path):
-    rec = FlightRecorder(
+    return FlightRecorder(
         postmortem_dir=str(tmp_path / "postmortems"),
         database_recipe=SSB_RECIPE,
     )
-    try:
-        yield rec
-    finally:
-        rec.uninstall()
 
 
 class TestFlightRecords:
@@ -94,17 +90,72 @@ class TestFlightRecords:
         rec = FlightRecorder(
             capacity=2, postmortem_dir=str(tmp_path / "pm"),
         )
-        try:
-            session = Session(ssb_db, engine="resolution", recorder=rec)
-            for _ in range(4):
-                session.execute(SSB_QUERIES["q1.1"])
-            assert len(rec.records()) == 2
-        finally:
-            rec.uninstall()
+        session = Session(ssb_db, engine="resolution", recorder=rec)
+        for _ in range(4):
+            session.execute(SSB_QUERIES["q1.1"])
+        assert len(rec.records()) == 2
 
     def test_capacity_validated(self):
         with pytest.raises(ConfigurationError):
-            FlightRecorder(capacity=0, install=False)
+            FlightRecorder(capacity=0)
+
+    def test_events_are_numbered_as_flights_land(self, ssb_db, tmp_path):
+        """``seq`` climbs across flights in landing order; a record keeps
+        the newest ``event_tail`` of its query's events, and what it cuts
+        is counted, as are the events per kind."""
+        rec = FlightRecorder(event_tail=1, postmortem_dir=str(tmp_path / "pm"))
+        session = Session(ssb_db, engine="resolution", recorder=rec)
+        for name in ("q1.1", "q2.1"):
+            session.execute(SSB_QUERIES[name])
+        first, second = rec.records()
+        assert (first.query_id, second.query_id) == ("q-000001", "q-000002")
+        assert [event["seq"] for event in first.events + second.events] == [2, 4]
+        assert [event["kind"] for event in second.events] == ["query.executed"]
+        metrics = MetricsRegistry()
+        rec.observe_metrics(metrics)
+        text = metrics.render()
+        assert 'repro_events_total{kind="query.planned"} 2' in text
+        assert "repro_events_dropped_total 2" in text
+
+    def test_concurrent_landings_number_every_event_once(self, tmp_path):
+        """Server workers land flights on one recorder at once: every
+        flight gets its own id, every event one ``seq``, the ring keeps
+        landing order and the per-kind counts add up."""
+        import sys
+        import threading
+
+        from repro.telemetry.events import Event
+
+        rec = FlightRecorder(capacity=1000, postmortem_dir=str(tmp_path))
+        events = [Event(1, 0.0, "query.planned", None), Event(2, 0.0, "query.executed", None)]
+
+        def worker():
+            for _ in range(100):
+                flight = rec.start("select 1")
+                rec.fail(flight, RuntimeError("boom"), events, write_bundle=False)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        records = rec.records()
+        assert len({record.query_id for record in records}) == 400
+        landed = [event["seq"] for record in records for event in record.events]
+        assert landed == list(range(1, 801))
+        assert all(
+            {event["query"] for event in record.events} == {record.query_id}
+            for record in records
+        )
+        metrics = MetricsRegistry()
+        rec.observe_metrics(metrics)
+        assert 'repro_events_total{kind="query.planned"} 400' in metrics.render()
 
     def test_jsonl_export(self, ssb_db, recorder):
         session = Session(ssb_db, engine="resolution", recorder=recorder)
@@ -140,7 +191,7 @@ class TestFailureBundle:
             ssb_db, engine="resolution", device=tiny_profile, devices=2,
             recorder=recorder,
         )
-        with pytest.raises(MorselExhaustedError):
+        with tracing(), pytest.raises(MorselExhaustedError):
             session.execute(SSB_QUERIES["q2.1"])
         record = recorder.last()
         assert record.status == "failed"
@@ -157,12 +208,22 @@ class TestFailureBundle:
         assert manifest["replay"]["database"] == SSB_RECIPE
         assert manifest["replay"]["devices"] == 2
         assert "events.jsonl" in manifest["contents"]
-        # The bundled events include the terminal failure event.
-        events = open(os.path.join(bundle, "events.jsonl")).read().splitlines()
-        last = json.loads(events[-1])
+        # The bundled events: what the morsels run before the failure
+        # noted, then the terminal failure event.
+        lines = open(os.path.join(bundle, "events.jsonl")).read().splitlines()
+        events = [json.loads(line) for line in lines]
+        kinds = [event["kind"] for event in events]
+        assert "morsel.redistributed" in kinds
+        assert kinds.index("morsel.redistributed") < len(kinds) - 1
+        last = events[-1]
         assert last["kind"] == "query.executed"
         assert last["attrs"]["status"] == "failed"
         assert last["attrs"]["error"] == "MorselExhaustedError"
+        # The bundled trace weaves the devices' partial record.
+        trace = json.load(open(os.path.join(bundle, "trace.json")))
+        categories = [event.get("cat") for event in trace["traceEvents"]]
+        assert "kernel" in categories and "transfer" in categories
+        assert "redistribute" in [event["name"] for event in trace["traceEvents"]]
 
     def test_replay_reproduces_the_failure(self, ssb_db, recorder, tiny_profile):
         session = Session(

@@ -22,9 +22,8 @@ import repro
 from repro.engines import ENGINE_FACTORIES, make_engine
 from repro.faults import FaultPlan
 from repro.hardware import GTX970, MemoryLevel
-from repro.telemetry import EventLog, install_log, render_explain_analyze, tracing
+from repro.telemetry import render_explain_analyze, tracing
 from repro.telemetry import trace as trace_module
-from repro.telemetry import uninstall_log
 from repro.workloads import SSB_QUERIES, generate_ssb, ssb_plan
 
 ENGINES = ("resolution", "pipelined", "multipass", "operator-at-a-time", "vector")
@@ -273,21 +272,17 @@ def test_no_kernel_or_transfer_span_before_the_trace_is_read(ssb_db, monkeypatch
 # ----------------------------------------------------------------------
 # always-on self-check
 # ----------------------------------------------------------------------
-@pytest.fixture()
-def event_log():
-    log = EventLog()
-    install_log(log)
-    yield log
-    uninstall_log(log)
+def _mismatches(result) -> list:
+    return [event for event in result.events() if event.kind == "accounting.mismatch"]
 
 
-def test_stray_launch_fires_accounting_mismatch(ssb_db, device, event_log, monkeypatch):
+def test_stray_launch_fires_accounting_mismatch(ssb_db, device, monkeypatch):
     from repro.engines.runtime import QueryRuntime
 
     engine, plan = make_engine("resolution"), ssb_plan("q2.1", ssb_db)
     clean = engine.execute(plan, ssb_db, device)
     assert clean.profile.unaccounted == 0
-    assert event_log.events(kind="accounting.mismatch") == []
+    assert _mismatches(clean) == []
 
     init = QueryRuntime.__init__
 
@@ -298,23 +293,23 @@ def test_stray_launch_fires_accounting_mismatch(ssb_db, device, event_log, monke
 
     monkeypatch.setattr(QueryRuntime, "__init__", stray)
     result = engine.execute(plan, ssb_db, device)
-    [event] = event_log.events(kind="accounting.mismatch")
+    [event] = _mismatches(result)
     assert event.attrs["unaccounted"] == result.profile.unaccounted == 1
     assert event.attrs["entries"] == len(clean.profile.entries) + 1
     assert event.attrs["engine"] == engine.name
     # The same stray on a fleet device is reported per device turn.
-    repro.connect(ssb_db, devices=2).execute(SSB_QUERIES["q2.1"])
-    fleet = event_log.events(kind="accounting.mismatch")[1:]
+    fleet = _mismatches(repro.connect(ssb_db, devices=2).execute(SSB_QUERIES["q2.1"]))
     assert sorted(event.attrs["device"] for event in fleet) == [0, 1]
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-def test_ssb_fires_no_accounting_mismatch(ssb_db, event_log, engine):
+def test_ssb_fires_no_accounting_mismatch(ssb_db, engine):
     session = repro.connect(ssb_db, engine=engine)
     for sql in SSB_QUERIES.values():
-        assert session.execute(sql).profile.unaccounted == 0
-    assert event_log.events(kind="accounting.mismatch") == []
-    assert event_log.events(kind="query.executed")  # the log was listening
+        result = session.execute(sql)
+        assert result.profile.unaccounted == 0
+        assert _mismatches(result) == []
+        assert result.events()[-1].kind == "query.executed"  # the record was read
 
 
 # ----------------------------------------------------------------------

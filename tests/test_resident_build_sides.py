@@ -34,7 +34,6 @@ from repro.placement import BufferPool, base_column_bytes
 from repro.plan.physical import BuildSink
 from repro.scaleout.partition import MORSELS_PER_DEVICE
 from repro.storage import Column, Table
-from repro.telemetry.events import EventLog, install_log, uninstall_log
 from repro.telemetry.recorder import table_checksum
 from repro.workloads import (
     SSB_QUERIES,
@@ -234,19 +233,19 @@ def test_a_small_device_evicts_tables_and_columns_and_matches_cpu(ssb_db):
     )
     session = repro.connect(ssb_db, device=device, residency=True)
     cpu = repro.connect(ssb_db, device=repro.XEON_E5, engine="cpu")
-    log = EventLog()
-    install_log(log)
-    try:
-        for _ in range(2):
-            for name in sorted(SSB_QUERIES):
-                result = session.execute(SSB_QUERIES[name])
-                expected = cpu.execute(SSB_QUERIES[name])
-                assert result.table.sorted_rows() == expected.table.sorted_rows()
-                assert not result.placement.out_of_core
-                _reconciles(device)
-    finally:
-        uninstall_log(log)
-    evicted = [event.attrs["entry"] for event in log.events() if event.kind == "placement.evicted"]
+    evicted = []
+    for _ in range(2):
+        for name in sorted(SSB_QUERIES):
+            result = session.execute(SSB_QUERIES[name])
+            expected = cpu.execute(SSB_QUERIES[name])
+            assert result.table.sorted_rows() == expected.table.sorted_rows()
+            assert not result.placement.out_of_core
+            _reconciles(device)
+            evicted += [
+                event.attrs["entry"]
+                for event in result.events()
+                if event.kind == "placement.evicted"
+            ]
     assert evicted.count("table") > 0 and evicted.count("column") > 0
     stats = session.placement_stats()
     assert stats.evictions == len(evicted)

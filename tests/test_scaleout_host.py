@@ -30,7 +30,6 @@ from repro.plan.physical import BuildSink
 from repro.plan.pipelines import extract_pipelines
 from repro.primitives.hashtable import clear_layout_cache, layout_cache_stats
 from repro.telemetry.baseline import LOSS
-from repro.telemetry.events import EventLog, install_log, uninstall_log
 from repro.workloads import SSB_QUERIES, ssb_plan
 
 QUERIES = ("q2.1", "q3.1", "q4.1")
@@ -141,20 +140,15 @@ def _faulted_run(database, fault_plan, monkeypatch):
             injectors.append(self)
 
     monkeypatch.setattr(executor_module, "FaultInjector", Recording)
-    log = EventLog()
-    install_log(log)
-    try:
-        session = connect(database, devices=3, fault_plan=fault_plan)
-        recovery = session.execute(SSB_QUERIES["q2.1"]).scaleout.recovery
-    finally:
-        uninstall_log(log)
+    session = connect(database, devices=3, fault_plan=fault_plan)
+    result = session.execute(SSB_QUERIES["q2.1"])
     (injector,) = injectors
     events = [
         (event.kind, sorted(event.attrs.items()))
-        for event in log.events()
+        for event in result.events()
         if event.kind in _FAULT_EVENTS
     ]
-    return list(injector.fired), events, asdict(recovery)
+    return list(injector.fired), events, asdict(result.scaleout.recovery)
 
 
 @pytest.mark.parametrize("seed", CHAOS_SEEDS)

@@ -156,7 +156,10 @@ ROUTES = {
 #: The repeat exercises the plan-cache and residency hit paths.
 PARITY_QUERIES = ("q1.1", "q2.1", "q3.1", "q1.1")
 #: ServingStats fields that are the queue's, or host wall-clock.
-_UNCOMPARABLE = {"queue_wait_ms", "worker", "plan_ms", "compile_ms", "execute_ms"}
+_UNCOMPARABLE = {
+    "queue_wait_ms", "worker", "admission", "plan_ms", "compile_ms", "execute_ms",
+    "started", "planned_at",
+}
 
 
 def _run_door(door: str, database, config: dict, tmp_path):
@@ -165,21 +168,18 @@ def _run_door(door: str, database, config: dict, tmp_path):
     clear_kernel_cache()
     recorder = FlightRecorder(postmortem_dir=str(tmp_path / door))
     kwargs = dict({"residency": False}, **config)
-    try:
-        if door == "session":
-            session = Session(
-                database, plan_cache=PlanCache(), recorder=recorder, **kwargs
-            )
-            results = [session.execute(SSB_QUERIES[name]) for name in PARITY_QUERIES]
-        else:
-            with Server(
-                database, workers=1, recorder=recorder, **kwargs
-            ) as server:
-                results = [
-                    server.execute(SSB_QUERIES[name]) for name in PARITY_QUERIES
-                ]
-    finally:
-        recorder.uninstall()
+    if door == "session":
+        session = Session(
+            database, plan_cache=PlanCache(), recorder=recorder, **kwargs
+        )
+        results = [session.execute(SSB_QUERIES[name]) for name in PARITY_QUERIES]
+    else:
+        with Server(
+            database, workers=1, recorder=recorder, **kwargs
+        ) as server:
+            results = [
+                server.execute(SSB_QUERIES[name]) for name in PARITY_QUERIES
+            ]
     return results, recorder.records()
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..hardware.traffic import LogSlice
+
 
 @dataclass
 class CompressionStats:
@@ -11,19 +13,13 @@ class CompressionStats:
 
     ``raw_bytes``/``wire_bytes`` (transfers that crossed the link, both
     ways) and the decode/encode launch counts are read off the query
-    record (:meth:`read_log`); ``columns`` counts transferred columns/blocks,
+    record ``log``; ``columns`` counts transferred columns/blocks,
     ``encoded_columns`` the subset that shipped in a non-passthrough
     codec, and ``codecs`` the per-codec breakdown.
     """
 
-    raw_bytes: int = 0
-    wire_bytes: int = 0
     columns: int = 0
     encoded_columns: int = 0
-    #: Stand-alone ``decode.*`` launches: only engines that materialize
-    #: at load (operator-at-a-time, cpu) have any.
-    decode_kernels: int = 0
-    encode_kernels: int = 0
     codecs: dict = field(default_factory=dict)
     #: Fused into the consuming kernels instead: predicate conjuncts
     #: executed directly on wire images, block-skip accounting, columns
@@ -42,6 +38,27 @@ class CompressionStats:
     scans: list = field(default_factory=list)
     #: Simulated ms of the stand-alone decode launches, by codec.
     decode_ms_by_codec: dict = field(default_factory=dict)
+
+    #: The query record.  Not a field: ``asdict`` / ``==`` / ``repr``
+    #: carry compression's own facts only.
+    log = LogSlice()
+
+    @property
+    def raw_bytes(self) -> int:
+        return self.log.raw_transfer_bytes()
+
+    @property
+    def wire_bytes(self) -> int:
+        return self.log.transfer_bytes()
+
+    @property
+    def decode_kernels(self) -> int:
+        """Stand-alone ``decode.*`` launches (operator-at-a-time, cpu)."""
+        return len(self.log.kernels_of_kind("decode"))
+
+    @property
+    def encode_kernels(self) -> int:
+        return len(self.log.kernels_of_kind("encode"))
 
     @property
     def ratio(self) -> float:
@@ -63,15 +80,8 @@ class CompressionStats:
             self.decode_ms_by_codec.get(codec, 0.0) + float(sim_ms)
         )
 
-    def read_log(self, log) -> None:
-        """Fill the link bytes and launch counts from the query record."""
-        self.raw_bytes = log.raw_transfer_bytes()
-        self.wire_bytes = log.transfer_bytes()
-        self.decode_kernels = len(log.kernels_of_kind("decode"))
-        self.encode_kernels = len(log.kernels_of_kind("encode"))
-
     def merge(self, other: "CompressionStats") -> None:
-        """Add ``other``'s facts but those :meth:`read_log` fills."""
+        """Add ``other``'s facts (not its record's)."""
         self.columns += other.columns
         self.encoded_columns += other.encoded_columns
         self.compressed_scans += other.compressed_scans

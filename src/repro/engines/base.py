@@ -25,8 +25,6 @@ class ExecutionResult:
     profile: Profile
     engine: str
     device_name: str
-    #: Bytes moved host -> device: the query record's h2d transfers.
-    input_bytes: int
     #: Result bytes moved device -> host.
     output_bytes: int
     #: The dashed baseline: time to stream input+output over the link.
@@ -82,6 +80,11 @@ class ExecutionResult:
         planning and outcome from ``serving``, the optimizer's decision,
         and the notes of its record."""
         return query_events(self.serving, self.profile, self.optimizer)
+
+    @property
+    def input_bytes(self) -> int:
+        """Bytes moved host -> device: the query record's h2d transfers."""
+        return self.profile.moved_bytes("h2d")
 
     @property
     def kernel_ms(self) -> float:
@@ -151,17 +154,12 @@ class ExecutionResult:
 def package_result(
     device: VirtualCoprocessor, profile: Profile, output_bytes: int, **fields
 ) -> ExecutionResult:
-    """An :class:`ExecutionResult` read off its query record ``profile``
-    (``input_bytes``, the log's share of ``placement`` / ``compression``),
+    """An :class:`ExecutionResult` over its query record ``profile``,
     its two baselines derived from its PCIe volumes on ``device``."""
     input_bytes = profile.moved_bytes("h2d")
-    for stats in (fields.get("placement"), fields.get("compression")):
-        if stats is not None:
-            stats.read_log(profile)
     fields.setdefault("device_name", device.profile.name)
     return ExecutionResult(
         profile=profile,
-        input_bytes=input_bytes,
         output_bytes=output_bytes,
         pcie_ms=device.pcie_baseline_ms(input_bytes, output_bytes),
         memory_bound_ms=device.memory_bound_ms(input_bytes + output_bytes),

@@ -119,6 +119,7 @@ class QueryRuntime:
         #: Ids of the hash tables served from the pool (their build
         #: pipelines did not run) / built and handed to it.
         self.resident_tables: set[str] = set()
+        self.table_hits = 0
         self.table_misses = 0
         #: table id -> build signature (None: not poolable) of every
         #: build pipeline seen so far, for the builds that probe them.
@@ -128,9 +129,10 @@ class QueryRuntime:
         self.compression = (
             device.compression if device.interconnect is not None else None
         )
-        self._compression_stats = (
-            CompressionStats() if self.compression is not None else None
-        )
+        self._compression_stats = None
+        if self.compression is not None:
+            self._compression_stats = CompressionStats()
+            self._compression_stats.log = device.log
         #: Wire-resident columns, decoded in registers by the kernels
         #: that read them, keyed by ``(source table, base column)``.
         self.lazy_columns: dict[tuple[str, str], LazyColumn] = {}
@@ -367,6 +369,7 @@ class QueryRuntime:
             hits=self.placement_hits,
             misses=self.placement_misses,
             hit_bytes=self.placement_hit_bytes,
+            table_hits=self.table_hits,
             table_misses=self.table_misses,
         )
 
@@ -401,6 +404,7 @@ class QueryRuntime:
         if resident is None:
             self.table_misses += 1
             return False
+        self.table_hits += 1
         self._pinned.append(resident)
         table_id = pipeline.sink.table_id
         self.resident_tables.add(table_id)

@@ -1,8 +1,7 @@
 """Recovery knobs and accounting: :class:`RetryPolicy`, :class:`RecoveryStats`.
 
-Kept import-light (dataclasses only) so :mod:`repro.scaleout.stats` can
-embed a :class:`RecoveryStats` without pulling the injection machinery
-into every result object.
+Kept import-light (no injection machinery) so :mod:`repro.scaleout.stats`
+can embed a :class:`RecoveryStats` in every result object.
 """
 
 from __future__ import annotations
@@ -10,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import ConfigurationError
+from ..hardware.traffic import Profile
 
 
 @dataclass(frozen=True)
@@ -78,29 +78,48 @@ class RecoveryStats:
     Attached as ``ScaleOutStats.recovery`` on every partitioned
     scale-out execution; :func:`~repro.telemetry.metrics.observe_result`
     sums these per-query values into the ``repro_faults_*`` counters.
+    The fields are what only the executor knows; the recovery actions
+    are read off the notes of the query record ``log``.
     """
 
     #: Faults actually fired this query, by kind (injected only).
     injected: dict = field(default_factory=dict)
-    #: Same-device morsel retries (injected *and* genuine failures).
-    retries: int = 0
-    #: Exponential-backoff delay charged across all retries.
-    backoff_ms: float = 0.0
-    #: Morsels re-scheduled onto surviving devices.
-    redistributed_morsels: int = 0
     #: Scatter waves executed (1 = fault-free single wave).
     waves: int = 1
-    #: Devices lost during the query (sorted).
-    degraded_devices: list = field(default_factory=list)
     #: Morsel timeouts (stragglers promoted to failures).
     timeouts: int = 0
-    #: The whole query fell back to the host out-of-core executor
-    #: because no device survived.
-    host_fallback: bool = False
+
+    #: The query record.  Not a field: ``asdict`` / ``==`` / ``repr``
+    #: carry the executor's own facts only.
+    log = Profile()
+
+    def _notes(self, kind: str) -> list[dict]:
+        return [attrs for _, noted, attrs in self.log.events if noted == kind]
 
     @property
-    def total_injected(self) -> int:
-        return sum(self.injected.values())
+    def retries(self) -> int:
+        """Same-device morsel retries (injected *and* genuine failures)."""
+        return len(self._notes("morsel.retry"))
+
+    @property
+    def backoff_ms(self) -> float:
+        """Exponential-backoff delay charged across all retries."""
+        return sum((note["backoff_ms"] for note in self._notes("morsel.retry")), 0.0)
+
+    @property
+    def redistributed_morsels(self) -> int:
+        """Morsels re-scheduled onto surviving devices."""
+        return sum(note["morsels"] for note in self._notes("morsel.redistributed"))
+
+    @property
+    def degraded_devices(self) -> list[int]:
+        """Devices lost during the query (sorted)."""
+        return sorted(note["device"] for note in self._notes("device.lost"))
+
+    @property
+    def host_fallback(self) -> bool:
+        """No device survived: the whole query ran on the host fallback."""
+        return bool(self._notes("fallback.host"))
 
     @property
     def faulted(self) -> bool:
@@ -113,9 +132,6 @@ class RecoveryStats:
             or self.timeouts
             or self.host_fallback
         )
-
-    def record_injected(self, kind: str, count: int = 1) -> None:
-        self.injected[kind] = self.injected.get(kind, 0) + count
 
     def summary(self) -> str:
         if not self.faulted:

@@ -159,10 +159,6 @@ class KernelCostModel:
             bound_by=breakdown.bound_by,
         )
 
-    def kernel_time(self, meter: TrafficMeter) -> float:
-        """Simulated seconds for one kernel launch."""
-        return self.breakdown(meter).total
-
     def memory_bound_time(self, nbytes: int) -> float:
         """Lower bound: streaming ``nbytes`` through global memory.
 

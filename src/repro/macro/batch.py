@@ -12,7 +12,7 @@ saturate PCIe in Figure 21.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..engines.compound import CompoundEngine, run_compound_pipeline, slice_bounds
 from ..engines.runtime import QueryRuntime
@@ -31,28 +31,50 @@ BLOCK_OVERHEAD = 20e-6
 
 @dataclass
 class BatchResult:
-    """Timing breakdown of a streamed batch-processing execution."""
+    """Timing breakdown of a streamed batch-processing execution, read
+    off the query record of ``execution`` (the
+    :class:`~repro.engines.base.ExecutionResult` the streamer returned):
+    the build phase is what ran before the final pipeline's row, the
+    streaming phase the rest — the packed result's d2h (``finalize``)
+    counts as a streaming-phase transfer."""
 
-    table: Table
     block_bytes: int
     num_blocks: int
-    build_ms: float
-    stream_transfer_ms: float
-    stream_kernel_ms: float
-    overhead_ms: float
-    input_bytes: int
-    output_bytes: int
     peak_device_bytes: int
-    #: Residency outcome (:class:`repro.placement.QueryPlacement`) when
-    #: a buffer pool was attached to the device, else ``None``.
-    placement: object | None = None
-    #: Wire-compression accounting
-    #: (:class:`repro.compression.CompressionStats`) when a compression
-    #: policy was active, else ``None``.
-    compression: object | None = None
-    #: The :class:`~repro.engines.base.ExecutionResult` this breakdown
-    #: was read from (profile, kernel sources, trace).
-    execution: object | None = None
+    execution: object = field(repr=False, compare=False)
+
+    @property
+    def table(self) -> Table:
+        return self.execution.table
+
+    @property
+    def input_bytes(self) -> int:
+        return self.execution.input_bytes
+
+    def _phases(self) -> tuple[LogSlice, LogSlice]:
+        profile = self.execution.profile
+        kernels, transfers = profile.pipelines[-2].marks
+        return (
+            LogSlice(profile.kernels[:kernels], profile.transfers[:transfers]),
+            LogSlice(profile.kernels[kernels:], profile.transfers[transfers:]),
+        )
+
+    @property
+    def build_ms(self) -> float:
+        return self._phases()[0].total_time_ms
+
+    @property
+    def stream_transfer_ms(self) -> float:
+        return self._phases()[1].transfer_time_ms
+
+    @property
+    def stream_kernel_ms(self) -> float:
+        return self._phases()[1].kernel_time_ms
+
+    @property
+    def overhead_ms(self) -> float:
+        """Per-block scheduling overhead."""
+        return self.num_blocks * BLOCK_OVERHEAD * 1e3
 
     @property
     def stream_ms(self) -> float:
@@ -171,26 +193,10 @@ class BatchExecutor:
             )
         streamer = _BlockStreamer(self.mode, self.block_bytes)
         result = streamer.execute(query, database, device, seed=seed)
-        # The streaming phase begins where the final pipeline's row of
-        # the query record does; the packed result's d2h (``finalize``)
-        # counts as a streaming-phase transfer.
-        profile = result.profile
-        kernel_mark, transfer_mark = profile.pipelines[-2].marks
-        build = LogSlice(profile.kernels[:kernel_mark], profile.transfers[:transfer_mark])
-        stream = LogSlice(profile.kernels[kernel_mark:], profile.transfers[transfer_mark:])
         return BatchResult(
-            table=result.table,
             block_bytes=self.block_bytes,
             num_blocks=streamer.num_blocks,
-            build_ms=build.total_time_ms,
-            stream_transfer_ms=stream.transfer_time_ms,
-            stream_kernel_ms=stream.kernel_time_ms,
-            overhead_ms=streamer.num_blocks * BLOCK_OVERHEAD * 1e3,
-            input_bytes=result.input_bytes,
-            output_bytes=result.output_bytes,
             peak_device_bytes=streamer.peak_device_bytes,
-            placement=result.placement,
-            compression=result.compression,
             execution=result,
         )
 
@@ -226,6 +232,6 @@ def execute_out_of_core(
     )
     result = batch.execution
     if result.placement is None:
-        result.placement = QueryPlacement(transferred_bytes=result.input_bytes)
+        result.placement = QueryPlacement()
     result.placement.out_of_core = True
     return result

@@ -164,11 +164,6 @@ class StatisticsCatalog:
             self.collections += 1
         return stats
 
-    def column_stats(
-        self, database: Database, table: str, column: str
-    ) -> ColumnStats | None:
-        return self.table_stats(database, table).column(column)
-
     def analyze(self, database: Database) -> dict[str, TableStats]:
         """Eagerly collect stats for every table in the catalog."""
         return {

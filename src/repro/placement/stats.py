@@ -21,8 +21,6 @@ class QueryPlacement:
     misses: int = 0
     #: Bytes the resident hits would otherwise have moved over PCIe.
     hit_bytes: int = 0
-    #: Bytes moved host->device (read off the query record).
-    transferred_bytes: int = 0
     #: True when the query ran through the streaming out-of-core path.
     out_of_core: bool = False
     #: Build pipelines whose hash table was served from the pool (the
@@ -37,11 +35,6 @@ class QueryPlacement:
         probes = self.hits + self.misses
         return self.hits / probes if probes else 0.0
 
-    def read_log(self, log) -> None:
-        """Fill the fields the query record knows."""
-        self.transferred_bytes = log.moved_bytes("h2d")
-        self.table_hits = sum(record.resident for record in log.pipelines)
-
     @classmethod
     def aggregate(cls, placements: "list[QueryPlacement]") -> "QueryPlacement":
         """One query's pool outcome over the devices of a fleet."""
@@ -49,6 +42,7 @@ class QueryPlacement:
             hits=sum(p.hits for p in placements),
             misses=sum(p.misses for p in placements),
             hit_bytes=sum(p.hit_bytes for p in placements),
+            table_hits=sum(p.table_hits for p in placements),
             table_misses=sum(p.table_misses for p in placements),
         )
 

@@ -78,7 +78,7 @@ from ..faults.plan import FaultPlan
 from ..faults.recovery import RecoveryStats, RetryPolicy
 from ..hardware.interconnect import PCIE3, Interconnect
 from ..hardware.profiles import GTX970, DeviceProfile, get_profile
-from ..hardware.traffic import LogSlice, Profile
+from ..hardware.traffic import Profile
 from ..errors import (
     ConfigurationError,
     DeviceLostError,
@@ -118,6 +118,7 @@ _RECOVERABLE = (FaultError, DeviceMemoryError)
 class _DeviceRun:
     """What one device's turn brings back to the merge (one wave)."""
 
+    #: The device's share of the query, shared by its turns.
     share: DeviceShare
     partials: dict[int, dict[str, np.ndarray]] = field(default_factory=dict)
     profile: Profile = field(default_factory=Profile)
@@ -130,8 +131,6 @@ class _DeviceRun:
     fault_fired: set = field(default_factory=set)
     #: Device died during this wave (its unfinished pieces are failed).
     lost: bool = False
-    retries: int = 0
-    backoff_ms: float = 0.0
     timeouts: int = 0
     #: Per-device wire-compression accounting (None when disabled).
     compression: object | None = None
@@ -312,7 +311,7 @@ class ScaleOutExecutor:
             partitions=partition_set.parts,
             scheme=self.partitioning,
             fact_table=final.source,
-            shares=_combined_shares(runs),
+            shares=_shares(runs),
             merge_ms=merge_ms,
             recovery=recovery,
         )
@@ -367,17 +366,13 @@ class ScaleOutExecutor:
                 )
             for run in runs[first:]:
                 by_piece.update(run.partials)
-                recovery.retries += run.retries
-                recovery.backoff_ms += run.backoff_ms
                 recovery.timeouts += run.timeouts
                 for piece_index in run.failed:
                     failed_on.setdefault(piece_index, set()).add(run.share.device)
                 fault_seen |= run.fault_fired
                 if run.lost and run.share.device in alive:
                     alive.remove(run.share.device)
-                    recovery.degraded_devices.append(run.share.device)
                     notes.note("device.lost", device=run.share.device, wave=wave)
-            recovery.degraded_devices.sort()
             pending = sorted(
                 piece_index
                 for piece_index in failed_on
@@ -424,7 +419,6 @@ class ScaleOutExecutor:
                 for load in local
                 if load.pieces
             ]
-            recovery.redistributed_morsels += len(pending)
             notes.note(
                 "morsel.redistributed",
                 wave=wave,
@@ -458,7 +452,12 @@ class ScaleOutExecutor:
             device=device.profile.name,
         ):
             runtime = QueryRuntime(device, partition_db, seed=seed, pool=pool)
-            run = _DeviceRun(share=DeviceShare(device=load.device))
+            share = {run.share.device: run.share for run in runs}.get(load.device)
+            if share is None:
+                share = DeviceShare(device=load.device)
+                share.first_morsel = len(query.pipelines) - 1
+            share.logs += (device.log,)
+            run = _DeviceRun(share=share, profile=device.log)
             runs.append(run)
             try:
                 try:
@@ -505,8 +504,6 @@ class ScaleOutExecutor:
                                 run.failed[later] = "device-loss"
                         break
             finally:
-                _read_share(run.share, device.log, len(query.pipelines) - 1)
-                run.profile = device.log
                 run.kernel_sources = dict(runtime.kernel_sources)
                 run.placement = runtime.query_placement()
                 run.compression = runtime.compression_stats()
@@ -587,9 +584,7 @@ class ScaleOutExecutor:
                     run.failed[piece.index] = kind
                     return False
                 if attempt < policy.max_attempts:
-                    run.retries += 1
                     backoff = policy.backoff_ms(attempt)
-                    run.backoff_ms += backoff
                     device.log.note(
                         "morsel.retry",
                         device=run.share.device,
@@ -618,7 +613,7 @@ class ScaleOutExecutor:
 
         result = dispatch(engine, query, database, self.fleet.devices[0], seed)
         share = DeviceShare(device=0, morsels=1)
-        _read_share(share, result.profile, 0)
+        share.logs = (result.profile,)
         stats = ScaleOutStats(
             devices=self.devices,
             partitions=1,
@@ -648,8 +643,8 @@ class ScaleOutExecutor:
         on the reserve host device, streaming out-of-core (run-to-finish
         when the plan cannot stream).  The result's record is the host
         run's; the fleet's events come first in it."""
-        recovery.host_fallback = True
-        notes.note("fallback.host", devices_lost=len(recovery.degraded_devices))
+        # Every fleet device was lost.
+        notes.note("fallback.host", devices_lost=self.devices)
         from ..macro.batch import execute_out_of_core, streaming_mode
 
         device = self.fleet.host_device()
@@ -662,12 +657,13 @@ class ScaleOutExecutor:
             device.reset_all()
             result = engine.execute(query, database, device, seed=seed)
         result.profile.events[:0] = _record(runs, notes).events
+        recovery.log = result.profile
         stats = ScaleOutStats(
             devices=self.devices,
             partitions=partition_set.parts,
             scheme=self.partitioning,
             fact_table=partition_set.fact_table,
-            shares=_combined_shares(runs),
+            shares=_shares(runs),
             recovery=recovery,
         )
         result.scaleout = stats
@@ -684,6 +680,7 @@ class ScaleOutExecutor:
         stats: ScaleOutStats,
     ) -> ExecutionResult:
         profile = _record(runs, notes)
+        stats.recovery.log = profile
         kernel_sources: dict[str, str] = {}
         for run in runs:
             kernel_sources.update(run.kernel_sources)
@@ -693,6 +690,9 @@ class ScaleOutExecutor:
             from ..placement.stats import QueryPlacement
 
             placement = QueryPlacement.aggregate(placements)
+        compression = CompressionStats.aggregate(run.compression for run in runs)
+        if compression is not None:
+            compression.log = profile
         return package_result(
             self.fleet.devices[0],
             profile,
@@ -703,9 +703,7 @@ class ScaleOutExecutor:
             kernel_sources=kernel_sources,
             placement=placement,
             scaleout=stats,
-            compression=CompressionStats.aggregate(
-                run.compression for run in runs
-            ),
+            compression=compression,
         )
 
     def placement_stats(self):
@@ -723,29 +721,7 @@ def _record(runs: list[_DeviceRun], *logs: Profile | None) -> Profile:
     return record
 
 
-def _read_share(share: DeviceShare, log: Profile, first_morsel: int) -> None:
-    """Fill ``share``'s link bytes and times from its device's ``log``:
-    h2d before the first morsel's record (pipeline ``first_morsel`` on)
-    is the broadcast build sides', the rest its partitions'."""
-    morsels = [r for r in log.pipelines if (r.index or 0) >= first_morsel]
-    mark = morsels[0].marks[1] if morsels else len(log.transfers)
-    share.input_bytes = log.moved_bytes("h2d")
-    share.broadcast_bytes = LogSlice(transfers=log.transfers[:mark]).moved_bytes("h2d")
-    share.partition_bytes = share.input_bytes - share.broadcast_bytes
-    share.gather_bytes = log.moved_bytes("d2h")
-    share.kernel_ms = log.kernel_time_ms
-    share.transfer_ms = log.transfer_time_ms
-    share.busy_ms = log.total_time_ms
-
-
-def _combined_shares(runs: list[_DeviceRun]) -> list[DeviceShare]:
-    """Sum each device's per-wave shares into one ``DeviceShare`` (a
-    device that ran two recovery waves did all of that work)."""
-    by_device: dict[int, DeviceShare] = {}
-    for run in runs:
-        share = run.share
-        if share.device in by_device:
-            by_device[share.device] += share
-        else:
-            by_device[share.device] = replace(share)
+def _shares(runs: list[_DeviceRun]) -> list[DeviceShare]:
+    """Each device's one share of the query, in device order."""
+    by_device = {run.share.device: run.share for run in runs}
     return [by_device[device] for device in sorted(by_device)]

@@ -54,11 +54,6 @@ class DeviceFleet:
     def __len__(self) -> int:
         return len(self.devices)
 
-    @property
-    def live_devices(self) -> list[int]:
-        """Indices of the devices currently in service."""
-        return [index for index, device in enumerate(self.devices) if device.alive]
-
     def revive_all(self) -> None:
         """Return every lost device to service (start-of-query recovery:
         an injected loss lasts for the query that suffered it)."""

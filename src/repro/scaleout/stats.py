@@ -1,4 +1,4 @@
-"""Scale-out execution statistics (dataclasses only).
+"""Scale-out execution statistics.
 
 ``ScaleOutStats.recovery`` embeds the per-query
 :class:`~repro.faults.recovery.RecoveryStats` (itself import-light) so
@@ -7,52 +7,73 @@ every result of the recovering executor carries its fault accounting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from ..faults.recovery import RecoveryStats
+from ..hardware.traffic import LogSlice, Profile
 
 
 @dataclass
 class DeviceShare:
     """One device's share of a scale-out execution: the morsels it ran,
-    and its link bytes and times as read off its device's log."""
+    and its link bytes and times as read off its device's log of each
+    turn it took (one per recovery wave it ran in)."""
 
     device: int
     #: Fact morsels this device executed.
     morsels: int = 0
     #: Fact rows this device scanned.
     rows: int = 0
-    #: Total PCIe h2d bytes this device paid.
-    input_bytes: int = 0
-    #: h2d bytes of the broadcast build sides (dimension pipelines),
-    #: duplicated on every participating device.
-    broadcast_bytes: int = 0
-    #: h2d bytes of this device's fact partitions (disjoint across
-    #: devices; sums to the single-device fact volume).
-    partition_bytes: int = 0
-    #: d2h bytes of the partial results gathered back to the host.
-    gather_bytes: int = 0
-    kernel_ms: float = 0.0
-    transfer_ms: float = 0.0
-    #: Simulated busy time (kernels + transfers) on this device.
-    busy_ms: float = 0.0
+
+    #: Not fields (``asdict`` / ``==`` / ``repr`` carry the executor's
+    #: own facts only): the device's log of each turn, in wave order,
+    #: and the record index of the first fact morsel — in each log the
+    #: h2d before it is the broadcast build sides', the rest partitions'.
+    logs = ()
+    first_morsel = 0
+
+    @property
+    def input_bytes(self) -> int:
+        """Total PCIe h2d bytes this device paid."""
+        return sum(log.moved_bytes("h2d") for log in self.logs)
+
+    @property
+    def broadcast_bytes(self) -> int:
+        """h2d bytes of the build sides, broadcast to every device."""
+        return sum(self._broadcast(log) for log in self.logs)
+
+    @property
+    def partition_bytes(self) -> int:
+        """h2d bytes of this device's (disjoint) fact partitions."""
+        return self.input_bytes - self.broadcast_bytes
+
+    @property
+    def gather_bytes(self) -> int:
+        """d2h bytes of the partial results gathered back to the host."""
+        return sum(log.moved_bytes("d2h") for log in self.logs)
+
+    @property
+    def kernel_ms(self) -> float:
+        return sum(log.kernel_time_ms for log in self.logs)
+
+    @property
+    def transfer_ms(self) -> float:
+        return sum(log.transfer_time_ms for log in self.logs)
+
+    @property
+    def busy_ms(self) -> float:
+        """Simulated busy time (kernels + transfers) on this device."""
+        return sum(log.total_time_ms for log in self.logs)
 
     @property
     def pcie_bytes(self) -> int:
         """Total bytes over this device's link (h2d + d2h)."""
         return self.input_bytes + self.gather_bytes
 
-    def __iadd__(self, other: "DeviceShare") -> "DeviceShare":
-        """Add another share of the same device (a later recovery
-        wave): every counter sums."""
-        for spec in fields(self):
-            if spec.name != "device":
-                setattr(
-                    self,
-                    spec.name,
-                    getattr(self, spec.name) + getattr(other, spec.name),
-                )
-        return self
+    def _broadcast(self, log: Profile) -> int:
+        morsels = [r for r in log.pipelines if (r.index or 0) >= self.first_morsel]
+        mark = morsels[0].marks[1] if morsels else len(log.transfers)
+        return LogSlice(transfers=log.transfers[:mark]).moved_bytes("h2d")
 
 
 @dataclass
@@ -96,14 +117,6 @@ class ScaleOutStats:
     @property
     def input_bytes(self) -> int:
         return sum(share.input_bytes for share in self.shares)
-
-    @property
-    def partition_bytes(self) -> int:
-        return sum(share.partition_bytes for share in self.shares)
-
-    @property
-    def broadcast_bytes(self) -> int:
-        return sum(share.broadcast_bytes for share in self.shares)
 
     @property
     def gather_bytes(self) -> int:

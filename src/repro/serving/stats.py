@@ -58,11 +58,6 @@ class ServingStats:
     planned_at: float = 0.0
 
     @property
-    def host_overhead_ms(self) -> float:
-        """The serving overhead the caches amortize: plan + compile."""
-        return self.plan_ms + self.compile_ms
-
-    @property
     def total_ms(self) -> float:
         """Queue wait + planning + execution (host wall clock)."""
         return self.queue_wait_ms + self.plan_ms + self.execute_ms

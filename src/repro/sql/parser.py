@@ -110,10 +110,6 @@ class _Parser:
             )
         return token
 
-    def at_keyword(self, word: str) -> bool:
-        token = self.peek()
-        return token.kind == "KEYWORD" and token.value == word
-
     # ------------------------------------------------------------------
     def parse_query(self) -> QueryAst:
         self.expect("KEYWORD", "select")

@@ -65,13 +65,6 @@ class Database:
         """
         return (self._serial, self._version)
 
-    def schema_fingerprint(self) -> tuple:
-        """A structural digest: table names, column names/dtypes, rows."""
-        return tuple(
-            (name, table.num_rows, tuple(sorted(table.schema().items())))
-            for name, table in sorted(self._tables.items())
-        )
-
     def table(self, name: str) -> Table:
         try:
             return self._tables[name]

@@ -4,8 +4,9 @@ Every surface reads one substrate: the **query record**,
 ``ExecutionResult.profile`` (:class:`~repro.hardware.traffic.Profile`)
 — each launch and transfer of the query, and one row per pipeline run
 plus ``finalize``, written always, with no flag.  The stats objects on
-a result are its tier facts plus what is read off that record once
-(``docs/observability.md``, "Counted once").  The surfaces:
+a result hold their tier's facts and read everything else off that
+record when asked (``docs/observability.md``, "Read, not copied").  The
+surfaces:
 
 * **Tracing** (:mod:`repro.telemetry.trace`) — hierarchical spans
   (``query → plan → compile → pipeline[i] → kernel/transfer/placement``)

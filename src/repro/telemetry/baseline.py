@@ -208,6 +208,8 @@ def _observe(session, result) -> tuple[dict, list]:
     stats = None
     if result.compression is not None:
         stats = asdict(result.compression)
+        for name in ("raw_bytes", "wire_bytes", "decode_kernels", "encode_kernels"):
+            stats[name] = getattr(result.compression, name)
         stats["decode_ms_by_codec"] = {
             codec: repr(ms) for codec, ms in stats["decode_ms_by_codec"].items()
         }

@@ -123,8 +123,9 @@ def _footer_lines(result) -> list[str]:
         probes = serving.compile_hits + serving.compile_misses
         if probes:
             lines.append(f"kernel cache: {serving.compile_hits}/{probes} hits")
+        cache = {None: "bypassed", True: "hit", False: "miss"}[serving.plan_cache_hit]
         lines.append(
-            f"plan cache: {'hit' if serving.plan_cache_hit else 'miss'}  "
+            f"plan cache: {cache}  "
             f"(plan {serving.plan_ms:.3f} ms, compile {serving.compile_ms:.3f} ms "
             f"⊂ execute {serving.execute_ms:.3f} ms)"
         )

@@ -65,8 +65,9 @@ class Counter:
 
     def set_total(self, value: float) -> None:
         """Sync to a monotonic total a component owns (a scrape-time
-        collector of, e.g., a buffer pool's or the event log's state).
-        A per-query fact is counted by :func:`observe_result` instead."""
+        collector of, e.g., a buffer pool's or a flight recorder's
+        counts).  A per-query fact is counted by :func:`observe_result`
+        instead."""
         with self._lock:
             self._value = max(self._value, float(value))
 

@@ -179,6 +179,14 @@ class FlightRecorder:
             raise ConfigurationError(
                 f"flight-record capacity must be an integer >= 1, got {capacity!r}"
             )
+        if (
+            isinstance(event_tail, bool)
+            or not isinstance(event_tail, int)
+            or event_tail < 0
+        ):
+            raise ConfigurationError(
+                f"flight-record event_tail must be an integer >= 0, got {event_tail!r}"
+            )
         self.event_tail = event_tail
         self.postmortem_dir = postmortem_dir
         self.database_recipe = dict(database_recipe) if database_recipe else None

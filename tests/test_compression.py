@@ -351,7 +351,7 @@ class TestStats:
         log.append(TransferRecord(250, "h2d", 0.0, raw_nbytes=1000, codec="forpack"))
         stats = CompressionStats()
         stats.record("forpack")
-        stats.read_log(log)
+        stats.log = log
         assert (stats.raw_bytes, stats.wire_bytes) == (1000, 250)
         assert "4.00x" in stats.summary()
 

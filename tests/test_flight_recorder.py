@@ -99,6 +99,12 @@ class TestFlightRecords:
         with pytest.raises(ConfigurationError):
             FlightRecorder(capacity=0)
 
+    @pytest.mark.parametrize("event_tail", [-1, True, 2.0, "8"])
+    def test_event_tail_validated(self, event_tail):
+        with pytest.raises(ConfigurationError, match=repr(event_tail)):
+            FlightRecorder(event_tail=event_tail)
+        FlightRecorder(event_tail=0)  # keep no events: allowed
+
     def test_events_are_numbered_as_flights_land(self, ssb_db, tmp_path):
         """``seq`` climbs across flights in landing order; a record keeps
         the newest ``event_tail`` of its query's events, and what it cuts

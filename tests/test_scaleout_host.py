@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import asdict
 
 import pytest
 
@@ -117,6 +116,37 @@ def test_later_devices_do_not_start_after_a_fatal_error(ssb_db):
     assert seen == [executor.fleet.devices[0]]
 
 
+@pytest.mark.parametrize("name", ["q2.1", "q3.1", "q4.1"])
+def test_a_device_has_one_share_over_its_turns(ssb_db, monkeypatch, name):
+    """The ``fleet:*|loss`` cases run two waves: each device keeps one
+    share, whose clocks are its turns' sums added in wave order (busy
+    is each turn's total, not the merged log's kernels + transfers)."""
+    turns = []
+    run_device = executor_module.ScaleOutExecutor._run_device
+
+    def recording(self, engine, query, rewritten, partition_set, load, *args):
+        run_device(self, engine, query, rewritten, partition_set, load, *args)
+        turns.append((load.device, self.fleet.devices[load.device].log))
+
+    monkeypatch.setattr(executor_module.ScaleOutExecutor, "_run_device", recording)
+    result = connect(ssb_db, devices=4, fault_plan=LOSS).execute(SSB_QUERIES[name])
+    stats = result.scaleout
+    assert stats.recovery.waves == 2
+    assert len(turns) > len({device for device, _ in turns})  # a device ran twice
+    expected: dict[int, tuple] = {}
+    for device, log in turns:
+        kernel, transfer, busy = expected.get(device, (0.0, 0.0, 0.0))
+        expected[device] = (
+            kernel + log.kernel_time_ms,
+            transfer + log.transfer_time_ms,
+            busy + log.total_time_ms,
+        )
+    assert [share.device for share in stats.shares] == sorted(expected)
+    for share in stats.shares:
+        clocks = (share.kernel_ms, share.transfer_ms, share.busy_ms)
+        assert clocks == expected[share.device], share.device
+
+
 # ----------------------------------------------------------------------
 # a fault schedule is a total order
 # ----------------------------------------------------------------------
@@ -127,6 +157,11 @@ CHAOS_SEEDS = [
     if part.strip()
 ][:3]
 _FAULT_EVENTS = ("fault.fired", "morsel.retry", "morsel.redistributed", "device.lost")
+#: What ``RecoveryStats`` reports: its fields and what it reads off the record.
+_RECOVERY = (
+    "injected", "retries", "backoff_ms", "redistributed_morsels", "waves",
+    "degraded_devices", "timeouts", "host_fallback",
+)
 
 
 def _faulted_run(database, fault_plan, monkeypatch):
@@ -148,7 +183,10 @@ def _faulted_run(database, fault_plan, monkeypatch):
         for event in result.events()
         if event.kind in _FAULT_EVENTS
     ]
-    return list(injector.fired), events, asdict(result.scaleout.recovery)
+    recovery = result.scaleout.recovery
+    return list(injector.fired), events, {
+        name: getattr(recovery, name) for name in _RECOVERY
+    }
 
 
 @pytest.mark.parametrize("seed", CHAOS_SEEDS)

@@ -168,6 +168,18 @@ class TestExplainAnalyze:
         assert "kernel cache" in text
         assert not tracing_enabled()  # flag restored after the run
 
+    def test_plan_cache_outcome(self, ssb_db):
+        """SQL misses then hits; a plan object never probes the cache,
+        so its footer says so instead of a "miss" on every run."""
+        from repro.workloads.microbench import aggregation_query
+
+        session = Session(ssb_db)
+        assert "plan cache: miss" in session.explain(QUERY, analyze=True)
+        assert "plan cache: hit" in session.explain(QUERY, analyze=True)
+        plan = aggregation_query(0)
+        for _ in range(2):
+            assert "plan cache: bypassed" in session.explain(plan, analyze=True)
+
     def test_render_without_trace(self, ssb_db):
         """EXPLAIN ANALYZE reads the query record: an untraced result
         renders (it used to raise), with the rows of a traced one."""

@@ -23,14 +23,13 @@ from .errors import ConfigurationError
 from .hardware.device import VirtualCoprocessor
 from .hardware.interconnect import PCIE3, Interconnect
 from .hardware.profiles import GTX970, DeviceProfile, get_profile
-from .kernels.codegen import begin_thread_compile_stats, thread_compile_stats
 from .placement.executor import dispatch
 from .plan.logical import LogicalPlan
 from .sql.translate import plan_sql
 from .storage.database import Database
 from .telemetry.events import query_events
 from .telemetry.metrics import MetricsRegistry, count_query, observe_result
-from .telemetry.trace import NO_TRACER, Tracer, tracing_enabled
+from .telemetry.trace import QueryTrace, tracing_enabled
 
 if TYPE_CHECKING:  # avoid the api -> serving -> api import cycle
     from .serving.plan_cache import PlanCache
@@ -361,7 +360,7 @@ class Session:
         admission: dict | None = None,
     ) -> ExecutionResult:
         """The query lifecycle (``docs/architecture.md``): flight ->
-        serving stats -> tracer -> plan -> dispatch -> landing (flight
+        serving stats -> plan -> dispatch -> landing (trace, flight
         record, metrics).  :class:`~repro.serving.Server` workers enter here with
         their admission-queue wait, worker index and the admission facts
         their request carries; direct executions are worker ``-1`` with
@@ -385,19 +384,20 @@ class Session:
             queue_wait_ms=queue_wait_ms, worker=worker, admission=admission,
             started=time.perf_counter(),
         )
-        # The one place a query gets a tracer; everything below reaches
-        # it through ``active_tracer()`` and gets a no-op when off.
-        tracer = NO_TRACER
-        if tracing_enabled():
+        # The one read of the tracing flag: a query keeps the answer it
+        # started with, whatever other threads' ``tracing()`` do meanwhile.
+        traced = tracing_enabled()
+
+        def trace(record) -> QueryTrace | None:
+            if not traced:
+                return None
             origin = {"api": "session"} if worker < 0 else {"worker": worker}
             if flight is not None:
                 origin["query_id"] = flight.query_id
-            tracer = Tracer(**origin)
+            return QueryTrace(serving, record, **origin)
+
         try:
-            with tracer.activate():
-                if worker >= 0:
-                    tracer.event("queue_wait", "queue", wait_ms=queue_wait_ms)
-                result = self._plan_and_run(chosen, query, seed, tracer, flight, serving)
+            result = self._plan_and_run(chosen, query, seed, flight, serving)
         except BaseException as error:
             # No result: what the query did on a device (its partial
             # record) rides the error, the rest is in ``serving``.
@@ -407,14 +407,14 @@ class Session:
                     flight,
                     error,
                     query_events(serving, record, error=error),
-                    trace=tracer.finish(record),
+                    trace=trace(record),
                     fault_plan=self._fault_plan,
                     retry_policy=self._retry_policy,
                 )
             if self.metrics is not None:
                 count_query(self.metrics, "failed")
             raise
-        result.trace = tracer.finish(result.profile)
+        result.trace = trace(result.profile)
         if recorder is not None:
             recorder.complete(flight, result)
         if self.metrics is not None:
@@ -422,16 +422,12 @@ class Session:
             observe_result(self.metrics, result, **labels)
         return result
 
-    def _plan_and_run(
-        self, chosen, query, seed, tracer, flight, serving
-    ) -> ExecutionResult:
+    def _plan_and_run(self, chosen, query, seed, flight, serving) -> ExecutionResult:
         """Plan and run ``query``, filling in ``serving`` as each step
         finishes (what a failure leaves of it is the query's story)."""
         token = self._strategy_token(chosen)
         plan_start = time.perf_counter()
-        with tracer.span("plan", "plan") as span:
-            physical, hit = self.plan_cache.lookup(query, self.database, token)
-            span.attrs["cache_hit"] = hit
+        physical, hit = self.plan_cache.lookup(query, self.database, token)
         serving.planned_at = time.perf_counter()
         serving.plan_ms = (serving.planned_at - plan_start) * 1e3
         serving.plan_cache_hit = hit if isinstance(query, str) else None
@@ -439,13 +435,10 @@ class Session:
             from .telemetry.recorder import plan_fingerprint
 
             flight.note(plan_fingerprint=plan_fingerprint(physical), cache_hit=hit)
-        begin_thread_compile_stats()
         execute_start = time.perf_counter()
         result = self._run(chosen, physical, seed)
         serving.execute_ms = (time.perf_counter() - execute_start) * 1e3
-        serving.compile_hits, serving.compile_misses, serving.compile_ms = (
-            thread_compile_stats()
-        )
+        serving.lookups = result.profile.lookups
         result.serving = serving
         if isinstance(query, str) and result.optimizer is not None:
             self.plan_cache.record_strategy(

@@ -58,7 +58,7 @@ class CompoundEngine(Engine):
         scope = runtime.load_source(
             pipeline, lazy_capable=self.lazy_capable(pipeline)
         )
-        kernel = generate_compound_kernel(pipeline)
+        kernel = generate_compound_kernel(pipeline, runtime.device.log)
         ctx = _launch(
             EstimateContext, kernel, pipeline, runtime, self.mode, scope,
             runtime.source_rows(pipeline), kernel.name,
@@ -126,7 +126,7 @@ def run_compound_pipeline(
         and any(spec.op == "avg" for spec in sink.aggregates)
     ):
         launched, scheme = rewrite_for_partials(pipeline)
-    kernel = generate_compound_kernel(launched)
+    kernel = generate_compound_kernel(launched, runtime.device.log)
     runtime.kernel_sources[pipeline.name] = kernel.source
 
     def launch(rows_scope, rows: int, name: str) -> KernelContext:

@@ -25,7 +25,6 @@ from ..errors import PlanError
 from ..expressions.eval import evaluate, over_rows
 from ..hardware.device import VirtualCoprocessor
 from ..hardware.traffic import MemoryLevel
-from ..telemetry.trace import active_tracer
 from ..primitives.hashtable import JoinHashTable
 from ..primitives.reduce import charge_device_reduce
 from ..primitives.segmented import factorize, grouped_reduce
@@ -206,7 +205,7 @@ class QueryRuntime:
                 # What the pool holds: the wire image, else the column.
                 resident = entry.buffer.array
                 self._pinned.append(entry)
-                active_tracer().event(
+                self.device.log.phase(
                     f"placement {label}", "placement", hit=hit, nbytes=column.nbytes
                 )
                 # entry.nbytes is the resident footprint: the wire size
@@ -409,7 +408,7 @@ class QueryRuntime:
         table_id = pipeline.sink.table_id
         self.resident_tables.add(table_id)
         self.register_hash_table(table_id, resident.table)
-        active_tracer().event(
+        self.device.log.phase(
             f"placement {table_id}", "placement", hit=True, nbytes=resident.nbytes
         )
         return True

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DeviceMemoryError, MorselTimeoutError, TransferCorruptionError
-from ..telemetry.trace import active_tracer
 from .plan import FaultPlan, FaultSpec
 from .recovery import RetryPolicy
 
@@ -134,14 +133,14 @@ class FaultInjector:
             self._take("morsel", device_index, morsel), device_index, morsel, device
         )
 
-    def deliver(self, device_index: int, morsel: int, produced: dict) -> dict:
+    def deliver(self, device_index: int, morsel: int, produced: dict, device) -> dict:
         """The gathered partial as it arrives on the host: corrupted
         when a corruption fault fires, untouched otherwise.  The caller
         verifies the checksum and raises on mismatch."""
         specs = self._take("morsel", device_index, morsel, corruption=True)
         if not specs:
             return produced
-        self._trace("corruption", device_index, morsel)
+        _log_firing(device, "corruption", device_index, morsel)
         return _corrupt(produced)
 
     # ------------------------------------------------------------------
@@ -157,7 +156,9 @@ class FaultInjector:
         error = None
         for spec in specs:
             if spec.kind == "straggler":
-                self._trace("straggler", device_index, morsel, delay_ms=spec.delay_ms)
+                _log_firing(
+                    device, "straggler", device_index, morsel, delay_ms=spec.delay_ms
+                )
                 device.stall(
                     spec.delay_ms,
                     label=f"fault.straggler"
@@ -173,12 +174,12 @@ class FaultInjector:
                         device_index, morsel, spec.delay_ms, timeout
                     )
             elif spec.kind == "oom":
-                self._trace("oom", device_index, morsel)
+                _log_firing(device, "oom", device_index, morsel)
                 capacity = device.profile.memory_capacity
                 available = capacity - device.allocated_bytes
                 error = DeviceMemoryError(available + 1, available, capacity)
             elif spec.kind == "device-loss":
-                self._trace("device-loss", device_index, morsel)
+                _log_firing(device, "device-loss", device_index, morsel)
                 # Mark the device dead and let the engine trip over it at
                 # its next allocation/transfer/launch — loss lands
                 # mid-morsel, exercising the partial-state cleanup path.
@@ -186,12 +187,13 @@ class FaultInjector:
         if error is not None:
             raise error
 
-    def _trace(self, kind: str, device: int, morsel: int | None, **attrs) -> None:
-        where = f"p{morsel}" if morsel is not None else "build"
-        active_tracer().event(
-            f"fault {kind} {where}", "fault", device=device, morsel=morsel,
-            kind=kind, **attrs,
-        )
+
+def _log_firing(device, kind: str, index: int, morsel: int | None, **attrs) -> None:
+    """Note a firing on ``device``'s query record, where it happens."""
+    where = f"p{morsel}" if morsel is not None else "build"
+    device.log.phase(
+        f"fault {kind} {where}", "fault", device=index, morsel=morsel, kind=kind, **attrs
+    )
 
 
 def _corrupt(produced: dict) -> dict:

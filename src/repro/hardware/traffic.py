@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from time import perf_counter
+from typing import NamedTuple
 
 
 class MemoryLevel(enum.Enum):
@@ -223,6 +224,18 @@ class TransferRecord:
     at: float = field(default=0.0, compare=False)
 
 
+class KernelLookup(NamedTuple):
+    """One lookup of a generated kernel: a cache hit, or a miss that
+    compiled for ``compile_ms`` host milliseconds; ``at`` is the host
+    clock (``perf_counter`` seconds)."""
+
+    at: float
+    name: str
+    kind: str
+    hit: bool
+    compile_ms: float = 0.0
+
+
 @dataclass
 class LogSlice:
     """A run of profiler entries and the sums every report takes over
@@ -336,8 +349,8 @@ class Profile(LogSlice):
     the log, and — the *query record* — one :class:`PipelineRecord` per
     pipeline run, in execution order, and one for ``finalize``.  Always
     written; the span trace, EXPLAIN ANALYZE, flight records, the
-    query's events and the perf baselines are views over it
-    (``docs/observability.md``)."""
+    query's events, its compile counts and the perf baselines are views
+    over it (``docs/observability.md``)."""
 
     pipelines: list[PipelineRecord] = field(default_factory=list)
     #: Stalls among ``transfers``: delays the fault layer charges
@@ -345,6 +358,10 @@ class Profile(LogSlice):
     stalls: int = 0
     #: ``(host clock, kind, attrs)`` of each :meth:`note`, in host order.
     events: list[tuple] = field(default_factory=list)
+    #: ``(started, ended, name, category, attrs)`` of each :meth:`phase`.
+    phases: list[tuple] = field(default_factory=list)
+    #: Every kernel the query looked up (:meth:`lookup`).
+    lookups: list[KernelLookup] = field(default_factory=list)
 
     def append(self, entry: KernelTrace | TransferRecord) -> None:
         """Append a launch or a transfer, stamped with its issue order
@@ -362,6 +379,26 @@ class Profile(LogSlice):
         a retry ...), stamped with the host clock.  It takes no issue
         order: every launch and transfer keeps its ``seq``."""
         self.events.append((perf_counter(), kind, attrs))
+
+    def phase(self, name: str, category: str, started: float | None = None, **attrs) -> None:
+        """Log a host phase only the record times (a pool acquisition, a
+        fault firing, a fleet's partition step ...): from ``started``
+        (``perf_counter`` seconds) until now, or a point now."""
+        now = perf_counter()
+        self.phases.append((now if started is None else started, now, name, category, attrs))
+
+    def lookup(self, name: str, kind: str, hit: bool, compile_ms: float = 0.0) -> None:
+        """Log a kernel lookup, stamped with the host clock."""
+        self.lookups.append(KernelLookup(perf_counter(), name, kind, hit, compile_ms))
+
+    def carry(self, earlier: "Profile | None") -> None:
+        """Put what ``earlier`` noted, timed and looked up before this
+        record's own: an attempt that failed before this one ran, or
+        what the optimizer compiled to price the query."""
+        if earlier is not None:
+            self.events[:0] = earlier.events
+            self.phases[:0] = earlier.phases
+            self.lookups[:0] = earlier.lookups
 
     def open(self, index: int | None, pipeline, rows_in: int) -> PipelineRecord:
         """Begin the record of pipeline ``index`` (``finalize``: both
@@ -398,3 +435,5 @@ class Profile(LogSlice):
         self.pipelines.extend(other.pipelines)
         self.stalls += other.stalls
         self.events = sorted(self.events + other.events, key=lambda event: event[0])
+        self.phases.extend(other.phases)
+        self.lookups.extend(other.lookups)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from ..errors import CompilationError
 from ..expressions.codegen import to_source
-from ..telemetry.trace import active_tracer
+from ..hardware.traffic import Profile
 from ..plan.physical import (
     AggregateSink,
     BuildSink,
@@ -84,9 +84,6 @@ _cache_epoch = 0
 _cache_hits = 0
 _cache_misses = 0
 _cache_evictions = 0
-#: Per-thread hit/miss deltas: a query executes on one worker thread,
-#: so the serving layer can meter compile reuse per query.
-_thread_stats = threading.local()
 
 
 def kernel_cache_stats() -> KernelCacheStats:
@@ -109,41 +106,23 @@ def clear_kernel_cache() -> None:
         _cache_hits = _cache_misses = _cache_evictions = 0
 
 
-def begin_thread_compile_stats() -> None:
-    """Zero the calling thread's compile counters (one query starts)."""
-    _thread_stats.hits = 0
-    _thread_stats.misses = 0
-    _thread_stats.compile_ms = 0.0
-
-
-def thread_compile_stats() -> tuple[int, int, float]:
-    """The calling thread's ``(hits, misses, compile_wall_ms)`` since
-    the last :func:`begin_thread_compile_stats`."""
-    return (
-        getattr(_thread_stats, "hits", 0),
-        getattr(_thread_stats, "misses", 0),
-        getattr(_thread_stats, "compile_ms", 0.0),
-    )
-
-
 def _record_probe(hit: bool) -> None:
     global _cache_hits, _cache_misses
     if hit:
         _cache_hits += 1
-        _thread_stats.hits = getattr(_thread_stats, "hits", 0) + 1
     else:
         _cache_misses += 1
-        _thread_stats.misses = getattr(_thread_stats, "misses", 0) + 1
 
 
-def _kernel(pipeline: Pipeline, kind: str, emit) -> CompiledKernel:
+def _kernel(pipeline: Pipeline, kind: str, emit, log: Profile | None) -> CompiledKernel:
     """The ``kind`` kernel of ``pipeline``: the one this pipeline object
     resolved since the cache was last cleared, else ``emit(pipeline)``'s
-    lines through the source-keyed cache."""
+    lines through the source-keyed cache.  The lookup is logged on
+    ``log``, the record of the query it is for (if any)."""
     epoch = _cache_epoch  # read before compiling: a clear meanwhile wins
     known = pipeline.kernels.get(kind)
     if known is None or known[0] != epoch:
-        kernel = _compile(f"{kind}_{pipeline.name}", kind, emit(pipeline))
+        kernel = _compile(f"{kind}_{pipeline.name}", kind, emit(pipeline), log)
         pipeline.kernels[kind] = (epoch, kernel)
         return kernel
     kernel = known[1]
@@ -151,22 +130,21 @@ def _kernel(pipeline: Pipeline, kind: str, emit) -> CompiledKernel:
         _record_probe(True)
         if kernel.source in _kernel_cache:
             _kernel_cache.move_to_end(kernel.source)
-    active_tracer().event(
-        f"compile {kernel.name}", "compile", cache_hit=True, kind=kind
-    )
+    if log is not None:
+        log.lookup(kernel.name, kind, hit=True)
     return kernel
 
 
-def _compile(name: str, kind: str, lines: list[str]) -> CompiledKernel:
+def _compile(name: str, kind: str, lines: list[str], log: Profile | None) -> CompiledKernel:
     global _cache_evictions
     source = "\n".join([f"def {name}(ctx):"] + [f"    {line}" for line in lines]) + "\n"
-    tracer = active_tracer()
     with _cache_lock:
         cached = _kernel_cache.get(source)
         _record_probe(cached is not None)
         if cached is not None:
             _kernel_cache.move_to_end(source)
-            tracer.event(f"compile {name}", "compile", cache_hit=True, kind=kind)
+            if log is not None:
+                log.lookup(name, kind, hit=True)
             return cached
     started = time.perf_counter()
     namespace: dict = {}
@@ -175,13 +153,8 @@ def _compile(name: str, kind: str, lines: list[str]) -> CompiledKernel:
     except SyntaxError as error:  # pragma: no cover - codegen bug guard
         raise CompilationError(f"generated kernel failed to compile: {error}\n{source}")
     kernel = CompiledKernel(name=name, kind=kind, source=source, entry=namespace[name])
-    compile_ms = (time.perf_counter() - started) * 1e3
-    tracer.event(
-        f"compile {name}", "compile", cache_hit=False, kind=kind, compile_ms=compile_ms
-    )
-    _thread_stats.compile_ms = (
-        getattr(_thread_stats, "compile_ms", 0.0) + compile_ms
-    )
+    if log is not None:
+        log.lookup(name, kind, hit=False, compile_ms=(time.perf_counter() - started) * 1e3)
     with _cache_lock:
         _kernel_cache[source] = kernel
         while len(_kernel_cache) > KERNEL_CACHE_CAPACITY:
@@ -301,9 +274,9 @@ def _emit_compound_sink(lines: list[str], pipeline: Pipeline) -> None:
         raise CompilationError(f"unknown sink {type(sink).__name__}")
 
 
-def generate_compound_kernel(pipeline: Pipeline) -> CompiledKernel:
+def generate_compound_kernel(pipeline: Pipeline, log: Profile | None = None) -> CompiledKernel:
     """One kernel for the whole fusion operator (Section 5.2)."""
-    return _kernel(pipeline, "compound", _compound_lines)
+    return _kernel(pipeline, "compound", _compound_lines, log)
 
 
 def _compound_lines(pipeline: Pipeline) -> list[str]:
@@ -318,9 +291,9 @@ def _compound_lines(pipeline: Pipeline) -> list[str]:
     return lines
 
 
-def generate_count_kernel(pipeline: Pipeline) -> CompiledKernel:
+def generate_count_kernel(pipeline: Pipeline, log: Profile | None = None) -> CompiledKernel:
     """Multi-pass phase 1: cardinality primitives + flag write."""
-    return _kernel(pipeline, "count", _count_lines)
+    return _kernel(pipeline, "count", _count_lines, log)
 
 
 def _count_lines(pipeline: Pipeline) -> list[str]:
@@ -336,10 +309,10 @@ def _count_lines(pipeline: Pipeline) -> list[str]:
     return lines
 
 
-def generate_write_kernel(pipeline: Pipeline) -> CompiledKernel:
+def generate_write_kernel(pipeline: Pipeline, log: Profile | None = None) -> CompiledKernel:
     """Multi-pass phase 3: re-execute primitives for flagged threads,
     then perform the aligned writes (or materialize sink inputs)."""
-    return _kernel(pipeline, "write", _write_lines)
+    return _kernel(pipeline, "write", _write_lines, log)
 
 
 def _write_lines(pipeline: Pipeline) -> list[str]:

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from ..errors import ConfigurationError
 from ..hardware.interconnect import Interconnect
 from ..hardware.profiles import DeviceProfile
+from ..hardware.traffic import Profile
 from ..plan.physical import AggregateSink, MaterializeSink, PhysicalQuery
 from ..storage.database import Database
 from .cost import (
@@ -253,10 +254,12 @@ class Advisor:
         placement: str | None = None,
         resident_columns: frozenset = frozenset(),
         resident_tables: frozenset[int] = frozenset(),
+        record: Profile | None = None,
     ) -> OptimizerDecision:
         """Pick the cheapest feasible strategy for ``query``.
         ``resident_columns`` / ``resident_tables``: what a pooled device
-        already holds of it (see :meth:`CostEstimator.estimate
+        already holds of it; ``record``: where the kernel lookups of the
+        pricing are logged (see :meth:`CostEstimator.estimate
         <repro.optimizer.cost.CostEstimator.estimate>`)."""
         started = time.perf_counter()
         capacity = self.profile.memory_capacity
@@ -279,7 +282,7 @@ class Advisor:
         for choice in candidates:
             estimate = self.estimator.estimate(
                 query, database, choice, resident_columns=resident_columns,
-                resident_tables=resident_tables,
+                resident_tables=resident_tables, record=record,
             )
             if not estimate.feasible:
                 pruned.append(PrunedCandidate(choice, estimate.reason))

@@ -44,6 +44,7 @@ from ..errors import DeviceMemoryError
 from ..hardware.device import VirtualCoprocessor
 from ..hardware.interconnect import PCIE3, Interconnect
 from ..hardware.profiles import DeviceProfile
+from ..hardware.traffic import Profile
 from ..placement.executor import base_columns, dispatch
 from ..plan.physical import PhysicalQuery
 from ..storage.database import Database
@@ -214,8 +215,10 @@ class AutoExecutor:
 
     # ------------------------------------------------------------------
     def advise(
-        self, query: PhysicalQuery, database: Database
+        self, query: PhysicalQuery, database: Database, record: Profile | None = None
     ) -> OptimizerDecision:
+        """The advisor's pick for ``query``; the kernel lookups pricing
+        makes are logged on ``record`` (if any)."""
         resident_columns, resident_tables = self._residency(query, database)
         return self.advisor.advise(
             query,
@@ -226,15 +229,18 @@ class AutoExecutor:
             placement=self.pinned_placement,
             resident_columns=resident_columns,
             resident_tables=resident_tables,
+            record=record,
         )
 
     def execute(
         self, query: PhysicalQuery, database: Database, seed: int = 42
     ) -> ExecutionResult:
         """Advise, run, observe — the full adaptive loop for one query."""
-        decision = self.advise(query, database)
+        advice = Profile()
+        decision = self.advise(query, database, advice)
         strategy = decision.chosen
         result = self._dispatch(strategy, query, database, seed, decision)
+        result.profile.carry(advice)
         observed_ms = result.total_ms
         if result.scaleout is not None:
             # Simulated clock only: the estimator's merge model, not the
@@ -278,7 +284,7 @@ class AutoExecutor:
                 engine, query, database, device, seed, fleet=fleet,
                 macro=strategy.macro, block_bytes=block_bytes,
             )
-        except DeviceMemoryError:
+        except DeviceMemoryError as error:
             # The fleet, the streaming executor and the buffer pool own
             # their recovery; only the bare engine needs the net.
             if (
@@ -291,10 +297,12 @@ class AutoExecutor:
             with self._lock:
                 self.fallbacks += 1
             decision.pruned.append(PrunedCandidate(strategy, OUT_OF_MEMORY))
-            return dispatch(
+            result = dispatch(
                 engine, query, database, device, seed,
                 macro="out-of-core", block_bytes=block_bytes,
             )
+            result.profile.carry(getattr(error, "record", None))
+            return result
 
     def placement_stats(self):
         device = self._devices.get(True)

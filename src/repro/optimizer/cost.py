@@ -49,7 +49,7 @@ from ..expressions.expr import (
 from ..hardware.costmodel import KernelCostModel
 from ..hardware.interconnect import Interconnect
 from ..hardware.profiles import DeviceProfile
-from ..hardware.traffic import LogSlice, MemoryLevel
+from ..hardware.traffic import LogSlice, MemoryLevel, Profile
 from ..macro.batch import BLOCK_OVERHEAD
 from ..plan.physical import AggregateSink, BuildSink, PhysicalQuery, Pipeline
 from ..scaleout.partition import MORSELS_PER_DEVICE
@@ -364,6 +364,7 @@ class CostEstimator:
         strategy: StrategyChoice,
         resident_columns: frozenset = frozenset(),
         resident_tables: frozenset[int] = frozenset(),
+        record: Profile | None = None,
     ) -> CostEstimate:
         """Predict the full cost of executing ``query`` under
         ``strategy``.  What the pooled device already holds counts under
@@ -373,7 +374,8 @@ class CostEstimator:
         priced — and ``resident_columns`` (``(table, column)``) the base
         columns, of the pipelines that do run, already there: they leave
         the h2d charge, and a pipeline that is first to read none but
-        them loads nothing."""
+        them loads nothing.  The kernels a pricing looks up are logged
+        on ``record``, the query's record (if any)."""
         estimate = CostEstimate(strategy=strategy)
         resident_bytes = sum(
             self._wire_nbytes(database.table(table).column(name))
@@ -383,7 +385,7 @@ class CostEstimator:
         raw_h2d_bytes = 0  # decoded footprint (device memory, not link)
         pipes = self._pipeline_estimates(
             query, database, strategy.engine,
-            resident_tables if strategy.placement == "pooled" else frozenset(),
+            resident_tables if strategy.placement == "pooled" else frozenset(), record,
         )
         estimate.pipelines = list(pipes)
         for pipeline, pipe in zip(query.pipelines, pipes):
@@ -430,6 +432,7 @@ class CostEstimator:
         database: Database,
         engine_name: str,
         resident: frozenset[int] = frozenset(),
+        record: Profile | None = None,
     ) -> list[PipelineEstimate]:
         """One estimate per pipeline: what ``engine_name``'s own kernels
         charge over the estimated cardinalities (the build pipelines at
@@ -455,7 +458,8 @@ class CostEstimator:
         if resident:
             pipes = self._skip_resident(
                 query, database,
-                self._pipeline_estimates(query, database, engine_name), resident,
+                self._pipeline_estimates(query, database, engine_name, record=record),
+                resident,
             )
             query.estimates[key] = (version, pipes)
             return pipes
@@ -496,6 +500,8 @@ class CostEstimator:
                     pipeline.output_name, pipe.result_rows, pipeline.output_schema
                 )
         query.estimates[key] = (version, pipes)
+        if record is not None:
+            record.lookups += log.lookups
         return pipes
 
     def _skip_resident(

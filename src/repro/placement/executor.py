@@ -106,9 +106,9 @@ def execute_with_placement(
         return engine.execute(query, database, device, seed=seed)
     except DeviceMemoryError as error:
         result = _fallback(engine, query, database, device, seed, original=error)
-        # What the attempt that ran out did (its evictions) stays on record.
-        attempt = getattr(error, "record", None)
-        result.profile.events[:0] = attempt.events if attempt is not None else []
+        # What the attempt that ran out did (its evictions, lookups and
+        # pool acquisitions) stays on record.
+        result.profile.carry(getattr(error, "record", None))
         return result
 
 

@@ -94,7 +94,6 @@ from ..plan.physical import PhysicalQuery, Pipeline
 from ..plan.pipelines import extract_pipelines
 from ..storage.database import Database
 from ..storage.table import Table
-from ..telemetry.trace import active_tracer
 from .fleet import DeviceFleet
 from .merge import PartialScheme, merge_partials, rewrite_for_partials
 from .partition import (
@@ -250,12 +249,17 @@ class ScaleOutExecutor:
         self, engine: Engine, query: PhysicalQuery, database: Database, seed: int
     ) -> ExecutionResult:
         final = query.final_pipeline
-        tracer = active_tracer()
-        with tracer.span("partition", "scaleout") as span:
-            partition_set = self._partitions(database, final.source)
-            span.attrs.update(
-                fact=final.source, scheme=self.partitioning, parts=partition_set.parts
-            )
+        # Every device turn's log, and the executor's own notes (the
+        # partition and merge steps, losses, redistribution, the host
+        # fallback): the query's record.
+        runs: list[_DeviceRun] = []
+        notes = Profile()
+        started = time.perf_counter()
+        partition_set = self._partitions(database, final.source)
+        notes.phase(
+            "partition", "scaleout", started,
+            fact=final.source, scheme=self.partitioning, parts=partition_set.parts,
+        )
         rewritten, scheme = rewrite_for_partials(final)
         # Injected device losses last for the query that suffered
         # them; every query starts with the full fleet in service.
@@ -269,10 +273,6 @@ class ScaleOutExecutor:
         loads = assign_pieces(
             [piece.nbytes for piece in partition_set.pieces], self.devices
         )
-        # Every device turn's log, and the executor's own notes (losses,
-        # redistribution, the host fallback): the query's record.
-        runs: list[_DeviceRun] = []
-        notes = Profile()
         try:
             by_piece, unfinished = self._scatter(
                 engine, query, rewritten, partition_set, loads, seed, injector,
@@ -305,7 +305,7 @@ class ScaleOutExecutor:
         # and ORDER BY / LIMIT remain.
         table = assemble_result(query, merged)
         merge_ms = (time.perf_counter() - merge_start) * 1e3
-        tracer.event("merge", "scaleout", partials=len(ordered), rows=table.num_rows)
+        notes.phase("merge", "scaleout", partials=len(ordered), rows=table.num_rows)
         stats = ScaleOutStats(
             devices=self.devices,
             partitions=partition_set.parts,
@@ -441,74 +441,73 @@ class ScaleOutExecutor:
         device = self.fleet.devices[load.device]
         pool = self.fleet.pools[load.device]
         self.fleet.begin_query(load.device)
-        # One subtree per device turn; ``device_lane`` puts it on its
-        # own track pair in the Chrome trace.
         partition_db = partition_set.database
         assert partition_db is not None
-        with active_tracer().span(
-            f"device[{load.device}]",
-            "device",
-            device_lane=load.device,
-            device=device.profile.name,
-        ):
-            runtime = QueryRuntime(device, partition_db, seed=seed, pool=pool)
-            share = {run.share.device: run.share for run in runs}.get(load.device)
-            if share is None:
-                share = DeviceShare(device=load.device)
-                share.first_morsel = len(query.pipelines) - 1
-            share.logs += (device.log,)
-            run = _DeviceRun(share=share, profile=device.log)
-            runs.append(run)
+        turn_start = time.perf_counter()
+        runtime = QueryRuntime(device, partition_db, seed=seed, pool=pool)
+        share = {run.share.device: run.share for run in runs}.get(load.device)
+        if share is None:
+            share = DeviceShare(device=load.device)
+            share.first_morsel = len(query.pipelines) - 1
+        share.logs += (device.log,)
+        run = _DeviceRun(share=share, profile=device.log)
+        runs.append(run)
+        try:
             try:
-                try:
-                    fired_mark = injector.fired_count() if injector else 0
-                    if injector is not None:
-                        injector.on_build(load.device, device)
-                    # Build sides: every dimension pipeline runs on
-                    # every participating device (broadcast join).
-                    engine.run_pipelines(query.pipelines[:-1], runtime)
-                except _RECOVERABLE as error:
-                    # A build failure fails every piece of this share:
-                    # without the build sides no morsel can run here.
-                    run.lost = not device.alive
-                    kind = _fault_kind(error, device)
-                    if isinstance(error, MorselTimeoutError):
-                        run.timeouts += 1
-                    injected = injector is not None and injector.fired_matching(
-                        fired_mark, load.device
+                fired_mark = injector.fired_count() if injector else 0
+                if injector is not None:
+                    injector.on_build(load.device, device)
+                # Build sides: every dimension pipeline runs on
+                # every participating device (broadcast join).
+                engine.run_pipelines(query.pipelines[:-1], runtime)
+            except _RECOVERABLE as error:
+                # A build failure fails every piece of this share:
+                # without the build sides no morsel can run here.
+                run.lost = not device.alive
+                kind = _fault_kind(error, device)
+                if isinstance(error, MorselTimeoutError):
+                    run.timeouts += 1
+                injected = injector is not None and injector.fired_matching(
+                    fired_mark, load.device
+                )
+                if injected:
+                    device.log.note(
+                        "fault.fired",
+                        fault=kind,
+                        device=load.device,
+                        stage="build",
                     )
-                    if injected:
-                        device.log.note(
-                            "fault.fired",
-                            fault=kind,
-                            device=load.device,
-                            stage="build",
-                        )
-                    for piece_index in load.pieces:
-                        if partition_set.pieces[piece_index].rows:
-                            run.failed[piece_index] = kind
-                            if injected:
-                                run.fault_fired.add(piece_index)
-                    return
-                # Fact morsels, in piece order.
-                for position, piece_index in enumerate(load.pieces):
-                    piece = partition_set.pieces[piece_index]
-                    if piece.rows == 0:
-                        continue
-                    self._execute_morsel(
-                        engine, query, rewritten, piece, runtime, device, run, injector
-                    )
-                    if run.lost:
-                        for later in load.pieces[position + 1:]:
-                            if partition_set.pieces[later].rows:
-                                run.failed[later] = "device-loss"
-                        break
-            finally:
-                run.kernel_sources = dict(runtime.kernel_sources)
-                run.placement = runtime.query_placement()
-                run.compression = runtime.compression_stats()
-                check_accounting(device.log, device=load.device)
-                runtime.close()
+                for piece_index in load.pieces:
+                    if partition_set.pieces[piece_index].rows:
+                        run.failed[piece_index] = kind
+                        if injected:
+                            run.fault_fired.add(piece_index)
+                return
+            # Fact morsels, in piece order.
+            for position, piece_index in enumerate(load.pieces):
+                piece = partition_set.pieces[piece_index]
+                if piece.rows == 0:
+                    continue
+                self._execute_morsel(
+                    engine, query, rewritten, piece, runtime, device, run, injector
+                )
+                if run.lost:
+                    for later in load.pieces[position + 1:]:
+                        if partition_set.pieces[later].rows:
+                            run.failed[later] = "device-loss"
+                    break
+        finally:
+            run.kernel_sources = dict(runtime.kernel_sources)
+            run.placement = runtime.query_placement()
+            run.compression = runtime.compression_stats()
+            check_accounting(device.log, device=load.device)
+            runtime.close()
+            # One subtree per device turn; ``device_lane`` puts it on
+            # its own track pair in the Chrome trace.
+            device.log.phase(
+                f"device[{load.device}]", "device", turn_start,
+                device_lane=load.device, device=device.profile.name,
+            )
 
     def _execute_morsel(
         self,
@@ -556,7 +555,7 @@ class ScaleOutExecutor:
                     # recomputed on retry.
                     reference = partial_checksum(produced)
                     produced = injector.deliver(
-                        run.share.device, piece.index, produced
+                        run.share.device, piece.index, produced, device
                     )
                     delivered = partial_checksum(produced)
                     if delivered != reference:
@@ -656,7 +655,7 @@ class ScaleOutExecutor:
         except PlanError:
             device.reset_all()
             result = engine.execute(query, database, device, seed=seed)
-        result.profile.events[:0] = _record(runs, notes).events
+        result.profile.carry(_record(runs, notes))
         recovery.log = result.profile
         stats = ScaleOutStats(
             devices=self.devices,

@@ -280,12 +280,8 @@ class Server:
         while True:
             item = self._queue.get()
             if item is _SHUTDOWN:
-                self._queue.task_done()
                 return
-            try:
-                self._run_one(item, index)
-            finally:
-                self._queue.task_done()
+            self._run_one(item, index)
 
     def _run_one(self, item: _Request, index: int) -> None:
         if not item.future.set_running_or_notify_cancel():
@@ -410,10 +406,6 @@ class Server:
         if self.recorder is not None:
             self.recorder.observe_metrics(metrics)
         return metrics.render()
-
-    def drain(self) -> None:
-        """Block until every admitted query has finished."""
-        self._queue.join()
 
     def close(self) -> None:
         """Stop accepting queries, finish the backlog, join the workers."""

@@ -28,21 +28,24 @@ class ServingStats:
     count.  For the full phase-by-phase story use
     ``ExecutionResult.timeline()`` (the ordered span list) instead of
     re-deriving phase timings from these scalars.
+
+    The compile counts are read off the query record's kernel lookups
+    (``lookups``, bound when the query ran; a failed query has none).
+    Only that list is bound, not the record: a caller that keeps the
+    stats of many queries does not keep their logs.
     """
+
+    #: ``Profile.lookups`` of the query record (a plain class
+    #: attribute, not a field).
+    lookups = ()
 
     #: True when the physical plan came from the plan cache; ``None``
     #: when a plan object bypassed it.
     plan_cache_hit: bool | None = None
-    #: Compiled-kernel cache hits/misses during this query's execution.
-    compile_hits: int = 0
-    compile_misses: int = 0
     #: Wall-clock milliseconds spent waiting in the admission queue.
     queue_wait_ms: float = 0.0
     #: Wall-clock milliseconds of SQL parsing + pipeline extraction.
     plan_ms: float = 0.0
-    #: Wall-clock milliseconds spent compiling generated kernels (0 when
-    #: every kernel came from the cache).
-    compile_ms: float = 0.0
     #: Wall-clock milliseconds of engine execution (incl. codegen).
     execute_ms: float = 0.0
     #: Index of the worker that executed the query (-1 for sessions).
@@ -61,6 +64,21 @@ class ServingStats:
     def total_ms(self) -> float:
         """Queue wait + planning + execution (host wall clock)."""
         return self.queue_wait_ms + self.plan_ms + self.execute_ms
+
+    @property
+    def compile_hits(self) -> int:
+        """Compiled-kernel cache hits during this query's execution."""
+        return sum(lookup.hit for lookup in self.lookups)
+
+    @property
+    def compile_misses(self) -> int:
+        return sum(not lookup.hit for lookup in self.lookups)
+
+    @property
+    def compile_ms(self) -> float:
+        """Wall-clock milliseconds spent compiling generated kernels (0
+        when every kernel came from the cache)."""
+        return sum((lookup.compile_ms for lookup in self.lookups), 0.0)
 
 
 @dataclass

@@ -9,10 +9,10 @@ record when asked (``docs/observability.md``, "Read, not copied").  The
 surfaces:
 
 * **Tracing** (:mod:`repro.telemetry.trace`) — hierarchical spans
-  (``query → plan → compile → pipeline[i] → kernel/transfer/placement``)
+  (``query → plan → pipeline[i] → compile/placement/transfer/kernel``)
   carrying host wall-clock and simulated device time plus the
-  byte/atomic counters, the device spans synthesized from the record;
-  per query on ``ExecutionResult.trace``; exportable as Chrome
+  byte/atomic counters, every one read off the record and the serving
+  stats; per query on ``ExecutionResult.trace``; exportable as Chrome
   trace-event JSON (Perfetto) or JSONL.
 * **Metrics** (:mod:`repro.telemetry.metrics`) — counters, gauges, and
   log-bucket latency histograms with a Prometheus text exposition
@@ -39,9 +39,9 @@ Plus the durable observability layer on top:
   ``repro baseline check`` compares it exactly, gating CI against
   silent cost-model or executor drift.
 
-The span tracer is off by default and near-zero-cost when disabled;
-a noted event costs one list append.  See
-``docs/observability.md``.
+Tracing is off by default and costs nothing until a trace is read:
+the record is written either way, and a noted event, host phase or
+kernel lookup costs one list append.  See ``docs/observability.md``.
 """
 
 from .baseline import (
@@ -72,17 +72,7 @@ from .metrics import (
     parse_prometheus_text,
     render_prometheus,
 )
-from .trace import (
-    NO_TRACER,
-    QueryTrace,
-    Span,
-    Tracer,
-    active_tracer,
-    disable_tracing,
-    enable_tracing,
-    tracing,
-    tracing_enabled,
-)
+from .trace import QueryTrace, Span, tracing, tracing_enabled
 
 __all__ = [
     "Counter",
@@ -95,16 +85,11 @@ __all__ = [
     "Histogram",
     "HistogramSnapshot",
     "MetricsRegistry",
-    "NO_TRACER",
     "QueryTrace",
     "ReplayReport",
     "Span",
-    "Tracer",
-    "active_tracer",
     "check_baselines",
     "count_query",
-    "disable_tracing",
-    "enable_tracing",
     "explain_analyze",
     "load_baselines",
     "observe_result",

@@ -13,10 +13,10 @@ completed query, so both front doors count the same families the same
 way.
 
 Histograms use **fixed log-2 buckets** (sub-millisecond to tens of
-seconds by default) so percentile queries are O(buckets) and two
-histograms are always mergeable bucket-by-bucket.  ``percentile``
-returns the upper bound of the bucket containing the requested rank —
-the standard Prometheus ``histogram_quantile`` resolution.
+seconds by default) so percentile queries are O(buckets).  A reader
+takes a :class:`HistogramSnapshot`, whose ``percentile`` returns the
+upper bound of the bucket containing the requested rank — the standard
+Prometheus ``histogram_quantile`` resolution.
 
 All instruments are thread-safe (serving workers record concurrently).
 """
@@ -88,13 +88,6 @@ class Gauge:
         with self._lock:
             self._value = float(value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
     @property
     def value(self) -> float:
         with self._lock:
@@ -154,7 +147,7 @@ class HistogramSnapshot:
 
 
 class Histogram:
-    """A fixed-bucket histogram with percentile accessors."""
+    """A fixed-bucket histogram; read it through :meth:`snapshot`."""
 
     def __init__(self, buckets=None):
         bounds = tuple(sorted(buckets)) if buckets else DEFAULT_LATENCY_BUCKETS_MS
@@ -196,33 +189,6 @@ class Histogram:
                 count=self._count,
                 sum=self._sum,
             )
-
-    def percentile(self, q: float) -> float:
-        return self.snapshot().percentile(q)
-
-    @property
-    def p50(self) -> float:
-        return self.percentile(0.50)
-
-    @property
-    def p95(self) -> float:
-        return self.percentile(0.95)
-
-    @property
-    def p99(self) -> float:
-        return self.percentile(0.99)
-
-    def merge(self, other: "Histogram | HistogramSnapshot") -> None:
-        """Fold another histogram's observations into this one (the
-        bucket layouts must match)."""
-        snap = other.snapshot() if isinstance(other, Histogram) else other
-        if snap.buckets != self.buckets:
-            raise ValueError("cannot merge histograms with different buckets")
-        with self._lock:
-            for index, bucket_count in enumerate(snap.counts):
-                self._counts[index] += bucket_count
-            self._count += snap.count
-            self._sum += snap.sum
 
 
 @dataclass

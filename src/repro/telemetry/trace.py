@@ -7,34 +7,35 @@ this module is the reproduction's equivalent of that tooling: a
 ::
 
     query
+    ├─ queue_wait                (a server's admission queue)
     ├─ plan                      (SQL parse + pipeline extraction)
     ├─ pipeline[0] ...
-    │   ├─ compile <kernel>      (codegen; cache_hit attr)
-    │   ├─ transfer <col>        (h2d, simulated ms as attr)
+    │   ├─ compile <kernel>      (kernel lookup; cache_hit attr)
     │   ├─ placement <col>       (buffer-pool hit/miss)
+    │   ├─ transfer <col>        (h2d, simulated ms as attr)
     │   └─ kernel <name>         (launch; traffic counters as attrs)
     ├─ pipeline[1] ...
     └─ finalize                  (result assembly, d2h)
 
-A :class:`Tracer` records only the host phases nothing else times
-(``plan``, ``compile``, ``placement``, a fleet's ``device[i]`` ...);
-the ``pipeline`` / ``finalize`` / ``kernel`` / ``transfer`` spans, and
-the ``fault`` spans of stalls and of a fleet's recovery events, are
-the query record every execution writes anyway
-(:class:`~repro.hardware.traffic.Profile`), woven in when the tree is
-first read.
+Every span is read off what the query keeps anyway: the root,
+``queue_wait`` and ``plan`` off its
+:class:`~repro.serving.ServingStats`, the rest off its query record
+(:class:`~repro.hardware.traffic.Profile`) — pipeline records,
+launches, transfers, stalls, recovery events, and the host phases the
+record times where they happen (kernel lookups, pool acquisitions,
+fault firings, a fleet's ``partition`` / ``device[i]`` / ``merge``) —
+woven in when the tree is first read.
 
 Spans carry **host wall-clock** timestamps (``start_us``/``end_us``,
-microseconds since the trace epoch) for nesting, plus **simulated
+microseconds since the query began) for nesting, plus **simulated
 device time** and the :class:`~repro.hardware.traffic.TrafficMeter`
 byte/atomic counters as attributes.  A finished trace exports as
 Chrome trace-event JSON (loadable in Perfetto / ``about://tracing``)
 or as JSONL, one span per line.
 
-Tracing is **off by default**: the instrumentation points go through
-:func:`active_tracer`, which returns :data:`NO_TRACER` — every method a
-no-op — unless tracing was enabled *and* a tracer was activated on the
-current thread.
+Tracing is **off by default**; :func:`tracing` turns it on, and a
+query that starts with it on carries a trace (``Session._execute``
+reads the flag once, when the query starts).
 """
 
 from __future__ import annotations
@@ -43,40 +44,16 @@ import bisect
 import contextlib
 import json
 import operator
-import threading
 import time
 from dataclasses import dataclass, field
 
 from ..hardware.traffic import KernelTrace, MemoryLevel
+from .events import _jsonable
 
-__all__ = [
-    "NO_TRACER",
-    "QueryTrace",
-    "Span",
-    "Tracer",
-    "active_tracer",
-    "disable_tracing",
-    "enable_tracing",
-    "tracing",
-    "tracing_enabled",
-]
+__all__ = ["QueryTrace", "Span", "tracing", "tracing_enabled"]
 
-#: Module-level enable flag.  Checked before the thread-local lookup so
-#: the disabled fast path is one global read.
+#: Module-level enable flag, read once per query.
 _enabled = False
-_local = threading.local()
-
-
-def enable_tracing() -> None:
-    """Turn span tracing on process-wide."""
-    global _enabled
-    _enabled = True
-
-
-def disable_tracing() -> None:
-    """Turn span tracing off process-wide (the default)."""
-    global _enabled
-    _enabled = False
 
 
 def tracing_enabled() -> bool:
@@ -100,23 +77,12 @@ def tracing(on: bool = True):
         _enabled = previous
 
 
-def active_tracer() -> "Tracer | _NoTracer":
-    """The tracer bound to the current thread, else :data:`NO_TRACER`.
-
-    This is the hook the instrumentation points call; it is the *only*
-    cost tracing adds when disabled.
-    """
-    if not _enabled:
-        return NO_TRACER
-    return getattr(_local, "tracer", NO_TRACER)
-
-
 @dataclass
 class Span:
     """One node of a query trace.
 
-    ``start_us``/``end_us`` are host wall-clock microseconds relative
-    to the owning tracer's epoch; simulated device milliseconds (when
+    ``start_us``/``end_us`` are host wall-clock microseconds since the
+    query began; simulated device milliseconds (when
     the span covers device work) live in ``attrs["sim_ms"]``.
     """
 
@@ -160,110 +126,37 @@ class Span:
         }
 
 
-class Tracer:
-    """Records one query's span tree.
-
-    The tracer owns a span stack; :meth:`span` pushes a child of the
-    current top, :meth:`event` records a zero-duration child (used for
-    point events whose host duration is not separately measurable, e.g.
-    a simulated kernel launch — its *simulated* duration rides along as
-    the ``sim_ms`` attribute).  :meth:`activate` binds the tracer to
-    the current thread so the device/codegen instrumentation points
-    find it via :func:`active_tracer`.
-    """
-
-    def __init__(self, name: str = "query", **attrs):
-        self._epoch = time.perf_counter()
-        self.root = Span(name=name, category="query", start_us=0.0, attrs=dict(attrs))
-        self._stack: list[Span] = [self.root]
-        self._finished = False
-
-    def _now_us(self) -> float:
-        return (time.perf_counter() - self._epoch) * 1e6
-
-    @contextlib.contextmanager
-    def span(self, name: str, category: str = "phase", **attrs):
-        """Open a nested span for the duration of the ``with`` body.
-
-        Yields the :class:`Span` so the body can attach attributes
-        computed while (or after) the work runs.
-        """
-        span = Span(
-            name=name, category=category, start_us=self._now_us(), attrs=dict(attrs)
-        )
-        self._stack[-1].children.append(span)
-        self._stack.append(span)
-        try:
-            yield span
-        finally:
-            span.end_us = self._now_us()
-            self._stack.pop()
-
-    def event(self, name: str, category: str, sim_ms: float = 0.0, **attrs) -> Span:
-        """Record an instantaneous child of the current span."""
-        now = self._now_us()
-        span = Span(name=name, category=category, start_us=now, end_us=now, attrs=attrs)
-        span.attrs["sim_ms"] = sim_ms
-        self._stack[-1].children.append(span)
-        return span
-
-    @contextlib.contextmanager
-    def activate(self):
-        """Bind this tracer to the current thread for the scope."""
-        previous = active_tracer()
-        _local.tracer = self
-        try:
-            yield self
-        finally:
-            _local.tracer = previous
-
-    def finish(self, profile=None) -> "QueryTrace":
-        """Close the root span and package the finished trace over
-        ``profile``, the query record of the execution it timed (none:
-        a failed query keeps its host phases)."""
-        if not self._finished:
-            self.root.end_us = self._now_us()
-            self._finished = True
-        return QueryTrace(self.root, profile, self._epoch)
-
-
-class _NoTracer:
-    """The tracer of a thread that is not tracing: spans, events and
-    activation do nothing, and :meth:`finish` has no trace to give."""
-
-    #: Attributes a call site attaches to its span: never read.
-    attrs: dict = {}
-
-    def span(self, *args, **attrs) -> "_NoTracer":
-        return self
-
-    def event(self, *args, **attrs) -> None:
-        return None
-
-    activate = __enter__ = span
-    finish = __exit__ = event
-
-
-NO_TRACER = _NoTracer()
-
-
 class QueryTrace:
     """A per-query span tree, attached as ``ExecutionResult.trace`` when
-    tracing is enabled: the host phases a :class:`Tracer` recorded, and
-    — woven in on first read — the ``pipeline`` / ``finalize`` /
-    ``kernel`` / ``transfer`` / stall / recovery-event spans of the
-    query record."""
+    the query started with tracing on: the root (attributes
+    ``origin``), ``queue_wait`` and ``plan`` spans of ``serving`` (its
+    :class:`~repro.serving.ServingStats`), and — woven in on first read
+    — the spans of ``profile``, its query record (none: a query that
+    failed before it reached a device)."""
 
-    def __init__(self, root: Span, profile=None, epoch: float = 0.0):
-        self._root = root
+    def __init__(self, serving, profile=None, **origin):
+        self._epoch = serving.started
+        self._root = Span("query", "query", 0.0, self._micros(time.perf_counter()), origin)
+        if serving.worker >= 0:
+            wait = dict(wait_ms=serving.queue_wait_ms, sim_ms=0.0)
+            self._root.children.append(Span("queue_wait", "queue", 0.0, 0.0, wait))
+        if serving.planned_at:
+            planned = self._micros(serving.planned_at)
+            hit = {"cache_hit": bool(serving.plan_cache_hit)}
+            self._root.children.append(
+                Span("plan", "plan", planned - serving.plan_ms * 1e3, planned, hit)
+            )
         self._profile = profile
-        self._epoch = epoch
+
+    def _micros(self, seconds: float) -> float:
+        """A host clock reading as microseconds since the query began."""
+        return (seconds - self._epoch) * 1e6
 
     @property
     def root(self) -> Span:
         profile, self._profile = self._profile, None
         if profile is not None:
-            _weave(self._root, profile, self._epoch)
+            _weave(self._root, profile, self._micros)
         return self._root
 
     def timeline(self) -> list[Span]:
@@ -376,46 +269,44 @@ class QueryTrace:
         return "\n".join(lines) + "\n"
 
 
-def _weave(root: Span, profile, epoch: float) -> None:
-    """Hang the query record ``profile`` into the host span tree, in
-    host-time order: a pipeline / ``finalize`` record becomes a span
-    under the innermost host span running when it began (a fleet's
-    ``device[i]``) and adopts the host events of its interval; a log
-    entry becomes a leaf that lasts from the end of the span before it
-    to the moment it was logged; so does a recovery event (a retry, a
-    lost device, a redistribution, the host fallback)."""
-
-    def micros(seconds: float) -> float:
-        return (seconds - epoch) * 1e6
-
-    notes = [
+def _weave(root: Span, profile, micros) -> None:
+    """Hang the query record ``profile`` into the span tree in host-time
+    order (``micros`` turns its clock into the tree's), each span under
+    the innermost span running when it began.  A pipeline / ``finalize``
+    record and a timed host phase (a fleet's ``device[i]``) last their
+    interval; a kernel lookup and a host point (a pool acquisition, a
+    fault firing) stay points; a launch, a transfer, a stall and a
+    recovery event (a retry, a lost device, a redistribution, the host
+    fallback) last from the end of the span before them to the moment
+    they were logged."""
+    timed = [
+        _record_span(record, micros(record.started), micros(record.ended))
+        for record in profile.pipelines
+    ] + [
+        Span(name, category, micros(started), micros(ended),
+             dict(attrs, sim_ms=0.0) if started == ended else dict(attrs))
+        for started, ended, name, category, attrs in profile.phases
+    ] + [_lookup_span(lookup, micros(lookup.at)) for lookup in profile.lookups]
+    logged = [_leaf(entry, micros(entry.at)) for entry in profile.entries] + [
         Span(_FAULT_SPANS[kind].format(**attrs), "fault", micros(at), micros(at),
              dict(attrs, sim_ms=0.0))
         for at, kind, attrs in profile.events
         if kind in _FAULT_SPANS
     ]
-    spans = [
-        _record_span(record, micros(record.started), micros(record.ended))
-        for record in profile.pipelines
-    ] + [_leaf(entry, micros(entry.at)) for entry in profile.entries] + notes
-    for span in sorted(spans, key=_START_US):
-        parent, leaf = root, span.category not in ("pipeline", "finalize")
+    spans = [(span, False) for span in timed] + [(span, True) for span in logged]
+    for span, stretch in sorted(spans, key=lambda pair: pair[0].start_us):
+        parent = root
         while True:
             siblings = parent.children
             at = bisect.bisect_right(siblings, span.start_us, key=_START_US)
             if not at or span.start_us >= siblings[at - 1].end_us:
                 break
             parent = siblings[at - 1]
-        if leaf:
+        if stretch:
             # At least one export tick inside its parent: a viewer that
             # sorts intervals by (start, end) keeps the parent outside.
             before = siblings[at - 1].end_us if at else parent.start_us + 1e-3
             span.start_us = min(before, span.end_us)
-        else:
-            stop = at
-            while stop < len(siblings) and siblings[stop].end_us <= span.end_us:
-                stop += 1
-            span.children, siblings[at:stop] = siblings[at:stop], []
         siblings.insert(at, span)
 
 
@@ -452,6 +343,15 @@ def _record_span(record, start_us: float, end_us: float) -> Span:
         sim_ms=record.total_time_ms,
     )
     return Span(record.name, category, start_us, end_us, attrs)
+
+
+def _lookup_span(lookup, at_us: float) -> Span:
+    """A kernel lookup as a point: a hit, or a miss and its compile ms."""
+    attrs = dict(cache_hit=lookup.hit, kind=lookup.kind)
+    if not lookup.hit:
+        attrs["compile_ms"] = lookup.compile_ms
+    attrs["sim_ms"] = 0.0
+    return Span(f"compile {lookup.name}", "compile", at_us, at_us, attrs)
 
 
 def _leaf(entry, logged_us: float) -> Span:
@@ -491,12 +391,3 @@ def _meta(name: str, args: dict, tid: int | None = None) -> dict:
     if tid is not None:
         event["tid"] = tid
     return event
-
-
-def _jsonable(value):
-    """Coerce span attributes (possibly numpy scalars) to JSON types."""
-    if isinstance(value, bool) or value is None or isinstance(value, (int, float, str)):
-        return value
-    if hasattr(value, "item"):  # numpy scalar
-        return value.item()
-    return str(value)

@@ -235,18 +235,20 @@ def test_injector_device_loss_marks_dead(device):
     assert injector.counts() == {"device-loss": 1}
 
 
-def test_injector_deliver_corrupts_matching_partial_only():
+def test_injector_deliver_corrupts_matching_partial_only(device):
     plan = FaultPlan(specs=(FaultSpec(kind="corruption", morsel=3),))
     injector = FaultInjector(plan)
     partial = {"v": np.arange(5, dtype=np.int32)}
     reference = partial_checksum(partial)
-    untouched = injector.deliver(0, 2, partial)
+    untouched = injector.deliver(0, 2, partial, device)
     assert partial_checksum(untouched) == reference
-    corrupted = injector.deliver(1, 3, partial)
+    corrupted = injector.deliver(1, 3, partial, device)
     assert partial_checksum(corrupted) != reference
     # Budget consumed: a retry of the same morsel delivers cleanly.
-    clean = injector.deliver(1, 3, partial)
+    clean = injector.deliver(1, 3, partial, device)
     assert partial_checksum(clean) == reference
+    # The firing is on the query record, where it happened.
+    assert [phase[2] for phase in device.log.phases] == ["fault corruption p3"]
     # Corruption specs never fire at the pre-execution hook.
     injector2 = FaultInjector(plan)
     injector2.before_morsel(0, 3, object())

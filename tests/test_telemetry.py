@@ -1,24 +1,27 @@
 """Telemetry tests: span tracing, Chrome trace export, metrics,
 Prometheus exposition, and EXPLAIN ANALYZE reconciliation."""
 
+import contextlib
 import json
+import time
 
 import pytest
 
 from repro.api import Session, connect
-from repro.hardware import GTX970, MemoryLevel
+from repro.hardware import GTX970, KernelTrace, MemoryLevel, TrafficMeter
 from repro.serving import Server
+from repro.hardware.traffic import Profile
+from repro.serving import ServingStats
 from repro.telemetry import (
-    NO_TRACER,
     Histogram,
     MetricsRegistry,
-    Tracer,
-    active_tracer,
+    QueryTrace,
     parse_prometheus_text,
     render_explain_analyze,
     tracing,
     tracing_enabled,
 )
+from repro.workloads import SSB_QUERIES
 
 QUERY = (
     "select sum(lo_revenue) as r from lineorder, date "
@@ -40,40 +43,56 @@ def traced_result(ssb_db):
 class TestTracer:
     def test_disabled_by_default(self, ssb_db):
         assert not tracing_enabled()
-        assert active_tracer() is NO_TRACER
         result = connect(ssb_db).execute(QUERY)
         assert result.trace is None
         assert result.timeline() == []
 
-    def test_active_tracer_needs_flag_and_activation(self):
-        tracer = Tracer()
-        with tracer.activate():
-            assert active_tracer() is NO_TRACER  # flag off
-        with tracing():
-            assert active_tracer() is NO_TRACER  # not activated
-            with tracer.activate():
-                assert active_tracer() is tracer
-
-    def test_no_tracer_is_a_no_op(self):
-        """What every instrumentation point holds while tracing is off:
-        spans, events and activation do nothing and there is no trace."""
-        with NO_TRACER.activate(), NO_TRACER.span("plan", "plan") as span:
-            span.attrs["cache_hit"] = True
-            assert NO_TRACER.event("tick", "kernel", sim_ms=0.5) is None
-        assert NO_TRACER.finish() is None
-
     def test_span_nesting(self):
-        tracer = Tracer()
-        with tracer.span("outer", "phase") as outer:
-            with tracer.span("inner", "phase") as inner:
-                tracer.event("tick", "kernel", sim_ms=0.5)
-        trace = tracer.finish()
+        """Each span hangs under the innermost span running when it
+        began: a timed phase holds what started inside it, a point
+        stays a point, a launch lasts back to the span before it."""
+        serving = ServingStats(started=time.perf_counter())
+        record = Profile()
+        outer = time.perf_counter()
+        inner = time.perf_counter()
+        record.phase("tick", "compile")
+        record.phase("inner", "phase", inner)
+        record.phase("outer", "phase", outer)
+        record.append(KernelTrace("launch", "scan", 1, TrafficMeter(), time_ms=0.5))
+        trace = QueryTrace(serving, record)
         spans = trace.timeline()
-        assert [s.name for s in spans] == ["query", "outer", "inner", "tick"]
-        assert inner in outer.children
-        assert inner.start_us >= outer.start_us
-        assert inner.end_us <= outer.end_us
+        assert [s.name for s in spans] == ["query", "outer", "inner", "tick", "kernel launch"]
+        outer, inner, tick, launch = spans[1:]
+        assert inner in outer.children and tick in inner.children
+        assert outer.start_us <= inner.start_us <= inner.end_us <= outer.end_us
+        assert tick.duration_us == 0 and launch in trace.root.children
+        assert launch.start_us == outer.end_us < launch.end_us
         assert trace.spans("kernel")[0].sim_ms == 0.5
+
+    def test_flag_is_read_once_per_query(self, ssb_db):
+        """A query that starts traced keeps its host phases when the
+        flag goes off while it runs — as another thread's ``with
+        tracing():`` block exiting turns it off.  A plan-cache hook
+        stands in for that thread, right after planning."""
+        session = connect(ssb_db, residency=True)
+        session.execute(SSB_QUERIES["q2.1"])  # warm: the pool holds it all
+        lookup = session.plan_cache.lookup
+        with tracing(), contextlib.ExitStack() as other_thread:
+
+            def lookup_then_flag_off(*args):
+                planned = lookup(*args)
+                other_thread.enter_context(tracing(False))
+                return planned
+
+            session.plan_cache.lookup = lookup_then_flag_off
+            result = session.execute(SSB_QUERIES["q2.1"])
+            assert not tracing_enabled()
+        serving, placement = result.serving, result.placement
+        lookups = serving.compile_hits + serving.compile_misses
+        acquired = placement.hits + placement.table_hits
+        assert (lookups, placement.hits, placement.table_hits) == (1, 4, 3)
+        assert len(result.trace.spans("compile")) == lookups
+        assert len(result.trace.spans("placement")) == acquired
 
     def test_execution_attaches_span_tree(self, traced_result):
         names = [span.category for span in traced_result.timeline()]

@@ -14,13 +14,20 @@ and interval containment (proper nesting) on every track.
 from __future__ import annotations
 
 import json
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from repro.api import Session
-from repro.faults import FaultPlan
-from repro.telemetry import tracing
+from repro.errors import MorselExhaustedError
+from repro.faults import FaultPlan, FaultSpec
+from repro.hardware import GTX970
+from repro.placement.executor import base_column_bytes
+from repro.plan import extract_pipelines
+from repro.telemetry import FlightRecorder, tracing
 from repro.workloads import SSB_QUERIES
+from repro.workloads.ssb import ssb_plan
 
 #: Required keys by phase type ("X" complete, "M" metadata, "B"/"E"
 #: duration, "i" instant) — the fields the viewers actually need.
@@ -180,3 +187,92 @@ class TestChromeTraceSchema:
         complete = validate_chrome_trace(result.trace.chrome_trace())
         assert_tracks_nest(complete)
         assert_sim_tracks_monotonic(complete)
+
+
+# ----------------------------------------------------------------------
+# the trace pin: what each span is called and where it hangs
+# ----------------------------------------------------------------------
+#: Per run, the Chrome trace's ``(name, cat)`` multiset and each span's
+#: parent name.  ``python tests/test_trace_schema.py --write`` re-records
+#: it; do that only for a change that means to move the trace.
+PINNED_PATH = Path(__file__).parent / "trace_pinned.json"
+
+
+def _pinned_runs(database, tmp_dir):
+    """``(run, QueryTrace, Chrome trace)`` of each pinned run."""
+    q21 = SSB_QUERIES["q2.1"]
+    session = Session(database, engine="resolution", residency=True)
+    for warmth in ("cold", "warm"):
+        with tracing():
+            result = session.execute(q21)
+        yield f"resolution pooled {warmth}", result.trace
+
+    with tracing():
+        result = Session(database, engine="auto").execute(SSB_QUERIES["q3.1"])
+    yield "auto", result.trace
+
+    lost = FaultPlan([FaultSpec("device-loss", device=1, op="build")])
+    session = Session(database, engine="resolution", devices=3, fault_plan=lost)
+    with tracing():
+        result = session.execute(q21)
+    assert result.scaleout.recovery.degraded_devices == [1]
+    yield "fleet device 1 lost", result.trace
+
+    need = base_column_bytes(extract_pipelines(ssb_plan("q2.1", database), database), database)
+    small = GTX970.with_overrides(name="small", memory_capacity=int(need * 1.05))
+    session = Session(database, engine="resolution", residency=True, device=small)
+    with tracing():
+        result = session.execute(q21)
+    assert result.placement.out_of_core
+    yield "pooled oom to out-of-core", result.trace
+
+    recorder = FlightRecorder(postmortem_dir=str(tmp_dir))
+    traces = []
+    fail = recorder.fail
+    recorder.fail = lambda *args, **kwargs: traces.append(kwargs["trace"]) or fail(*args, **kwargs)
+    tiny = GTX970.with_overrides(name="tiny970", memory_capacity=20_000)
+    session = Session(database, engine="resolution", device=tiny, devices=2, recorder=recorder)
+    with tracing(), pytest.raises(MorselExhaustedError):
+        session.execute(q21)
+    bundle = recorder.last().strategy["bundle"]
+    with open(Path(bundle) / "trace.json") as source:
+        yield "failed bundle", traces[0], json.load(source)
+
+
+def _shape(trace, chrome=None) -> dict:
+    chrome = trace.chrome_trace() if chrome is None else chrome
+    events = Counter(
+        f"{event.get('cat', '')}:{event['name']}" for event in chrome["traceEvents"]
+    )
+    parents = Counter(
+        f"{span.name} < {child.name}" for span in trace.timeline() for child in span.children
+    )
+    return {"chrome": dict(sorted(events.items())), "parents": dict(sorted(parents.items()))}
+
+
+def _observe_pinned(database, tmp_dir) -> dict:
+    return {run[0]: _shape(*run[1:]) for run in _pinned_runs(database, tmp_dir)}
+
+
+def test_trace_pin(ssb_db_module, tmp_path):
+    """Every pinned run's spans: same names, categories and parents."""
+    pinned = json.loads(PINNED_PATH.read_text())
+    observed = _observe_pinned(ssb_db_module, tmp_path)
+    assert list(observed) == list(pinned)
+    for run, shape in observed.items():
+        for part in ("chrome", "parents"):
+            got, want = Counter(shape[part]), Counter(pinned[run][part])
+            assert got == want, (run, part, got - want, want - got)
+
+
+if __name__ == "__main__":
+    import sys
+    import tempfile
+
+    from repro.workloads import generate_ssb
+
+    if "--write" in sys.argv:
+        with tempfile.TemporaryDirectory() as tmp_dir:
+            shapes = _observe_pinned(generate_ssb(scale_factor=0.004, seed=7), tmp_dir)
+        PINNED_PATH.write_text(json.dumps(shapes, indent=0) + "\n")
+        print(f"wrote {PINNED_PATH}")

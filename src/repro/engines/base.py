@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
 
 from ..hardware.device import VirtualCoprocessor
-from ..hardware.traffic import MemoryLevel, Profile
+from ..hardware.traffic import KernelTrace, MemoryLevel, Profile, TrafficMeter
 from ..plan.logical import LogicalPlan, PlanSchema
 from ..plan.physical import BuildSink, PhysicalQuery, Pipeline
 from ..plan.pipelines import extract_pipelines
@@ -179,6 +180,9 @@ class Engine:
     """
 
     name = "abstract"
+    #: Whether :meth:`run_group` runs a group of sibling builds as one
+    #: launch per phase (the generated-kernel engines) or one by one.
+    fuses_siblings = False
     #: Last execution's generated sources (rebound atomically per run).
     kernel_sources: dict[str, str] = {}
 
@@ -226,7 +230,7 @@ class Engine:
         runtime = QueryRuntime(device, database, seed=seed, pool=pool)
         log = device.log
         try:
-            outputs = self.run_pipelines(query.pipelines, runtime)
+            outputs = self.run_pipelines(query.grouped(), runtime)
             assert outputs is not None, "query had no final pipeline"
             # The result's row of the query record: what shipping it
             # launched (encodes) and moved, and the host's sort / limit.
@@ -261,24 +265,43 @@ class Engine:
 
     def run_pipelines(
         self,
-        pipelines: list[Pipeline],
+        groups: list[list[Pipeline]],
         runtime: QueryRuntime,
         first_index: int = 0,
     ) -> dict[str, np.ndarray] | None:
-        """Run ``pipelines`` in order and return what the last one
-        produced; non-final outputs become virtual tables.  Each run
-        writes its ``pipeline[first_index + i]`` row of the query record
-        (:class:`~repro.hardware.traffic.PipelineRecord`) on the device
-        log.  (Also the scale-out executor's way to run build sides and
-        fact morsels on a device's runtime.)
+        """Run ``groups`` of pipelines (:meth:`PhysicalQuery.grouped
+        <repro.plan.physical.PhysicalQuery.grouped>`) in order, each
+        through :meth:`run_group`, and return what the last pipeline
+        produced; non-final outputs become virtual tables.  Every
+        pipeline writes its ``pipeline[first_index + i]`` row of the
+        query record (:class:`~repro.hardware.traffic.PipelineRecord`)
+        on the device log.  (Also the scale-out executor's way to run
+        build sides and fact morsels on a device's runtime.)
 
-        A build pipeline asks the device's buffer pool first
-        (:meth:`_run_pipeline`), so every caller of this loop — the
-        engines, the block streamer, a fleet device's build phase —
-        keeps build sides resident the same way."""
+        A build pipeline asks the device's buffer pool first, so every
+        caller of this loop — the engines, the block streamer, a fleet
+        device's build phase — keeps build sides resident the same way."""
+        produced = None
+        for group in groups:
+            produced = self.run_group(group, runtime, first_index)
+            first_index += len(group)
+        return produced
+
+    def run_group(
+        self, group: list[Pipeline], runtime: QueryRuntime, first_index: int = 0
+    ) -> dict[str, np.ndarray] | None:
+        """Run one group of pipelines and return what the last produced.
+
+        A build whose hash table the buffer pool holds does not run
+        (:meth:`_run_pipeline`).  The others run one by one — unless
+        the engine :attr:`fuses_siblings` and more than one member of a
+        group of sibling builds is left: then they run as one fused
+        group (:meth:`_run_fused`)."""
+        if len(group) > 1 and self.fuses_siblings:
+            return self._run_fused(group, runtime, first_index)
         log = runtime.device.log
         produced = None
-        for index, pipeline in enumerate(pipelines, first_index):
+        for index, pipeline in enumerate(group, first_index):
             record = log.open(index, pipeline, runtime.source_rows(pipeline))
             try:
                 produced = self._run_pipeline(pipeline, runtime)
@@ -295,20 +318,110 @@ class Engine:
                 )
         return produced
 
+    def _run_fused(
+        self, group: list[Pipeline], runtime: QueryRuntime, first_index: int
+    ) -> None:
+        """Run a group of sibling builds as ONE launch per phase.
+
+        Members the pool serves drop out, and so does a member whose
+        table an earlier member builds: the pool serves it what that
+        member left, as it would run alone.  The rest load their
+        first-read base columns as one packed transfer, then each runs
+        its own generated kernels on its own contexts (over its own CTA
+        range of the fused launch) and writes its own hash table; the
+        launches it would have issued are withdrawn from the log and
+        phase ``i`` of the group is launched once, over the members'
+        merged meters (:func:`fuse_launches`).  Block counts, barriers
+        and bytes are the members' exact sums: only the launch
+        overhead, the link latency and the ``max()`` overlap of the
+        cost model move.  A single member left runs as it would alone.
+
+        The record: every member keeps its row with its rows in / out,
+        and the row of the first member that runs stays open over the
+        run, so it holds the group's fused launches and packed transfer
+        (:attr:`PipelineRecord.fused_into
+        <repro.hardware.traffic.PipelineRecord.fused_into>`)."""
+        log = runtime.device.log
+        records, ran, twins, head = [], [], [], None
+        try:
+            for index, pipeline in enumerate(group, first_index):
+                assert isinstance(pipeline.sink, BuildSink), "only builds fuse"
+                record = log.open(index, pipeline, runtime.source_rows(pipeline))
+                records.append(record)
+                try:
+                    key = runtime.table_key(pipeline)
+                    if key is not None and key in {built for _, built in ran}:
+                        twins.append((record, pipeline, key))
+                    elif key is not None and runtime.resident_build(pipeline, key):
+                        record.resident = True
+                    else:
+                        ran.append((pipeline, key))
+                        if head is None:
+                            head = record
+                finally:
+                    if record is not head:
+                        log.close(record)
+            if len(ran) == 1:
+                [(pipeline, key)] = ran
+                self._execute_kept(pipeline, runtime, key)
+            elif ran:
+                self._launch_fused(ran, runtime)
+            for record, pipeline, key in twins:
+                record.resident = runtime.resident_build(pipeline, key)
+                if not record.resident:
+                    self._execute_kept(pipeline, runtime, key)
+        finally:
+            if head is not None:
+                log.close(head)
+        for record in records:
+            record.rows_out = _produced_rows(record.pipeline, None, runtime)
+            if len(ran) > 1:
+                record.fused_into = head.index
+
+    def _launch_fused(self, ran: list[tuple], runtime: QueryRuntime) -> None:
+        """The fused run of :meth:`_run_fused` over its ``(pipeline,
+        pool key)`` members that run."""
+        device = runtime.device
+        log = device.log
+        members = [pipeline for pipeline, _ in ran]
+        runtime.load_source(
+            members[0], lazy_capable=self.lazy_capable(members[0]), siblings=members[1:]
+        )
+        held = []
+        for pipeline in members:
+            started, mark = perf_counter(), len(log.kernels)
+            self.execute_pipeline(pipeline, runtime)
+            held.append(log.withdraw(mark))
+            # Its kernels' host time: no launch of its own spans it.
+            log.phase(f"member {pipeline.name}", "member", started)
+        for name, kind, elements, meter in fuse_launches(held):
+            device.launch(name, kind, elements, meter)
+        # Once every member completed, the pool keeps the tables; what
+        # restoring one costs is its own launches' time, unfused.
+        for traces, (pipeline, key) in zip(held, ran):
+            if key is not None:
+                runtime.keep_build(pipeline, key, sum(trace.time_ms for trace in traces))
+
     def _run_pipeline(
         self, pipeline: Pipeline, runtime: QueryRuntime
     ) -> dict[str, np.ndarray] | None:
         """:meth:`execute_pipeline` — or, for a build whose hash table
         is resident in the pool, nothing: the table is registered under
-        this query's id and the pipeline does not run.  A table the
-        pipeline did build is handed to the pool once it *completed*
-        (an error on the way leaves the pool as it was); what restoring
-        it costs is the modeled time the pipeline took."""
+        this query's id and the pipeline does not run."""
         key = runtime.table_key(pipeline) if isinstance(pipeline.sink, BuildSink) else None
+        if key is not None and runtime.resident_build(pipeline, key):
+            return None
+        return self._execute_kept(pipeline, runtime, key)
+
+    def _execute_kept(
+        self, pipeline: Pipeline, runtime: QueryRuntime, key: tuple | None
+    ) -> dict[str, np.ndarray] | None:
+        """:meth:`execute_pipeline`; a build with a pool ``key`` hands
+        its table to the pool once it *completed* (an error on the way
+        leaves the pool as it was) — what restoring it costs is the
+        modeled time the pipeline took."""
         if key is None:
             return self.execute_pipeline(pipeline, runtime)
-        if runtime.resident_build(pipeline, key):
-            return None
         log = runtime.device.log
         started_ms = log.total_time_ms
         produced = self.execute_pipeline(pipeline, runtime)
@@ -331,6 +444,29 @@ class Engine:
         reach the sink and the groups it aggregates them into (0 when
         it does not aggregate)."""
         raise NotImplementedError
+
+
+def fuse_launches(held: list[list[KernelTrace]]) -> list[tuple]:
+    """Phase ``i`` of a fused group: launch ``i`` of every member
+    (``held``: each member's launches, in order) as ONE kernel over the
+    members' disjoint CTA ranges — ``(name, kind, elements, meter)``,
+    the name ``+``-joined, the elements summed and the meters merged
+    (:meth:`TrafficMeter.merge`).  Execution launches these; the
+    optimizer prices them with the same cost model."""
+    assert len({len(traces) for traces in held}) == 1, "members launch different phases"
+    fused = []
+    for phase in zip(*held):
+        assert len({trace.kind for trace in phase}) == 1, "phase mixes kernel kinds"
+        meter = TrafficMeter()
+        for trace in phase:
+            meter.merge(trace.meter)
+        fused.append((
+            "+".join(trace.name for trace in phase),
+            phase[0].kind,
+            sum(trace.elements for trace in phase),
+            meter,
+        ))
+    return fused
 
 
 def check_accounting(log: Profile, **where) -> None:

@@ -43,6 +43,8 @@ class CompoundEngine(Engine):
         #: rebound per run — see :class:`~repro.engines.base.Engine`.
         self.kernel_sources: dict[str, str] = {}
 
+    fuses_siblings = True
+
     def lazy_capable(self, pipeline: Pipeline) -> bool:
         return True
 

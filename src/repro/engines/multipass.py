@@ -30,6 +30,8 @@ class MultiPassEngine(Engine):
     def __init__(self):
         self.kernel_sources: dict[str, str] = {}
 
+    fuses_siblings = True
+
     def lazy_capable(self, pipeline: Pipeline) -> bool:
         return True
 

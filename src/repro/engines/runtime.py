@@ -148,7 +148,7 @@ class QueryRuntime:
         return self.database.table(pipeline.source).num_rows
 
     def load_source(
-        self, pipeline: Pipeline, lazy_capable: bool = False
+        self, pipeline: Pipeline, lazy_capable: bool = False, siblings=()
     ) -> dict[str, np.ndarray]:
         """The pipeline's input scope: base columns or a virtual table
         already on the device.
@@ -157,8 +157,11 @@ class QueryRuntime:
         read gets a device buffer of its own (a pool entry when a pool is
         set; a hit already has one), and those that are not resident
         ship as ONE transfer, so a pipeline pays the link latency once,
-        not once per column.  Under a compression policy a column ships,
-        and stays on the device, as its wire image: the record's
+        not once per column.  ``siblings`` are the other members of a
+        fused group of builds (``Engine.run_group``): the columns they
+        are first to read ship in that same transfer, labelled with
+        every source that shipped.  Under a compression policy a column
+        ships, and stays on the device, as its wire image: the record's
         ``nbytes`` is what crosses, and when any column is encoded its
         ``raw_nbytes`` is every column's raw size and its ``codec`` the
         ``+``-joined codecs.  ``lazy_capable=True`` (engines whose
@@ -178,19 +181,27 @@ class QueryRuntime:
                     f"pipeline {pipeline.name} reads virtual table "
                     f"{pipeline.source!r} before it was produced"
                 ) from None
-            return dict(virtual.arrays)
-        table = self.database.table(pipeline.source)
-        scope: dict[str, np.ndarray] = {}
-        shipped, raw_nbytes, codecs, wire = [], 0, [], []
-        for name in pipeline.required_columns:
-            base_name = pipeline.source_rename.get(name, name)
-            column = table.column(base_name)
-            scope[name] = column.values
-            key = (pipeline.source, base_name)
+            scope = dict(virtual.arrays)
+        else:
+            table = self.database.table(pipeline.source)
+            scope = {
+                name: table.column(pipeline.source_rename.get(name, name)).values
+                for name in pipeline.required_columns
+            }
+        shipped, raw_nbytes, codecs, wire, sources = [], 0, [], [], []
+        for member, name in [
+            (member, name)
+            for member in (pipeline, *siblings)
+            if not member.source_is_virtual
+            for name in member.required_columns
+        ]:
+            base_name = member.source_rename.get(name, name)
+            column = self.database.table(member.source).column(base_name)
+            key = (member.source, base_name)
             if key in self._transferred:
                 continue
             self._transferred.add(key)
-            label = f"{pipeline.source}.{base_name}"
+            label = f"{member.source}.{base_name}"
             encoded = None
             if self.compression is not None:
                 encoded = self.compression.encoded(column)
@@ -199,7 +210,7 @@ class QueryRuntime:
             codec = "" if encoded is None else encoded.codec
             if self.pool is not None:
                 entry, hit = self.pool.acquire(
-                    pipeline.source, base_name, column,
+                    member.source, base_name, column,
                     self.database.fingerprint(),
                 )
                 # What the pool holds: the wire image, else the column.
@@ -222,6 +233,7 @@ class QueryRuntime:
                 self.device.allocate(resident, label=label)
             if not hit:
                 shipped.append(resident)
+                sources.append(member.source)
                 raw_nbytes += column.nbytes
                 if codec:
                     codecs.append(codec)
@@ -232,7 +244,7 @@ class QueryRuntime:
         if shipped:
             self.device.transfer_to_device(
                 shipped,
-                label=pipeline.source,
+                label="+".join(dict.fromkeys(sources)),
                 raw_nbytes=raw_nbytes if codecs else 0,
                 codec="+".join(dict.fromkeys(codecs)),
             )

@@ -29,6 +29,9 @@ from .runtime import QueryRuntime
 class VectorAtATimeEngine(CompoundEngine):
     """Compound-kernel logic over cache-sized vectors (one launch each)."""
 
+    #: Section 3's design launches per vector and fuses nothing.
+    fuses_siblings = False
+
     def __init__(self, vector_rows: int = 1024, mode: str = "lrgp_simd"):
         if vector_rows <= 0:
             raise ValueError("vector_rows must be positive")

@@ -34,6 +34,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from ..engines import make_engine
+from ..engines.base import fuse_launches
 from ..engines.estimate import EstimateRuntime
 from ..expressions.expr import (
     Between,
@@ -436,14 +437,16 @@ class CostEstimator:
     ) -> list[PipelineEstimate]:
         """One estimate per pipeline: what ``engine_name``'s own kernels
         charge over the estimated cardinalities (the build pipelines at
-        the ``resident`` indexes priced as not running).  A pure function
-        of the plan, the micro engine, the device profile, the
+        the ``resident`` indexes priced as not running, the query's
+        groups of sibling builds fused as the engine runs them).  A pure
+        function of the plan, the micro engine, the device profile, the
         compression policy, the statistics' sample size, the catalog
         version and ``resident`` — so the plan object keeps it, for the
         candidates of one ``advise`` that differ only in macro model,
         device count or placement, and for every later ``advise`` of the
         same cached plan; an entry priced on another catalog version is
-        replaced."""
+        replaced.  The entry with nothing resident also keeps each
+        pipeline priced alone, with its launches, for the others."""
         key = (
             engine_name,
             self.profile,
@@ -455,21 +458,33 @@ class CostEstimator:
         cached = query.estimates.get(key)
         if cached is not None and cached[0] == version:
             return cached[1]
-        if resident:
-            pipes = self._skip_resident(
-                query, database,
-                self._pipeline_estimates(query, database, engine_name, record=record),
-                resident,
-            )
-            query.estimates[key] = (version, pipes)
-            return pipes
         engine = make_engine(engine_name)
+        if resident:
+            self._pipeline_estimates(query, database, engine_name, record=record)
+            alone, launches = query.estimates[key[:-1] + (frozenset(),)][2]
+            pipes = self._skip_resident(query, database, alone, resident)
+        else:
+            alone, launches = self._priced_alone(query, database, engine, record)
+            pipes = alone
+        if engine.fuses_siblings:
+            pipes = self._fuse_groups(query, pipes, launches)
+        if resident:
+            query.estimates[key] = (version, pipes)
+        else:
+            query.estimates[key] = (version, pipes, (alone, launches))
+        return pipes
+
+    def _priced_alone(
+        self, query: PhysicalQuery, database: Database, engine, record: Profile | None
+    ) -> tuple[list[PipelineEstimate], list[list]]:
+        """One estimate per pipeline, each priced as if it ran alone and
+        every build ran, and the launches each was priced as."""
         runtime = EstimateRuntime(
             self.cost_model, self.interconnect, database, self, self.compression
         )
         log = runtime.device.log
         notes = getattr(runtime.compression_stats(), "scans", [])
-        pipes, seen = [], frozenset()
+        pipes, launches, seen = [], [], frozenset()
         for pipeline in query.pipelines:
             first_reads = frozenset(pipeline.base_columns()) - seen
             seen |= first_reads
@@ -495,14 +510,55 @@ class CostEstimator:
             )
             pipe.output_bytes = pipe.result_rows * self._output_width(pipeline)
             pipes.append(pipe)
+            launches.append(priced.kernels)
             if not pipeline.is_final and pipeline.output_schema is not None:
                 runtime.register_virtual_rows(
                     pipeline.output_name, pipe.result_rows, pipeline.output_schema
                 )
-        query.estimates[key] = (version, pipes)
         if record is not None:
             record.lookups += log.lookups
-        return pipes
+        return pipes, launches
+
+    def _fuse_groups(
+        self, query: PhysicalQuery, pipes: list[PipelineEstimate], launches: list[list]
+    ) -> list[PipelineEstimate]:
+        """``pipes`` as execution runs the query's groups of sibling
+        builds (``Engine.run_group``): the members that run — two or
+        more — launch once per phase, priced by this cost model over the
+        merged meters of their ``launches`` (:func:`fuse_launches
+        <repro.engines.base.fuse_launches>`), and load as one transfer.
+        Like the query record, the first of them holds the group's
+        launches, bytes and first reads; the others keep their
+        cardinalities only."""
+        out, start = list(pipes), 0
+        for size in query.groups:
+            ran = [index for index in range(start, start + size) if not pipes[index].resident]
+            start += size
+            if len(ran) < 2:
+                continue
+            members = [pipes[index] for index in ran]
+            fused = [
+                self.cost_model.trace(*phase)
+                for phase in fuse_launches([launches[index] for index in ran])
+            ]
+            head, *rest = ran
+            out[head] = replace(
+                pipes[head],
+                input_bytes=sum(pipe.input_bytes for pipe in members),
+                wire_bytes=sum(pipe.wire_bytes for pipe in members),
+                first_reads=frozenset().union(*(pipe.first_reads for pipe in members)),
+                global_bytes=sum(pipe.global_bytes for pipe in members),
+                onchip_bytes=sum(pipe.onchip_bytes for pipe in members),
+                kernels=len(fused),
+                kernel_ms=sum(trace.time_ms for trace in fused),
+                scan_notes=[note for pipe in members for note in pipe.scan_notes],
+            )
+            for index in rest:
+                out[index] = replace(
+                    pipes[index], input_bytes=0, wire_bytes=0, first_reads=frozenset(),
+                    global_bytes=0, onchip_bytes=0, kernels=0, kernel_ms=0.0, scan_notes=[],
+                )
+        return out
 
     def _skip_resident(
         self, query: PhysicalQuery, database: Database, pipes, resident: frozenset[int]

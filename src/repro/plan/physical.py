@@ -210,6 +210,11 @@ class PhysicalQuery:
     limit: int | None = None
     output_columns: list[str] = field(default_factory=list)
     output_schema: PlanSchema | None = None
+    #: Sizes of the runs of :attr:`pipelines` that execute as one group
+    #: (``Engine.run_group``): sibling builds of one dependency wave
+    #: (:func:`~repro.plan.waves.group_sibling_builds`).  Empty — the
+    #: paper's translation — runs every pipeline alone.
+    groups: tuple[int, ...] = ()
     #: Per-pipeline cost estimates the optimizer derived for this plan
     #: *object*, keyed by everything else they are a function of.  Like
     #: :attr:`Pipeline.kernels`: not part of its value, gone with it.
@@ -219,8 +224,24 @@ class PhysicalQuery:
     def final_pipeline(self) -> Pipeline:
         return self.pipelines[-1]
 
+    def grouped(self) -> list[list[Pipeline]]:
+        """:attr:`pipelines` cut into their execution groups, in order."""
+        sizes = self.groups or (1,) * len(self.pipelines)
+        assert sum(sizes) == len(self.pipelines), "groups do not cover the pipelines"
+        groups, start = [], 0
+        for size in sizes:
+            groups.append(self.pipelines[start:start + size])
+            start += size
+        return groups
+
     def describe(self) -> str:
-        lines = [pipeline.describe() for pipeline in self.pipelines]
+        lines = []
+        for group in self.grouped():
+            if len(group) > 1:
+                lines.append(f"fused {len(group)} builds:")
+            lines.extend(
+                ("  " if len(group) > 1 else "") + pipeline.describe() for pipeline in group
+            )
         if self.sort_keys:
             keys = ", ".join(
                 f"{key.column}{'' if key.ascending else ' desc'}" for key in self.sort_keys

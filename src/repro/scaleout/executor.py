@@ -459,7 +459,7 @@ class ScaleOutExecutor:
                     injector.on_build(load.device, device)
                 # Build sides: every dimension pipeline runs on
                 # every participating device (broadcast join).
-                engine.run_pipelines(query.pipelines[:-1], runtime)
+                engine.run_pipelines(query.grouped()[:-1], runtime)
             except _RECOVERABLE as error:
                 # A build failure fails every piece of this share:
                 # without the build sides no morsel can run here.
@@ -542,7 +542,7 @@ class ScaleOutExecutor:
                     ),
                 )
                 produced = engine.run_pipelines(
-                    [morsel],
+                    [[morsel]],
                     runtime,
                     first_index=len(query.pipelines) - 1 + piece.index,
                 )

@@ -8,7 +8,8 @@ argument is that compilation effort must be amortized for the
 coprocessor to run at hardware speed (Sections 5-7).
 
 The cache maps ``(normalized SQL, database fingerprint, strategy)`` to
-the extracted :class:`~repro.plan.physical.PhysicalQuery`:
+the extracted :class:`~repro.plan.physical.PhysicalQuery`, its sibling
+builds grouped (:func:`~repro.plan.waves.group_sibling_builds`):
 
 * **Normalized SQL** — whitespace collapsed and keywords lowercased
   *outside* string literals, so ``SELECT  x`` and ``select x`` share an
@@ -44,6 +45,7 @@ from dataclasses import dataclass
 from ..plan.logical import LogicalPlan
 from ..plan.physical import PhysicalQuery
 from ..plan.pipelines import extract_pipelines
+from ..plan.waves import group_sibling_builds
 from ..sql.translate import plan_sql
 from ..storage.database import Database
 
@@ -84,7 +86,8 @@ def normalize_sql(text: str) -> str:
 
 
 def resolve_plan(plan: LogicalPlan, database: Database) -> PhysicalQuery:
-    """The physical plan ``plan`` extracts to on ``database``, kept on
+    """The physical plan ``plan`` extracts to on ``database`` (sibling
+    builds grouped, :func:`~repro.plan.waves.group_sibling_builds`), kept on
     the plan *object* (:attr:`LogicalPlan.resolved`) like
     :attr:`~repro.plan.physical.Pipeline.kernels`: an equal plan built
     anew, or a catalog at another fingerprint, extracts again.  Two
@@ -93,7 +96,7 @@ def resolve_plan(plan: LogicalPlan, database: Database) -> PhysicalQuery:
     resolved = plan.resolved
     if resolved is not None and resolved[0] == version:
         return resolved[1]
-    physical = extract_pipelines(plan, database)
+    physical = group_sibling_builds(extract_pipelines(plan, database))
     plan.resolved = (version, physical)
     return physical
 
@@ -171,7 +174,9 @@ class PlanCache:
                 self._entries.move_to_end(key)
                 return cached.physical, True
             self._misses += 1
-        physical = extract_pipelines(plan_sql(query, database), database)
+        physical = group_sibling_builds(
+            extract_pipelines(plan_sql(query, database), database)
+        )
         with self._lock:
             self._entries[key] = CachedPlan(physical)
             while len(self._entries) > self.capacity:

@@ -4,8 +4,9 @@ This is the human-readable face of the query record
 (:class:`~repro.hardware.traffic.Profile`): one row per pipeline the
 execution ran (rows in/out, kernels launched, per-level byte volumes,
 PCIe bytes, simulated vs host milliseconds) and a ``[result]`` row for
-``finalize`` — what shipping the result launched and moved — rendered
-via :func:`repro.analysis.report.format_table`, followed by the
+``finalize`` — what shipping the result launched and moved; a fused
+group of sibling builds is one block, its members listed under it —
+rendered via :func:`repro.analysis.report.format_table`, followed by the
 compile/cache and placement outcomes.  Any
 :class:`~repro.engines.base.ExecutionResult` renders, traced or not.
 
@@ -49,15 +50,15 @@ def render_explain_analyze(result) -> str:
         priced = priced[:-1]
     rows = []
     for position, record in enumerate(records):
+        if record.fused_into is not None:
+            # A fused group is one block, at its first row.
+            group = _fused_group(records, position)
+            if group is not None:
+                rows += _fused_block(position, group, priced if optimizer else None)
+            continue
         estimate = []
         if optimizer is not None and record.pipeline is not None:
-            pipe = priced[record.index] if record.index < len(priced) else None
-            actual = record.kernel_time_ms
-            estimate = ["", "", ""] if pipe is None else [
-                pipe.result_rows,
-                round(pipe.kernel_ms, 4),
-                f"{abs(pipe.kernel_ms - actual) / actual:.1%}" if actual else "",
-            ]
+            estimate = _estimate_cells(priced, record)
         rows.append(
             [
                 "[result]" if record.pipeline is None else f"[{position}]",
@@ -66,11 +67,7 @@ def render_explain_analyze(result) -> str:
                 record.shape + ("  [resident]" if record.resident else ""),
                 record.rows_in,
                 record.rows_out,
-                len(record.kernels),
-                round(record.bytes_at(MemoryLevel.GLOBAL) / 1e3, 1),
-                round(record.bytes_at(MemoryLevel.ONCHIP) / 1e3, 1),
-                round(record.transfer_bytes() / 1e3, 1),
-                round(record.total_time_ms, 4),
+                *_entry_cells(record),
                 round(record.host_ms, 3),
                 *estimate,
             ]
@@ -89,6 +86,77 @@ def render_explain_analyze(result) -> str:
     if footer:
         parts.append("\n".join(footer))
     return "\n\n".join(parts)
+
+
+def _entry_cells(record) -> list:
+    """Kernels, bytes per level, link bytes and sim ms of a row."""
+    return [
+        len(record.kernels),
+        round(record.bytes_at(MemoryLevel.GLOBAL) / 1e3, 1),
+        round(record.bytes_at(MemoryLevel.ONCHIP) / 1e3, 1),
+        round(record.transfer_bytes() / 1e3, 1),
+        round(record.total_time_ms, 4),
+    ]
+
+
+def _estimate_cells(priced, record, members=None) -> list:
+    """``est rows`` / ``est ms`` / ``error`` of a pipeline's row (of a
+    fused block: the rows of its ``members``)."""
+    pipe = priced[record.index] if record.index < len(priced) else None
+    actual = record.kernel_time_ms
+    return ["", "", ""] if pipe is None else [
+        sum(priced[member.index].result_rows for member in members or [record]),
+        round(pipe.kernel_ms, 4),
+        f"{abs(pipe.kernel_ms - actual) / actual:.1%}" if actual else "",
+    ]
+
+
+def _fused_group(records, position):
+    """The rows of the fused group of sibling builds that starts at
+    ``position`` — the run of rows fused into one row, within one
+    device's records — or ``None`` when ``position`` is not its first."""
+    head = records[position].fused_into
+
+    def same(before, after) -> bool:
+        return after.fused_into == head and after.index > before.index
+
+    if position and same(records[position - 1], records[position]):
+        return None
+    end = position + 1
+    while end < len(records) and same(records[end - 1], records[end]):
+        end += 1
+    return records[position:end]
+
+
+def _fused_block(position, group, priced) -> list[list]:
+    """A fused group as ONE row — what its first member that ran (the
+    row holding the group's launches and packed load) issued — above
+    one line per member with its cardinalities; ``priced``: the
+    optimizer's estimates, if it picked the strategy."""
+    holder = next(record for record in group if record.index == group[0].fused_into)
+    block = [
+        [
+            f"[{position}-{position + len(group) - 1}]",
+            f"fused {len(group)} builds",
+            sum(record.rows_in for record in group),
+            sum(record.rows_out for record in group),
+            *_entry_cells(holder),
+            # The holder's row spans the whole group's run.
+            round(holder.host_ms, 3),
+            *(_estimate_cells(priced, holder, group) if priced is not None else []),
+        ]
+    ]
+    for offset, record in enumerate(group):
+        block.append(
+            [
+                f"  [{position + offset}]",
+                "  " + record.shape + ("  [resident]" if record.resident else ""),
+                record.rows_in,
+                record.rows_out,
+                *[""] * (6 if priced is None else 9),
+            ]
+        )
+    return block
 
 
 def _totals(result, records) -> str:

@@ -332,6 +332,8 @@ def _record_span(record, start_us: float, end_us: float) -> Span:
         )
         if record.resident:
             attrs["resident"] = True
+        if record.fused_into is not None:
+            attrs["fused_into"] = f"pipeline[{record.fused_into}]"
         attrs.update(rows_in=record.rows_in, rows_out=record.rows_out)
     attrs.update(
         kernels=len(record.kernels),

@@ -19,6 +19,7 @@ import pytest
 from repro import connect, generate_ssb
 from repro.compression import resolve_compression
 from repro.engines import make_engine
+from repro.engines.base import fuse_launches
 from repro.engines.estimate import EstimateRuntime
 from repro.expressions.eval import evaluate
 from repro.hardware import GTX970, PCIE3, VirtualCoprocessor
@@ -26,6 +27,7 @@ from repro.hardware.traffic import MemoryLevel
 from repro.optimizer.cost import MICRO_ENGINES, CostEstimator, StrategyChoice
 from repro.placement.executor import base_columns
 from repro.plan.pipelines import extract_pipelines
+from repro.plan.waves import group_sibling_builds
 from repro.primitives.hashtable import JoinHashTable, TableEstimate
 from repro.sql.translate import plan_sql
 from repro.workloads import SSB_QUERIES, microbench
@@ -72,19 +74,29 @@ class Observed:
 
 def estimated_kernels(query, database, alias, cardinalities, policy):
     """The launches ``alias`` prices for ``query``, pipeline by pipeline
-    (what ``CostEstimator._pipeline_estimates`` slices its numbers from)."""
+    (what ``CostEstimator._pipeline_estimates`` slices its numbers from),
+    a group of sibling builds fused as execution fuses it."""
     estimator = CostEstimator(GTX970, PCIE3, compression=resolve_compression(policy))
     runtime = EstimateRuntime(
         estimator.cost_model, estimator.interconnect, database, cardinalities,
         estimator.compression,
     )
     engine = make_engine(alias)
-    for pipeline in query.pipelines:
-        rows, groups = engine.estimate_pipeline(pipeline, runtime)
-        if not pipeline.is_final and pipeline.output_schema is not None:
-            produced = min(groups, max(rows, 1)) if groups else rows
-            runtime.register_virtual_rows(pipeline.output_name, produced, pipeline.output_schema)
-    return runtime.device.log.kernels
+    log = runtime.device.log
+    for group in query.grouped():
+        held = []
+        for pipeline in group:
+            mark = len(log.kernels)
+            rows, groups = engine.estimate_pipeline(pipeline, runtime)
+            held.append(log.withdraw(mark))
+            if not pipeline.is_final and pipeline.output_schema is not None:
+                produced = min(groups, max(rows, 1)) if groups else rows
+                runtime.register_virtual_rows(pipeline.output_name, produced, pipeline.output_schema)
+        if len(group) > 1 and engine.fuses_siblings:
+            log.kernels += [estimator.cost_model.trace(*fused) for fused in fuse_launches(held)]
+        else:
+            log.kernels += [trace for traces in held for trace in traces]
+    return log.kernels
 
 
 def executed_kernels(query, database, alias, policy):
@@ -92,9 +104,10 @@ def executed_kernels(query, database, alias, policy):
 
 
 def _physical(plan, database):
+    """The plan a session runs: extracted, sibling builds grouped."""
     if isinstance(plan, str):
         plan = plan_sql(plan, database)
-    return extract_pipelines(plan, database)
+    return group_sibling_builds(extract_pipelines(plan, database))
 
 
 EXACT = {
@@ -312,6 +325,30 @@ def test_ssb_global_bytes_given_observed_selectivities(database, name, alias, po
     assert ours == pytest.approx(theirs, rel=0.05)
 
 
+@pytest.mark.parametrize("alias", MICRO_ENGINES)
+def test_a_fused_plan_is_estimated_with_its_launch_count(database, alias, monkeypatch):
+    """A session's plan runs its sibling builds as one group; the
+    estimate prices the group as execution runs it — one launch per
+    phase on the engines that fuse, one by one on the others — so every
+    pipeline's row has the executed row's launch count, and the group's
+    one load is one transfer."""
+    strategy = StrategyChoice(alias, "run-to-finish", 1, "range", "transient")
+    for name in ("q2.1", "q3.1", "q4.1"):
+        query = _physical(SSB_QUERIES[name], database)
+        assert query.groups[0] > 1
+        observed = Observed(query, database)
+        estimator = CostEstimator(GTX970, PCIE3)
+        monkeypatch.setattr(estimator, "selectivity", observed.selectivity)
+        monkeypatch.setattr(estimator, "groups", observed.groups)
+        estimate = estimator.estimate(query, database, strategy)
+        executed = connect(database, engine=alias).execute(SSB_QUERIES[name])
+        assert [pipe.kernels for pipe in estimate.pipelines] == [
+            len(row.kernels) for row in executed.profile.pipelines[:-1]
+        ], name
+        assert estimate.transfers == len(executed.profile.transfers), name
+        monkeypatch.undo()
+
+
 #: An SSB q3.4 whose month does not exist: every pipeline runs, the
 #: result is empty, and an empty transfer costs nothing.
 EMPTY_RESULT = SSB_QUERIES["q3.4"].replace("Dec1997", "Dec2099")
@@ -405,6 +442,7 @@ def test_estimated_transfer_count_is_the_executed_one(database, devices, monkeyp
         assert estimate.transfer_ms == pytest.approx(
             sum(record.time_ms for record in cold.profile.transfers), rel=1e-12
         ), key
+        assert sum(pipe.kernels for pipe in estimate.pipelines) == len(cold.profile.kernels), key
         monkeypatch.undo()
     if devices > 1:
         # A fleet over the SSB set in order, twice: each query meets the

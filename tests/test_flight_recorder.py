@@ -186,11 +186,12 @@ class TestFailureBundle:
 
     @pytest.fixture
     def tiny_profile(self):
-        # 20 KB of device memory: every build fails with a genuine
-        # (non-injected) OOM on every device, which exhausts the morsel
-        # blacklist -> MorselExhaustedError (the host fallback only
-        # engages on device *loss*).
-        return replace(GTX970, name="tiny970", memory_capacity=20_000)
+        # 120 KB of device memory: the build sides fit, every fact
+        # morsel fails with a genuine (non-injected) OOM on every
+        # device, which exhausts the morsel blacklist ->
+        # MorselExhaustedError (the host fallback only engages on
+        # device *loss*).
+        return replace(GTX970, name="tiny970", memory_capacity=120_000)
 
     def test_failed_query_writes_bundle(self, ssb_db, recorder, tiny_profile):
         session = Session(

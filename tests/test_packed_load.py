@@ -16,7 +16,8 @@ entries, pins, hits and misses stay per column.  What must hold:
   before, when every column was a transfer of its own (:data:`PINNED`);
 * a pooled load ships exactly its misses, a mixed raw + encoded load
   reports every column's raw size, a zero-copy device logs a zero-byte
-  record per loading pipeline, kernel-at-a-time streams as before, and a
+  record per load (a fused group of sibling builds loads once),
+  kernel-at-a-time streams as before, and a
   fleet under the pinned chaos seeds stays byte-identical.
 
 ``python tests/test_packed_load.py`` prints :data:`PINNED` as the
@@ -233,9 +234,12 @@ def test_a_zero_copy_device_logs_one_empty_record_per_loading_pipeline(ssb_db):
     rows = result.profile.pipelines[:-1]
     assert len(rows) == len(query.pipelines)
     loads = [r for r in result.profile.transfers if r.direction == "h2d"]
+    # Sibling builds run fused: their one load lies in the group's
+    # first row, the other members' rows hold none.
     assert [len([r for r in row.transfers if r.direction == "h2d"]) for row in rows] == [
-        1 for _ in rows
+        int(row.fused_into in (None, row.index)) for row in rows
     ]
+    assert len(loads) == 2
     assert all((r.nbytes, r.time_ms) == (0, 0.0) for r in loads)
     assert sum(r.raw_nbytes for r in loads) == base_column_bytes(query, ssb_db)
 

@@ -9,6 +9,9 @@ span trace, EXPLAIN ANALYZE and the accounting self-check read it.
   every engine x {single device, out-of-core, fleet} x {off, auto} —
   the ``[result]`` row carries what ``finalize`` launched;
 * on the host track a pipeline's children tile its interval;
+* a fused group of sibling builds: every fused launch and its packed
+  load lie in its first member's row, and the rows still sum to the
+  profile;
 * a launch outside ``run_pipelines`` fires ``accounting.mismatch``.
 """
 
@@ -236,6 +239,10 @@ def test_pipeline_children_tile_the_host_interval(ssb_db):
         for child in pipeline.children:
             assert cursor <= child.start_us <= child.end_us <= pipeline.end_us
             cursor = child.end_us
+        # A sibling build fused into another row launches nothing of
+        # its own: that row's span holds the group's kernels.
+        if pipeline.attrs.get("fused_into", pipeline.name) != pipeline.name:
+            continue
         assert any(
             child.category == "kernel" and child.duration_us > 0
             for child in pipeline.children
@@ -421,3 +428,44 @@ def test_estimated_loads_are_the_first_reads(ssb_db, compression):
             assert (pipe.first_reads, pipe.input_bytes, pipe.wire_bytes) == (
                 set(loads), sum(column.nbytes for column in columns), wire
             ), (name, pipe.name)
+
+
+# ----------------------------------------------------------------------
+# (v) a fused group of sibling builds is one row's entries
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("engine", ["resolution", "multipass"])
+def test_fused_group_entries_lie_in_its_first_row(ssb_db, engine):
+    """SSB q4.1's four dimension builds run as one fused group: every
+    fused launch and the packed load lie in exactly one row — the first
+    member's — every other member's row holds none but keeps its rows
+    in / out, and the rows still sum to the profile."""
+    result = repro.connect(ssb_db, engine=engine).execute(SSB_QUERIES["q4.1"])
+    profile = result.profile
+    *members, fact, finalize = profile.pipelines
+    assert [row.fused_into for row in members] == [0, 0, 0, 0]
+    assert fact.fused_into is None and finalize.fused_into is None
+    head, *rest = members
+    phases = 1 if engine == "resolution" else 6
+    assert len(head.kernels) == phases
+    assert all(len(trace.name.split("+")) == 4 for trace in head.kernels)
+    assert [record.direction for record in head.transfers] == ["h2d"]
+    assert all(not row.kernels and not row.transfers for row in rest)
+    assert all(row.rows_in > 0 and row.rows_out > 0 for row in members)
+    assert profile.unaccounted == 0
+    assert not [event for event in result.events() if event.kind == "accounting.mismatch"]
+    for level in (MemoryLevel.GLOBAL, MemoryLevel.ONCHIP):
+        assert sum(row.bytes_at(level) for row in profile.pipelines) == profile.bytes_at(level)
+    assert sum(row.kernel_time_ms for row in profile.pipelines) == pytest.approx(
+        profile.kernel_time_ms, rel=1e-12
+    )
+    assert sum(len(row.kernels) for row in profile.pipelines) == len(profile.kernels)
+    assert sum(len(row.transfers) for row in profile.pipelines) == len(profile.transfers)
+    # EXPLAIN ANALYZE: one fused block, then a line per member.
+    lines = render_explain_analyze(result).splitlines()
+    block = next(index for index, line in enumerate(lines) if "fused 4 builds" in line)
+    assert lines[block].startswith("[0-3]")
+    for offset, row in enumerate(members, 1):
+        line = lines[block + offset]
+        assert line.startswith(f"  [{offset - 1}]") and row.shape in line
+        assert line.split()[-2:] == [str(row.rows_in), str(row.rows_out)]
+    assert "WARNING" not in "\n".join(lines)

@@ -21,6 +21,7 @@ table and does not run the pipeline.  What must hold:
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -316,7 +317,8 @@ def test_a_build_that_raises_mid_pipeline_pools_nothing(ssb_db, monkeypatch):
     device = VirtualCoprocessor(GTX970, interconnect=PCIE3)
     pool = BufferPool(device)
     engine = make_engine("resolution")
-    plan = repro.connect(ssb_db).physical(SSB_QUERIES["q2.1"])
+    # The builds run one by one (a fused group is the next test's).
+    plan = replace(repro.connect(ssb_db).physical(SSB_QUERIES["q2.1"]), groups=())
     allocate = device.allocate
     armed = [True]
 
@@ -343,6 +345,41 @@ def test_a_build_that_raises_mid_pipeline_pools_nothing(ssb_db, monkeypatch):
         plan, ssb_db, VirtualCoprocessor(GTX970, interconnect=PCIE3)
     )
     assert table_checksum(result.table) == table_checksum(reference.table)
+    _reconciles(device)
+
+
+def test_a_fused_group_that_raises_pools_none_of_its_builds(ssb_db, monkeypatch):
+    """Sibling builds that run fused complete together, at their fused
+    launch: a member failing mid-pipeline leaves the pool as it was —
+    no member's table, no pin — and the retry builds all three."""
+    device = VirtualCoprocessor(GTX970, interconnect=PCIE3)
+    pool = BufferPool(device)
+    engine = make_engine("resolution")
+    plan = repro.connect(ssb_db).physical(SSB_QUERIES["q2.1"])
+    assert plan.groups[0] == 3
+    allocate = device.allocate
+    armed = [True]
+
+    def failing(array, label="", **kwargs):
+        if armed[0] and label == "ht2.p_brand1":
+            armed[0] = False
+            raise DeviceMemoryError(array.nbytes, 0, device.profile.memory_capacity)
+        return allocate(array, label=label, **kwargs)
+
+    monkeypatch.setattr(device, "allocate", failing)
+    with pytest.raises(DeviceMemoryError):
+        engine.execute(plan, ssb_db, device)
+    stats = pool.stats()
+    assert (stats.resident_tables, stats.table_misses) == (0, 3)
+    _reconciles(device)
+    assert all(entry.pins == 0 for entry in pool._entries.values())
+    result = engine.execute(plan, ssb_db, device)
+    assert (result.placement.table_hits, result.placement.table_misses) == (0, 3)
+    assert pool.stats().resident_tables == 3
+    assert len(result.profile.kernels) == 2
+    warm = engine.execute(plan, ssb_db, device)
+    assert (warm.placement.table_hits, len(warm.profile.kernels)) == (3, 1)
+    assert table_checksum(warm.table) == table_checksum(result.table)
     _reconciles(device)
 
 

@@ -79,11 +79,12 @@ def test_one_layout_per_build_side_and_no_thread(ssb_db, monkeypatch, name, mode
     assert stats.hits == builds * (turns - 1)
     if mode == "residency":
         # Each device's pool serves the build sides, so a device's warm
-        # turn is its cold turn minus the first ``builds`` launches.
+        # turn is its cold turn minus its build launch: the sibling
+        # builds run fused, one launch for all of them.
         cold_launches = _device_launches(session)
         warm = session.execute(sql)
-        assert _device_launches(session) == [turn[builds:] for turn in cold_launches]
-        assert len(warm.profile.kernels) == len(cold.profile.kernels) - builds * DEVICES
+        assert _device_launches(session) == [turn[1:] for turn in cold_launches]
+        assert len(warm.profile.kernels) == len(cold.profile.kernels) - DEVICES
         # Nothing was built, so nothing was laid out or looked up.
         after = layout_cache_stats()
         assert (after.hits, after.misses) == (stats.hits, stats.misses)

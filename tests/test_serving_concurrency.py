@@ -88,7 +88,9 @@ def test_no_kernel_source_leaks_across_queries(ssb_db):
                 f"kernel_sources for {name} polluted by a concurrent query"
             )
             assert list(sources)[-1] in launched  # the fact pipeline always runs
-            assert len(result.profile.kernels) == len(launched)
+            # A fused launch of sibling builds runs every member's kernel.
+            members = [name for trace in result.profile.kernels for name in trace.name.split("+")]
+            assert len(members) == len(launched)
             served += result.placement.table_hits
     assert served > 0
 

@@ -178,13 +178,12 @@ class Session:
             device = VirtualCoprocessor(device, interconnect=interconnect)
         self._bind(device)
 
-    def _bind(self, device: VirtualCoprocessor, share=None) -> None:
+    def _bind(self, device: VirtualCoprocessor) -> None:
         """Attach the session to ``device`` and build the device-bound
-        half of its configured route: the adaptive executor (on the
-        statistics catalog of a sibling's, ``share``), the scale-out
-        fleet, or the buffer pool (else the bare engine).  Everything
-        set here is private to this session; everything else is shared
-        with its siblings."""
+        half of its configured route: the adaptive executor, the
+        scale-out fleet, or the buffer pool (else the bare engine).
+        Everything set here is private to this session; everything else
+        is shared with its siblings."""
         self.device = device
         device.compression = self.compression
         self.auto = self.scaleout = self.pool = None
@@ -196,7 +195,6 @@ class Session:
             self.auto = self._new_auto(
                 engine=None if self.engine_alias == "auto" else self.engine_alias,
                 devices=None if self.devices == "auto" else self.devices,
-                statistics=share.statistics if share else None,
             )
         elif self.devices > 1 or self._fault_plan is not None:
             from .scaleout import ScaleOutExecutor
@@ -220,8 +218,10 @@ class Session:
                 self.pool = BufferPool(device)
 
     def _new_auto(self, **pinned):
-        """An adaptive executor over this session's device profile;
-        ``residency=True`` pins its placement to ``pooled``."""
+        """An adaptive executor over this session's device profile, on
+        the plan cache's statistics catalog (the one that ordered the
+        plans it runs); ``residency=True`` pins its placement to
+        ``pooled``."""
         from .optimizer import AutoExecutor
 
         return AutoExecutor(
@@ -230,23 +230,21 @@ class Session:
             partitioning=self.partitioning,
             placement="pooled" if self._residency else None,
             compression=self.compression,
+            statistics=self.plan_cache.statistics,
             **pinned,
         )
 
     def _sibling(self) -> "Session":
         """A session with this one's validated configuration on a
         private device (one per :class:`~repro.serving.Server` worker).
-        Siblings share the database, plan cache, recorder, default
-        engine instance, compression policy (safe: its encoding cache
-        lives on the immutable columns) and — on auto sessions — one
+        Siblings share the database, plan cache — and with it one
         statistics catalog (a cache of pure functions of the data: no
-        worker's history reaches another's decisions)."""
+        worker's history reaches another's decisions) — recorder,
+        default engine instance and compression policy (safe: its
+        encoding cache lives on the immutable columns)."""
         twin = copy.copy(self)
         twin._bind(
-            VirtualCoprocessor(
-                self.device.profile, interconnect=self.device.interconnect
-            ),
-            share=self.auto,
+            VirtualCoprocessor(self.device.profile, interconnect=self.device.interconnect)
         )
         return twin
 

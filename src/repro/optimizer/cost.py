@@ -33,6 +33,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from ..engines import make_engine
 from ..engines.base import fuse_launches
 from ..engines.estimate import EstimateRuntime
@@ -51,8 +53,17 @@ from ..hardware.costmodel import KernelCostModel
 from ..hardware.interconnect import Interconnect
 from ..hardware.profiles import DeviceProfile
 from ..hardware.traffic import LogSlice, MemoryLevel, Profile
+from ..expressions.schema import infer_dtype
 from ..macro.batch import BLOCK_OVERHEAD
-from ..plan.physical import AggregateSink, BuildSink, PhysicalQuery, Pipeline
+from ..plan.physical import (
+    AggregateSink,
+    BuildSink,
+    FilterStage,
+    PhysicalQuery,
+    Pipeline,
+    ProbeStage,
+)
+from ..primitives.hashtable import TableEstimate
 from ..scaleout.partition import MORSELS_PER_DEVICE
 from ..storage.database import Database
 from .stats import StatisticsCatalog, TableStats
@@ -89,6 +100,53 @@ def merge_overhead_ms(pieces: int) -> float:
     observed compare like with like on the simulated clock (the
     wall-clock merge stays on ``ScaleOutStats.merge_ms`` for reporting)."""
     return _MERGE_BASE_MS + _MERGE_PER_PARTIAL_MS * pieces
+
+
+def probe_ranks(
+    query: PhysicalQuery, database: Database, statistics: StatisticsCatalog
+) -> dict[str, float]:
+    """The rank ``(s - 1) / c`` of probing each hash table ``query``
+    builds, by table id.  ``s`` is the share of its source's rows the
+    build keeps: its filters read off the sample
+    (:meth:`StatisticsCatalog.sampled_selectivity`), a probe it makes
+    keeping the share of the table it probes, as :class:`TableEstimate`
+    assumes.  ``c`` is the bytes one probing row is expected to read of
+    a table of ``s x rows`` rows (:meth:`TableEstimate.probe_row_bytes`).
+    A lower rank drops more rows per byte read, so runs first
+    (:func:`~repro.plan.waves.order_probes`).  A table the sample
+    cannot size — built from a virtual source, through a residual or a
+    filter it cannot evaluate, or probing such a table — has no rank."""
+    shares: dict[str, float] = {}
+    ranks: dict[str, float] = {}
+    for pipeline in query.pipelines:
+        sink = pipeline.sink
+        if not isinstance(sink, BuildSink) or pipeline.source_is_virtual:
+            continue
+        share = 1.0
+        for stage in pipeline.stages:
+            if isinstance(stage, FilterStage):
+                kept = statistics.sampled_selectivity(database, pipeline, stage.predicate)
+            elif isinstance(stage, ProbeStage):
+                probed = None if stage.residual is not None else shares.get(stage.table_id)
+                kept = None if probed is None else {
+                    "anti": 1.0 - probed, "left": 1.0
+                }.get(stage.kind, probed)
+            else:
+                continue  # a map keeps every row
+            if kept is None:
+                break
+            share *= kept
+        else:
+            dtypes = pipeline.scope_schema.dtypes
+            table = TableEstimate(
+                rows=int(round(share * database.table(pipeline.source).num_rows)),
+                match_fraction=share,
+                key_bytes=sum(infer_dtype(key, dtypes).itemsize for key in sink.keys),
+                payload={name: np.zeros(1, dtypes[name].numpy_dtype) for name in sink.payload},
+            )
+            shares[sink.table_id] = share
+            ranks[sink.table_id] = (share - 1.0) / table.probe_row_bytes()
+    return ranks
 
 
 @dataclass(frozen=True)
@@ -217,7 +275,9 @@ class CostEstimator:
     def predicate_selectivity(
         self, expr: Expr, stats: TableStats | None, renames: dict[str, str]
     ) -> float:
-        """Fraction of rows satisfying ``expr`` (clamped to [0, 1])."""
+        """Fraction of rows satisfying ``expr`` (clamped to [0, 1]), by
+        arithmetic over the column summaries ``stats``: the fallback for
+        what a table's sample cannot evaluate."""
         sel = self._selectivity(expr, stats, renames)
         return min(1.0, max(0.0, sel))
 
@@ -342,6 +402,13 @@ class CostEstimator:
         return self.statistics.table_stats(database, pipeline.source)
 
     def selectivity(self, database: Database, pipeline: Pipeline, predicate: Expr) -> float:
+        """The share of the rows reaching ``predicate`` in ``pipeline``
+        that it keeps: read off the source table's sample
+        (:meth:`StatisticsCatalog.sampled_selectivity`), else by the
+        arithmetic over its column summaries."""
+        share = self.statistics.sampled_selectivity(database, pipeline, predicate)
+        if share is not None:
+            return share
         return self.predicate_selectivity(
             predicate, self._stats(database, pipeline), pipeline.source_rename
         )

@@ -13,6 +13,11 @@ the distinct count is scaled with the standard saturation heuristic —
 if the sample looks mostly-unique the column is assumed key-like and
 the distinct count scales with the row count; if the sample's distinct
 set is small it is assumed to be the domain.
+
+The same stride sample answers filter selectivities
+(:meth:`StatisticsCatalog.sampled_selectivity`): the share of the
+sample's rows a pipeline's filter conjunct keeps, among those its
+earlier conjuncts keep — exact on a table no larger than the sample.
 """
 
 from __future__ import annotations
@@ -22,6 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..compression.lazy import flatten_conjuncts
+from ..expressions.eval import evaluate, over_rows
+from ..plan.physical import FilterStage, Pipeline
 from ..storage.database import Database
 from ..storage.table import Table
 
@@ -60,6 +68,12 @@ class TableStats:
         return self.columns.get(name)
 
 
+def _stride(rows: int, sample_limit: int) -> int:
+    """The step of the fixed-stride sample: at most ``sample_limit``
+    values, every value of a column no longer than that."""
+    return -(-rows // sample_limit) if rows > sample_limit else 1
+
+
 def _collect_column(values: np.ndarray, sample_limit: int) -> ColumnStats:
     rows = len(values)
     integral = values.dtype.kind in "iub"
@@ -68,13 +82,8 @@ def _collect_column(values: np.ndarray, sample_limit: int) -> ColumnStats:
             rows=0, minimum=0.0, maximum=0.0, null_fraction=0.0,
             distinct=0, exact=True, integral=integral,
         )
-    if rows > sample_limit:
-        stride = -(-rows // sample_limit)  # ceil -> <= sample_limit values
-        sample = values[::stride]
-        exact = False
-    else:
-        sample = values
-        exact = True
+    sample = values[::_stride(rows, sample_limit)]
+    exact = rows <= sample_limit
     null_fraction = 0.0
     if sample.dtype.kind == "f":
         nan_mask = np.isnan(sample)
@@ -120,8 +129,29 @@ def collect_table_stats(
     )
 
 
+def _conjunct_chain(pipeline: Pipeline, predicate) -> tuple[list, list] | None:
+    """``(before, own)``: the conjuncts of ``pipeline``'s filter stages
+    that run before ``predicate`` — a stage's predicate or one of its
+    top-level conjuncts (the compressed-scan path splits them) — and
+    those ``predicate`` is made of; ``None`` when it is neither (a
+    probe's residual)."""
+    before: list = []
+    for stage in pipeline.stages:
+        if not isinstance(stage, FilterStage):
+            continue
+        conjuncts = flatten_conjuncts(stage.predicate)
+        if stage.predicate is predicate:
+            return before, conjuncts
+        for index, conjunct in enumerate(conjuncts):
+            if conjunct is predicate:
+                return before + conjuncts[:index], [conjunct]
+        before += conjuncts
+    return None
+
+
 class StatisticsCatalog:
-    """Fingerprint-keyed cache of :class:`TableStats` per database.
+    """Fingerprint-keyed cache of :class:`TableStats` per database, and
+    of the filter selectivities its stride samples answer.
 
     ``table_stats`` collects lazily on first use; :meth:`analyze`
     collects eagerly for a whole catalog (the "at load time" hook).
@@ -137,8 +167,20 @@ class StatisticsCatalog:
         self._lock = threading.Lock()
         #: (serial, version, table name) -> TableStats
         self._entries: dict[tuple, TableStats] = {}
+        #: (serial, version, table name, renames, conjunct chain) -> share
+        self._shares: dict[tuple, float] = {}
         self.collections = 0
         self.hits = 0
+
+    def _store(self, cache: dict, key: tuple, value) -> None:
+        """``cache[key] = value``, dropping what other versions of the
+        same catalog (``key[:2]``: serial, version) left in either
+        cache.  The caller holds the lock."""
+        serial, version = key[:2]
+        for entries in (self._entries, self._shares):
+            for stale in [k for k in entries if k[0] == serial and k[1] != version]:
+                del entries[stale]
+        cache[key] = value
 
     def table_stats(self, database: Database, name: str) -> TableStats:
         serial, version = database.fingerprint()
@@ -152,17 +194,62 @@ class StatisticsCatalog:
             name, database.table(name), sample_limit=self.sample_limit
         )
         with self._lock:
-            # Drop stats of older versions of this catalog.
-            stale = [
-                entry_key
-                for entry_key in self._entries
-                if entry_key[0] == serial and entry_key[1] != version
-            ]
-            for entry_key in stale:
-                del self._entries[entry_key]
-            self._entries[key] = stats
+            self._store(self._entries, key, stats)
             self.collections += 1
         return stats
+
+    def sampled_selectivity(
+        self, database: Database, pipeline: Pipeline, predicate
+    ) -> float | None:
+        """The share of the stride sample of ``pipeline``'s base table
+        that passes ``predicate`` — one of its filter stages' predicates
+        or conjuncts — among the sample rows that pass the conjuncts
+        before it.  ``None`` when the sample cannot say: a virtual
+        source, a residual, or a predicate over a column the pipeline
+        maps or gathers from a probe (an earlier conjunct over one is
+        left out of the condition).  Cached by catalog version, table
+        and the structure of the conjunct chain, so an equal plan built
+        anew reads the same answer."""
+        if pipeline.source_is_virtual:
+            return None
+        chain = _conjunct_chain(pipeline, predicate)
+        if chain is None:
+            return None
+        # What the source holds: not a mapped or gathered column.
+        source = set(pipeline.required_columns)
+        before, own = chain
+        if not all(conjunct.columns() <= source for conjunct in own):
+            return None
+        before = [conjunct for conjunct in before if conjunct.columns() <= source]
+        rename = pipeline.source_rename
+        serial, version = database.fingerprint()
+        key = (
+            serial, version, pipeline.source, tuple(sorted(rename.items())),
+            tuple(map(repr, before)), tuple(map(repr, own)),
+        )
+        with self._lock:
+            cached = self._shares.get(key)
+        if cached is not None:
+            return cached
+        table = database.table(pipeline.source)
+        stride = _stride(table.num_rows, self.sample_limit)
+        names = {name for conjunct in before + own for name in conjunct.columns()}
+        scope = {
+            name: table.column(rename.get(name, name)).values[::stride] for name in names
+        }
+        rows = -(-table.num_rows // stride)
+
+        def passing(conjuncts, kept: np.ndarray) -> np.ndarray:
+            for conjunct in conjuncts:
+                kept = kept & over_rows(evaluate(conjunct, scope), (rows,), dtype=bool)
+            return kept
+
+        reached = passing(before, np.ones(rows, dtype=bool))
+        alive = int(np.count_nonzero(reached))
+        share = int(np.count_nonzero(passing(own, reached))) / alive if alive else 0.0
+        with self._lock:
+            self._store(self._shares, key, share)
+        return share
 
     def analyze(self, database: Database) -> dict[str, TableStats]:
         """Eagerly collect stats for every table in the catalog."""

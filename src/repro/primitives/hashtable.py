@@ -177,6 +177,15 @@ class TableEstimate:
     def structure_bytes(self) -> int:
         return self.capacity * _SLOT_BYTES + self.rows * self.key_bytes
 
+    def probe_row_bytes(self) -> float:
+        """Bytes one probing row is expected to read: its key, the slots
+        its lookup inspects (a hit with probability ``match_fraction``)
+        and, on a hit, the payload."""
+        share = self.match_fraction
+        steps = share * self._hit + (1.0 - share) * self._miss
+        payload = sum(values.dtype.itemsize for values in self.payload.values())
+        return self.key_bytes + steps * self.entry_bytes + share * payload
+
     def probe_steps(self, probes: int, hits: int) -> int:
         """Slots inspected by ``probes`` lookups of which ``hits`` match."""
         return int(round(hits * self._hit + (probes - hits) * self._miss))

@@ -8,8 +8,12 @@ argument is that compilation effort must be amortized for the
 coprocessor to run at hardware speed (Sections 5-7).
 
 The cache maps ``(normalized SQL, database fingerprint, strategy)`` to
-the extracted :class:`~repro.plan.physical.PhysicalQuery`, its sibling
-builds grouped (:func:`~repro.plan.waves.group_sibling_builds`):
+the extracted :class:`~repro.plan.physical.PhysicalQuery` as a session
+runs it (:func:`~repro.plan.waves.session_plan`): its independent inner
+probes ordered cheapest-first by the cache's
+:class:`~repro.optimizer.stats.StatisticsCatalog`, its sibling builds
+grouped.  The catalog is the one the sessions sharing the cache hand
+their adaptive executors, so a server's workers sample each table once.
 
 * **Normalized SQL** — whitespace collapsed and keywords lowercased
   *outside* string literals, so ``SELECT  x`` and ``select x`` share an
@@ -42,10 +46,12 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
+from ..optimizer.cost import probe_ranks
+from ..optimizer.stats import StatisticsCatalog
 from ..plan.logical import LogicalPlan
 from ..plan.physical import PhysicalQuery
 from ..plan.pipelines import extract_pipelines
-from ..plan.waves import group_sibling_builds
+from ..plan.waves import session_plan
 from ..sql.translate import plan_sql
 from ..storage.database import Database
 
@@ -85,18 +91,29 @@ def normalize_sql(text: str) -> str:
     return normalized[:-1].rstrip() if normalized.endswith(";") else normalized
 
 
-def resolve_plan(plan: LogicalPlan, database: Database) -> PhysicalQuery:
-    """The physical plan ``plan`` extracts to on ``database`` (sibling
-    builds grouped, :func:`~repro.plan.waves.group_sibling_builds`), kept on
-    the plan *object* (:attr:`LogicalPlan.resolved`) like
+def _resolve(
+    plan: LogicalPlan, database: Database, statistics: StatisticsCatalog
+) -> PhysicalQuery:
+    """``plan`` extracted and rewritten as a session runs it
+    (:func:`~repro.plan.waves.session_plan`)."""
+    query = extract_pipelines(plan, database)
+    return session_plan(query, probe_ranks(query, database, statistics))
+
+
+def resolve_plan(
+    plan: LogicalPlan, database: Database, statistics: StatisticsCatalog
+) -> PhysicalQuery:
+    """The physical plan ``plan`` resolves to on ``database`` (probes
+    ordered by ``statistics``, sibling builds grouped), kept on the plan
+    *object* (:attr:`LogicalPlan.resolved`) like
     :attr:`~repro.plan.physical.Pipeline.kernels`: an equal plan built
-    anew, or a catalog at another fingerprint, extracts again.  Two
-    workers racing here extract equal plans; either stays."""
+    anew, or a catalog at another fingerprint, resolves again.  Two
+    workers racing here resolve equal plans; either stays."""
     version = database.fingerprint()
     resolved = plan.resolved
     if resolved is not None and resolved[0] == version:
         return resolved[1]
-    physical = group_sibling_builds(extract_pipelines(plan, database))
+    physical = _resolve(plan, database, statistics)
     plan.resolved = (version, physical)
     return physical
 
@@ -127,12 +144,14 @@ class CachedPlan:
 
 
 class PlanCache:
-    """A bounded, thread-safe LRU of extracted physical query plans."""
+    """A bounded, thread-safe LRU of extracted physical query plans,
+    and the statistics catalog that orders their probes."""
 
     def __init__(self, capacity: int = 256):
         if capacity < 1:
             raise ValueError(f"plan cache capacity must be >= 1, got {capacity}")
         self.capacity = capacity
+        self.statistics = StatisticsCatalog()
         self._lock = threading.Lock()
         self._entries: OrderedDict[tuple, CachedPlan] = OrderedDict()
         # A raw text seen before is normalized by one dict lookup, not
@@ -165,7 +184,7 @@ class PlanCache:
         and its cost estimates.
         """
         if isinstance(query, LogicalPlan):
-            return resolve_plan(query, database), False
+            return resolve_plan(query, database, self.statistics), False
         key = self._key(query, database, strategy)
         with self._lock:
             cached = self._entries.get(key)
@@ -174,9 +193,7 @@ class PlanCache:
                 self._entries.move_to_end(key)
                 return cached.physical, True
             self._misses += 1
-        physical = group_sibling_builds(
-            extract_pipelines(plan_sql(query, database), database)
-        )
+        physical = _resolve(plan_sql(query, database), database, self.statistics)
         with self._lock:
             self._entries[key] = CachedPlan(physical)
             while len(self._entries) > self.capacity:

@@ -26,10 +26,7 @@ from repro.hardware import GTX970, PCIE3, VirtualCoprocessor
 from repro.hardware.traffic import MemoryLevel
 from repro.optimizer.cost import MICRO_ENGINES, CostEstimator, StrategyChoice
 from repro.placement.executor import base_columns
-from repro.plan.pipelines import extract_pipelines
-from repro.plan.waves import group_sibling_builds
 from repro.primitives.hashtable import JoinHashTable, TableEstimate
-from repro.sql.translate import plan_sql
 from repro.workloads import SSB_QUERIES, microbench
 
 ENGINES = MICRO_ENGINES + ("resolution-we",)
@@ -104,10 +101,9 @@ def executed_kernels(query, database, alias, policy):
 
 
 def _physical(plan, database):
-    """The plan a session runs: extracted, sibling builds grouped."""
-    if isinstance(plan, str):
-        plan = plan_sql(plan, database)
-    return group_sibling_builds(extract_pipelines(plan, database))
+    """The plan a session runs: extracted, probes ordered, sibling
+    builds grouped."""
+    return connect(database).physical(plan)
 
 
 EXACT = {

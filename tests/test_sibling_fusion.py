@@ -32,7 +32,7 @@ from repro.faults import FaultPlan
 from repro.hardware import GTX970, PCIE3, MemoryLevel, VirtualCoprocessor
 from repro.plan import extract_pipelines
 from repro.plan.physical import BuildSink, ProbeStage
-from repro.plan.waves import group_sibling_builds
+from repro.plan.waves import group_sibling_builds, order_probes
 from repro.scaleout.partition import MORSELS_PER_DEVICE
 from repro.serving import plan_cache
 from repro.telemetry.recorder import table_checksum
@@ -168,7 +168,8 @@ def test_fused_and_unfused_runs_move_the_same_bytes(ssb_db, tpch_db, monkeypatch
             fused_session = repro.connect(database, **options)
             fused = fused_session.execute(build())
             with monkeypatch.context() as patch:
-                patch.setattr(plan_cache, "group_sibling_builds", lambda query: query)
+                # Probes still ordered, builds not grouped.
+                patch.setattr(plan_cache, "session_plan", order_probes)
                 alone_session = repro.connect(database, **options)
                 alone = alone_session.execute(build())
             assert table_checksum(fused.table) == table_checksum(alone.table), key

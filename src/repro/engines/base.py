@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -180,8 +181,9 @@ class Engine:
     """
 
     name = "abstract"
-    #: Whether :meth:`run_group` runs a group of sibling builds as one
-    #: launch per phase (the generated-kernel engines) or one by one.
+    #: Whether a group of siblings — the builds of one wave, a fleet
+    #: device's morsels — runs as one launch per phase (:meth:`run_fused`,
+    #: the generated-kernel engines) or one by one.
     fuses_siblings = False
     #: Last execution's generated sources (rebound atomically per run).
     kernel_sources: dict[str, str] = {}
@@ -294,11 +296,11 @@ class Engine:
 
         A build whose hash table the buffer pool holds does not run
         (:meth:`_run_pipeline`).  The others run one by one — unless
-        the engine :attr:`fuses_siblings` and more than one member of a
-        group of sibling builds is left: then they run as one fused
-        group (:meth:`_run_fused`)."""
+        the engine :attr:`fuses_siblings` and the group has more than
+        one member: then they run as one fused group (:meth:`run_fused`)."""
         if len(group) > 1 and self.fuses_siblings:
-            return self._run_fused(group, runtime, first_index)
+            indices = range(first_index, first_index + len(group))
+            return self.run_fused(group, runtime, indices)[-1]
         log = runtime.device.log
         produced = None
         for index, pipeline in enumerate(group, first_index):
@@ -318,54 +320,64 @@ class Engine:
                 )
         return produced
 
-    def _run_fused(
-        self, group: list[Pipeline], runtime: QueryRuntime, first_index: int
-    ) -> None:
-        """Run a group of sibling builds as ONE launch per phase.
+    def run_fused(
+        self, group: list[Pipeline], runtime: QueryRuntime, indices: Sequence[int]
+    ) -> list[dict[str, np.ndarray] | None]:
+        """Run a group of siblings as ONE launch per phase and return
+        what each member produced: the builds of one dependency wave
+        (:meth:`run_group`), or the morsels of one final pipeline a
+        fleet device runs (the scale-out executor), each member's
+        outputs its own partial.
 
-        Members the pool serves drop out, and so does a member whose
+        A build the pool serves drops out, and so does a build whose
         table an earlier member builds: the pool serves it what that
         member left, as it would run alone.  The rest load their
         first-read base columns as one packed transfer, then each runs
         its own generated kernels on its own contexts (over its own CTA
-        range of the fused launch) and writes its own hash table; the
-        launches it would have issued are withdrawn from the log and
-        phase ``i`` of the group is launched once, over the members'
-        merged meters (:func:`fuse_launches`).  Block counts, barriers
-        and bytes are the members' exact sums: only the launch
-        overhead, the link latency and the ``max()`` overlap of the
-        cost model move.  A single member left runs as it would alone.
+        range of the fused launch) and writes its own hash table or
+        outputs; the device queues the launches it issues
+        (:meth:`VirtualCoprocessor.fusing
+        <repro.hardware.device.VirtualCoprocessor.fusing>`) and phase
+        ``i`` of the group is launched once, over the members' merged
+        meters (:func:`fuse_launches`).  Block counts, barriers and
+        bytes are the members' exact sums: only the launch overhead,
+        the link latency and the ``max()`` overlap of the cost model
+        move.  A single member left runs as it would alone.
 
-        The record: every member keeps its row with its rows in / out,
-        and the row of the first member that runs stays open over the
-        run, so it holds the group's fused launches and packed transfer
-        (:attr:`PipelineRecord.fused_into
+        The record: member ``i`` keeps its row ``indices[i]`` with its
+        rows in / out, and the row of the first member that runs stays
+        open over the run, so it holds the group's fused launches and
+        packed transfer (:attr:`PipelineRecord.fused_into
         <repro.hardware.traffic.PipelineRecord.fused_into>`)."""
         log = runtime.device.log
+        produced: list = [None] * len(group)
         records, ran, twins, head = [], [], [], None
         try:
-            for index, pipeline in enumerate(group, first_index):
-                assert isinstance(pipeline.sink, BuildSink), "only builds fuse"
+            for position, (index, pipeline) in enumerate(zip(indices, group)):
                 record = log.open(index, pipeline, runtime.source_rows(pipeline))
                 records.append(record)
                 try:
-                    key = runtime.table_key(pipeline)
-                    if key is not None and key in {built for _, built in ran}:
+                    key = (
+                        runtime.table_key(pipeline)
+                        if isinstance(pipeline.sink, BuildSink) else None
+                    )
+                    if key is not None and key in {built for _, _, built in ran}:
                         twins.append((record, pipeline, key))
                     elif key is not None and runtime.resident_build(pipeline, key):
                         record.resident = True
                     else:
-                        ran.append((pipeline, key))
+                        ran.append((position, pipeline, key))
                         if head is None:
                             head = record
                 finally:
                     if record is not head:
                         log.close(record)
             if len(ran) == 1:
-                [(pipeline, key)] = ran
-                self._execute_kept(pipeline, runtime, key)
+                [(position, pipeline, key)] = ran
+                produced[position] = self._execute_kept(pipeline, runtime, key)
             elif ran:
-                self._launch_fused(ran, runtime)
+                for (position, _, _), outputs in zip(ran, self._launch_fused(ran, runtime)):
+                    produced[position] = outputs
             for record, pipeline, key in twins:
                 record.resident = runtime.resident_build(pipeline, key)
                 if not record.resident:
@@ -373,34 +385,41 @@ class Engine:
         finally:
             if head is not None:
                 log.close(head)
-        for record in records:
-            record.rows_out = _produced_rows(record.pipeline, None, runtime)
+        for record, outputs in zip(records, produced):
+            record.rows_out = _produced_rows(record.pipeline, outputs, runtime)
             if len(ran) > 1:
                 record.fused_into = head.index
+        return produced
 
-    def _launch_fused(self, ran: list[tuple], runtime: QueryRuntime) -> None:
-        """The fused run of :meth:`_run_fused` over its ``(pipeline,
-        pool key)`` members that run."""
+    def _launch_fused(self, ran: list[tuple], runtime: QueryRuntime) -> list:
+        """The fused run of :meth:`run_fused` over its ``(position,
+        pipeline, pool key)`` members that run; returns what each
+        produced."""
         device = runtime.device
-        log = device.log
-        members = [pipeline for pipeline, _ in ran]
+        members = [pipeline for _, pipeline, _ in ran]
         runtime.load_source(
             members[0], lazy_capable=self.lazy_capable(members[0]), siblings=members[1:]
         )
-        held = []
+        held, produced = [], []
         for pipeline in members:
-            started, mark = perf_counter(), len(log.kernels)
-            self.execute_pipeline(pipeline, runtime)
-            held.append(log.withdraw(mark))
+            started = perf_counter()
+            with device.fusing() as queued:
+                produced.append(self.execute_pipeline(pipeline, runtime))
+            held.append(queued)
             # Its kernels' host time: no launch of its own spans it.
-            log.phase(f"member {pipeline.name}", "member", started)
+            device.log.phase(f"member {pipeline.name}", "member", started)
         for name, kind, elements, meter in fuse_launches(held):
             device.launch(name, kind, elements, meter)
         # Once every member completed, the pool keeps the tables; what
         # restoring one costs is its own launches' time, unfused.
-        for traces, (pipeline, key) in zip(held, ran):
+        for queued, (_, pipeline, key) in zip(held, ran):
             if key is not None:
-                runtime.keep_build(pipeline, key, sum(trace.time_ms for trace in traces))
+                restore_ms = sum(
+                    device.cost_model.breakdown(trace.meter, trace.kind).total * 1e3
+                    for trace in queued
+                )
+                runtime.keep_build(pipeline, key, restore_ms)
+        return produced
 
     def _run_pipeline(
         self, pipeline: Pipeline, runtime: QueryRuntime
@@ -451,12 +470,17 @@ def fuse_launches(held: list[list[KernelTrace]]) -> list[tuple]:
     (``held``: each member's launches, in order) as ONE kernel over the
     members' disjoint CTA ranges — ``(name, kind, elements, meter)``,
     the name ``+``-joined, the elements summed and the meters merged
-    (:meth:`TrafficMeter.merge`).  Execution launches these; the
-    optimizer prices them with the same cost model."""
-    assert len({len(traces) for traces in held}) == 1, "members launch different phases"
+    (:meth:`TrafficMeter.merge`).  Members whose phases differ (a
+    multi-pass aggregate over a morsel no row reaches sorts in one radix
+    pass, not four) launch one after another, unfused.  Execution
+    launches these; the optimizer prices them with the same cost
+    model."""
+    if len({tuple(trace.kind for trace in traces) for traces in held}) == 1:
+        phases = list(zip(*held))
+    else:
+        phases = [(trace,) for traces in held for trace in traces]
     fused = []
-    for phase in zip(*held):
-        assert len({trace.kind for trace in phase}) == 1, "phase mixes kernel kinds"
+    for phase in phases:
         meter = TrafficMeter()
         for trace in phase:
             meter.merge(trace.meter)

@@ -158,7 +158,8 @@ class QueryRuntime:
         set; a hit already has one), and those that are not resident
         ship as ONE transfer, so a pipeline pays the link latency once,
         not once per column.  ``siblings`` are the other members of a
-        fused group of builds (``Engine.run_group``): the columns they
+        fused group (``Engine.run_fused``: the builds of one wave, a fleet
+        device's morsels): the columns they
         are first to read ship in that same transfer, labelled with
         every source that shipped.  Under a compression policy a column
         ships, and stays on the device, as its wire image: the record's
@@ -258,6 +259,33 @@ class QueryRuntime:
                 )
                 self._charge_decode(encoded, label)
         return scope
+
+    def fits(self, pipelines: list[Pipeline]) -> bool:
+        """Whether the base columns ``pipelines`` read that are not on
+        the device yet (neither loaded by this query nor held by the
+        pool) fit its free memory together, as a lazy-capable load
+        (:meth:`load_source`; every engine that fuses siblings is one)
+        allocates them: the wire image, else the raw column.  What the
+        pool could evict under pressure (its unpinned residents these
+        pipelines do not read) counts as free; their outputs and
+        scratch do not count."""
+        serial, need, seen = self.database.fingerprint()[0], 0, set()
+        for pipeline in pipelines:
+            if pipeline.source_is_virtual:
+                continue
+            table = self.database.table(pipeline.source)
+            for name in pipeline.required_columns:
+                key = (pipeline.source, pipeline.source_rename.get(name, name))
+                if key in seen or key in self._transferred:
+                    continue
+                seen.add(key)
+                if self.pool is None or (serial, *key) not in self.pool:
+                    column, policy = table.column(key[1]), self.compression
+                    need += column.nbytes if policy is None else policy.wire_nbytes(column)
+        free = self.device.profile.memory_capacity - self.device.allocated_bytes
+        if self.pool is not None:
+            free += self.pool.evictable_bytes({(serial, *key) for key in seen})
+        return need <= free
 
     # ------------------------------------------------------------------
     # compressed-transfer accounting
@@ -539,34 +567,42 @@ class QueryRuntime:
         """Charge the result's d2h: one packed transfer
         (:meth:`_ship_packed`)."""
         self.output_bytes, _ = self._ship_packed(
-            table.columns, CompressionPolicy.encoded, "result"
+            {f"result.{name}": column for name, column in table.columns.items()},
+            CompressionPolicy.encoded,
+            "result",
         )
 
-    def ship_partial(self, outputs: dict[str, np.ndarray], label: str) -> int:
-        """Ship one partial result (a morsel's sink outputs) d2h as one
-        packed transfer (:meth:`_ship_packed`); returns the bytes that
-        crossed the link.  The host merge decodes the segments that
-        crossed as wire images (``host_decode_bytes``)."""
+    def ship_partials(self, partials: dict[str, dict[str, np.ndarray]]) -> int:
+        """Ship partial results (label -> a morsel's sink outputs) d2h
+        as ONE packed transfer (:meth:`_ship_packed`), labelled with the
+        ``+``-joined labels — a fleet device gathers every morsel it
+        ran with one link latency; returns the bytes that crossed the
+        link.  The host merge decodes the segments that crossed as
+        wire images (``host_decode_bytes``)."""
         shipped, decoded = self._ship_packed(
-            {name: np.asarray(array) for name, array in outputs.items()},
+            {
+                f"{label}.{name}": np.asarray(array)
+                for label, outputs in partials.items()
+                for name, array in outputs.items()
+            },
             CompressionPolicy.encode_array,
-            label,
+            "+".join(partials),
         )
         if decoded:
             self._compression_stats.host_decode_bytes += decoded
         return shipped
 
     def _ship_packed(self, segments, encode, label: str) -> tuple[int, int]:
-        """Ship a sink's output columns d2h as ONE transfer of one
-        packed device buffer, so a result pays the link latency once:
-        ``segments`` (name -> column or array) lie back to back, each
-        raw or — under a compression policy, when encoding it on the
-        device first pays (:meth:`_encode_for_d2h`) — as the wire image
-        ``encode(policy, segment)`` makes.  A wire image saves less link
-        time than the raw bytes take (``raw / bandwidth``) and costs an
-        encode kernel — at least one launch; when the first is within
-        the second it cannot pay, and nothing is sampled, scored or
-        encoded to find that out.  Returns the bytes that crossed the
+        """Ship sink output columns d2h as ONE transfer of one packed
+        device buffer, so a result pays the link latency once:
+        ``segments`` (``<label>.<column>`` -> column or array) lie back
+        to back, each raw or — under a compression policy, when encoding
+        it on the device first pays (:meth:`_encode_for_d2h`) — as the
+        wire image ``encode(policy, segment)`` makes.  A wire image saves
+        less link time than the raw bytes take (``raw / bandwidth``) and
+        costs an encode kernel — at least one launch; when the first is
+        within the second it cannot pay, and nothing is sampled, scored
+        or encoded to find that out.  Returns the bytes that crossed the
         link and the raw bytes of the segments that crossed encoded."""
         policy = self.compression
         shipped = raw_total = decoded = 0
@@ -580,7 +616,7 @@ class QueryRuntime:
                     > self.device.profile.kernel_launch_overhead
                 ):
                     encoded = encode(policy, segment)
-                    if self._encode_for_d2h(encoded, f"{label}.{name}"):
+                    if self._encode_for_d2h(encoded, name):
                         wire, codec = encoded.wire_nbytes, encoded.codec
                         decoded += raw
                         codecs.append(codec)

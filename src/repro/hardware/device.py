@@ -271,6 +271,25 @@ class VirtualCoprocessor:
         self.log.append(trace)
         return trace
 
+    @contextlib.contextmanager
+    def fusing(self):
+        """Queue, unpriced and unlogged, the kernels launched inside: a
+        member of a fused group (``Engine.run_fused``) hands its phases
+        to the group, which launches each phase once over the members'
+        merged meters.  Yields the queue."""
+        queued: list[KernelTrace] = []
+
+        def queue(name, kind, elements, meter, occupancy=1.0) -> KernelTrace:
+            self._check_alive()
+            queued.append(KernelTrace(name, kind, elements, meter))
+            return queued[-1]
+
+        self.launch = queue
+        try:
+            yield queued
+        finally:
+            del self.launch
+
     # ------------------------------------------------------------------
     # liveness (fault injection / recovery)
     # ------------------------------------------------------------------

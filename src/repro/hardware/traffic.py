@@ -324,11 +324,13 @@ class PipelineRecord(LogSlice):
     rows_out: int = 0
     #: A build the buffer pool served: nothing ran.
     resident: bool = False
-    #: For a member of a group of sibling builds that ran fused
-    #: (``Engine.run_group``): the index of the group's first member
-    #: that ran, whose row holds the group's fused launches and its
-    #: packed load — every other member's row (a pool-served member's
-    #: too) holds no entry.  ``None``: the pipeline ran alone.
+    #: For a member of a group of siblings that ran fused
+    #: (``Engine.run_fused``: builds of one wave, or a fleet device's
+    #: morsels): the index of the group's first member that ran, whose
+    #: row holds the group's fused launches, its packed load and, for
+    #: morsels, the packed gather — every other member's row (a
+    #: pool-served member's too) holds no entry.  ``None``: the
+    #: pipeline ran alone.
     fused_into: int | None = None
     #: Host clock (``perf_counter`` seconds) of the interval.
     started: float = 0.0
@@ -396,14 +398,6 @@ class Profile(LogSlice):
     def lookup(self, name: str, kind: str, hit: bool, compile_ms: float = 0.0) -> None:
         """Log a kernel lookup, stamped with the host clock."""
         self.lookups.append(KernelLookup(perf_counter(), name, kind, hit, compile_ms))
-
-    def withdraw(self, mark: int) -> list[KernelTrace]:
-        """Take back the launches logged since the log held ``mark``:
-        one member of a fused group ran them, and the group logs them
-        merged, one launch per phase (``Engine.run_group``)."""
-        taken = self.kernels[mark:]
-        del self.kernels[mark:]
-        return taken
 
     def carry(self, earlier: "Profile | None") -> None:
         """Put what ``earlier`` noted, timed and looked up before this

@@ -711,7 +711,10 @@ class CostEstimator:
         *dims, last = [bool(pipe.first_reads - resident) for pipe in estimate.pipelines]
         loads = sum(dims)
         if strategy.devices > 1:
-            self._apply_scaleout(estimate, strategy.devices, fact, loads, int(last))
+            self._apply_scaleout(
+                estimate, strategy.devices, fact, loads, int(last),
+                make_engine(strategy.engine).fuses_siblings,
+            )
             return
         if not streamed:
             estimate.transfers = loads + last + 1
@@ -733,7 +736,9 @@ class CostEstimator:
         # Streaming never holds the whole fact table on device.
         estimate.peak_device_bytes += 2 * block_bytes - fact.input_bytes
 
-    def _apply_scaleout(self, estimate, devices, fact, broadcast, per_morsel) -> None:
+    def _apply_scaleout(
+        self, estimate, devices, fact, broadcast, per_morsel, fuses: bool
+    ) -> None:
         pieces = devices * MORSELS_PER_DEVICE
         dims_h2d = max(0, estimate.pcie_h2d_bytes - fact.wire_bytes)
         dims_kernel_ms = estimate.kernel_ms - fact.kernel_ms
@@ -743,19 +748,25 @@ class CostEstimator:
         # device peaks below stay raw.
         per_device_h2d = dims_h2d + fact.wire_bytes / devices
         gather_total = fact.output_bytes * pieces
+        # A device of an engine that fuses siblings runs its morsels as
+        # one group (``Engine.run_fused``): one load of their fact
+        # columns (each piece is a table of its own), ``fact.kernels``
+        # launches and one packed gather (``QueryRuntime.ship_partials``)
+        # per device turn; any other engine pays these per piece.  The
+        # fused turn is priced whether or not the device's free memory
+        # holds the group's columns at run time (``QueryRuntime.fits``):
+        # a device that runs them one at a time pays more than this.
+        turns = devices if fuses else pieces
         launch_ms = (
-            self.profile.kernel_launch_overhead * fact.kernels * (pieces - 1) * 1e3
+            self.profile.kernel_launch_overhead * fact.kernels * (turns - 1) * 1e3
         )
-        # Per device: one load per ``broadcast`` pipeline; per morsel
-        # one of the fact columns (each piece is a table of its own) and
-        # the partial, one packed transfer (``QueryRuntime.ship_partial``).
-        estimate.transfers = devices * broadcast + pieces * (per_morsel + 1)
+        estimate.transfers = devices * broadcast + turns * (per_morsel + 1)
         estimate.kernel_ms = (
             dims_kernel_ms
             + (fact.kernel_ms + launch_ms) / devices
             + self._transfer_ms(
                 int(per_device_h2d), int(gather_total / devices),
-                broadcast + MORSELS_PER_DEVICE * per_morsel, MORSELS_PER_DEVICE,
+                broadcast + turns // devices * per_morsel, turns // devices,
             )
         )
         estimate.transfer_ms = 0.0

@@ -356,6 +356,15 @@ class BufferPool:
         link = self.device.interconnect
         return link.transfer_time(nbytes, "h2d") if link is not None else 0.0
 
+    def evictable_bytes(self, keep=frozenset()) -> int:
+        """Bytes :meth:`evict` could free now: its unpinned residents',
+        but for the entries ``keep`` names."""
+        with self._lock:
+            return sum(
+                entry.nbytes for key, entry in self._entries.items()
+                if not entry.pinned and key not in keep
+            )
+
     @property
     def resident_bytes(self) -> int:
         with self._lock:

@@ -13,7 +13,8 @@ One query runs data-parallel over a :class:`~repro.scaleout.fleet.DeviceFleet`:
    dimension pipelines (build sides *broadcast* to every device),
    then its fact morsels through the rewritten final pipeline
    (:func:`repro.scaleout.merge.rewrite_for_partials` makes AVG and
-   empty pieces mergeable), gathering each partial d2h.
+   empty pieces mergeable) — as one fused group: one packed load, one
+   launch per phase, and one packed d2h gathering every partial.
 3. **Gather/merge** — partials merge in piece order through the shared
    :func:`repro.scaleout.merge.merge_partials`, then the host applies
    ORDER BY/LIMIT through the routine single-device ``finalize`` uses
@@ -31,7 +32,8 @@ fall back to whole-query execution on device 0 (counted in
 
 **Fault tolerance** (see ``docs/fault-tolerance.md``): the scatter
 phase runs in *waves*.  Each wave, every participating device runs its
-share; a morsel that fails with a *recoverable* error (an injected
+share (attempt 1 of its morsels fused, every retry alone); a morsel
+that fails with a *recoverable* error (an injected
 fault from an armed :class:`~repro.faults.FaultPlan`, a genuine
 :class:`~repro.errors.DeviceMemoryError`, a morsel timeout) is retried
 on the same device with capped exponential backoff, then — retries
@@ -483,19 +485,28 @@ class ScaleOutExecutor:
                         if injected:
                             run.fault_fired.add(piece_index)
                 return
-            # Fact morsels, in piece order.
-            for position, piece_index in enumerate(load.pieces):
-                piece = partition_set.pieces[piece_index]
-                if piece.rows == 0:
-                    continue
-                self._execute_morsel(
-                    engine, query, rewritten, piece, runtime, device, run, injector
-                )
+            # Fact morsels, in piece order: attempt 1 of the pieces with
+            # rows as one fused group when it can be, then each piece
+            # that failed alone until it succeeds or gives up.
+            group = [
+                (piece, _morsel(rewritten, piece))
+                for piece in (partition_set.pieces[index] for index in load.pieces)
+                if piece.rows
+            ]
+            fuse = engine.fuses_siblings and len(group) > 1
+            # A group whose columns do not fit together runs one piece
+            # at a time, each freeing its buffers for the next.
+            release = fuse and not runtime.fits([morsel for _, morsel in group])
+            queue = [(first, 1) for first in self._first_groups(group, fuse and not release)]
+            while queue:
+                members, attempt = queue.pop(0)
                 if run.lost:
-                    for later in load.pieces[position + 1:]:
-                        if partition_set.pieces[later].rows:
-                            run.failed[later] = "device-loss"
-                    break
+                    run.failed.update((piece.index, "device-loss") for piece, _ in members)
+                    continue
+                retry = self._attempt(
+                    engine, query, members, runtime, run, injector, attempt, release
+                )
+                queue[:0] = [([member], attempt + 1) for member in retry]
         finally:
             run.kernel_sources = dict(runtime.kernel_sources)
             run.placement = runtime.query_placement()
@@ -509,99 +520,114 @@ class ScaleOutExecutor:
                 device_lane=load.device, device=device.profile.name,
             )
 
-    def _execute_morsel(
+    @staticmethod
+    def _first_groups(group: list[tuple], fused: bool) -> list[list]:
+        """The groups attempt 1 runs: a device's ``(piece, morsel)``
+        pairs as one fused group, else each alone."""
+        return [group] if fused else [[member] for member in group]
+
+    def _attempt(
         self,
         engine: Engine,
         query: PhysicalQuery,
-        rewritten: Pipeline,
-        piece,
+        group: list[tuple],
         runtime: QueryRuntime,
-        device,
         run: _DeviceRun,
         injector: FaultInjector | None,
-    ) -> bool:
-        """One fact morsel with per-attempt cleanup and capped-backoff
-        retries; returns True when the partial was gathered.  On defeat
-        the piece lands in ``run.failed`` (and ``run.lost`` is set when
-        the device died) for the next wave to redistribute."""
-        policy = self.retry_policy
-        attempt = 0
-        while True:
-            attempt += 1
-            snapshot = device.transient_snapshot()
-            fired_mark = injector.fired_count() if injector else 0
+        attempt: int,
+        release: bool,
+    ) -> list[tuple]:
+        """Attempt ``attempt`` at ``group`` (``(piece, morsel)`` pairs in
+        piece order; several run as ONE fused group through
+        :meth:`Engine.run_fused <repro.engines.base.Engine.run_fused>`:
+        one packed load, one launch per phase).  Every member's
+        ``before_morsel`` fires first (none after one lost the device:
+        the rest fail as device-loss), the members it let through run,
+        and each partial is delivered and checksum-verified in piece
+        order; those that verify ship as one packed d2h, in the group's
+        head row.  An attempt that gathered nothing — or, with
+        ``release``, any attempt: the next piece needs the room — frees
+        its buffers and keeps the build sides.  Returns the members to
+        retry, each alone, after their backoff; a member that gives up
+        lands in ``run.failed`` (``run.lost`` is set when the device
+        died) for the next wave to redistribute."""
+        device = runtime.device
+        snapshot = device.transient_snapshot()
+        fired_mark = injector.fired_count() if injector else 0
+        errors: dict[int, BaseException] = {}
+        members, partials = [], []
+        for piece, morsel in group:
+            if not device.alive:
+                # An earlier member's hook lost the device: this piece
+                # never runs here, and its own faults stay armed.
+                errors[piece.index] = DeviceLostError(device.profile.name, "lost")
+                continue
             try:
                 if injector is not None:
                     injector.before_morsel(run.share.device, piece.index, device)
-                morsel = rewritten.derive(
-                    (piece.index, piece.table_name),
-                    lambda: replace(
-                        rewritten,
-                        name=f"{rewritten.name}_p{piece.index}",
-                        source=piece.table_name,
-                    ),
-                )
-                produced = engine.run_pipelines(
-                    [[morsel]],
+                members.append((piece, morsel))
+            except _RECOVERABLE as error:
+                errors[piece.index] = error
+        try:
+            if members:
+                first = len(query.pipelines) - 1
+                produced = engine.run_fused(
+                    [morsel for _, morsel in members],
                     runtime,
-                    first_index=len(query.pipelines) - 1 + piece.index,
+                    [first + piece.index for piece, _ in members],
                 )
-                assert produced is not None
                 if not device.alive:
                     raise DeviceLostError(device.profile.name, "lost mid-morsel")
-                if injector is not None:
-                    # Checksum-verified gather: a corrupted transfer is
-                    # detected against the pre-delivery checksum and
-                    # recomputed on retry.
-                    reference = partial_checksum(produced)
-                    produced = injector.deliver(
-                        run.share.device, piece.index, produced, device
-                    )
-                    delivered = partial_checksum(produced)
-                    if delivered != reference:
-                        raise TransferCorruptionError(
-                            run.share.device, piece.index, reference, delivered
+                for (piece, _), outputs in zip(members, produced):
+                    try:
+                        partials.append(
+                            (piece, _verified(injector, run, piece, outputs, device))
                         )
-            except _RECOVERABLE as error:
-                # Free attempt-scoped buffers, keep the build sides.
-                device.release_transient(keep=snapshot)
-                kind = _fault_kind(error, device)
-                if isinstance(error, MorselTimeoutError):
-                    run.timeouts += 1
-                if injector is not None and injector.fired_matching(
-                    fired_mark, run.share.device, piece.index
-                ):
-                    run.fault_fired.add(piece.index)
-                    device.log.note(
-                        "fault.fired",
-                        fault=kind,
-                        device=run.share.device,
-                        morsel=piece.index,
-                    )
-                if not device.alive:
-                    run.lost = True
-                    run.failed[piece.index] = kind
-                    return False
-                if attempt < policy.max_attempts:
-                    backoff = policy.backoff_ms(attempt)
-                    device.log.note(
-                        "morsel.retry",
-                        device=run.share.device,
-                        morsel=piece.index,
-                        attempt=attempt,
-                        fault=kind,
-                        backoff_ms=backoff,
-                    )
-                    continue
-                run.failed[piece.index] = kind
-                return False
-            runtime.ship_partial(produced, f"gather.p{piece.index}")
-            # The morsel's row of the query record covers its gather.
-            device.log.close(device.log.pipelines[-1])
-            run.partials[piece.index] = produced
-            run.share.morsels += 1
-            run.share.rows += piece.rows
-            return True
+                    except TransferCorruptionError as error:
+                        errors[piece.index] = error
+        except _RECOVERABLE as error:
+            errors.update((piece.index, error) for piece, _ in members)
+        if partials:
+            runtime.ship_partials(
+                {f"gather.p{piece.index}": outputs for piece, outputs in partials}
+            )
+            # The group's head row covers the packed gather.
+            device.log.close(device.log.pipelines[-len(members)])
+            for piece, outputs in partials:
+                run.partials[piece.index] = outputs
+                run.share.morsels += 1
+                run.share.rows += piece.rows
+        if release or not partials:
+            device.release_transient(keep=snapshot)
+        policy, retry = self.retry_policy, []
+        for piece, morsel in group:
+            if piece.index not in errors:
+                continue
+            error = errors[piece.index]
+            kind = _fault_kind(error, device)
+            run.timeouts += isinstance(error, MorselTimeoutError)
+            if injector is not None and injector.fired_matching(
+                fired_mark, run.share.device, piece.index
+            ):
+                run.fault_fired.add(piece.index)
+                device.log.note(
+                    "fault.fired", fault=kind, device=run.share.device, morsel=piece.index
+                )
+            if not device.alive:
+                run.lost = True
+            elif attempt < policy.max_attempts:
+                device.log.note(
+                    "morsel.retry",
+                    device=run.share.device,
+                    morsel=piece.index,
+                    attempt=attempt,
+                    fault=kind,
+                    backoff_ms=policy.backoff_ms(attempt),
+                )
+                retry.append((piece, morsel))
+                continue
+            run.failed[piece.index] = kind
+        return retry
 
     # ------------------------------------------------------------------
     def _execute_fallback(
@@ -718,6 +744,30 @@ def _record(runs: list[_DeviceRun], *logs: Profile | None) -> Profile:
     for log in [run.profile for run in runs] + [log for log in logs if log is not None]:
         record.merge(log)
     return record
+
+
+def _morsel(rewritten: Pipeline, piece) -> Pipeline:
+    """The final pipeline over fact ``piece`` (memoized on the plan)."""
+    return rewritten.derive(
+        (piece.index, piece.table_name),
+        lambda: replace(
+            rewritten, name=f"{rewritten.name}_p{piece.index}", source=piece.table_name
+        ),
+    )
+
+
+def _verified(injector: FaultInjector | None, run: _DeviceRun, piece, produced, device):
+    """``produced`` as its checksum-verified gather delivers it: a
+    corrupted transfer is detected against the pre-delivery checksum
+    (:class:`TransferCorruptionError`) and recomputed on retry."""
+    if injector is None:
+        return produced
+    reference = partial_checksum(produced)
+    delivered = injector.deliver(run.share.device, piece.index, produced, device)
+    checksum = partial_checksum(delivered)
+    if checksum != reference:
+        raise TransferCorruptionError(run.share.device, piece.index, reference, checksum)
+    return delivered
 
 
 def _shares(runs: list[_DeviceRun]) -> list[DeviceShare]:

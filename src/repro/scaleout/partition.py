@@ -34,8 +34,11 @@ PARTITION_SCHEMES = ("hash", "range")
 
 #: Over-partitioning factor: the fact table splits into
 #: ``devices * MORSELS_PER_DEVICE`` pieces so the LPT scheduler can
-#: redistribute work around skewed partitions.  The executor cuts by it
-#: and the optimizer's cost estimator prices by it.
+#: redistribute work around skewed partitions.  Pieces are the unit of
+#: scheduling, recovery and merge, not of launch: a device runs the
+#: pieces it was given as one fused group (one load, one launch per
+#: phase, one gather), so a finer cut adds no fixed cost per turn.  The
+#: executor cuts by it and the optimizer's cost estimator prices by it.
 MORSELS_PER_DEVICE = 2
 
 #: Knuth's multiplicative constant (golden ratio, 64-bit).

@@ -5,7 +5,8 @@ This is the human-readable face of the query record
 execution ran (rows in/out, kernels launched, per-level byte volumes,
 PCIe bytes, simulated vs host milliseconds) and a ``[result]`` row for
 ``finalize`` — what shipping the result launched and moved; a fused
-group of sibling builds is one block, its members listed under it —
+group of siblings (builds of one wave, a fleet device's morsels) is one
+block, its members listed under it —
 rendered via :func:`repro.analysis.report.format_table`, followed by the
 compile/cache and placement outcomes.  Any
 :class:`~repro.engines.base.ExecutionResult` renders, traced or not.
@@ -112,7 +113,7 @@ def _estimate_cells(priced, record, members=None) -> list:
 
 
 def _fused_group(records, position):
-    """The rows of the fused group of sibling builds that starts at
+    """The rows of the fused group of siblings that starts at
     ``position`` — the run of rows fused into one row, within one
     device's records — or ``None`` when ``position`` is not its first."""
     head = records[position].fused_into
@@ -130,14 +131,14 @@ def _fused_group(records, position):
 
 def _fused_block(position, group, priced) -> list[list]:
     """A fused group as ONE row — what its first member that ran (the
-    row holding the group's launches and packed load) issued — above
+    row holding the group's launches and packed transfers) issued — above
     one line per member with its cardinalities; ``priced``: the
     optimizer's estimates, if it picked the strategy."""
     holder = next(record for record in group if record.index == group[0].fused_into)
     block = [
         [
             f"[{position}-{position + len(group) - 1}]",
-            f"fused {len(group)} builds",
+            f"fused {len(group)} {'morsels' if group[0].pipeline.is_final else 'builds'}",
             sum(record.rows_in for record in group),
             sum(record.rows_out for record in group),
             *_entry_cells(holder),

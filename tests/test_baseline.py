@@ -167,7 +167,7 @@ class TestCheck:
         launch = VirtualCoprocessor.launch
 
         def one_more_byte(self, name, kind, elements, meter, occupancy=1.0):
-            if name == MUTATED:
+            if MUTATED in name.split("+"):
                 meter, original = TrafficMeter(), meter
                 meter.merge(original)
                 meter.record_read(MemoryLevel.GLOBAL, 1)

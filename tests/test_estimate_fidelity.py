@@ -85,7 +85,8 @@ def estimated_kernels(query, database, alias, cardinalities, policy):
         for pipeline in group:
             mark = len(log.kernels)
             rows, groups = engine.estimate_pipeline(pipeline, runtime)
-            held.append(log.withdraw(mark))
+            held.append(log.kernels[mark:])
+            del log.kernels[mark:]
             if not pipeline.is_final and pipeline.output_schema is not None:
                 produced = min(groups, max(rows, 1)) if groups else rows
                 runtime.register_virtual_rows(pipeline.output_name, produced, pipeline.output_schema)

@@ -254,9 +254,9 @@ def test_partials_are_gated_the_same_way(device, ssb_db):
     device.compression = CompressionPolicy("auto")
     runtime = QueryRuntime(device, ssb_db)
     small = {"key": np.arange(300, dtype=np.int64)}
-    assert runtime.ship_partial(small, "gather.p0") == small["key"].nbytes
+    assert runtime.ship_partials({"gather.p0": small}) == small["key"].nbytes
     large = {"key": np.arange(300_000, dtype=np.int64)}
-    assert runtime.ship_partial(large, "gather.p1") * 10 < large["key"].nbytes
+    assert runtime.ship_partials({"gather.p1": large}) * 10 < large["key"].nbytes
     assert [t.name for t in device.log.kernels] == ["encode.gather.p1.key"]
     # One transfer record per call, under a policy too.
     assert [r.label for r in device.log.transfers] == ["gather.p0", "gather.p1"]
@@ -287,15 +287,15 @@ def test_a_result_that_cannot_pay_is_never_sampled_or_encoded(device, ssb_db, mo
     device.compression = CompressionPolicy("auto")
     runtime = QueryRuntime(device, ssb_db)
     below = {"key": np.arange(threshold // 8, dtype=np.int64)}
-    assert runtime.ship_partial(below, "gather.p0") == below["key"].nbytes
+    assert runtime.ship_partials({"gather.p0": below}) == below["key"].nbytes
     assert calls == [] and device.log.kernels == []
     # Past the bound the full test decides, as before: it takes the
     # encoding to know what it saves.
     above = {"key": np.arange(threshold // 8 + 1, dtype=np.int64)}
-    assert runtime.ship_partial(above, "gather.p1") == above["key"].nbytes
+    assert runtime.ship_partials({"gather.p1": above}) == above["key"].nbytes
     assert calls.count("encode_array") == 1 and device.log.kernels == []
     far = {"key": np.arange(threshold, dtype=np.int64)}
-    assert runtime.ship_partial(far, "gather.p2") * 10 < far["key"].nbytes
+    assert runtime.ship_partials({"gather.p2": far}) * 10 < far["key"].nbytes
     assert calls.count("encode_array") == 2
     assert [r.label for r in device.log.transfers] == [
         "gather.p0", "gather.p1", "gather.p2"

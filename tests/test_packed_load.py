@@ -11,7 +11,8 @@ entries, pins, hits and misses stay per column.  What must hold:
   transient, pooled cold and pooled warm — and the same bytes in every
   one of those runs of an engine;
 * at most one h2d record per row of the query record (a fleet morsel's
-  row: the one of its fact columns);
+  row: the one of its fact columns — of every member's, for the head
+  row of a device's fused morsels);
 * the bytes that cross and the device peaks are the ones of the commit
   before, when every column was a transfer of its own (:data:`PINNED`);
 * a pooled load ships exactly its misses, a mixed raw + encoded load
@@ -165,13 +166,16 @@ def test_every_pipeline_loads_once(all_plans, reference, engine, devices):
         if mode == "warm":
             assert result.input_bytes == 0, key
         elif result.scaleout is not None and result.scaleout.fact_table is not None:
-            # A morsel's piece is a table of its own: one load each.
+            # A morsel's piece is a table of its own, and a device's
+            # morsels that fuse load as one: one load per head row.
             morsels = [
                 row for row in result.profile.pipelines
                 if row.pipeline is not None and row.pipeline.is_final
             ]
             assert len(morsels) == devices * MORSELS_PER_DEVICE, key
-            assert all(_loads(row) == 1 for row in morsels), key
+            assert all(
+                _loads(row) == (row.fused_into in (None, row.index)) for row in morsels
+            ), key
         seen.append([name, policy, mode, result.input_bytes, peaks])
     assert all(len(sums) == 1 for sums in checksums.values()), checksums
     assert digest(seen) == PINNED[f"{engine}|{devices}"]

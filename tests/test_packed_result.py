@@ -14,7 +14,8 @@ image.  What must hold:
   tolerance of the engine-agreement suite — and byte-identical between
   ``off`` and ``auto``;
 * exactly one d2h record per single-device query (``result``) and one
-  per morsel on the fleet (``gather.p<i>``); its bytes are the result
+  per fleet device turn whose morsels fuse (``gather.p<i>+gather.p<j>``;
+  per morsel otherwise, ``gather.p<i>``); its bytes are the result
   columns' share of ``CompressionStats.wire_bytes`` and what
   ``output_bytes`` / ``gather_bytes`` report;
 * the bytes that cross are the bytes that crossed column by column
@@ -76,8 +77,11 @@ def _assert_one_packed_transfer(result, on_link: bool, key) -> None:
     fleet = result.scaleout is not None and result.scaleout.fact_table is not None
     if fleet:
         shares = result.scaleout.shares
-        assert len(d2h) == sum(share.morsels for share in shares), key
-        assert all(r.label.startswith("gather.p") for r in d2h), key
+        # One record per device turn that fused its morsels, else per
+        # morsel: every gathered partial is named once.
+        gathered = [part for r in d2h for part in r.label.split("+")]
+        assert len(gathered) == len(set(gathered)) == sum(share.morsels for share in shares), key
+        assert all(part.startswith("gather.p") for part in gathered), key
         shipped = sum(share.gather_bytes for share in shares)
     else:
         assert [r.label for r in d2h] == ["result"], key
@@ -175,7 +179,7 @@ def test_a_mixed_transfer_reports_raw_bytes_and_one_encode(device, ssb_db):
         "key": np.arange(rows, dtype=np.int64),
         "noise": np.random.default_rng(5).integers(0, 2**62, rows),
     }
-    shipped = runtime.ship_partial(partial, "gather.p3")
+    shipped = runtime.ship_partials({"gather.p3": partial})
     [record] = device.log.transfers
     assert (record.label, record.direction, record.nbytes) == ("gather.p3", "d2h", shipped)
     assert record.raw_nbytes == partial["key"].nbytes + partial["noise"].nbytes
@@ -193,7 +197,7 @@ def test_an_all_raw_transfer_is_unlabelled(device, ssb_db):
     device.compression = CompressionPolicy("auto")
     runtime = QueryRuntime(device, ssb_db)
     partial = {"a": np.arange(10, dtype=np.int64), "b": np.zeros(0), "c": np.ones(3)}
-    assert runtime.ship_partial(partial, "gather.p0") == 80 + 24
+    assert runtime.ship_partials({"gather.p0": partial}) == 80 + 24
     [record] = device.log.transfers
     assert (record.nbytes, record.raw_nbytes, record.codec) == (104, 0, "")
     assert device.log.kernels == []

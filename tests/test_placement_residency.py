@@ -217,3 +217,23 @@ class TestServerResidency:
             stats = server.stats()
         assert after.placement.misses > 0
         assert stats.placement.invalidations > 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect: a pinned session's out-of-core fallback "
+    "(placement.executor._fallback -> dispatch(macro='out-of-core')) streams "
+    "with the 2 MB default block_bytes, not CostEstimator.stream_block_bytes() "
+    "(<= capacity / 8) as AutoExecutor does",
+)
+def test_a_pinned_fallback_streams_the_blocks_the_estimator_sizes(ssb_db):
+    from repro.optimizer.cost import CostEstimator
+
+    query = ssb_plan("q1.1", ssb_db)
+    capacity = base_column_bytes(extract_pipelines(query, ssb_db), ssb_db) // 4
+    profile = GTX970.with_overrides(name="tiny", memory_capacity=capacity)
+    result = connect(ssb_db, device=profile, residency=True).execute(SSB_QUERIES["q1.1"])
+    assert result.placement.out_of_core
+    block_bytes = CostEstimator(profile, PCIE3).stream_block_bytes()
+    blocks = [r for r in result.profile.transfers if r.label.startswith("block")]
+    assert blocks and all(r.nbytes <= block_bytes for r in blocks)

@@ -69,11 +69,12 @@ def _fault_session(database):
 
 
 def _pipeline_rows(text: str) -> list[str]:
-    """The table rows of an EXPLAIN ANALYZE report without their host-ms
-    cell (the tenth column; an optimizer's estimates follow it)."""
+    """The table rows of an EXPLAIN ANALYZE report — a fused group's
+    block row among them — without their host-ms cell (the tenth
+    column; an optimizer's estimates follow it)."""
     rows = []
     for line in text.splitlines():
-        if re.match(r"^\[(\d+|result)\]", line):
+        if re.match(r"^\[(\d+(-\d+)?|result)\]", line):
             cells = re.split(r"\s{2,}", line.replace("  [resident]", " [resident]"))
             rows.append("  ".join(cells[:9] + cells[10:]))
     return rows
@@ -209,10 +210,15 @@ def test_encoded_partials_reconcile(wide_db, macro):
     assert _global_reconciles(result) and result.profile.unaccounted == 0
     assert "WARNING" not in render_explain_analyze(result)
     if macro == "fleet":
-        # A morsel's row covers the gather of its partial.
+        # A device's morsels run as one fused group: its head row
+        # covers the packed gather of every member's partial.
         morsels = [row for row in result.profile.pipelines if row.pipeline.is_final]
         assert len(morsels) == result.scaleout.partitions
-        assert all(row.transfers[-1].label.startswith("gather.p") for row in morsels)
+        for row in morsels:
+            if row.fused_into in (None, row.index):
+                assert row.transfers[-1].label.startswith("gather.p")
+            else:
+                assert not (row.kernels or row.transfers)
         assert sum(len(row.kernels_of_kind("encode")) for row in morsels) == len(encodes)
 
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from ..hardware.device import VirtualCoprocessor
 from ..hardware.traffic import KernelTrace, MemoryLevel, Profile, TrafficMeter
-from ..plan.logical import LogicalPlan, PlanSchema
+from ..plan.logical import LogicalPlan
 from ..plan.physical import BuildSink, PhysicalQuery, Pipeline
 from ..plan.pipelines import extract_pipelines
 from ..storage.database import Database
@@ -282,7 +282,8 @@ class Engine:
 
         A build pipeline asks the device's buffer pool first, so every
         caller of this loop — the engines, the block streamer, a fleet
-        device's build phase — keeps build sides resident the same way."""
+        device's build phase, the cost estimator on its stand-in device
+        and pool — keeps build sides resident the same way."""
         produced = None
         for group in groups:
             produced = self.run_group(group, runtime, first_index)
@@ -307,17 +308,13 @@ class Engine:
             record = log.open(index, pipeline, runtime.source_rows(pipeline))
             try:
                 produced = self._run_pipeline(pipeline, runtime)
-                record.rows_out = _produced_rows(pipeline, produced, runtime)
+                record.rows_out = runtime.produced_rows(pipeline, produced)
                 record.resident = pipeline.output_name in runtime.resident_tables
             finally:
                 log.close(record)
             if not pipeline.is_final and pipeline.output_schema is not None:
                 assert produced is not None
-                runtime.register_virtual(
-                    pipeline.output_name,
-                    _cast_outputs(produced, pipeline.output_schema),
-                    pipeline.output_schema,
-                )
+                runtime.register_virtual(pipeline.output_name, produced, pipeline.output_schema)
         return produced
 
     def run_fused(
@@ -386,7 +383,7 @@ class Engine:
             if head is not None:
                 log.close(head)
         for record, outputs in zip(records, produced):
-            record.rows_out = _produced_rows(record.pipeline, outputs, runtime)
+            record.rows_out = runtime.produced_rows(record.pipeline, outputs)
             if len(ran) > 1:
                 record.fused_into = head.index
         return produced
@@ -404,7 +401,7 @@ class Engine:
         for pipeline in members:
             started = perf_counter()
             with device.fusing() as queued:
-                produced.append(self.execute_pipeline(pipeline, runtime))
+                produced.append(runtime.run_pipeline(self, pipeline))
             held.append(queued)
             # Its kernels' host time: no launch of its own spans it.
             device.log.phase(f"member {pipeline.name}", "member", started)
@@ -424,8 +421,8 @@ class Engine:
     def _run_pipeline(
         self, pipeline: Pipeline, runtime: QueryRuntime
     ) -> dict[str, np.ndarray] | None:
-        """:meth:`execute_pipeline` — or, for a build whose hash table
-        is resident in the pool, nothing: the table is registered under
+        """Run ``pipeline`` — or, for a build whose hash table is
+        resident in the pool, nothing: the table is registered under
         this query's id and the pipeline does not run."""
         key = runtime.table_key(pipeline) if isinstance(pipeline.sink, BuildSink) else None
         if key is not None and runtime.resident_build(pipeline, key):
@@ -435,15 +432,15 @@ class Engine:
     def _execute_kept(
         self, pipeline: Pipeline, runtime: QueryRuntime, key: tuple | None
     ) -> dict[str, np.ndarray] | None:
-        """:meth:`execute_pipeline`; a build with a pool ``key`` hands
+        """``runtime.run_pipeline``; a build with a pool ``key`` hands
         its table to the pool once it *completed* (an error on the way
         leaves the pool as it was) — what restoring it costs is the
         modeled time the pipeline took."""
         if key is None:
-            return self.execute_pipeline(pipeline, runtime)
+            return runtime.run_pipeline(self, pipeline)
         log = runtime.device.log
         started_ms = log.total_time_ms
-        produced = self.execute_pipeline(pipeline, runtime)
+        produced = runtime.run_pipeline(self, pipeline)
         runtime.keep_build(pipeline, key, log.total_time_ms - started_ms)
         return produced
 
@@ -472,9 +469,8 @@ def fuse_launches(held: list[list[KernelTrace]]) -> list[tuple]:
     the name ``+``-joined, the elements summed and the meters merged
     (:meth:`TrafficMeter.merge`).  Members whose phases differ (a
     multi-pass aggregate over a morsel no row reaches sorts in one radix
-    pass, not four) launch one after another, unfused.  Execution
-    launches these; the optimizer prices them with the same cost
-    model."""
+    pass, not four) launch one after another, unfused.  An estimate
+    runs the same loop, so it launches these too."""
     if len({tuple(trace.kind for trace in traces) for traces in held}) == 1:
         phases = list(zip(*held))
     else:
@@ -507,23 +503,3 @@ def check_accounting(log: Profile, **where) -> None:
             unaccounted=unaccounted,
             **where,
         )
-
-
-def _produced_rows(
-    pipeline: Pipeline, produced: dict[str, np.ndarray] | None, runtime: QueryRuntime
-) -> int:
-    """Output cardinality: materialized/aggregated rows, or the number
-    of build rows for hash-table pipelines."""
-    if produced:
-        return len(next(iter(produced.values())))
-    entry = runtime.hash_tables.get(pipeline.output_name)
-    if entry is not None:
-        return entry.table.num_rows
-    return 0
-
-
-def _cast_outputs(outputs: dict[str, np.ndarray], schema: PlanSchema) -> dict[str, np.ndarray]:
-    cast: dict[str, np.ndarray] = {}
-    for name, dtype in schema.dtypes.items():
-        cast[name] = np.asarray(outputs[name]).astype(dtype.numpy_dtype)
-    return cast

@@ -1,18 +1,25 @@
-"""The runtime :meth:`Engine.estimate_pipeline
-<repro.engines.base.Engine.estimate_pipeline>` prices a query on: the
-:class:`QueryRuntime` of an execution (the same ``load_source`` decides
-what is wire-resident and what is decoded at load) over a device
-stand-in that prices launches and counts loads but holds, moves and
-runs nothing."""
+"""The runtime a cost estimate runs the query loop on
+(:meth:`Engine.run_pipelines <repro.engines.base.Engine.run_pipelines>`,
+as execution does): the :class:`QueryRuntime` of an execution (the same
+``load_source`` decides what ships, what is wire-resident and what is
+decoded at load) over a device stand-in that prices launches and logs
+loads but holds, moves and runs nothing — and, for a pooled estimate, a
+pool stand-in that holds what it is told is resident."""
 
 from __future__ import annotations
+
+import contextlib
+from types import SimpleNamespace
+from typing import NamedTuple
+
+import numpy as np
 
 from ..hardware.costmodel import KernelCostModel
 from ..hardware.device import link_record
 from ..hardware.traffic import KernelTrace, Profile, TrafficMeter
 from ..kernels.context import count_column
-from ..plan.logical import PlanSchema
-from ..plan.physical import Pipeline
+from ..placement.pool import BufferPool
+from ..plan.physical import BuildSink, Pipeline
 from ..primitives.hashtable import TableEstimate, charge_build_kernel, charge_inserts
 from .runtime import QueryRuntime
 
@@ -27,13 +34,31 @@ class PricedLaunches:
         self.interconnect = interconnect
         self.compression = compression
         self.log = Profile()
+        #: While a pipeline's kernels are priced: their launches.
+        self.tape: list | None = None
+        self._queue: list | None = None
 
     new_meter = staticmethod(TrafficMeter)
 
     def launch(self, name, kind, elements, meter, occupancy: float = 1.0) -> KernelTrace:
         trace = self.cost_model.trace(name, kind, elements, meter, occupancy)
-        self.log.kernels.append(trace)
+        if self.tape is not None:
+            self.tape.append(trace)
+        return self.relaunch(trace)
+
+    def relaunch(self, trace: KernelTrace) -> KernelTrace:
+        """Log a priced launch — queue it while :meth:`fusing`."""
+        (self.log.kernels if self._queue is None else self._queue).append(trace)
         return trace
+
+    @contextlib.contextmanager
+    def fusing(self):
+        """``VirtualCoprocessor.fusing``: queue the launches inside."""
+        self._queue = []
+        try:
+            yield self._queue
+        finally:
+            self._queue = None
 
     def transfer_to_device(self, arrays, label="", raw_nbytes=0, codec="") -> None:
         nbytes = sum(array.nbytes for array in arrays)
@@ -45,14 +70,68 @@ class PricedLaunches:
         pass  # decode scratch: inside the estimator's working-set bound
 
 
+class PoolStandIn:
+    """What an estimate needs of a :class:`BufferPool`: ``columns``
+    (``(table, column)``) are hits, and a table is served iff its key is
+    in ``tables``: a resident build's, or one the query left.  Nothing
+    is held: a replay runs no kernel that would read it."""
+
+    table_key = staticmethod(BufferPool.table_key)
+
+    def __init__(self, columns: frozenset, compression):
+        self.columns, self.compression, self.tables = columns, compression, set()
+
+    def acquire(self, table, column_name, column, fingerprint):
+        encoded = self.compression.encoded(column) if self.compression else None
+        passthrough = encoded is None or encoded.codec == "passthrough"
+        image = column.values if passthrough else encoded.wire_array
+        held = SimpleNamespace(buffer=SimpleNamespace(array=image), nbytes=image.nbytes)
+        return held, (table, column_name) in self.columns
+
+    def acquire_table(self, key, fingerprint):
+        return SimpleNamespace(table=None, nbytes=0) if key in self.tables else None
+
+
+class PricedPipeline(NamedTuple):
+    """What pricing a pipeline found: the rows that reach its sink, the
+    groups it aggregates them into (0: none), its kernels' launches (not
+    its load's), its late-materialization notes and its outputs: one
+    zero-stride count column each (``None`` for a build)."""
+
+    rows: int
+    groups: int
+    launches: list
+    notes: list
+    outputs: dict | None = None
+
+    @property
+    def result_rows(self) -> int:
+        """Rows of the table the pipeline leaves behind."""
+        return min(self.groups, max(self.rows, 1)) if self.groups else self.rows
+
+
 class EstimateRuntime(QueryRuntime):
     """Per-query state of one estimate.  ``cardinalities`` supplies the
     two numbers only statistics can: ``selectivity(database, pipeline,
-    predicate)`` and ``groups(database, pipeline, rows)``."""
+    predicate)`` and ``groups(database, pipeline, rows)``.  ``priced``
+    (name -> :class:`PricedPipeline`) fills as pipelines are priced; an
+    earlier run's is replayed: each pipeline in it loads as it would
+    and relaunches what was priced for it.  ``resident`` (``None``: no
+    pool) names the builds whose tables the pool holds."""
 
-    def __init__(self, cost_model, interconnect, database, cardinalities, compression):
-        super().__init__(PricedLaunches(cost_model, interconnect, compression), database)
+    def __init__(
+        self, cost_model, interconnect, database, cardinalities, compression,
+        priced: dict | None = None, resident: frozenset | None = None,
+        resident_columns: frozenset = frozenset(),
+    ):
+        pool = None if resident is None else PoolStandIn(resident_columns, compression)
+        super().__init__(PricedLaunches(cost_model, interconnect, compression), database, pool=pool)
         self.cardinalities = cardinalities
+        self.priced: dict[str, PricedPipeline] = {} if priced is None else priced
+        self.resident = resident or frozenset()
+        #: Pipeline name -> the base columns its load was first to read
+        #: (a fused group's: its first member's), pool hits included.
+        self.first_reads: dict[str, frozenset] = {}
 
     def selectivity(self, pipeline: Pipeline, predicate) -> float:
         return self.cardinalities.selectivity(self.database, pipeline, predicate)
@@ -60,12 +139,55 @@ class EstimateRuntime(QueryRuntime):
     def groups(self, pipeline: Pipeline, rows: int) -> int:
         return self.cardinalities.groups(self.database, pipeline, rows)
 
-    def register_virtual_rows(self, name: str, rows: int, schema: PlanSchema) -> None:
-        arrays = {
-            column: count_column(dtype.numpy_dtype, rows)
-            for column, dtype in schema.dtypes.items()
-        }
-        self.register_virtual(name, arrays, schema)
+    def run_pipeline(self, engine, pipeline: Pipeline) -> dict[str, np.ndarray] | None:
+        """Price ``pipeline`` with ``engine.estimate_pipeline`` — or, if
+        it was priced, replay it — and return its outputs."""
+        if pipeline.name in self.priced:
+            self.load_source(pipeline, lazy_capable=engine.lazy_capable(pipeline))
+            priced = self.priced[pipeline.name]
+            for trace in priced.launches:
+                self.device.relaunch(trace)
+            return priced.outputs
+        notes = getattr(self.compression_stats(), "scans", [])
+        noted, self.device.tape = len(notes), []
+        try:
+            rows, groups = engine.estimate_pipeline(pipeline, self)
+        finally:
+            launches, self.device.tape = self.device.tape, None
+        priced = PricedPipeline(rows, groups, launches, notes[noted:])
+        if not isinstance(pipeline.sink, BuildSink):
+            schema = pipeline.output_schema or pipeline.scope_schema
+            priced = priced._replace(outputs={
+                name: count_column(dtype.numpy_dtype, priced.result_rows)
+                for name, dtype in schema.dtypes.items()
+            })
+        self.priced[pipeline.name] = priced
+        return priced.outputs
+
+    def produced_rows(self, pipeline: Pipeline, produced) -> int:
+        return self.priced[pipeline.name].result_rows
+
+    def load_source(self, pipeline: Pipeline, lazy_capable: bool = False, siblings=()):
+        """:meth:`QueryRuntime.load_source`, noting what it is first to
+        read; what it launches (a decode at load) is the load's, not the
+        pipeline's kernels'."""
+        known, tape = set(self._transferred), self.device.tape
+        self.device.tape = None
+        try:
+            scope = super().load_source(pipeline, lazy_capable, siblings)
+        finally:
+            self.device.tape = tape
+        if len(self._transferred) > len(known):
+            self.first_reads[pipeline.name] = frozenset(self._transferred - known)
+        return scope
+
+    def resident_build(self, pipeline: Pipeline, key: tuple) -> bool:
+        if pipeline.name in self.resident:
+            self.pool.tables.add(key)
+        return super().resident_build(pipeline, key)
+
+    def keep_build(self, pipeline: Pipeline, key: tuple, restore_ms: float) -> None:
+        self.pool.tables.add(key)
 
     def build_table(self, pipeline: Pipeline, rows: int, keys, payload, meter=None) -> None:
         """Register the table ``pipeline``'s build sink leaves over the
@@ -90,4 +212,3 @@ class EstimateRuntime(QueryRuntime):
                 self.device, table_id, rows, table.attempts, table.max_contention,
                 rows * table.key_bytes,
             )
-

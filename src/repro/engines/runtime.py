@@ -137,6 +137,18 @@ class QueryRuntime:
         self.lazy_columns: dict[tuple[str, str], LazyColumn] = {}
 
     # ------------------------------------------------------------------
+    def run_pipeline(self, engine, pipeline: Pipeline) -> dict[str, np.ndarray] | None:
+        """Where the query loop (``Engine.run_pipelines``) runs a
+        pipeline; an ``EstimateRuntime`` prices it instead."""
+        return engine.execute_pipeline(pipeline, self)
+
+    def produced_rows(self, pipeline: Pipeline, produced: dict[str, np.ndarray] | None) -> int:
+        """Rows ``pipeline`` produced, or the rows of the table it built."""
+        if produced:
+            return len(next(iter(produced.values())))
+        entry = self.hash_tables.get(pipeline.output_name)
+        return 0 if entry is None else entry.table.num_rows
+
     def source_rows(self, pipeline: Pipeline) -> int:
         """Row count of the pipeline's input, independent of how many
         columns it references (``count(*)`` reads none)."""
@@ -501,7 +513,13 @@ class QueryRuntime:
             raise PlanError(f"hash table {table_id!r} was never built") from None
 
     def register_virtual(self, name: str, arrays: dict[str, np.ndarray], schema: PlanSchema) -> None:
-        self.virtual_tables[name] = VirtualTable(arrays=arrays, schema=schema)
+        """Keep a pipeline's outputs, cast to ``schema``, as the virtual
+        table ``name`` (a column already of its type is not copied: an
+        estimate's zero-stride count columns stay zero-stride)."""
+        self.virtual_tables[name] = VirtualTable({
+            column: np.asarray(arrays[column]).astype(dtype.numpy_dtype, copy=False)
+            for column, dtype in schema.dtypes.items()
+        }, schema)
 
     # ------------------------------------------------------------------
     def aggregate_rows(

@@ -11,21 +11,15 @@ paper's evaluation explores by hand:
 * **devices** — 1..N with a partitioning scheme (the scale-out layer);
 * **placement** — pooled residency vs. transient transfers.
 
-No byte shape lives here.  The traffic of a pipeline under an engine is
-what that engine's own kernels charge when they run over row *counts*
-(:meth:`Engine.estimate_pipeline
-<repro.engines.base.Engine.estimate_pipeline>` on an
-:class:`~repro.engines.estimate.EstimateRuntime`): the generated kernel
-text, the :class:`~repro.kernels.context.KernelContext` methods and the
-library charges are the ones execution uses, each launch is priced by
-the same :class:`~repro.hardware.costmodel.KernelCostModel`, and the
-only inputs this module supplies are the cardinalities statistics can
-estimate — a predicate's selectivity and a sink's group count.  What
-the :class:`CostEstimator` adds on top is the arithmetic of the things
-it decides between: link transfers (bytes and per-transfer latencies,
-counted from the plan), residency, streaming blocks, the fleet's
-makespan and merge.  An estimate is a pure function of (plan,
-statistics, compression policy, what is resident: bytes and tables).
+No byte shape and no execution rule lives here: a candidate is priced
+by the engine's own query loop (:meth:`Engine.run_pipelines
+<repro.engines.base.Engine.run_pipelines>`) run over row *counts* on an
+:class:`~repro.engines.estimate.EstimateRuntime`, and read off that
+run's query record.  This module supplies the cardinalities statistics
+can estimate — a predicate's selectivity and a sink's group count — and
+the arithmetic of what the loop does not run: the result's d2h,
+streaming blocks, the fleet's makespan and merge.  An estimate is a pure
+function of (plan, statistics, compression policy, what is resident).
 """
 
 from __future__ import annotations
@@ -36,32 +30,18 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..engines import make_engine
-from ..engines.base import fuse_launches
 from ..engines.estimate import EstimateRuntime
 from ..expressions.expr import (
-    Between,
-    BinaryOp,
-    BooleanOp,
-    ColumnRef,
-    Comparison,
-    Expr,
-    InList,
-    Literal,
-    Not,
+    Between, BinaryOp, BooleanOp, ColumnRef, Comparison, Expr, InList, Literal, Not,
 )
 from ..hardware.costmodel import KernelCostModel
 from ..hardware.interconnect import Interconnect
 from ..hardware.profiles import DeviceProfile
-from ..hardware.traffic import LogSlice, MemoryLevel, Profile
+from ..hardware.traffic import MemoryLevel, PipelineRecord, Profile
 from ..expressions.schema import infer_dtype
 from ..macro.batch import BLOCK_OVERHEAD
 from ..plan.physical import (
-    AggregateSink,
-    BuildSink,
-    FilterStage,
-    PhysicalQuery,
-    Pipeline,
-    ProbeStage,
+    AggregateSink, BuildSink, FilterStage, PhysicalQuery, Pipeline, ProbeStage,
 )
 from ..primitives.hashtable import TableEstimate
 from ..scaleout.partition import MORSELS_PER_DEVICE
@@ -169,42 +149,53 @@ class StrategyChoice:
 
 @dataclass
 class PipelineEstimate:
-    """Predicted cardinalities and traffic for one pipeline."""
+    """Predicted cardinalities of one pipeline; its traffic is read off
+    its row of the priced query record, as EXPLAIN ANALYZE reads an
+    executed one."""
 
     name: str
     source: str
     rows_in: int
-    selectivity: float
     rows_out: int
-    #: Exact bytes of the base columns the pipeline is first to read
-    #: (what materializes in device memory for base-table pipelines).
-    input_bytes: int
-    #: Bytes that cross the link for those columns: the compressed wire
-    #: size when a compression policy is set, else ``input_bytes``.
-    wire_bytes: int = 0
-    #: Those columns, ``(table, column)``: the ones not resident ship
-    #: as one h2d transfer (``QueryRuntime.load_source``).
-    first_reads: frozenset = frozenset()
-    global_bytes: int = 0
-    onchip_bytes: int = 0
-    kernels: int = 1
-    kernel_ms: float = 0.0
-    #: Estimated result bytes this pipeline ships d2h (final only).
-    output_bytes: int = 0
     groups: int = 0
-    #: What was fused into the pipeline's kernels per wire-resident
-    #: column (compressed scan or register decode), for EXPLAIN: the
-    #: notes execution itself records in ``CompressionStats.scans``.
+    #: The base columns, ``(table, column)``, its load is first to read
+    #: (a fused group's: its first member's), pool-resident or not.
+    first_reads: frozenset = frozenset()
+    #: Per wire-resident column, what its kernels fused (compressed scan
+    #: or register decode): the notes of ``CompressionStats.scans``.
     scan_notes: list = field(default_factory=list)
-    #: A build pipeline whose hash table is pool-resident under the
-    #: strategy priced: it does not run (no kernels, traffic or loads;
-    #: ``rows_out`` still sizes the table it stands for).
+    #: A build the pool serves under the strategy priced: it does not
+    #: run (``rows_out`` still sizes the table it stands for).
     resident: bool = False
+
+    #: Its row of the priced record.  Not a field: ``asdict`` / ``==`` /
+    #: ``repr`` carry the cardinalities only.
+    record = PipelineRecord()
 
     @property
     def result_rows(self) -> int:
         """Rows of the table the pipeline leaves behind."""
-        return min(self.groups, max(self.rows_out, 1)) if self.groups else self.rows_out
+        return self.record.rows_out
+
+    @property
+    def kernels(self) -> int:
+        return len(self.record.kernels)
+
+    @property
+    def kernel_ms(self) -> float:
+        return self.record.kernel_time_ms
+
+    @property
+    def global_bytes(self) -> int:
+        return self.record.bytes_at(MemoryLevel.GLOBAL)
+
+    @property
+    def input_bytes(self) -> int:  # what its load shipped, decoded
+        return self.record.raw_transfer_bytes()
+
+    @property
+    def wire_bytes(self) -> int:  # what its load shipped, on the link
+        return self.record.moved_bytes("h2d")
 
 
 @dataclass
@@ -227,6 +218,10 @@ class CostEstimate:
     transfers: int = 0
     feasible: bool = True
     reason: str = ""
+
+    #: The priced query record (one device, run to finish).  Not a
+    #: field: ``asdict`` / ``==`` / ``repr`` carry the prediction only.
+    record = Profile()
 
     @property
     def pcie_bytes(self) -> int:
@@ -435,56 +430,25 @@ class CostEstimator:
         record: Profile | None = None,
     ) -> CostEstimate:
         """Predict the full cost of executing ``query`` under
-        ``strategy``.  What the pooled device already holds counts under
-        pooled placement only: ``resident_tables`` are the indexes of
-        the build pipelines whose hash tables are resident — execution
-        skips them, so their kernels, traffic and column loads are not
-        priced — and ``resident_columns`` (``(table, column)``) the base
-        columns, of the pipelines that do run, already there: they leave
-        the h2d charge, and a pipeline that is first to read none but
-        them loads nothing.  The kernels a pricing looks up are logged
-        on ``record``, the query's record (if any)."""
-        estimate = CostEstimate(strategy=strategy)
-        resident_bytes = sum(
+        ``strategy`` from its query loop's run (:meth:`_run`).  What the
+        pooled device already holds counts under pooled placement only:
+        ``resident_tables``, the indexes of the builds whose hash tables
+        are resident (the loop serves them), and ``resident_columns``
+        (``(table, column)``), the base columns no load ships.  The
+        kernels a pricing looks up are logged on ``record`` (if any)."""
+        pooled = strategy.placement == "pooled"
+        run, fact_bytes, _ = self._run(
+            query, database, strategy.engine,
+            resident_columns if pooled else None,
+            resident_tables if pooled else frozenset(), record,
+        )
+        estimate = replace(run, strategy=strategy, pipelines=list(run.pipelines))
+        estimate.record = run.record
+        estimate.peak_device_bytes += sum(
             self._wire_nbytes(database.table(table).column(name))
             for table, name in resident_columns
         )
-        table_budget = 0  # resident hash/aggregation tables
-        raw_h2d_bytes = 0  # decoded footprint (device memory, not link)
-        pipes = self._pipeline_estimates(
-            query, database, strategy.engine,
-            resident_tables if strategy.placement == "pooled" else frozenset(), record,
-        )
-        estimate.pipelines = list(pipes)
-        for pipeline, pipe in zip(query.pipelines, pipes):
-            estimate.global_bytes += pipe.global_bytes
-            estimate.onchip_bytes += pipe.onchip_bytes
-            estimate.kernel_ms += pipe.kernel_ms
-            # The link carries wire (possibly compressed) bytes; the
-            # decoded columns still occupy raw bytes on device.
-            estimate.pcie_h2d_bytes += pipe.wire_bytes
-            raw_h2d_bytes += pipe.input_bytes
-            if isinstance(pipeline.sink, BuildSink):
-                payload = len(pipeline.sink.payload)
-                table_budget += pipe.rows_out * (16 + 8 * payload)
-            elif isinstance(pipeline.sink, AggregateSink):
-                width = 8 * (len(pipeline.sink.group_keys)
-                             + len(pipeline.sink.aggregates))
-                table_budget += max(pipe.groups, 1) * (8 + width)
-        estimate.pcie_d2h_bytes = pipes[-1].output_bytes
-
-        scratch = max(
-            (16 * pipe.rows_in for pipe in estimate.pipelines), default=0
-        )
-        estimate.peak_device_bytes = (
-            raw_h2d_bytes + resident_bytes + table_budget + scratch
-            + estimate.pcie_d2h_bytes
-        )
-        if strategy.placement == "pooled":
-            estimate.pcie_h2d_bytes = max(0, estimate.pcie_h2d_bytes - resident_bytes)
-        else:
-            resident_columns = frozenset()
-        self._apply_macro(estimate, query, strategy, resident_columns)
+        self._apply_macro(estimate, query, strategy, *fact_bytes)
         return estimate
 
     def _wire_nbytes(self, column) -> int:
@@ -494,182 +458,101 @@ class CostEstimator:
         return self.compression.wire_nbytes(column)
 
     # ------------------------------------------------------------------
-    def _pipeline_estimates(
+    def _run(
         self,
         query: PhysicalQuery,
         database: Database,
         engine_name: str,
-        resident: frozenset[int] = frozenset(),
+        columns: frozenset | None,
+        tables: frozenset[int],
         record: Profile | None = None,
-    ) -> list[PipelineEstimate]:
-        """One estimate per pipeline: what ``engine_name``'s own kernels
-        charge over the estimated cardinalities (the build pipelines at
-        the ``resident`` indexes priced as not running, the query's
-        groups of sibling builds fused as the engine runs them).  A pure
-        function of the plan, the micro engine, the device profile, the
-        compression policy, the statistics' sample size, the catalog
-        version and ``resident`` — so the plan object keeps it, for the
-        candidates of one ``advise`` that differ only in macro model,
-        device count or placement, and for every later ``advise`` of the
-        same cached plan; an entry priced on another catalog version is
-        replaced.  The entry with nothing resident also keeps each
-        pipeline priced alone, with its launches, for the others."""
-        key = (
-            engine_name,
-            self.profile,
-            self.compression.mode if self.compression is not None else None,
-            self.statistics.sample_limit,
-            resident,
-        )
+    ) -> tuple[CostEstimate, tuple[int, int], dict]:
+        """``query`` run through ``engine_name``'s query loop: its cost
+        on one device, run to finish (with the record and one estimate
+        per pipeline), the raw and wire bytes of the final pipeline's
+        first reads, and what was priced per pipeline.  ``columns`` /
+        ``tables``: what the pooled device holds (base columns; indexes
+        of resident builds); ``columns=None``: no pool.  Only the run
+        without a pool prices kernels (logging its lookups on
+        ``record``); a pooled run replays it.  The plan object keeps, per
+        engine, device profile, compression policy, statistics sample
+        size and set of resident builds, the run without a pool and the
+        latest pooled one (a new catalog version replaces them)."""
+        mode = self.compression.mode if self.compression is not None else None
+        key = (engine_name, self.profile, mode, self.statistics.sample_limit, tables)
         version = database.fingerprint()
-        cached = query.estimates.get(key)
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        engine = make_engine(engine_name)
-        if resident:
-            self._pipeline_estimates(query, database, engine_name, record=record)
-            alone, launches = query.estimates[key[:-1] + (frozenset(),)][2]
-            pipes = self._skip_resident(query, database, alone, resident)
-        else:
-            alone, launches = self._priced_alone(query, database, engine, record)
-            pipes = alone
-        if engine.fuses_siblings:
-            pipes = self._fuse_groups(query, pipes, launches)
-        if resident:
-            query.estimates[key] = (version, pipes)
-        else:
-            query.estimates[key] = (version, pipes, (alone, launches))
-        return pipes
-
-    def _priced_alone(
-        self, query: PhysicalQuery, database: Database, engine, record: Profile | None
-    ) -> tuple[list[PipelineEstimate], list[list]]:
-        """One estimate per pipeline, each priced as if it ran alone and
-        every build ran, and the launches each was priced as."""
+        entry = query.estimates.get(key)
+        if entry is None or entry[0] != version:
+            entry = query.estimates[key] = [version, None, None]
+        # Slot 1: the run without a pool; slot 2: the latest pooled run.
+        slot = 1 if columns is None else 2
+        if entry[slot] is not None and entry[slot][0] == columns:
+            return entry[slot][1]
+        priced = resident = None
+        if columns is not None:
+            priced = self._run(query, database, engine_name, None, frozenset(), record)[2]
+            resident = frozenset(query.pipelines[index].name for index in tables)
         runtime = EstimateRuntime(
-            self.cost_model, self.interconnect, database, self, self.compression
+            self.cost_model, self.interconnect, database, self, self.compression,
+            priced=priced, resident=resident, resident_columns=columns,
         )
+        make_engine(engine_name).run_pipelines(query.grouped(), runtime)
         log = runtime.device.log
-        notes = getattr(runtime.compression_stats(), "scans", [])
-        pipes, launches, seen = [], [], frozenset()
-        for pipeline in query.pipelines:
-            first_reads = frozenset(pipeline.base_columns()) - seen
-            seen |= first_reads
-            marks, noted = (len(log.kernels), len(log.transfers)), len(notes)
-            rows_in = runtime.source_rows(pipeline)
-            rows_out, groups = engine.estimate_pipeline(pipeline, runtime)
-            priced = LogSlice(log.kernels[marks[0]:], log.transfers[marks[1]:])
+        if record is not None:
+            record.lookups += log.lookups
+        run = CostEstimate(strategy=None)
+        run.record = log
+        table_budget = 0  # resident hash/aggregation tables
+        for row in log.pipelines:
+            pipeline, priced = row.pipeline, runtime.priced[row.pipeline.name]
             pipe = PipelineEstimate(
                 name=pipeline.name,
                 source=pipeline.source,
-                rows_in=rows_in,
-                selectivity=rows_out / rows_in if rows_in else 0.0,
-                rows_out=rows_out,
-                input_bytes=priced.raw_transfer_bytes(),
-                wire_bytes=priced.moved_bytes("h2d"),
-                first_reads=first_reads,
-                global_bytes=priced.bytes_at(MemoryLevel.GLOBAL),
-                onchip_bytes=priced.bytes_at(MemoryLevel.ONCHIP),
-                kernels=len(priced.kernels),
-                kernel_ms=priced.kernel_time_ms,
-                groups=groups,
-                scan_notes=notes[noted:],
+                rows_in=row.rows_in,
+                rows_out=priced.rows,
+                groups=priced.groups,
+                first_reads=runtime.first_reads.get(pipeline.name, frozenset()),
+                scan_notes=[] if row.resident else priced.notes,
+                resident=row.resident,
             )
-            pipe.output_bytes = pipe.result_rows * self._output_width(pipeline)
-            pipes.append(pipe)
-            launches.append(priced.kernels)
-            if not pipeline.is_final and pipeline.output_schema is not None:
-                runtime.register_virtual_rows(
-                    pipeline.output_name, pipe.result_rows, pipeline.output_schema
-                )
-        if record is not None:
-            record.lookups += log.lookups
-        return pipes, launches
-
-    def _fuse_groups(
-        self, query: PhysicalQuery, pipes: list[PipelineEstimate], launches: list[list]
-    ) -> list[PipelineEstimate]:
-        """``pipes`` as execution runs the query's groups of sibling
-        builds (``Engine.run_group``): the members that run — two or
-        more — launch once per phase, priced by this cost model over the
-        merged meters of their ``launches`` (:func:`fuse_launches
-        <repro.engines.base.fuse_launches>`), and load as one transfer.
-        Like the query record, the first of them holds the group's
-        launches, bytes and first reads; the others keep their
-        cardinalities only."""
-        out, start = list(pipes), 0
-        for size in query.groups:
-            ran = [index for index in range(start, start + size) if not pipes[index].resident]
-            start += size
-            if len(ran) < 2:
-                continue
-            members = [pipes[index] for index in ran]
-            fused = [
-                self.cost_model.trace(*phase)
-                for phase in fuse_launches([launches[index] for index in ran])
-            ]
-            head, *rest = ran
-            out[head] = replace(
-                pipes[head],
-                input_bytes=sum(pipe.input_bytes for pipe in members),
-                wire_bytes=sum(pipe.wire_bytes for pipe in members),
-                first_reads=frozenset().union(*(pipe.first_reads for pipe in members)),
-                global_bytes=sum(pipe.global_bytes for pipe in members),
-                onchip_bytes=sum(pipe.onchip_bytes for pipe in members),
-                kernels=len(fused),
-                kernel_ms=sum(trace.time_ms for trace in fused),
-                scan_notes=[note for pipe in members for note in pipe.scan_notes],
-            )
-            for index in rest:
-                out[index] = replace(
-                    pipes[index], input_bytes=0, wire_bytes=0, first_reads=frozenset(),
-                    global_bytes=0, onchip_bytes=0, kernels=0, kernel_ms=0.0, scan_notes=[],
-                )
-        return out
-
-    def _skip_resident(
-        self, query: PhysicalQuery, database: Database, pipes, resident: frozenset[int]
-    ) -> list[PipelineEstimate]:
-        """``pipes`` as execution goes on a pool holding the tables of
-        the ``resident`` build pipelines: those pipelines launch and
-        load nothing, and a base column one of them was first to read
-        is loaded by the next pipeline that reads it."""
-        first_reader: dict[tuple[str, str], int] = {}
-        for index, pipeline in enumerate(query.pipelines):
-            for key in pipeline.base_columns():
-                first_reader.setdefault(key, index)
-        out = []
-        for index, (pipeline, pipe) in enumerate(zip(query.pipelines, pipes)):
-            if index in resident:
-                out.append(replace(
-                    pipe, input_bytes=0, wire_bytes=0, first_reads=frozenset(),
-                    global_bytes=0, onchip_bytes=0, kernels=0, kernel_ms=0.0,
-                    scan_notes=[], resident=True,
-                ))
-                continue
-            for key in pipeline.base_columns():
-                if first_reader[key] in resident:
-                    first_reader[key] = index
-                    column = database.table(key[0]).column(key[1])
-                    pipe = replace(
-                        pipe, input_bytes=pipe.input_bytes + column.nbytes,
-                        wire_bytes=pipe.wire_bytes + self._wire_nbytes(column),
-                        first_reads=pipe.first_reads | {key},
-                    )
-            out.append(pipe)
-        return out
-
-    @staticmethod
-    def _output_width(pipeline: Pipeline) -> int:
-        """Bytes per row of what the pipeline produces (a build: none)."""
-        sink = pipeline.sink
-        if isinstance(sink, BuildSink):
-            return 0
-        dtypes = (pipeline.output_schema or pipeline.scope_schema).dtypes
-        names = dtypes if isinstance(sink, AggregateSink) else sink.outputs
-        return sum(
+            pipe.record = row
+            run.pipelines.append(pipe)
+            if isinstance(pipeline.sink, BuildSink):
+                table_budget += pipe.rows_out * (16 + 8 * len(pipeline.sink.payload))
+            elif isinstance(pipeline.sink, AggregateSink):
+                width = 8 * (len(pipeline.sink.group_keys) + len(pipeline.sink.aggregates))
+                table_budget += max(pipe.groups, 1) * (8 + width)
+        run.global_bytes = log.bytes_at(MemoryLevel.GLOBAL)
+        run.onchip_bytes = log.bytes_at(MemoryLevel.ONCHIP)
+        run.kernel_ms = sum(pipe.kernel_ms for pipe in run.pipelines)
+        # The link carries wire (possibly compressed) bytes; the decoded
+        # columns still occupy raw bytes on device, loaded or resident.
+        run.pcie_h2d_bytes = log.moved_bytes("h2d")
+        # The result: the final pipeline's rows, shipped d2h.
+        final = query.final_pipeline
+        dtypes = (final.output_schema or final.scope_schema).dtypes
+        names = dtypes if isinstance(final.sink, AggregateSink) else final.sink.outputs
+        run.pcie_d2h_bytes = run.pipelines[-1].result_rows * sum(
             dtypes[name].numpy_dtype.itemsize for name in names if name in dtypes
         )
+        # Each pays the link latency: the loads the record logged, and
+        # one d2h for the packed result (``QueryRuntime._ship_packed``).
+        loads = len(log.transfers)
+        run.transfers = loads + 1
+        run.transfer_ms = self._transfer_ms(run.pcie_h2d_bytes, run.pcie_d2h_bytes, loads)
+        reads = [[database.table(t).column(c) for t, c in pipe.first_reads] for pipe in run.pipelines]
+        run.peak_device_bytes = (
+            sum(column.nbytes for read in reads for column in read)
+            + table_budget
+            + max((16 * pipe.rows_in for pipe in run.pipelines), default=0)
+            + run.pcie_d2h_bytes
+        )
+        fact_bytes = (
+            sum(column.nbytes for column in reads[-1]),
+            sum(self._wire_nbytes(column) for column in reads[-1]),
+        )
+        entry[slot] = columns, (run, fact_bytes, runtime.priced)
+        return entry[slot][1]
 
     # ------------------------------------------------------------------
     # macro / devices / transfers
@@ -692,12 +575,10 @@ class CostEstimator:
             latencies += results
         return (seconds + latencies * self.interconnect.latency) * 1e3
 
-    def _apply_macro(self, estimate, query, strategy, resident: frozenset) -> None:
-        """Transfers, streaming and the fleet on top of the pipelines.
-        Every transfer pays the link latency, so they are counted as
-        execution records them: one h2d per pipeline that is first to
-        read a base column not ``resident`` (``QueryRuntime.load_source``),
-        one d2h for the packed result (``QueryRuntime._ship_packed``)."""
+    def _apply_macro(self, estimate, query, strategy, fact_raw: int, fact_wire: int) -> None:
+        """Streaming and the fleet on top of the run on one device: they
+        ship every fact column the final pipeline is first to read,
+        resident or not."""
         fact = estimate.pipelines[-1]
         streamed = strategy.macro == "out-of-core"
         if (streamed or strategy.devices > 1) and query.final_pipeline.source_is_virtual:
@@ -707,47 +588,43 @@ class CostEstimator:
                 "final pipeline; this one reads a virtual table"
             )
             return
+        if not streamed and strategy.devices == 1:
+            return
         # The loads of the pipelines before the final one, and its own.
-        *dims, last = [bool(pipe.first_reads - resident) for pipe in estimate.pipelines]
-        loads = sum(dims)
+        loads = len(estimate.record.transfers) - len(fact.record.transfers)
         if strategy.devices > 1:
             self._apply_scaleout(
-                estimate, strategy.devices, fact, loads, int(last),
-                make_engine(strategy.engine).fuses_siblings,
+                estimate, strategy.devices, fact, fact_wire, fact_raw, loads,
+                len(fact.record.transfers), make_engine(strategy.engine).fuses_siblings,
             )
             return
-        if not streamed:
-            estimate.transfers = loads + last + 1
-            estimate.transfer_ms = self._transfer_ms(
-                estimate.pcie_h2d_bytes, estimate.pcie_d2h_bytes, loads + last
-            )
-            return
-        dims_h2d = max(0, estimate.pcie_h2d_bytes - fact.wire_bytes)
+        dims_h2d = max(0, estimate.pcie_h2d_bytes - fact_wire)
         block_bytes = self.stream_block_bytes()
-        blocks = max(1, math.ceil(fact.input_bytes / block_bytes))
+        blocks = max(1, math.ceil(fact_raw / block_bytes))
         # The fact columns arrive as one transfer per block.
         estimate.transfers = loads + blocks + 1
         estimate.transfer_ms = self._transfer_ms(dims_h2d, estimate.pcie_d2h_bytes, loads)
         estimate.kernel_ms -= fact.kernel_ms
         estimate.overhead_ms = (
-            max(self._transfer_ms(fact.wire_bytes, 0, blocks), fact.kernel_ms)
+            max(self._transfer_ms(fact_wire, 0, blocks), fact.kernel_ms)
             + blocks * BLOCK_OVERHEAD * 1e3
         )
         # Streaming never holds the whole fact table on device.
-        estimate.peak_device_bytes += 2 * block_bytes - fact.input_bytes
+        estimate.peak_device_bytes += 2 * block_bytes - fact_raw
 
     def _apply_scaleout(
-        self, estimate, devices, fact, broadcast, per_morsel, fuses: bool
+        self, estimate, devices, fact, fact_wire, fact_raw, broadcast, per_morsel,
+        fuses: bool,
     ) -> None:
         pieces = devices * MORSELS_PER_DEVICE
-        dims_h2d = max(0, estimate.pcie_h2d_bytes - fact.wire_bytes)
+        dims_h2d = max(0, estimate.pcie_h2d_bytes - fact_wire)
         dims_kernel_ms = estimate.kernel_ms - fact.kernel_ms
         # Every device pays the broadcast build sides; the fact share
         # and its gather parallelize across per-device links.  Link
         # charges use wire bytes (the scatter ships compressed blocks);
         # device peaks below stay raw.
-        per_device_h2d = dims_h2d + fact.wire_bytes / devices
-        gather_total = fact.output_bytes * pieces
+        per_device_h2d = dims_h2d + fact_wire / devices
+        gather_total = estimate.pcie_d2h_bytes * pieces
         # A device of an engine that fuses siblings runs its morsels as
         # one group (``Engine.run_fused``): one load of their fact
         # columns (each piece is a table of its own), ``fact.kernels``
@@ -771,9 +648,9 @@ class CostEstimator:
         )
         estimate.transfer_ms = 0.0
         estimate.overhead_ms = merge_overhead_ms(pieces)
-        estimate.pcie_h2d_bytes = int(dims_h2d * devices + fact.wire_bytes)
+        estimate.pcie_h2d_bytes = int(dims_h2d * devices + fact_wire)
         estimate.pcie_d2h_bytes = int(gather_total)
         # Per-device peak: broadcast dims + this device's fact share.
         estimate.peak_device_bytes = int(
-            estimate.peak_device_bytes - fact.input_bytes * (1 - 1 / devices)
+            estimate.peak_device_bytes - fact_raw * (1 - 1 / devices)
         )

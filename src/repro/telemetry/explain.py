@@ -77,8 +77,8 @@ def render_explain_analyze(result) -> str:
         f"EXPLAIN ANALYZE  ({result.engine} on {result.device_name}; "
         f"{result.table.num_rows} result rows)"
     )
-    # ``est ms`` / ``error`` are the pipeline's kernels, est vs actual.
-    columns = _COLUMNS + (["est rows", "est ms", "error"] if optimizer else [])
+    # ``est KB`` / ``est ms`` / ``error``: its kernels' bytes and time, est vs actual.
+    columns = _COLUMNS + (["est rows", "est KB", "est ms", "error"] if optimizer else [])
     parts = [
         format_table(columns, rows, title=title, float_format="{:.4g}"),
         _totals(result, records),
@@ -101,12 +101,13 @@ def _entry_cells(record) -> list:
 
 
 def _estimate_cells(priced, record, members=None) -> list:
-    """``est rows`` / ``est ms`` / ``error`` of a pipeline's row (of a
-    fused block: the rows of its ``members``)."""
+    """``est rows`` / ``est KB`` / ``est ms`` / ``error`` of a pipeline's
+    row (of a fused block: the rows of its ``members``)."""
     pipe = priced[record.index] if record.index < len(priced) else None
     actual = record.kernel_time_ms
-    return ["", "", ""] if pipe is None else [
+    return [""] * 4 if pipe is None else [
         sum(priced[member.index].result_rows for member in members or [record]),
+        round(pipe.global_bytes / 1e3, 1),
         round(pipe.kernel_ms, 4),
         f"{abs(pipe.kernel_ms - actual) / actual:.1%}" if actual else "",
     ]
@@ -154,7 +155,7 @@ def _fused_block(position, group, priced) -> list[list]:
                 "  " + record.shape + ("  [resident]" if record.resident else ""),
                 record.rows_in,
                 record.rows_out,
-                *[""] * (6 if priced is None else 9),
+                *[""] * (6 if priced is None else 10),
             ]
         )
     return block

@@ -12,6 +12,7 @@ left to guess, to the percent where a uniform-keys expectation remains.
 from __future__ import annotations
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,15 +20,15 @@ import pytest
 from repro import connect, generate_ssb
 from repro.compression import resolve_compression
 from repro.engines import make_engine
-from repro.engines.base import fuse_launches
-from repro.engines.estimate import EstimateRuntime
 from repro.expressions.eval import evaluate
 from repro.hardware import GTX970, PCIE3, VirtualCoprocessor
 from repro.hardware.traffic import MemoryLevel
+from repro.optimizer.auto import AutoExecutor
 from repro.optimizer.cost import MICRO_ENGINES, CostEstimator, StrategyChoice
 from repro.placement.executor import base_columns
 from repro.primitives.hashtable import JoinHashTable, TableEstimate
 from repro.workloads import SSB_QUERIES, microbench
+from repro.workloads.tpch.queries import tpch_plan
 
 ENGINES = MICRO_ENGINES + ("resolution-we",)
 POLICIES = ("off", "auto")
@@ -69,32 +70,16 @@ class Observed:
         return self._produced[pipeline.name]
 
 
-def estimated_kernels(query, database, alias, cardinalities, policy):
-    """The launches ``alias`` prices for ``query``, pipeline by pipeline
-    (what ``CostEstimator._pipeline_estimates`` slices its numbers from),
-    a group of sibling builds fused as execution fuses it."""
+def priced_kernels(query, database, alias, cardinalities, policy):
+    """The launches ``alias`` is priced as for ``query`` on one device
+    without a pool — the record ``CostEstimator.estimate`` reads, its
+    query loop run over ``cardinalities`` in place of the statistics'
+    guesses — priced anew, not read off the plan object."""
     estimator = CostEstimator(GTX970, PCIE3, compression=resolve_compression(policy))
-    runtime = EstimateRuntime(
-        estimator.cost_model, estimator.interconnect, database, cardinalities,
-        estimator.compression,
-    )
-    engine = make_engine(alias)
-    log = runtime.device.log
-    for group in query.grouped():
-        held = []
-        for pipeline in group:
-            mark = len(log.kernels)
-            rows, groups = engine.estimate_pipeline(pipeline, runtime)
-            held.append(log.kernels[mark:])
-            del log.kernels[mark:]
-            if not pipeline.is_final and pipeline.output_schema is not None:
-                produced = min(groups, max(rows, 1)) if groups else rows
-                runtime.register_virtual_rows(pipeline.output_name, produced, pipeline.output_schema)
-        if len(group) > 1 and engine.fuses_siblings:
-            log.kernels += [estimator.cost_model.trace(*fused) for fused in fuse_launches(held)]
-        else:
-            log.kernels += [trace for traces in held for trace in traces]
-    return log.kernels
+    estimator.selectivity, estimator.groups = cardinalities.selectivity, cardinalities.groups
+    query.estimates.clear()
+    strategy = StrategyChoice(alias, "run-to-finish", 1, "range", "transient")
+    return estimator.estimate(query, database, strategy).record.kernels
 
 
 def executed_kernels(query, database, alias, policy):
@@ -123,7 +108,7 @@ def test_exact_cardinalities_give_the_executed_meters(database, name, alias, pol
     has the executed launch's name, kind, elements and meter."""
     plan = EXACT[name]()
     query = _physical(plan, database)
-    estimated = estimated_kernels(query, database, alias, Observed(query, database), policy)
+    estimated = priced_kernels(query, database, alias, Observed(query, database), policy)
     executed = executed_kernels(plan, database, alias, policy)
     assert [(t.name, t.kind, t.elements) for t in estimated] == [
         (t.name, t.kind, t.elements) for t in executed
@@ -185,12 +170,12 @@ def test_join_with_measured_and_expected_drivers(database, case, alias, monkeypa
 
     executed = executed_kernels(sql, database, alias, policy)
     monkeypatch.setattr("repro.engines.estimate.TableEstimate", Measured)
-    measured = estimated_kernels(query, database, alias, Observed(query, database), policy)
+    measured = priced_kernels(query, database, alias, Observed(query, database), policy)
     monkeypatch.undo()
     assert [t.name for t in measured] == [t.name for t in executed]
     for ours, theirs in zip(measured, executed):
         assert ours.meter.snapshot() == theirs.meter.snapshot(), ours.name
-    expected = estimated_kernels(query, database, alias, Observed(query, database), policy)
+    expected = priced_kernels(query, database, alias, Observed(query, database), policy)
     for ours, theirs in zip(expected, executed):
         assert ours.global_bytes == pytest.approx(theirs.global_bytes, rel=0.10), ours.name
 
@@ -314,7 +299,7 @@ def test_ssb_global_bytes_given_observed_selectivities(database, name, alias, po
         request.applymarker(pytest.mark.xfail(strict=True, reason="one 31-key table's layout"))
     sql = SSB_QUERIES[name]
     query = _physical(sql, database)
-    estimated = estimated_kernels(query, database, alias, Observed(query, database), policy)
+    estimated = priced_kernels(query, database, alias, Observed(query, database), policy)
     executed = executed_kernels(sql, database, alias, policy)
     assert len(estimated) == len(executed)
     ours = sum(trace.global_bytes for trace in estimated)
@@ -344,6 +329,30 @@ def test_a_fused_plan_is_estimated_with_its_launch_count(database, alias, monkey
         ], name
         assert estimate.transfers == len(executed.profile.transfers), name
         monkeypatch.undo()
+
+
+#: TPC-H plans with a twin build: one whose table an earlier member of
+#: its wave builds, so a pooled run serves it from the pool.
+TWINS = ("q2", "q5")
+
+
+@pytest.mark.parametrize("alias", ("resolution", "multipass"))
+@pytest.mark.parametrize("name", TWINS)
+def test_twin_builds_are_priced_as_the_pool_serves_them(tpch_db, name, alias):
+    """A cold pooled estimate runs the loop a cold pooled execution
+    runs: its stand-in pool serves a twin build the table its sibling
+    left, so every pipeline is resident iff the executed one was, and
+    the launch count is the executed one."""
+    session = connect(tpch_db, engine=alias, residency=True)
+    plan = tpch_plan(name, tpch_db)
+    query = session.physical(plan)
+    strategy = StrategyChoice(alias, "run-to-finish", 1, "range", "pooled")
+    estimate = CostEstimator(GTX970, PCIE3).estimate(query, tpch_db, strategy)
+    executed = session.execute(plan)
+    rows = executed.profile.pipelines[:-1]
+    assert any(row.resident for row in rows)
+    assert [pipe.resident for pipe in estimate.pipelines] == [row.resident for row in rows]
+    assert sum(pipe.kernels for pipe in estimate.pipelines) == len(executed.profile.kernels)
 
 
 #: An SSB q3.4 whose month does not exist: every pipeline runs, the
@@ -382,16 +391,10 @@ def _fleet_residency(session, query, database):
 
 
 def _pool_residency(session, query, database):
-    """:func:`_fleet_residency` for one pooled device (what
-    ``AutoExecutor._residency`` asks its pool)."""
-    serial, pool = database.fingerprint()[0], session.pool
-    tables = pool.resident_builds(query.pipelines, database)
-    columns = frozenset(
-        (table, name)
-        for table, name, _ in base_columns(query, database, skip=tables)
-        if (serial, table, name) in pool
-    )
-    return columns, tables
+    """What ``AutoExecutor._residency`` asks the one pooled device of
+    ``session``."""
+    pooled = SimpleNamespace(_devices={True: session.pool.device})
+    return AutoExecutor._residency(pooled, query, database)
 
 
 @pytest.mark.parametrize("devices", (1, 4))

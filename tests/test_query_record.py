@@ -413,14 +413,15 @@ def test_estimated_loads_are_the_first_reads(ssb_db, compression):
     is first to read: their raw and their wire bytes."""
     from repro.compression import resolve_compression
     from repro.hardware import PCIE3
-    from repro.optimizer.cost import CostEstimator
+    from repro.optimizer.cost import CostEstimator, StrategyChoice
     from repro.plan import extract_pipelines
 
     policy = resolve_compression(compression)
     estimator = CostEstimator(GTX970, PCIE3, compression=policy)
+    strategy = StrategyChoice("resolution", "run-to-finish", 1, "range", "transient")
     for name in sorted(SSB_QUERIES):
         query = extract_pipelines(ssb_plan(name, ssb_db), ssb_db)
-        pipes = estimator._pipeline_estimates(query, ssb_db, "resolution")
+        pipes = estimator.estimate(query, ssb_db, strategy).pipelines
         seen = set()
         for pipeline, pipe in zip(query.pipelines, pipes):
             loads = [key for key in pipeline.base_columns() if key not in seen]

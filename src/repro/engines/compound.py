@@ -94,6 +94,16 @@ def slice_bounds(total_rows: int, slice_rows: int) -> list[tuple[int, int]]:
     ]
 
 
+def sliced(pipeline: Pipeline) -> tuple[Pipeline, object]:
+    """What a run of ``pipeline`` in row slices launches, and how the
+    partials merge: an AVG sink's :func:`~repro.scaleout.merge.rewrite_for_partials`
+    pipeline (hidden SUM and COUNT), as scale-out morsels do; any other as it is."""
+    sink = pipeline.sink
+    if isinstance(sink, AggregateSink) and any(spec.op == "avg" for spec in sink.aggregates):
+        return rewrite_for_partials(pipeline)
+    return pipeline, None
+
+
 def run_compound_pipeline(
     pipeline: Pipeline,
     runtime: QueryRuntime,
@@ -114,20 +124,11 @@ def run_compound_pipeline(
     With ``bounds`` each ``[start, stop)`` row range is its own launch
     ``<kernel>.<suffix><i>``, charged at reduced occupancy below
     ``occupancy_rows`` rows, between ``before(index, start, stop)`` and
-    ``after(index, outputs)``; the per-slice outputs re-reduce through
-    :func:`~repro.scaleout.merge.merge_partials`.  A sliced AVG sink
-    runs on its :func:`~repro.scaleout.merge.rewrite_for_partials`
-    pipeline (hidden SUM and COUNT), as scale-out morsels do; every
-    other sink keeps its own pipeline, so its charges do not change.
+    ``after(index, outputs)`` on the :func:`sliced` pipeline; the per-slice
+    outputs re-reduce through :func:`~repro.scaleout.merge.merge_partials`.
     """
     sink = pipeline.sink
-    launched, scheme = pipeline, None
-    if (
-        bounds is not None
-        and isinstance(sink, AggregateSink)
-        and any(spec.op == "avg" for spec in sink.aggregates)
-    ):
-        launched, scheme = rewrite_for_partials(pipeline)
+    launched, scheme = (pipeline, None) if bounds is None else sliced(pipeline)
     kernel = generate_compound_kernel(launched, runtime.device.log)
     runtime.kernel_sources[pipeline.name] = kernel.source
 

@@ -62,9 +62,11 @@ class PricedLaunches:
 
     def transfer_to_device(self, arrays, label="", raw_nbytes=0, codec="") -> None:
         nbytes = sum(array.nbytes for array in arrays)
-        self.log.transfers.append(
-            link_record(self.interconnect, nbytes, "h2d", label, raw_nbytes, codec)
-        )
+        self.record_stream_transfer(nbytes, "h2d", label, raw_nbytes, codec)
+
+    def record_stream_transfer(self, nbytes, direction, label="", raw_nbytes=0, codec="") -> None:
+        link = link_record(self.interconnect, nbytes, direction, label, raw_nbytes, codec)
+        self.log.transfers.append(link)
 
     def allocate(self, array, label="") -> None:
         pass  # decode scratch: inside the estimator's working-set bound
@@ -73,36 +75,35 @@ class PricedLaunches:
 class PoolStandIn:
     """What an estimate needs of a :class:`BufferPool`: ``columns``
     (``(table, column)``) are hits, and a table is served iff its key is
-    in ``tables``: a resident build's, or one the query left.  Nothing
-    is held: a replay runs no kernel that would read it."""
+    in ``tables`` (key -> its :class:`TableEstimate`): a resident
+    build's, or one the query left."""
 
     table_key = staticmethod(BufferPool.table_key)
 
-    def __init__(self, columns: frozenset, compression):
-        self.columns, self.compression, self.tables = columns, compression, set()
+    def __init__(self, columns: frozenset):
+        self.columns, self.tables = columns, {}
 
-    def acquire(self, table, column_name, column, fingerprint):
-        encoded = self.compression.encoded(column) if self.compression else None
-        passthrough = encoded is None or encoded.codec == "passthrough"
-        image = column.values if passthrough else encoded.wire_array
+    def acquire(self, table, column_name, column, fingerprint, image):
         held = SimpleNamespace(buffer=SimpleNamespace(array=image), nbytes=image.nbytes)
         return held, (table, column_name) in self.columns
 
     def acquire_table(self, key, fingerprint):
-        return SimpleNamespace(table=None, nbytes=0) if key in self.tables else None
+        return SimpleNamespace(table=self.tables[key], nbytes=0) if key in self.tables else None
 
 
 class PricedPipeline(NamedTuple):
     """What pricing a pipeline found: the rows that reach its sink, the
     groups it aggregates them into (0: none), its kernels' launches (not
     its load's), its late-materialization notes and its outputs: one
-    zero-stride count column each (``None`` for a build)."""
+    zero-stride count column each — for a build ``None``, and ``table``
+    the hash table it leaves."""
 
     rows: int
     groups: int
     launches: list
     notes: list
     outputs: dict | None = None
+    table: TableEstimate | None = None
 
     @property
     def result_rows(self) -> int:
@@ -115,16 +116,17 @@ class EstimateRuntime(QueryRuntime):
     two numbers only statistics can: ``selectivity(database, pipeline,
     predicate)`` and ``groups(database, pipeline, rows)``.  ``priced``
     (name -> :class:`PricedPipeline`) fills as pipelines are priced; an
-    earlier run's is replayed: each pipeline in it loads as it would
-    and relaunches what was priced for it.  ``resident`` (``None``: no
-    pool) names the builds whose tables the pool holds."""
+    earlier run's is replayed: each pipeline in it loads as it would,
+    relaunches what was priced for it and leaves the table it left.
+    ``resident`` (``None``: no pool) names the builds whose tables the
+    pool holds."""
 
     def __init__(
         self, cost_model, interconnect, database, cardinalities, compression,
         priced: dict | None = None, resident: frozenset | None = None,
         resident_columns: frozenset = frozenset(),
     ):
-        pool = None if resident is None else PoolStandIn(resident_columns, compression)
+        pool = None if resident is None else PoolStandIn(resident_columns)
         super().__init__(PricedLaunches(cost_model, interconnect, compression), database, pool=pool)
         self.cardinalities = cardinalities
         self.priced: dict[str, PricedPipeline] = {} if priced is None else priced
@@ -147,6 +149,8 @@ class EstimateRuntime(QueryRuntime):
             priced = self.priced[pipeline.name]
             for trace in priced.launches:
                 self.device.relaunch(trace)
+            if priced.table is not None:
+                self.hash_tables[pipeline.sink.table_id] = priced.table
             return priced.outputs
         notes = getattr(self.compression_stats(), "scans", [])
         noted, self.device.tape = len(notes), []
@@ -154,7 +158,8 @@ class EstimateRuntime(QueryRuntime):
             rows, groups = engine.estimate_pipeline(pipeline, self)
         finally:
             launches, self.device.tape = self.device.tape, None
-        priced = PricedPipeline(rows, groups, launches, notes[noted:])
+        table = self.hash_tables.get(pipeline.output_name)  # a build's
+        priced = PricedPipeline(rows, groups, launches, notes[noted:], table=table)
         if not isinstance(pipeline.sink, BuildSink):
             schema = pipeline.output_schema or pipeline.scope_schema
             priced = priced._replace(outputs={
@@ -183,11 +188,11 @@ class EstimateRuntime(QueryRuntime):
 
     def resident_build(self, pipeline: Pipeline, key: tuple) -> bool:
         if pipeline.name in self.resident:
-            self.pool.tables.add(key)
+            self.pool.tables[key] = self.priced[pipeline.name].table
         return super().resident_build(pipeline, key)
 
     def keep_build(self, pipeline: Pipeline, key: tuple, restore_ms: float) -> None:
-        self.pool.tables.add(key)
+        self.pool.tables[key] = self.hash_tables[pipeline.sink.table_id]
 
     def build_table(self, pipeline: Pipeline, rows: int, keys, payload, meter=None) -> None:
         """Register the table ``pipeline``'s build sink leaves over the

@@ -221,12 +221,13 @@ class QueryRuntime:
                 if encoded.codec == "passthrough":
                     encoded = None
             codec = "" if encoded is None else encoded.codec
+            # What lands on the device: the wire image, else the column.
+            resident = column.values if encoded is None else encoded.wire_array
             if self.pool is not None:
                 entry, hit = self.pool.acquire(
                     member.source, base_name, column,
-                    self.database.fingerprint(),
+                    self.database.fingerprint(), image=resident,
                 )
-                # What the pool holds: the wire image, else the column.
                 resident = entry.buffer.array
                 self._pinned.append(entry)
                 self.device.log.phase(
@@ -241,8 +242,6 @@ class QueryRuntime:
                     self.placement_misses += 1
             else:
                 hit = False
-                # What lands on the device: the wire image, else the column.
-                resident = column.values if encoded is None else encoded.wire_array
                 self.device.allocate(resident, label=label)
             if not hit:
                 shipped.append(resident)

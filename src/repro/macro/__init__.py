@@ -1,6 +1,6 @@
 """Macro execution models: run-to-finish, kernel-at-a-time, batch."""
 
-from .batch import BLOCK_OVERHEAD, BatchExecutor, BatchResult
+from .batch import BatchExecutor, BatchResult
 from .kernel_at_a_time import KernelAtATimeExecutor
 from .models import (
     MacroMovement,
@@ -10,7 +10,6 @@ from .models import (
 )
 
 __all__ = [
-    "BLOCK_OVERHEAD",
     "BatchExecutor",
     "BatchResult",
     "KernelAtATimeExecutor",

@@ -14,11 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..engines.compound import CompoundEngine, run_compound_pipeline, slice_bounds
+from ..engines.compound import CompoundEngine, _launch, run_compound_pipeline, slice_bounds, sliced
 from ..engines.runtime import QueryRuntime
 from ..errors import PlanError
 from ..hardware.device import VirtualCoprocessor
 from ..hardware.traffic import LogSlice
+from ..kernels.codegen import generate_compound_kernel
+from ..kernels.context import EstimateContext
 from ..plan.logical import LogicalPlan
 from ..plan.physical import PhysicalQuery, Pipeline
 from ..plan.pipelines import extract_pipelines
@@ -105,9 +107,51 @@ class _BlockStreamer(CompoundEngine):
         if not pipeline.is_final:
             return super().execute_pipeline(pipeline, runtime)
         device = runtime.device
-        policy = runtime.compression
         self.peak_device_bytes = device.allocated_bytes
+        scope, bounds, ship_block = self._blocks(pipeline, runtime)
+        self.num_blocks = len(bounds)
 
+        def gather_block(index: int, outputs: dict) -> None:
+            # Block partials stay on the device until the merged result
+            # ships (``assemble_result``): that one packed d2h is the
+            # only one charged, with or without a compression policy.
+            self.peak_device_bytes = max(
+                self.peak_device_bytes, device.allocated_bytes + self.block_nbytes
+            )
+
+        return run_compound_pipeline(
+            pipeline, runtime, self.mode, scope, bounds=bounds, suffix="block",
+            before=ship_block, after=gather_block,
+        )
+
+    def estimate_pipeline(self, pipeline: Pipeline, runtime) -> tuple[int, int]:
+        """Price the final pipeline as :meth:`execute_pipeline` runs it:
+        the same blocks, shipped by the same ``ship_block``, each
+        launched over its row count."""
+        if not pipeline.is_final:
+            return super().estimate_pipeline(pipeline, runtime)
+        scope, bounds, ship_block = self._blocks(pipeline, runtime)
+        launched, _ = sliced(pipeline)
+        kernel = generate_compound_kernel(launched, runtime.device.log)
+        rows = 0
+        for index, (start, stop) in enumerate(bounds):
+            ship_block(index, start, stop)
+            ctx = _launch(
+                EstimateContext, kernel, launched, runtime, self.mode, scope,
+                stop - start, f"{kernel.name}.block{index}",
+            )
+            rows += ctx.valid
+        # The merged partials: the groups all the blocks' rows fall into.
+        if ctx.groups and pipeline.sink.group_keys:
+            return rows, runtime.groups(pipeline, rows)
+        return rows, ctx.groups
+
+    def _blocks(self, pipeline: Pipeline, runtime: QueryRuntime):
+        """The final pipeline's columns (name -> values), the ``[start,
+        stop)`` rows of its blocks, and ``ship_block(index, start,
+        stop)``, which charges one block's h2d."""
+        device = runtime.device
+        policy = runtime.compression
         table = runtime.database.table(pipeline.source)
         columns = [
             (name, base := pipeline.source_rename.get(name, name), table.column(base))
@@ -117,16 +161,13 @@ class _BlockStreamer(CompoundEngine):
         # partitions each column into fixed-size blocks).
         width = max((column.itemsize for *_, column in columns), default=4)
         bounds = slice_bounds(table.num_rows, max(1, self.block_bytes // width))
-        self.num_blocks = len(bounds)
         stats = runtime.compression_stats()
-        block_nbytes = 0
 
         def ship_block(index: int, start: int, stop: int) -> None:
-            """Charge one block's h2d.  Under a policy each column slice
-            ships in the column's chosen codec (exact per-block wire
-            bytes) and stays wire-resident for the block's kernel, which
-            decodes it in registers."""
-            nonlocal block_nbytes
+            """Under a policy each column slice ships in the column's
+            chosen codec (exact per-block wire bytes) and stays
+            wire-resident for the block's kernel, which decodes it in
+            registers."""
             raw = wire = 0
             for _, base, column in columns:
                 values = column.values[start:stop]
@@ -144,26 +185,9 @@ class _BlockStreamer(CompoundEngine):
             else:
                 wire = raw
                 device.record_stream_transfer(wire, "h2d", label=label)
-            block_nbytes = wire
+            self.block_nbytes = wire
 
-        def gather_block(index: int, outputs: dict) -> None:
-            # Block partials stay on the device until the merged result
-            # ships (``assemble_result``): that one packed d2h is the
-            # only one charged, with or without a compression policy.
-            self.peak_device_bytes = max(
-                self.peak_device_bytes, device.allocated_bytes + block_nbytes
-            )
-
-        return run_compound_pipeline(
-            pipeline,
-            runtime,
-            self.mode,
-            {name: column.values for name, _, column in columns},
-            bounds=bounds,
-            suffix="block",
-            before=ship_block,
-            after=gather_block,
-        )
+        return {name: column.values for name, _, column in columns}, bounds, ship_block
 
 
 class BatchExecutor:

@@ -163,14 +163,12 @@ class Advisor:
         profile: DeviceProfile,
         interconnect: Interconnect | None = None,
         statistics: StatisticsCatalog | None = None,
-        block_bytes: int = 2 * 1024 * 1024,
         compression=None,
     ):
         self.profile = profile
         self.statistics = statistics if statistics is not None else StatisticsCatalog()
         self.estimator = CostEstimator(
-            profile, interconnect, self.statistics, block_bytes=block_bytes,
-            compression=compression,
+            profile, interconnect, self.statistics, compression=compression
         )
 
     # ------------------------------------------------------------------
@@ -276,10 +274,14 @@ class Advisor:
 
         estimates: list[CostEstimate] = []
         fits_comfortably = False
-        run_to_finish_available = any(
-            choice.macro == "run-to-finish" for choice in candidates
-        )
-        for choice in candidates:
+        # Streaming is priced only when no run-to-finish working set fits comfortably.
+        for choice in sorted(candidates, key=lambda choice: choice.macro == "out-of-core"):
+            if choice.macro == "out-of-core" and fits_comfortably:
+                pruned.append(PrunedCandidate(
+                    choice,
+                    f"dominated: working set fits in <{OOC_PRUNE_FRACTION:.0%} of device memory",
+                ))
+                continue
             estimate = self.estimator.estimate(
                 query, database, choice, resident_columns=resident_columns,
                 resident_tables=resident_tables, record=record,
@@ -287,14 +289,10 @@ class Advisor:
             if not estimate.feasible:
                 pruned.append(PrunedCandidate(choice, estimate.reason))
                 continue
-            if (
-                choice.macro == "run-to-finish"
-                and estimate.peak_device_bytes
-                <= OOC_PRUNE_FRACTION * capacity
-            ):
-                fits_comfortably = True
-            if estimate.peak_device_bytes > capacity:
-                if choice.macro == "run-to-finish":
+            if choice.macro == "run-to-finish":
+                if estimate.peak_device_bytes <= OOC_PRUNE_FRACTION * capacity:
+                    fits_comfortably = True
+                if estimate.peak_device_bytes > capacity:
                     pruned.append(PrunedCandidate(
                         choice,
                         f"working set {estimate.peak_device_bytes / 1e6:.0f}MB"
@@ -302,19 +300,6 @@ class Advisor:
                     ))
                     continue
             estimates.append(estimate)
-
-        if fits_comfortably and run_to_finish_available:
-            kept: list[CostEstimate] = []
-            for estimate in estimates:
-                if estimate.strategy.macro == "out-of-core":
-                    pruned.append(PrunedCandidate(
-                        estimate.strategy,
-                        "dominated: working set fits in "
-                        f"<{OOC_PRUNE_FRACTION:.0%} of device memory",
-                    ))
-                else:
-                    kept.append(estimate)
-            estimates = kept
 
         if not estimates:
             raise ConfigurationError(

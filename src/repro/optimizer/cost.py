@@ -13,18 +13,19 @@ paper's evaluation explores by hand:
 
 No byte shape and no execution rule lives here: a candidate is priced
 by the engine's own query loop (:meth:`Engine.run_pipelines
-<repro.engines.base.Engine.run_pipelines>`) run over row *counts* on an
+<repro.engines.base.Engine.run_pipelines>`) — an out-of-core one by the
+block streamer's (:class:`~repro.macro.batch._BlockStreamer`), block by
+block — run over row *counts* on an
 :class:`~repro.engines.estimate.EstimateRuntime`, and read off that
 run's query record.  This module supplies the cardinalities statistics
 can estimate — a predicate's selectivity and a sink's group count — and
-the arithmetic of what the loop does not run: the result's d2h,
-streaming blocks, the fleet's makespan and merge.  An estimate is a pure
-function of (plan, statistics, compression policy, what is resident).
+the arithmetic of what the loop does not run: the result's d2h and the
+fleet's makespan and merge.  An estimate is a pure function of (plan,
+statistics, compression policy, what is resident).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -39,7 +40,7 @@ from ..hardware.interconnect import Interconnect
 from ..hardware.profiles import DeviceProfile
 from ..hardware.traffic import MemoryLevel, PipelineRecord, Profile
 from ..expressions.schema import infer_dtype
-from ..macro.batch import BLOCK_OVERHEAD
+from ..macro.batch import _BlockStreamer, streaming_mode
 from ..plan.physical import (
     AggregateSink, BuildSink, FilterStage, PhysicalQuery, Pipeline, ProbeStage,
 )
@@ -210,7 +211,7 @@ class CostEstimate:
     onchip_bytes: int = 0
     kernel_ms: float = 0.0
     transfer_ms: float = 0.0
-    #: Scale-out merge + out-of-core block scheduling (host-side).
+    #: The fleet's host-side merge of its partials.
     overhead_ms: float = 0.0
     #: Predicted peak device allocation (feasibility input).
     peak_device_bytes: int = 0
@@ -219,7 +220,7 @@ class CostEstimate:
     feasible: bool = True
     reason: str = ""
 
-    #: The priced query record (one device, run to finish).  Not a
+    #: The priced query record (one device).  Not a
     #: field: ``asdict`` / ``==`` / ``repr`` carry the prediction only.
     record = Profile()
 
@@ -244,25 +245,23 @@ class CostEstimator:
         profile: DeviceProfile,
         interconnect: Interconnect | None,
         statistics: StatisticsCatalog | None = None,
-        block_bytes: int = 2 * 1024 * 1024,
         compression=None,
     ):
         self.profile = profile
         self.interconnect = None if profile.zero_copy else interconnect
         self.statistics = statistics if statistics is not None else StatisticsCatalog()
         self.cost_model = KernelCostModel(profile)
-        self.block_bytes = block_bytes
         #: Wire-compression policy execution will run under: columns are
         #: sized by the encodings execution ships (cached on them), and
         #: the engines charge the decode that pays for the link savings.
         self.compression = compression if self.interconnect is not None else None
 
     def stream_block_bytes(self) -> int:
-        """Streaming block size, shrunk on small devices so double
-        buffering never claims more than a quarter of device memory
-        (the out-of-core executor is handed the same value)."""
-        return max(64 * 1024, min(self.block_bytes,
-                                  self.profile.memory_capacity // 8))
+        """Streaming block size *per column* (a block of ``k`` columns
+        ships up to ``k`` times it): 2 MB, shrunk on small devices to an
+        eighth of device memory; the out-of-core executor is handed the
+        same value."""
+        return max(64 * 1024, min(2 * 1024 * 1024, self.profile.memory_capacity // 8))
 
     # ------------------------------------------------------------------
     # selectivity / cardinality estimation
@@ -430,25 +429,30 @@ class CostEstimator:
         record: Profile | None = None,
     ) -> CostEstimate:
         """Predict the full cost of executing ``query`` under
-        ``strategy`` from its query loop's run (:meth:`_run`).  What the
+        ``strategy`` from its query loop's run (:meth:`_run`): the
+        engine's, or for out-of-core the block streamer's.  What the
         pooled device already holds counts under pooled placement only:
         ``resident_tables``, the indexes of the builds whose hash tables
         are resident (the loop serves them), and ``resident_columns``
         (``(table, column)``), the base columns no load ships.  The
         kernels a pricing looks up are logged on ``record`` (if any)."""
+        streamed = strategy.macro == "out-of-core"
+        if (streamed or strategy.devices > 1) and query.final_pipeline.source_is_virtual:
+            return CostEstimate(strategy, feasible=False, reason=(
+                "streaming and scale-out partition the base table of the "
+                "final pipeline; this one reads a virtual table"
+            ))
         pooled = strategy.placement == "pooled"
-        run, fact_bytes, _ = self._run(
+        run, _ = self._run(
             query, database, strategy.engine,
             resident_columns if pooled else None,
             resident_tables if pooled else frozenset(), record,
+            self.stream_block_bytes() if streamed else None,
         )
         estimate = replace(run, strategy=strategy, pipelines=list(run.pipelines))
         estimate.record = run.record
-        estimate.peak_device_bytes += sum(
-            self._wire_nbytes(database.table(table).column(name))
-            for table, name in resident_columns
-        )
-        self._apply_macro(estimate, query, strategy, *fact_bytes)
+        if strategy.devices > 1:
+            self._apply_scaleout(estimate, query, database, strategy)
         return estimate
 
     def _wire_nbytes(self, column) -> int:
@@ -466,20 +470,22 @@ class CostEstimator:
         columns: frozenset | None,
         tables: frozenset[int],
         record: Profile | None = None,
-    ) -> tuple[CostEstimate, tuple[int, int], dict]:
-        """``query`` run through ``engine_name``'s query loop: its cost
-        on one device, run to finish (with the record and one estimate
-        per pipeline), the raw and wire bytes of the final pipeline's
-        first reads, and what was priced per pipeline.  ``columns`` /
+        block_bytes: int | None = None,
+    ) -> tuple[CostEstimate, dict]:
+        """``query`` run through ``engine_name``'s query loop on one
+        device — ``block_bytes`` set: :class:`_BlockStreamer`'s, in
+        blocks of that size — its cost (with the record and one estimate
+        per pipeline) and what was priced per pipeline.  ``columns`` /
         ``tables``: what the pooled device holds (base columns; indexes
-        of resident builds); ``columns=None``: no pool.  Only the run
-        without a pool prices kernels (logging its lookups on
-        ``record``); a pooled run replays it.  The plan object keeps, per
-        engine, device profile, compression policy, statistics sample
-        size and set of resident builds, the run without a pool and the
-        latest pooled one (a new catalog version replaces them)."""
+        of resident builds); ``columns=None``: no pool.  Only the run to
+        finish without a pool prices every pipeline (logging its lookups
+        on ``record``); the others replay it, a streamed run all but its
+        final pipeline.  The plan object keeps, per engine, block size,
+        device profile, compression policy, statistics sample size and
+        set of resident builds, the run without a pool and the latest
+        pooled one (a new catalog version replaces them)."""
         mode = self.compression.mode if self.compression is not None else None
-        key = (engine_name, self.profile, mode, self.statistics.sample_limit, tables)
+        key = (engine_name, block_bytes, self.profile, mode, self.statistics.sample_limit, tables)
         version = database.fingerprint()
         entry = query.estimates.get(key)
         if entry is None or entry[0] != version:
@@ -488,15 +494,20 @@ class CostEstimator:
         slot = 1 if columns is None else 2
         if entry[slot] is not None and entry[slot][0] == columns:
             return entry[slot][1]
+        engine = make_engine(engine_name)
         priced = resident = None
+        if columns is not None or block_bytes is not None:
+            priced = dict(self._run(query, database, engine_name, None, frozenset(), record)[1])
+        if block_bytes is not None:
+            del priced[query.final_pipeline.name]
+            engine = _BlockStreamer(streaming_mode(engine), block_bytes)
         if columns is not None:
-            priced = self._run(query, database, engine_name, None, frozenset(), record)[2]
             resident = frozenset(query.pipelines[index].name for index in tables)
         runtime = EstimateRuntime(
             self.cost_model, self.interconnect, database, self, self.compression,
             priced=priced, resident=resident, resident_columns=columns,
         )
-        make_engine(engine_name).run_pipelines(query.grouped(), runtime)
+        engine.run_pipelines(query.grouped(), runtime)
         log = runtime.device.log
         if record is not None:
             record.lookups += log.lookups
@@ -535,23 +546,32 @@ class CostEstimator:
         run.pcie_d2h_bytes = run.pipelines[-1].result_rows * sum(
             dtypes[name].numpy_dtype.itemsize for name in names if name in dtypes
         )
-        # Each pays the link latency: the loads the record logged, and
-        # one d2h for the packed result (``QueryRuntime._ship_packed``).
+        # Each pays the link latency: the loads (and blocks) the record
+        # logged, and one d2h for the packed result
+        # (``QueryRuntime._ship_packed``).
         loads = len(log.transfers)
         run.transfers = loads + 1
         run.transfer_ms = self._transfer_ms(run.pcie_h2d_bytes, run.pcie_d2h_bytes, loads)
-        reads = [[database.table(t).column(c) for t, c in pipe.first_reads] for pipe in run.pipelines]
+        # Scratch: 16 bytes a row a launch runs over; and a streamed
+        # fact table is never on the device whole: a block's rows at a
+        # time, two blocks in flight (double buffering).
+        rows = [pipe.rows_in for pipe in run.pipelines]
+        blocks = []
+        if block_bytes is not None:
+            fact = run.pipelines[-1].record
+            rows[-1] = max(trace.elements for trace in fact.kernels)
+            blocks = sorted(block.nbytes or block.raw_nbytes for block in fact.transfers)
         run.peak_device_bytes = (
-            sum(column.nbytes for read in reads for column in read)
+            sum(
+                database.table(table).column(name).nbytes
+                for pipe in run.pipelines for table, name in pipe.first_reads
+            )
             + table_budget
-            + max((16 * pipe.rows_in for pipe in run.pipelines), default=0)
+            + 16 * max(rows, default=0)
             + run.pcie_d2h_bytes
+            + sum(blocks[-2:])
         )
-        fact_bytes = (
-            sum(column.nbytes for column in reads[-1]),
-            sum(self._wire_nbytes(column) for column in reads[-1]),
-        )
-        entry[slot] = columns, (run, fact_bytes, runtime.priced)
+        entry[slot] = columns, (run, runtime.priced)
         return entry[slot][1]
 
     # ------------------------------------------------------------------
@@ -575,49 +595,23 @@ class CostEstimator:
             latencies += results
         return (seconds + latencies * self.interconnect.latency) * 1e3
 
-    def _apply_macro(self, estimate, query, strategy, fact_raw: int, fact_wire: int) -> None:
-        """Streaming and the fleet on top of the run on one device: they
-        ship every fact column the final pipeline is first to read,
-        resident or not."""
-        fact = estimate.pipelines[-1]
-        streamed = strategy.macro == "out-of-core"
-        if (streamed or strategy.devices > 1) and query.final_pipeline.source_is_virtual:
-            estimate.feasible = False
-            estimate.reason = (
-                "streaming and scale-out partition the base table of the "
-                "final pipeline; this one reads a virtual table"
-            )
-            return
-        if not streamed and strategy.devices == 1:
-            return
-        # The loads of the pipelines before the final one, and its own.
-        loads = len(estimate.record.transfers) - len(fact.record.transfers)
-        if strategy.devices > 1:
-            self._apply_scaleout(
-                estimate, strategy.devices, fact, fact_wire, fact_raw, loads,
-                len(fact.record.transfers), make_engine(strategy.engine).fuses_siblings,
-            )
-            return
-        dims_h2d = max(0, estimate.pcie_h2d_bytes - fact_wire)
-        block_bytes = self.stream_block_bytes()
-        blocks = max(1, math.ceil(fact_raw / block_bytes))
-        # The fact columns arrive as one transfer per block.
-        estimate.transfers = loads + blocks + 1
-        estimate.transfer_ms = self._transfer_ms(dims_h2d, estimate.pcie_d2h_bytes, loads)
-        estimate.kernel_ms -= fact.kernel_ms
-        estimate.overhead_ms = (
-            max(self._transfer_ms(fact_wire, 0, blocks), fact.kernel_ms)
-            + blocks * BLOCK_OVERHEAD * 1e3
-        )
-        # Streaming never holds the whole fact table on device.
-        estimate.peak_device_bytes += 2 * block_bytes - fact_raw
-
-    def _apply_scaleout(
-        self, estimate, devices, fact, fact_wire, fact_raw, broadcast, per_morsel,
-        fuses: bool,
-    ) -> None:
+    def _apply_scaleout(self, estimate, query, database, strategy) -> None:
+        """The fleet on top of the run on one device: every device runs
+        the pipelines before the final one (broadcast build sides), and
+        the final pipeline's morsels ship every base column it reads,
+        whether an earlier pipeline loaded it or the pool holds it."""
+        devices = strategy.devices
         pieces = devices * MORSELS_PER_DEVICE
-        dims_h2d = max(0, estimate.pcie_h2d_bytes - fact_wire)
+        fact = estimate.pipelines[-1]
+        columns = [database.table(t).column(c) for t, c in set(query.final_pipeline.base_columns())]
+        fact_raw = sum(column.nbytes for column in columns)
+        fact_wire = sum(self._wire_nbytes(column) for column in columns)
+        # What the final pipeline's load was first to read on one
+        # device (pool hits included), and the loads before it.
+        loaded = [database.table(t).column(c) for t, c in fact.first_reads]
+        dims_h2d = max(0, estimate.pcie_h2d_bytes - sum(map(self._wire_nbytes, loaded)))
+        broadcast = len(estimate.record.transfers) - len(fact.record.transfers)
+        per_morsel = len(fact.record.transfers)
         dims_kernel_ms = estimate.kernel_ms - fact.kernel_ms
         # Every device pays the broadcast build sides; the fact share
         # and its gather parallelize across per-device links.  Link
@@ -633,7 +627,7 @@ class CostEstimator:
         # fused turn is priced whether or not the device's free memory
         # holds the group's columns at run time (``QueryRuntime.fits``):
         # a device that runs them one at a time pays more than this.
-        turns = devices if fuses else pieces
+        turns = devices if make_engine(strategy.engine).fuses_siblings else pieces
         launch_ms = (
             self.profile.kernel_launch_overhead * fact.kernels * (turns - 1) * 1e3
         )
@@ -652,5 +646,7 @@ class CostEstimator:
         estimate.pcie_d2h_bytes = int(gather_total)
         # Per-device peak: broadcast dims + this device's fact share.
         estimate.peak_device_bytes = int(
-            estimate.peak_device_bytes - fact_raw * (1 - 1 / devices)
+            estimate.peak_device_bytes
+            + (fact_raw - sum(column.nbytes for column in loaded))
+            - fact_raw * (1 - 1 / devices)
         )

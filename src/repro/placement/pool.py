@@ -130,14 +130,16 @@ class BufferPool:
     # acquisition / release
     # ------------------------------------------------------------------
     def acquire(
-        self, table: str, column_name: str, column, fingerprint: tuple
+        self, table: str, column_name: str, column, fingerprint: tuple, image=None
     ) -> tuple[ResidentEntry, bool]:
         """Make ``table.column_name`` resident and pin it; returns
         ``(entry, hit)``.
 
         A hit is served the resident buffer.  A miss allocates a pooled
-        one and transfers nothing: the caller ships what a pipeline
-        missed as one h2d (:meth:`QueryRuntime.load_source
+        one holding ``image`` — the load's *wire image* under a
+        compression policy (:mod:`repro.compression.lazy`), else the
+        column's values — and transfers nothing: the caller ships what
+        a pipeline missed as one h2d (:meth:`QueryRuntime.load_source
         <repro.engines.runtime.QueryRuntime.load_source>`).  An entry
         whose fingerprint no longer matches the catalog is invalidated
         and allocated anew.  Pins are released by :meth:`release` at the
@@ -157,21 +159,10 @@ class BufferPool:
                 self._hit_bytes += entry.nbytes
                 return entry, True
             # Miss: allocate (allocation pressure may evict through
-            # _on_pressure, re-entrant under this RLock).  With a
-            # compression policy on the device, the resident buffer is
-            # the *wire image*: more columns fit per device, eviction
-            # and re-transfer are charged at the compressed size, and
-            # the kernels that read it decode in registers (see
-            # :mod:`repro.compression.lazy`; only an engine that
-            # materializes at load decodes into transient scratch).
-            policy = self.device.compression
-            encoded = policy.encoded(column) if policy is not None else None
-            if encoded is None or encoded.codec == "passthrough":
-                array = column.values
-            else:
-                array = encoded.wire_array
+            # _on_pressure, re-entrant under this RLock).
             buffer = self.device.allocate(
-                array, label=f"{table}.{column_name}", pooled=True
+                column.values if image is None else image,
+                label=f"{table}.{column_name}", pooled=True,
             )
             entry = ResidentEntry(
                 key=key,

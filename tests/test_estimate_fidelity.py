@@ -23,6 +23,7 @@ from repro.engines import make_engine
 from repro.expressions.eval import evaluate
 from repro.hardware import GTX970, PCIE3, VirtualCoprocessor
 from repro.hardware.traffic import MemoryLevel
+from repro.macro.batch import execute_out_of_core, streaming_mode
 from repro.optimizer.auto import AutoExecutor
 from repro.optimizer.cost import MICRO_ENGINES, CostEstimator, StrategyChoice
 from repro.placement.executor import base_columns
@@ -491,3 +492,75 @@ def test_estimated_transfer_count_is_the_executed_one(database, devices, monkeyp
             assert estimate.transfer_ms == pytest.approx(
                 sum(record.time_ms for record in executed.profile.transfers), rel=1e-12
             ), key
+
+
+class Shares(Observed):
+    """:class:`Observed`, each predicate's share measured once over the
+    whole table: every block of a streamed pipeline applies it again."""
+
+    def __init__(self, query, database):
+        super().__init__(query, database)
+        self._shares: dict[tuple, float] = {}
+
+    def selectivity(self, database, pipeline, predicate) -> float:
+        key = (pipeline.name, id(predicate))
+        if key not in self._shares:
+            self._shares[key] = super().selectivity(database, pipeline, predicate)
+        return self._shares[key]
+
+
+#: A device on which the SSB fact table at SF 0.03 streams in 8 blocks:
+#: ``stream_block_bytes()`` is 90,639, the bound on each column's slice.
+STREAMING = GTX970.with_overrides(name="streaming", memory_capacity=725_114)
+
+
+@pytest.fixture(scope="module")
+def streamed_database():
+    return generate_ssb(0.03, seed=12)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("alias", ("pipelined", "resolution"))
+def test_a_streamed_estimate_is_the_streamed_execution(streamed_database, alias, policy):
+    """An out-of-core candidate is priced by the block streamer's own
+    loop: the same blocks, shipped by the same code, each launched over
+    its rows.  With observed cardinalities its link transfers, launches,
+    link bytes and link time are the executed ones, and its time is
+    within 5 % (a block's share of a predicate is the table's)."""
+    database = streamed_database
+    estimator = CostEstimator(STREAMING, PCIE3, compression=resolve_compression(policy))
+    strategy = StrategyChoice(alias, "out-of-core", 1, "range", "transient")
+    for name, sql in sorted(SSB_QUERIES.items()):
+        key = (name, alias, policy)
+        query = _physical(sql, database)
+        shares = Shares(query, database)
+        estimator.selectivity, estimator.groups = shares.selectivity, shares.groups
+        estimate = estimator.estimate(query, database, strategy)
+        device = VirtualCoprocessor(STREAMING, interconnect=PCIE3)
+        device.compression = resolve_compression(policy)
+        executed = execute_out_of_core(
+            query, database, device, block_bytes=estimator.stream_block_bytes(),
+            mode=streaming_mode(make_engine(alias)),
+        )
+        transfers = executed.profile.transfers
+        assert sum(record.label.startswith("block") for record in transfers) >= 8, key
+        assert estimate.transfers == len(transfers), key
+        assert sum(pipe.kernels for pipe in estimate.pipelines) == len(executed.profile.kernels), key
+        assert estimate.pcie_h2d_bytes == executed.input_bytes, key
+        assert estimate.transfer_ms == pytest.approx(executed.transfer_ms, rel=1e-12), key
+        assert estimate.total_ms == pytest.approx(executed.total_ms, rel=0.05), key
+
+
+@pytest.mark.parametrize("devices", (2, 4))
+@pytest.mark.parametrize("name", ("q18", "q21"))
+def test_a_fleet_ships_every_column_of_the_final_pipeline(tpch_db, name, devices):
+    """Every morsel ships its piece of every base column the final
+    pipeline reads, also those an earlier pipeline loaded (TPC-H q18
+    and q21 read 2 and 4 lineitem columns before it): a cold fleet's
+    estimated link bytes are the executed ones."""
+    session = connect(tpch_db, engine="resolution", devices=devices, compression="off")
+    plan = tpch_plan(name, tpch_db)
+    query = session.physical(plan)
+    strategy = StrategyChoice("resolution", "run-to-finish", devices, "range", "transient")
+    estimate = CostEstimator(GTX970, PCIE3).estimate(query, tpch_db, strategy)
+    assert estimate.pcie_h2d_bytes == session.execute(plan).input_bytes

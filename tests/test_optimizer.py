@@ -191,6 +191,52 @@ def test_pooled_residency_discounts_h2d(ssb_db):
     assert warm.total_ms < cold.total_ms
 
 
+def test_resident_columns_are_counted_once_in_the_peak(ssb_db):
+    """The peak counts every column a load is first to read, pool hit or
+    not, raw: a pooled device's resident columns are in it once, and a
+    transient device holds none of them."""
+    estimator = CostEstimator(GTX970, PCIE3, StatisticsCatalog())
+    query = _physical(plan_sql(SSB_QUERIES["q2.1"], ssb_db), ssb_db)
+    resident = frozenset(query.final_pipeline.base_columns())
+
+    def peak(placement, columns):
+        strategy = StrategyChoice("resolution", "run-to-finish", 1, "range", placement)
+        return estimator.estimate(
+            query, ssb_db, strategy, resident_columns=columns
+        ).peak_device_bytes
+
+    assert peak("transient", resident) == peak("transient", frozenset())
+    assert peak("pooled", resident) <= peak("pooled", frozenset())
+
+
+def test_dominated_streaming_is_not_priced(ssb_db, monkeypatch):
+    """Once a run-to-finish working set fits in half the device, every
+    out-of-core candidate is pruned as dominated without an estimate;
+    on a device it does not fit, streaming is priced (and chosen)."""
+    query = _physical(microbench.group_by_query(64), ssb_db)
+    for profile, streams in ((GTX970, False), (TINY_GPU, True)):
+        advisor = Advisor(profile, PCIE3)
+        priced, estimate = [], advisor.estimator.estimate
+        monkeypatch.setattr(
+            advisor.estimator, "estimate",
+            lambda query, database, choice, **kw: priced.append(choice) or estimate(
+                query, database, choice, **kw
+            ),
+        )
+        decision = advisor.advise(query, ssb_db, devices=1)
+        streamed = [choice for choice in priced if choice.macro == "out-of-core"]
+        dominated = [p.strategy for p in decision.pruned if p.reason.startswith("dominated")]
+        if streams:
+            assert streamed and not dominated
+        else:
+            assert not streamed
+            assert [(choice.engine, choice.placement) for choice in dominated] == [
+                ("pipelined", "pooled"), ("pipelined", "transient"),
+                ("resolution", "pooled"), ("resolution", "transient"),
+            ]
+        assert (decision.chosen.macro == "out-of-core") == streams
+
+
 # ----------------------------------------------------------------------
 # accuracy window
 # ----------------------------------------------------------------------

@@ -67,10 +67,12 @@ CHAOS_SEEDS = tuple(
 #: ``engine|devices`` -> digest of every run's ``(plan, policy, mode,
 #: h2d bytes, device peaks)``, taken on the commit before, when each
 #: base column was an h2d transfer of its own: packing moves no byte and
-#: allocates none.
+#: allocates none.  The ``cpu`` pair was re-recorded when the pool of a
+#: zero-copy device stopped holding wire images: its pooled ``auto`` runs
+#: load and hold the raw columns, as its transient ones do.
 PINNED = {
-    "cpu|1": "725c30d9662cf788084c",
-    "cpu|4": "a0af40ef1e69756236f2",
+    "cpu|1": "c526daec14c5d1b38ecd",
+    "cpu|4": "19e70f890fc3adb7ea8b",
     "multipass|1": "e652e8f2af150882df6d",
     "multipass|4": "3510c7385cac1f0efd8c",
     "operator-at-a-time|1": "955ec85bf3e2b628276c",

@@ -5,10 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro
+
 from repro.errors import DeviceMemoryError
 from repro.hardware import GTX970, PCIE3, VirtualCoprocessor
 from repro.placement import BufferPool
 from repro.storage import Column, Database, Table
+from repro.workloads import generate_ssb
 
 
 def _column(n: int) -> Column:
@@ -172,3 +175,19 @@ class TestInvalidation:
         assert device.allocated_bytes == 0
 
 
+
+
+def test_a_zero_copy_pool_holds_raw_columns():
+    """A zero-copy device crosses no link, so its loads compress nothing
+    whatever the session's policy: its pool holds, and its first query
+    loads, the raw columns a run without a pool loads."""
+    database = generate_ssb(0.002, seed=7)
+    sql = "select sum(lo_revenue) as r from lineorder where lo_discount >= 2"
+
+    def loaded(residency):
+        return repro.connect(
+            database, engine="cpu", device=repro.XEON_E5, compression="auto",
+            residency=residency,
+        ).execute(sql).input_bytes
+
+    assert loaded(True) == loaded(False) == 96_000

@@ -186,6 +186,14 @@ class EstimateRuntime(QueryRuntime):
             self.first_reads[pipeline.name] = frozenset(self._transferred - known)
         return scope
 
+    def _ship_packed(self, segments, encode, label: str) -> tuple[int, int]:
+        """Every segment raw: counts are no values a codec could shrink."""
+        policy, self.compression = self.compression, None
+        try:
+            return super()._ship_packed(segments, encode, label)
+        finally:
+            self.compression = policy
+
     def resident_build(self, pipeline: Pipeline, key: tuple) -> bool:
         if pipeline.name in self.resident:
             self.pool.tables[key] = self.priced[pipeline.name].table

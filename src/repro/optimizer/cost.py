@@ -16,11 +16,13 @@ by the engine's own query loop (:meth:`Engine.run_pipelines
 <repro.engines.base.Engine.run_pipelines>`) — an out-of-core one by the
 block streamer's (:class:`~repro.macro.batch._BlockStreamer`), block by
 block — run over row *counts* on an
-:class:`~repro.engines.estimate.EstimateRuntime`, and read off that
+:class:`~repro.engines.estimate.EstimateRuntime` — a fleet's by each
+device turn the scale-out executor runs
+(:func:`~repro.scaleout.executor.estimate_turn`) — and read off that
 run's query record.  This module supplies the cardinalities statistics
 can estimate — a predicate's selectivity and a sink's group count — and
-the arithmetic of what the loop does not run: the result's d2h and the
-fleet's makespan and merge.  An estimate is a pure function of (plan,
+the arithmetic of what the loop does not run: a one-device result's
+d2h and a fleet's host merge.  An estimate is a pure function of (plan,
 statistics, compression policy, what is resident).
 """
 
@@ -45,7 +47,10 @@ from ..plan.physical import (
     AggregateSink, BuildSink, FilterStage, PhysicalQuery, Pipeline, ProbeStage,
 )
 from ..primitives.hashtable import TableEstimate
-from ..scaleout.partition import MORSELS_PER_DEVICE
+from ..scaleout.executor import estimate_turn
+from ..scaleout.merge import rewrite_for_partials
+from ..scaleout.partition import fleet_partitions
+from ..scaleout.scheduler import assign_pieces
 from ..storage.database import Database
 from .stats import StatisticsCatalog, TableStats
 
@@ -220,7 +225,7 @@ class CostEstimate:
     feasible: bool = True
     reason: str = ""
 
-    #: The priced query record (one device).  Not a
+    #: The priced query record (a fleet's: its turns', merged).  Not a
     #: field: ``asdict`` / ``==`` / ``repr`` carry the prediction only.
     record = Profile()
 
@@ -448,18 +453,11 @@ class CostEstimator:
             resident_columns if pooled else None,
             resident_tables if pooled else frozenset(), record,
             self.stream_block_bytes() if streamed else None,
+            (strategy.devices, strategy.partitioning) if strategy.devices > 1 else None,
         )
         estimate = replace(run, strategy=strategy, pipelines=list(run.pipelines))
         estimate.record = run.record
-        if strategy.devices > 1:
-            self._apply_scaleout(estimate, query, database, strategy)
         return estimate
-
-    def _wire_nbytes(self, column) -> int:
-        """What ``column`` occupies on the link and in a pool."""
-        if self.compression is None:
-            return column.nbytes
-        return self.compression.wire_nbytes(column)
 
     # ------------------------------------------------------------------
     def _run(
@@ -471,21 +469,27 @@ class CostEstimator:
         tables: frozenset[int],
         record: Profile | None = None,
         block_bytes: int | None = None,
+        fleet: tuple[int, str] | None = None,
     ) -> tuple[CostEstimate, dict]:
         """``query`` run through ``engine_name``'s query loop on one
         device — ``block_bytes`` set: :class:`_BlockStreamer`'s, in
-        blocks of that size — its cost (with the record and one estimate
-        per pipeline) and what was priced per pipeline.  ``columns`` /
-        ``tables``: what the pooled device holds (base columns; indexes
-        of resident builds); ``columns=None``: no pool.  Only the run to
-        finish without a pool prices every pipeline (logging its lookups
-        on ``record``); the others replay it, a streamed run all but its
+        blocks of that size; ``fleet`` (devices, partitioning) set: each
+        device turn of that fleet (:meth:`_fleet`) — its cost (with the
+        record and one estimate per pipeline) and what was priced per
+        pipeline.  ``columns`` / ``tables``: what the pooled device
+        holds (base columns; indexes of resident builds);
+        ``columns=None``: no pool.  Only the run to finish without a
+        pool prices every pipeline (logging its lookups on ``record``);
+        the others replay it, a streamed run and a fleet all but its
         final pipeline.  The plan object keeps, per engine, block size,
-        device profile, compression policy, statistics sample size and
-        set of resident builds, the run without a pool and the latest
-        pooled one (a new catalog version replaces them)."""
+        fleet, device profile, compression policy, statistics sample
+        size and set of resident builds, the run without a pool and the
+        latest pooled one (a new catalog version replaces them)."""
         mode = self.compression.mode if self.compression is not None else None
-        key = (engine_name, block_bytes, self.profile, mode, self.statistics.sample_limit, tables)
+        key = (
+            engine_name, block_bytes, fleet, self.profile, mode,
+            self.statistics.sample_limit, tables,
+        )
         version = database.fingerprint()
         entry = query.estimates.get(key)
         if entry is None or entry[0] != version:
@@ -496,43 +500,30 @@ class CostEstimator:
             return entry[slot][1]
         engine = make_engine(engine_name)
         priced = resident = None
-        if columns is not None or block_bytes is not None:
-            priced = dict(self._run(query, database, engine_name, None, frozenset(), record)[1])
+        if columns is not None or block_bytes is not None or fleet is not None:
+            # Replayed: the run without a pool (a pooled fleet's: the fleet's).
+            priced = dict(self._run(
+                query, database, engine_name, None, frozenset(), record,
+                fleet=fleet if columns is not None else None,
+            )[1])
         if block_bytes is not None:
             del priced[query.final_pipeline.name]
             engine = _BlockStreamer(streaming_mode(engine), block_bytes)
         if columns is not None:
             resident = frozenset(query.pipelines[index].name for index in tables)
-        runtime = EstimateRuntime(
-            self.cost_model, self.interconnect, database, self, self.compression,
-            priced=priced, resident=resident, resident_columns=columns,
-        )
+        if fleet is not None:
+            entry[slot] = columns, self._fleet(
+                query, database, engine, fleet, priced, resident, columns, record
+            )
+            return entry[slot][1]
+        runtime = self._runtime(database, priced, resident, columns)
         engine.run_pipelines(query.grouped(), runtime)
         log = runtime.device.log
         if record is not None:
             record.lookups += log.lookups
         run = CostEstimate(strategy=None)
         run.record = log
-        table_budget = 0  # resident hash/aggregation tables
-        for row in log.pipelines:
-            pipeline, priced = row.pipeline, runtime.priced[row.pipeline.name]
-            pipe = PipelineEstimate(
-                name=pipeline.name,
-                source=pipeline.source,
-                rows_in=row.rows_in,
-                rows_out=priced.rows,
-                groups=priced.groups,
-                first_reads=runtime.first_reads.get(pipeline.name, frozenset()),
-                scan_notes=[] if row.resident else priced.notes,
-                resident=row.resident,
-            )
-            pipe.record = row
-            run.pipelines.append(pipe)
-            if isinstance(pipeline.sink, BuildSink):
-                table_budget += pipe.rows_out * (16 + 8 * len(pipeline.sink.payload))
-            elif isinstance(pipeline.sink, AggregateSink):
-                width = 8 * (len(pipeline.sink.group_keys) + len(pipeline.sink.aggregates))
-                table_budget += max(pipe.groups, 1) * (8 + width)
+        run.pipelines, held = self._pipelines(runtime)
         run.global_bytes = log.bytes_at(MemoryLevel.GLOBAL)
         run.onchip_bytes = log.bytes_at(MemoryLevel.ONCHIP)
         run.kernel_ms = sum(pipe.kernel_ms for pipe in run.pipelines)
@@ -562,27 +553,107 @@ class CostEstimator:
             rows[-1] = max(trace.elements for trace in fact.kernels)
             blocks = sorted(block.nbytes or block.raw_nbytes for block in fact.transfers)
         run.peak_device_bytes = (
-            sum(
-                database.table(table).column(name).nbytes
-                for pipe in run.pipelines for table, name in pipe.first_reads
-            )
-            + table_budget
-            + 16 * max(rows, default=0)
-            + run.pcie_d2h_bytes
-            + sum(blocks[-2:])
+            held + 16 * max(rows, default=0) + run.pcie_d2h_bytes + sum(blocks[-2:])
         )
         entry[slot] = columns, (run, runtime.priced)
         return entry[slot][1]
 
+    def _runtime(self, database, priced, resident, columns) -> EstimateRuntime:
+        return EstimateRuntime(
+            self.cost_model, self.interconnect, database, self, self.compression,
+            priced=priced, resident=resident, resident_columns=columns,
+        )
+
+    def _fleet(self, query, database, engine, fleet, priced, resident, columns, record):
+        """``query`` on a fleet of ``(devices, partitioning)``: each
+        device turn the executor runs (:func:`estimate_turn`: the same
+        pieces, assigned alike) on an estimate runtime of its own over
+        the partitioned catalog, the builds replaying ``priced``.  Link
+        bytes and transfers are the turns' sums, the time and the peak
+        the busiest / largest turn's, plus the host merge.  A pooled
+        fleet holds every piece of a fact column ``columns`` holds."""
+        devices, partitioning = fleet
+        fact = query.final_pipeline.source
+        partitions = fleet_partitions(database, fact, devices, partitioning)
+        pieces = partitions.pieces
+        if columns is not None:
+            columns = columns | {
+                (piece.table_name, name)
+                for table, name in columns if table == fact for piece in pieces
+            }
+        rewritten, _ = rewrite_for_partials(query.final_pipeline)
+        first = len(query.pipelines) - 1
+        run = CostEstimate(strategy=None)
+        run.record, turns = Profile(), []
+        for load in assign_pieces([piece.nbytes for piece in pieces], devices):
+            if not any(pieces[index].rows for index in load.pieces):
+                continue  # a device given no rows takes no turn
+            runtime = self._runtime(partitions.database, priced, resident, columns)
+            estimate_turn(engine, query, rewritten, [pieces[i] for i in load.pieces], runtime)
+            log = runtime.device.log
+            run.record.merge(log)
+            turns.append(log)
+            pipes, held = self._pipelines(runtime)
+            # The builds once; each morsel at its executed record index.
+            run.pipelines += [
+                pipe for pipe in pipes if len(turns) == 1 or pipe.record.index >= first
+            ]
+            run.peak_device_bytes = max(
+                run.peak_device_bytes,
+                held + 16 * max(pipe.rows_in for pipe in pipes) + log.moved_bytes("d2h"),
+            )
+        if record is not None:
+            record.lookups += run.record.lookups
+        run.pipelines.sort(key=lambda pipe: pipe.record.index)
+        run.global_bytes = run.record.bytes_at(MemoryLevel.GLOBAL)
+        run.onchip_bytes = run.record.bytes_at(MemoryLevel.ONCHIP)
+        run.pcie_h2d_bytes = run.record.moved_bytes("h2d")
+        run.pcie_d2h_bytes = run.record.moved_bytes("d2h")
+        run.transfers = len(run.record.transfers)
+        # No turn at all when no piece has a row: only the merge remains.
+        busiest = max(turns, key=lambda log: log.total_time_ms, default=run.record)
+        run.kernel_ms, run.transfer_ms = busiest.kernel_time_ms, busiest.transfer_time_ms
+        run.overhead_ms = merge_overhead_ms(partitions.parts)
+        return run, priced
+
+    @staticmethod
+    def _pipelines(runtime: EstimateRuntime) -> tuple[list[PipelineEstimate], int]:
+        """One estimate per row of ``runtime``'s record, and what their
+        data holds on the device: the raw base columns they were first
+        to read and the hash / aggregation tables they leave."""
+        pipes, held = [], 0
+        for row in runtime.device.log.pipelines:
+            pipeline, priced = row.pipeline, runtime.priced[row.pipeline.name]
+            pipe = PipelineEstimate(
+                name=pipeline.name,
+                source=pipeline.source,
+                rows_in=row.rows_in,
+                rows_out=priced.rows,
+                groups=priced.groups,
+                first_reads=runtime.first_reads.get(pipeline.name, frozenset()),
+                scan_notes=[] if row.resident else priced.notes,
+                resident=row.resident,
+            )
+            pipe.record = row
+            pipes.append(pipe)
+            held += sum(
+                runtime.database.table(table).column(name).nbytes
+                for table, name in pipe.first_reads
+            )
+            if isinstance(pipeline.sink, BuildSink):
+                held += pipe.rows_out * (16 + 8 * len(pipeline.sink.payload))
+            elif isinstance(pipeline.sink, AggregateSink):
+                width = 8 * (len(pipeline.sink.group_keys) + len(pipeline.sink.aggregates))
+                held += max(pipe.groups, 1) * (8 + width)
+        return pipes, held
+
     # ------------------------------------------------------------------
-    # macro / devices / transfers
+    # transfers
     # ------------------------------------------------------------------
-    def _transfer_ms(
-        self, h2d_bytes: int, d2h_bytes: int, loads: int, results: int = 1
-    ) -> float:
+    def _transfer_ms(self, h2d_bytes: int, d2h_bytes: int, loads: int) -> float:
         """Link time of ``loads`` h2d transfers moving ``h2d_bytes`` and
-        ``results`` packed d2h transfers moving ``d2h_bytes``.  Each
-        pays the link latency — but an empty result costs nothing
+        one packed d2h transfer moving ``d2h_bytes``.  Each pays the
+        link latency — but an empty result costs nothing
         (``Interconnect.transfer_time(0, ...)`` is 0)."""
         if self.interconnect is None:
             return 0.0
@@ -592,61 +663,5 @@ class CostEstimator:
         latencies = loads
         if d2h_bytes:
             seconds += d2h_bytes / (self.interconnect.d2h_bandwidth * 1e9)
-            latencies += results
+            latencies += 1
         return (seconds + latencies * self.interconnect.latency) * 1e3
-
-    def _apply_scaleout(self, estimate, query, database, strategy) -> None:
-        """The fleet on top of the run on one device: every device runs
-        the pipelines before the final one (broadcast build sides), and
-        the final pipeline's morsels ship every base column it reads,
-        whether an earlier pipeline loaded it or the pool holds it."""
-        devices = strategy.devices
-        pieces = devices * MORSELS_PER_DEVICE
-        fact = estimate.pipelines[-1]
-        columns = [database.table(t).column(c) for t, c in set(query.final_pipeline.base_columns())]
-        fact_raw = sum(column.nbytes for column in columns)
-        fact_wire = sum(self._wire_nbytes(column) for column in columns)
-        # What the final pipeline's load was first to read on one
-        # device (pool hits included), and the loads before it.
-        loaded = [database.table(t).column(c) for t, c in fact.first_reads]
-        dims_h2d = max(0, estimate.pcie_h2d_bytes - sum(map(self._wire_nbytes, loaded)))
-        broadcast = len(estimate.record.transfers) - len(fact.record.transfers)
-        per_morsel = len(fact.record.transfers)
-        dims_kernel_ms = estimate.kernel_ms - fact.kernel_ms
-        # Every device pays the broadcast build sides; the fact share
-        # and its gather parallelize across per-device links.  Link
-        # charges use wire bytes (the scatter ships compressed blocks);
-        # device peaks below stay raw.
-        per_device_h2d = dims_h2d + fact_wire / devices
-        gather_total = estimate.pcie_d2h_bytes * pieces
-        # A device of an engine that fuses siblings runs its morsels as
-        # one group (``Engine.run_fused``): one load of their fact
-        # columns (each piece is a table of its own), ``fact.kernels``
-        # launches and one packed gather (``QueryRuntime.ship_partials``)
-        # per device turn; any other engine pays these per piece.  The
-        # fused turn is priced whether or not the device's free memory
-        # holds the group's columns at run time (``QueryRuntime.fits``):
-        # a device that runs them one at a time pays more than this.
-        turns = devices if make_engine(strategy.engine).fuses_siblings else pieces
-        launch_ms = (
-            self.profile.kernel_launch_overhead * fact.kernels * (turns - 1) * 1e3
-        )
-        estimate.transfers = devices * broadcast + turns * (per_morsel + 1)
-        estimate.kernel_ms = (
-            dims_kernel_ms
-            + (fact.kernel_ms + launch_ms) / devices
-            + self._transfer_ms(
-                int(per_device_h2d), int(gather_total / devices),
-                broadcast + turns // devices * per_morsel, turns // devices,
-            )
-        )
-        estimate.transfer_ms = 0.0
-        estimate.overhead_ms = merge_overhead_ms(pieces)
-        estimate.pcie_h2d_bytes = int(dims_h2d * devices + fact_wire)
-        estimate.pcie_d2h_bytes = int(gather_total)
-        # Per-device peak: broadcast dims + this device's fact share.
-        estimate.peak_device_bytes = int(
-            estimate.peak_device_bytes
-            + (fact_raw - sum(column.nbytes for column in loaded))
-            - fact_raw * (1 - 1 / devices)
-        )

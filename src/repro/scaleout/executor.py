@@ -5,8 +5,11 @@ One query runs data-parallel over a :class:`~repro.scaleout.fleet.DeviceFleet`:
 1. **Partition** — the fact table (the final pipeline's base-table
    scan) is split into ``devices * MORSELS_PER_DEVICE`` pieces (range
    or hash, see :mod:`repro.scaleout.partition`); the partitioned
-   catalog is cached per parent database so repeat queries reuse it
-   (and per-device buffer pools stay warm).
+   catalog is cached per parent database
+   (:func:`~repro.scaleout.partition.fleet_partitions`) so repeat
+   queries reuse it (and per-device buffer pools stay warm), and the
+   cost estimator prices a fleet over the same pieces
+   (:func:`estimate_turn`).
 2. **Scatter** — pieces are assigned to devices by the deterministic
    LPT scheduler (:mod:`repro.scaleout.scheduler`).  Each
    participating device runs, on its own simulated clock: the
@@ -99,9 +102,8 @@ from ..storage.table import Table
 from .fleet import DeviceFleet
 from .merge import PartialScheme, merge_partials, rewrite_for_partials
 from .partition import (
-    MORSELS_PER_DEVICE,
     PartitionSet,
-    build_partitions,
+    fleet_partitions,
     validate_devices,
     validate_partitioning,
 )
@@ -208,7 +210,6 @@ class ScaleOutExecutor:
             residency=residency,
             compression=self.compression,
         )
-        self._partition_cache: dict[tuple, PartitionSet] = {}
         #: One query at a time per fleet (device profiler state is
         #: per-query); the serving layer gives each worker its own
         #: executor, same as it gives each worker its own device.
@@ -234,19 +235,6 @@ class ScaleOutExecutor:
             return self._execute_partitioned(engine, query, database, seed)
 
     # ------------------------------------------------------------------
-    def _partitions(self, database: Database, fact_table: str) -> PartitionSet:
-        parts = self.devices * MORSELS_PER_DEVICE
-        serial = database.fingerprint()[0]  # stable catalog identity
-        key = (serial, fact_table, self.partitioning, parts)
-        cached = self._partition_cache.get(key)
-        if cached is None:
-            cached = build_partitions(database, fact_table, parts, self.partitioning)
-            self._partition_cache[key] = cached
-        else:
-            cached.refresh(database)
-        return cached
-
-    # ------------------------------------------------------------------
     def _execute_partitioned(
         self, engine: Engine, query: PhysicalQuery, database: Database, seed: int
     ) -> ExecutionResult:
@@ -257,7 +245,9 @@ class ScaleOutExecutor:
         runs: list[_DeviceRun] = []
         notes = Profile()
         started = time.perf_counter()
-        partition_set = self._partitions(database, final.source)
+        partition_set = fleet_partitions(
+            database, final.source, self.devices, self.partitioning
+        )
         notes.phase(
             "partition", "scaleout", started,
             fact=final.source, scheme=self.partitioning, parts=partition_set.parts,
@@ -588,11 +578,7 @@ class ScaleOutExecutor:
         except _RECOVERABLE as error:
             errors.update((piece.index, error) for piece, _ in members)
         if partials:
-            runtime.ship_partials(
-                {f"gather.p{piece.index}": outputs for piece, outputs in partials}
-            )
-            # The group's head row covers the packed gather.
-            device.log.close(device.log.pipelines[-len(members)])
+            _gather(runtime, partials, len(members))
             for piece, outputs in partials:
                 run.partials[piece.index] = outputs
                 run.share.morsels += 1
@@ -744,6 +730,28 @@ def _record(runs: list[_DeviceRun], *logs: Profile | None) -> Profile:
     for log in [run.profile for run in runs] + [log for log in logs if log is not None]:
         record.merge(log)
     return record
+
+
+def estimate_turn(engine: Engine, query: PhysicalQuery, rewritten: Pipeline, pieces, runtime):
+    """:meth:`ScaleOutExecutor._run_device` when nothing fails, on the
+    cost estimator's ``runtime``: the build sides, then the morsels of
+    ``pieces`` grouped as attempt 1 groups them — fused whenever the
+    engine fuses (the fit check is not asked) — each group gathered."""
+    engine.run_pipelines(query.grouped()[:-1], runtime)
+    group = [(piece, _morsel(rewritten, piece)) for piece in pieces if piece.rows]
+    first = len(query.pipelines) - 1
+    for members in ScaleOutExecutor._first_groups(group, engine.fuses_siblings and len(group) > 1):
+        morsels = [morsel for _, morsel in members]
+        produced = engine.run_fused(morsels, runtime, [first + p.index for p, _ in members])
+        partials = [(piece, out) for (piece, _), out in zip(members, produced)]
+        _gather(runtime, partials, len(members))
+
+
+def _gather(runtime: QueryRuntime, partials: list[tuple], ran: int) -> None:
+    """Ship the ``(piece, outputs)`` partials of a group of ``ran``
+    morsels as one packed d2h, in the group's head row."""
+    runtime.ship_partials({f"gather.p{piece.index}": outputs for piece, outputs in partials})
+    runtime.device.log.close(runtime.device.log.pipelines[-ran])
 
 
 def _morsel(rewritten: Pipeline, piece) -> Pipeline:

@@ -21,6 +21,8 @@ Two schemes:
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +40,8 @@ PARTITION_SCHEMES = ("hash", "range")
 #: scheduling, recovery and merge, not of launch: a device runs the
 #: pieces it was given as one fused group (one load, one launch per
 #: phase, one gather), so a finer cut adds no fixed cost per turn.  The
-#: executor cuts by it and the optimizer's cost estimator prices by it.
+#: executor and the optimizer's cost estimator both take the pieces
+#: :func:`fleet_partitions` cuts by it.
 MORSELS_PER_DEVICE = 2
 
 #: Knuth's multiplicative constant (golden ratio, 64-bit).
@@ -183,3 +186,24 @@ def build_partitions(
     )
     partition_set.refresh(parent)
     return partition_set
+
+
+#: Parent catalog -> ``(fact table, devices, scheme)`` -> its pieces.
+_PARTITION_SETS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_PARTITION_LOCK = threading.Lock()
+
+
+def fleet_partitions(parent: Database, fact_table: str, devices: int, scheme: str) -> PartitionSet:
+    """The ``devices * MORSELS_PER_DEVICE`` pieces of ``fact_table`` a
+    fleet cuts, built once per parent catalog (refreshed when it
+    changed): every fleet over it and the cost estimator share them,
+    and the wire encodings cached on their columns."""
+    with _PARTITION_LOCK:
+        cached = _PARTITION_SETS.setdefault(parent, {})
+        key = (fact_table, devices, scheme)
+        if key in cached:
+            cached[key].refresh(parent)
+        else:
+            parts = devices * MORSELS_PER_DEVICE
+            cached[key] = build_partitions(parent, fact_table, parts, scheme)
+        return cached[key]

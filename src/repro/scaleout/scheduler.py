@@ -27,8 +27,6 @@ class DeviceLoad:
     pieces: list[int] = field(default_factory=list)
     #: Scheduling-time estimate (piece bytes).
     estimated_bytes: int = 0
-    #: Observed simulated busy time, recorded after execution.
-    busy_ms: float = 0.0
 
 
 def assign_pieces(

@@ -42,7 +42,7 @@ from ..kernels.codegen import kernel_cache_stats
 from ..placement import PlacementStats
 from ..plan.logical import LogicalPlan
 from ..storage.database import Database
-from ..telemetry.metrics import MetricsRegistry, count_query
+from ..telemetry.metrics import MetricsRegistry, count_query, live_devices_gauge
 from .plan_cache import PlanCache
 from .stats import ServerStats
 
@@ -177,6 +177,12 @@ class Server:
             metrics=self.metrics,
         )
         self._sessions = [first] + [first._sibling() for _ in range(workers - 1)]
+        # Every fault-armed worker exports its health gauge from the
+        # start: its fleet is whole until one of its queries says not.
+        for index, session in enumerate(self._sessions):
+            fleet = session.scaleout
+            if fleet is not None and fleet.fault_plan is not None:
+                live_devices_gauge(self.metrics, worker=str(index)).set(fleet.devices)
         self._queue: queue.Queue = queue.Queue(maxsize=queue_size)
         self._queue_capacity = queue_size
         self._closed = False

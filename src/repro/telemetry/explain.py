@@ -43,12 +43,11 @@ def render_explain_analyze(result) -> str:
     from ..analysis.report import format_table
 
     records = result.profile.pipelines
-    # An optimizer's pick shows its estimate beside the actual (a
-    # fleet's fact morsels, which it prices as one pipeline, show none).
+    # An optimizer's pick shows its estimate beside the actual: each
+    # priced pipeline (a fleet's: each morsel) at its record index.
     optimizer = getattr(result, "optimizer", None)
-    priced = optimizer.estimate.pipelines if optimizer else []
-    if getattr(result, "scaleout", None) is not None:
-        priced = priced[:-1]
+    pipes = optimizer.estimate.pipelines if optimizer else []
+    priced = {pipe.record.index: pipe for pipe in pipes}
     rows = []
     for position, record in enumerate(records):
         if record.fused_into is not None:
@@ -103,7 +102,7 @@ def _entry_cells(record) -> list:
 def _estimate_cells(priced, record, members=None) -> list:
     """``est rows`` / ``est KB`` / ``est ms`` / ``error`` of a pipeline's
     row (of a fused block: the rows of its ``members``)."""
-    pipe = priced[record.index] if record.index < len(priced) else None
+    pipe = priced.get(record.index)
     actual = record.kernel_time_ms
     return [""] * 4 if pipe is None else [
         sum(priced[member.index].result_rows for member in members or [record]),
@@ -120,7 +119,7 @@ def _fused_group(records, position):
     head = records[position].fused_into
 
     def same(before, after) -> bool:
-        return after.fused_into == head and after.index > before.index
+        return before.fused_into == after.fused_into == head and after.index > before.index
 
     if position and same(records[position - 1], records[position]):
         return None

@@ -36,6 +36,7 @@ __all__ = [
     "HistogramSnapshot",
     "MetricsRegistry",
     "count_query",
+    "live_devices_gauge",
     "observe_result",
     "parse_prometheus_text",
     "render_prometheus",
@@ -465,6 +466,16 @@ def _observe_compression(metrics: MetricsRegistry, stats) -> None:
         ).inc(count)
 
 
+def live_devices_gauge(metrics: MetricsRegistry, **labels) -> Gauge:
+    """The fleet health gauge: devices in service after the most recent
+    query (a fault-armed server worker's reads its fleet size until the
+    worker has run one)."""
+    return metrics.gauge(
+        "repro_faults_live_devices",
+        "Devices in service after the most recent query", **labels,
+    )
+
+
 def _observe_scaleout(metrics: MetricsRegistry, stats, labels: dict) -> None:
     from ..faults.recovery import RecoveryStats
 
@@ -494,10 +505,7 @@ def _observe_scaleout(metrics: MetricsRegistry, stats, labels: dict) -> None:
     # The unpartitioned fallback bypasses recovery: all zeros.
     recovery = stats.recovery or RecoveryStats()
     lost = len(recovery.degraded_devices)
-    metrics.gauge(
-        "repro_faults_live_devices",
-        "Devices in service after the most recent query", **labels,
-    ).set(stats.devices - lost)
+    live_devices_gauge(metrics, **labels).set(stats.devices - lost)
     for kind, count in recovery.injected.items():
         metrics.counter(
             "repro_faults_injected_total",

@@ -25,9 +25,12 @@ from repro.hardware import GTX970, PCIE3, VirtualCoprocessor
 from repro.hardware.traffic import MemoryLevel
 from repro.macro.batch import execute_out_of_core, streaming_mode
 from repro.optimizer.auto import AutoExecutor
-from repro.optimizer.cost import MICRO_ENGINES, CostEstimator, StrategyChoice
+from repro.optimizer.cost import (
+    MICRO_ENGINES, CostEstimator, StrategyChoice, merge_overhead_ms,
+)
 from repro.placement.executor import base_columns
 from repro.primitives.hashtable import JoinHashTable, TableEstimate
+from repro.scaleout.partition import fleet_partitions
 from repro.workloads import SSB_QUERIES, microbench
 from repro.workloads.tpch.queries import tpch_plan
 
@@ -44,9 +47,10 @@ class Observed:
     """Cardinalities measured on the data: each predicate's share of the
     rows still alive in its pipeline (conjuncts narrow in the order the
     kernels apply them), and — from an execution's query record — the
-    rows every aggregation produced."""
+    rows every aggregation produced; a fleet's morsels' from ``fleet``,
+    an executed fleet's result."""
 
-    def __init__(self, query, database):
+    def __init__(self, query, database, fleet=None):
         self._alive: dict[str, np.ndarray] = {}
         device = VirtualCoprocessor(GTX970, interconnect=PCIE3)
         result = make_engine("resolution").execute(query, database, device)
@@ -54,6 +58,12 @@ class Observed:
             record.pipeline.name: record.rows_out
             for record in result.profile.pipelines[:-1]
         }
+        if fleet is not None:
+            self._produced.update(
+                (record.pipeline.name, record.rows_out)
+                for record in fleet.profile.pipelines
+                if record.pipeline is not None and record.pipeline.is_final
+            )
 
     def selectivity(self, database, pipeline, predicate) -> float:
         table = database.table(pipeline.source)
@@ -368,7 +378,7 @@ def _fleet_residency(session, query, database):
     morsel's piece of it is in a pool (morsels land where they did)."""
     fleet = session.scaleout
     fact = query.final_pipeline.source
-    partitions = fleet._partitions(database, fact)
+    partitions = fleet_partitions(database, fact, fleet.devices, fleet.partitioning)
     pieces, pools = partitions.database, fleet.fleet.pools
     serial = pieces.fingerprint()[0]
     tables = frozenset.intersection(
@@ -455,6 +465,7 @@ def test_estimated_transfer_count_is_the_executed_one(database, devices, monkeyp
                 compression=policy,
             )
             for rounds, (name, sql) in itertools.product(range(2), sorted(SSB_QUERIES.items())):
+                key = (policy, rounds, name)
                 query = session.physical(sql)
                 columns, tables = _fleet_residency(session, query, database)
                 estimate = estimator.estimate(
@@ -462,7 +473,8 @@ def test_estimated_transfer_count_is_the_executed_one(database, devices, monkeyp
                     resident_columns=columns, resident_tables=tables,
                 )
                 executed = session.execute(sql)
-                assert estimate.transfers == len(executed.profile.transfers), (policy, name)
+                assert estimate.transfers == len(executed.profile.transfers), key
+                assert estimate.pcie_h2d_bytes == executed.input_bytes, key
         return
     # One device, every ordered pair of SSB queries: the second meets a
     # pool the first warmed — count and link time are the executed ones.
@@ -557,10 +569,78 @@ def test_a_fleet_ships_every_column_of_the_final_pipeline(tpch_db, name, devices
     """Every morsel ships its piece of every base column the final
     pipeline reads, also those an earlier pipeline loaded (TPC-H q18
     and q21 read 2 and 4 lineitem columns before it): a cold fleet's
-    estimated link bytes are the executed ones."""
+    estimated link bytes and transfers are the executed ones."""
     session = connect(tpch_db, engine="resolution", devices=devices, compression="off")
     plan = tpch_plan(name, tpch_db)
     query = session.physical(plan)
     strategy = StrategyChoice("resolution", "run-to-finish", devices, "range", "transient")
     estimate = CostEstimator(GTX970, PCIE3).estimate(query, tpch_db, strategy)
-    assert estimate.pcie_h2d_bytes == session.execute(plan).input_bytes
+    executed = session.execute(plan)
+    assert estimate.pcie_h2d_bytes == executed.input_bytes
+    assert estimate.transfers == len(executed.profile.transfers)
+
+
+#: Where a fleet's rows are left to the uniform-keys expectation.  SSB
+#: q2.2's brand range keeps 3 of 800 parts, so a piece's sink sees a
+#: handful of rows, and the expected probe hits price about 5 a piece:
+#: a partial of 7 groups is priced at 5 rows (the gathered d2h bytes),
+#: and on 4 devices a piece that no row reaches is priced as reached
+#: (multi-pass sorts it in one radix pass, not four, so the executed
+#: group launches unfused: -12 % time).
+PROBE_LUCK = {"q2.2"}
+
+#: The fleets priced: every micro engine under range partitioning, and
+#: ``resolution`` under hash partitioning too.
+FLEETS = [(alias, "range") for alias in MICRO_ENGINES] + [("resolution", "hash")]
+
+
+@pytest.mark.parametrize("alias,partitioning", FLEETS)
+@pytest.mark.parametrize("name", sorted(SSB_QUERIES))
+def test_a_fleet_estimate_is_the_executed_fleet(database, name, alias, partitioning, request):
+    """A fleet candidate is priced by running its device turns: the same
+    pieces, assigned alike, each turn's builds and fused morsels on an
+    estimate runtime of its own.  With observed cardinalities (a
+    morsel's groups read off the executed fleet) a cold fleet's
+    transfers, launches and h2d bytes are the executed ones — its d2h
+    bytes too when nothing is encoded — and its time is within 1 % of
+    the makespan plus the modeled merge, what ``AutoExecutor``
+    observes."""
+    if name in PROBE_LUCK:
+        request.applymarker(pytest.mark.xfail(strict=True, reason="expected probe hits"))
+    sql = SSB_QUERIES[name]
+    for devices, policy in itertools.product((2, 4), POLICIES):
+        key = (devices, policy)
+        session = connect(
+            database, engine=alias, devices=devices, partitioning=partitioning,
+            compression=policy,
+        )
+        query = session.physical(sql)
+        executed = session.execute(sql)
+        observed = Observed(query, database, fleet=executed)
+        estimator = CostEstimator(GTX970, PCIE3, compression=resolve_compression(policy))
+        estimator.selectivity, estimator.groups = observed.selectivity, observed.groups
+        strategy = StrategyChoice(alias, "run-to-finish", devices, partitioning, "transient")
+        estimate = estimator.estimate(query, database, strategy)
+        assert estimate.transfers == len(executed.profile.transfers), key
+        assert len(estimate.record.kernels) == len(executed.profile.kernels), key
+        assert estimate.pcie_h2d_bytes == executed.input_bytes, key
+        if policy == "off":
+            assert estimate.pcie_d2h_bytes == executed.scaleout.gather_bytes, key
+        fleet = executed.scaleout
+        assert estimate.total_ms == pytest.approx(
+            fleet.makespan_ms + merge_overhead_ms(fleet.partitions), rel=0.01
+        ), key
+
+
+def test_a_fleet_over_an_empty_fact_table_is_priced_as_it_runs():
+    """No piece has a row, so no device takes a turn: the estimate is
+    the modeled merge alone, what ``AutoExecutor`` observes."""
+    database = generate_ssb(0.001, seed=3)
+    database.replace("lineorder", database.table("lineorder").slice(0, 0))
+    sql = "select sum(lo_revenue) as r from lineorder"
+    session = connect(database, engine="resolution", devices=2)
+    strategy = StrategyChoice("resolution", "run-to-finish", 2, "range", "transient")
+    estimate = CostEstimator(GTX970, PCIE3).estimate(session.physical(sql), database, strategy)
+    fleet = session.execute(sql).scaleout
+    assert fleet.makespan_ms == 0.0 and estimate.transfers == 0
+    assert estimate.total_ms == merge_overhead_ms(fleet.partitions)

@@ -280,6 +280,24 @@ def test_straggler_past_timeout_is_retried(ssb_db):
 # ----------------------------------------------------------------------
 # serving & session wiring
 # ----------------------------------------------------------------------
+def test_an_armed_worker_exports_its_health_gauge_before_any_query(ssb_db):
+    """A worker's gauge does not wait for the worker to run a query: a
+    2-worker fault-armed server scraped before any query exports both,
+    at the fleet size."""
+    fault_plan = FaultPlan(
+        specs=(FaultSpec(kind="device-loss", device=0, morsel=0),)
+    ).to_dict()
+    server = Server(
+        ssb_db, engine=ENGINE, workers=2, devices=2, fault_plan=fault_plan
+    )
+    try:
+        text = server.metrics_text()
+        for worker in ("0", "1"):
+            assert f'repro_faults_live_devices{{worker="{worker}"}} 2' in text
+    finally:
+        server.close()
+
+
 def test_server_exports_per_worker_health_gauge(ssb_db):
     fault_plan = FaultPlan(
         specs=(FaultSpec(kind="device-loss", device=0, morsel=0),)

@@ -476,3 +476,21 @@ def test_fused_group_entries_lie_in_its_first_row(ssb_db, engine):
         assert line.startswith(f"  [{offset - 1}]") and row.shape in line
         assert line.split()[-2:] == [str(row.rows_in), str(row.rows_out)]
     assert "WARNING" not in "\n".join(lines)
+
+
+def test_explain_shows_each_device_turn_and_its_morsels_estimates(ssb_db):
+    """A fleet's record is each device turn's rows: the fused builds,
+    then the fused morsels — one block each, every morsel listed — and
+    under ``engine="auto"`` each block carries the estimate the
+    optimizer priced at its record index."""
+    session = repro.connect(ssb_db, engine="auto", devices=2)
+    result = session.execute(SSB_QUERIES["q2.1"])
+    assert result.optimizer.chosen.devices == 2
+    lines = render_explain_analyze(result).splitlines()
+    blocks = [line.split() for line in lines if " fused " in line]
+    assert [block[3] for block in blocks] == ["builds", "morsels"] * 2
+    # Rows in .. host ms, then est rows, est KB, est ms and error.
+    assert all(len(block) == 16 for block in blocks), blocks
+    # Each of the 2 x 2 morsels is listed under its device's block.
+    assert sum("__scaleout__lineorder__p" in line for line in lines) == 4
+    assert "WARNING" not in "\n".join(lines)

@@ -49,8 +49,8 @@ from .api import ENGINE_FACTORIES, Session
 from .errors import ConfigurationError, ReproError
 from .engines import CompoundEngine, MultiPassEngine, OperatorAtATimeEngine
 from .hardware import list_profiles
-from .storage import load_database, save_database
-from .workloads import SSB_QUERIES, TPCH_PLANS, generate_ssb, generate_tpch, ssb_plan, tpch_plan
+from .storage import save_database
+from .workloads import SSB_QUERIES, TPCH_PLANS, database_from_recipe, ssb_plan, tpch_plan
 
 
 def _engine_choices() -> list:
@@ -342,7 +342,9 @@ def _recorder(args, database_recipe: dict):
 
 
 def _database_recipe(args) -> dict:
-    """Replay recipe matching :func:`_database` for bundle manifests."""
+    """The database the flags name, as a recipe
+    (:func:`~repro.workloads.database_from_recipe`): what the commands
+    build, and what flight-recorder bundles record for replay."""
     if getattr(args, "data_dir", None):
         return {"data_dir": args.data_dir}
     if getattr(args, "workload", "ssb") == "tpch":
@@ -385,14 +387,6 @@ def _fault_kwargs(args) -> dict:
     return kwargs
 
 
-def _database(args):
-    if getattr(args, "data_dir", None):
-        return load_database(args.data_dir)
-    if args.workload == "tpch":
-        return generate_tpch(args.scale_factor)
-    return generate_ssb(args.scale_factor)
-
-
 def _cmd_devices(_args) -> int:
     rows = [
         [
@@ -431,8 +425,9 @@ def _session(args, database, **overrides) -> Session:
 
 
 def _cmd_query(args) -> int:
-    recorder = _recorder(args, _database_recipe(args))
-    session = _session(args, _database(args), recorder=recorder)
+    recipe = _database_recipe(args)
+    recorder = _recorder(args, recipe)
+    session = _session(args, database_from_recipe(recipe), recorder=recorder)
     try:
         if args.trace_out:
             from .telemetry import tracing
@@ -478,13 +473,13 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_explain(args) -> int:
-    session = _session(args, _database(args))
+    session = _session(args, database_from_recipe(_database_recipe(args)))
     print(session.explain(args.sql, analyze=args.analyze))
     return 0
 
 
 def _cmd_bench(args) -> int:
-    database = _database(args)
+    database = database_from_recipe(_database_recipe(args))
     if args.workload == "tpch":
         plan = tpch_plan(args.query, database)
     else:
@@ -522,12 +517,12 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    if args.workload == "tpch":
-        if args.skew:
+    recipe = {"workload": args.workload, "scale_factor": args.scale_factor, "seed": args.seed}
+    if args.skew:
+        if args.workload == "tpch":
             raise SystemExit("--skew is only supported for the SSB workload")
-        database = generate_tpch(args.scale_factor, seed=args.seed)
-    else:
-        database = generate_ssb(args.scale_factor, seed=args.seed, skew=args.skew)
+        recipe["skew"] = args.skew
+    database = database_from_recipe(recipe)
     catalog = save_database(database, args.out)
     total_rows = sum(database[name].num_rows for name in database.table_names)
     print(
@@ -561,10 +556,11 @@ def _cmd_experiment(args) -> int:
 def _cmd_metrics(args) -> int:
     from .serving import Server
 
-    database = generate_ssb(args.scale_factor)
+    recipe = _database_recipe(args)
+    database = database_from_recipe(recipe)
     names = sorted(SSB_QUERIES)
     workload = [SSB_QUERIES[name] for name in names]
-    recorder = _recorder(args, _database_recipe(args))
+    recorder = _recorder(args, recipe)
     try:
         with Server(
             database,

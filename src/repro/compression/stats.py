@@ -80,35 +80,6 @@ class CompressionStats:
             self.decode_ms_by_codec.get(codec, 0.0) + float(sim_ms)
         )
 
-    def merge(self, other: "CompressionStats") -> None:
-        """Add ``other``'s facts (not its record's)."""
-        self.columns += other.columns
-        self.encoded_columns += other.encoded_columns
-        self.compressed_scans += other.compressed_scans
-        self.scan_blocks += other.scan_blocks
-        self.scan_blocks_skipped += other.scan_blocks_skipped
-        self.deferred_columns += other.deferred_columns
-        self.partial_decode_bytes += other.partial_decode_bytes
-        self.host_decode_bytes += other.host_decode_bytes
-        self.scans.extend(other.scans)
-        for name, count in other.codecs.items():
-            self.codecs[name] = self.codecs.get(name, 0) + count
-        for name, ms in other.decode_ms_by_codec.items():
-            self.decode_ms_by_codec[name] = (
-                self.decode_ms_by_codec.get(name, 0.0) + ms
-            )
-
-    @classmethod
-    def aggregate(cls, items) -> "CompressionStats | None":
-        merged = None
-        for item in items:
-            if item is None:
-                continue
-            if merged is None:
-                merged = cls()
-            merged.merge(item)
-        return merged
-
     def summary(self) -> str:
         codecs = ", ".join(
             f"{name}x{count}" for name, count in sorted(self.codecs.items())

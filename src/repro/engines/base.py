@@ -157,9 +157,15 @@ def package_result(
     device: VirtualCoprocessor, profile: Profile, output_bytes: int, **fields
 ) -> ExecutionResult:
     """An :class:`ExecutionResult` over its query record ``profile``,
-    its two baselines derived from its PCIe volumes on ``device``."""
+    its two baselines derived from its PCIe volumes on ``device``; on a
+    device with a buffer pool its ``placement`` reads the record."""
     input_bytes = profile.moved_bytes("h2d")
     fields.setdefault("device_name", device.profile.name)
+    if device.placement_pool is not None:
+        from ..placement.stats import QueryPlacement
+
+        fields["placement"] = placement = QueryPlacement()
+        placement.log = profile
     return ExecutionResult(
         profile=profile,
         output_bytes=output_bytes,
@@ -254,7 +260,6 @@ class Engine:
                 table=table,
                 engine=self.name,
                 kernel_sources=dict(runtime.kernel_sources),
-                placement=runtime.query_placement(),
                 compression=runtime.compression_stats(),
             )
         except BaseException as error:
@@ -307,9 +312,8 @@ class Engine:
         for index, pipeline in enumerate(group, first_index):
             record = log.open(index, pipeline, runtime.source_rows(pipeline))
             try:
-                produced = self._run_pipeline(pipeline, runtime)
+                produced = self._run_pipeline(pipeline, runtime, record)
                 record.rows_out = runtime.produced_rows(pipeline, produced)
-                record.resident = pipeline.output_name in runtime.resident_tables
             finally:
                 log.close(record)
             if not pipeline.is_final and pipeline.output_schema is not None:
@@ -360,9 +364,7 @@ class Engine:
                     )
                     if key is not None and key in {built for _, _, built in ran}:
                         twins.append((record, pipeline, key))
-                    elif key is not None and runtime.resident_build(pipeline, key):
-                        record.resident = True
-                    else:
+                    elif key is None or not runtime.resident_build(pipeline, key, record):
                         ran.append((position, pipeline, key))
                         if head is None:
                             head = record
@@ -376,8 +378,7 @@ class Engine:
                 for (position, _, _), outputs in zip(ran, self._launch_fused(ran, runtime)):
                     produced[position] = outputs
             for record, pipeline, key in twins:
-                record.resident = runtime.resident_build(pipeline, key)
-                if not record.resident:
+                if not runtime.resident_build(pipeline, key, record):
                     self._execute_kept(pipeline, runtime, key)
         finally:
             if head is not None:
@@ -419,13 +420,14 @@ class Engine:
         return produced
 
     def _run_pipeline(
-        self, pipeline: Pipeline, runtime: QueryRuntime
+        self, pipeline: Pipeline, runtime: QueryRuntime, record
     ) -> dict[str, np.ndarray] | None:
         """Run ``pipeline`` — or, for a build whose hash table is
         resident in the pool, nothing: the table is registered under
-        this query's id and the pipeline does not run."""
+        this query's id and the pipeline does not run.  ``record`` is
+        its row of the query record."""
         key = runtime.table_key(pipeline) if isinstance(pipeline.sink, BuildSink) else None
-        if key is not None and runtime.resident_build(pipeline, key):
+        if key is not None and runtime.resident_build(pipeline, key, record):
             return None
         return self._execute_kept(pipeline, runtime, key)
 

@@ -194,10 +194,10 @@ class EstimateRuntime(QueryRuntime):
         finally:
             self.compression = policy
 
-    def resident_build(self, pipeline: Pipeline, key: tuple) -> bool:
+    def resident_build(self, pipeline: Pipeline, key: tuple, record) -> bool:
         if pipeline.name in self.resident:
             self.pool.tables[key] = self.priced[pipeline.name].table
-        return super().resident_build(pipeline, key)
+        return super().resident_build(pipeline, key, record)
 
     def keep_build(self, pipeline: Pipeline, key: tuple, restore_ms: float) -> None:
         self.pool.tables[key] = self.hash_tables[pipeline.sink.table_id]

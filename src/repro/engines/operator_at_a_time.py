@@ -278,7 +278,11 @@ class _Counts(_Rows):
     _ROW = np.zeros(1, dtype=np.intp)
 
     def columns(self, scope):
-        return {name: values[:1] for name, values in scope.items()}
+        # An empty table's column still has its one row to charge.
+        return {
+            name: values[:1] if len(values) else np.zeros(1, values.dtype)
+            for name, values in scope.items()
+        }
 
     def column(self, values, count):
         return np.asarray(values)

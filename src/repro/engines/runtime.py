@@ -110,16 +110,6 @@ class QueryRuntime:
         self._pinned: list = []
         #: Result bytes moved device->host.
         self.output_bytes = 0
-        #: Base-column loads served from device-resident buffers.
-        self.placement_hits = 0
-        self.placement_misses = 0
-        #: PCIe bytes the placement hits avoided.
-        self.placement_hit_bytes = 0
-        #: Ids of the hash tables served from the pool (their build
-        #: pipelines did not run) / built and handed to it.
-        self.resident_tables: set[str] = set()
-        self.table_hits = 0
-        self.table_misses = 0
         #: table id -> build signature (None: not poolable) of every
         #: build pipeline seen so far, for the builds that probe them.
         self._signatures: dict[str, str | None] = {}
@@ -230,16 +220,12 @@ class QueryRuntime:
                 )
                 resident = entry.buffer.array
                 self._pinned.append(entry)
-                self.device.log.phase(
-                    f"placement {label}", "placement", hit=hit, nbytes=column.nbytes
-                )
                 # entry.nbytes is the resident footprint: the wire size
                 # when the pool stores the column compressed.
-                if hit:
-                    self.placement_hits += 1
-                    self.placement_hit_bytes += entry.nbytes
-                else:
-                    self.placement_misses += 1
+                self.device.log.phase(
+                    f"placement {label}", "placement", hit=hit,
+                    nbytes=column.nbytes, footprint=entry.nbytes,
+                )
             else:
                 hit = False
                 self.device.allocate(resident, label=label)
@@ -409,20 +395,6 @@ class QueryRuntime:
             stats.scans.append(note)
 
     # ------------------------------------------------------------------
-    def query_placement(self):
-        """This query's residency outcome (None when no pool is set)."""
-        if self.pool is None:
-            return None
-        from ..placement.stats import QueryPlacement
-
-        return QueryPlacement(
-            hits=self.placement_hits,
-            misses=self.placement_misses,
-            hit_bytes=self.placement_hit_bytes,
-            table_hits=self.table_hits,
-            table_misses=self.table_misses,
-        )
-
     def close(self) -> None:
         """End-of-query cleanup: unpin pool entries and reclaim every
         transient device allocation (scratch, and the hash tables no
@@ -445,19 +417,18 @@ class QueryRuntime:
             return None
         return self.pool.table_key(pipeline, self._signatures, self.database)
 
-    def resident_build(self, pipeline: Pipeline, key: tuple) -> bool:
+    def resident_build(self, pipeline: Pipeline, key: tuple, record) -> bool:
         """Serve build ``pipeline`` from the pool: on a hit the resident
         table is registered under this query's table id and pinned until
         :meth:`close` — the pipeline need not run, and nothing of it
-        does (no launch, no source column load, no kernel lookup)."""
+        does (no launch, no source column load, no kernel lookup).  The
+        pipeline's row of the query record, ``record``, notes which."""
         resident = self.pool.acquire_table(key, self.database.fingerprint())
+        record.resident, record.table_miss = resident is not None, resident is None
         if resident is None:
-            self.table_misses += 1
             return False
-        self.table_hits += 1
         self._pinned.append(resident)
         table_id = pipeline.sink.table_id
-        self.resident_tables.add(table_id)
         self.register_hash_table(table_id, resident.table)
         self.device.log.phase(
             f"placement {table_id}", "placement", hit=True, nbytes=resident.nbytes

@@ -6,6 +6,7 @@ can embed a :class:`RecoveryStats` in every result object.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from ..errors import ConfigurationError
@@ -71,6 +72,11 @@ class RetryPolicy:
         return min(self.backoff_cap_ms, self.backoff_base_ms * 2.0 ** (attempt - 1))
 
 
+def _tallied(key: str, doc: str) -> property:
+    """A :class:`RecoveryStats` number read through its one walk."""
+    return property(lambda self: self.tally()[key], doc=doc)
+
+
 @dataclass
 class RecoveryStats:
     """Per-query fault and recovery accounting.
@@ -93,57 +99,53 @@ class RecoveryStats:
     #: carry the executor's own facts only.
     log = Profile()
 
-    def _notes(self, kind: str) -> list[dict]:
-        return [attrs for _, noted, attrs in self.log.events if noted == kind]
-
-    @property
-    def retries(self) -> int:
-        """Same-device morsel retries (injected *and* genuine failures)."""
-        return len(self._notes("morsel.retry"))
-
-    @property
-    def backoff_ms(self) -> float:
-        """Exponential-backoff delay charged across all retries."""
-        return sum((note["backoff_ms"] for note in self._notes("morsel.retry")), 0.0)
-
-    @property
-    def redistributed_morsels(self) -> int:
-        """Morsels re-scheduled onto surviving devices."""
-        return sum(note["morsels"] for note in self._notes("morsel.redistributed"))
-
-    @property
-    def degraded_devices(self) -> list[int]:
-        """Devices lost during the query (sorted)."""
-        return sorted(note["device"] for note in self._notes("device.lost"))
-
-    @property
-    def host_fallback(self) -> bool:
-        """No device survived: the whole query ran on the host fallback."""
-        return bool(self._notes("fallback.host"))
-
-    @property
-    def faulted(self) -> bool:
-        """Did this query see any fault or recovery action at all?"""
-        return bool(
-            self.injected
-            or self.retries
-            or self.redistributed_morsels
-            or self.degraded_devices
-            or self.timeouts
-            or self.host_fallback
+    def tally(self) -> dict:
+        """Every recovery number, in one walk over the record's notes:
+        the executor's facts and what the notes say (``morsel.retry``,
+        ``morsel.redistributed``, ``device.lost``, ``fallback.host``)."""
+        notes = defaultdict(list)
+        for _, kind, attrs in self.log.events:
+            notes[kind].append(attrs)
+        retries = notes["morsel.retry"]
+        tally = {
+            "injected": dict(self.injected),
+            "retries": len(retries),
+            "backoff_ms": sum((note["backoff_ms"] for note in retries), 0.0),
+            "redistributed_morsels": sum(
+                note["morsels"] for note in notes["morsel.redistributed"]
+            ),
+            "degraded_devices": sorted(note["device"] for note in notes["device.lost"]),
+            "waves": self.waves,
+            "timeouts": self.timeouts,
+            "host_fallback": bool(notes["fallback.host"]),
+        }
+        # Any fault or recovery action at all (one wave is none).
+        tally["faulted"] = any(
+            value for key, value in tally.items() if key not in ("waves", "backoff_ms")
         )
+        return tally
+
+    retries = _tallied("retries", "Same-device morsel retries (injected or genuine).")
+    backoff_ms = _tallied("backoff_ms", "Backoff charged across all retries.")
+    redistributed_morsels = _tallied(
+        "redistributed_morsels", "Morsels re-scheduled onto surviving devices."
+    )
+    degraded_devices = _tallied("degraded_devices", "Devices lost (sorted).")
+    host_fallback = _tallied("host_fallback", "The whole query ran on the host fallback.")
+    faulted = _tallied("faulted", "Any fault or recovery action at all.")
 
     def summary(self) -> str:
-        if not self.faulted:
+        tally = self.tally()
+        if not tally["faulted"]:
             return "no faults"
         kinds = ", ".join(
             f"{count}x {kind}" for kind, count in sorted(self.injected.items())
         ) or "none injected"
-        tail = " -> host fallback" if self.host_fallback else ""
+        tail = " -> host fallback" if tally["host_fallback"] else ""
         return (
-            f"faults {kinds}; {self.retries} retries "
-            f"(backoff {self.backoff_ms:.1f} ms), "
-            f"{self.redistributed_morsels} morsels redistributed over "
+            f"faults {kinds}; {tally['retries']} retries "
+            f"(backoff {tally['backoff_ms']:.1f} ms), "
+            f"{tally['redistributed_morsels']} morsels redistributed over "
             f"{self.waves} waves, lost devices "
-            f"{self.degraded_devices or '[]'}{tail}"
+            f"{tally['degraded_devices'] or '[]'}{tail}"
         )

@@ -12,7 +12,8 @@ one kernel launch for the profiler.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from copy import copy
+from dataclasses import dataclass, field, fields
 from time import perf_counter
 from typing import NamedTuple
 
@@ -324,6 +325,8 @@ class PipelineRecord(LogSlice):
     rows_out: int = 0
     #: A build the buffer pool served: nothing ran.
     resident: bool = False
+    #: A build the buffer pool was asked for and did not hold: it ran.
+    table_miss: bool = False
     #: For a member of a group of siblings that ran fused
     #: (``Engine.run_fused``: builds of one wave, or a fleet device's
     #: morsels): the index of the group's first member that ran, whose
@@ -370,6 +373,9 @@ class Profile(LogSlice):
     phases: list[tuple] = field(default_factory=list)
     #: Every kernel the query looked up (:meth:`lookup`).
     lookups: list[KernelLookup] = field(default_factory=list)
+    #: The pipeline rows of the records :meth:`carry` put before this
+    #: one: what a failed attempt ran, which this log does not hold.
+    carried: list[PipelineRecord] = field(default_factory=list)
 
     def append(self, entry: KernelTrace | TransferRecord) -> None:
         """Append a launch or a transfer, stamped with its issue order
@@ -407,6 +413,7 @@ class Profile(LogSlice):
             self.events[:0] = earlier.events
             self.phases[:0] = earlier.phases
             self.lookups[:0] = earlier.lookups
+            self.carried[:0] = earlier.carried + earlier.pipelines
 
     def open(self, index: int | None, pipeline, rows_in: int) -> PipelineRecord:
         """Begin the record of pipeline ``index`` (``finalize``: both
@@ -445,3 +452,22 @@ class Profile(LogSlice):
         self.events = sorted(self.events + other.events, key=lambda event: event[0])
         self.phases.extend(other.phases)
         self.lookups.extend(other.lookups)
+
+
+def sum_stats(items):
+    """The field-wise sum of the stats dataclasses ``items`` — numbers
+    add, dicts add key by key, lists concatenate — or ``None`` when no
+    item is left once ``None``s are skipped: how a fleet's device turns
+    add up, and a server's pools."""
+    items = [item for item in items if item is not None]
+    if not items:
+        return None
+    total = {f.name: copy(getattr(items[0], f.name)) for f in fields(items[0])}
+    for item in items[1:]:
+        for name, value in total.items():
+            if isinstance(value, dict):
+                for key, count in getattr(item, name).items():
+                    value[key] = value.get(key, 0) + count
+            else:
+                total[name] = value + getattr(item, name)
+    return type(items[0])(**total)

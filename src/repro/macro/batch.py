@@ -256,6 +256,9 @@ def execute_out_of_core(
     )
     result = batch.execution
     if result.placement is None:
+        # No pool here, but a fleet's host fallback carries the pooled
+        # devices' loads into this record.
         result.placement = QueryPlacement()
+        result.placement.log = result.profile
     result.placement.out_of_core = True
     return result

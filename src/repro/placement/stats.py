@@ -1,50 +1,68 @@
-"""Placement metrics: per-query and per-pool residency counters.
+"""Placement metrics: per-query residency outcome and per-pool counters.
 
-This module is import-free (dataclasses only) so that the engine layer
-can reference :class:`QueryPlacement` without creating an import cycle
-with the rest of the placement package.
+This module imports dataclasses and the query record only, so that the
+engine layer can reference :class:`QueryPlacement` without creating an
+import cycle with the rest of the placement package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..hardware.traffic import Profile, sum_stats
+
 
 @dataclass
 class QueryPlacement:
-    """Residency outcome of one query, on ``ExecutionResult.placement``."""
+    """Residency outcome of one query, on ``ExecutionResult.placement``,
+    read off its query record ``log`` and what it carries (an attempt
+    that ran out of memory, a fleet's turns before its host fallback):
+    ``hits`` / ``misses`` are the base column loads its ``placement``
+    phases log (those with a ``footprint``; streamed out-of-core blocks
+    are h2d the pool never sees), ``hit_bytes`` the hits' resident
+    footprint (a column the pool stores compressed: its wire size),
+    ``table_hits`` / ``table_misses`` the builds whose hash table the
+    pool served (they did not run) / had to build.  ``hits`` /
+    ``misses`` keep meaning column loads, so a warm star join shows few
+    of either."""
 
-    #: Base-column loads served from device-resident buffers (no PCIe).
-    hits: int = 0
-    #: Base-column loads the pool transferred host->device (streamed
-    #: out-of-core blocks are h2d the pool never sees: not counted).
-    misses: int = 0
-    #: Bytes the resident hits would otherwise have moved over PCIe.
-    hit_bytes: int = 0
     #: True when the query ran through the streaming out-of-core path.
     out_of_core: bool = False
-    #: Build pipelines whose hash table was served from the pool (the
-    #: pipeline did not run: no launch, no column load) / was built —
-    #: and kept — by this query.  ``hits`` / ``misses`` above keep
-    #: meaning column loads, so a warm star join shows few of either.
-    table_hits: int = 0
-    table_misses: int = 0
+
+    #: The query record.  Not a field: ``asdict`` / ``==`` / ``repr``
+    #: carry the tier's own fact only.
+    log = Profile()
+
+    def _loads(self, hit: bool) -> list[dict]:
+        return [
+            attrs for *_, category, attrs in self.log.phases
+            if category == "placement" and "footprint" in attrs and attrs["hit"] == hit
+        ]
+
+    @property
+    def hits(self) -> int:
+        return len(self._loads(True))
+
+    @property
+    def misses(self) -> int:
+        return len(self._loads(False))
+
+    @property
+    def hit_bytes(self) -> int:
+        return sum(attrs["footprint"] for attrs in self._loads(True))
+
+    @property
+    def table_hits(self) -> int:
+        return sum(row.resident for row in self.log.carried + self.log.pipelines)
+
+    @property
+    def table_misses(self) -> int:
+        return sum(row.table_miss for row in self.log.carried + self.log.pipelines)
 
     @property
     def hit_rate(self) -> float:
         probes = self.hits + self.misses
         return self.hits / probes if probes else 0.0
-
-    @classmethod
-    def aggregate(cls, placements: "list[QueryPlacement]") -> "QueryPlacement":
-        """One query's pool outcome over the devices of a fleet."""
-        return cls(
-            hits=sum(p.hits for p in placements),
-            misses=sum(p.misses for p in placements),
-            hit_bytes=sum(p.hit_bytes for p in placements),
-            table_hits=sum(p.table_hits for p in placements),
-            table_misses=sum(p.table_misses for p in placements),
-        )
 
 
 @dataclass
@@ -91,25 +109,9 @@ class PlacementStats:
 
     @classmethod
     def aggregate(cls, snapshots: "list[PlacementStats]") -> "PlacementStats":
-        """Sum per-worker pool snapshots into one server-wide view."""
-        total = cls(pools=0)
-        for snap in snapshots:
-            total.hits += snap.hits
-            total.misses += snap.misses
-            total.evictions += snap.evictions
-            total.invalidations += snap.invalidations
-            total.fallbacks += snap.fallbacks
-            total.hit_bytes += snap.hit_bytes
-            total.transferred_bytes += snap.transferred_bytes
-            total.evicted_bytes += snap.evicted_bytes
-            total.resident_bytes += snap.resident_bytes
-            total.resident_columns += snap.resident_columns
-            total.capacity_bytes += snap.capacity_bytes
-            total.table_hits += snap.table_hits
-            total.table_misses += snap.table_misses
-            total.resident_tables += snap.resident_tables
-            total.pools += snap.pools
-        return total
+        """Per-worker pool snapshots summed into one server-wide view
+        (:func:`~repro.hardware.traffic.sum_stats`; none: no pools)."""
+        return sum_stats(snapshots) or cls(pools=0)
 
     def summary(self) -> str:
         return (

@@ -75,7 +75,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..compression import CompressionStats, resolve_compression
+from ..compression import resolve_compression
 from ..engines.base import Engine, ExecutionResult, check_accounting, package_result
 from ..engines.runtime import QueryRuntime, assemble_result
 from ..faults.injector import FaultInjector, partial_checksum
@@ -83,7 +83,7 @@ from ..faults.plan import FaultPlan
 from ..faults.recovery import RecoveryStats, RetryPolicy
 from ..hardware.interconnect import PCIE3, Interconnect
 from ..hardware.profiles import GTX970, DeviceProfile, get_profile
-from ..hardware.traffic import Profile
+from ..hardware.traffic import Profile, sum_stats
 from ..errors import (
     ConfigurationError,
     DeviceLostError,
@@ -126,7 +126,6 @@ class _DeviceRun:
     partials: dict[int, dict[str, np.ndarray]] = field(default_factory=dict)
     profile: Profile = field(default_factory=Profile)
     kernel_sources: dict[str, str] = field(default_factory=dict)
-    placement: object | None = None
     #: Pieces this device gave up on this wave -> failure kind.
     failed: dict[int, str] = field(default_factory=dict)
     #: Failed pieces whose failing attempts involved an *injected*
@@ -499,7 +498,6 @@ class ScaleOutExecutor:
                 queue[:0] = [([member], attempt + 1) for member in retry]
         finally:
             run.kernel_sources = dict(runtime.kernel_sources)
-            run.placement = runtime.query_placement()
             run.compression = runtime.compression_stats()
             check_accounting(device.log, device=load.device)
             runtime.close()
@@ -625,17 +623,9 @@ class ScaleOutExecutor:
         result = dispatch(engine, query, database, self.fleet.devices[0], seed)
         share = DeviceShare(device=0, morsels=1)
         share.logs = (result.profile,)
-        stats = ScaleOutStats(
-            devices=self.devices,
-            partitions=1,
-            scheme=self.partitioning,
-            fact_table=None,
-            shares=[share],
-            fallback=True,
+        return self._as_fleet(
+            result, engine, partitions=1, fact_table=None, shares=[share], fallback=True
         )
-        result.scaleout = stats
-        result.engine = f"scaleout[{self.devices}x{engine.name}]"
-        return result
 
     # ------------------------------------------------------------------
     def _host_fallback(
@@ -669,15 +659,15 @@ class ScaleOutExecutor:
             result = engine.execute(query, database, device, seed=seed)
         result.profile.carry(_record(runs, notes))
         recovery.log = result.profile
-        stats = ScaleOutStats(
-            devices=self.devices,
-            partitions=partition_set.parts,
-            scheme=self.partitioning,
-            fact_table=partition_set.fact_table,
-            shares=_shares(runs),
-            recovery=recovery,
+        return self._as_fleet(
+            result, engine, partitions=partition_set.parts,
+            fact_table=partition_set.fact_table, shares=_shares(runs), recovery=recovery,
         )
-        result.scaleout = stats
+
+    def _as_fleet(self, result: ExecutionResult, engine: Engine, **stats) -> ExecutionResult:
+        """``result`` of a run outside the partitioned path, labelled as
+        this fleet's run of ``engine`` with its :class:`ScaleOutStats`."""
+        result.scaleout = ScaleOutStats(devices=self.devices, scheme=self.partitioning, **stats)
         result.engine = f"scaleout[{self.devices}x{engine.name}]"
         return result
 
@@ -695,13 +685,7 @@ class ScaleOutExecutor:
         kernel_sources: dict[str, str] = {}
         for run in runs:
             kernel_sources.update(run.kernel_sources)
-        placement = None
-        placements = [run.placement for run in runs if run.placement is not None]
-        if placements:
-            from ..placement.stats import QueryPlacement
-
-            placement = QueryPlacement.aggregate(placements)
-        compression = CompressionStats.aggregate(run.compression for run in runs)
+        compression = sum_stats(run.compression for run in runs)
         if compression is not None:
             compression.log = profile
         return package_result(
@@ -712,7 +696,6 @@ class ScaleOutExecutor:
             engine=f"scaleout[{self.devices}x{engine.name}]",
             device_name=f"{self.profile.name} x{self.devices}",
             kernel_sources=kernel_sources,
-            placement=placement,
             scaleout=stats,
             compression=compression,
         )

@@ -15,6 +15,7 @@ from dataclasses import replace
 from ..hardware.device import VirtualCoprocessor
 from ..hardware.interconnect import PCIE3, Interconnect
 from ..hardware.profiles import DeviceProfile
+from ..hardware.traffic import sum_stats
 from ..placement import BufferPool
 from ..placement.stats import PlacementStats
 
@@ -82,7 +83,4 @@ class DeviceFleet:
 
     def placement_stats(self) -> PlacementStats | None:
         """Aggregated residency counters (None without residency)."""
-        snapshots = [pool.stats() for pool in self.pools if pool is not None]
-        if not snapshots:
-            return None
-        return PlacementStats.aggregate(snapshots)
+        return sum_stats(pool.stats() for pool in self.pools if pool is not None)

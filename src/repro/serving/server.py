@@ -38,8 +38,8 @@ from ..errors import AdmissionError, ServingError
 from ..hardware.device import VirtualCoprocessor
 from ..hardware.interconnect import PCIE3, Interconnect
 from ..hardware.profiles import GTX970, DeviceProfile
+from ..hardware.traffic import sum_stats
 from ..kernels.codegen import kernel_cache_stats
-from ..placement import PlacementStats
 from ..plan.logical import LogicalPlan
 from ..storage.database import Database
 from ..telemetry.metrics import MetricsRegistry, count_query, live_devices_gauge
@@ -341,14 +341,12 @@ class Server:
     def _placement_snapshot(self):
         """Aggregate buffer-pool stats across worker pools, fleets, and
         adaptive executors (whichever this server actually uses)."""
-        snapshots = [
-            stats
+        return sum_stats(
+            source.placement_stats()
             for session in self._sessions
             for source in (session, session._override_auto)
             if source is not None
-            and (stats := source.placement_stats()) is not None
-        ]
-        return PlacementStats.aggregate(snapshots) if snapshots else None
+        )
 
     def metrics_text(self) -> str:
         """Prometheus text exposition of the server's metrics.

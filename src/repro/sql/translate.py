@@ -2,11 +2,11 @@
 
 Implements the paper's workflow (1): SQL -> query plan -> fusion
 operators (Section 7).  The planner handles single-table queries and
-*star joins* — one fact table (the largest) equi-joined with any number
-of dimension tables, each carrying its own local predicates.  Snowflake
-shapes and subqueries go through the plan builder or JSON plans
-(workflow 2), exactly as in the paper.  HAVING is supported over the
-query's output column names.
+*star joins* — one fact table (the one every join touches; the largest
+on a tie) equi-joined with any number of dimension tables, each
+carrying its own local predicates.  Snowflake shapes and subqueries go
+through the plan builder or JSON plans (workflow 2), exactly as in the
+paper.  HAVING is supported over the query's output column names.
 """
 
 from __future__ import annotations
@@ -119,7 +119,13 @@ class _Translator:
 
     # ------------------------------------------------------------------
     def _build_joins(self) -> PlanBuilder:
-        fact = max(self.tables.values(), key=lambda info: info.rows)
+        # The fact table is the one every equi-join touches (the star's
+        # centre); row count only breaks ties (a single join, no join).
+        centres = [
+            info for info in self.tables.values()
+            if all(info.name in (left, right) for left, _, right, _ in self.join_edges)
+        ]
+        fact = max(centres or self.tables.values(), key=lambda info: info.rows)
         dims = [info for info in self.tables.values() if info.name != fact.name]
         if dims and not self.join_edges:
             raise SqlError("multiple tables but no join predicates (cross products unsupported)")

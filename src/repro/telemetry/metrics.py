@@ -49,6 +49,7 @@ DEFAULT_LATENCY_BUCKETS_MS = tuple(2.0 ** exp for exp in range(-4, 16))
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
+_ESCAPE_RE = re.compile(r'\\([n"\\])')
 
 
 class Counter:
@@ -282,25 +283,9 @@ def _escape(value: str) -> str:
 
 
 def _unescape(value: str) -> str:
-    """Inverse of :func:`_escape` (single left-to-right pass, so an
+    """Inverse of :func:`_escape`, in one left-to-right pass (so an
     escaped backslash never re-triggers on the next character)."""
-    out: list[str] = []
-    index = 0
-    while index < len(value):
-        char = value[index]
-        if char == "\\" and index + 1 < len(value):
-            nxt = value[index + 1]
-            if nxt == "n":
-                out.append("\n")
-                index += 2
-                continue
-            if nxt in ('"', "\\"):
-                out.append(nxt)
-                index += 2
-                continue
-        out.append(char)
-        index += 1
-    return "".join(out)
+    return _ESCAPE_RE.sub(lambda match: "\n" if match[1] == "n" else match[1], value)
 
 
 def render_prometheus(registry: MetricsRegistry) -> str:
@@ -503,26 +488,26 @@ def _observe_scaleout(metrics: MetricsRegistry, stats, labels: dict) -> None:
                 device=str(device), **labels,
             ).inc(getattr(share, name) if share is not None else 0)
     # The unpartitioned fallback bypasses recovery: all zeros.
-    recovery = stats.recovery or RecoveryStats()
-    lost = len(recovery.degraded_devices)
+    recovery = (stats.recovery or RecoveryStats()).tally()
+    lost = len(recovery["degraded_devices"])
     live_devices_gauge(metrics, **labels).set(stats.devices - lost)
-    for kind, count in recovery.injected.items():
+    for kind, count in recovery["injected"].items():
         metrics.counter(
             "repro_faults_injected_total",
             "Injected faults fired, by kind", kind=kind, **labels,
         ).inc(count)
     for name, help, value in (
-        ("retries", "Same-device morsel retries", recovery.retries),
-        ("backoff_ms", "Simulated retry backoff milliseconds", recovery.backoff_ms),
+        ("retries", "Same-device morsel retries", recovery["retries"]),
+        ("backoff_ms", "Simulated retry backoff milliseconds", recovery["backoff_ms"]),
         ("redistributed_morsels", "Morsels re-scheduled onto surviving devices",
-         recovery.redistributed_morsels),
+         recovery["redistributed_morsels"]),
         ("timeouts", "Morsel attempts abandoned past the morsel timeout",
-         recovery.timeouts),
+         recovery["timeouts"]),
         ("lost_devices", "Device losses suffered across all queries", lost),
         ("host_fallbacks", "Queries degraded to the host out-of-core fallback",
-         recovery.host_fallback),
+         recovery["host_fallback"]),
         ("queries", "Queries that saw any fault or recovery action",
-         recovery.faulted),
+         recovery["faulted"]),
     ):
         metrics.counter(f"repro_faults_{name}_total", help, **labels).inc(value)
 

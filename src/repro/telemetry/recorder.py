@@ -36,7 +36,8 @@ import re
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from copy import copy
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -44,7 +45,6 @@ from .events import Event
 
 __all__ = [
     "BUNDLE_MANIFEST",
-    "Flight",
     "FlightRecord",
     "FlightRecorder",
     "ReplayReport",
@@ -92,12 +92,14 @@ def plan_fingerprint(physical) -> str:
 # ----------------------------------------------------------------------
 @dataclass
 class FlightRecord:
-    """One query's compact forensic summary."""
+    """One query's compact forensic summary: opened in flight by
+    :meth:`FlightRecorder.start`, landed by :meth:`FlightRecorder.complete`
+    or :meth:`FlightRecorder.fail`."""
 
     query_id: str
     sql: str | None
-    status: str  # "ok" | "failed"
-    started_at: float
+    status: str  # "in-flight" | "ok" | "failed"
+    started_at: float  # wall clock
     host_ms: float = 0.0
     error_type: str | None = None
     error_message: str | None = None
@@ -110,37 +112,19 @@ class FlightRecord:
     #: The query's events, the newest ``event_tail`` of them (as
     #: dicts, oldest first).
     events: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "query_id": self.query_id,
-            "sql": self.sql,
-            "status": self.status,
-            "started_at": round(self.started_at, 6),
-            "host_ms": round(self.host_ms, 3),
-            "error_type": self.error_type,
-            "error_message": self.error_message,
-            "strategy": dict(self.strategy),
-            "metrics": dict(self.metrics),
-            "expected": dict(self.expected),
-            "events": list(self.events),
-        }
-
-
-@dataclass
-class Flight:
-    """In-flight handle returned by :meth:`FlightRecorder.start`."""
-
-    query_id: str
-    sql: str | None
-    started: float  # perf_counter origin for host_ms
-    started_at: float  # wall clock
-    strategy: dict = field(default_factory=dict)
+    #: ``perf_counter`` origin of ``host_ms``.
+    started: float = field(default=0.0, repr=False, compare=False)
 
     def note(self, **attrs) -> None:
         """Merge strategy/plan facts learned after takeoff (plan
         fingerprint, cache hit, chosen optimizer strategy, ...)."""
         self.strategy.update(attrs)
+
+    def to_dict(self) -> dict:
+        out = {f.name: copy(getattr(self, f.name)) for f in fields(self) if f.name != "started"}
+        out["started_at"] = round(self.started_at, 6)
+        out["host_ms"] = round(self.host_ms, 3)
+        return out
 
 
 class FlightRecorder:
@@ -175,18 +159,11 @@ class FlightRecorder:
     ):
         from ..errors import ConfigurationError
 
-        if isinstance(capacity, bool) or not isinstance(capacity, int) or capacity < 1:
-            raise ConfigurationError(
-                f"flight-record capacity must be an integer >= 1, got {capacity!r}"
-            )
-        if (
-            isinstance(event_tail, bool)
-            or not isinstance(event_tail, int)
-            or event_tail < 0
-        ):
-            raise ConfigurationError(
-                f"flight-record event_tail must be an integer >= 0, got {event_tail!r}"
-            )
+        for name, value, least in (("capacity", capacity, 1), ("event_tail", event_tail, 0)):
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ConfigurationError(
+                    f"flight-record {name} must be an integer >= {least}, got {value!r}"
+                )
         self.event_tail = event_tail
         self.postmortem_dir = postmortem_dir
         self.database_recipe = dict(database_recipe) if database_recipe else None
@@ -211,24 +188,25 @@ class FlightRecorder:
     # ------------------------------------------------------------------
     # the per-query lifecycle
     # ------------------------------------------------------------------
-    def start(self, query, seed: int = 42, **strategy) -> Flight:
+    def start(self, query, seed: int = 42, **strategy) -> FlightRecord:
         """Open a flight under a fresh query id; ``query`` may be SQL
         text or a plan object."""
         with self._lock:
             self._flights += 1
             query_id = f"q-{self._flights:06d}"
-        return Flight(
+        return FlightRecord(
             query_id=query_id,
             sql=query if isinstance(query, str) else None,
-            started=time.perf_counter(),
+            status="in-flight",
             started_at=time.time(),
             strategy=dict(strategy, seed=seed),
+            started=time.perf_counter(),
         )
 
-    def complete(self, flight: Flight, result) -> FlightRecord:
+    def complete(self, record: FlightRecord, result) -> FlightRecord:
         """Land a successful query: record strategy, traffic, checksum
         and the query's events (``result.events()``)."""
-        record = self._base_record(flight, status="ok")
+        record.status = "ok"
         if result.optimizer is not None:
             record.strategy["optimizer"] = result.optimizer.chosen.describe()
         record.metrics = _result_metrics(result)
@@ -242,7 +220,7 @@ class FlightRecorder:
 
     def fail(
         self,
-        flight: Flight,
+        record: FlightRecord,
         error: BaseException,
         events: list,
         trace=None,
@@ -257,7 +235,7 @@ class FlightRecorder:
 
         Returns the record; the bundle path (when written) is in
         ``record.strategy["bundle"]``."""
-        record = self._base_record(flight, status="failed")
+        record.status = "failed"
         record.error_type = type(error).__name__
         record.error_message = str(error)
         record.expected = {"status": "failed", "error_type": record.error_type}
@@ -270,20 +248,11 @@ class FlightRecorder:
             record.strategy["bundle"] = path
         return record
 
-    def _base_record(self, flight: Flight, status: str) -> FlightRecord:
-        return FlightRecord(
-            query_id=flight.query_id,
-            sql=flight.sql,
-            status=status,
-            started_at=flight.started_at,
-            host_ms=(time.perf_counter() - flight.started) * 1e3,
-            strategy=dict(flight.strategy),
-        )
-
     def _land(self, record: FlightRecord, events: list[Event]) -> None:
         """Number ``events`` after every event landed before, stamp the
         query id, keep the newest ``event_tail`` on ``record`` and ring
         it."""
+        record.host_ms = (time.perf_counter() - record.started) * 1e3
         cut = max(0, len(events) - self.event_tail)
         with self._lock:
             first, self._events = self._events, self._events + len(events)
@@ -311,14 +280,14 @@ class FlightRecorder:
             return self._records[-1] if self._records else None
 
     def jsonl(self) -> str:
-        lines = [json.dumps(record.to_dict()) for record in self.records()]
-        return "\n".join(lines) + ("\n" if lines else "")
+        return "".join(json.dumps(record.to_dict()) + "\n" for record in self.records())
 
     def events_jsonl(self) -> str:
         """The buffered flights' events as JSONL, in ``seq`` order
         (what ``--events-out`` writes)."""
-        lines = [json.dumps(event) for record in self.records() for event in record.events]
-        return "\n".join(lines) + ("\n" if lines else "")
+        return "".join(
+            json.dumps(event) + "\n" for record in self.records() for event in record.events
+        )
 
     @property
     def postmortems(self) -> int:
@@ -409,34 +378,26 @@ class FlightRecorder:
         return recipe
 
 
-def result_fingerprint(result) -> dict:
+def _result_metrics(result) -> dict:
     """The simulated-clock numbers of one execution, rounded for the
     flight record (the simulated-clock pin keeps exact text instead)."""
-    return {
+    metrics = {
         "sim_ms": round(result.total_ms, 6),
         "kernel_ms": round(result.kernel_ms, 6),
         "pcie_bytes": int(result.input_bytes + result.output_bytes),
         "global_bytes": int(result.global_memory_bytes),
         "kernel_launches": len(result.profile.kernels),
         "rows": int(result.table.num_rows),
+        "plan_cache_hit": bool(result.serving.plan_cache_hit),
     }
-
-
-def _result_metrics(result) -> dict:
-    metrics = result_fingerprint(result)
-    metrics["plan_cache_hit"] = bool(result.serving.plan_cache_hit)
     if result.scaleout is not None:
         metrics["makespan_ms"] = round(result.scaleout.makespan_ms, 6)
         recovery = result.scaleout.recovery
-        if recovery is not None and recovery.faulted:
+        tally = recovery.tally() if recovery is not None else {}
+        if tally.get("faulted"):
             metrics["recovery"] = {
-                "injected": dict(recovery.injected),
-                "retries": recovery.retries,
-                "redistributed_morsels": recovery.redistributed_morsels,
-                "degraded_devices": list(recovery.degraded_devices),
-                "waves": recovery.waves,
-                "timeouts": recovery.timeouts,
-                "host_fallback": recovery.host_fallback,
+                key: value for key, value in tally.items()
+                if key not in ("backoff_ms", "faulted")
             }
     return metrics
 
@@ -475,34 +436,24 @@ def write_postmortem_bundle(
     }
     if manifest_extra:
         manifest.update(manifest_extra)
-    contents = ["manifest.json"]
-    if events is not None:
-        with open(os.path.join(path, "events.jsonl"), "w", encoding="utf-8") as out:
-            for event in events:
-                out.write(json.dumps(event) + "\n")
-        contents.append("events.jsonl")
-    if trace is not None:
-        chrome = trace if isinstance(trace, dict) else trace.chrome_trace()
-        with open(os.path.join(path, "trace.json"), "w", encoding="utf-8") as out:
-            json.dump(chrome, out)
-        contents.append("trace.json")
-    if fault_plan is not None:
-        text = (
-            json.dumps(fault_plan, indent=2)
-            if isinstance(fault_plan, dict)
-            else fault_plan.to_json()
-        )
-        with open(os.path.join(path, "fault_plan.json"), "w", encoding="utf-8") as out:
+    contents = [BUNDLE_MANIFEST]
+
+    def put(name: str, text: str) -> None:
+        with open(os.path.join(path, name), "w", encoding="utf-8") as out:
             out.write(text)
-        contents.append("fault_plan.json")
-    optimizer = record.strategy.get("optimizer_render")
-    if optimizer:
-        with open(os.path.join(path, "optimizer.txt"), "w", encoding="utf-8") as out:
-            out.write(optimizer)
-        contents.append("optimizer.txt")
+        contents.append(name)
+
+    if events is not None:
+        put("events.jsonl", "".join(json.dumps(event) + "\n" for event in events))
+    if trace is not None:
+        put("trace.json", json.dumps(trace if isinstance(trace, dict) else trace.chrome_trace()))
+    if fault_plan is not None:
+        put("fault_plan.json", json.dumps(fault_plan, indent=2)
+            if isinstance(fault_plan, dict) else fault_plan.to_json())
+    if record.strategy.get("optimizer_render"):
+        put("optimizer.txt", record.strategy["optimizer_render"])
     manifest["contents"] = sorted(set(contents))
-    with open(os.path.join(path, BUNDLE_MANIFEST), "w", encoding="utf-8") as out:
-        json.dump(manifest, out, indent=2, sort_keys=True)
+    put(BUNDLE_MANIFEST, json.dumps(manifest, indent=2, sort_keys=True))
     return path
 
 
@@ -526,9 +477,7 @@ class ReplayReport:
             f"  expected: {self.expected_status}",
             f"  observed: {self.observed_status}",
         ]
-        for detail in self.details:
-            lines.append(f"  {detail}")
-        return "\n".join(lines)
+        return "\n".join(lines + [f"  {detail}" for detail in self.details])
 
 
 def replay_bundle(
@@ -538,9 +487,8 @@ def replay_bundle(
 ) -> ReplayReport:
     """Re-execute a post-mortem bundle's query and verify the outcome.
 
-    The database comes from ``--data-dir`` (or the recipe's
-    ``data_dir``) via :func:`repro.storage.load_database`, else from
-    the embedded workload-generator recipe.  Success bundles must
+    The database is ``data_dir`` (``--data-dir``) if given, else the
+    bundle's recipe (:func:`repro.workloads.database_from_recipe`).  Success bundles must
     reproduce the recorded per-column checksums exactly; failure
     bundles must reproduce the recorded error type.  ``device``
     overrides the recipe's profile (for bundles recorded on a custom
@@ -564,7 +512,10 @@ def replay_bundle(
             f"bundle {bundle} has no replayable SQL (plan-object queries "
             "cannot be replayed from a bundle)"
         )
-    database = _replay_database(replay, data_dir)
+    from ..workloads import database_from_recipe
+
+    recipe = {"data_dir": data_dir} if data_dir else replay.get("database") or {}
+    database = database_from_recipe(recipe)
     fault_path = os.path.join(bundle, "fault_plan.json")
     fault_plan = fault_path if os.path.exists(fault_path) else None
     retry_policy = None
@@ -587,8 +538,8 @@ def replay_bundle(
     try:
         result = session.execute(sql, seed=replay.get("seed", 42))
     except ReproError as error:
-        observed_status = "failed"
         observed_error = type(error).__name__
+        observed_status = f"failed ({observed_error})"
         matched = (
             expected_status == "failed"
             and expected.get("error_type") == observed_error
@@ -599,82 +550,32 @@ def replay_bundle(
                 f"expected error type {expected.get('error_type')!r}, "
                 f"got {observed_error!r}"
             )
-        return ReplayReport(
-            bundle=bundle,
-            matched=matched,
-            expected_status=_describe_expected(expected),
-            observed_status=f"failed ({observed_error})",
-            details=details,
-        )
-    observed_status = "ok"
-    if expected_status == "failed":
-        details.append(
-            f"expected failure {expected.get('error_type')!r} but the "
-            "query succeeded"
-        )
-        return ReplayReport(
-            bundle=bundle,
-            matched=False,
-            expected_status=_describe_expected(expected),
-            observed_status="ok",
-            details=details,
-        )
-    observed = table_checksum(result.table)
-    recorded = expected.get("checksum", {})
-    matched = observed == recorded
-    if not matched:
-        for column in sorted(set(recorded) | set(observed)):
-            want, got = recorded.get(column), observed.get(column)
-            if want != got:
-                details.append(
-                    f"column {column!r}: recorded {want}, replayed {got}"
-                )
     else:
-        details.append(
-            f"byte-identical: {result.table.num_rows} rows, "
-            f"{len(observed)} column checksums match"
-        )
-    return ReplayReport(
-        bundle=bundle,
-        matched=matched,
-        expected_status=_describe_expected(expected),
-        observed_status=f"ok ({result.table.num_rows} rows)",
-        details=details,
-    )
-
-
-def _describe_expected(expected: dict) -> str:
-    if expected.get("status") == "failed":
-        return f"failed ({expected.get('error_type')})"
+        if expected_status == "failed":
+            matched, observed_status = False, "ok"
+            details.append(
+                f"expected failure {expected.get('error_type')!r} but the "
+                "query succeeded"
+            )
+        else:
+            observed = table_checksum(result.table)
+            recorded = expected.get("checksum", {})
+            matched = observed == recorded
+            observed_status = f"ok ({result.table.num_rows} rows)"
+            for column in sorted(set(recorded) | set(observed)):
+                want, got = recorded.get(column), observed.get(column)
+                if want != got:
+                    details.append(
+                        f"column {column!r}: recorded {want}, replayed {got}"
+                    )
+            if matched:
+                details.append(
+                    f"byte-identical: {result.table.num_rows} rows, "
+                    f"{len(observed)} column checksums match"
+                )
     rows = expected.get("row_count")
-    return f"ok ({rows} rows)" if rows is not None else "ok"
-
-
-def _replay_database(replay: dict, data_dir: str | None):
-    from ..errors import ConfigurationError
-
-    recipe = replay.get("database") or {}
-    directory = data_dir or recipe.get("data_dir")
-    if directory:
-        from ..storage import load_database
-
-        return load_database(directory)
-    workload = recipe.get("workload")
-    if workload == "ssb":
-        from ..workloads import generate_ssb
-
-        return generate_ssb(
-            recipe.get("scale_factor", 0.01),
-            seed=recipe.get("seed", 7),
-            skew=recipe.get("skew", 0.0),
-        )
-    if workload == "tpch":
-        from ..workloads import generate_tpch
-
-        return generate_tpch(
-            recipe.get("scale_factor", 0.01), seed=recipe.get("seed", 7)
-        )
-    raise ConfigurationError(
-        "bundle has no database recipe; pass --data-dir (a database "
-        "persisted with 'repro generate') to supply the input"
-    )
+    if expected_status == "failed":
+        expected_status = f"failed ({expected.get('error_type')})"
+    else:
+        expected_status = "ok" if rows is None else f"ok ({rows} rows)"
+    return ReplayReport(bundle, matched, expected_status, observed_status, details)

@@ -32,6 +32,7 @@ __all__ = [
     "TABLE1_TPCH_SET",
     "TPCH_PLANS",
     "aggregation_query",
+    "database_from_recipe",
     "generate_ssb",
     "generate_tpch",
     "group_by_query",
@@ -43,3 +44,26 @@ __all__ = [
     "star_join_query",
     "tpch_plan",
 ]
+
+
+def database_from_recipe(recipe: dict):
+    """The database ``recipe`` names — ``{"data_dir": path}``: one
+    persisted with ``repro generate``; ``{"workload": "ssb" | "tpch",
+    ...}``: generated, the other keys (``scale_factor``, ``seed``,
+    ``skew``) passed to the generator, whose defaults fill the rest.
+    The CLI builds its databases from a recipe, and replay rebuilds a
+    bundle's."""
+    if recipe.get("data_dir"):
+        from ..storage import load_database
+
+        return load_database(recipe["data_dir"])
+    options = dict(recipe)
+    generate = {"ssb": generate_ssb, "tpch": generate_tpch}.get(options.pop("workload", None))
+    if generate is None:
+        from ..errors import ConfigurationError
+
+        raise ConfigurationError(
+            f"database recipe {recipe!r} names no workload; pass --data-dir "
+            "(a database persisted with 'repro generate') to supply the input"
+        )
+    return generate(**options)

@@ -27,7 +27,7 @@ from repro.compression import (
 )
 import repro
 from repro.errors import ConfigurationError
-from repro.hardware.traffic import Profile, TransferRecord
+from repro.hardware.traffic import Profile, TransferRecord, sum_stats
 from repro.storage import Column
 from repro.workloads import SSB_QUERIES
 
@@ -316,18 +316,19 @@ class TestResolveCompression:
 
 
 class TestStats:
-    def test_merge_and_aggregate(self, ssb_db, monkeypatch):
+    def test_a_fleet_sums_its_device_stats(self, ssb_db, monkeypatch):
         """A fleet's stats: the link bytes are its merged log's sums,
-        the codec counts the sum of the devices' own."""
-        per_device = []
-        aggregate = CompressionStats.aggregate.__func__
+        the codec counts the sum of the devices' own (``sum_stats``)."""
+        import repro.scaleout.executor as executor
 
-        def spy(cls, items):
+        per_device = []
+
+        def spy(items):
             items = list(items)
             per_device.extend(item for item in items if item is not None)
-            return aggregate(cls, items)
+            return sum_stats(items)
 
-        monkeypatch.setattr(CompressionStats, "aggregate", classmethod(spy))
+        monkeypatch.setattr(executor, "sum_stats", spy)
         session = repro.connect(ssb_db, devices=2, compression="auto")
         result = session.execute(SSB_QUERIES["q2.1"])
         stats, log = result.compression, result.profile
@@ -344,7 +345,8 @@ class TestStats:
             codecs.update(item.codecs)
         assert stats.codecs == dict(codecs)
         assert stats.columns == sum(item.columns for item in per_device)
-        assert CompressionStats.aggregate([None, None]) is None
+        assert stats.scans == [note for item in per_device for note in item.scans]
+        assert sum_stats([None, None]) is None
 
     def test_summary_mentions_ratio(self):
         log = Profile()

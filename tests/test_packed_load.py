@@ -195,13 +195,15 @@ def test_a_pooled_load_ships_exactly_its_misses(device):
     warmup = QueryRuntime(device, database, pool=pool)
     _load(warmup, database, "a")
     warmup.close()
-    mark = len(device.log.transfers)
+    mark, phases = len(device.log.transfers), len(device.log.phases)
     runtime = QueryRuntime(device, database, pool=pool)
     _load(runtime, database, "abc")
     [record] = device.log.transfers[mark:]
     assert (record.label, record.direction) == ("t", "h2d")
     assert record.nbytes == values["b"].nbytes + values["c"].nbytes
-    assert (runtime.placement_hits, runtime.placement_misses) == (1, 2)
+    # The record's placement phases: one hit, two misses.
+    loads = [(name, attrs["hit"]) for _, _, name, _, attrs in device.log.phases[phases:]]
+    assert loads == [("placement t.a", True), ("placement t.b", False), ("placement t.c", False)]
     # Every column is an entry (and a buffer) of its own.
     assert len(pool) == 3 and device.pooled_bytes == 3 * values["a"].nbytes
     runtime.close()

@@ -226,5 +226,8 @@ def test_session_serving_stats_carry_placement(ssb_db):
         server.execute(SSB_QUERIES["q2.1"])
         served = server.execute(SSB_QUERIES["q2.1"])
     assert repeat.placement.hits > 0 and repeat.placement.hit_bytes > 0
-    assert repeat.placement == served.placement
+    counts = ("hits", "misses", "hit_bytes", "table_hits", "table_misses", "out_of_core")
+    assert [getattr(repeat.placement, name) for name in counts] == [
+        getattr(served.placement, name) for name in counts
+    ]
     assert not hasattr(repeat.serving, "placement_hits")

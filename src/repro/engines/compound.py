@@ -130,7 +130,7 @@ def run_compound_pipeline(
     sink = pipeline.sink
     launched, scheme = (pipeline, None) if bounds is None else sliced(pipeline)
     kernel = generate_compound_kernel(launched, runtime.device.log)
-    runtime.kernel_sources[pipeline.name] = kernel.source
+    runtime.list_kernel(pipeline.name, kernel.source)
 
     def launch(rows_scope, rows: int, name: str) -> KernelContext:
         return _launch(

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import contextlib
 from types import SimpleNamespace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -21,7 +20,7 @@ from ..kernels.context import count_column
 from ..placement.pool import BufferPool
 from ..plan.physical import BuildSink, Pipeline
 from ..primitives.hashtable import TableEstimate, charge_build_kernel, charge_inserts
-from .runtime import QueryRuntime
+from .runtime import PipelineRun, QueryRuntime
 
 
 class PricedLaunches:
@@ -34,19 +33,16 @@ class PricedLaunches:
         self.interconnect = interconnect
         self.compression = compression
         self.log = Profile()
-        #: While a pipeline's kernels are priced: their launches.
-        self.tape: list | None = None
         self._queue: list | None = None
 
     new_meter = staticmethod(TrafficMeter)
 
     def launch(self, name, kind, elements, meter, occupancy: float = 1.0) -> KernelTrace:
         trace = self.cost_model.trace(name, kind, elements, meter, occupancy)
-        if self.tape is not None:
-            self.tape.append(trace)
+        self.log.taped("launch", trace, occupancy)
         return self.relaunch(trace)
 
-    def relaunch(self, trace: KernelTrace) -> KernelTrace:
+    def relaunch(self, trace: KernelTrace, occupancy: float = 1.0) -> KernelTrace:
         """Log a priced launch — queue it while :meth:`fusing`."""
         (self.log.kernels if self._queue is None else self._queue).append(trace)
         return trace
@@ -91,35 +87,15 @@ class PoolStandIn:
         return SimpleNamespace(table=self.tables[key], nbytes=0) if key in self.tables else None
 
 
-class PricedPipeline(NamedTuple):
-    """What pricing a pipeline found: the rows that reach its sink, the
-    groups it aggregates them into (0: none), its kernels' launches (not
-    its load's), its late-materialization notes and its outputs: one
-    zero-stride count column each — for a build ``None``, and ``table``
-    the hash table it leaves."""
-
-    rows: int
-    groups: int
-    launches: list
-    notes: list
-    outputs: dict | None = None
-    table: TableEstimate | None = None
-
-    @property
-    def result_rows(self) -> int:
-        """Rows of the table the pipeline leaves behind."""
-        return min(self.groups, max(self.rows, 1)) if self.groups else self.rows
-
-
 class EstimateRuntime(QueryRuntime):
     """Per-query state of one estimate.  ``cardinalities`` supplies the
     two numbers only statistics can: ``selectivity(database, pipeline,
     predicate)`` and ``groups(database, pipeline, rows)``.  ``priced``
-    (name -> :class:`PricedPipeline`) fills as pipelines are priced; an
-    earlier run's is replayed: each pipeline in it loads as it would,
-    relaunches what was priced for it and leaves the table it left.
-    ``resident`` (``None``: no pool) names the builds whose tables the
-    pool holds."""
+    (name -> :class:`~repro.engines.runtime.PipelineRun`) is its
+    :attr:`runs`: it fills as pipelines are priced, and what it holds is
+    replayed (:meth:`QueryRuntime.run_pipeline`), as a fleet turn
+    replays a build.  ``resident`` (``None``: no pool) names the builds
+    whose tables the pool holds."""
 
     def __init__(
         self, cost_model, interconnect, database, cardinalities, compression,
@@ -127,9 +103,9 @@ class EstimateRuntime(QueryRuntime):
         resident_columns: frozenset = frozenset(),
     ):
         pool = None if resident is None else PoolStandIn(resident_columns)
-        super().__init__(PricedLaunches(cost_model, interconnect, compression), database, pool=pool)
+        device = PricedLaunches(cost_model, interconnect, compression)
+        super().__init__(device, database, pool=pool, runs={} if priced is None else priced)
         self.cardinalities = cardinalities
-        self.priced: dict[str, PricedPipeline] = {} if priced is None else priced
         self.resident = resident or frozenset()
         #: Pipeline name -> the base columns its load was first to read
         #: (a fused group's: its first member's), pool hits included.
@@ -141,47 +117,35 @@ class EstimateRuntime(QueryRuntime):
     def groups(self, pipeline: Pipeline, rows: int) -> int:
         return self.cardinalities.groups(self.database, pipeline, rows)
 
-    def run_pipeline(self, engine, pipeline: Pipeline) -> dict[str, np.ndarray] | None:
-        """Price ``pipeline`` with ``engine.estimate_pipeline`` — or, if
-        it was priced, replay it — and return its outputs."""
-        if pipeline.name in self.priced:
-            self.load_source(pipeline, lazy_capable=engine.lazy_capable(pipeline))
-            priced = self.priced[pipeline.name]
-            for trace in priced.launches:
-                self.device.relaunch(trace)
-            if priced.table is not None:
-                self.hash_tables[pipeline.sink.table_id] = priced.table
-            return priced.outputs
+    def record(self, engine, pipeline: Pipeline) -> dict[str, np.ndarray] | None:
+        """Price ``pipeline`` with ``engine.estimate_pipeline``, note
+        what it launched in :attr:`runs` and return its outputs."""
         notes = getattr(self.compression_stats(), "scans", [])
-        noted, self.device.tape = len(notes), []
+        noted, self.device.log.tape = len(notes), []
         try:
             rows, groups = engine.estimate_pipeline(pipeline, self)
         finally:
-            launches, self.device.tape = self.device.tape, None
+            tape, self.device.log.tape = self.device.log.tape, None
+        launches = [entry for entry in tape if entry[0] == "launch"]
         table = self.hash_tables.get(pipeline.output_name)  # a build's
-        priced = PricedPipeline(rows, groups, launches, notes[noted:], table=table)
+        priced = PipelineRun(launches, None, table, rows, groups, notes[noted:])
         if not isinstance(pipeline.sink, BuildSink):
             schema = pipeline.output_schema or pipeline.scope_schema
             priced = priced._replace(outputs={
                 name: count_column(dtype.numpy_dtype, priced.result_rows)
                 for name, dtype in schema.dtypes.items()
             })
-        self.priced[pipeline.name] = priced
+        self.runs[pipeline.name] = priced
         return priced.outputs
 
     def produced_rows(self, pipeline: Pipeline, produced) -> int:
-        return self.priced[pipeline.name].result_rows
+        return self.runs[pipeline.name].result_rows
 
     def load_source(self, pipeline: Pipeline, lazy_capable: bool = False, siblings=()):
         """:meth:`QueryRuntime.load_source`, noting what it is first to
-        read; what it launches (a decode at load) is the load's, not the
-        pipeline's kernels'."""
-        known, tape = set(self._transferred), self.device.tape
-        self.device.tape = None
-        try:
-            scope = super().load_source(pipeline, lazy_capable, siblings)
-        finally:
-            self.device.tape = tape
+        read."""
+        known = set(self._transferred)
+        scope = super().load_source(pipeline, lazy_capable, siblings)
         if len(self._transferred) > len(known):
             self.first_reads[pipeline.name] = frozenset(self._transferred - known)
         return scope
@@ -196,7 +160,7 @@ class EstimateRuntime(QueryRuntime):
 
     def resident_build(self, pipeline: Pipeline, key: tuple, record) -> bool:
         if pipeline.name in self.resident:
-            self.pool.tables[key] = self.priced[pipeline.name].table
+            self.pool.tables[key] = self.runs[pipeline.name].table
         return super().resident_build(pipeline, key, record)
 
     def keep_build(self, pipeline: Pipeline, key: tuple, restore_ms: float) -> None:

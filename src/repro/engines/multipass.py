@@ -67,7 +67,7 @@ class MultiPassEngine(Engine):
         # Phase 1: count kernel.
         count_ctx = kernel_context()
         count_kernel = generate_count_kernel(pipeline, device.log)
-        runtime.kernel_sources[f"{pipeline.name}.count"] = count_kernel.source
+        runtime.list_kernel(f"{pipeline.name}.count", count_kernel.source)
         count_kernel(count_ctx)
         device.launch(count_kernel.name, "count", count_ctx.n, count_ctx.meter)
 
@@ -81,7 +81,7 @@ class MultiPassEngine(Engine):
         write_ctx.install_flags(count_ctx.flags)
         write_ctx.set_positions(scan)
         write_kernel = generate_write_kernel(pipeline, device.log)
-        runtime.kernel_sources[f"{pipeline.name}.write"] = write_kernel.source
+        runtime.list_kernel(f"{pipeline.name}.write", write_kernel.source)
         write_kernel(write_ctx)
         device.launch(write_kernel.name, "write", write_ctx.n, write_ctx.meter)
         return write_ctx

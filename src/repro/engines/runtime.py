@@ -9,7 +9,9 @@ delegates to CoGaDB's original engine, Section 7).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,6 +77,25 @@ class AggregationResult:
     inputs: int
 
 
+class PipelineRun(NamedTuple):
+    """What a pipeline's run left, for a replay: its tape (what it asked
+    of the device and the query, its load's excluded), outputs and hash
+    table; a priced one (``EstimateRuntime``) also the rows reaching its
+    sink, their groups (0: none) and its late-materialization notes."""
+
+    tape: list
+    outputs: dict | None = None
+    table: object | None = None
+    rows: int = 0
+    groups: int = 0
+    notes: tuple | list = ()
+
+    @property
+    def result_rows(self) -> int:
+        """Rows of the table a priced pipeline leaves behind."""
+        return min(self.groups, max(self.rows, 1)) if self.groups else self.rows
+
+
 class QueryRuntime:
     """Mutable state threaded through the pipelines of one query.
 
@@ -86,6 +107,9 @@ class QueryRuntime:
     route through it as well: :meth:`resident_build` serves a pipeline
     the table an earlier query left, :meth:`keep_build` leaves this
     query's.
+
+    ``runs`` (name -> :class:`PipelineRun`), if given, is the query's
+    record of its build sides, shared by its device turns.
     """
 
     def __init__(
@@ -94,10 +118,12 @@ class QueryRuntime:
         database: Database,
         seed: int = 42,
         pool=None,
+        runs: dict | None = None,
     ):
         self.device = device
         self.database = database
         self.pool = pool
+        self.runs = runs
         self.rng = np.random.default_rng(seed)
         self.hash_tables: dict[str, HashTableEntry] = {}
         self.virtual_tables: dict[str, VirtualTable] = {}
@@ -129,8 +155,55 @@ class QueryRuntime:
     # ------------------------------------------------------------------
     def run_pipeline(self, engine, pipeline: Pipeline) -> dict[str, np.ndarray] | None:
         """Where the query loop (``Engine.run_pipelines``) runs a
-        pipeline; an ``EstimateRuntime`` prices it instead."""
-        return engine.execute_pipeline(pipeline, self)
+        pipeline (:meth:`record`) — or replays the run :attr:`runs`
+        holds of it, running no kernel body: it loads as it would, its
+        tape plays on this device in order (allocations and frees made
+        again, launches before fusion relaunched through this device's
+        cost model, kernel lookups logged as the hits they now are,
+        effects made by their own rules) and its hash table is
+        registered over this device's buffers.  A lost or full device
+        fails where the run would have."""
+        run = None if self.runs is None else self.runs.get(pipeline.name)
+        if run is None:
+            return self.record(engine, pipeline)
+        self.load_source(pipeline, lazy_capable=engine.lazy_capable(pipeline))
+        device, buffers = self.device, {}
+        for kind, *entry in run.tape:
+            if kind == "launch":
+                device.relaunch(*entry)
+            elif kind == "allocate":
+                buffers[id(entry[0])] = device.allocate(entry[0].array, label=entry[0].label)
+            elif kind == "free":
+                if id(entry[0]) in buffers:  # else a pool eviction: this pool evicts its own
+                    device.free(buffers[id(entry[0])])
+            elif kind == "lookup":
+                device.log.lookup(*entry, hit=True)
+            else:
+                entry[0](self, *entry[1])
+        table = run.table
+        if isinstance(table, HashTableEntry):
+            own = [buffers[id(buffer)] for buffer in table.buffers]
+            table = HashTableEntry(copy.copy(table.table), table.payload, own)
+            table.table.slots_buffer = own[0]
+        if table is not None:
+            self.register_hash_table(pipeline.sink.table_id, table)
+        return run.outputs
+
+    def record(self, engine, pipeline: Pipeline) -> dict[str, np.ndarray] | None:
+        """Run ``pipeline``; with :attr:`runs` set, tape a build side
+        there for the query's later turns.  (A replay skips no draw from
+        :attr:`rng`: only a final pipeline's materializing sink draws.)"""
+        if self.runs is None or pipeline.is_final:
+            return engine.execute_pipeline(pipeline, self)
+        log = self.device.log
+        log.tape = tape = []
+        try:
+            outputs = engine.execute_pipeline(pipeline, self)
+        finally:
+            log.tape = None
+        table = self.hash_tables.get(pipeline.output_name)
+        self.runs[pipeline.name] = PipelineRun(tape, outputs, table)
+        return outputs
 
     def produced_rows(self, pipeline: Pipeline, produced: dict[str, np.ndarray] | None) -> int:
         """Rows ``pipeline`` produced, or the rows of the table it built."""
@@ -174,8 +247,11 @@ class QueryRuntime:
         Engines that charge column reads outside the context (the
         operator-at-a-time design) materialize it here instead, with a
         stand-alone ``decode.<column>`` kernel into raw scratch, after
-        the transfer that carried it.
+        the transfer that carried it.  A replay loads for itself: nothing
+        a load does is taped.
         """
+        log, tape = self.device.log, self.device.log.tape
+        log.tape = None
         if pipeline.source_is_virtual:
             try:
                 virtual = self.virtual_tables[pipeline.source]
@@ -255,6 +331,7 @@ class QueryRuntime:
                     label=f"decode.{label}",
                 )
                 self._charge_decode(encoded, label)
+        log.tape = tape
         return scope
 
     def fits(self, pipelines: list[Pipeline]) -> bool:
@@ -364,35 +441,21 @@ class QueryRuntime:
         for reading ``rows`` values of a wire-resident column: the
         register decode, in place of a raw column read."""
         note = state.decode(int(rows), meter, span)
-        stats = self._compression_stats
-        stats.partial_decode_bytes += min(rows, state.n) * state.itemsize
-        name = f"gather.{state.label}"
-        if name not in self.kernel_sources:
-            self.kernel_sources[name] = register_decode_source(name, state.codec, note)
-            stats.scans.append(note)
+        self.device.log.taped("effect", _gathered, (state, rows, note))
+        _gathered(self, state, rows, note)
 
     def record_scan(self, state: LazyColumn, plan, meter) -> None:
         """Account one compressed-scan conjunct: charge the fused
         strategy traffic and keep the decision visible (kernel source
         listing + stats note for EXPLAIN)."""
         plan.charge(meter)
-        name = f"compressed_scan.{state.label}"
-        if name not in self.kernel_sources:
-            self.kernel_sources[name] = compressed_scan_source(
-                name,
-                plan.strategy,
-                state.codec,
-                plan.read_bytes,
-                plan.instructions,
-                plan.detail,
-            )
-        stats = self._compression_stats
-        stats.compressed_scans += 1
-        stats.scan_blocks += plan.blocks
-        stats.scan_blocks_skipped += plan.blocks_skipped
-        note = plan.note(state.label)
-        if note not in stats.scans:
-            stats.scans.append(note)
+        self.device.log.taped("effect", _scanned, (state, plan))
+        _scanned(self, state, plan)
+
+    def list_kernel(self, name: str, source: str) -> None:
+        """List ``source`` among this query's kernel sources."""
+        self.device.log.taped("effect", _listed, (name, source))
+        _listed(self, name, source)
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -619,6 +682,35 @@ class QueryRuntime:
             codec="+".join(dict.fromkeys(codecs)),
         )
         return shipped, decoded
+
+
+# Taped effects of a kernel on its query's stats and kernel listing.
+def _gathered(runtime: QueryRuntime, state: LazyColumn, rows, note: str) -> None:
+    stats = runtime._compression_stats
+    stats.partial_decode_bytes += min(rows, state.n) * state.itemsize
+    name = f"gather.{state.label}"
+    if name not in runtime.kernel_sources:
+        runtime.kernel_sources[name] = register_decode_source(name, state.codec, note)
+        stats.scans.append(note)
+
+
+def _scanned(runtime: QueryRuntime, state: LazyColumn, plan) -> None:
+    name = f"compressed_scan.{state.label}"
+    if name not in runtime.kernel_sources:
+        runtime.kernel_sources[name] = compressed_scan_source(
+            name, plan.strategy, state.codec, plan.read_bytes, plan.instructions, plan.detail
+        )
+    stats = runtime._compression_stats
+    stats.compressed_scans += 1
+    stats.scan_blocks += plan.blocks
+    stats.scan_blocks_skipped += plan.blocks_skipped
+    note = plan.note(state.label)
+    if note not in stats.scans:
+        stats.scans.append(note)
+
+
+def _listed(runtime: QueryRuntime, name: str, source: str) -> None:
+    runtime.kernel_sources[name] = source
 
 
 def charge_library_aggregate(

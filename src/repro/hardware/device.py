@@ -149,6 +149,7 @@ class VirtualCoprocessor:
             self.pooled_bytes += nbytes
         self.peak_allocated = max(self.peak_allocated, self.allocated_bytes)
         self._live_buffers[id(buffer)] = buffer
+        self.log.taped("allocate", buffer)
         return buffer
 
     def allocate_empty(self, shape, dtype, label: str = "") -> DeviceBuffer:
@@ -161,6 +162,7 @@ class VirtualCoprocessor:
             raise AllocationError("buffer does not belong to this device")
         buffer.freed = True
         del self._live_buffers[id(buffer)]
+        self.log.taped("free", buffer)
         self.allocated_bytes -= buffer.nbytes
         if buffer.pooled:
             self.pooled_bytes -= buffer.nbytes
@@ -269,7 +271,12 @@ class VirtualCoprocessor:
         self._check_alive()
         trace = self.cost_model.trace(name, kind, elements, meter, occupancy)
         self.log.append(trace)
+        self.log.taped("launch", trace, occupancy)
         return trace
+
+    def relaunch(self, trace: KernelTrace, occupancy: float = 1.0) -> KernelTrace:
+        """Launch what ``trace`` charged again (a replay), priced here."""
+        return self.launch(trace.name, trace.kind, trace.elements, trace.meter, occupancy)
 
     @contextlib.contextmanager
     def fusing(self):
@@ -282,6 +289,7 @@ class VirtualCoprocessor:
         def queue(name, kind, elements, meter, occupancy=1.0) -> KernelTrace:
             self._check_alive()
             queued.append(KernelTrace(name, kind, elements, meter))
+            self.log.taped("launch", queued[-1], occupancy)
             return queued[-1]
 
         self.launch = queue

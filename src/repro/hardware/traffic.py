@@ -376,6 +376,14 @@ class Profile(LogSlice):
     #: The pipeline rows of the records :meth:`carry` put before this
     #: one: what a failed attempt ran, which this log does not hold.
     carried: list[PipelineRecord] = field(default_factory=list)
+    #: While a pipeline's run is recorded for a replay
+    #: (``QueryRuntime.record``): its entries, in order.  Not a field.
+    tape = None
+
+    def taped(self, *entry) -> None:
+        """Tape an allocation, free, launch, lookup or runtime effect."""
+        if self.tape is not None:
+            self.tape.append(entry)
 
     def append(self, entry: KernelTrace | TransferRecord) -> None:
         """Append a launch or a transfer, stamped with its issue order
@@ -404,6 +412,7 @@ class Profile(LogSlice):
     def lookup(self, name: str, kind: str, hit: bool, compile_ms: float = 0.0) -> None:
         """Log a kernel lookup, stamped with the host clock."""
         self.lookups.append(KernelLookup(perf_counter(), name, kind, hit, compile_ms))
+        self.taped("lookup", name, kind)
 
     def carry(self, earlier: "Profile | None") -> None:
         """Put what ``earlier`` noted, timed and looked up before this

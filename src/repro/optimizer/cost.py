@@ -555,7 +555,7 @@ class CostEstimator:
         run.peak_device_bytes = (
             held + 16 * max(rows, default=0) + run.pcie_d2h_bytes + sum(blocks[-2:])
         )
-        entry[slot] = columns, (run, runtime.priced)
+        entry[slot] = columns, (run, runtime.runs)
         return entry[slot][1]
 
     def _runtime(self, database, priced, resident, columns) -> EstimateRuntime:
@@ -623,7 +623,7 @@ class CostEstimator:
         to read and the hash / aggregation tables they leave."""
         pipes, held = [], 0
         for row in runtime.device.log.pipelines:
-            pipeline, priced = row.pipeline, runtime.priced[row.pipeline.name]
+            pipeline, priced = row.pipeline, runtime.runs[row.pipeline.name]
             pipe = PipelineEstimate(
                 name=pipeline.name,
                 source=pipeline.source,

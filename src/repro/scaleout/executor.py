@@ -13,8 +13,9 @@ One query runs data-parallel over a :class:`~repro.scaleout.fleet.DeviceFleet`:
 2. **Scatter** — pieces are assigned to devices by the deterministic
    LPT scheduler (:mod:`repro.scaleout.scheduler`).  Each
    participating device runs, on its own simulated clock: the
-   dimension pipelines (build sides *broadcast* to every device),
-   then its fact morsels through the rewritten final pipeline
+   dimension pipelines (build sides *broadcast* to every device, run by
+   the first turn, replayed by the rest), then its fact morsels through
+   the rewritten final pipeline
    (:func:`repro.scaleout.merge.rewrite_for_partials` makes AVG and
    empty pieces mergeable) — as one fused group: one packed load, one
    launch per phase, and one packed d2h gathering every partial.
@@ -334,6 +335,8 @@ class ScaleOutExecutor:
         """
         pieces = partition_set.pieces
         by_piece: dict[int, dict[str, np.ndarray]] = {}
+        #: The query's record of its build sides, shared by every turn.
+        builds: dict = {}
         failed_on: dict[int, set[int]] = {}
         #: Pieces whose failures involved injected firings since their
         #: last grace round (see the eligibility loop below).
@@ -353,7 +356,7 @@ class ScaleOutExecutor:
             for load in wave_loads:
                 self._run_device(
                     engine, query, rewritten, partition_set, load, seed, injector,
-                    runs,
+                    runs, builds,
                 )
             for run in runs[first:]:
                 by_piece.update(run.partials)
@@ -428,6 +431,7 @@ class ScaleOutExecutor:
         seed: int,
         injector: FaultInjector | None,
         runs: list[_DeviceRun],
+        builds: dict,
     ) -> None:
         device = self.fleet.devices[load.device]
         pool = self.fleet.pools[load.device]
@@ -435,7 +439,7 @@ class ScaleOutExecutor:
         partition_db = partition_set.database
         assert partition_db is not None
         turn_start = time.perf_counter()
-        runtime = QueryRuntime(device, partition_db, seed=seed, pool=pool)
+        runtime = QueryRuntime(device, partition_db, seed=seed, pool=pool, runs=builds)
         share = {run.share.device: run.share for run in runs}.get(load.device)
         if share is None:
             share = DeviceShare(device=load.device)
@@ -449,7 +453,8 @@ class ScaleOutExecutor:
                 if injector is not None:
                     injector.on_build(load.device, device)
                 # Build sides: every dimension pipeline runs on
-                # every participating device (broadcast join).
+                # every participating device (broadcast join) — once
+                # per query, replayed by the turns after the first.
                 engine.run_pipelines(query.grouped()[:-1], runtime)
             except _RECOVERABLE as error:
                 # A build failure fails every piece of this share:

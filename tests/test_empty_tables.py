@@ -3,13 +3,17 @@ dimension answers on every engine, one device or two, as the CPU
 reference does — under ``engine="auto"`` too, whose estimator prices
 the plan over zero rows — and the SQL front end takes the fact table
 from the join graph (the table every equi-join touches), not from row
-counts, so an empty ``lineorder`` stays the fact table."""
+counts, so an empty ``lineorder`` stays the fact table.  A pooled,
+compressed 4-device fleet answers the same over two passes, with an
+empty table and with a date filter no row passes, whose zero-row build
+the first device turn runs and every later turn replays."""
 
 from __future__ import annotations
 
 import pytest
 
 import repro
+from repro.engines.runtime import QueryRuntime
 from repro.plan.pipelines import extract_pipelines
 from repro.sql import plan_sql
 from repro.storage.database import Database
@@ -45,6 +49,36 @@ def test_empty_table_answers_as_cpu(tiny_ssb, empty, devices):
         for name, sql in sorted(SSB_QUERIES.items()):
             rows = session.execute(sql).table.sorted_rows()
             assert rows == expected[name], (engine, name)
+
+
+@pytest.mark.parametrize("empty", ["lineorder", "date", "part", "no date passes"])
+def test_a_pooled_compressed_fleet_answers_as_cpu(tiny_ssb, monkeypatch, empty):
+    replays = []
+    run_pipeline = QueryRuntime.run_pipeline
+
+    def counting(self, engine, pipeline):
+        replays.append(self.runs is not None and pipeline.name in self.runs)
+        return run_pipeline(self, engine, pipeline)
+
+    monkeypatch.setattr(QueryRuntime, "run_pipeline", counting)
+    if empty == "no date passes":
+        database, queries = tiny_ssb, {
+            name: sql.replace("lo_orderdate = d_datekey", "lo_orderdate = d_datekey and d_year < 1900")
+            for name, sql in SSB_QUERIES.items()
+        }
+    else:
+        database, queries = _emptied(tiny_ssb, empty), SSB_QUERIES
+    reference = repro.connect(database, engine="cpu")
+    expected = {name: reference.execute(sql).table.sorted_rows() for name, sql in queries.items()}
+    for engine in ("resolution", "multipass", "operator-at-a-time"):
+        session = repro.connect(
+            database, engine=engine, devices=4, compression="auto", residency=True
+        )
+        for cold in (True, False):
+            for name, sql in sorted(queries.items()):
+                rows = session.execute(sql).table.sorted_rows()
+                assert rows == expected[name], (engine, name, cold)
+    assert any(replays)
 
 
 def test_sql_plans_keep_their_fact_table(ssb_db, tpch_db, tiny_ssb):

@@ -4,7 +4,9 @@ as execution does): the :class:`QueryRuntime` of an execution (the same
 ``load_source`` decides what ships, what is wire-resident and what is
 decoded at load) over a device stand-in that prices launches and logs
 loads but holds, moves and runs nothing — and, for a pooled estimate, a
-pool stand-in that holds what it is told is resident."""
+pool stand-in that holds what it is told is resident.  Given a bound,
+the device stand-in stops the run (:class:`Outpriced`) once what it
+priced passes it."""
 
 from __future__ import annotations
 
@@ -23,17 +25,51 @@ from ..primitives.hashtable import TableEstimate, charge_build_kernel, charge_in
 from .runtime import PipelineRun, QueryRuntime
 
 
+#: How far past its bound a priced run may go before it stops: a total
+#: sums the same terms in another order (and the advisor ranks totals
+#: rounded to 1e-9 ms), so the margin is relative, plus 1e-8 ms.
+OUTPRICE_MARGIN = 1e-6
+
+
+class Outpriced(Exception):
+    """A priced run passed its bound: what it had priced, ``reached_ms``,
+    already costs more than ``bound_ms``, and every launch and transfer
+    still to come costs a non-negative time more."""
+
+    def __init__(self, reached_ms: float, bound_ms: float):
+        super().__init__(f"outpriced: reached {reached_ms:.3f} ms > best {bound_ms:.3f} ms")
+        self.reached_ms, self.bound_ms = reached_ms, bound_ms
+
+
+def check_bound(spent_ms: float, bound_ms: float | None) -> None:
+    """Stop a priced run (raise :class:`Outpriced`) whose ``spent_ms``
+    passed ``bound_ms`` (``None``: no bound) by more than the margin."""
+    if bound_ms is not None and spent_ms > bound_ms + OUTPRICE_MARGIN * (bound_ms + 0.01):
+        raise Outpriced(spent_ms, bound_ms)
+
+
 class PricedLaunches:
     """What an estimate needs of a device: a launch is priced and a load
-    logged as ``VirtualCoprocessor`` does it, nothing is stored."""
+    logged as ``VirtualCoprocessor`` does it, nothing is stored.  It
+    keeps the running sum of the times it logged, from ``spent_ms`` (what
+    the candidate pays whatever runs: a fleet's merge), and stops the
+    run once that sum passes ``bound_ms`` (``None``: never)."""
 
-    def __init__(self, cost_model: KernelCostModel, interconnect, compression):
+    def __init__(
+        self, cost_model: KernelCostModel, interconnect, compression,
+        spent_ms: float = 0.0, bound_ms: float | None = None,
+    ):
         self.cost_model = cost_model
         self.profile = cost_model.profile
         self.interconnect = interconnect
         self.compression = compression
         self.log = Profile()
         self._queue: list | None = None
+        self.spent_ms, self.bound_ms = spent_ms, bound_ms
+
+    def _spend(self, ms: float) -> None:
+        self.spent_ms += ms
+        check_bound(self.spent_ms, self.bound_ms)
 
     new_meter = staticmethod(TrafficMeter)
 
@@ -44,7 +80,11 @@ class PricedLaunches:
 
     def relaunch(self, trace: KernelTrace, occupancy: float = 1.0) -> KernelTrace:
         """Log a priced launch — queue it while :meth:`fusing`."""
-        (self.log.kernels if self._queue is None else self._queue).append(trace)
+        if self._queue is not None:
+            self._queue.append(trace)
+            return trace
+        self.log.kernels.append(trace)
+        self._spend(trace.time_ms)
         return trace
 
     @contextlib.contextmanager
@@ -63,6 +103,7 @@ class PricedLaunches:
     def record_stream_transfer(self, nbytes, direction, label="", raw_nbytes=0, codec="") -> None:
         link = link_record(self.interconnect, nbytes, direction, label, raw_nbytes, codec)
         self.log.transfers.append(link)
+        self._spend(link.time_ms)
 
     def allocate(self, array, label="") -> None:
         pass  # decode scratch: inside the estimator's working-set bound
@@ -95,15 +136,17 @@ class EstimateRuntime(QueryRuntime):
     :attr:`runs`: it fills as pipelines are priced, and what it holds is
     replayed (:meth:`QueryRuntime.run_pipeline`), as a fleet turn
     replays a build.  ``resident`` (``None``: no pool) names the builds
-    whose tables the pool holds."""
+    whose tables the pool holds.  ``spent_ms`` / ``bound_ms``: the
+    device stand-in's running sum and bound (:class:`PricedLaunches`)."""
 
     def __init__(
         self, cost_model, interconnect, database, cardinalities, compression,
         priced: dict | None = None, resident: frozenset | None = None,
         resident_columns: frozenset = frozenset(),
+        spent_ms: float = 0.0, bound_ms: float | None = None,
     ):
         pool = None if resident is None else PoolStandIn(resident_columns)
-        device = PricedLaunches(cost_model, interconnect, compression)
+        device = PricedLaunches(cost_model, interconnect, compression, spent_ms, bound_ms)
         super().__init__(device, database, pool=pool, runs={} if priced is None else priced)
         self.cardinalities = cardinalities
         self.resident = resident or frozenset()
@@ -126,9 +169,12 @@ class EstimateRuntime(QueryRuntime):
             rows, groups = engine.estimate_pipeline(pipeline, self)
         finally:
             tape, self.device.log.tape = self.device.log.tape, None
-        launches = [entry for entry in tape if entry[0] == "launch"]
+        # Its launches, and its effects on the query's kernel listing (a
+        # replay leaves the runtime as pricing it would, so a pipeline
+        # priced after it notes what it would): no lookup is logged twice.
+        kept = [entry for entry in tape if entry[0] != "lookup"]
         table = self.hash_tables.get(pipeline.output_name)  # a build's
-        priced = PipelineRun(launches, None, table, rows, groups, notes[noted:])
+        priced = PipelineRun(kept, None, table, rows, groups, notes[noted:])
         if not isinstance(pipeline.sink, BuildSink):
             schema = pipeline.output_schema or pipeline.scope_schema
             priced = priced._replace(outputs={

@@ -124,7 +124,7 @@ class QueryRuntime:
         self.database = database
         self.pool = pool
         self.runs = runs
-        self.rng = np.random.default_rng(seed)
+        self._seed, self._rng = seed, None
         self.hash_tables: dict[str, HashTableEntry] = {}
         self.virtual_tables: dict[str, VirtualTable] = {}
         #: Generated kernel sources of THIS query (engines write here so
@@ -151,6 +151,14 @@ class QueryRuntime:
         #: Wire-resident columns, decoded in registers by the kernels
         #: that read them, keyed by ``(source table, base column)``.
         self.lazy_columns: dict[tuple[str, str], LazyColumn] = {}
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The query's generator, made on the first draw (only a
+        materializing sink's positions draw)."""
+        if self._rng is None:
+            self._rng = np.random.default_rng(self._seed)
+        return self._rng
 
     # ------------------------------------------------------------------
     def run_pipeline(self, engine, pipeline: Pipeline) -> dict[str, np.ndarray] | None:

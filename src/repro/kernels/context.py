@@ -775,5 +775,8 @@ class EstimateContext(KernelContext):
 
 
 def count_column(dtype, rows: int) -> np.ndarray:
-    """``rows`` rows nobody computed: a zero-stride column of ``dtype``."""
-    return np.broadcast_to(np.ones(1, dtype=dtype), (rows,))
+    """``rows`` rows nobody computed: a read-only zero-stride column of
+    ``dtype`` (built directly: ``np.broadcast_to`` costs twice as much)."""
+    column = np.ndarray((rows,), dtype, np.ones(1, dtype), strides=(0,))
+    column.flags.writeable = False
+    return column

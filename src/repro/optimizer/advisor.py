@@ -10,13 +10,15 @@ cross product of
 * device count 1..N with the configured partitioning scheme,
 * placement (pooled residency vs. transient transfers),
 
-drops candidates that are *provably* wrong before estimating them
-(out-of-core when the working set fits comfortably; multi-device when a
-single device already beats the fixed merge overhead; streaming for
-engines the batch executor cannot run), prices the rest through the
-:class:`~repro.optimizer.cost.CostEstimator`, and returns an
-:class:`OptimizerDecision` whose ``candidates`` list is the full
-explainable breakdown.
+drops candidates that are wrong before estimating them (out-of-core
+when the working set fits comfortably; streaming for engines the batch
+executor cannot run), prices the rest through the
+:class:`~repro.optimizer.cost.CostEstimator` — each only until it
+provably costs more than the best candidate priced in full so far (a
+fleet whose merge overhead alone does is not run at all) — and returns
+an :class:`OptimizerDecision` whose ``candidates`` list ranks what was
+priced in full and whose ``pruned`` list says why each other point was
+not.
 
 Pinned dimensions are respected: a caller that fixes ``engine=
 "pipelined"`` but leaves ``devices="auto"`` gets a lattice where only
@@ -68,6 +70,11 @@ class PrunedCandidate:
 
     strategy: StrategyChoice
     reason: str
+    #: An outpriced candidate: the time its pricing had reached when it
+    #: passed ``bound_ms``, the total of the best candidate priced in
+    #: full then (``None``: pruned for another reason).
+    reached_ms: float | None = None
+    bound_ms: float | None = None
 
 
 @dataclass
@@ -136,7 +143,18 @@ class OptimizerDecision:
         hidden = len(self.candidates) - limit
         if hidden > 0:
             lines.append(f"  ... {hidden} more candidates")
-        for pruned in self.pruned[:limit]:
+        # Priced until they cost more than the best candidate then.
+        outpriced = [pruned for pruned in self.pruned if pruned.reached_ms is not None]
+        if outpriced:
+            lines.append(f"  {'outpriced':<44} {'at ms':>9} {'lost to':>9}")
+        for pruned in outpriced[:limit]:
+            lines.append(
+                f"  x {pruned.strategy.describe():<43} "
+                f"{pruned.reached_ms:>9.3f} {pruned.bound_ms:>9.3f}"
+            )
+        if len(outpriced) > limit:
+            lines.append(f"  ... {len(outpriced) - limit} more outpriced")
+        for pruned in [pruned for pruned in self.pruned if pruned.reached_ms is None][:limit]:
             lines.append(
                 f"  x {pruned.strategy.describe():<43} {pruned.reason}"
             )
@@ -240,6 +258,35 @@ class Advisor:
         return None
 
     # ------------------------------------------------------------------
+    def _fits_comfortably(
+        self, query, database, pruned, estimates, resident_columns, resident_tables, record
+    ) -> bool:
+        """Whether some run-to-finish working set fits in
+        :data:`OOC_PRUNE_FRACTION` of the device, once the ones priced in
+        full say it does not: an outpriced run-to-finish candidate's
+        peak is not known.  A peak depends on the placement and the
+        device count, not on the engine, so each such (devices,
+        placement) group no candidate completed in is priced in full,
+        once, for its peak — the candidate stays outpriced."""
+        capacity = self.profile.memory_capacity
+        known = {
+            (estimate.strategy.devices, estimate.strategy.placement)
+            for estimate in estimates if estimate.strategy.macro == "run-to-finish"
+        }
+        for choice in [p.strategy for p in pruned if p.reached_ms is not None]:
+            group = (choice.devices, choice.placement)
+            if choice.macro != "run-to-finish" or group in known:
+                continue
+            known.add(group)
+            estimate = self.estimator.estimate(
+                query, database, choice, resident_columns=resident_columns,
+                resident_tables=resident_tables, record=record,
+            )
+            if estimate.peak_device_bytes <= OOC_PRUNE_FRACTION * capacity:
+                return True
+        return False
+
+    # ------------------------------------------------------------------
     def advise(
         self,
         query: PhysicalQuery,
@@ -273,9 +320,18 @@ class Advisor:
             raise ConfigurationError("no candidate strategies to rank")
 
         estimates: list[CostEstimate] = []
+        bound: float | None = None
         fits_comfortably = False
+        # One device before fleets, compound engines first, run-to-finish
+        # before streaming: each candidate is priced only until it costs
+        # more than the best one the pick rule could choose (``bound``).
         # Streaming is priced only when no run-to-finish working set fits comfortably.
-        for choice in sorted(candidates, key=lambda choice: choice.macro == "out-of-core"):
+        for choice in sorted(candidates, key=_pricing_order):
+            if choice.macro == "out-of-core" and not fits_comfortably:
+                fits_comfortably = self._fits_comfortably(
+                    query, database, pruned, estimates,
+                    resident_columns, resident_tables, record,
+                )
             if choice.macro == "out-of-core" and fits_comfortably:
                 pruned.append(PrunedCandidate(
                     choice,
@@ -284,8 +340,14 @@ class Advisor:
                 continue
             estimate = self.estimator.estimate(
                 query, database, choice, resident_columns=resident_columns,
-                resident_tables=resident_tables, record=record,
+                resident_tables=resident_tables, record=record, bound=bound,
             )
+            if estimate.outpriced is not None:
+                stopped = estimate.outpriced
+                pruned.append(PrunedCandidate(
+                    choice, estimate.reason, stopped.reached_ms, stopped.bound_ms
+                ))
+                continue
             if not estimate.feasible:
                 pruned.append(PrunedCandidate(choice, estimate.reason))
                 continue
@@ -300,6 +362,8 @@ class Advisor:
                     ))
                     continue
             estimates.append(estimate)
+            if _safe(estimate, capacity) and (bound is None or estimate.total_ms < bound):
+                bound = estimate.total_ms
 
         if not estimates:
             raise ConfigurationError(
@@ -312,12 +376,7 @@ class Advisor:
 
         # Risky run-to-finish candidates (near-capacity working sets)
         # only win if no safer candidate exists at all.
-        safe = [
-            estimate
-            for estimate in estimates
-            if estimate.strategy.macro == "out-of-core"
-            or estimate.peak_device_bytes <= FIT_SAFETY_FRACTION * capacity
-        ]
+        safe = [estimate for estimate in estimates if _safe(estimate, capacity)]
         pool = safe if safe else estimates
         pool.sort(key=_rank_key)
         best = pool[0]
@@ -330,6 +389,29 @@ class Advisor:
             advise_ms=(time.perf_counter() - started) * 1e3,
         )
         return decision
+
+
+def _safe(estimate: CostEstimate, capacity: int) -> bool:
+    """Whether the pick rule may choose ``estimate`` while a safer
+    candidate exists: it streams, or its working set stays below
+    :data:`FIT_SAFETY_FRACTION` of device memory."""
+    return (
+        estimate.strategy.macro == "out-of-core"
+        or estimate.peak_device_bytes <= FIT_SAFETY_FRACTION * capacity
+    )
+
+
+def _pricing_order(choice: StrategyChoice) -> tuple:
+    """Run-to-finish before streaming (the out-of-core rule reads the
+    run-to-finish peaks), one device before fleets, the compound engines
+    before the pass-based ones: the likeliest winners are priced first,
+    so the bound they set stops the others early.  The sort is stable:
+    the lattice order breaks ties."""
+    return (
+        choice.macro == "out-of-core",
+        choice.devices > 1,
+        choice.engine not in STREAMABLE_ENGINES,
+    )
 
 
 def _rank_key(estimate: CostEstimate) -> tuple:

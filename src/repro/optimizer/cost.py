@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..engines import make_engine
-from ..engines.estimate import EstimateRuntime
+from ..engines.estimate import EstimateRuntime, Outpriced, check_bound
 from ..expressions.expr import (
     Between, BinaryOp, BooleanOp, ColumnRef, Comparison, Expr, InList, Literal, Not,
 )
@@ -47,9 +47,10 @@ from ..plan.physical import (
     AggregateSink, BuildSink, FilterStage, PhysicalQuery, Pipeline, ProbeStage,
 )
 from ..primitives.hashtable import TableEstimate
+from ..placement.executor import base_columns
 from ..scaleout.executor import estimate_turn
 from ..scaleout.merge import rewrite_for_partials
-from ..scaleout.partition import fleet_partitions
+from ..scaleout.partition import MORSELS_PER_DEVICE, fleet_partitions
 from ..scaleout.scheduler import assign_pieces
 from ..storage.database import Database
 from .stats import StatisticsCatalog, TableStats
@@ -228,6 +229,9 @@ class CostEstimate:
     #: The priced query record (a fleet's: its turns', merged).  Not a
     #: field: ``asdict`` / ``==`` / ``repr`` carry the prediction only.
     record = Profile()
+    #: A run its bound stopped (:class:`~repro.engines.estimate.Outpriced`:
+    #: the time it reached, the bound it passed).  Not a field.
+    outpriced = None
 
     @property
     def pcie_bytes(self) -> int:
@@ -432,6 +436,7 @@ class CostEstimator:
         resident_columns: frozenset = frozenset(),
         resident_tables: frozenset[int] = frozenset(),
         record: Profile | None = None,
+        bound: float | None = None,
     ) -> CostEstimate:
         """Predict the full cost of executing ``query`` under
         ``strategy`` from its query loop's run (:meth:`_run`): the
@@ -440,7 +445,13 @@ class CostEstimator:
         ``resident_tables``, the indexes of the builds whose hash tables
         are resident (the loop serves them), and ``resident_columns``
         (``(table, column)``), the base columns no load ships.  The
-        kernels a pricing looks up are logged on ``record`` (if any)."""
+        kernels a pricing looks up are logged on ``record`` (if any).
+
+        ``bound`` (ms) set: the run stops once the times it priced pass
+        it — every launch and transfer adds a non-negative time, so the
+        candidate costs more than ``bound`` — and the estimate is
+        infeasible, :attr:`CostEstimate.outpriced` saying where it
+        stopped.  Without a bound it prices in full."""
         streamed = strategy.macro == "out-of-core"
         if (streamed or strategy.devices > 1) and query.final_pipeline.source_is_virtual:
             return CostEstimate(strategy, feasible=False, reason=(
@@ -454,7 +465,12 @@ class CostEstimator:
             resident_tables if pooled else frozenset(), record,
             self.stream_block_bytes() if streamed else None,
             (strategy.devices, strategy.partitioning) if strategy.devices > 1 else None,
+            bound,
         )
+        if isinstance(run, Outpriced):
+            estimate = CostEstimate(strategy, feasible=False, reason=str(run))
+            estimate.outpriced = run
+            return estimate
         estimate = replace(run, strategy=strategy, pipelines=list(run.pipelines))
         estimate.record = run.record
         return estimate
@@ -470,7 +486,8 @@ class CostEstimator:
         record: Profile | None = None,
         block_bytes: int | None = None,
         fleet: tuple[int, str] | None = None,
-    ) -> tuple[CostEstimate, dict]:
+        bound: float | None = None,
+    ) -> tuple[CostEstimate | Outpriced, dict]:
         """``query`` run through ``engine_name``'s query loop on one
         device — ``block_bytes`` set: :class:`_BlockStreamer`'s, in
         blocks of that size; ``fleet`` (devices, partitioning) set: each
@@ -478,13 +495,25 @@ class CostEstimator:
         record and one estimate per pipeline) and what was priced per
         pipeline.  ``columns`` / ``tables``: what the pooled device
         holds (base columns; indexes of resident builds);
-        ``columns=None``: no pool.  Only the run to finish without a
-        pool prices every pipeline (logging its lookups on ``record``);
-        the others replay it, a streamed run and a fleet all but its
-        final pipeline.  The plan object keeps, per engine, block size,
-        fleet, device profile, compression policy, statistics sample
-        size and set of resident builds, the run without a pool and the
-        latest pooled one (a new catalog version replaces them)."""
+        ``columns=None``: no pool.  The run to finish without a pool
+        prices its pipelines (logging the lookups on ``record``); the
+        others replay what it priced — a streamed run and a fleet all but
+        its final pipeline — and price what it did not reach.  ``bound``
+        set: the run stops once its priced times pass it and returns the
+        :class:`Outpriced` in place of its cost.  The plan object keeps,
+        per engine, block size, fleet, device profile, compression
+        policy, statistics sample size and set of resident builds, the
+        run without a pool and the latest pooled one — a stopped one with
+        the bound it lost to, standing for any bound at or below it (a
+        new catalog version replaces them)."""
+        if fleet is not None and bound is not None:
+            # What a fleet pays whatever its turns cost: the merge of its
+            # ``devices * MORSELS_PER_DEVICE`` partials.
+            floor = merge_overhead_ms(fleet[0] * MORSELS_PER_DEVICE)
+            try:
+                check_bound(floor, bound)
+            except Outpriced as stopped:
+                return stopped.with_traceback(None), {}
         mode = self.compression.mode if self.compression is not None else None
         key = (
             engine_name, block_bytes, fleet, self.profile, mode,
@@ -497,30 +526,43 @@ class CostEstimator:
         # Slot 1: the run without a pool; slot 2: the latest pooled run.
         slot = 1 if columns is None else 2
         if entry[slot] is not None and entry[slot][0] == columns:
+            run = entry[slot][1][0]
+            if not isinstance(run, Outpriced) or (bound is not None and bound <= run.bound_ms):
+                return entry[slot][1]
+        priced: dict = {}
+        try:
+            if fleet is None and block_bytes is None and bound is not None:
+                check_bound(self._load_floor_ms(query, database, columns, tables), bound)
+            engine = make_engine(engine_name)
+            resident = None
+            if columns is not None or block_bytes is not None or fleet is not None:
+                # Replayed: the run without a pool (a pooled fleet's: the fleet's).
+                priced.update(self._run(
+                    query, database, engine_name, None, frozenset(), record,
+                    fleet=fleet if columns is not None else None, bound=bound,
+                )[1])
+            if block_bytes is not None:
+                priced.pop(query.final_pipeline.name, None)
+                engine = _BlockStreamer(streaming_mode(engine), block_bytes)
+            if columns is not None:
+                resident = frozenset(query.pipelines[index].name for index in tables)
+                for name in resident - priced.keys():
+                    priced[name] = self._built(query, database, engine_name, name, record)
+            if fleet is not None:
+                entry[slot] = columns, self._fleet(
+                    query, database, engine, fleet, priced, resident, columns, record, bound
+                )
+                return entry[slot][1]
+            runtime = self._runtime(database, priced, resident, columns, bound=bound)
+            try:
+                engine.run_pipelines(query.grouped(), runtime)
+            finally:
+                if record is not None:
+                    record.lookups += runtime.device.log.lookups
+        except Outpriced as stopped:
+            entry[slot] = columns, (stopped.with_traceback(None), priced)
             return entry[slot][1]
-        engine = make_engine(engine_name)
-        priced = resident = None
-        if columns is not None or block_bytes is not None or fleet is not None:
-            # Replayed: the run without a pool (a pooled fleet's: the fleet's).
-            priced = dict(self._run(
-                query, database, engine_name, None, frozenset(), record,
-                fleet=fleet if columns is not None else None,
-            )[1])
-        if block_bytes is not None:
-            del priced[query.final_pipeline.name]
-            engine = _BlockStreamer(streaming_mode(engine), block_bytes)
-        if columns is not None:
-            resident = frozenset(query.pipelines[index].name for index in tables)
-        if fleet is not None:
-            entry[slot] = columns, self._fleet(
-                query, database, engine, fleet, priced, resident, columns, record
-            )
-            return entry[slot][1]
-        runtime = self._runtime(database, priced, resident, columns)
-        engine.run_pipelines(query.grouped(), runtime)
         log = runtime.device.log
-        if record is not None:
-            record.lookups += log.lookups
         run = CostEstimate(strategy=None)
         run.record = log
         run.pipelines, held = self._pipelines(runtime)
@@ -558,19 +600,58 @@ class CostEstimator:
         entry[slot] = columns, (run, runtime.runs)
         return entry[slot][1]
 
-    def _runtime(self, database, priced, resident, columns) -> EstimateRuntime:
+    def _load_floor_ms(self, query, database, columns, tables) -> float:
+        """What a run to finish on one device pays its link at the least:
+        each base column its pipelines read (not the resident builds
+        ``tables``) that the pool does not hold (``columns``; ``None``: no
+        pool) ships once, as :meth:`QueryRuntime.load_source
+        <repro.engines.runtime.QueryRuntime.load_source>` ships it, in
+        one transfer at the fewest."""
+        if self.interconnect is None:
+            return 0.0
+        nbytes = 0
+        for table, name, column in base_columns(query, database, skip=tables):
+            if columns is not None and (table, name) in columns:
+                continue
+            encoded = None if self.compression is None else self.compression.encoded(column)
+            if encoded is None or encoded.codec == "passthrough":
+                nbytes += column.values.nbytes
+            else:
+                nbytes += encoded.wire_array.nbytes
+        return self.interconnect.transfer_time(nbytes, "h2d") * 1e3
+
+    def _built(self, query, database, engine_name, name, record):
+        """What pricing build ``name`` left (a pooled run's resident
+        build, which does not run, needs its table estimate): its table
+        estimate depends on cardinalities only, so any engine's run
+        without a pool that priced it serves, else this engine's, priced
+        in full."""
+        mode = self.compression.mode if self.compression is not None else None
+        wanted = (None, None, self.profile, mode, self.statistics.sample_limit, frozenset())
+        version = database.fingerprint()
+        for key, entry in query.estimates.items():
+            if key[1:] == wanted and entry[0] == version and entry[1] is not None:
+                runs = entry[1][1][1]
+                if name in runs:
+                    return runs[name]
+        return self._run(query, database, engine_name, None, frozenset(), record)[1][name]
+
+    def _runtime(self, database, priced, resident, columns, spent_ms=0.0, bound=None):
         return EstimateRuntime(
             self.cost_model, self.interconnect, database, self, self.compression,
             priced=priced, resident=resident, resident_columns=columns,
+            spent_ms=spent_ms, bound_ms=bound,
         )
 
-    def _fleet(self, query, database, engine, fleet, priced, resident, columns, record):
+    def _fleet(self, query, database, engine, fleet, priced, resident, columns, record, bound):
         """``query`` on a fleet of ``(devices, partitioning)``: each
         device turn the executor runs (:func:`estimate_turn`: the same
         pieces, assigned alike) on an estimate runtime of its own over
-        the partitioned catalog, the builds replaying ``priced``.  Link
+        the partitioned catalog, the builds replaying ``priced`` (a turn
+        prices what it does not hold, and later turns replay that).  Link
         bytes and transfers are the turns' sums, the time and the peak
-        the busiest / largest turn's, plus the host merge.  A pooled
+        the busiest / largest turn's, plus the host merge — which each
+        turn's running sum starts at, against ``bound``.  A pooled
         fleet holds every piece of a fact column ``columns`` holds."""
         devices, partitioning = fleet
         fact = query.final_pipeline.source
@@ -583,27 +664,36 @@ class CostEstimator:
             }
         rewritten, _ = rewrite_for_partials(query.final_pipeline)
         first = len(query.pipelines) - 1
+        merge_ms = merge_overhead_ms(partitions.parts)
         run = CostEstimate(strategy=None)
         run.record, turns = Profile(), []
-        for load in assign_pieces([piece.nbytes for piece in pieces], devices):
-            if not any(pieces[index].rows for index in load.pieces):
-                continue  # a device given no rows takes no turn
-            runtime = self._runtime(partitions.database, priced, resident, columns)
-            estimate_turn(engine, query, rewritten, [pieces[i] for i in load.pieces], runtime)
-            log = runtime.device.log
-            run.record.merge(log)
-            turns.append(log)
-            pipes, held = self._pipelines(runtime)
-            # The builds once; each morsel at its executed record index.
-            run.pipelines += [
-                pipe for pipe in pipes if len(turns) == 1 or pipe.record.index >= first
-            ]
-            run.peak_device_bytes = max(
-                run.peak_device_bytes,
-                held + 16 * max(pipe.rows_in for pipe in pipes) + log.moved_bytes("d2h"),
-            )
-        if record is not None:
-            record.lookups += run.record.lookups
+        try:
+            for load in assign_pieces([piece.nbytes for piece in pieces], devices):
+                if not any(pieces[index].rows for index in load.pieces):
+                    continue  # a device given no rows takes no turn
+                runtime = self._runtime(
+                    partitions.database, priced, resident, columns, merge_ms, bound
+                )
+                try:
+                    estimate_turn(
+                        engine, query, rewritten, [pieces[i] for i in load.pieces], runtime
+                    )
+                finally:
+                    log = runtime.device.log
+                    run.record.merge(log)
+                    turns.append(log)
+                pipes, held = self._pipelines(runtime)
+                # The builds once; each morsel at its executed record index.
+                run.pipelines += [
+                    pipe for pipe in pipes if len(turns) == 1 or pipe.record.index >= first
+                ]
+                run.peak_device_bytes = max(
+                    run.peak_device_bytes,
+                    held + 16 * max(pipe.rows_in for pipe in pipes) + log.moved_bytes("d2h"),
+                )
+        finally:
+            if record is not None:
+                record.lookups += run.record.lookups
         run.pipelines.sort(key=lambda pipe: pipe.record.index)
         run.global_bytes = run.record.bytes_at(MemoryLevel.GLOBAL)
         run.onchip_bytes = run.record.bytes_at(MemoryLevel.ONCHIP)
@@ -613,7 +703,7 @@ class CostEstimator:
         # No turn at all when no piece has a row: only the merge remains.
         busiest = max(turns, key=lambda log: log.total_time_ms, default=run.record)
         run.kernel_ms, run.transfer_ms = busiest.kernel_time_ms, busiest.transfer_time_ms
-        run.overhead_ms = merge_overhead_ms(partitions.parts)
+        run.overhead_ms = merge_ms
         return run, priced
 
     @staticmethod

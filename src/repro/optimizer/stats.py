@@ -2,10 +2,12 @@
 
 The advisor's selectivity and group-count estimates come from per-column
 summaries — row count, min/max, null fraction, and a distinct-count
-estimate — collected once per catalog version and cached under the
-database :meth:`~repro.storage.database.Database.fingerprint` (the same
-key the plan cache uses), so a catalog mutation invalidates the stats
-exactly when it invalidates cached plans.
+estimate — collected once per catalog version, each column when it is
+first read (:meth:`StatisticsCatalog.analyze` collects them all at
+once), and cached under the database
+:meth:`~repro.storage.database.Database.fingerprint` (the same key the
+plan cache uses), so a catalog mutation invalidates the stats exactly
+when it invalidates cached plans.
 
 Collection is cheap and deterministic: columns larger than
 ``sample_limit`` values are sampled with a fixed stride (no RNG), and
@@ -23,7 +25,7 @@ earlier conjuncts keep — exact on a table no larger than the sample.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,15 +59,23 @@ class ColumnStats:
 
 @dataclass(frozen=True)
 class TableStats:
-    """Summary of one base table: row count plus per-column stats."""
+    """Summary of one base table: row count plus per-column stats, each
+    collected from ``table`` on its first read (a plan reads few of a
+    table's columns)."""
 
     name: str
     rows: int
     nbytes: int
     columns: dict
+    table: Table = field(repr=False, compare=False)
+    sample_limit: int = 65536
 
     def column(self, name: str) -> ColumnStats | None:
-        return self.columns.get(name)
+        stats = self.columns.get(name)
+        if stats is None and name in self.table.column_names:
+            values = self.table.column(name).values
+            stats = self.columns.setdefault(name, _collect_column(values, self.sample_limit))
+        return stats
 
 
 def _stride(rows: int, sample_limit: int) -> int:
@@ -119,13 +129,11 @@ def _collect_column(values: np.ndarray, sample_limit: int) -> ColumnStats:
 def collect_table_stats(
     name: str, table: Table, sample_limit: int = 65536
 ) -> TableStats:
-    """Scan (or stride-sample) every column of ``table`` once."""
-    columns = {
-        column_name: _collect_column(table.column(column_name).values, sample_limit)
-        for column_name in table.column_names
-    }
+    """The stats of ``table``: each column is scanned (or stride-sampled)
+    once, when it is first read."""
     return TableStats(
-        name=name, rows=table.num_rows, nbytes=table.nbytes, columns=columns
+        name=name, rows=table.num_rows, nbytes=table.nbytes, columns={},
+        table=table, sample_limit=sample_limit,
     )
 
 
@@ -252,11 +260,14 @@ class StatisticsCatalog:
         return share
 
     def analyze(self, database: Database) -> dict[str, TableStats]:
-        """Eagerly collect stats for every table in the catalog."""
-        return {
-            name: self.table_stats(database, name)
-            for name in database.table_names
-        }
+        """Eagerly collect stats for every column of every table in the
+        catalog."""
+        collected = {}
+        for name in database.table_names:
+            stats = collected[name] = self.table_stats(database, name)
+            for column_name in database.table(name).column_names:
+                stats.column(column_name)
+        return collected
 
     def __len__(self) -> int:
         with self._lock:

@@ -162,6 +162,61 @@ def assert_warm_contract():
     return _assert_warm_contract
 
 
+def _fully_priced(auto, query, database) -> tuple:
+    """The decision ``auto`` (an ``AutoExecutor``) makes for ``query``
+    on its pool as it is, built from ``CostEstimator.estimate`` without
+    a bound: every lattice point priced in full, ranked by the
+    advisor's rules.  Returns the pick, the estimate per feasible
+    strategy and the streaming candidates the out-of-core rule prunes.
+    Clears ``query.estimates`` before and after, so what the advisor
+    prices next shares nothing with it."""
+    from repro.optimizer import CostEstimator
+    from repro.optimizer.advisor import FIT_SAFETY_FRACTION, OOC_PRUNE_FRACTION, _rank_key
+
+    advisor = auto.advisor
+    estimator = CostEstimator(
+        advisor.profile, auto.interconnect, auto.statistics, compression=auto.compression
+    )
+    capacity = advisor.profile.memory_capacity
+    columns, tables = auto._residency(query, database)
+    candidates, _ = advisor.candidate_strategies(
+        query, engine=auto.pinned_engine, devices=auto.pinned_devices,
+        partitioning=auto.partitioning, placement=auto.pinned_placement,
+    )
+    query.estimates.clear()
+    estimates, dominated, fits = {}, set(), False
+    for choice in sorted(candidates, key=lambda choice: choice.macro == "out-of-core"):
+        if choice.macro == "out-of-core" and fits:
+            dominated.add(choice)
+            continue
+        estimate = estimator.estimate(
+            query, database, choice, resident_columns=columns, resident_tables=tables
+        )
+        assert estimate.outpriced is None
+        if not estimate.feasible:
+            continue
+        if choice.macro == "run-to-finish":
+            fits |= estimate.peak_device_bytes <= OOC_PRUNE_FRACTION * capacity
+            if estimate.peak_device_bytes > capacity:
+                continue
+        estimates[choice] = estimate
+    query.estimates.clear()
+    safe = [
+        estimate for estimate in estimates.values()
+        if estimate.strategy.macro == "out-of-core"
+        or estimate.peak_device_bytes <= FIT_SAFETY_FRACTION * capacity
+    ]
+    pick = min(safe or list(estimates.values()), key=_rank_key)
+    return pick, estimates, dominated
+
+
+@pytest.fixture()
+def fully_priced():
+    """:func:`_fully_priced` for tests that hold the advisor's bounded
+    lattice walk to the full pricing."""
+    return _fully_priced
+
+
 @pytest.fixture(scope="session")
 def tiny_db() -> Database:
     """A tiny hand-written star schema for exact-value tests."""

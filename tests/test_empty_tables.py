@@ -6,7 +6,8 @@ from the join graph (the table every equi-join touches), not from row
 counts, so an empty ``lineorder`` stays the fact table.  A pooled,
 compressed 4-device fleet answers the same over two passes, with an
 empty table and with a date filter no row passes, whose zero-row build
-the first device turn runs and every later turn replays."""
+the first device turn runs and every later turn replays.  ``engine="auto"``
+picks over zero rows what pricing every candidate in full would."""
 
 from __future__ import annotations
 
@@ -51,6 +52,34 @@ def test_empty_table_answers_as_cpu(tiny_ssb, empty, devices):
             assert rows == expected[name], (engine, name)
 
 
+def _inputs(tiny_ssb, empty):
+    """The database and SSB queries of case ``empty``: a table emptied,
+    or a date filter no row passes."""
+    if empty == "no date passes":
+        return tiny_ssb, {
+            name: sql.replace("lo_orderdate = d_datekey", "lo_orderdate = d_datekey and d_year < 1900")
+            for name, sql in SSB_QUERIES.items()
+        }
+    return _emptied(tiny_ssb, empty), SSB_QUERIES
+
+
+@pytest.mark.parametrize("devices", [1, "auto"])
+@pytest.mark.parametrize("empty", ["lineorder", "date", "part", "no date passes"])
+def test_auto_picks_the_full_pricing_pick(tiny_ssb, fully_priced, empty, devices):
+    """Over zero rows the advisor's bounded walk picks what pricing
+    every candidate in full ranks first, cold and warm, and answers as
+    the CPU does."""
+    database, queries = _inputs(tiny_ssb, empty)
+    reference = repro.connect(database, engine="cpu")
+    session = repro.connect(database, engine="auto", devices=devices)
+    for cold in (True, False):
+        for name, sql in sorted(queries.items()):
+            pick, _, _ = fully_priced(session.auto, session.physical(sql), database)
+            result = session.execute(sql)
+            assert result.optimizer.chosen == pick.strategy, (name, cold)
+            assert result.table.sorted_rows() == reference.execute(sql).table.sorted_rows()
+
+
 @pytest.mark.parametrize("empty", ["lineorder", "date", "part", "no date passes"])
 def test_a_pooled_compressed_fleet_answers_as_cpu(tiny_ssb, monkeypatch, empty):
     replays = []
@@ -61,13 +90,7 @@ def test_a_pooled_compressed_fleet_answers_as_cpu(tiny_ssb, monkeypatch, empty):
         return run_pipeline(self, engine, pipeline)
 
     monkeypatch.setattr(QueryRuntime, "run_pipeline", counting)
-    if empty == "no date passes":
-        database, queries = tiny_ssb, {
-            name: sql.replace("lo_orderdate = d_datekey", "lo_orderdate = d_datekey and d_year < 1900")
-            for name, sql in SSB_QUERIES.items()
-        }
-    else:
-        database, queries = _emptied(tiny_ssb, empty), SSB_QUERIES
+    database, queries = _inputs(tiny_ssb, empty)
     reference = repro.connect(database, engine="cpu")
     expected = {name: reference.execute(sql).table.sorted_rows() for name, sql in queries.items()}
     for engine in ("resolution", "multipass", "operator-at-a-time"):

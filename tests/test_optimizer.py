@@ -12,6 +12,7 @@ configurations never collide.
 from __future__ import annotations
 
 import math
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -701,3 +702,45 @@ def test_auto_metrics_exported(ssb_db):
         for family in ("advise_ms", "prediction_error"):
             counts = parsed[f"repro_optimizer_{family}_count"]
             assert counts == [({"worker": "0"}, 13.0)], family
+
+
+def test_column_stats_are_collected_on_first_read(ssb_db, monkeypatch):
+    """A first advise summarizes only the columns its estimates read
+    (``analyze`` collects every one), and estimates the same."""
+    import repro.optimizer.stats as stats_module
+
+    summarized, read = [], set()
+    collect, column = stats_module._collect_column, stats_module.TableStats.column
+    monkeypatch.setattr(
+        stats_module, "_collect_column",
+        lambda values, limit: summarized.append(values) or collect(values, limit),
+    )
+    monkeypatch.setattr(
+        stats_module.TableStats, "column",
+        lambda stats, name: read.add((stats.name, name)) or column(stats, name),
+    )
+    eager = StatisticsCatalog()
+    eager.analyze(ssb_db)
+    assert len(summarized) == sum(
+        len(ssb_db.table(name).column_names) for name in ssb_db.table_names
+    )
+    # SSB q1.1 reads none (its filters' shares come off the sample); a
+    # group-by reads its key's distinct count.
+    for plan, reads in (
+        (plan_sql(SSB_QUERIES["q1.1"], ssb_db), 0), (microbench.group_by_query(64), 1)
+    ):
+        summarized.clear()
+        read.clear()
+        lazy = Advisor(GTX970, PCIE3).advise(_physical(plan, ssb_db), ssb_db)
+        columns = {
+            (table, column) for table, column in read
+            if column in ssb_db.table(table).column_names
+        }
+        assert len(summarized) == len(columns) == reads
+        decided = Advisor(GTX970, PCIE3, statistics=eager).advise(
+            _physical(plan, ssb_db), ssb_db
+        )
+        assert decided.chosen == lazy.chosen
+        assert [asdict(estimate) for estimate in decided.candidates] == [
+            asdict(estimate) for estimate in lazy.candidates
+        ]

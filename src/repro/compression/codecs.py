@@ -37,7 +37,14 @@ part buffers.  :attr:`EncodedColumn.wire_nbytes` is the exact byte
 count charged to the :class:`~repro.hardware.interconnect.Interconnect`
 and :attr:`EncodedColumn.wire_array` is the materialized transport
 buffer (so pooled resident columns genuinely occupy their compressed
-footprint on the device).
+footprint on the device).  :func:`wire_size` returns the same
+``wire_nbytes`` without building any part (the auto chooser scores
+candidates with it).
+
+A packed stream holds each value's ``width`` low bits, most
+significant first.  Eight values fill exactly ``width`` bytes, so
+:func:`_bit_pack` builds the stream a group of eight at a time in
+uint64 words rather than bit by bit.
 """
 
 from __future__ import annotations
@@ -66,6 +73,10 @@ _CODEC_IDS = {name: index for index, name in enumerate(CODEC_NAMES)}
 #: Rows per cascade block: large enough to amortize the 17-byte
 #: per-block metadata, small enough to adapt the bit width locally.
 CASCADE_BLOCK = 4096
+
+#: Per-block cascade metadata: first value (int64), reference (int64)
+#: and bit width (uint8).
+CASCADE_BLOCK_META = 17
 
 
 @dataclass
@@ -179,7 +190,7 @@ def _smallest_uint(maximum: int) -> np.dtype:
 
 
 # ----------------------------------------------------------------------
-# bit packing (shared by forpack / delta / dictionary)
+# bit packing (shared by forpack / delta / dictionary / cascade)
 # ----------------------------------------------------------------------
 def _bit_pack(values_u64: np.ndarray, width: int) -> np.ndarray:
     """Pack the ``width`` low bits of each value, most significant bit
@@ -187,25 +198,68 @@ def _bit_pack(values_u64: np.ndarray, width: int) -> np.ndarray:
     n = len(values_u64)
     if width == 0 or n == 0:
         return np.empty(0, dtype=np.uint8)
+    groups = -(-n // 8)
     if width < 8:
-        # A few passes over one byte per value are cheaper than
-        # unpacking eight bits to keep some of them.
-        low = values_u64.astype(np.uint8)
-        bits = np.empty((n, width), dtype=np.uint8)
-        for bit in range(width):
-            np.bitwise_and(low >> np.uint8(width - 1 - bit), 1, out=bits[:, bit])
-        return np.packbits(bits.reshape(-1))
-    # Left-align the bits in the smallest unsigned type that holds them:
-    # its big-endian bytes then begin with exactly the bits wanted.
-    size = next(size for size in (1, 2, 4, 8) if 8 * size >= width)
-    dtype = np.dtype(f"u{size}")
-    aligned = values_u64.astype(dtype)
-    aligned <<= dtype.type(8 * size - width)
-    stream = aligned.astype(dtype.newbyteorder(">"), copy=False).view(np.uint8)
-    if 8 * size == width:
-        return stream
-    bits = np.unpackbits(stream).reshape(n, 8 * size)[:, :width]
-    return np.packbits(bits.reshape(-1))
+        # One byte per value, so a group's eight values read as one
+        # big-endian word.  Three folds pull the fields together: the
+        # upper half of every 16-, 32-, then 64-bit slot shifts down
+        # onto the lower, leaving the group's ``width`` bytes at the
+        # bottom of its word.
+        lanes = np.zeros(8 * groups, dtype=np.uint8)
+        np.bitwise_and(values_u64, (1 << width) - 1, out=lanes[:n], casting="unsafe")
+        words = lanes.view(">u8").astype(np.uint64)
+        for half in (8, 16, 32):
+            low = np.uint64(sum(((1 << half) - 1) << at for at in range(0, 64, 2 * half)))
+            high = words & ~low
+            high >>= np.uint64(half - half // 8 * width)
+            words &= low
+            words |= high
+        return _group_bytes(words.astype(">u8"), 8 - width, width)[: _packed_nbytes(n, width)]
+    if width in (8, 16, 32, 64):
+        # Byte-aligned: the big-endian bytes of each value are the stream.
+        dtype = np.dtype(f"u{width // 8}")
+        return values_u64.astype(dtype).astype(dtype.newbyteorder(">"), copy=False).view(np.uint8)
+    # Eight values fill exactly ``width`` bytes.  Build each group of
+    # eight as one bit string, left-aligned in ceil(width / 8) uint64
+    # words (value j starts ``j * width`` bits from the top), with eight
+    # shift / OR passes over the group's lanes; the first ``width``
+    # bytes of the words' big-endian image are the group's stream.
+    if n % 8:
+        values_u64 = np.concatenate((values_u64, np.zeros(8 * groups - n, np.uint64)))
+    lanes = np.empty((8, groups), dtype=np.uint64)
+    np.bitwise_and(values_u64.reshape(groups, 8).T, np.uint64((1 << width) - 1), out=lanes)
+    nwords = -(-width // 8)
+    words = np.zeros((nwords, groups), dtype=np.uint64)
+    shifted = np.empty(groups, dtype=np.uint64)
+    for lane in range(8):
+        word, offset = divmod(lane * width, 64)
+        spill = offset + width - 64  # bits that run into the next word
+        if spill <= 0:
+            np.left_shift(lanes[lane], np.uint64(-spill), out=shifted)
+            words[word] |= shifted
+        else:
+            np.right_shift(lanes[lane], np.uint64(spill), out=shifted)
+            words[word] |= shifted
+            np.left_shift(lanes[lane], np.uint64(64 - spill), out=shifted)
+            words[word + 1] |= shifted
+    image = np.ascontiguousarray(words.T, dtype=">u8")
+    return _group_bytes(image, 0, width)[: _packed_nbytes(n, width)]
+
+
+def _group_bytes(image: np.ndarray, start: int, count: int) -> np.ndarray:
+    """Bytes ``start .. start + count`` of each row of a C-contiguous
+    2-D (or, one word a row, 1-D) ``image``, concatenated.  Copying
+    ``count``-byte void items is one memcpy a row, not a byte loop."""
+    rows = np.ndarray(
+        (len(image),), dtype=np.dtype((np.void, count)), buffer=image,
+        offset=start, strides=(image.nbytes // len(image),),
+    )
+    return rows.copy().view(np.uint8)
+
+
+def _packed_nbytes(n: int, width: int) -> int:
+    """Bytes of ``n`` values packed at ``width`` bits each."""
+    return (n * width + 7) // 8
 
 
 def _bit_unpack(packed: np.ndarray, n: int, width: int) -> np.ndarray:
@@ -217,6 +271,67 @@ def _bit_unpack(packed: np.ndarray, n: int, width: int) -> np.ndarray:
         shift = np.uint64(width - 1 - bit)
         out |= bits[:, bit].astype(np.uint64) << shift
     return out
+
+
+# ----------------------------------------------------------------------
+# frames: what a packing codec needs to know before it packs
+# ----------------------------------------------------------------------
+def _frame(values: np.ndarray) -> tuple[int, int] | None:
+    """Frame of reference ``(lo, width)`` that packs ``values`` (``(0,
+    0)`` for none); ``None`` where the span or the maximum does not fit
+    the 64-bit packing arithmetic."""
+    if len(values) == 0:
+        return 0, 0
+    lo, hi = int(values.min()), int(values.max())
+    if hi - lo >= 1 << 63 or hi >= 1 << 63:
+        return None
+    return lo, (hi - lo).bit_length()
+
+
+def _dictionary_width(stored: np.ndarray, dictionary_size: int | None) -> int | None:
+    if dictionary_size is None or stored.dtype.kind != "i":
+        return None
+    top = dictionary_size - 1
+    if len(stored):
+        if int(stored.min()) < 0:
+            return None  # dictionary codes are non-negative by construction
+        top = max(top, int(stored.max()))
+    if top >= 1 << 63:
+        return None
+    return top.bit_length() if top > 0 else 1
+
+
+def _cascade_blocks(wide: np.ndarray):
+    """Each cascade block as ``(first value, differences, frame)``.
+
+    Differences are taken modulo 2**64; the cumulative sum on decode
+    wraps back, so extreme int64 inputs still round-trip exactly."""
+    for start in range(0, len(wide), CASCADE_BLOCK):
+        block = wide[start : start + CASCADE_BLOCK]
+        diffs = np.diff(block)
+        yield int(block[0]), diffs, _frame(diffs)
+
+
+def _rle_runs(stored: np.ndarray) -> tuple[int, np.dtype]:
+    """Run count and run-length dtype of the RLE encoding."""
+    n = len(stored)
+    if n == 0:
+        return 0, np.dtype(np.uint8)
+    ends = np.flatnonzero(stored[1:] != stored[:-1])
+    longest = n - len(ends)  # no run is longer than this
+    if longest > np.iinfo(np.uint8).max:
+        longest = int(np.diff(ends, prepend=-1, append=n - 1).max())
+    return len(ends) + 1, _smallest_uint(longest)
+
+
+def _pack_deltas(values: np.ndarray, lo: int, width: int) -> np.ndarray:
+    """Bit-pack ``values - lo`` at ``width`` bits."""
+    wide = values.astype(np.int64, copy=False)
+    if lo:
+        # int64 subtraction may wrap, but the true delta is < 2**63, so
+        # the uint64 reinterpretation recovers it exactly.
+        wide = wide - np.int64(lo)
+    return _bit_pack(wide.view(np.uint64), width)
 
 
 # ----------------------------------------------------------------------
@@ -258,33 +373,16 @@ def _decode_rle(encoded: EncodedColumn) -> np.ndarray:
 
 
 def _encode_forpack(values: np.ndarray, stored: np.ndarray) -> EncodedColumn | None:
-    if stored.dtype.kind not in "iu":
+    frame = _frame(stored) if stored.dtype.kind in "iu" else None
+    if frame is None:
         return None
-    n = len(stored)
-    if n == 0:
-        return EncodedColumn(
-            "forpack",
-            values.dtype,
-            0,
-            values.nbytes,
-            {"packed": np.empty(0, dtype=np.uint8)},
-            {"reference": 0, "width": 0},
-        )
-    lo = int(stored.min())
-    hi = int(stored.max())
-    span = hi - lo
-    if span >= 1 << 63 or hi >= 1 << 63:
-        return None  # deltas would not fit the 64-bit packing arithmetic
-    width = span.bit_length()
-    # int64 subtraction may wrap, but the true delta is < 2**63, so the
-    # uint64 reinterpretation recovers it exactly.
-    deltas = (stored.astype(np.int64, copy=False) - np.int64(lo)).view(np.uint64)
+    lo, width = frame
     return EncodedColumn(
         "forpack",
         values.dtype,
-        n,
+        len(stored),
         values.nbytes,
-        {"packed": _bit_pack(deltas, width)},
+        {"packed": _pack_deltas(stored, lo, width)},
         {"reference": lo, "width": width},
     )
 
@@ -299,37 +397,21 @@ def _decode_forpack(encoded: EncodedColumn) -> np.ndarray:
 def _encode_delta(values: np.ndarray, stored: np.ndarray) -> EncodedColumn | None:
     if stored.dtype.kind != "i":
         return None
-    n = len(stored)
-    if n == 0:
-        return EncodedColumn(
-            "delta",
-            values.dtype,
-            0,
-            values.nbytes,
-            {"packed": np.empty(0, dtype=np.uint8)},
-            {"first": 0, "reference": 0, "width": 0},
-        )
     wide = stored.astype(np.int64, copy=False)
     # Differences are taken modulo 2**64; the cumulative sum on decode
     # wraps back, so extreme int64 inputs still round-trip exactly.
     diffs = np.diff(wide)
-    if len(diffs) == 0:
-        lo, width = 0, 0
-        packed = np.empty(0, dtype=np.uint8)
-    else:
-        lo = int(diffs.min())
-        span = int(diffs.max()) - lo
-        if span >= 1 << 63:
-            return None
-        width = span.bit_length()
-        packed = _bit_pack((diffs - np.int64(lo)).view(np.uint64), width)
+    frame = _frame(diffs)
+    if frame is None:
+        return None
+    lo, width = frame
     return EncodedColumn(
         "delta",
         values.dtype,
-        n,
+        len(wide),
         values.nbytes,
-        {"packed": packed},
-        {"first": int(wide[0]), "reference": lo, "width": width},
+        {"packed": _pack_deltas(diffs, lo, width)},
+        {"first": int(wide[0]) if len(wide) else 0, "reference": lo, "width": width},
     )
 
 
@@ -350,24 +432,15 @@ def _decode_delta(encoded: EncodedColumn) -> np.ndarray:
 def _encode_dictionary(
     values: np.ndarray, stored: np.ndarray, dictionary_size: int | None
 ) -> EncodedColumn | None:
-    if dictionary_size is None or stored.dtype.kind != "i":
+    width = _dictionary_width(stored, dictionary_size)
+    if width is None:
         return None
-    n = len(stored)
-    if n and int(stored.min()) < 0:
-        return None  # dictionary codes are non-negative by construction
-    top = dictionary_size - 1
-    if n:
-        top = max(top, int(stored.max()))
-    if top >= 1 << 63:
-        return None
-    width = top.bit_length() if top > 0 else 1
-    packed = _bit_pack(stored.astype(np.int64, copy=False).view(np.uint64), width)
     return EncodedColumn(
         "dictionary",
         values.dtype,
-        n,
+        len(stored),
         values.nbytes,
-        {"packed": packed},
+        {"packed": _pack_deltas(stored, 0, width)},
         {"reference": 0, "width": width},
     )
 
@@ -398,44 +471,19 @@ def _decode_boolpack(encoded: EncodedColumn) -> np.ndarray:
 def _encode_cascade(values: np.ndarray, stored: np.ndarray) -> EncodedColumn | None:
     if stored.dtype.kind != "i":
         return None
-    n = len(stored)
-    if n == 0:
-        return EncodedColumn(
-            "cascade",
-            values.dtype,
-            0,
-            values.nbytes,
-            {
-                "firsts": np.empty(0, dtype=np.int64),
-                "references": np.empty(0, dtype=np.int64),
-                "widths": np.empty(0, dtype=np.uint8),
-                "packed": np.empty(0, dtype=np.uint8),
-            },
-            {"width": 0, "block": CASCADE_BLOCK},
-        )
-    wide = stored.astype(np.int64, copy=False)
     firsts, references, widths, chunks = [], [], [], []
-    for start in range(0, n, CASCADE_BLOCK):
-        block = wide[start : start + CASCADE_BLOCK]
-        diffs = np.diff(block)
-        if len(diffs) == 0:
-            lo, width = 0, 0
-            packed = np.empty(0, dtype=np.uint8)
-        else:
-            lo = int(diffs.min())
-            span = int(diffs.max()) - lo
-            if span >= 1 << 63:
-                return None
-            width = span.bit_length()
-            packed = _bit_pack((diffs - np.int64(lo)).view(np.uint64), width)
-        firsts.append(int(block[0]))
+    for first, diffs, frame in _cascade_blocks(stored.astype(np.int64, copy=False)):
+        if frame is None:
+            return None
+        lo, width = frame
+        firsts.append(first)
         references.append(lo)
         widths.append(width)
-        chunks.append(packed)
+        chunks.append(_pack_deltas(diffs, lo, width))
     return EncodedColumn(
         "cascade",
         values.dtype,
-        n,
+        len(stored),
         values.nbytes,
         {
             "firsts": np.array(firsts, dtype=np.int64),
@@ -443,7 +491,7 @@ def _encode_cascade(values: np.ndarray, stored: np.ndarray) -> EncodedColumn | N
             "widths": np.array(widths, dtype=np.uint8),
             "packed": np.concatenate(chunks) if chunks else np.empty(0, np.uint8),
         },
-        {"width": max(widths), "block": CASCADE_BLOCK},
+        {"width": max(widths, default=0), "block": CASCADE_BLOCK},
     )
 
 
@@ -498,7 +546,52 @@ def encode(
         return _encode_boolpack(values, stored)
     if codec == "cascade":
         return _encode_cascade(values, stored)
-    raise ConfigurationError(
+    raise _unknown_codec(codec)
+
+
+def wire_size(
+    values: np.ndarray, codec: str, dictionary_size: int | None = None
+) -> int | None:
+    """``encode(values, codec, dictionary_size).wire_nbytes``, or
+    ``None`` where :func:`encode` returns ``None``, without building
+    any part: a packing codec needs only its frame (value range, bit
+    widths), RLE only its run count and longest run."""
+    if codec == "passthrough":
+        return values.nbytes
+    stored = _storage_view(values)
+    if codec == "rle":
+        runs, length_dtype = _rle_runs(stored)
+        return WIRE_HEADER_BYTES + runs * (stored.itemsize + length_dtype.itemsize)
+    if codec == "cascade":
+        if stored.dtype.kind != "i":
+            return None
+        nbytes = WIRE_HEADER_BYTES
+        for _first, diffs, frame in _cascade_blocks(stored.astype(np.int64, copy=False)):
+            if frame is None:
+                return None
+            nbytes += CASCADE_BLOCK_META + _packed_nbytes(len(diffs), frame[1])
+        return nbytes
+    # The rest pack one stream of ``count`` values.
+    count = len(stored)
+    if codec == "forpack":
+        frame = _frame(stored) if stored.dtype.kind in "iu" else None
+    elif codec == "delta":
+        if stored.dtype.kind != "i":
+            return None
+        frame = _frame(np.diff(stored.astype(np.int64, copy=False)))
+        count = max(count - 1, 0)
+    elif codec == "dictionary":
+        width = _dictionary_width(stored, dictionary_size)
+        frame = None if width is None else (0, width)
+    elif codec == "boolpack":
+        frame = (0, 1) if values.dtype == np.bool_ else None
+    else:
+        raise _unknown_codec(codec)
+    return None if frame is None else WIRE_HEADER_BYTES + _packed_nbytes(count, frame[1])
+
+
+def _unknown_codec(codec: str) -> ConfigurationError:
+    return ConfigurationError(
         f"unknown codec {codec!r}; valid choices: {', '.join(CODEC_NAMES)}"
     )
 
@@ -520,8 +613,5 @@ def decode(encoded: EncodedColumn) -> np.ndarray:
     try:
         decoder = _DECODERS[encoded.codec]
     except KeyError:
-        raise ConfigurationError(
-            f"unknown codec {encoded.codec!r}; "
-            f"valid choices: {', '.join(CODEC_NAMES)}"
-        ) from None
+        raise _unknown_codec(encoded.codec) from None
     return decoder(encoded)

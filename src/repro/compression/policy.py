@@ -2,12 +2,16 @@
 
 A :class:`CompressionPolicy` decides *how each column crosses the
 interconnect*.  In ``"auto"`` mode it samples a few contiguous windows
-of the column, scores every applicable codec on the sample, fully
-encodes with the winner, and falls back to ``passthrough`` unless the
-whole-column ratio clears :data:`MIN_RATIO` — so incompressible data
-ships raw and costs nothing extra.  A pinned mode (``"rle"``,
-``"forpack"``, ``"delta"``, ``"dictionary"``, ``"passthrough"``)
-forces one codec where applicable, with the same passthrough fallback.
+of the column and scores every applicable codec by the exact wire size
+it would give the sample (:func:`~repro.compression.codecs.wire_size`:
+read off the value range, run count or bit widths, nothing is
+encoded).  The winner's exact whole-column size must clear
+:data:`MIN_RATIO` before the column is encoded; otherwise it ships as
+``passthrough`` — so incompressible data ships raw and costs only the
+sizing.  A pinned mode (``"rle"``, ``"forpack"``, ``"delta"``,
+``"dictionary"``, ``"passthrough"``) forces one codec where
+applicable, with the same passthrough fallback.  Result columns
+(``encode_array``, the D2H direction) go through the same chooser.
 
 Sampling uses *contiguous* windows, never strided ones: striding
 destroys exactly the structure (runs, sortedness) that RLE and delta
@@ -30,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigurationError
-from .codecs import CODEC_NAMES, EncodedColumn, encode
+from .codecs import CODEC_NAMES, EncodedColumn, encode, wire_size
 
 #: The auto chooser scores candidates on up to this many contiguous
 #: windows of this many rows (whole column when small enough).
@@ -75,11 +79,10 @@ def _dictionary_size(column) -> "int | None":
     return len(dictionary) if dictionary is not None else None
 
 
-def _candidates(column) -> tuple:
+def _candidates(dtype: np.dtype, dictionary: bool) -> tuple:
     """Codecs worth scoring for a column's physical representation."""
-    if getattr(column, "dictionary", None) is not None:
+    if dictionary:
         return ("dictionary", "rle")
-    dtype = column.values.dtype
     if dtype == np.bool_:
         return ("boolpack", "forpack", "rle")
     if dtype.kind == "i":
@@ -103,6 +106,33 @@ def _sample(values: np.ndarray) -> np.ndarray:
         for index in range(SAMPLE_WINDOWS)
     ]
     return np.concatenate(windows)
+
+
+def _choose(values: np.ndarray, dictionary_size: "int | None") -> str:
+    """The candidate with the smallest exact wire size on the sample
+    windows, ``passthrough`` if none beats raw bytes."""
+    candidates = _candidates(values.dtype, dictionary_size is not None)
+    if not candidates:
+        return "passthrough"
+    sample = _sample(values)
+    best, best_wire = "passthrough", sample.nbytes
+    for codec in candidates:
+        wire = wire_size(sample, codec, dictionary_size)
+        if wire is not None and wire < best_wire:
+            best, best_wire = codec, wire
+    return best
+
+
+def _encode_if_it_pays(
+    values: np.ndarray, codec: str, dictionary_size: "int | None"
+) -> EncodedColumn:
+    """Encode with ``codec`` if its exact size clears :data:`MIN_RATIO`
+    (checked before anything is packed), else ship ``passthrough``."""
+    if codec != "passthrough":
+        wire = wire_size(values, codec, dictionary_size)
+        if wire is not None and values.nbytes >= MIN_RATIO * wire:
+            return encode(values, codec, dictionary_size)
+    return encode(values, "passthrough")
 
 
 class CompressionPolicy:
@@ -135,28 +165,13 @@ class CompressionPolicy:
         return self.encoded(column).wire_nbytes
 
     def _encode_full(self, column) -> EncodedColumn:
-        values = column.values
         codec = self.choose(column) if self.mode == "auto" else self.mode
-        if codec != "passthrough":
-            result = encode(values, codec, _dictionary_size(column))
-            if result is not None and result.raw_nbytes >= MIN_RATIO * result.wire_nbytes:
-                return result
-        return encode(values, "passthrough")
+        return _encode_if_it_pays(column.values, codec, _dictionary_size(column))
 
     def choose(self, column) -> str:
         """Score candidate codecs on sample windows; best sampled wire
         size wins, ``passthrough`` if nothing beats raw bytes."""
-        candidates = _candidates(column)
-        if not candidates:
-            return "passthrough"
-        sample = _sample(column.values)
-        dictionary_size = _dictionary_size(column)
-        best, best_wire = "passthrough", sample.nbytes
-        for codec in candidates:
-            result = encode(sample, codec, dictionary_size)
-            if result is not None and result.wire_nbytes < best_wire:
-                best, best_wire = codec, result.wire_nbytes
-        return best
+        return _choose(column.values, _dictionary_size(column))
 
     # ------------------------------------------------------------------
     # block slices (out-of-core streaming; uncached)
@@ -182,21 +197,4 @@ class CompressionPolicy:
         fresh arrays, so nothing is cached) and falls back to
         passthrough unless a codec clears :data:`MIN_RATIO`."""
         values = np.ascontiguousarray(values)
-
-        class _Bare:
-            pass
-
-        bare = _Bare()
-        bare.values = values
-        bare.dictionary = None
-        sample = _sample(values)
-        best, best_wire = "passthrough", sample.nbytes
-        for codec in _candidates(bare):
-            scored = encode(sample, codec)
-            if scored is not None and scored.wire_nbytes < best_wire:
-                best, best_wire = codec, scored.wire_nbytes
-        if best != "passthrough":
-            result = encode(values, best)
-            if result is not None and result.raw_nbytes >= MIN_RATIO * result.wire_nbytes:
-                return result
-        return encode(values, "passthrough")
+        return _encode_if_it_pays(values, _choose(values, None), None)

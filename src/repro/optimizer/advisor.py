@@ -126,15 +126,21 @@ class OptimizerDecision:
                 f"observed: {self.observed_ms:.3f} ms "
                 f"(error {100.0 * error:.1f}%)"
             )
-        header = (
-            f"  {'candidate':<44} {'pred ms':>9} {'pcie MB':>9} "
+        ranked = self.candidates[:limit]
+        outpriced = [pruned for pruned in self.pruned if pruned.reached_ms is not None]
+        unpriced = [pruned for pruned in self.pruned if pruned.reached_ms is None][:limit]
+        # One name column for every block: as wide as the longest name
+        # shown.  A ranked row is " *name", a pruned one "  x name".
+        shown = [row.strategy for row in ranked + outpriced[:limit] + unpriced]
+        width = max((len(strategy.describe()) for strategy in shown), default=len("candidate"))
+        lines.append(
+            f"  {'candidate':<{width + 2}} {'pred ms':>9} {'pcie MB':>9} "
             f"{'global MB':>10} {'peak MB':>9}"
         )
-        lines.append(header)
-        for estimate in self.candidates[:limit]:
+        for estimate in ranked:
             marker = "*" if estimate.strategy == self.chosen else " "
             lines.append(
-                f" {marker}{estimate.strategy.describe():<44} "
+                f" {marker}{estimate.strategy.describe():<{width + 2}} "
                 f"{estimate.total_ms:>9.3f} "
                 f"{estimate.pcie_bytes / 1e6:>9.3f} "
                 f"{estimate.global_bytes / 1e6:>10.3f} "
@@ -144,20 +150,17 @@ class OptimizerDecision:
         if hidden > 0:
             lines.append(f"  ... {hidden} more candidates")
         # Priced until they cost more than the best candidate then.
-        outpriced = [pruned for pruned in self.pruned if pruned.reached_ms is not None]
         if outpriced:
-            lines.append(f"  {'outpriced':<44} {'at ms':>9} {'lost to':>9}")
+            lines.append(f"  {'outpriced':<{width + 2}} {'at ms':>9} {'lost to':>9}")
         for pruned in outpriced[:limit]:
             lines.append(
-                f"  x {pruned.strategy.describe():<43} "
+                f"  x {pruned.strategy.describe():<{width}} "
                 f"{pruned.reached_ms:>9.3f} {pruned.bound_ms:>9.3f}"
             )
         if len(outpriced) > limit:
             lines.append(f"  ... {len(outpriced) - limit} more outpriced")
-        for pruned in [pruned for pruned in self.pruned if pruned.reached_ms is None][:limit]:
-            lines.append(
-                f"  x {pruned.strategy.describe():<43} {pruned.reason}"
-            )
+        for pruned in unpriced:
+            lines.append(f"  x {pruned.strategy.describe():<{width}} {pruned.reason}")
         # Late-materialization decisions (compression="lazy"): which
         # predicate columns scan compressed and which decode.
         notes = [

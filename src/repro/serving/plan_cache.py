@@ -154,6 +154,9 @@ class PlanCache:
         self.statistics = StatisticsCatalog()
         self._lock = threading.Lock()
         self._entries: OrderedDict[tuple, CachedPlan] = OrderedDict()
+        # Keys being planned: a concurrent lookup of one waits for the
+        # plan instead of planning the statement again.
+        self._planning: dict[tuple, threading.Event] = {}
         # A raw text seen before is normalized by one dict lookup, not
         # by the per-character loop (46 us per SSB statement).
         self._normalize = functools.lru_cache(maxsize=capacity)(normalize_sql)
@@ -186,19 +189,30 @@ class PlanCache:
         if isinstance(query, LogicalPlan):
             return resolve_plan(query, database, self.statistics), False
         key = self._key(query, database, strategy)
-        with self._lock:
-            cached = self._entries.get(key)
-            if cached is not None:
-                self._hits += 1
-                self._entries.move_to_end(key)
-                return cached.physical, True
-            self._misses += 1
-        physical = _resolve(plan_sql(query, database), database, self.statistics)
-        with self._lock:
-            self._entries[key] = CachedPlan(physical)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self._evictions += 1
+        while True:
+            with self._lock:
+                cached = self._entries.get(key)
+                if cached is not None:
+                    self._hits += 1
+                    self._entries.move_to_end(key)
+                    return cached.physical, True
+                planning = self._planning.get(key)
+                if planning is None:
+                    self._misses += 1
+                    planning = self._planning[key] = threading.Event()
+                    break
+            planning.wait()
+        try:
+            physical = _resolve(plan_sql(query, database), database, self.statistics)
+            with self._lock:
+                self._entries[key] = CachedPlan(physical)
+                while len(self._entries) > self.capacity:
+                    self._entries.popitem(last=False)
+                    self._evictions += 1
+        finally:
+            with self._lock:
+                del self._planning[key]
+            planning.set()
         return physical, False
 
     # ------------------------------------------------------------------

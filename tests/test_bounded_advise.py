@@ -158,3 +158,36 @@ def test_explain_lists_outpriced_candidates(ssb_db):
             if line.startswith(f"  x {pruned.strategy.describe()} ")
         )
         assert row.split()[-2:] == [f"{pruned.reached_ms:.3f}", f"{pruned.bound_ms:.3f}"]
+
+
+@pytest.mark.parametrize("limit", (8, 64))
+def test_every_explain_row_lines_up(ssb_db, limit):
+    """Ranked, outpriced and pruned rows share one name column as wide
+    as the longest name shown: fleet names (up to 53 characters) push
+    it out for every block, never past the numbers of one row."""
+    query = extract_pipelines(plan_sql(SSB_QUERIES["q1.1"], ssb_db), ssb_db)
+    decision = Advisor(GTX970, PCIE3).advise(query, ssb_db)
+    lines = decision.render(limit=limit).splitlines()
+    header = next(line for line in lines if line.startswith("  candidate "))
+    end = header.index("pred ms") + len("pred ms")
+    field = slice(end - 9, end)
+
+    def row(prefix, strategy):
+        name = prefix + strategy.describe() + " "
+        return next(line for line in lines if line.startswith(name))
+
+    names = []
+    for estimate in decision.candidates[:limit]:
+        marker = " *" if estimate.strategy == decision.chosen else "  "
+        assert row(marker, estimate.strategy)[field] == f"{estimate.total_ms:>9.3f}"
+        names.append(estimate.strategy.describe())
+    outpriced = [pruned for pruned in decision.pruned if pruned.reached_ms is not None]
+    assert next(line for line in lines if line.startswith("  outpriced "))[field] == f"{'at ms':>9}"
+    for pruned in outpriced[:limit]:
+        assert row("  x ", pruned.strategy)[field] == f"{pruned.reached_ms:>9.3f}"
+        names.append(pruned.strategy.describe())
+    for pruned in [pruned for pruned in decision.pruned if pruned.reached_ms is None][:limit]:
+        assert row("  x ", pruned.strategy)[end - 9 :] == pruned.reason
+        names.append(pruned.strategy.describe())
+    assert max(map(len, names)) > 44  # a fleet name is among them
+    assert end - 9 == max(map(len, names)) + 5  # and sets the width

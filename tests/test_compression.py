@@ -234,7 +234,7 @@ def _reference_bit_pack(values_u64: np.ndarray, width: int) -> np.ndarray:
     return np.packbits(bits.reshape(-1))
 
 
-@pytest.mark.parametrize("n", (0, 1, 7, 4096, 180_001))
+@pytest.mark.parametrize("n", (0, 1, 7, 8, 9, 15, 4096, 180_001))
 def test_bit_pack_stream_equals_the_bit_loop(n):
     from repro.compression.codecs import _bit_pack, _bit_unpack
 

@@ -165,6 +165,52 @@ def test_plan_cache_lru_eviction():
     assert cache.lookup(texts[2], database)[1] is True
 
 
+def test_concurrent_misses_of_one_statement_plan_it_once(monkeypatch):
+    """A lookup that arrives while another thread plans the same text
+    waits for that plan and counts as a hit; a different text is not
+    held up.  (Planning twice made a 4-worker server count 14 misses
+    for 13 statements when a worker was descheduled mid-plan.)"""
+    import threading
+
+    from repro.serving import plan_cache as plan_cache_module
+
+    database = _orders_db([1, 2, 3])
+    cache = PlanCache()
+    planning, release = threading.Event(), threading.Event()
+    planned = []
+    real_plan_sql = plan_cache_module.plan_sql
+
+    def slow_plan_sql(query, db):
+        planned.append(query)
+        if query == SQL:
+            planning.set()
+            assert release.wait(timeout=30)
+        return real_plan_sql(query, db)
+
+    monkeypatch.setattr(plan_cache_module, "plan_sql", slow_plan_sql)
+    results = {}
+
+    def look(name):
+        results[name] = cache.lookup(SQL, database)
+
+    first = threading.Thread(target=look, args=("first",))
+    first.start()
+    assert planning.wait(timeout=30)
+    second = threading.Thread(target=look, args=("second",))
+    second.start()
+    other = "select min(o_revenue) as m from orders"
+    assert cache.lookup(other, database)[1] is False  # not held up
+    release.set()
+    first.join(timeout=30)
+    second.join(timeout=30)
+    assert not first.is_alive() and not second.is_alive()
+    assert planned == [SQL, other]
+    assert results["first"][1] is False and results["second"][1] is True
+    assert results["second"][0] is results["first"][0]
+    stats = cache.stats()
+    assert (stats.misses, stats.hits) == (2, 1)
+
+
 def test_logical_plans_bypass_the_cache():
     database = _orders_db([7, 7])
     plan = plan_sql(SQL, database)

@@ -11,6 +11,16 @@ into a code frame at designated positions.  Three kernel shapes exist:
 * ``compound`` — everything in one kernel with the prefix sum inlined
   between the cardinality part and the write part (Figure 12).
 
+Each primitive is one statement: a ``ctx.filter_stage`` /
+``ctx.map_stage`` / ``ctx.probe_stage`` call (plus a probe residual's
+``ctx.apply_filter``) and one sink call, whose arguments carry every
+constant — stage index, table id, join kind, payload names and
+defaults, costs, the columns to load — while the
+:class:`~repro.kernels.context.KernelContext` sequences the simulator
+bookkeeping around it.  Python's ``compile`` cost grows with the
+statement count, so this keeps cold codegen small, and the source still
+determines everything the kernel does (it is the cache key).
+
 Generated source is kept on the :class:`CompiledKernel` for inspection
 (compare the paper's Appendix E listing).
 """
@@ -21,6 +31,8 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
+
+import numpy as np
 
 from ..errors import CompilationError
 from ..expressions.codegen import to_source
@@ -147,7 +159,7 @@ def _compile(name: str, kind: str, lines: list[str], log: Profile | None) -> Com
                 log.lookup(name, kind, hit=True)
             return cached
     started = time.perf_counter()
-    namespace: dict = {}
+    namespace: dict = {"np": np}
     try:
         exec(compile(source, filename=f"<generated {name}>", mode="exec"), namespace)
     except SyntaxError as error:  # pragma: no cover - codegen bug guard
@@ -163,15 +175,16 @@ def _compile(name: str, kind: str, lines: list[str], log: Profile | None) -> Com
     return kernel
 
 
-def _touch_line(expr_columns: set[str], count: str | None = None) -> str:
-    columns = ", ".join(repr(column) for column in sorted(expr_columns))
-    if count is None:
-        return f"ctx.touch([{columns}])"
-    return f"ctx.touch([{columns}], count={count})"
+def _names(names) -> str:
+    """A list literal of column names, sorted for sets."""
+    if isinstance(names, (set, frozenset)):
+        names = sorted(names)
+    return "[" + ", ".join(repr(name) for name in names) + "]"
 
 
 def _emit_stages(lines: list[str], pipeline: Pipeline) -> None:
-    """Emit the relational primitives of the pipeline, in order."""
+    """Emit the relational primitives of the pipeline, in order: one
+    statement each, carrying every constant the context needs."""
     for index, stage in enumerate(pipeline.stages):
         if isinstance(stage, FilterStage):
             # One filter_stage call per selection: the context decides at
@@ -180,56 +193,41 @@ def _emit_stages(lines: list[str], pipeline: Pipeline) -> None:
             # generated source must stay identical either way so the
             # process-wide kernel cache stays policy-agnostic.
             lines.append(f"# select (stage {index})")
-            columns = ", ".join(
-                repr(column) for column in sorted(stage.predicate.columns())
-            )
             lines.append(
                 f"mask = ctx.filter_stage(mask, {index}, "
                 f"lambda scope: {to_source(stage.predicate)}, "
-                f"cost={stage.predicate.size()}, columns=[{columns}])"
+                f"cost={stage.predicate.size()}, "
+                f"columns={_names(stage.predicate.columns())})"
             )
         elif isinstance(stage, MapStage):
             lines.append(f"# map {stage.name} (stage {index})")
-            lines.append(_touch_line(stage.expr.columns()))
-            lines.append(f"scope[{stage.name!r}] = {to_source(stage.expr)}")
-            lines.append(f"ctx.compute({stage.expr.size()})")
-            lines.append(f"ctx.mark_loaded([{stage.name!r}])")
+            lines.append(
+                f"ctx.map_stage({stage.name!r}, {to_source(stage.expr)}, "
+                f"{stage.expr.size()}, {_names(stage.expr.columns())})"
+            )
         elif isinstance(stage, ProbeStage):
             lines.append(f"# join probe {stage.table_id} (stage {index})")
             key_columns: set[str] = set()
             for key in stage.probe_keys:
                 key_columns |= key.columns()
-            lines.append(_touch_line(key_columns))
             keys = ", ".join(to_source(key) for key in stage.probe_keys)
             key_cost = sum(key.size() for key in stage.probe_keys)
-            lines.append(
-                f"rows_{index} = ctx.probe({stage.table_id!r}, [{keys}], mask, "
-                f"key_cost={key_cost})"
+            defaults = ", ".join(
+                f"{name!r}: {stage.payload_defaults[name]!r}"
+                for name in stage.payload
+                if stage.payload_defaults.get(name) is not None
             )
             lines.append(
-                f"mask = ctx.apply_probe(mask, rows_{index}, kind={stage.kind!r})"
+                f"mask = ctx.probe_stage(mask, {index}, {stage.table_id!r}, [{keys}], "
+                f"{_names(key_columns)}, {key_cost}, {stage.kind!r}, "
+                f"{_names(stage.payload)}"
+                + (f", defaults={{{defaults}}})" if defaults else ")")
             )
-            for name in stage.payload:
-                default = stage.payload_defaults.get(name)
-                if default is None:
-                    lines.append(
-                        f"scope[{name!r}] = ctx.payload({stage.table_id!r}, "
-                        f"rows_{index}, {name!r})"
-                    )
-                else:
-                    lines.append(
-                        f"scope[{name!r}] = ctx.payload({stage.table_id!r}, "
-                        f"rows_{index}, {name!r}, default={default!r})"
-                    )
-            if stage.payload:
-                payloads = ", ".join(repr(name) for name in stage.payload)
-                lines.append(f"ctx.mark_loaded([{payloads}])")
             if stage.residual is not None:
-                lines.append(_touch_line(stage.residual.columns()))
-                lines.append(f"residual_{index} = {to_source(stage.residual)}")
                 lines.append(
-                    f"mask = ctx.apply_filter(mask, residual_{index}, "
-                    f"cost={stage.residual.size()})"
+                    f"mask = ctx.apply_filter(mask, {to_source(stage.residual)}, "
+                    f"cost={stage.residual.size()}, "
+                    f"columns={_names(stage.residual.columns())})"
                 )
         else:  # pragma: no cover - exhaustive over stage types
             raise CompilationError(f"unknown stage {type(stage).__name__}")
@@ -258,18 +256,18 @@ def _emit_compound_sink(lines: list[str], pipeline: Pipeline) -> None:
         lines.append("# prefix sum (local resolution, global propagation)")
         lines.append("positions = ctx.positions(mask)")
         lines.append("# project / aligned write")
-        lines.append(_touch_line(sink_input_columns(sink), count="positions.total"))
+        lines.append(
+            f"ctx.touch({_names(sink_input_columns(sink))}, count=positions.total)"
+        )
         for name in sink.outputs:
             lines.append(f"ctx.store({name!r}, scope[{name!r}], mask, positions)")
     elif isinstance(sink, BuildSink):
         lines.append("# pipelined hash-table build (atomic CAS inserts)")
-        lines.append(_touch_line(sink_input_columns(sink)))
         keys = ", ".join(to_source(key) for key in sink.keys)
-        lines.append(f"ctx.sink_build(mask, [{keys}])")
+        lines.append(f"ctx.sink_build(mask, [{keys}], {_names(sink_input_columns(sink))})")
     elif isinstance(sink, AggregateSink):
         lines.append("# pipelined aggregation")
-        lines.append(_touch_line(sink_input_columns(sink)))
-        lines.append("ctx.sink_aggregate(mask)")
+        lines.append(f"ctx.sink_aggregate(mask, {_names(sink_input_columns(sink))})")
     else:  # pragma: no cover
         raise CompilationError(f"unknown sink {type(sink).__name__}")
 
@@ -282,7 +280,6 @@ def generate_compound_kernel(pipeline: Pipeline, log: Profile | None = None) -> 
 def _compound_lines(pipeline: Pipeline) -> list[str]:
     lines = [
         f"# compound kernel for {pipeline.describe()}",
-        "np = ctx.np",
         "scope = ctx.scope",
         "mask = ctx.full_mask()",
     ]
@@ -299,7 +296,6 @@ def generate_count_kernel(pipeline: Pipeline, log: Profile | None = None) -> Com
 def _count_lines(pipeline: Pipeline) -> list[str]:
     lines = [
         f"# count kernel for {pipeline.describe()}",
-        "np = ctx.np",
         "scope = ctx.scope",
         "mask = ctx.full_mask()",
     ]
@@ -318,7 +314,6 @@ def generate_write_kernel(pipeline: Pipeline, log: Profile | None = None) -> Com
 def _write_lines(pipeline: Pipeline) -> list[str]:
     lines = [
         f"# write kernel for {pipeline.describe()}",
-        "np = ctx.np",
         "scope = ctx.scope",
         "mask = ctx.initial_mask()",
     ]
@@ -326,16 +321,20 @@ def _write_lines(pipeline: Pipeline) -> list[str]:
     sink = pipeline.sink
     if isinstance(sink, MaterializeSink):
         lines.append("positions = ctx.installed_positions()")
-        lines.append(_touch_line(sink_input_columns(sink), count="positions.total"))
+        lines.append(
+            f"ctx.touch({_names(sink_input_columns(sink))}, count=positions.total)"
+        )
         for name in sink.outputs:
             lines.append(f"ctx.store({name!r}, scope[{name!r}], mask, positions)")
     elif isinstance(sink, BuildSink):
-        lines.append(_touch_line(sink_input_columns(sink)))
         keys = ", ".join(to_source(key) for key in sink.keys)
-        lines.append(f"ctx.materialize_for_build(mask, [{keys}])")
+        lines.append(
+            f"ctx.materialize_for_build(mask, [{keys}], {_names(sink_input_columns(sink))})"
+        )
     elif isinstance(sink, AggregateSink):
-        lines.append(_touch_line(sink_input_columns(sink)))
-        lines.append("ctx.materialize_for_aggregate(mask)")
+        lines.append(
+            f"ctx.materialize_for_aggregate(mask, {_names(sink_input_columns(sink))})"
+        )
     else:  # pragma: no cover
         raise CompilationError(f"unknown sink {type(sink).__name__}")
     return lines

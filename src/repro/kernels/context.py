@@ -10,6 +10,14 @@ identically across engines.
 A context represents ONE kernel: its meter accumulates until the engine
 launches it on the device.
 
+Generated source makes each primitive one call — :meth:`KernelContext.filter_stage`,
+:meth:`KernelContext.map_stage`, :meth:`KernelContext.probe_stage`, a
+sink method given its input columns — and the context runs the
+bookkeeping around it in a fixed order (``touch`` the loaded columns,
+the primitive, ``compute`` / ``apply_probe`` / ``payload``,
+``mark_loaded``).  Every constant those calls need is an argument, so
+the source alone determines what the kernel does.
+
 On the device a filtered-out thread does nothing more, and every charge
 here is a function of the alive count.  The host works the same way:
 the context owns a *row domain* — the source rows still alive — and
@@ -149,7 +157,6 @@ class KernelContext:
     ):
         if mode not in REDUCTION_MODES:
             raise CompilationError(f"unknown reduction mode {mode!r}")
-        self.np = np
         self.runtime = runtime
         self.scope = RowScope(scope)
         self.schema = schema
@@ -294,12 +301,17 @@ class KernelContext:
     def full_mask(self) -> np.ndarray:
         return np.ones(self.n, dtype=bool)
 
-    def apply_filter(self, mask: np.ndarray, flags: np.ndarray, cost: int) -> np.ndarray:
+    def apply_filter(
+        self, mask: np.ndarray, flags: np.ndarray, cost: int, columns: list[str] | None = None
+    ) -> np.ndarray:
         """AND selection flags into the mask, charging ALU work.
 
         ``cost`` is the expression node count (per-element instruction
         estimate), charged for the rows still alive before the filter.
+        ``columns`` (a probe's residual) are touched first.
         """
+        if columns is not None:
+            self.touch(columns)
         return self._filter(mask, flags, cost, None)
 
     def _filter(self, mask, flags, cost: int, predicate):
@@ -358,6 +370,41 @@ class KernelContext:
             return mask
         self.touch(columns)
         return self._filter(mask, fn(self.scope), cost, predicate)
+
+    def map_stage(self, name: str, values, cost: int, columns: list[str]) -> None:
+        """Execute one MapStage: load the expression's ``columns``,
+        assign its ``values`` as ``name`` and charge its ``cost``."""
+        self.touch(columns)
+        self.scope[name] = values
+        self.compute(cost)
+        self.mark_loaded([name])
+
+    def probe_stage(
+        self,
+        mask: np.ndarray,
+        index: int,
+        table_id: str,
+        key_arrays: list[np.ndarray],
+        key_columns: list[str],
+        key_cost: int,
+        kind: str,
+        payload: list[str],
+        defaults: dict[str, float] | None = None,
+    ) -> np.ndarray:
+        """Execute ProbeStage ``index``: load the key columns, probe,
+        fold the hits into the mask per ``kind``, then gather each
+        ``payload`` column (a left join's miss reads its ``defaults``
+        entry) over the domain the probe left."""
+        self.touch(key_columns)
+        rows = self.probe(table_id, key_arrays, mask, key_cost=key_cost)
+        mask = self.apply_probe(mask, rows, kind=kind)
+        if payload:
+            scope = self.scope
+            for name in payload:
+                default = None if defaults is None else defaults.get(name)
+                scope[name] = self.payload(table_id, rows, name, default)
+            self.mark_loaded(payload)
+        return mask
 
     def probe(
         self,
@@ -583,11 +630,15 @@ class KernelContext:
     # ------------------------------------------------------------------
     # sinks
     # ------------------------------------------------------------------
-    def sink_aggregate(self, mask: np.ndarray) -> None:
+    def sink_aggregate(self, mask: np.ndarray, columns: list[str] | None = None) -> None:
         """Pipelined aggregation (compound kernels): compute the
-        aggregates and charge B2/B3 (single tuple) or C2/C3 (grouped)."""
+        aggregates and charge B2/B3 (single tuple) or C2/C3 (grouped).
+
+        Every sink method first touches its input ``columns``, if given."""
         if self.sink is None or self.output_schema is None:
             raise CompilationError("context has no aggregation sink bound")
+        if columns is not None:
+            self.touch(columns)
         result = self.runtime.aggregate_rows(self.sink, self.scope, mask, self.output_schema)
         if result.codes is not None:
             self.hash_aggregate_cost(result.codes, result.num_groups, result.entry_bytes)
@@ -596,11 +647,15 @@ class KernelContext:
         self.outputs.update(result.outputs)
         self.aggregation = result
 
-    def materialize_for_aggregate(self, mask: np.ndarray) -> None:
+    def materialize_for_aggregate(
+        self, mask: np.ndarray, columns: list[str] | None = None
+    ) -> None:
         """Multi-pass write kernel: materialize key and value columns
         for the library sort/reduce that follows (pipeline breaker)."""
         if self.sink is None:
             raise CompilationError("context has no aggregation sink bound")
+        if columns is not None:
+            self.touch(columns)
         self.final_mask = mask
         selected = self._alive_index(mask)
         for index, (name, expr) in enumerate(self.sink.group_keys):
@@ -614,11 +669,15 @@ class KernelContext:
             self.meter.record_write(MemoryLevel.GLOBAL, values.nbytes)
             self.intermediates[f"value:{spec.name}"] = values
 
-    def sink_build(self, mask: np.ndarray, key_arrays: list[np.ndarray]) -> None:
+    def sink_build(
+        self, mask: np.ndarray, key_arrays: list[np.ndarray], columns: list[str] | None = None
+    ) -> None:
         """Pipelined hash-table build (compound kernels): selected rows
         insert themselves with atomic CAS, payload kept from registers."""
         if self.sink is None:
             raise CompilationError("context has no build sink bound")
+        if columns is not None:
+            self.touch(columns)
         selected = self._alive_index(mask)
         keys = [self._selected(array, mask, selected) for array in key_arrays]
         payload = {
@@ -640,11 +699,15 @@ class KernelContext:
         )
         self.runtime.register_built_table(table_id, table, payload)
 
-    def materialize_for_build(self, mask: np.ndarray, key_arrays: list[np.ndarray]) -> None:
+    def materialize_for_build(
+        self, mask: np.ndarray, key_arrays: list[np.ndarray], columns: list[str] | None = None
+    ) -> None:
         """Multi-pass write kernel: materialize keys + payload; the
         engine then builds the hash table in a separate kernel."""
         if self.sink is None:
             raise CompilationError("context has no build sink bound")
+        if columns is not None:
+            self.touch(columns)
         selected = self._alive_index(mask)
         for index, array in enumerate(key_arrays):
             values = self._selected(array, mask, selected)
@@ -680,7 +743,7 @@ class EstimateContext(KernelContext):
         placeholders = {name: values[:1] for name, values in scope.items()}
         super().__init__(runtime, placeholders, *args, base_count=base_count, **kwargs)
         self._flagged = base_count is not None
-        self._probe_stage = -1  # index of the latest probe stage
+        self._probe_stage = None  # the latest ProbeStage
         #: Groups the sink aggregated into (0: not an aggregation).
         self.groups = 0
 
@@ -706,30 +769,28 @@ class EstimateContext(KernelContext):
     def _filter(self, mask, flags, cost, predicate):
         self.meter.record_instructions(self._valid * cost)
         if predicate is None:
-            predicate = self.pipeline.stages[self._probe_stage].residual
+            predicate = self._probe_stage.residual
         self._keep(self.runtime.selectivity(self.pipeline, predicate))
 
     def _scan(self, mask, plan, conjunct):
         self._keep(self.runtime.selectivity(self.pipeline, conjunct))
 
+    def probe_stage(self, mask, index, *args, **kwargs):
+        self._probe_stage = self.pipeline.stages[index]
+        return super().probe_stage(mask, index, *args, **kwargs)
+
     def probe(self, table_id, key_arrays, mask, key_cost=0):
-        """Charge the probes of the rows alive.  ``rows_<i>`` is a one-row
+        """Charge the probes of the rows alive.  The rows are a one-row
         token; the stage's expected hits ride on ``_probe`` as measured
         ones do, so :meth:`payload` charges and gathers as it is."""
         table = self.runtime.hash_table(table_id)
-        stages = self.pipeline.stages
-        stage = self._probe_stage = next(
-            index
-            for index in range(self._probe_stage + 1, len(stages))
-            if getattr(stages[index], "table_id", None) == table_id
-        )
         alive = self._valid
         self.meter.record_instructions(alive * key_cost)
         # Flagged survivors of an inner / semi probe all hit, of an anti
         # probe none; a left probe drops nobody.
         certain = {"inner": 1.0, "semi": 1.0, "anti": 0.0} if self._flagged else {}
         hits = table.probe(
-            self.meter, alive, self.profile.l2_capacity, certain.get(stages[stage].kind)
+            self.meter, alive, self.profile.l2_capacity, certain.get(self._probe_stage.kind)
         )
         rows = np.zeros(1, dtype=np.int64)
         self._probe = (rows, rows, None, hits)
@@ -754,7 +815,9 @@ class EstimateContext(KernelContext):
     def _scattered(self, values, mask, positions):
         return count_column(np.asarray(values).dtype, positions.total)
 
-    def sink_aggregate(self, mask):
+    def sink_aggregate(self, mask, columns=None):
+        if columns is not None:
+            self.touch(columns)
         sink, rows = self.sink, self._valid
         if not sink.group_keys:
             self.groups = 1

@@ -1,13 +1,14 @@
 """The multi-pass query-compilation engine (Section 4).
 
-Each fusion operator executes in three phases: a generated ``count``
-kernel evaluates the cardinality-affecting primitives and writes
-selection flags; a hierarchical device prefix sum (technique A1,
-library-style, as the paper's boost::compute baseline) computes write
-positions; a generated ``write`` kernel re-executes the primitives for
-flagged threads and materializes the outputs.  Reduction sinks use the
-pipeline-breaking library implementations B1 (global reduce) and C1
-(global sort + segmented reduce).
+Each fusion operator executes in three phases: the ``count`` launch
+evaluates the cardinality-affecting primitives and writes selection
+flags; a hierarchical device prefix sum (technique A1, library-style,
+as the paper's boost::compute baseline) computes write positions; the
+``write`` launch re-executes the primitives for flagged threads and
+materializes the outputs.  Both launches run the pipeline's one
+generated multi-pass kernel, on a count and on a write context.
+Reduction sinks use the pipeline-breaking library implementations B1
+(global reduce) and C1 (global sort + segmented reduce).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import PlanError
-from ..kernels.codegen import generate_count_kernel, generate_write_kernel
+from ..kernels.codegen import generate_count_kernel
 from ..kernels.context import EstimateContext, KernelContext
 from ..plan.physical import AggregateSink, BuildSink, MaterializeSink, Pipeline
 from .base import Engine
@@ -64,12 +65,14 @@ class MultiPassEngine(Engine):
                 pipeline=pipeline, **sink,
             )
 
+        # One kernel, looked up once, runs both the count and the write.
+        kernel = generate_count_kernel(pipeline, device.log)
+
         # Phase 1: count kernel.
         count_ctx = kernel_context()
-        count_kernel = generate_count_kernel(pipeline, device.log)
-        runtime.list_kernel(f"{pipeline.name}.count", count_kernel.source)
-        count_kernel(count_ctx)
-        device.launch(count_kernel.name, "count", count_ctx.n, count_ctx.meter)
+        runtime.list_kernel(f"{pipeline.name}.count", kernel.source)
+        kernel(count_ctx)
+        device.launch(f"count_{pipeline.name}", "count", count_ctx.n, count_ctx.meter)
 
         # Phase 2: hierarchical prefix sum over the materialized flags.
         scan = count_ctx.scan_flags(device, f"{pipeline.name}.prefix_sum")
@@ -80,10 +83,9 @@ class MultiPassEngine(Engine):
         )
         write_ctx.install_flags(count_ctx.flags)
         write_ctx.set_positions(scan)
-        write_kernel = generate_write_kernel(pipeline, device.log)
-        runtime.list_kernel(f"{pipeline.name}.write", write_kernel.source)
-        write_kernel(write_ctx)
-        device.launch(write_kernel.name, "write", write_ctx.n, write_ctx.meter)
+        runtime.list_kernel(f"{pipeline.name}.write", kernel.source)
+        kernel(write_ctx)
+        device.launch(f"write_{pipeline.name}", "write", write_ctx.n, write_ctx.meter)
         return write_ctx
 
     def estimate_pipeline(self, pipeline: Pipeline, runtime) -> tuple[int, int]:

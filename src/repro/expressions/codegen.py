@@ -13,6 +13,8 @@ mirroring the paper's ``revenue[wp] = price[tid] * discount[tid];``.
 
 from __future__ import annotations
 
+import math
+
 from ..errors import ExpressionError
 from .expr import (
     Between,
@@ -27,6 +29,15 @@ from .expr import (
 )
 
 _PY_BOOL_OPS = {"and": "&", "or": "|"}
+
+
+def literal_source(value) -> str:
+    """Python source for a numeric constant.  ``inf`` and ``nan`` have no
+    literal (their ``repr`` is a free name), so a non-finite float is
+    spelled as the ``float`` call that makes it."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return f"float({repr(float(value))!r})"
+    return repr(value)
 
 
 def to_source(expr: Expr, scope_var: str = "scope") -> str:
@@ -44,7 +55,7 @@ def to_source(expr: Expr, scope_var: str = "scope") -> str:
             raise ExpressionError(
                 f"unresolved string literal {value!r} reached code generation"
             )
-        return repr(value)
+        return literal_source(value)
     if isinstance(expr, BinaryOp):
         left = to_source(expr.left, scope_var)
         right = to_source(expr.right, scope_var)
@@ -68,6 +79,6 @@ def to_source(expr: Expr, scope_var: str = "scope") -> str:
         return f"(({operand} >= {low}) & ({operand} <= {high}))"
     if isinstance(expr, InList):
         operand = to_source(expr.operand, scope_var)
-        values = ", ".join(repr(option.value) for option in expr.options)
+        values = ", ".join(literal_source(option.value) for option in expr.options)
         return f"np.isin({operand}, np.array([{values}]))"
     raise ExpressionError(f"cannot generate code for {type(expr).__name__}")

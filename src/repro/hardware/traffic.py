@@ -227,14 +227,15 @@ class TransferRecord:
 
 class KernelLookup(NamedTuple):
     """One lookup of a generated kernel: a cache hit, or a miss that
-    compiled for ``compile_ms`` host milliseconds; ``at`` is the host
-    clock (``perf_counter`` seconds)."""
+    compiled ``statements`` statements in ``compile_ms`` host
+    milliseconds; ``at`` is the host clock (``perf_counter`` seconds)."""
 
     at: float
     name: str
     kind: str
     hit: bool
     compile_ms: float = 0.0
+    statements: int = 0
 
 
 @dataclass
@@ -409,9 +410,13 @@ class Profile(LogSlice):
         now = perf_counter()
         self.phases.append((now if started is None else started, now, name, category, attrs))
 
-    def lookup(self, name: str, kind: str, hit: bool, compile_ms: float = 0.0) -> None:
+    def lookup(
+        self, name: str, kind: str, hit: bool, compile_ms: float = 0.0, statements: int = 0
+    ) -> None:
         """Log a kernel lookup, stamped with the host clock."""
-        self.lookups.append(KernelLookup(perf_counter(), name, kind, hit, compile_ms))
+        self.lookups.append(
+            KernelLookup(perf_counter(), name, kind, hit, compile_ms, statements)
+        )
         self.taped("lookup", name, kind)
 
     def carry(self, earlier: "Profile | None") -> None:

@@ -2,12 +2,16 @@
 
 This is HorseQC's code generator (Sections 4.3 and 5.2), retargeted
 from OpenCL to vectorized Python: relational primitives are instanced
-into a code frame at designated positions.  Three kernel shapes exist:
+into a code frame at designated positions.  Two kernel shapes exist:
 
-* ``count``    — all cardinality-affecting primitives, ending by
-  writing the selection flags (multi-pass phase 1, Figure 8 left);
-* ``write``    — re-executes the primitives for flagged threads and
-  performs the aligned writes (multi-pass phase 3, Figure 8 right);
+* ``multipass`` — the multi-pass model's one kernel per pipeline: the
+  cardinality-affecting primitives, then an epilogue chosen by the
+  context's phase.  The count context (no sink, every row) ends by
+  writing the selection flags (phase 1, Figure 8 left); the write
+  context starts on the flagged rows, re-executes the primitives for
+  them and performs the aligned writes (phase 3, Figure 8 right).  The
+  engine still launches the two phases as ``count_<p>`` and
+  ``write_<p>``; they share one code object, compiled once;
 * ``compound`` — everything in one kernel with the prefix sum inlined
   between the cardinality part and the write part (Figure 12).
 
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import CompilationError
-from ..expressions.codegen import to_source
+from ..expressions.codegen import literal_source, to_source
 from ..hardware.traffic import Profile
 from ..plan.physical import (
     AggregateSink,
@@ -53,7 +57,7 @@ class CompiledKernel:
     """A generated kernel: its source and the compiled entry point."""
 
     name: str
-    kind: str  # "count", "write", or "compound"
+    kind: str  # "multipass" or "compound"
     source: str
     entry: object  # callable(ctx)
 
@@ -148,6 +152,8 @@ def _kernel(pipeline: Pipeline, kind: str, emit, log: Profile | None) -> Compile
 
 
 def _compile(name: str, kind: str, lines: list[str], log: Profile | None) -> CompiledKernel:
+    """Compile ``lines`` (one statement or comment each) as the body of
+    ``name``, or take the cached kernel of the same source."""
     global _cache_evictions
     source = "\n".join([f"def {name}(ctx):"] + [f"    {line}" for line in lines]) + "\n"
     with _cache_lock:
@@ -166,7 +172,10 @@ def _compile(name: str, kind: str, lines: list[str], log: Profile | None) -> Com
         raise CompilationError(f"generated kernel failed to compile: {error}\n{source}")
     kernel = CompiledKernel(name=name, kind=kind, source=source, entry=namespace[name])
     if log is not None:
-        log.lookup(name, kind, hit=False, compile_ms=(time.perf_counter() - started) * 1e3)
+        log.lookup(
+            name, kind, hit=False, compile_ms=(time.perf_counter() - started) * 1e3,
+            statements=sum(not line.lstrip().startswith("#") for line in lines),
+        )
     with _cache_lock:
         _kernel_cache[source] = kernel
         while len(_kernel_cache) > KERNEL_CACHE_CAPACITY:
@@ -213,7 +222,7 @@ def _emit_stages(lines: list[str], pipeline: Pipeline) -> None:
             keys = ", ".join(to_source(key) for key in stage.probe_keys)
             key_cost = sum(key.size() for key in stage.probe_keys)
             defaults = ", ".join(
-                f"{name!r}: {stage.payload_defaults[name]!r}"
+                f"{name!r}: {literal_source(stage.payload_defaults[name])}"
                 for name in stage.payload
                 if stage.payload_defaults.get(name) is not None
             )
@@ -289,35 +298,29 @@ def _compound_lines(pipeline: Pipeline) -> list[str]:
 
 
 def generate_count_kernel(pipeline: Pipeline, log: Profile | None = None) -> CompiledKernel:
-    """Multi-pass phase 1: cardinality primitives + flag write."""
-    return _kernel(pipeline, "count", _count_lines, log)
-
-
-def _count_lines(pipeline: Pipeline) -> list[str]:
-    lines = [
-        f"# count kernel for {pipeline.describe()}",
-        "scope = ctx.scope",
-        "mask = ctx.full_mask()",
-    ]
-    _emit_stages(lines, pipeline)
-    lines.append("# write selection flags for the prefix sum")
-    lines.append("ctx.finish_count(mask)")
-    return lines
+    """Multi-pass phase 1's kernel: the pipeline's one multi-pass
+    kernel, which a count context (no sink) runs to its flag write."""
+    return _kernel(pipeline, "multipass", _multipass_lines, log)
 
 
 def generate_write_kernel(pipeline: Pipeline, log: Profile | None = None) -> CompiledKernel:
-    """Multi-pass phase 3: re-execute primitives for flagged threads,
-    then perform the aligned writes (or materialize sink inputs)."""
-    return _kernel(pipeline, "write", _write_lines, log)
+    """Multi-pass phase 3's kernel: the same object as phase 1's, which
+    a write context runs over the flagged threads to its aligned writes
+    (or the materialized sink inputs)."""
+    return _kernel(pipeline, "multipass", _multipass_lines, log)
 
 
-def _write_lines(pipeline: Pipeline) -> list[str]:
+def _multipass_lines(pipeline: Pipeline) -> list[str]:
     lines = [
-        f"# write kernel for {pipeline.describe()}",
+        f"# multi-pass kernel for {pipeline.describe()}",
         "scope = ctx.scope",
-        "mask = ctx.initial_mask()",
+        "# count: every thread; write: the threads the count flagged",
+        "mask = ctx.full_mask() if ctx.sink is None else ctx.initial_mask()",
     ]
     _emit_stages(lines, pipeline)
+    lines.append("if ctx.sink is None:")
+    lines.append("    # write selection flags for the prefix sum")
+    lines.append("    return ctx.finish_count(mask)")
     sink = pipeline.sink
     if isinstance(sink, MaterializeSink):
         lines.append("positions = ctx.installed_positions()")

@@ -15,7 +15,7 @@ from repro.kernels import (
     generate_count_kernel,
     generate_write_kernel,
 )
-from repro.kernels.codegen import _compound_lines, _count_lines, _write_lines
+from repro.kernels.codegen import _compound_lines, _multipass_lines
 from repro.plan import PlanBuilder, extract_pipelines
 from repro.plan.logical import PlanSchema
 from repro.plan.physical import MaterializeSink, Pipeline, ProbeStage
@@ -175,7 +175,7 @@ class TestCountWriteConsistency:
 # the source shape: one statement per primitive
 # ----------------------------------------------------------------------
 #: Kernel kind -> the emitter of its source lines (no compile, no cache).
-EMITTERS = {"compound": _compound_lines, "count": _count_lines, "write": _write_lines}
+EMITTERS = {"compound": _compound_lines, "multipass": _multipass_lines}
 
 
 @pytest.fixture(scope="module")
@@ -206,11 +206,11 @@ def _statements(lines: list[str]) -> int:
 
 
 def _sink_statements(kind: str, sink) -> int:
-    if kind == "count":
-        return 1  # finish_count
+    # A multi-pass kernel's count phase ends in an ``if`` and finish_count.
+    count_epilogue = 2 if kind == "multipass" else 0
     if isinstance(sink, MaterializeSink):
-        return 2 + len(sink.outputs)  # positions, touch, one store per output
-    return 1  # sink_build / sink_aggregate / materialize_for_*
+        return count_epilogue + 2 + len(sink.outputs)  # positions, touch, stores
+    return count_epilogue + 1  # sink_build / sink_aggregate / materialize_for_*
 
 
 class TestOneStatementPerPrimitive:
@@ -233,14 +233,12 @@ class TestOneStatementPerPrimitive:
 
     def test_equal_source_means_equal_pipeline(self, every_pipeline):
         """The kernel cache is keyed by source text: a pipeline may only
-        reuse another's kernel if the source pins down what it does.  A
-        count kernel ends on its flags whatever the sink is."""
-        for kind, emit in EMITTERS.items():
+        reuse another's kernel if the source pins down what it does."""
+        for emit in EMITTERS.values():
             seen: dict[str, tuple[str, str]] = {}
             for pipeline in every_pipeline:
                 lines = "\n".join([pipeline.name, *emit(pipeline)])
-                sink = "" if kind == "count" else repr(pipeline.sink)
-                structure = (repr(pipeline.stages), sink)
+                structure = (repr(pipeline.stages), repr(pipeline.sink))
                 assert seen.setdefault(lines, structure) == structure, pipeline.describe()
             assert len(seen) < len(every_pipeline)  # some sources are shared
 

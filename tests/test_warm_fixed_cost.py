@@ -72,11 +72,12 @@ def _quarter_device(database, sql):
 
 #: label -> (session options, statement, kernel lookups per execution —
 #: the numbers the commit before the identity lookup reported as warm
-#: ``compile_hits`` with a shared ``PlanCache``).
+#: ``compile_hits`` with a shared ``PlanCache``, halved for multi-pass,
+#: whose count and write phases share one kernel per pipeline).
 PATHS = {
     "resolution": (dict(engine="resolution"), Q21, 4),
     "pipelined": (dict(engine="pipelined"), Q21, 4),
-    "multipass": (dict(engine="multipass"), Q21, 8),
+    "multipass": (dict(engine="multipass"), Q21, 4),
     "vector": (dict(engine="vector"), Q21, 4),
     "operator-at-a-time": (dict(engine="operator-at-a-time"), Q21, 0),
     "fleet": (dict(devices=4), Q21, 20),
@@ -192,20 +193,20 @@ def test_clear_kernel_cache_is_cold_again_under_a_cached_plan(ssb_db, monkeypatc
     emitted = _counted(monkeypatch, codegen._emit_stages)
     session = repro.connect(ssb_db, engine="multipass")
     cold = session.execute(Q21)
-    assert (cold.serving.compile_hits, cold.serving.compile_misses) == (0, 8)
+    assert (cold.serving.compile_hits, cold.serving.compile_misses) == (0, 4)
     clear_kernel_cache()
     del emitted[:]
     again = session.execute(Q21)
     # The plan is a cache hit; its pipelines' kernels are gone with the
     # cache that was cleared (``tiny_cold_frontend`` stays cold).
     assert again.serving.plan_cache_hit
-    assert (again.serving.compile_hits, again.serving.compile_misses) == (0, 8)
-    assert len(emitted) == 8
+    assert (again.serving.compile_hits, again.serving.compile_misses) == (0, 4)
+    assert len(emitted) == 4
     stats = kernel_cache_stats()
-    assert (stats.hits, stats.misses, stats.size) == (0, 8, 8)
+    assert (stats.hits, stats.misses, stats.size) == (0, 4, 4)
     warm = session.execute(Q21)
-    assert (warm.serving.compile_hits, warm.serving.compile_misses) == (8, 0)
-    assert kernel_cache_stats().hits == 8
+    assert (warm.serving.compile_hits, warm.serving.compile_misses) == (4, 0)
+    assert kernel_cache_stats().hits == 4
 
 
 def test_tiny_kernel_cache_stays_bounded_and_correct(ssb_db, monkeypatch):
@@ -309,7 +310,7 @@ def test_workers_racing_on_one_cached_plan(ssb_db):
     shared hit counter, or a kernel seen half-resolved, would break the
     totals or a result."""
     clear_kernel_cache()
-    queries, lookups = 48, 8  # q2.1 on multipass: count + write per pipeline
+    queries, lookups = 48, 4  # q2.1 on multipass: one kernel per pipeline
     expected = repro.connect(ssb_db, engine="multipass").execute(Q21).table.sorted_rows()
     clear_kernel_cache()
     interval = sys.getswitchinterval()
@@ -324,19 +325,19 @@ def test_workers_racing_on_one_cached_plan(ssb_db):
     assert all(result.table.sorted_rows() == expected for result in results)
     # A worker's first execution builds the three dimension tables and
     # leaves them in its pool; from then on it launches — and looks up
-    # the count and write kernels of — the fact pipeline only.
+    # the one kernel of — the fact pipeline only.
     looked_up = 0
     for result in results:
         serving, placement = result.serving, result.placement
         assert placement.table_hits + placement.table_misses == 3
         assert placement.table_hits in (0, 3)
         assert serving.compile_hits + serving.compile_misses == (
-            lookups - 2 * placement.table_hits
+            lookups - placement.table_hits
         )
         looked_up += serving.compile_hits + serving.compile_misses
     cold = sum(result.placement.table_misses == 3 for result in results)
     assert 1 <= cold <= 6  # one per worker that took a query
-    assert looked_up == cold * lookups + (queries - cold) * 2
+    assert looked_up == cold * lookups + (queries - cold) * 1
     assert stats.compile_hits + stats.compile_misses == looked_up
     cache = kernel_cache_stats()
     assert cache.hits + cache.misses == looked_up

@@ -322,7 +322,10 @@ class Engine:
         return produced
 
     def run_fused(
-        self, group: list[Pipeline], runtime: QueryRuntime, indices: Sequence[int]
+        self,
+        group: list[Pipeline],
+        runtime: QueryRuntime,
+        indices: Sequence[int],
     ) -> list[dict[str, np.ndarray] | None]:
         """Run a group of siblings as ONE launch per phase and return
         what each member produced: the builds of one dependency wave
@@ -333,10 +336,13 @@ class Engine:
         A build the pool serves drops out, and so does a build whose
         table an earlier member builds: the pool serves it what that
         member left, as it would run alone.  The rest load their
-        first-read base columns as one packed transfer, then each runs
-        its own generated kernels on its own contexts (over its own CTA
-        range of the fused launch) and writes its own hash table or
-        outputs; the device queues the launches it issues
+        first-read base columns as one packed transfer, then run
+        (:meth:`_run_members`): builds each on its own contexts, and
+        morsels — one pipeline over pieces of its base table — as one
+        host pass of their kernel where the engine has one; either way
+        each member is charged over its own CTA range of the fused
+        launch and writes its own hash table or outputs, and the
+        device queues the launches it issues
         (:meth:`VirtualCoprocessor.fusing
         <repro.hardware.device.VirtualCoprocessor.fusing>`) and phase
         ``i`` of the group is launched once, over the members' merged
@@ -375,7 +381,8 @@ class Engine:
                 [(position, pipeline, key)] = ran
                 produced[position] = self._execute_kept(pipeline, runtime, key)
             elif ran:
-                for (position, _, _), outputs in zip(ran, self._launch_fused(ran, runtime)):
+                launched = self._launch_fused(ran, runtime)
+                for (position, _, _), outputs in zip(ran, launched):
                     produced[position] = outputs
             for record, pipeline, key in twins:
                 if not runtime.resident_build(pipeline, key, record):
@@ -398,14 +405,7 @@ class Engine:
         runtime.load_source(
             members[0], lazy_capable=self.lazy_capable(members[0]), siblings=members[1:]
         )
-        held, produced = [], []
-        for pipeline in members:
-            started = perf_counter()
-            with device.fusing() as queued:
-                produced.append(runtime.run_pipeline(self, pipeline))
-            held.append(queued)
-            # Its kernels' host time: no launch of its own spans it.
-            device.log.phase(f"member {pipeline.name}", "member", started)
+        produced, held = self._run_members(members, runtime)
         for name, kind, elements, meter in fuse_launches(held):
             device.launch(name, kind, elements, meter)
         # Once every member completed, the pool keeps the tables; what
@@ -418,6 +418,24 @@ class Engine:
                 )
                 runtime.keep_build(pipeline, key, restore_ms)
         return produced
+
+    def _run_members(self, members: list[Pipeline], runtime: QueryRuntime) -> tuple[list, list]:
+        """Run a fused group's loaded ``members``, each queueing its
+        launches under :meth:`VirtualCoprocessor.fusing
+        <repro.hardware.device.VirtualCoprocessor.fusing>`: returns what
+        each produced and the launches each queued.  Here one by one,
+        each over its own contexts; an engine with a one-pass feed for
+        morsels overrides this."""
+        device = runtime.device
+        held, produced = [], []
+        for pipeline in members:
+            started = perf_counter()
+            with device.fusing() as queued:
+                produced.append(runtime.run_pipeline(self, pipeline))
+            held.append(queued)
+            # Its kernels' host time: no launch of its own spans it.
+            device.log.phase(f"member {pipeline.name}", "member", started)
+        return produced, held
 
     def _run_pipeline(
         self, pipeline: Pipeline, runtime: QueryRuntime, record

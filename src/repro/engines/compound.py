@@ -16,6 +16,8 @@ Two reduction families are available:
 
 from __future__ import annotations
 
+from time import perf_counter
+
 import numpy as np
 
 from ..kernels.codegen import generate_compound_kernel
@@ -23,7 +25,7 @@ from ..kernels.context import EstimateContext, KernelContext
 from ..plan.physical import AggregateSink, BuildSink, Pipeline
 from ..scaleout.merge import merge_partials, rewrite_for_partials
 from .base import Engine
-from .runtime import QueryRuntime
+from .runtime import GroupScope, QueryRuntime
 
 
 class CompoundEngine(Engine):
@@ -56,6 +58,28 @@ class CompoundEngine(Engine):
         )
         return run_compound_pipeline(pipeline, runtime, self.mode, scope)
 
+    def _run_members(self, members: list[Pipeline], runtime: QueryRuntime):
+        # The one pass stands in for each member's run_pipeline (whose
+        # record runs a final pipeline's execute_pipeline): an engine or
+        # a runtime (the cost estimator's, which prices it) that runs a
+        # pipeline otherwise keeps the member loop.
+        if (
+            not morsel_group(members)
+            or type(self).execute_pipeline is not CompoundEngine.execute_pipeline
+            or type(runtime).record is not QueryRuntime.record
+        ):
+            return super()._run_members(members, runtime)
+        device = runtime.device
+        started = perf_counter()
+        with device.fusing() as queued:
+            produced = run_compound_group(members, runtime, self.mode)
+        # The group's one pass: no launch of its own spans it.
+        device.log.phase(
+            f"member {'+'.join(member.name for member in members)}", "member", started
+        )
+        # One compound launch per member, in member order.
+        return produced, [[trace] for trace in queued]
+
     def estimate_pipeline(self, pipeline: Pipeline, runtime) -> tuple[int, int]:
         scope = runtime.load_source(
             pipeline, lazy_capable=self.lazy_capable(pipeline)
@@ -79,6 +103,7 @@ def _launch(
         output_schema=pipeline.output_schema, rows=rows, pipeline=pipeline,
     )
     kernel(ctx)
+    runtime.device.log.bodies += 1
     occupancy = min(1.0, max(ctx.n, 1) / occupancy_rows)
     runtime.device.launch(name, "compound", ctx.n, ctx.meter, occupancy=occupancy)
     return ctx
@@ -167,3 +192,43 @@ def run_compound_pipeline(
         scheme=scheme,
         context=f"{suffix}s",
     )
+
+
+def morsel_group(members: list[Pipeline]) -> bool:
+    """Whether ``members`` are morsels: two or more pipelines that run
+    one pipeline's stages and aggregating or materializing sink over
+    different pieces of its base table (a fleet device's turn)."""
+    head = members[0]
+    return (
+        len(members) > 1
+        and not isinstance(head.sink, BuildSink)
+        and all(member.stages is head.stages and member.sink is head.sink for member in members)
+    )
+
+
+def run_compound_group(members: list[Pipeline], runtime: QueryRuntime, mode: str) -> list:
+    """Run the :func:`morsel_group` ``members``, whose first-read
+    columns are loaded, as ONE host pass of their compound kernel: the
+    scope is the members' columns back to back and member ``i`` is
+    segment ``i`` of the kernel's row domain
+    (:class:`~repro.kernels.context.KernelContext`).  Each member then
+    lists its kernel, makes its runtime effects and launches what its
+    segment charged, in member order — exactly the launch it would
+    queue run alone.  Returns each member's sink outputs."""
+    head, log = members[0], runtime.device.log
+    kernels = [generate_compound_kernel(member, log) for member in members]
+    rows = [runtime.source_rows(member) for member in members]
+    ctx = KernelContext(
+        runtime, GroupScope(runtime.database, members), head.scope_schema, mode,
+        sink=head.sink, output_schema=head.output_schema, segments=list(zip(members, rows)),
+    )
+    kernels[0](ctx)
+    log.bodies += 1
+    for member, kernel, count, meter, effects in zip(
+        members, kernels, rows, ctx.meters, ctx.effects
+    ):
+        runtime.list_kernel(member.name, kernel.source)
+        for effect, args in effects:
+            runtime.effect(effect, args)
+        runtime.device.launch(kernel.name, "compound", count, meter)
+    return ctx.segment_outputs

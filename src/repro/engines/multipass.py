@@ -72,6 +72,7 @@ class MultiPassEngine(Engine):
         count_ctx = kernel_context()
         runtime.list_kernel(f"{pipeline.name}.count", kernel.source)
         kernel(count_ctx)
+        device.log.bodies += 1
         device.launch(f"count_{pipeline.name}", "count", count_ctx.n, count_ctx.meter)
 
         # Phase 2: hierarchical prefix sum over the materialized flags.
@@ -85,6 +86,7 @@ class MultiPassEngine(Engine):
         write_ctx.set_positions(scan)
         runtime.list_kernel(f"{pipeline.name}.write", kernel.source)
         kernel(write_ctx)
+        device.log.bodies += 1
         device.launch(f"write_{pipeline.name}", "write", write_ctx.n, write_ctx.meter)
         return write_ctx
 

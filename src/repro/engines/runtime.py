@@ -10,6 +10,7 @@ delegates to CoGaDB's original engine, Section 7).
 from __future__ import annotations
 
 import copy
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -94,6 +95,31 @@ class PipelineRun(NamedTuple):
     def result_rows(self) -> int:
         """Rows of the table a priced pipeline leaves behind."""
         return min(self.groups, max(self.rows, 1)) if self.groups else self.rows
+
+
+class GroupScope(Mapping):
+    """The input columns of ``members`` — morsels of one pipeline over
+    pieces of its base table — each the members' values back to back
+    (:meth:`Database.concatenated
+    <repro.storage.database.Database.concatenated>` memoizes them)."""
+
+    def __init__(self, database: Database, members: list[Pipeline]):
+        self._database = database
+        self._tables = tuple(member.source for member in members)
+        self._head = members[0]
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        if name not in self._head.required_columns:
+            raise KeyError(name)
+        return self._database.concatenated(
+            self._tables, self._head.source_rename.get(name, name)
+        )
+
+    def __iter__(self):
+        return iter(self._head.required_columns)
+
+    def __len__(self) -> int:
+        return len(self._head.required_columns)
 
 
 class QueryRuntime:
@@ -443,27 +469,36 @@ class QueryRuntime:
         self._compression_stats.deferred_columns += 1
 
     def lazy_gather(
-        self, state: LazyColumn, rows: int, meter, span: int | None = None
+        self, state: LazyColumn, rows: int, meter, span: int | None = None, effects=None
     ) -> None:
         """Charge the running kernel (``meter``; ``span`` source rows)
         for reading ``rows`` values of a wire-resident column: the
         register decode, in place of a raw column read."""
         note = state.decode(int(rows), meter, span)
-        self.device.log.taped("effect", _gathered, (state, rows, note))
-        _gathered(self, state, rows, note)
+        self.effect(_gathered, (state, rows, note), effects)
 
-    def record_scan(self, state: LazyColumn, plan, meter) -> None:
+    def record_scan(self, state: LazyColumn, plan, meter, effects=None) -> None:
         """Account one compressed-scan conjunct: charge the fused
         strategy traffic and keep the decision visible (kernel source
         listing + stats note for EXPLAIN)."""
         plan.charge(meter)
-        self.device.log.taped("effect", _scanned, (state, plan))
-        _scanned(self, state, plan)
+        self.effect(_scanned, (state, plan), effects)
 
     def list_kernel(self, name: str, source: str) -> None:
         """List ``source`` among this query's kernel sources."""
         self.device.log.taped("effect", _listed, (name, source))
         _listed(self, name, source)
+
+    def effect(self, effect, args: tuple, into: list | None = None) -> None:
+        """Make (and tape) one of a kernel's effects on this query's
+        stats and kernel listing — or, ``into`` given, keep ``(effect,
+        args)`` there: a member of a morsel group makes its effects
+        after the group's one pass, in member order."""
+        if into is not None:
+            into.append((effect, args))
+            return
+        self.device.log.taped("effect", effect, args)
+        effect(self, *args)
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -578,42 +613,88 @@ class QueryRuntime:
         scope holds survivors only, so its mask selects every row and
         nothing is gathered.
         """
+        return self.aggregate_segments(sink, scope, mask, output_schema, [0, mask.size])[0]
+
+    def aggregate_segments(
+        self,
+        sink: AggregateSink,
+        scope,
+        mask: np.ndarray,
+        output_schema: PlanSchema,
+        edges: list[int],
+    ) -> list[AggregationResult]:
+        """:meth:`aggregate_rows` of each segment ``[edges[s], edges[s +
+        1])`` of the rows — the members of a morsel group — in one pass:
+        the expressions are evaluated once, keys are factorized once
+        with the segment as the most significant key (so a segment's
+        group ids ascend by key, as they do alone) and each aggregate is
+        reduced once.  A group holds its segment's rows in their order,
+        so every segment's outputs and cost drivers equal its own run's.
+        A single tuple per segment reduces per segment."""
         inputs = int(np.count_nonzero(mask))
         selected = None if inputs == mask.size else np.flatnonzero(mask)
+        if selected is not None:
+            edges = np.searchsorted(selected, edges).tolist()
+        counts = [stop - start for start, stop in zip(edges, edges[1:])]
 
         def qualifying(expr) -> np.ndarray:
             values = over_rows(evaluate(expr, scope), mask.shape)
             return values if selected is None else values.take(selected)
 
-        outputs: dict[str, np.ndarray] = {}
+        def cast(outputs: dict) -> dict:
+            for name, dtype in output_schema.dtypes.items():
+                if name in outputs:
+                    outputs[name] = np.asarray(outputs[name]).astype(dtype.numpy_dtype)
+            return outputs
 
-        if sink.group_keys:
-            key_arrays = [
-                np.ascontiguousarray(qualifying(expr)) for _, expr in sink.group_keys
+        entry_bytes = sink.entry_bytes(output_schema)
+        if not sink.group_keys:
+            values = {
+                spec.name: None if spec.expr is None else qualifying(spec.expr)
+                for spec in sink.aggregates
+            }
+            return [
+                AggregationResult(
+                    outputs=cast({
+                        spec.name: _reduce_spec(
+                            spec,
+                            None if values[spec.name] is None else values[spec.name][start:stop],
+                            None, 1, count,
+                        )
+                        for spec in sink.aggregates
+                    }),
+                    codes=None, num_groups=1, entry_bytes=entry_bytes, inputs=count,
+                )
+                for start, stop, count in zip(edges, edges[1:], counts)
             ]
+        key_arrays = [np.ascontiguousarray(qualifying(expr)) for _, expr in sink.group_keys]
+        if len(counts) == 1:
             codes, uniques = factorize(key_arrays)
-            num_groups = len(uniques[0]) if uniques else 0
-            for (name, _), unique in zip(sink.group_keys, uniques):
-                outputs[name] = unique
+            group_edges = [0, len(uniques[0])]
         else:
-            codes = None
-            num_groups = 1
-
+            segment_ids = np.repeat(np.arange(len(counts)), counts)
+            codes, [segment_of, *uniques] = factorize([segment_ids, *key_arrays])
+            group_edges = np.searchsorted(segment_of, np.arange(len(counts) + 1)).tolist()
+        num_groups = group_edges[-1]
+        outputs = {name: unique for (name, _), unique in zip(sink.group_keys, uniques)}
         for spec in sink.aggregates:
             values = qualifying(spec.expr) if spec.expr is not None else None
             outputs[spec.name] = _reduce_spec(spec, values, codes, num_groups, inputs)
-
-        # Cast to the declared output types.
-        for name, dtype in output_schema.dtypes.items():
-            if name in outputs:
-                outputs[name] = np.asarray(outputs[name]).astype(dtype.numpy_dtype)
-        return AggregationResult(
-            outputs=outputs,
-            codes=codes,
-            num_groups=num_groups,
-            entry_bytes=sink.entry_bytes(output_schema),
-            inputs=inputs,
-        )
+        outputs = cast(outputs)
+        if len(counts) == 1:
+            return [AggregationResult(outputs, codes, num_groups, entry_bytes, inputs)]
+        return [
+            AggregationResult(
+                outputs={name: column[first:last] for name, column in outputs.items()},
+                codes=codes[start:stop] - first,
+                num_groups=last - first,
+                entry_bytes=entry_bytes,
+                inputs=count,
+            )
+            for start, stop, first, last, count in zip(
+                edges, edges[1:], group_edges, group_edges[1:], counts
+            )
+        ]
 
     # ------------------------------------------------------------------
     def finalize(

@@ -339,8 +339,11 @@ class PipelineRecord(LogSlice):
     #: Host clock (``perf_counter`` seconds) of the interval.
     started: float = 0.0
     ended: float = 0.0
-    #: ``(kernels, transfers)`` logged before it began.
-    marks: tuple = (0, 0)
+    #: ``(kernels, transfers, bodies)`` logged before it began.
+    marks: tuple = (0, 0, 0)
+    #: Generated-kernel bodies the host ran for it (a fused group's
+    #: head row holds the group's; a replay or a pool hit runs none).
+    bodies: int = 0
 
     @property
     def name(self) -> str:
@@ -377,6 +380,9 @@ class Profile(LogSlice):
     #: The pipeline rows of the records :meth:`carry` put before this
     #: one: what a failed attempt ran, which this log does not hold.
     carried: list[PipelineRecord] = field(default_factory=list)
+    #: Generated-kernel bodies the host ran (count, write and compound
+    #: kernels; a morsel group's one pass is one).
+    bodies: int = 0
     #: While a pipeline's run is recorded for a replay
     #: (``QueryRuntime.record``): its entries, in order.  Not a field.
     tape = None
@@ -428,13 +434,14 @@ class Profile(LogSlice):
             self.phases[:0] = earlier.phases
             self.lookups[:0] = earlier.lookups
             self.carried[:0] = earlier.carried + earlier.pipelines
+            self.bodies += earlier.bodies
 
     def open(self, index: int | None, pipeline, rows_in: int) -> PipelineRecord:
         """Begin the record of pipeline ``index`` (``finalize``: both
         ``None``); every entry logged until :meth:`close` is its."""
         record = PipelineRecord(
             index=index, pipeline=pipeline, rows_in=rows_in, started=perf_counter(),
-            marks=(len(self.kernels), len(self.transfers)),
+            marks=(len(self.kernels), len(self.transfers), self.bodies),
         )
         self.pipelines.append(record)
         return record
@@ -445,6 +452,7 @@ class Profile(LogSlice):
         record.kernels = self.kernels[record.marks[0]:]
         record.transfers = self.transfers[record.marks[1]:]
         record.ended = perf_counter()
+        record.bodies = self.bodies - record.marks[2]
 
     @property
     def unaccounted(self) -> int:
@@ -466,6 +474,7 @@ class Profile(LogSlice):
         self.events = sorted(self.events + other.events, key=lambda event: event[0])
         self.phases.extend(other.phases)
         self.lookups.extend(other.lookups)
+        self.bodies += other.bodies
 
 
 def sum_stats(items):

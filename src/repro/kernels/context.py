@@ -32,7 +32,8 @@ positions (:meth:`KernelContext.finish_count`,
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
+from itertools import accumulate
 
 import numpy as np
 
@@ -42,6 +43,7 @@ from ..expressions.eval import evaluate, over_rows
 from ..hardware.profiles import DeviceProfile
 from ..hardware.traffic import MemoryLevel, TrafficMeter
 from ..plan.logical import PlanSchema
+from ..primitives.common import segment_sums
 from ..primitives.gather import INDEX_BYTES, random_access_volume
 from ..primitives import prefix, segmented
 from ..primitives.prefix import ScanResult, atomic_positions, device_scan, lrgp_positions
@@ -54,6 +56,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Prefix-sum / reduction mode names accepted by compiled engines.
 REDUCTION_MODES = ("multipass", "atomic", "lrgp_simd", "lrgp_we")
+
+
+#: What :attr:`KernelContext._all_alive` holds before any mask is made.
+_NO_MASK = object()
+
+#: :attr:`KernelContext.effects` of a one-segment kernel: made at once.
+_AT_ONCE = (None,)
 
 
 class RowScope(Mapping):
@@ -78,8 +87,7 @@ class RowScope(Mapping):
             return self._columns[name]
         except KeyError:
             pass
-        values = self.over_domain(self.source[name])
-        self._columns[name] = values
+        values = self._columns[name] = self.over_domain(self.source[name])
         return values
 
     def __setitem__(self, name: str, values) -> None:
@@ -141,7 +149,39 @@ class KernelContext:
         from the scope arrays — wrong for pipelines that reference no
         columns at all (``select count(*)`` without a predicate), whose
         scope is empty while the source still has rows.
+    segments:
+        ``(pipeline, rows)`` per member of a *morsel group* — pipelines
+        that run this kernel over different pieces of one table (a
+        fleet device's morsels), their rows back to back in ``scope``.
+        None: one segment, ``pipeline`` over ``rows``.
+
+    Segments
+    --------
+    The row domain is cut into segments, ``[edges[s], edges[s + 1])``,
+    re-based with the domain; segment ``s`` is charged to its own
+    meter, ``meters[s]``, and writes its own outputs,
+    ``segment_outputs[s]``.  Every stage runs once over all rows and
+    splits each charge per segment — alive counts, the slots each
+    segment's rows probe, its hits, its groups — so a member's meter
+    and outputs equal, field for field, those of its pipeline run over
+    its piece alone.  What is per member stays per member: the
+    wire-resident columns of its piece (a register decode, or a
+    compressed scan where its piece's encoding affords one), the
+    columns it has loaded, its draws from ``runtime.rng`` (in member
+    order) and, in a group, its effects on the query's stats and
+    kernel listing (:attr:`effects`, which the caller makes in member
+    order after the pass).  A kernel of one pipeline is the one-segment
+    case: ``meter`` and ``outputs`` are its only segment's.
     """
+
+    #: Segment edges over the domain (``_source_edges``: over the
+    #: source rows) and the rows alive per segment — None: one segment,
+    #: the whole domain, ``_valid`` rows alive.  A morsel group sets them.
+    _edges: list[int] | None = None
+    _alive: list[int] | None = None
+    #: Per segment, the runtime effects a morsel group defers (None:
+    #: made at once).
+    effects: Sequence[list | None] = _AT_ONCE
 
     def __init__(
         self,
@@ -154,9 +194,15 @@ class KernelContext:
         output_schema: PlanSchema | None = None,
         rows: int | None = None,
         pipeline=None,
+        segments: Sequence[tuple] | None = None,
     ):
         if mode not in REDUCTION_MODES:
             raise CompilationError(f"unknown reduction mode {mode!r}")
+        if segments is not None:
+            if mode == "multipass" or base_count is not None:
+                raise CompilationError("a morsel group runs compound kernels only")
+            pipeline = segments[0][0]
+            rows = sum(count for _, count in segments)
         self.runtime = runtime
         self.scope = RowScope(scope)
         self.schema = schema
@@ -169,8 +215,27 @@ class KernelContext:
         else:
             self.n = len(next(iter(scope.values()))) if scope else 0
         self.base_count = self.n if base_count is None else base_count
-        self.meter = TrafficMeter()
-        self.outputs: dict[str, np.ndarray] = {}
+        if segments is None:
+            self.meter = TrafficMeter()
+            self.outputs: dict[str, np.ndarray] = {}
+            #: The pipeline each segment runs, and the most elements its
+            #: first column load charges.
+            self.members, self._caps = (pipeline,), (self.base_count,)
+            self._source_edges = (0, self.n)
+            self.meters, self.segment_outputs = (self.meter,), (self.outputs,)
+            #: The columns each segment has loaded.
+            self._loaded: list[set[str]] = [set()]
+        else:
+            self.members = [member for member, _ in segments]
+            self._caps = [count for _, count in segments]
+            self._source_edges = [0, *accumulate(self._caps)]
+            self._edges = self._source_edges
+            self._alive = list(self._caps)
+            self.meters = [TrafficMeter() for _ in segments]
+            self.segment_outputs = [{} for _ in segments]
+            self.effects = [[] for _ in segments]
+            self._loaded = [set() for _ in segments]
+            self.meter, self.outputs = self.meters[0], self.segment_outputs[0]
         self.sink = sink
         self.output_schema = output_schema
         #: Final selection flags, one per *source* row (count kernel
@@ -183,13 +248,15 @@ class KernelContext:
         self.intermediates: dict[str, np.ndarray] = {}
         self.aggregation = None
         self._positions: ScanResult | None = None
-        self._loaded: set[str] = set()
+        #: The mask object known to select the whole domain (see
+        #: :meth:`_alive_mask`); none yet.
+        self._all_alive = _NO_MASK
         self._valid = self.n if base_count is None else base_count
         #: The latest probe stage: the rows array handed to the
         #: generated code (its identity names the stage), those rows
         #: over the current domain, which of them hit (None: all), and
-        #: the hit count at probe time, which each payload charges.
-        self._probe: tuple[np.ndarray, np.ndarray, np.ndarray | None, int] | None = None
+        #: the hits per segment at probe time, which each payload charges.
+        self._probe: tuple[np.ndarray, np.ndarray, np.ndarray | None, list] | None = None
         #: The physical pipeline this kernel implements (None for
         #: hand-built contexts).  Names the table behind each input
         #: column (:meth:`_wire_column`) and gives :meth:`filter_stage`
@@ -201,6 +268,21 @@ class KernelContext:
     def profile(self) -> DeviceProfile:
         return self.runtime.device.profile
 
+    @property
+    def _counts(self) -> list[int]:
+        """The rows alive per segment."""
+        return [self._valid] if self._alive is None else self._alive
+
+    def _charge(self, cost: int, count=None) -> None:
+        """``cost`` instructions per row alive in each segment — or per
+        ``count`` row, a per-segment figure (a :class:`SegmentedScan`'s
+        ``total``; a number for one segment)."""
+        if self._alive is None:
+            self.meter.record_instructions((self._valid if count is None else count) * cost)
+            return
+        for meter, charge in zip(self.meters, self._alive if count is None else count):
+            meter.record_instructions(charge * cost)
+
     # ------------------------------------------------------------------
     # column loads
     # ------------------------------------------------------------------
@@ -210,38 +292,47 @@ class KernelContext:
             return 4
         return dtype.itemsize
 
-    def touch(self, names: list[str], count: int | None = None) -> None:
+    def touch(self, names: list[str], count=None) -> None:
         """Charge the first global-memory load of each named column: a
         raw read, or — for a wire-resident column — its register
-        decode, fused into this kernel."""
-        charge = self._valid if count is None else count
-        charge = min(charge, self.base_count)
-        for name in names:
-            if name in self._loaded:
-                continue
-            self._loaded.add(name)
-            state = self._wire_column(name)
-            if state is not None:
-                self.runtime.lazy_gather(state, charge, self.meter, self.n)
-            else:
-                self.meter.record_read(
-                    MemoryLevel.GLOBAL, charge * self.itemsize(name)
-                )
+        decode, fused into this kernel.  ``count`` (per segment)
+        overrides the alive rows charged."""
+        if self._alive is None:
+            self._touch_segment(names, 0, self._valid if count is None else count)
+            return
+        for segment, charge in enumerate(self._alive if count is None else count):
+            self._touch_segment(names, segment, charge)
 
-    def _wire_column(self, name: str):
-        """The wire-resident state of input column ``name``, if the
-        device holds it compressed (looked up by table and base column,
-        so a slice or a gathered copy of the array finds it too)."""
-        pipeline, registry = self.pipeline, self.runtime.lazy_columns
-        if not registry or pipeline is None or not self.scope.is_source(name):
+    def _touch_segment(self, names, segment: int, charge: int) -> None:
+        """:meth:`touch` of segment ``segment`` alone, ``charge`` rows
+        a column."""
+        loaded, meter = self._loaded[segment], self.meters[segment]
+        charge = min(charge, self._caps[segment])
+        for name in names:
+            if name in loaded:
+                continue
+            loaded.add(name)
+            state = self._wire_column(name, segment)
+            if state is not None:
+                span = self._source_edges[segment + 1] - self._source_edges[segment]
+                self.runtime.lazy_gather(state, charge, meter, span, self.effects[segment])
+            else:
+                meter.record_read(MemoryLevel.GLOBAL, charge * self.itemsize(name))
+
+    def _wire_column(self, name: str, segment: int = 0):
+        """The wire-resident state of input column ``name`` of segment
+        ``segment``, if the device holds it compressed (looked up by
+        table and base column, so a slice or a gathered copy of the
+        array finds it too)."""
+        member, registry = self.members[segment], self.runtime.lazy_columns
+        if not registry or member is None or not self.scope.is_source(name):
             return None
-        return registry.get(
-            (pipeline.source, pipeline.source_rename.get(name, name))
-        )
+        return registry.get((member.source, member.source_rename.get(name, name)))
 
     def mark_loaded(self, names: list[str]) -> None:
         """Treat columns as already in registers (no load charge)."""
-        self._loaded.update(names)
+        for loaded in self._loaded:
+            loaded.update(names)
 
     # ------------------------------------------------------------------
     # the row domain
@@ -255,16 +346,37 @@ class KernelContext:
         if alive == keep.size:
             return None
         index = np.flatnonzero(keep)
+        if self._edges is not None:
+            edges = self._edges = np.searchsorted(index, self._edges).tolist()
+            self._alive = [stop - start for start, stop in zip(edges, edges[1:])]
         self.scope.narrow(index)
         self._probe = None
         return index
+
+    def _per_segment(self, flags: np.ndarray) -> list[int]:
+        """How many of ``flags`` (over the domain) each segment holds."""
+        if self._edges is None:
+            return [flags.size if flags is self._all_alive else int(np.count_nonzero(flags))]
+        if flags is self._all_alive or np.count_nonzero(flags) == flags.size:
+            return self._alive
+        return segment_sums(flags, self._edges).tolist()
 
     def _survivors(self, keep: np.ndarray) -> np.ndarray:
         """The mask a dropping stage hands back: ``keep`` itself when
         nothing was dropped, else all-alive over the re-based domain."""
         if self._narrow(keep) is None:
-            return keep
-        return np.ones(self._valid, dtype=bool)
+            return self._alive_mask(keep)
+        return self._alive_mask(np.ones(self._valid, dtype=bool))
+
+    def _alive_mask(self, mask: np.ndarray) -> np.ndarray:
+        """``mask``, known to select every row of the domain: a stage
+        handed it back skips combining with it and counting it."""
+        self._all_alive = mask
+        return mask
+
+    def _and(self, mask: np.ndarray, flags: np.ndarray) -> np.ndarray:
+        """``mask & flags`` (``flags`` itself under the all-alive mask)."""
+        return flags if mask is self._all_alive else mask & flags
 
     def _alive_index(self, mask: np.ndarray) -> np.ndarray | None:
         """Domain positions of the rows alive under ``mask``; None when
@@ -299,7 +411,7 @@ class KernelContext:
     # pipeline stages
     # ------------------------------------------------------------------
     def full_mask(self) -> np.ndarray:
-        return np.ones(self.n, dtype=bool)
+        return self._alive_mask(np.ones(self.n, dtype=bool))
 
     def apply_filter(
         self, mask: np.ndarray, flags: np.ndarray, cost: int, columns: list[str] | None = None
@@ -316,13 +428,19 @@ class KernelContext:
 
     def _filter(self, mask, flags, cost: int, predicate):
         """``predicate``: what ``flags`` evaluate (None: a probe's residual)."""
-        self.meter.record_instructions(self._valid * cost)
+        self._charge(cost)
         flags = over_rows(flags, mask.shape, dtype=bool)
-        return self._survivors(mask & flags)
+        return self._survivors(self._and(mask, flags))
 
-    def _scan(self, mask, plan, conjunct):
-        """Fold a compressed scan's flags (one per column row) in."""
-        return self._survivors(mask & self.scope.over_domain(plan.flags))
+    def _fold(self, mask, conjunct, plan):
+        """AND one conjunct of a predicate, already charged, into the
+        mask: a one-segment kernel's compressed ``plan`` holds its
+        flags (one per column row), anything else evaluates them."""
+        if plan is not None and self._edges is None:
+            flags = self.scope.over_domain(plan.flags)
+        else:
+            flags = over_rows(evaluate(conjunct, self.scope), mask.shape, dtype=bool)
+        return self._survivors(self._and(mask, flags))
 
     def filter_stage(self, mask, index, fn, cost, columns):
         """Execute one FilterStage: load the predicate columns and AND
@@ -334,42 +452,62 @@ class KernelContext:
         :func:`repro.compression.lazy.plan_scan` finds one cheaper than
         unpacking the alive rows in registers; the rest of the
         predicate, and every other stage, takes the default path
-        (touch + one apply_filter).  Both compute identical flags.
+        (touch + one apply_filter).  Both compute identical flags, so
+        the choice is a segment's: one whose piece affords a scan is
+        charged conjunct by conjunct, the others the default path, and
+        the flags are computed once.
         """
-        planned = []
-        predicate = None
+        predicate = planned = None
         if self.pipeline is not None:
             predicate = getattr(self.pipeline.stages[index], "predicate", None)
         if predicate is not None and self.runtime.lazy_columns:
-            rows = min(self._valid, self.base_count)
-            for conjunct in lazy.flatten_conjuncts(predicate):
-                plan = state = None
-                names = conjunct.columns()
-                if len(names) == 1:
-                    name = next(iter(names))
-                    state = self._wire_column(name)
-                    # A scan's flags are one per column row: a kernel
-                    # over a slice of the column unpacks instead.
-                    if (
-                        state is not None
-                        and state.n == self.n
-                        and name not in self._loaded
-                    ):
-                        plan = lazy.plan_scan(state, conjunct, name, rows)
-                planned.append((conjunct, plan, state))
-        if any(plan is not None for _, plan, _ in planned):
-            for conjunct, plan, state in planned:
+            conjuncts = lazy.flatten_conjuncts(predicate)
+            planned = [self._plan_scans(conjuncts, segment) for segment in range(len(self.members))]
+        if planned is None or not any(planned):
+            self.touch(columns)
+            return self._filter(mask, fn(self.scope), cost, predicate)
+        for segment, plans in enumerate(planned):
+            if plans is None:
+                charge = self._counts[segment]
+                self._touch_segment(columns, segment, charge)
+                self.meters[segment].record_instructions(charge * cost)
+        for position, conjunct in enumerate(conjuncts):
+            scanned = None
+            for segment, plans in enumerate(planned):
+                if plans is None:
+                    continue
+                plan, state = plans[position]
+                meter = self.meters[segment]
                 if plan is not None:
-                    self.runtime.record_scan(state, plan, self.meter)
-                    mask = self._scan(mask, plan, conjunct)
+                    self.runtime.record_scan(state, plan, meter, self.effects[segment])
+                    scanned = plan
                 else:
-                    self.touch(sorted(conjunct.columns()))
-                    mask = self._filter(
-                        mask, evaluate(conjunct, self.scope), conjunct.size(), conjunct
-                    )
-            return mask
-        self.touch(columns)
-        return self._filter(mask, fn(self.scope), cost, predicate)
+                    charge = self._counts[segment]
+                    self._touch_segment(sorted(conjunct.columns()), segment, charge)
+                    meter.record_instructions(charge * conjunct.size())
+            mask = self._fold(mask, conjunct, scanned)
+        return mask
+
+    def _plan_scans(self, conjuncts, segment: int) -> list | None:
+        """``(scan plan or None, wire state)`` per conjunct for segment
+        ``segment`` — None when no conjunct of it scans compressed."""
+        rows = min(self._counts[segment], self._caps[segment])
+        size = self._source_edges[segment + 1] - self._source_edges[segment]
+        loaded = self._loaded[segment]
+        plans, scanned = [], False
+        for conjunct in conjuncts:
+            plan = state = None
+            names = conjunct.columns()
+            if len(names) == 1:
+                name = next(iter(names))
+                state = self._wire_column(name, segment)
+                # A scan's flags are one per column row: a kernel over a
+                # slice of the column unpacks instead.
+                if state is not None and state.n == size and name not in loaded:
+                    plan = lazy.plan_scan(state, conjunct, name, rows)
+            plans.append((plan, state))
+            scanned = scanned or plan is not None
+        return plans if scanned else None
 
     def map_stage(self, name: str, values, cost: int, columns: list[str]) -> None:
         """Execute one MapStage: load the expression's ``columns``,
@@ -418,41 +556,50 @@ class KernelContext:
         Returns one build row index per domain row (-1 for a miss).
         Probe traffic is charged for the alive rows only — dead threads
         skip the probe — and since dropped rows leave the domain, the
-        alive rows are normally all of them.
+        alive rows are normally all of them.  Each segment is charged
+        the slots its own rows inspect.
         """
         entry = self.runtime.hash_table(table_id)
-        alive_count = int(np.count_nonzero(mask))
+        alive = self._per_segment(mask)
         if key_cost:
-            self.meter.record_instructions(alive_count * key_cost)
-        if not alive_count:
+            for meter, count in zip(self.meters, alive):
+                meter.record_instructions(count * key_cost)
+        total = sum(alive)
+        if not total:
             return np.full(mask.size, -1, dtype=np.int64)
         keys = [over_rows(k, mask.shape) for k in key_arrays]
-        if alive_count == mask.size:
-            return entry.table.probe(self.meter, keys, self.profile.l2_capacity)
+        # Segment s (rows [edges[s], edges[s + 1])) is charged to its
+        # meter; one segment is charged to the kernel's.
+        meter, edges = (self.meter, None) if self._edges is None else (self.meters, self._edges)
+        if total == mask.size:
+            return entry.table.probe(meter, keys, self.profile.l2_capacity, edges=edges)
         # A mask with dead rows is one this context did not issue (a
         # hand-built caller's): they neither probe nor hit.
-        alive = np.flatnonzero(mask)
+        rows_alive = np.flatnonzero(mask)
+        if edges is not None:
+            edges = np.searchsorted(rows_alive, edges).tolist()
         rows = np.full(mask.size, -1, dtype=np.int64)
-        rows[alive] = entry.table.probe(
-            self.meter, [k[alive] for k in keys], self.profile.l2_capacity
+        rows[rows_alive] = entry.table.probe(
+            meter, [k[rows_alive] for k in keys], self.profile.l2_capacity, edges=edges
         )
         return rows
 
-    def _probed(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, int]:
+    def _probed(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, list]:
         """The stage ``rows`` names: its rows over the current domain,
-        which of them hit (None: all) and the hit count at probe time,
-        computed once (``apply_probe`` and every ``payload`` share it)."""
+        which of them hit (None: all) and the hits per segment at probe
+        time, computed once (``apply_probe`` and every ``payload``
+        share them)."""
         if self._probe is None or self._probe[0] is not rows:
             found = rows >= 0
-            hits = int(np.count_nonzero(found))
-            self._probe = (rows, rows, None if hits == rows.size else found, hits)
+            hits = self._per_segment(found)
+            self._probe = (rows, rows, None if sum(hits) == rows.size else found, hits)
         return self._probe[1:]
 
     def apply_probe(self, mask: np.ndarray, rows: np.ndarray, kind: str) -> np.ndarray:
         """Fold probe hits/misses into the mask per join kind."""
         current, found, hits = self._probed(rows)
         if kind == "inner" or kind == "semi":
-            keep = mask if found is None else mask & found
+            keep = mask if found is None else self._and(mask, found)
         elif kind == "anti":
             keep = np.zeros_like(mask) if found is None else mask & ~found
         elif kind == "left":
@@ -461,13 +608,13 @@ class KernelContext:
             raise PlanError(f"unknown join kind {kind!r}")
         index = self._narrow(keep)
         if index is None:
-            return keep
+            return self._alive_mask(keep)
         # The stage's payloads come next and must see its rows over the
         # domain it just narrowed: inner/semi survivors all hit.
         if found is not None:
             found = None if kind in ("inner", "semi") else found.take(index)
         self._probe = (rows, current.take(index), found, hits)
-        return np.ones(self._valid, dtype=bool)
+        return self._alive_mask(np.ones(self._valid, dtype=bool))
 
     def payload(
         self,
@@ -488,12 +635,12 @@ class KernelContext:
         except KeyError:
             raise PlanError(f"hash table {table_id!r} has no payload {name!r}") from None
         rows, found, hits = self._probed(rows)
-        itemsize = source.dtype.itemsize
-        self.meter.record_read(
-            MemoryLevel.GLOBAL,
-            random_access_volume(hits, itemsize, source.nbytes, self.profile.l2_capacity),
-        )
-        self.meter.record_instructions(hits)
+        volume = source.nbytes, self.profile.l2_capacity
+        for meter, count in zip(self.meters, hits):
+            meter.record_read(
+                MemoryLevel.GLOBAL, random_access_volume(count, source.dtype.itemsize, *volume)
+            )
+            meter.record_instructions(count)
         if found is None:
             return source.take(rows)
         if len(source) == 0:
@@ -511,8 +658,10 @@ class KernelContext:
     # ------------------------------------------------------------------
     # reductions
     # ------------------------------------------------------------------
-    def positions(self, mask: np.ndarray) -> ScanResult:
-        """Write positions for the selected rows, per reduction mode.
+    def positions(self, mask: np.ndarray):
+        """Write positions for the selected rows, per reduction mode:
+        a :class:`ScanResult` — in a morsel group a
+        :class:`SegmentedScan`, one per segment.
 
         Positions are indexed by source row: LRGP thread groups are
         groups of threads, and ``runtime.rng`` is drawn with the sizes
@@ -523,13 +672,19 @@ class KernelContext:
                 "multipass kernels compute prefix sums in separate kernels; "
                 "positions() is only valid in compound kernels"
             )
-        flags = self._source_flags(mask)
+        flags, edges = self._source_flags(mask), self._source_edges
+        parts = [
+            self._positions_of(meter, flags if len(edges) == 2 else flags[start:stop])
+            for meter, start, stop in zip(self.meters, edges, edges[1:])
+        ]
+        return parts[0] if len(parts) == 1 else SegmentedScan(parts)
+
+    def _positions_of(self, meter: TrafficMeter, flags: np.ndarray) -> ScanResult:
+        """Write positions for source-row ``flags``, charged to ``meter``."""
         if self.mode == "atomic":
-            return atomic_positions(self.meter, flags, self.runtime.rng)
+            return atomic_positions(meter, flags, self.runtime.rng)
         mechanism = "work_efficient" if self.mode == "lrgp_we" else "simd"
-        return lrgp_positions(
-            self.meter, flags, self.profile, self.runtime.rng, mechanism
-        )
+        return lrgp_positions(meter, flags, self.profile, self.runtime.rng, mechanism)
 
     def set_positions(self, positions: ScanResult) -> None:
         """Install externally computed positions (multi-pass write
@@ -544,55 +699,75 @@ class KernelContext:
         mechanism = "work_efficient" if self.mode == "lrgp_we" else "simd"
         return primitives.lrgp_reduce(self.meter, values, self.profile, op, mechanism)
 
-    def hash_aggregate_cost(self, codes: np.ndarray, num_groups: int, entry_bytes: int):
-        """Charge a pipelined grouped aggregation (C2 or C3)."""
+    def hash_aggregate_cost(
+        self, codes: np.ndarray, num_groups: int, entry_bytes: int, meter=None
+    ):
+        """Charge a pipelined grouped aggregation (C2 or C3) to
+        ``meter`` (default: this kernel's)."""
+        meter = self.meter if meter is None else meter
         if self.mode == "atomic":
-            return primitives.atomic_hash_aggregate(self.meter, codes, num_groups, entry_bytes)
+            return primitives.atomic_hash_aggregate(meter, codes, num_groups, entry_bytes)
         return primitives.segmented_hash_aggregate(
-            self.meter, codes, num_groups, entry_bytes, self.profile
+            meter, codes, num_groups, entry_bytes, self.profile
         )
 
-    def single_aggregate_cost(self, count: int, accumulators: int) -> None:
+    def single_aggregate_cost(self, count: int, accumulators: int, meter=None) -> None:
         """Charge a pipelined single-tuple aggregation (B2 or B3): one
-        reduction of ``count`` 4-byte values per accumulator."""
+        reduction of ``count`` 4-byte values per accumulator, to
+        ``meter`` (default: this kernel's)."""
+        meter = self.meter if meter is None else meter
         for _ in range(max(accumulators, 1)):
             if self.mode == "atomic":
-                primitives.charge_atomic_reduce(self.meter, count)
+                primitives.charge_atomic_reduce(meter, count)
             else:
                 mechanism = "work_efficient" if self.mode == "lrgp_we" else "simd"
-                primitives.charge_lrgp_reduce(
-                    self.meter, count, 4, self.profile, mechanism
-                )
+                primitives.charge_lrgp_reduce(meter, count, 4, self.profile, mechanism)
 
     # ------------------------------------------------------------------
     # outputs
     # ------------------------------------------------------------------
-    def compute(self, cost: int, count: int | None = None) -> None:
+    def compute(self, cost: int, count=None) -> None:
         """Charge ALU-only work (projection arithmetic)."""
-        charge = self._valid if count is None else count
-        self.meter.record_instructions(charge * cost)
+        self._charge(cost, count)
 
-    def write_output(self, name: str, values: np.ndarray, itemsize: int) -> None:
-        """Charge the aligned write of one output column."""
+    def write_output(self, name: str, values: np.ndarray, itemsize: int, segment: int = 0) -> None:
+        """Charge the aligned write of one output column of ``segment``."""
         count = len(values)
-        self.meter.record_write(MemoryLevel.GLOBAL, count * itemsize)
-        self.outputs[name] = values
+        self.meters[segment].record_write(MemoryLevel.GLOBAL, count * itemsize)
+        self.segment_outputs[segment][name] = values
 
-    def store(self, name: str, values: np.ndarray, mask: np.ndarray, positions: ScanResult) -> None:
+    def store(self, name: str, values: np.ndarray, mask: np.ndarray, positions) -> None:
         """Scatter the selected values to their write positions.
 
         With atomic/LRGP positions the output order is the (semi-)
         permuted allocation order of Section 6.1; with reference
         positions it is input order.
         """
-        self.write_output(name, self._scattered(values, mask, positions), self.itemsize(name))
+        itemsize = self.itemsize(name)
+        for segment, dense in enumerate(self._scattered(values, mask, positions)):
+            self.write_output(name, dense, itemsize, segment)
 
-    def _scattered(self, values, mask: np.ndarray, positions: ScanResult) -> np.ndarray:
+    def _scattered(self, values, mask: np.ndarray, positions) -> list[np.ndarray]:
+        """The selected ``values`` at their write positions: one dense
+        column per segment."""
         index = self._alive_index(mask)
         selected = self._selected(values, mask, index)
-        dense = np.empty(positions.total, dtype=selected.dtype)
-        dense[positions.positions[self._source_rows(index)]] = selected
-        return dense
+        source = self._source_rows(index)
+        parts = getattr(positions, "parts", None)
+        if parts is None:
+            dense = np.empty(positions.total, dtype=selected.dtype)
+            dense[positions.positions[source]] = selected
+            return [dense]
+        if isinstance(source, slice):
+            source = np.arange(self.n)
+        edges = self._source_edges
+        cuts = np.searchsorted(source, edges)
+        scattered = []
+        for part, start, stop, first in zip(parts, cuts, cuts[1:], edges):
+            dense = np.empty(part.total, dtype=selected.dtype)
+            dense[part.positions[source[start:stop] - first]] = selected[start:stop]
+            scattered.append(dense)
+        return scattered
 
     # ------------------------------------------------------------------
     # multi-pass count/write protocol
@@ -620,7 +795,7 @@ class KernelContext:
         index = np.flatnonzero(self.flags)
         if index.size < self.n:
             self.scope.narrow(index)
-        return np.ones(index.size, dtype=bool)
+        return self._alive_mask(np.ones(index.size, dtype=bool))
 
     def installed_positions(self) -> ScanResult:
         if self._positions is None:
@@ -632,20 +807,31 @@ class KernelContext:
     # ------------------------------------------------------------------
     def sink_aggregate(self, mask: np.ndarray, columns: list[str] | None = None) -> None:
         """Pipelined aggregation (compound kernels): compute the
-        aggregates and charge B2/B3 (single tuple) or C2/C3 (grouped).
+        aggregates and charge B2/B3 (single tuple) or C2/C3 (grouped),
+        per segment.
 
         Every sink method first touches its input ``columns``, if given."""
         if self.sink is None or self.output_schema is None:
             raise CompilationError("context has no aggregation sink bound")
         if columns is not None:
             self.touch(columns)
-        result = self.runtime.aggregate_rows(self.sink, self.scope, mask, self.output_schema)
-        if result.codes is not None:
-            self.hash_aggregate_cost(result.codes, result.num_groups, result.entry_bytes)
+        runtime, sink = self.runtime, self.sink
+        if self._edges is None:
+            results = [runtime.aggregate_rows(sink, self.scope, mask, self.output_schema)]
         else:
-            self.single_aggregate_cost(result.inputs, self.sink.accumulators)
-        self.outputs.update(result.outputs)
-        self.aggregation = result
+            results = runtime.aggregate_segments(
+                sink, self.scope, mask, self.output_schema, self._edges
+            )
+        for segment, (meter, result) in enumerate(zip(self.meters, results)):
+            if result.codes is not None:
+                self.hash_aggregate_cost(
+                    result.codes, result.num_groups, result.entry_bytes, meter
+                )
+            else:
+                self.single_aggregate_cost(result.inputs, sink.accumulators, meter)
+            self.segment_outputs[segment].update(result.outputs)
+        # The kernel's (a group's first member's) cost drivers.
+        self.aggregation = results[0]
 
     def materialize_for_aggregate(
         self, mask: np.ndarray, columns: list[str] | None = None
@@ -676,6 +862,8 @@ class KernelContext:
         insert themselves with atomic CAS, payload kept from registers."""
         if self.sink is None:
             raise CompilationError("context has no build sink bound")
+        if len(self.members) > 1:
+            raise CompilationError("a morsel group has no hash-table build sink")
         if columns is not None:
             self.touch(columns)
         selected = self._alive_index(mask)
@@ -721,6 +909,15 @@ class KernelContext:
     @property
     def valid(self) -> int:
         return self._valid
+
+
+class SegmentedScan:
+    """Write positions of a morsel group: one :class:`ScanResult` per
+    segment; ``total`` is the per-segment totals."""
+
+    def __init__(self, parts: list[ScanResult]):
+        self.parts = parts
+        self.total = [part.total for part in parts]
 
 
 class EstimateContext(KernelContext):
@@ -772,7 +969,7 @@ class EstimateContext(KernelContext):
             predicate = self._probe_stage.residual
         self._keep(self.runtime.selectivity(self.pipeline, predicate))
 
-    def _scan(self, mask, plan, conjunct):
+    def _fold(self, mask, conjunct, plan):
         self._keep(self.runtime.selectivity(self.pipeline, conjunct))
 
     def probe_stage(self, mask, index, *args, **kwargs):
@@ -793,11 +990,11 @@ class EstimateContext(KernelContext):
             self.meter, alive, self.profile.l2_capacity, certain.get(self._probe_stage.kind)
         )
         rows = np.zeros(1, dtype=np.int64)
-        self._probe = (rows, rows, None, hits)
+        self._probe = (rows, rows, None, [hits])
         return rows
 
     def apply_probe(self, mask, rows, kind):
-        hits = self._probed(rows)[2]
+        [hits] = self._probed(rows)[2]
         if kind in ("inner", "semi"):
             self._valid = hits
         elif kind == "anti":
@@ -813,7 +1010,7 @@ class EstimateContext(KernelContext):
         return ScanResult(total=self._valid)
 
     def _scattered(self, values, mask, positions):
-        return count_column(np.asarray(values).dtype, positions.total)
+        return [count_column(np.asarray(values).dtype, positions.total)]
 
     def sink_aggregate(self, mask, columns=None):
         if columns is not None:

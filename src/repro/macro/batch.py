@@ -55,7 +55,7 @@ class BatchResult:
 
     def _phases(self) -> tuple[LogSlice, LogSlice]:
         profile = self.execution.profile
-        kernels, transfers = profile.pipelines[-2].marks
+        kernels, transfers, _ = profile.pipelines[-2].marks
         return (
             LogSlice(profile.kernels[:kernels], profile.transfers[:transfers]),
             LogSlice(profile.kernels[kernels:], profile.transfers[transfers:]),

@@ -74,3 +74,19 @@ def semi_ordered_permutation(count: int, rng: np.random.Generator) -> np.ndarray
     keys = np.arange(count, dtype=np.float64)
     keys += rng.uniform(0.0, window, size=count)
     return np.argsort(keys, kind="stable").astype(np.int64)
+
+
+def segment_sums(values: np.ndarray, edges) -> np.ndarray:
+    """The sums of ``values`` (counts, or flags counted) over the
+    segments ``[edges[s], edges[s + 1])`` — an empty one sums to 0,
+    which ``np.add.reduceat`` does not give."""
+    edges = list(edges)
+    if values.dtype == np.bool_:
+        return np.array(
+            [np.count_nonzero(values[start:stop]) for start, stop in zip(edges, edges[1:])],
+            dtype=np.int64,
+        )
+    return np.array(
+        [values[start:stop].sum(dtype=np.int64) for start, stop in zip(edges, edges[1:])],
+        dtype=np.int64,
+    )

@@ -24,6 +24,7 @@ import numpy as np
 from ..errors import PlanError
 from ..hardware.device import VirtualCoprocessor
 from ..hardware.traffic import AtomicBatch, MemoryLevel, TrafficMeter
+from .common import segment_sums
 from .gather import random_access_volume
 
 #: Row indices are stored as 4-byte ints, as a real GPU build would.
@@ -71,14 +72,20 @@ def hash_key_columns(key_arrays: list[np.ndarray]) -> np.ndarray:
     return combined
 
 
+#: A dense index entry packs ``row + 1`` above the slots inspected.
+_STEP_BITS = 32
+_STEP_MASK = (1 << _STEP_BITS) - 1
+
+
 class _DenseIndex(NamedTuple):
-    """Per key value in ``[lo, hi]``: the build row holding it (-1 when
-    absent) and the number of slots a linear probe for it inspects."""
+    """Per key value in ``[lo, hi]``, one int64 entry: the build row
+    holding it plus one (0 when absent) in the high bits and the number
+    of slots a linear probe for it inspects in the low
+    :data:`_STEP_BITS` — one gather answers both."""
 
     lo: int
     hi: int
-    rows: np.ndarray
-    steps: np.ndarray
+    entries: np.ndarray
 
 
 def _next_power_of_two(value: int) -> int:
@@ -292,7 +299,7 @@ class _Layout:
         return (
             self.slots.nbytes
             + sum(array.nbytes for array in self.keys)
-            + (dense.rows.nbytes + dense.steps.nbytes if dense is not None else 0)
+            + (dense.entries.nbytes if dense is not None else 0)
         )
 
     def lays_out(self, key_arrays: list[np.ndarray], load_factor: float) -> bool:
@@ -495,6 +502,7 @@ class JoinHashTable:
         meter: TrafficMeter,
         probe_arrays: list[np.ndarray],
         l2_capacity: int | None = None,
+        edges: np.ndarray | None = None,
     ) -> np.ndarray:
         """Probe the table; returns the matching build row per probe row.
 
@@ -508,6 +516,12 @@ class JoinHashTable:
         What is *charged* is always the exact number of slots a linear
         probe inspects; how the host *finds* rows and that number is
         chosen per call (see :meth:`_dense_index`).
+
+        With ``edges`` (``k + 1`` ascending offsets into the probe rows)
+        the rows are ``k`` segments — the members of a morsel group —
+        and ``meter`` is their ``k`` meters: segment ``s`` is charged
+        the slots its own rows inspect, as if it probed alone (a segment
+        without rows is charged nothing).
         """
         probe_arrays = [np.ascontiguousarray(array) for array in probe_arrays]
         if len(probe_arrays) != len(self.key_arrays):
@@ -518,28 +532,39 @@ class JoinHashTable:
         if len(probe_arrays[0]) == 0:
             return np.empty(0, dtype=np.int64)
         index = self._dense_index(probe_arrays)
+        per_row = edges is not None
         if index is None:
-            result, steps = self._walk(probe_arrays)
+            result, steps = self._walk(probe_arrays, per_row)
         else:
-            offsets = np.subtract(probe_arrays[0], index.lo, dtype=np.intp)
-            result = index.rows.take(offsets)
-            steps = int(index.steps.take(offsets).sum(dtype=np.int64))
+            entries = index.entries.take(np.subtract(probe_arrays[0], index.lo, dtype=np.intp))
+            result = entries >> _STEP_BITS
+            result -= 1
+            steps = np.bitwise_and(entries, _STEP_MASK, out=entries)
+            if not per_row:
+                steps = int(steps.sum())
 
         structure_bytes = self.capacity * _SLOT_BYTES + sum(
             array.nbytes for array in self.key_arrays
         )
-        charge_probes(meter, steps, self.entry_bytes, structure_bytes, l2_capacity)
+        if not per_row:
+            charge_probes(meter, steps, self.entry_bytes, structure_bytes, l2_capacity)
+            return result
+        for segment, total in zip(meter, segment_sums(steps, edges)):
+            if total:
+                charge_probes(segment, int(total), self.entry_bytes, structure_bytes, l2_capacity)
         return result
 
-    def _walk(self, probe_arrays: list[np.ndarray]) -> tuple[np.ndarray, int]:
+    def _walk(self, probe_arrays: list[np.ndarray], per_row: bool = False) -> tuple:
         """The general lookup: linear probing, one vectorised round per
         inspected slot.  Returns (build row per probe row, slots
-        inspected in total)."""
+        inspected in total — or, ``per_row``, by each probe row)."""
         n = len(probe_arrays[0])
         result = np.full(n, -1, dtype=np.int64)
         mask = self.capacity - 1
         position = (hash_key_columns(probe_arrays) & np.uint64(mask)).astype(np.int64)
         active = np.arange(n, dtype=np.int64)
+        # A row inspects one slot per round until the round it leaves.
+        left = np.empty(n, dtype=np.int64) if per_row else None
         steps = 0
         rounds = 0
         while active.size:
@@ -550,15 +575,19 @@ class JoinHashTable:
             candidate = self.slots[position]
             # Empty slot -> miss; result stays -1.
             occupied = candidate >= 0
+            if per_row:
+                left[active[~occupied]] = rounds
             active = active[occupied]
             candidate = candidate[occupied]
             equal = np.ones(len(active), dtype=bool)
             for build, probe in zip(self.key_arrays, probe_arrays):
                 equal &= build[candidate] == probe[active]
             result[active[equal]] = candidate[equal]
+            if per_row:
+                left[active[equal]] = rounds
             active = active[~equal]
             position = (position[occupied][~equal] + 1) & mask
-        return result, steps
+        return result, (left if per_row else steps)
 
     def _dense_index(self, probe_arrays: list[np.ndarray]) -> _DenseIndex | None:
         """The direct-address index serving this probe, or None when the
@@ -577,8 +606,12 @@ class JoinHashTable:
         tuple is atomic, so concurrent probes need no lock.
         """
         # A full table has no empty slot to end a miss on; only the walk
-        # reports that.
-        if len(probe_arrays) != 1 or self.num_rows == self.capacity:
+        # reports that (nor does it pack into an index entry).
+        if (
+            len(probe_arrays) != 1
+            or self.num_rows == self.capacity
+            or self.capacity > _STEP_MASK
+        ):
             return None
         probe, build = probe_arrays[0], self.key_arrays[0]
         if probe.dtype.kind not in "iu" or build.dtype.kind not in "iu":
@@ -622,14 +655,12 @@ class JoinHashTable:
         next_empty = np.minimum.accumulate(next_empty[::-1])[::-1]
         home = hash_key_columns([np.arange(lo, hi + 1, dtype=np.int64)])
         home = (home & np.uint64(mask)).astype(np.intp)
-        # At most ``capacity`` per key, so four bytes hold it for every
-        # table short of 2**31 slots.
-        compact = np.int32 if capacity < 2**31 else np.intp
-        steps = (next_empty - slot_ids + 1).astype(compact).take(home)
-        rows = np.full(hi - lo + 1, -1, dtype=np.int64)
+        # At most ``capacity`` (<= _STEP_MASK) per key.
+        entries = (next_empty - slot_ids + 1).astype(np.int64).take(home)
         stored_slots = np.flatnonzero(~empty)
         stored_rows = self.slots[stored_slots]
         stored_at = np.subtract(self.key_arrays[0][stored_rows], lo, dtype=np.intp)
-        rows[stored_at] = stored_rows
-        steps[stored_at] = ((stored_slots - home[stored_at]) & mask) + 1
-        return _DenseIndex(lo, hi, _frozen(rows), _frozen(steps))
+        entries[stored_at] = ((stored_rows + 1) << _STEP_BITS) | (
+            ((stored_slots - home[stored_at]) & mask) + 1
+        )
+        return _DenseIndex(lo, hi, _frozen(entries))

@@ -39,8 +39,10 @@ PARTITION_SCHEMES = ("hash", "range")
 #: redistribute work around skewed partitions.  Pieces are the unit of
 #: scheduling, recovery and merge, not of launch: a device runs the
 #: pieces it was given as one fused group (one load, one launch per
-#: phase, one gather), so a finer cut adds no fixed cost per turn.  The
-#: executor and the optimizer's cost estimator both take the pieces
+#: phase, one gather) and, with a compound engine, as one host pass of
+#: the kernel body over the pieces' rows back to back, so a finer cut
+#: adds no fixed cost per turn on either clock.  The executor and the
+#: optimizer's cost estimator both take the pieces
 #: :func:`fleet_partitions` cuts by it.
 MORSELS_PER_DEVICE = 2
 

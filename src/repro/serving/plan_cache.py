@@ -42,6 +42,7 @@ concurrently.
 from __future__ import annotations
 
 import functools
+import re
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -56,38 +57,24 @@ from ..sql.translate import plan_sql
 from ..storage.database import Database
 
 
+#: A single-quoted literal (to the end of the text when unterminated)
+#: splits SQL text; what lies between literals is outside them.
+_LITERALS = re.compile(r"('[^']*'?)")
+_WHITESPACE = re.compile(r"\s+")
+
+
 def normalize_sql(text: str) -> str:
     """Canonicalize SQL text for cache keying.
 
     Outside single-quoted string literals, whitespace runs collapse to
-    one space and characters are lowercased; literals are preserved
-    byte-for-byte (including doubled-quote escapes).  A trailing
-    semicolon is dropped.
+    one space and characters are lowercased one by one (a capital sigma
+    never takes its final form); literals are preserved byte-for-byte
+    (including doubled-quote escapes).  A trailing semicolon is dropped.
     """
-    out: list[str] = []
-    in_string = False
-    pending_space = False
-    for ch in text.strip():
-        if in_string:
-            out.append(ch)
-            if ch == "'":
-                in_string = False
-            continue
-        if ch == "'":
-            if pending_space and out:
-                out.append(" ")
-            pending_space = False
-            out.append(ch)
-            in_string = True
-            continue
-        if ch.isspace():
-            pending_space = True
-            continue
-        if pending_space and out:
-            out.append(" ")
-        pending_space = False
-        out.append(ch.lower())
-    normalized = "".join(out)
+    parts = _LITERALS.split(text.strip())
+    for index in range(0, len(parts), 2):
+        parts[index] = _WHITESPACE.sub(" ", parts[index]).replace("\u03a3", "\u03c3").lower()
+    normalized = "".join(parts)
     return normalized[:-1].rstrip() if normalized.endswith(";") else normalized
 
 

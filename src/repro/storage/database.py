@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import itertools
+import threading
 from collections.abc import Mapping
+
+import numpy as np
 
 from ..errors import SchemaError
 from .table import Table
@@ -32,23 +35,54 @@ class Database:
         self._tables: dict[str, Table] = dict(tables or {})
         self._serial = next(_SERIALS)
         self._version = 0
+        #: ``(tables, column) -> values`` of :meth:`concatenated`, and
+        #: the lock its readers and writers take: the fleets of every
+        #: serving worker share one partitioned catalog.
+        self._concatenated: dict[tuple, np.ndarray] = {}
+        self._concatenated_lock = threading.Lock()
 
     def add(self, name: str, table: Table) -> None:
         if name in self._tables:
             raise SchemaError(f"table {name!r} already exists")
         self._tables[name] = table
-        self._version += 1
+        self._changed()
 
     def replace(self, name: str, table: Table) -> None:
         self._tables[name] = table
-        self._version += 1
+        self._changed()
 
     def drop(self, name: str) -> None:
         try:
             del self._tables[name]
         except KeyError:
             raise SchemaError(f"no table {name!r}") from None
+        self._changed()
+
+    def _changed(self) -> None:
         self._version += 1
+        with self._concatenated_lock:
+            self._concatenated = {}
+
+    def concatenated(self, names: tuple[str, ...], column: str) -> np.ndarray:
+        """The values of ``column`` of the tables ``names`` back to back
+        (read-only) — how a fleet device's morsel group reads its
+        pieces — memoized until the catalog changes.  The memo holds at
+        most one more copy of the catalog's bytes, the oldest entries
+        going first.  Safe to call from several threads."""
+        key = (names, column)
+        with self._concatenated_lock:
+            memo = self._concatenated
+            values = memo.get(key)
+            if values is None:
+                values = np.concatenate(
+                    [self._tables[name].column(column).values for name in names]
+                )
+                values.flags.writeable = False
+                held = values.nbytes + sum(array.nbytes for array in memo.values())
+                while memo and held > self.nbytes:
+                    held -= memo.pop(next(iter(memo))).nbytes
+                memo[key] = values
+        return values
 
     # ------------------------------------------------------------------
     @property

@@ -198,3 +198,37 @@ def test_fault_schedule_repeats_exactly(ssb_db, monkeypatch, seed):
     second = _faulted_run(ssb_db, fault_plan, monkeypatch)
     assert first[0], "the pinned plan fires nothing"
     assert first == second
+
+
+# ----------------------------------------------------------------------
+# one morsel body per device turn
+# ----------------------------------------------------------------------
+def _morsel_bodies(result) -> int:
+    """Generated-kernel bodies the query ran for its fact morsels."""
+    return sum(
+        row.bodies for row in result.profile.pipelines
+        if row.pipeline is not None and row.pipeline.is_final
+    )
+
+
+@pytest.mark.parametrize("name", QUERIES)
+def test_a_device_turn_runs_one_morsel_body(ssb_db, name):
+    """A device's morsels run as one pass of their compound kernel: one
+    body per turn, held by the group's head row; the first turn runs
+    each build side's body and the later turns replay them."""
+    result = connect(ssb_db, devices=DEVICES).execute(SSB_QUERIES[name])
+    for share in result.scaleout.shares:
+        [log] = share.logs
+        rows = [row for row in log.pipelines if (row.index or 0) >= share.first_morsel]
+        assert [row.bodies for row in rows] == [1, 0]
+    assert _morsel_bodies(result) == DEVICES
+    assert result.profile.bodies == _build_pipelines(name, ssb_db) + DEVICES
+
+
+def test_a_fleet_round_runs_one_morsel_body_per_turn(ssb_db):
+    session = connect(ssb_db, devices=DEVICES)
+    rounds = [
+        sum(_morsel_bodies(session.execute(sql)) for sql in SSB_QUERIES.values())
+        for _ in range(2)
+    ]
+    assert rounds == [len(SSB_QUERIES) * DEVICES] * 2 == [52, 52]

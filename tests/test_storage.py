@@ -1,5 +1,9 @@
 """Unit tests for columns, tables, dictionaries, and the catalog."""
 
+import random
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -195,3 +199,43 @@ class TestDatabase:
         assert "t" not in database
         with pytest.raises(SchemaError):
             database.drop("t")
+
+    def test_concatenated_from_many_threads(self):
+        """The fleets of several serving workers share one partitioned
+        catalog: its memo of pieces back to back takes concurrent
+        lookups, inserts and evictions (eight keys, room for four)."""
+        tables = {
+            f"p{i}": Table({
+                "a": Column.int32(np.arange(i * 50, (i + 1) * 50)),
+                "b": Column.int32(np.arange(i * 50, (i + 1) * 50) * 7),
+            })
+            for i in range(6)
+        }
+        database = Database(tables)
+        expected = {
+            (names, column): np.concatenate([tables[name].column(column).values for name in names])
+            for names in (tuple(f"p{i}" for i in range(first, first + 3)) for first in range(4))
+            for column in "ab"
+        }
+        keys, errors = list(expected), []
+
+        def work(seed):
+            draw = random.Random(seed)
+            try:
+                for _ in range(400):
+                    key = draw.choice(keys)
+                    assert np.array_equal(database.concatenated(*key), expected[key])
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors

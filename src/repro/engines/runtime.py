@@ -457,15 +457,16 @@ class QueryRuntime:
     # ------------------------------------------------------------------
     # wire-resident columns: decoded in registers by their readers
     # ------------------------------------------------------------------
-    def register_wire(self, key: tuple[str, str], encoded, values) -> None:
+    def register_wire(self, key: tuple[str, str], encoded, values, images=None) -> None:
         """The rows of ``key`` (table, base column) now on the device
-        are ``encoded`` (the column's wire image, or the current
-        streamed block's); a passthrough encoding un-registers it —
-        those rows are raw."""
+        are ``encoded`` (the column's wire image, or a streamed block's,
+        kept in that block's ``images``; default :attr:`lazy_columns`);
+        a passthrough encoding un-registers it — those rows are raw."""
+        images = self.lazy_columns if images is None else images
         if encoded.codec == "passthrough":
-            self.lazy_columns.pop(key, None)
+            images.pop(key, None)
             return
-        self.lazy_columns[key] = LazyColumn(".".join(key), encoded, values)
+        images[key] = LazyColumn(".".join(key), encoded, values)
         self._compression_stats.deferred_columns += 1
 
     def lazy_gather(

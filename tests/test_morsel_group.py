@@ -1,7 +1,7 @@
 """A fleet device runs its morsels' kernel body once per turn, exactly.
 
 A device's fused morsel group is ONE host pass of the compound kernel
-(``repro.engines.compound.run_compound_group``): the members' rows
+(``repro.engines.compound.run_compound``): the members' rows
 back to back, each member a segment of the row domain of one
 ``repro.kernels.context.KernelContext``.  What each member queues
 must not move: its launch (name, elements, every meter field) and its

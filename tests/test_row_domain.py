@@ -277,7 +277,7 @@ class TestEmptyDomains:
         )
         ctx.sink_aggregate(ctx.full_mask())
         assert ctx.outputs["n"].tolist() == [7]
-        assert ctx.aggregation.inputs == 7
+        assert ctx.aggregations[0].inputs == 7
 
 
 # ----------------------------------------------------------------------

@@ -25,8 +25,8 @@ One query runs data-parallel over a :class:`~repro.scaleout.fleet.DeviceFleet`:
    (:func:`repro.engines.runtime.assemble_result`).
 
 Each device runs the same pieces a single-device query does — see
-``docs/architecture.md``, "one query loop, three ways to feed a
-pipeline"; what this module owns is the scatter, the recovery waves and
+``docs/architecture.md``, "One query loop, one compound runner"; what
+this module owns is the scatter, the recovery waves and
 the merge.
 
 Queries whose final pipeline scans a *virtual* table (e.g. TPC-H Q13's

@@ -41,13 +41,16 @@ __all__ = ["ENGINE_FACTORIES", "Session", "connect", "make_engine"]
 class Session:
     """A database bound to a virtual coprocessor and a default engine.
 
-    Every session resolves a statement once per database version: SQL
-    text goes through a :class:`~repro.serving.PlanCache`, so a repeat
-    ``execute`` skips parsing and pipeline extraction and finds its
-    compiled kernels on the cached plan.  ``plan_cache=`` shares one
-    cache with a :class:`~repro.serving.Server` or with other sessions;
-    left at ``None`` the session builds a private one.  Every execution
-    carries its serving metrics in ``result.serving``.
+    A statement is resolved once per database version: SQL text goes
+    through a :class:`~repro.serving.PlanCache`, so a repeat ``execute``
+    skips parsing and pipeline extraction and finds its compiled kernels
+    on the cached plan.  Left at ``None``, ``plan_cache=`` is the
+    catalog's one cache (:attr:`Database.plan_cache
+    <repro.storage.database.Database.plan_cache>`), shared by every
+    session and :class:`~repro.serving.Server` over ``database``, so a
+    statement another of them ran is warm here too; a cache given
+    explicitly is used instead.  Every execution carries its serving
+    metrics in ``result.serving``.
 
     ``residency=True`` attaches a :class:`~repro.placement.BufferPool`
     to the session's device: base columns stay device-resident between
@@ -161,11 +164,7 @@ class Session:
         #: families a :class:`~repro.serving.Server`, which hands its
         #: registry to its worker sessions, exposes per query.
         self.metrics = metrics
-        if plan_cache is None:
-            from .serving.plan_cache import PlanCache
-
-            plan_cache = PlanCache()
-        self.plan_cache = plan_cache
+        self.plan_cache = database.plan_cache if plan_cache is None else plan_cache
         #: Wire-compression policy (``None`` = off): base columns cross
         #: the simulated link compressed, decode kernels run on device,
         #: and results carry ``result.compression`` accounting.
@@ -276,13 +275,17 @@ class Session:
         engine-independent, so a plan compiled for one pinned engine is
         reusable by every other.  Auto executions get a distinct token
         so their entries (which carry a recorded optimizer strategy)
-        never collide with pinned ones or with differently-pinned auto
-        lattices."""
+        never collide with pinned ones or with auto lattices pinned
+        otherwise or priced for other hardware: the token names the
+        device profile, the interconnect and the codec mode too."""
         if chosen is not None:
             return None
         auto = self._auto_executor()
         return (
             "auto",
+            auto.profile.name,
+            auto.interconnect,
+            auto.compression.mode if auto.compression else "off",
             auto.pinned_engine,
             auto.pinned_devices,
             auto.partitioning,

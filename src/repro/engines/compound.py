@@ -184,6 +184,17 @@ def merge_slices(pipeline: Pipeline, contexts: list[KernelContext], scheme, cont
     )
 
 
+def estimate_slices(pipeline: Pipeline, contexts: list[EstimateContext], runtime) -> tuple[int, int]:
+    """The rows and groups of ``pipeline`` priced over the ``contexts``
+    of a pass whose segments are its :func:`sliced` row slices: the
+    rows they all keep, and the groups those rows fall into once
+    :func:`merge_slices` merges the partials."""
+    rows, groups = sum(ctx.valid for ctx in contexts), contexts[-1].groups
+    if groups and pipeline.sink.group_keys:
+        return rows, runtime.groups(pipeline, rows)
+    return rows, groups
+
+
 def morsel_group(members: list[Pipeline]) -> bool:
     """Whether ``members`` are morsels: two or more pipelines that run
     one pipeline's stages and aggregating or materializing sink over

@@ -15,7 +15,8 @@ execute at proportionally reduced occupancy.
 Build-sink pipelines run un-vectorized (a hash table must see all build
 rows); everything else is one pass of
 :func:`~repro.engines.compound.run_compound` with a segment — one
-launch — per ``vector_rows`` rows.
+launch — per ``vector_rows`` rows.  The cost estimator prices it by the
+same pass (:meth:`VectorAtATimeEngine.estimate_pipeline`).
 """
 
 from __future__ import annotations
@@ -23,8 +24,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..plan.physical import BuildSink, Pipeline
-from ..kernels.context import Segment
-from .compound import CompoundEngine, merge_slices, run_compound, slice_bounds, sliced
+from ..kernels.context import EstimateContext, KernelContext, Segment
+from .compound import (
+    CompoundEngine, estimate_slices, merge_slices, run_compound, slice_bounds, sliced,
+)
 from .runtime import QueryRuntime
 
 
@@ -44,24 +47,39 @@ class VectorAtATimeEngine(CompoundEngine):
     def execute_pipeline(
         self, pipeline: Pipeline, runtime: QueryRuntime
     ) -> dict[str, np.ndarray] | None:
+        vectors = self._vectors(pipeline, runtime, KernelContext)
+        if vectors is None:
+            return super().execute_pipeline(pipeline, runtime)
+        return merge_slices(pipeline, *vectors, "vectors")
+
+    def estimate_pipeline(self, pipeline: Pipeline, runtime) -> tuple[int, int]:
+        """Price ``pipeline`` as :meth:`execute_pipeline` runs it: the
+        same vectors, each launched over its row count."""
+        vectors = self._vectors(pipeline, runtime, EstimateContext)
+        if vectors is None:
+            return super().estimate_pipeline(pipeline, runtime)
+        return estimate_slices(pipeline, vectors[0], runtime)
+
+    def _vectors(self, pipeline: Pipeline, runtime: QueryRuntime, context):
+        """Run ``pipeline``'s pass over its vectors on ``context``: the
+        contexts it ran on and the :func:`~repro.engines.compound.sliced`
+        merge scheme, or ``None`` where it runs whole."""
         if isinstance(pipeline.sink, BuildSink):
             # Hash-table builds must observe every row at once.
-            return super().execute_pipeline(pipeline, runtime)
+            return None
         # A vector decodes, and is charged for, the rows it reads.
-        scope = runtime.load_source(
-            pipeline, lazy_capable=self.lazy_capable(pipeline)
-        )
+        scope = runtime.load_source(pipeline, lazy_capable=self.lazy_capable(pipeline))
         if not scope:
             # No column to cut into vectors (an unfiltered count(*)): one
             # launch (loading again moves nothing).
-            return super().execute_pipeline(pipeline, runtime)
+            return None
         launched, scheme = sliced(pipeline)
         bounds = slice_bounds(runtime.source_rows(pipeline), self.vector_rows)
         segments = [
             Segment(launched, stop - start, f".vector{i}") for i, (start, stop) in enumerate(bounds)
         ]
         contexts = run_compound(
-            segments, runtime, self.mode, scope,
+            segments, runtime, self.mode, scope, context,
             occupancy_rows=runtime.device.profile.threads_resident,
         )
-        return merge_slices(pipeline, contexts, scheme, "vectors")
+        return contexts, scheme

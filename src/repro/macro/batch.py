@@ -15,7 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 
-from ..engines.compound import CompoundEngine, merge_slices, run_compound, slice_bounds, sliced
+from ..engines.compound import (
+    CompoundEngine, estimate_slices, merge_slices, run_compound, slice_bounds, sliced,
+)
 from ..engines.runtime import QueryRuntime
 from ..errors import PlanError
 from ..hardware.device import VirtualCoprocessor
@@ -127,11 +129,7 @@ class _BlockStreamer(CompoundEngine):
         if not pipeline.is_final:
             return super().estimate_pipeline(pipeline, runtime)
         contexts, _, _ = self._stream(pipeline, runtime, EstimateContext)
-        rows, groups = sum(ctx.valid for ctx in contexts), contexts[-1].groups
-        # The merged partials: the groups all the blocks' rows fall into.
-        if groups and pipeline.sink.group_keys:
-            return rows, runtime.groups(pipeline, rows)
-        return rows, groups
+        return estimate_slices(pipeline, contexts, runtime)
 
     def _stream(self, pipeline: Pipeline, runtime: QueryRuntime, context):
         """Run the final pipeline's pass over its blocks on ``context``:

@@ -1,5 +1,7 @@
 """The plan cache behind every :class:`~repro.api.Session` and
-:class:`~repro.serving.Server`.
+:class:`~repro.serving.Server`: one per catalog
+(:attr:`Database.plan_cache <repro.storage.database.Database.plan_cache>`),
+shared by every session and server over it that is not given one.
 
 Parsing SQL and extracting fusion-operator pipelines does not depend on
 a single row.  For the same dashboard or report queries arriving over
@@ -12,8 +14,10 @@ the extracted :class:`~repro.plan.physical.PhysicalQuery` as a session
 runs it (:func:`~repro.plan.waves.session_plan`): its independent inner
 probes ordered cheapest-first by the cache's
 :class:`~repro.optimizer.stats.StatisticsCatalog`, its sibling builds
-grouped.  The catalog is the one the sessions sharing the cache hand
-their adaptive executors, so a server's workers sample each table once.
+grouped.  The statistics catalog is the one the sessions sharing the
+cache hand their adaptive executors, so they sample each table once
+per catalog version.  :meth:`PlanCache.clear` on a catalog's cache
+clears it for every session over the catalog.
 
 * **Normalized SQL** — whitespace collapsed and keywords lowercased
   *outside* string literals, so ``SELECT  x`` and ``select x`` share an

@@ -4,7 +4,7 @@ The :class:`Server` is the serving runtime the ROADMAP's north star
 asks for: it owns one shared (read-mostly) :class:`Database`, a pool of
 worker threads each bound to its **own** :class:`VirtualCoprocessor`
 (device profiler state is per-query, so in-flight queries must not
-share a device), a shared :class:`PlanCache`, and a **bounded
+share a device), the catalog's :class:`PlanCache`, and a **bounded
 admission queue** that applies back-pressure when the pool is saturated.
 
 Request path::
@@ -91,8 +91,9 @@ class Server:
         :class:`~repro.errors.AdmissionError`, with ``block=False`` or
         on timeout) once this many queries are waiting.
     plan_cache:
-        Share a cache between servers by passing one in; by default the
-        server creates a private cache of ``plan_cache_capacity``.
+        By default the catalog's one cache (``database.plan_cache``),
+        which every session and server over ``database`` shares; pass
+        one in to use it instead.
     residency:
         Default ``True``: each worker's device gets a
         :class:`~repro.placement.BufferPool`, so repeated queries reuse
@@ -128,7 +129,6 @@ class Server:
         queue_size: int = 64,
         interconnect: Interconnect = PCIE3,
         plan_cache: PlanCache | None = None,
-        plan_cache_capacity: int = 256,
         residency: bool = True,
         devices: int | str = 1,
         partitioning: str = "range",
@@ -152,9 +152,6 @@ class Server:
         #: write post-mortem bundles (with the armed fault plan).
         self.recorder = recorder
         self.workers = workers
-        self.plan_cache = plan_cache if plan_cache is not None else PlanCache(
-            plan_cache_capacity
-        )
         #: Prometheus-style instruments, scraped via :meth:`metrics_text`:
         #: the worker sessions fold every query they finish into it.
         self.metrics = MetricsRegistry()
@@ -166,7 +163,7 @@ class Server:
             device=device,
             engine=engine,
             interconnect=interconnect,
-            plan_cache=self.plan_cache,
+            plan_cache=plan_cache,
             residency=residency,
             devices=devices,
             partitioning=partitioning,
@@ -177,6 +174,8 @@ class Server:
             metrics=self.metrics,
         )
         self._sessions = [first] + [first._sibling() for _ in range(workers - 1)]
+        #: The workers' one plan cache: ``plan_cache``, else the catalog's.
+        self.plan_cache = first.plan_cache
         # Every fault-armed worker exports its health gauge from the
         # start: its fleet is whole until one of its queries says not.
         for index, session in enumerate(self._sessions):

@@ -5,11 +5,15 @@ from __future__ import annotations
 import itertools
 import threading
 from collections.abc import Mapping
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..errors import SchemaError
 from .table import Table
+
+if TYPE_CHECKING:  # the serving layer's cache holds plans over catalogs
+    from ..serving.plan_cache import PlanCache
 
 #: Process-wide serial numbers: every catalog gets a distinct identity,
 #: so cached plans for one database can never be served for another
@@ -40,6 +44,8 @@ class Database:
         #: serving worker share one partitioned catalog.
         self._concatenated: dict[tuple, np.ndarray] = {}
         self._concatenated_lock = threading.Lock()
+        self._plan_cache = None
+        self._plan_cache_lock = threading.Lock()
 
     def add(self, name: str, table: Table) -> None:
         if name in self._tables:
@@ -83,6 +89,21 @@ class Database:
                     held -= memo.pop(next(iter(memo))).nbytes
                 memo[key] = values
         return values
+
+    @property
+    def plan_cache(self) -> "PlanCache":
+        """The catalog's one :class:`~repro.serving.PlanCache` (and the
+        :class:`~repro.optimizer.stats.StatisticsCatalog` it carries):
+        every session and server over this catalog built without
+        ``plan_cache=`` resolves its statements here, so a statement is
+        parsed, extracted and sampled once per catalog version.  Made on
+        first use; it lives and dies with the catalog."""
+        with self._plan_cache_lock:
+            if self._plan_cache is None:
+                from ..serving.plan_cache import PlanCache
+
+                self._plan_cache = PlanCache()
+            return self._plan_cache
 
     # ------------------------------------------------------------------
     @property

@@ -16,6 +16,15 @@ def ssb_db() -> Database:
     return generate_ssb(scale_factor=0.004, seed=7)
 
 
+@pytest.fixture()
+def fresh_ssb(ssb_db) -> Database:
+    """A new catalog over ``ssb_db``'s tables: the same data under a
+    plan cache and statistics of its own.  Every session over one
+    catalog shares its plan cache, so a test whose first ``execute`` of
+    a statement must be cold runs on this."""
+    return Database({name: ssb_db.table(name) for name in ssb_db.table_names})
+
+
 @pytest.fixture(scope="session")
 def tpch_db() -> Database:
     """A small but non-trivial TPC-H database (session-cached)."""

@@ -56,8 +56,8 @@ class TestEventLog:
 
 
 class TestSessionEmission:
-    def test_planned_and_executed_events(self, ssb_db):
-        session = Session(ssb_db, engine="resolution")
+    def test_planned_and_executed_events(self, fresh_ssb):
+        session = Session(fresh_ssb, engine="resolution")
         events = session.execute(SSB_QUERIES["q1.1"]).events()
         assert _kinds(events) == ["query.planned", "query.executed"]
         planned, executed = events
@@ -127,8 +127,8 @@ class TestServerEmission:
             assert admitted.attrs["queue_capacity"] == 8
             assert events[-1].attrs["worker"] == result.serving.worker
 
-    def test_cache_hit_flag_on_repeat(self, ssb_db):
-        with Server(ssb_db, workers=1, queue_size=4) as server:
+    def test_cache_hit_flag_on_repeat(self, fresh_ssb):
+        with Server(fresh_ssb, workers=1, queue_size=4) as server:
             results = [server.execute(SSB_QUERIES["q1.1"]) for _ in range(2)]
         planned = [result.events()[1] for result in results]
         assert [event.kind for event in planned] == ["query.planned"] * 2

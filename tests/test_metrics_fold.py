@@ -35,7 +35,7 @@ from repro.api import Session
 from repro.errors import SqlError
 from repro.faults import FaultPlan, FaultSpec
 from repro.kernels.codegen import clear_kernel_cache
-from repro.serving import Server
+from repro.serving import PlanCache, Server
 from repro.storage import Column, Database, Table
 from repro.telemetry.metrics import (
     MetricsRegistry,
@@ -116,7 +116,9 @@ def helps(text: str) -> dict:
 def serve(database, config: dict) -> str:
     """The exposition of a fresh 1-worker server after two passes."""
     clear_kernel_cache()
-    with Server(database, workers=1, queue_size=len(QUERIES) + 1, **config) as server:
+    with Server(
+        database, workers=1, queue_size=len(QUERIES) + 1, plan_cache=PlanCache(), **config
+    ) as server:
         for _ in range(2):
             server.execute_many(QUERIES)
         return server.metrics_text()
@@ -176,7 +178,9 @@ def _per_query(text: str) -> dict:
 def test_session_exports_what_a_server_exports(route, ssb_db):
     clear_kernel_cache()
     registry = MetricsRegistry()
-    session = Session(ssb_db, residency=True, metrics=registry, **PARITY[route])
+    session = Session(
+        ssb_db, residency=True, metrics=registry, plan_cache=PlanCache(), **PARITY[route]
+    )
     for sql in QUERIES:
         session.execute(sql)
     with pytest.raises(SqlError):
@@ -184,7 +188,7 @@ def test_session_exports_what_a_server_exports(route, ssb_db):
     direct = registry.render()
 
     clear_kernel_cache()
-    with Server(ssb_db, workers=1, **PARITY[route]) as server:
+    with Server(ssb_db, workers=1, plan_cache=PlanCache(), **PARITY[route]) as server:
         server.execute_many(QUERIES)
         assert isinstance(server.submit(FAILING).exception(), SqlError)
         served = server.metrics_text()

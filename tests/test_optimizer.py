@@ -22,7 +22,7 @@ from repro.api import Session
 from repro.engines import make_engine
 from repro.errors import ConfigurationError, DeviceMemoryError
 from repro.expressions.expr import col, lit
-from repro.hardware import GTX970, PCIE3, VirtualCoprocessor
+from repro.hardware import GTX970, NVLINK1, PCIE3, VirtualCoprocessor
 from repro.optimizer import (
     AccuracyWindow,
     Advisor,
@@ -32,6 +32,7 @@ from repro.optimizer import (
     StrategyChoice,
     collect_table_stats,
 )
+from repro.placement import base_column_bytes
 from repro.plan.pipelines import extract_pipelines
 from repro.serving.plan_cache import PlanCache
 from repro.sql.translate import plan_sql
@@ -630,6 +631,31 @@ def test_plan_cache_separates_auto_from_pinned(ssb_db):
     token = auto._strategy_token(None)
     recorded = cache.recorded_strategy(sql, ssb_db, token)
     assert recorded == result.optimizer.chosen
+
+
+def test_auto_entries_name_their_hardware(fresh_ssb):
+    """Auto sessions over one catalog share its plan cache, and the
+    strategy the optimizer chose rides on their entry: one on a device
+    too small for the query's working set (it streams out of core) and
+    one on GTX970 each read back their own, and so do sessions on
+    another interconnect or codec mode."""
+    sql = SSB_QUERIES["q1.1"]
+    working_set = base_column_bytes(Session(fresh_ssb).physical(sql), fresh_ssb)
+    quarter = GTX970.with_overrides(name="GTX970-quarter", memory_capacity=working_set // 4)
+    sessions = [
+        Session(fresh_ssb, engine="auto"),
+        Session(fresh_ssb, engine="auto", device=quarter),
+        Session(fresh_ssb, engine="auto", interconnect=NVLINK1),
+        Session(fresh_ssb, engine="auto", compression="auto"),
+    ]
+    chosen = [session.execute(sql).optimizer.chosen for session in sessions]
+    assert chosen[0].macro == "run-to-finish" and chosen[1].macro == "out-of-core"
+    tokens = [session._strategy_token(None) for session in sessions]
+    cache = fresh_ssb.plan_cache
+    assert all(session.plan_cache is cache for session in sessions)
+    for token, mine in zip(tokens, chosen):
+        assert cache.recorded_strategy(sql, fresh_ssb, token) == mine
+    assert len(set(tokens)) == len(sessions)
 
 
 def test_session_auto_surfaces(ssb_db):

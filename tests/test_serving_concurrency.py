@@ -18,7 +18,7 @@ from repro.api import Session
 from repro.engines import CompoundEngine, make_engine
 from repro.errors import AdmissionError, ServingError
 from repro.hardware import GTX970, PCIE3, VirtualCoprocessor
-from repro.serving import Server
+from repro.serving import PlanCache, Server
 from repro.storage.table import rows_approx_equal
 from repro.workloads import SSB_QUERIES
 
@@ -38,7 +38,8 @@ def test_mixed_workload_matches_serial_baseline(ssb_db):
         result = Session(ssb_db, engine=engine).execute(sql)
         baseline[(name, engine)] = result.table.sorted_rows()
 
-    with Server(ssb_db, workers=4, queue_size=16) as server:
+    # A cache of its own: the baseline's sessions planned on the catalog's.
+    with Server(ssb_db, workers=4, queue_size=16, plan_cache=PlanCache()) as server:
         futures = [
             (name, engine, server.submit(sql, engine=engine))
             for name, sql, engine in MIXED_WORKLOAD

@@ -177,7 +177,7 @@ def _run_door(door: str, database, config: dict, tmp_path):
         results = [session.execute(SSB_QUERIES[name]) for name in PARITY_QUERIES]
     else:
         with Server(
-            database, workers=1, recorder=recorder, **kwargs
+            database, workers=1, plan_cache=PlanCache(), recorder=recorder, **kwargs
         ) as server:
             results = [
                 server.execute(SSB_QUERIES[name]) for name in PARITY_QUERIES

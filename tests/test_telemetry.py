@@ -187,12 +187,12 @@ class TestExplainAnalyze:
         assert "kernel cache" in text
         assert not tracing_enabled()  # flag restored after the run
 
-    def test_plan_cache_outcome(self, ssb_db):
+    def test_plan_cache_outcome(self, fresh_ssb):
         """SQL misses then hits; a plan object never probes the cache,
         so its footer says so instead of a "miss" on every run."""
         from repro.workloads.microbench import aggregation_query
 
-        session = Session(ssb_db)
+        session = Session(fresh_ssb)
         assert "plan cache: miss" in session.explain(QUERY, analyze=True)
         assert "plan cache: hit" in session.explain(QUERY, analyze=True)
         plan = aggregation_query(0)

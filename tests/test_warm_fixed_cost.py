@@ -1,9 +1,9 @@
 """A warm query pays for its rows, not for itself — as counts.
 
 Everything between the SQL text and the first column read is resolved
-once per (statement, database version) on every :class:`Session`: the
-statement's plan comes from the session's plan cache, its kernels from
-the pipeline objects of that plan.  Wall-clock says nothing repeatable
+once per (statement, database version) for every :class:`Session`
+over a catalog: the statement's plan comes from the catalog's plan
+cache, its kernels from the pipeline objects of that plan.  Wall-clock says nothing repeatable
 about that on a shared box, so these tests count calls instead: the
 second execute of a statement must not parse, extract or emit a single
 line of kernel source, on any execution path.
@@ -16,7 +16,9 @@ import json
 import os
 import pickle
 import sys
+import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -33,7 +35,7 @@ from repro.sql.translate import plan_sql
 from repro.storage import Column, Table
 from repro.telemetry import FlightRecorder
 from repro.telemetry.recorder import BUNDLE_MANIFEST
-from repro.workloads import SSB_QUERIES
+from repro.workloads import SSB_QUERIES, generate_ssb
 
 Q11, Q21 = SSB_QUERIES["q1.1"], SSB_QUERIES["q2.1"]
 #: A single-tuple AVG: sliced runs (vectors, morsels) execute it on its
@@ -88,7 +90,7 @@ PATHS = {
 
 
 @pytest.mark.parametrize("path", sorted(PATHS))
-def test_second_execute_resolves_nothing(ssb_db, monkeypatch, path):
+def test_second_execute_resolves_nothing(ssb_db, fresh_ssb, monkeypatch, path):
     options, sql, lookups = PATHS[path]
     if path == "out-of-core":
         options = dict(options, device=_quarter_device(ssb_db, sql))
@@ -96,7 +98,7 @@ def test_second_execute_resolves_nothing(ssb_db, monkeypatch, path):
     parsed = _counted(monkeypatch, plan_sql)
     extracted = _counted(monkeypatch, extract_pipelines)
     emitted = _counted(monkeypatch, codegen._emit_stages)
-    session = repro.connect(ssb_db, **options)  # no plan_cache= given
+    session = repro.connect(fresh_ssb, **options)  # no plan_cache= given
 
     cold = session.execute(sql)
     assert cold.serving.plan_cache_hit is False
@@ -151,22 +153,77 @@ def test_catalog_changes_replan(monkeypatch):
         assert session.execute(sql).serving.plan_cache_hit
 
 
-def test_who_shares_a_plan_cache(ssb_db):
-    first, second = repro.connect(ssb_db), repro.connect(ssb_db)
+def test_who_shares_a_plan_cache(fresh_ssb, tpch_db):
+    """Every session and server over one catalog built without
+    ``plan_cache=`` shares the catalog's one cache."""
+    first, second = repro.connect(fresh_ssb), repro.connect(fresh_ssb, engine="multipass")
     assert isinstance(first.plan_cache, PlanCache)
-    assert first.plan_cache is not second.plan_cache
-    first.execute(Q11)
-    assert not second.execute(Q11).serving.plan_cache_hit
-    # ``plan_cache=`` keeps its meaning: share this one.
-    assert repro.connect(ssb_db, plan_cache=first.plan_cache).execute(
+    assert first.plan_cache is second.plan_cache is fresh_ssb.plan_cache
+    assert not first.execute(Q11).serving.plan_cache_hit
+    assert second.execute(Q11).serving.plan_cache_hit
+    # Sessions over two catalogs do not share.
+    other = generate_ssb(0.004, seed=7)
+    assert repro.connect(other).plan_cache is other.plan_cache is not first.plan_cache
+    assert not repro.connect(other).execute(Q11).serving.plan_cache_hit
+    assert repro.connect(tpch_db).plan_cache is not first.plan_cache
+    # ``plan_cache=`` keeps its meaning: use this one.
+    private = PlanCache()
+    assert repro.connect(fresh_ssb, plan_cache=private).plan_cache is private
+    assert not repro.connect(fresh_ssb, plan_cache=private).execute(
         Q11
     ).serving.plan_cache_hit
     # A sibling (what a Server worker is) shares its session's cache.
     sibling = first._sibling()
     assert sibling.plan_cache is first.plan_cache
     assert sibling.execute(Q11).serving.plan_cache_hit
-    with Server(ssb_db, workers=2) as server:
+    # A server and a session over one catalog share one cache.
+    with Server(fresh_ssb, workers=2) as server:
+        assert server.plan_cache is first.plan_cache
         assert {worker.plan_cache for worker in server._sessions} == {server.plan_cache}
+        assert server.execute(Q11).serving.plan_cache_hit
+    # Clearing it clears it for every session over the catalog.
+    first.plan_cache.clear()
+    assert not second.execute(Q11).serving.plan_cache_hit
+
+
+def test_sessions_over_one_catalog_plan_once(monkeypatch):
+    """The ``compressed_link`` round: an ``auto`` and a ``lazy`` session
+    over a new SSB database between them parse and extract each of the
+    13 statements once (26 times when each session planned apart),
+    round after round."""
+    parsed = _counted(monkeypatch, plan_sql)
+    extracted = _counted(monkeypatch, extract_pipelines)
+    counts = []
+    for _ in range(2):
+        database = generate_ssb(0.01, seed=12)
+        for mode in ("auto", "lazy"):
+            session = repro.connect(database, compression=mode)
+            for _name, sql in sorted(SSB_QUERIES.items()):
+                session.execute(sql)
+        counts.append((len(parsed), len(extracted)))
+        del parsed[:], extracted[:]
+    assert counts == [(len(SSB_QUERIES), len(SSB_QUERIES))] * 2
+
+
+def test_sessions_racing_to_a_new_catalog_plan_once(monkeypatch):
+    """Eight threads connect to one new catalog at once and run one
+    statement: they get the catalog's one cache, and it parses the
+    statement once."""
+    database = generate_ssb(0.002, seed=5)
+    parsed = _counted(monkeypatch, plan_sql)
+    threads = 8
+    start = threading.Barrier(threads)
+
+    def run(_):
+        start.wait()
+        session = repro.connect(database)
+        return session.plan_cache, session.execute(Q11).table.sorted_rows()
+
+    with ThreadPoolExecutor(threads) as pool:
+        outcomes = list(pool.map(run, range(threads)))
+    assert {id(cache) for cache, _rows in outcomes} == {id(database.plan_cache)}
+    assert len(parsed) == 1
+    assert all(rows == outcomes[0][1] for _cache, rows in outcomes)
 
 
 def test_seen_text_is_not_normalized_again(ssb_db, monkeypatch):
@@ -226,18 +283,21 @@ def test_tiny_kernel_cache_stays_bounded_and_correct(ssb_db, monkeypatch):
 
 
 @pytest.mark.parametrize("options", (dict(), dict(devices=4)), ids=("single", "fleet"))
-def test_no_memo_outlives_its_plan(ssb_db, options):
+def test_no_memo_outlives_its_plan(options):
     """The lifetime rule: kernels and derived pipelines hang off the
-    plan's own pipeline objects, so dropping the session (and with it
-    the private plan cache) frees the plan."""
-    session = repro.connect(ssb_db, **options)
+    plan's own pipeline objects, and the plan cache hangs off its
+    catalog, so dropping the database (and the sessions over it) frees
+    the cache and its plans."""
+    database = generate_ssb(0.004, seed=7)
+    session = repro.connect(database, **options)
     session.execute(AVG)
+    cache = weakref.ref(database.plan_cache)
     plan = weakref.ref(session.physical(AVG))
     pipeline = weakref.ref(plan().final_pipeline)
     assert pipeline().kernels or pipeline().derived
-    del session
+    del session, database
     gc.collect()
-    assert plan() is None and pipeline() is None
+    assert cache() is None and plan() is None and pipeline() is None
 
 
 def test_memory_level_and_meter_api_unchanged():
@@ -269,11 +329,11 @@ def test_memory_level_and_meter_api_unchanged():
     assert TrafficMeter().snapshot()["reads"] == {"host": 0, "global": 0, "onchip": 0}
 
 
-def test_plain_session_flight_record_carries_plan_cache_hit(ssb_db, tmp_path, capsys):
+def test_plain_session_flight_record_carries_plan_cache_hit(fresh_ssb, tmp_path, capsys):
     with FlightRecorder(
         postmortem_dir=str(tmp_path), database_recipe=SSB_RECIPE
     ) as recorder:
-        session = repro.connect(ssb_db, recorder=recorder)
+        session = repro.connect(fresh_ssb, recorder=recorder)
         session.execute(Q11)
         assert recorder.last().metrics["plan_cache_hit"] is False
         session.execute(Q11)
